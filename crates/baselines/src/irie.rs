@@ -12,9 +12,9 @@
 //!
 //! The original IE uses a PMIA-style local estimation; we estimate `AP` by
 //! Monte Carlo over the triggering model instead, which keeps the module
-//! model-generic and is an accuracy-favouring substitution (documented in
-//! DESIGN.md). `α = 0.7` and 20 ranking iterations follow the paper's
-//! recommended settings (§7.3).
+//! model-generic and is an accuracy-favouring substitution: it costs time,
+//! not estimation quality. `α = 0.7` and 20 ranking iterations follow the
+//! paper's recommended settings (§7.3).
 
 use crate::SeedSelector;
 use tim_diffusion::{DiffusionModel, SimWorkspace};

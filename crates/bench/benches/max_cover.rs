@@ -1,11 +1,11 @@
-//! Greedy max-coverage ablation (DESIGN.md decision 3): lazy-heap vs
-//! bucket-queue selection over a realistic RR-set collection.
+//! Greedy max-coverage cost: the lazy-heap solver over a realistic RR-set
+//! collection.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use std::hint::black_box;
 use tim_bench::{prepare, Model};
 use tim_core::parallel::generate_rr_sets;
-use tim_coverage::{greedy_max_cover, greedy_max_cover_bucket, SetCollection};
+use tim_coverage::{greedy_max_cover, SetCollection};
 use tim_diffusion::IndependentCascade;
 use tim_eval::Dataset;
 
@@ -24,13 +24,6 @@ fn max_cover(c: &mut Criterion) {
             b.iter_batched(
                 || collection.clone(),
                 |mut col| black_box(greedy_max_cover(&mut col, k).covered),
-                criterion::BatchSize::LargeInput,
-            );
-        });
-        group.bench_with_input(BenchmarkId::new("bucket_queue", k), &k, |b, &k| {
-            b.iter_batched(
-                || collection.clone(),
-                |mut col| black_box(greedy_max_cover_bucket(&mut col, k).covered),
                 criterion::BatchSize::LargeInput,
             );
         });

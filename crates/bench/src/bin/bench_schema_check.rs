@@ -1,12 +1,9 @@
 //! Validates a bench report against its schema, dispatching on the
 //! report's `schema` string: `tim-bench-fanin/1` (`BENCH_6.json`, the
 //! `c10k_fanin` bin), `tim-bench-graph-load/1` (`BENCH_7.json`, the
-//! `graph_load` bin), `tim-bench-select/1` (`BENCH_8.json`, the
-//! original `select_scaling` shape), `tim-bench-select/2`
-//! (`BENCH_9.json`, the per-strategy shape with `evals_per_round` work
-//! counters and the lazy-vs-eager evaluation-ratio bar), or
-//! `tim-bench-pool-load/1` (`BENCH_10.json`, the `pool_load` bin: v1
-//! heap restore vs v2 mmap open of spilled RR-set pools).
+//! `graph_load` bin), or `tim-bench-pool-load/1` (`BENCH_10.json`, the
+//! `pool_load` bin: v1 heap restore vs v2 mmap open of spilled RR-set
+//! pools).
 //!
 //! ```text
 //! cargo run -p tim_bench --bin bench_schema_check -- <report.json>
@@ -248,166 +245,6 @@ fn check_pool_load(doc: &Value, path: &str, schema: &str) {
     println!("{path}: ok ({schema}, {} scales)", scales.len());
 }
 
-/// `tim-bench-select/…`: the sharded-selection scaling report shape.
-fn check_select(doc: &Value, path: &str, schema: &str) {
-    let graph = doc
-        .get("graph")
-        .unwrap_or_else(|| fail("missing 'graph' object"));
-    for key in ["nodes", "arcs"] {
-        let v = require_f64(graph, key, "graph");
-        if v < 1.0 || v.fract() != 0.0 {
-            fail(&format!(
-                "graph: '{key}' must be a positive integer, got {v}"
-            ));
-        }
-    }
-    for key in ["theta", "k"] {
-        let v = require_f64(doc, key, "report");
-        if v < 1.0 || v.fract() != 0.0 {
-            fail(&format!(
-                "report: '{key}' must be a positive integer, got {v}"
-            ));
-        }
-    }
-    let serial_ms = require_f64(doc, "serial_ms", "report");
-    if serial_ms <= 0.0 {
-        fail("report: 'serial_ms' must be positive");
-    }
-    let threads = doc
-        .get("threads")
-        .and_then(Value::as_arr)
-        .unwrap_or_else(|| fail("missing 'threads' array"));
-    // The acceptance bar names 1/2/4/8 threads; every entry must have
-    // re-verified byte-identity against the serial baseline.
-    for want in [1.0, 2.0, 4.0, 8.0] {
-        let Some(entry) = threads
-            .iter()
-            .find(|t| t.get("threads").and_then(Value::as_f64) == Some(want))
-        else {
-            fail(&format!("missing measurement for threads={want}"));
-        };
-        let what = format!("threads={want}");
-        if require_f64(entry, "select_ms", &what) <= 0.0 {
-            fail(&format!("{what}: 'select_ms' must be positive"));
-        }
-        if require_f64(entry, "speedup", &what) <= 0.0 {
-            fail(&format!("{what}: 'speedup' must be positive"));
-        }
-        if entry.get("identical").and_then(Value::as_bool) != Some(true) {
-            fail(&format!(
-                "{what}: 'identical' must be true — sharded selection diverged"
-            ));
-        }
-    }
-    println!("{path}: ok ({schema}, {} thread counts)", threads.len());
-}
-
-/// Shared by both strategy blocks of a `tim-bench-select/2` entry.
-fn check_strategy_block(entry: &Value, what: &str) -> f64 {
-    if require_f64(entry, "select_ms", what) <= 0.0 {
-        fail(&format!("{what}: 'select_ms' must be positive"));
-    }
-    if require_f64(entry, "speedup", what) <= 0.0 {
-        fail(&format!("{what}: 'speedup' must be positive"));
-    }
-    for key in ["repushes", "dirty"] {
-        let v = require_f64(entry, key, what);
-        if v < 0.0 || v.fract() != 0.0 {
-            fail(&format!(
-                "{what}: '{key}' must be a non-negative integer, got {v}"
-            ));
-        }
-    }
-    if entry.get("identical").and_then(Value::as_bool) != Some(true) {
-        fail(&format!(
-            "{what}: 'identical' must be true — sharded selection diverged"
-        ));
-    }
-    let epr = require_f64(entry, "evals_per_round", what);
-    if epr <= 0.0 {
-        fail(&format!("{what}: 'evals_per_round' must be positive"));
-    }
-    epr
-}
-
-/// `tim-bench-select/2`: the per-strategy shape. Beyond the v1 checks,
-/// every thread count carries an `eager` and a `lazy` block with work
-/// counters, and full-mode reports must meet the lazy acceptance bar:
-/// ≥ 5× fewer candidate evaluations per round wherever real sharding
-/// happens (t ≥ 2 — t = 1 delegates to the serial solver under either
-/// strategy, so its ratio is 1).
-fn check_select_v2(doc: &Value, path: &str, schema: &str) {
-    let quick = doc
-        .get("quick")
-        .and_then(Value::as_bool)
-        .unwrap_or_else(|| fail("missing boolean 'quick'"));
-    let graph = doc
-        .get("graph")
-        .unwrap_or_else(|| fail("missing 'graph' object"));
-    for key in ["nodes", "arcs"] {
-        let v = require_f64(graph, key, "graph");
-        if v < 1.0 || v.fract() != 0.0 {
-            fail(&format!(
-                "graph: '{key}' must be a positive integer, got {v}"
-            ));
-        }
-    }
-    for key in ["theta", "k"] {
-        let v = require_f64(doc, key, "report");
-        if v < 1.0 || v.fract() != 0.0 {
-            fail(&format!(
-                "report: '{key}' must be a positive integer, got {v}"
-            ));
-        }
-    }
-    let serial = doc
-        .get("serial")
-        .unwrap_or_else(|| fail("missing 'serial' object"));
-    if require_f64(serial, "select_ms", "serial") <= 0.0 {
-        fail("serial: 'select_ms' must be positive");
-    }
-    if require_f64(serial, "evals_per_round", "serial") <= 0.0 {
-        fail("serial: 'evals_per_round' must be positive");
-    }
-    let threads = doc
-        .get("threads")
-        .and_then(Value::as_arr)
-        .unwrap_or_else(|| fail("missing 'threads' array"));
-    for want in [1.0, 2.0, 4.0, 8.0] {
-        let Some(entry) = threads
-            .iter()
-            .find(|t| t.get("threads").and_then(Value::as_f64) == Some(want))
-        else {
-            fail(&format!("missing measurement for threads={want}"));
-        };
-        let eager = entry
-            .get("eager")
-            .unwrap_or_else(|| fail(&format!("threads={want}: missing 'eager' block")));
-        let lazy = entry
-            .get("lazy")
-            .unwrap_or_else(|| fail(&format!("threads={want}: missing 'lazy' block")));
-        let eager_epr = check_strategy_block(eager, &format!("threads={want} eager"));
-        let lazy_epr = check_strategy_block(lazy, &format!("threads={want} lazy"));
-        let ratio = require_f64(entry, "lazy_eval_ratio", &format!("threads={want}"));
-        // The recorded ratio must agree with the blocks it summarizes
-        // (loose tolerance: the report rounds to one decimal).
-        let derived = eager_epr / lazy_epr.max(1e-9);
-        if (ratio - derived).abs() > 0.05 * derived.max(1.0) + 0.1 {
-            fail(&format!(
-                "threads={want}: 'lazy_eval_ratio' {ratio} does not match \
-                 eager/lazy evals_per_round ({derived:.1})"
-            ));
-        }
-        if !quick && want >= 2.0 && ratio < 5.0 {
-            fail(&format!(
-                "threads={want}: lazy strategy evaluates only {ratio:.1}x fewer \
-                 candidates per round than eager (need >= 5x at full scale)"
-            ));
-        }
-    }
-    println!("{path}: ok ({schema}, {} thread counts)", threads.len());
-}
-
 fn main() {
     let path = std::env::args()
         .nth(1)
@@ -425,10 +262,6 @@ fn main() {
         check_fanin(&doc, &path, &schema);
     } else if schema.starts_with("tim-bench-graph-load/") {
         check_graph_load(&doc, &path, &schema);
-    } else if schema == "tim-bench-select/1" {
-        check_select(&doc, &path, &schema);
-    } else if schema == "tim-bench-select/2" {
-        check_select_v2(&doc, &path, &schema);
     } else if schema.starts_with("tim-bench-pool-load/") {
         check_pool_load(&doc, &path, &schema);
     } else {

@@ -25,7 +25,6 @@
 
 use std::time::Instant;
 use tim_core::select::node_selection;
-use tim_core::GreedyImpl;
 use tim_diffusion::IndependentCascade;
 use tim_graph::{gen, snapshot, weights, Graph, GraphStore};
 
@@ -96,9 +95,6 @@ fn query<G: tim_graph::CsrAccess>(graph: &G, theta: u64) -> Vec<u32> {
         theta,
         0xB7,
         1,
-        1,
-        tim_core::SelectStrategy::Auto,
-        GreedyImpl::LazyHeap,
     )
     .seeds
 }

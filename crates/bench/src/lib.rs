@@ -1,8 +1,9 @@
 //! Shared plumbing for the experiment harness (`experiments` binary) and
 //! the criterion benches.
 //!
-//! Every figure/table of the paper maps to one harness subcommand; see
-//! DESIGN.md §5 for the index and EXPERIMENTS.md for recorded runs.
+//! Every figure/table of the paper maps to one harness subcommand
+//! (`experiments table2`, `experiments fig3` … `fig12`); the README's
+//! "Reproducing the paper's experiments" section shows how to run them.
 
 pub mod json;
 

@@ -12,46 +12,35 @@ pub struct Args {
     switches: Vec<String>,
 }
 
-/// Flags that take no value.
-const SWITCHES: &[&str] = &[
-    "undirected",
-    "quiet",
-    "admin",
-    "persist-pools",
-    "event-loop",
-    "mmap",
-    "mmap-pools",
-];
+/// The flags one subcommand reads: `values` take an argument (`--eps 0.1`,
+/// or `-k 50` in short form), `switches` stand alone (`--quiet`).
+pub struct Spec {
+    pub values: &'static [&'static str],
+    pub switches: &'static [&'static str],
+}
 
 impl Args {
-    /// Parses argv (without the subcommand name).
-    pub fn parse(argv: &[String]) -> Result<Self, String> {
+    /// Parses argv (without the subcommand name). A flag `spec` does not
+    /// list is an error, so a typo or a retired flag cannot be silently
+    /// ignored.
+    pub fn parse(argv: &[String], spec: &Spec) -> Result<Self, String> {
         let mut args = Args::default();
-        let mut it = argv.iter().peekable();
+        let mut it = argv.iter();
         while let Some(a) = it.next() {
-            if let Some(name) = a.strip_prefix("--") {
-                if SWITCHES.contains(&name) {
-                    args.switches.push(name.to_string());
-                } else {
-                    let value = it
-                        .next()
-                        .ok_or_else(|| format!("--{name} requires a value"))?;
-                    args.flags
-                        .entry(name.to_string())
-                        .or_default()
-                        .push(value.clone());
-                }
-            } else if let Some(name) = a.strip_prefix('-') {
-                // Short flags: -k 50 style.
-                let value = it
-                    .next()
-                    .ok_or_else(|| format!("-{name} requires a value"))?;
+            let Some(name) = a.strip_prefix("--").or_else(|| a.strip_prefix('-')) else {
+                args.positional.push(a.clone());
+                continue;
+            };
+            if a.starts_with("--") && spec.switches.contains(&name) {
+                args.switches.push(name.to_string());
+            } else if spec.values.contains(&name) {
+                let value = it.next().ok_or_else(|| format!("{a} requires a value"))?;
                 args.flags
                     .entry(name.to_string())
                     .or_default()
                     .push(value.clone());
             } else {
-                args.positional.push(a.clone());
+                return Err(format!("unknown flag {a}"));
             }
         }
         Ok(args)
@@ -103,13 +92,19 @@ pub use tim_server::protocol::parse_id_list;
 mod tests {
     use super::*;
 
-    fn argv(s: &str) -> Vec<String> {
-        s.split_whitespace().map(String::from).collect()
+    const SPEC: Spec = Spec {
+        values: &["k", "eps", "graph", "runs"],
+        switches: &["undirected", "quiet"],
+    };
+
+    fn parse(s: &str) -> Result<Args, String> {
+        let argv: Vec<String> = s.split_whitespace().map(String::from).collect();
+        Args::parse(&argv, &SPEC)
     }
 
     #[test]
     fn parses_positionals_flags_and_switches() {
-        let a = Args::parse(&argv("edges.txt -k 50 --eps 0.2 --undirected")).unwrap();
+        let a = parse("edges.txt -k 50 --eps 0.2 --undirected").unwrap();
         assert_eq!(a.positional, vec!["edges.txt"]);
         assert_eq!(a.get("k"), Some("50"));
         assert_eq!(a.get_parsed("eps", 0.1).unwrap(), 0.2);
@@ -119,7 +114,7 @@ mod tests {
 
     #[test]
     fn repeated_flags_keep_every_occurrence() {
-        let a = Args::parse(&argv("--graph a=x --graph b=y --eps 0.1 --eps 0.2")).unwrap();
+        let a = parse("--graph a=x --graph b=y --eps 0.1 --eps 0.2").unwrap();
         assert_eq!(a.get_all("graph"), ["a=x".to_string(), "b=y".to_string()]);
         assert_eq!(a.get("graph"), Some("b=y"), "get returns the last");
         assert_eq!(a.get_parsed("eps", 0.0).unwrap(), 0.2);
@@ -128,25 +123,36 @@ mod tests {
 
     #[test]
     fn defaults_apply_when_flag_absent() {
-        let a = Args::parse(&argv("x")).unwrap();
+        let a = parse("x").unwrap();
         assert_eq!(a.get_parsed("runs", 10_000usize).unwrap(), 10_000);
     }
 
     #[test]
     fn missing_value_is_an_error() {
-        assert!(Args::parse(&argv("x --eps")).is_err());
-        assert!(Args::parse(&argv("x -k")).is_err());
+        assert_eq!(parse("x --eps").unwrap_err(), "--eps requires a value");
+        assert_eq!(parse("x -k").unwrap_err(), "-k requires a value");
+    }
+
+    #[test]
+    fn unknown_flags_and_switches_are_rejected() {
+        assert_eq!(parse("x --esp 0.3").unwrap_err(), "unknown flag --esp");
+        assert_eq!(parse("x --mmap").unwrap_err(), "unknown flag --mmap");
+        assert_eq!(parse("x -q").unwrap_err(), "unknown flag -q");
+        // Switches only come in long form.
+        assert_eq!(parse("x -quiet").unwrap_err(), "unknown flag -quiet");
+        // A flag's value is never mistaken for a flag.
+        assert_eq!(parse("x --eps --esp").unwrap().get("eps"), Some("--esp"));
     }
 
     #[test]
     fn bad_parse_is_reported() {
-        let a = Args::parse(&argv("x --eps abc")).unwrap();
+        let a = parse("x --eps abc").unwrap();
         assert!(a.get_parsed("eps", 0.1f64).is_err());
     }
 
     #[test]
     fn missing_positional_is_reported() {
-        let a = Args::parse(&argv("--eps 0.1")).unwrap();
+        let a = parse("--eps 0.1").unwrap();
         assert!(a.positional(0, "input file").is_err());
     }
 

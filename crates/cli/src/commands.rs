@@ -1,7 +1,7 @@
 //! The eight subcommands: select, evaluate, stats, generate, snapshot,
 //! query, serve, client.
 
-use crate::args::{parse_id_list, Args};
+use crate::args::{parse_id_list, Args, Spec};
 use std::io::{BufRead, Read, Write};
 use std::sync::Arc;
 use tim_baselines::{
@@ -41,8 +41,7 @@ usage:
                [--default-graph <name>] [--max-loaded 8] [--pool <path.timp>]
                [--pool-dir <dir>] [--persist-pools] [--mmap-pools] [--admin] [--mmap]
                [-k <K=50>] [--model ic|lt] [--weights wc|...] [--eps 0.1] [--ell 1.0]
-               [--seed 0] [--pool-cache 4] [--select-threads 1]
-               [--select-strategy eager|lazy|auto] [--undirected] [--quiet]
+               [--seed 0] [--pool-cache 4] [--undirected] [--quiet]
                (reads line-delimited tim/3 queries from stdin:
                   select <k> [fast] [eps=<v>] [ell=<v>]
                   eval <id,id,...>
@@ -56,8 +55,7 @@ usage:
                [--addr 127.0.0.1:7171] [--threads 4] [--pool-cache 4]
                [--event-loop] [--idle-timeout <secs>] [--max-conns <n>]
                [-k <K=50>] [--model ic|lt] [--weights wc|...] [--eps 0.1] [--ell 1.0]
-               [--seed 0] [--pool <path.timp>] [--select-threads 1]
-               [--select-strategy eager|lazy|auto] [--undirected] [--quiet]
+               [--seed 0] [--pool <path.timp>] [--undirected] [--quiet]
                (serves the tim/3 query protocol over TCP; prints
                 `listening on <addr>` on stdout when bound — see docs/PROTOCOL.md;
                 --event-loop serves via epoll reactor shards instead of
@@ -75,16 +73,8 @@ usage:
   each --graph adds a lazily loaded named graph, and --graphs scans a
   directory of .timg/.txt/.edges files (stems become names). A --graph
   spec may carry per-graph overrides after `::` (model=ic|lt, eps=, ell=,
-  seed=, k=, weights=, mmap=true|false, mmap_pools=true|false,
-  select_threads=, select_strategy=), replacing the global defaults
-  for that graph.
-  --select-threads shards each query's greedy selection phase across N
-  worker threads (0 = all cores; default 1 = serial); answers are
-  byte-identical at any thread count, so it only changes latency.
-  --select-strategy picks how those workers search: eager scans every
-  node each round, lazy keeps CELF-style per-worker heaps (auto, the
-  default, picks lazy). Strategy never changes answers either — only
-  the number of gain evaluations per round.
+  seed=, k=, weights=, mmap=true|false, mmap_pools=true|false),
+  replacing the global defaults for that graph.
   With --pool-dir every graph keeps its RR-set pools in <dir>/<name>/
   (read on start — a warm restart skips the pool builds); --persist-pools
   additionally writes newly built or grown pools back automatically;
@@ -100,23 +90,109 @@ usage:
   so --mmap implies --weights keep (an explicit contradicting --weights
   is an error); per-graph `mmap=` overrides flip the choice per graph.";
 
+// The flags each subcommand reads; `dispatch` rejects any other.
+const SELECT: Spec = Spec {
+    values: &[
+        "k", "algo", "model", "weights", "eps", "ell", "seed", "runs",
+    ],
+    switches: &["undirected", "quiet"],
+};
+const EVALUATE: Spec = Spec {
+    values: &["seeds", "model", "weights", "runs", "seed"],
+    switches: &["undirected"],
+};
+const STATS: Spec = Spec {
+    values: &["weights", "seed"],
+    switches: &["undirected"],
+};
+const GENERATE: Spec = Spec {
+    values: &["out", "n", "param", "scale", "seed"],
+    switches: &[],
+};
+const SNAPSHOT: Spec = Spec {
+    values: &["out", "format", "weights", "seed"],
+    switches: &["undirected"],
+};
+const QUERY: Spec = Spec {
+    values: &[
+        "graph",
+        "graphs",
+        "default-graph",
+        "max-loaded",
+        "pool",
+        "pool-dir",
+        "pool-cache",
+        "k",
+        "model",
+        "weights",
+        "eps",
+        "ell",
+        "seed",
+    ],
+    switches: &[
+        "persist-pools",
+        "mmap-pools",
+        "admin",
+        "mmap",
+        "undirected",
+        "quiet",
+    ],
+};
+const SERVE: Spec = Spec {
+    values: &[
+        "graph",
+        "graphs",
+        "default-graph",
+        "max-loaded",
+        "pool",
+        "pool-dir",
+        "pool-cache",
+        "k",
+        "model",
+        "weights",
+        "eps",
+        "ell",
+        "seed",
+        "addr",
+        "threads",
+        "idle-timeout",
+        "max-conns",
+    ],
+    switches: &[
+        "persist-pools",
+        "mmap-pools",
+        "admin",
+        "mmap",
+        "undirected",
+        "quiet",
+        "event-loop",
+    ],
+};
+const CLIENT: Spec = Spec {
+    values: &["addr", "timeout"],
+    switches: &[],
+};
+
+/// A subcommand's body, run on its parsed flags.
+type Command = fn(&Args) -> Result<(), String>;
+
 /// Entry point: dispatches on the subcommand.
 pub fn dispatch(argv: &[String]) -> Result<(), String> {
     let (cmd, rest) = argv
         .split_first()
         .ok_or_else(|| "missing subcommand".to_string())?;
-    let args = Args::parse(rest)?;
-    match cmd.as_str() {
-        "select" => select(&args),
-        "evaluate" => evaluate(&args),
-        "stats" => stats(&args),
-        "generate" => generate(&args),
-        "snapshot" => snapshot_cmd(&args),
-        "query" => query(&args),
-        "serve" => serve(&args),
-        "client" => client(&args),
-        other => Err(format!("unknown subcommand '{other}'")),
-    }
+    let (run, spec): (Command, &Spec) = match cmd.as_str() {
+        "select" => (select, &SELECT),
+        "evaluate" => (evaluate, &EVALUATE),
+        "stats" => (stats, &STATS),
+        "generate" => (generate, &GENERATE),
+        "snapshot" => (snapshot_cmd, &SNAPSHOT),
+        "query" => (query, &QUERY),
+        "serve" => (serve, &SERVE),
+        "client" => (client, &CLIENT),
+        other => return Err(format!("unknown subcommand '{other}'")),
+    };
+    run(&Args::parse(rest, spec).map_err(|e| format!("{cmd}: {e}"))?)
 }
 
 /// Applies a `--weights` spec to a graph. `seed` perturbs the seeded
@@ -422,11 +498,6 @@ fn server_config(args: &Args, quiet: bool) -> Result<ServerConfig, String> {
         seed: args.get_parsed("seed", 0u64)?,
         k_max: args.get_parsed("k", 50usize)?,
         sample_threads: 0,
-        select_threads: args.get_parsed("select-threads", 1usize)?,
-        select_strategy: match args.get("select-strategy") {
-            None => tim_core::SelectStrategy::Auto,
-            Some(v) => v.parse().map_err(|e| format!("--select-strategy: {e}"))?,
-        },
         verbose: !quiet,
         // `--mmap` flips the weights default to "keep": a mapped graph
         // serves the probabilities baked into its v2 snapshot verbatim.
@@ -988,6 +1059,14 @@ mod tests {
         s.split_whitespace().map(String::from).collect()
     }
 
+    fn query_args(s: &str) -> Args {
+        Args::parse(&argv(s), &QUERY).unwrap()
+    }
+
+    fn serve_args(s: &str) -> Args {
+        Args::parse(&argv(s), &SERVE).unwrap()
+    }
+
     fn tmpdir() -> std::path::PathBuf {
         let d = std::env::temp_dir().join(format!("tim_cli_test_{}", std::process::id()));
         std::fs::create_dir_all(&d).unwrap();
@@ -998,6 +1077,69 @@ mod tests {
     fn dispatch_rejects_unknown_subcommand() {
         assert!(dispatch(&argv("frobnicate")).is_err());
         assert!(dispatch(&[]).is_err());
+    }
+
+    #[test]
+    fn dispatch_rejects_unknown_flags() {
+        let err = dispatch(&argv("query g.txt --esp 0.3")).unwrap_err();
+        assert_eq!(err, "query: unknown flag --esp");
+        // Retired selection flags fail the same way on both front ends.
+        for cmd in ["query", "serve"] {
+            for flag in [
+                concat!("--select-", "threads 4"),
+                concat!("--select-", "strategy lazy"),
+            ] {
+                let err = dispatch(&argv(&format!("{cmd} g.txt {flag}"))).unwrap_err();
+                assert!(
+                    err.starts_with(&format!("{cmd}: unknown flag --select-")),
+                    "{err}"
+                );
+            }
+        }
+        // A flag another subcommand reads is still unknown here.
+        assert_eq!(
+            dispatch(&argv("query g.txt --threads 4")).unwrap_err(),
+            "query: unknown flag --threads"
+        );
+        assert_eq!(
+            dispatch(&argv("select g.txt -k 5 --mmap")).unwrap_err(),
+            "select: unknown flag --mmap"
+        );
+    }
+
+    #[test]
+    fn scripted_command_lines_still_parse() {
+        // Every flag the smoke script and the end-to-end benchmark pass.
+        for (spec, line) in [
+            (&GENERATE, "ba --out g.txt --n 2000 --param 4 --seed 1"),
+            (
+                &SELECT,
+                "g.txt -k 10 --algo tim+ --model ic --weights wc --eps 0.3 --seed 7 --quiet",
+            ),
+            (
+                &EVALUATE,
+                "g.txt --seeds 1,2 --model ic --weights wc --runs 2000 --seed 7",
+            ),
+            (&SNAPSHOT, "g.txt --out g.timg --format v2 --weights wc"),
+            (
+                &QUERY,
+                "g.timg --pool p.timp -k 10 --eps 0.3 --seed 7 --quiet --weights keep --mmap",
+            ),
+            (
+                &SERVE,
+                "--graph ba=g.timg --addr 127.0.0.1:0 --pool p.timp -k 10 --eps 0.3 --seed 7 \
+                 --event-loop --idle-timeout 30 --max-conns 256 --pool-dir d --persist-pools \
+                 --admin --mmap-pools --mmap",
+            ),
+            (
+                &SERVE,
+                "g.timg --weights keep --eps 0.3 --ell 1 -k 50 --seed 9 --addr 127.0.0.1:0 \
+                 --threads 2 --quiet --admin --pool-dir d --persist-pools",
+            ),
+            (&CLIENT, "--addr 127.0.0.1:1 --timeout 60"),
+        ] {
+            Args::parse(&argv(line), spec).unwrap_or_else(|e| panic!("{line}: {e}"));
+        }
     }
 
     #[test]
@@ -1369,12 +1511,11 @@ mod tests {
         let (a, b) = (dir.join("cat_a.txt"), dir.join("cat_b.txt"));
         std::fs::write(&a, "0 1\n1 2\n2 0\n").unwrap();
         std::fs::write(&b, "0 1\n1 2\n2 3\n3 0\n").unwrap();
-        let args = Args::parse(&argv(&format!(
+        let args = query_args(&format!(
             "--graph a={} --graph b={} --eps 1.0 --default-graph a",
             a.display(),
             b.display()
-        )))
-        .unwrap();
+        ));
         let config = server_config(&args, true).unwrap();
         let state = build_state(ModelKind::IndependentCascade, "ic", &args, config).unwrap();
         assert_eq!(state.default_graph(), "a");
@@ -1385,15 +1526,14 @@ mod tests {
         assert!(lines[3].starts_with("stats: graph=b n=4 "));
         assert!(lines[4].starts_with("error: use: unknown graph"));
         // Duplicate names and empty catalogs are rejected.
-        let dup = Args::parse(&argv(&format!(
+        let dup = query_args(&format!(
             "--graph a={} --graph a={}",
             a.display(),
             b.display()
-        )))
-        .unwrap();
+        ));
         let config = server_config(&dup, true).unwrap();
         assert!(build_state(ModelKind::IndependentCascade, "ic", &dup, config).is_err());
-        let none = Args::parse(&argv("--eps 1.0")).unwrap();
+        let none = query_args("--eps 1.0");
         let config = server_config(&none, true).unwrap();
         assert!(build_state(ModelKind::IndependentCascade, "ic", &none, config).is_err());
         std::fs::remove_file(&a).ok();
@@ -1402,10 +1542,7 @@ mod tests {
 
     #[test]
     fn pool_dir_flags_wire_into_the_config() {
-        let args = Args::parse(&argv(
-            "g.txt --pool-dir /tmp/pd --persist-pools --mmap-pools --admin",
-        ))
-        .unwrap();
+        let args = query_args("g.txt --pool-dir /tmp/pd --persist-pools --mmap-pools --admin");
         let config = server_config(&args, true).unwrap();
         assert_eq!(
             config.pool_dir.as_deref(),
@@ -1414,17 +1551,17 @@ mod tests {
         assert!(config.persist_pools);
         assert!(config.mmap_pools);
         assert!(config.admin);
-        let plain = Args::parse(&argv("g.txt")).unwrap();
+        let plain = query_args("g.txt");
         let config = server_config(&plain, true).unwrap();
         assert!(config.pool_dir.is_none() && !config.persist_pools && !config.admin);
         assert!(!config.mmap_pools);
         // Write-back without a store location is a config error, and so is
         // asking for mapped restores with nowhere to restore from.
-        let bad = Args::parse(&argv("g.txt --persist-pools")).unwrap();
+        let bad = query_args("g.txt --persist-pools");
         assert!(server_config(&bad, true)
             .unwrap_err()
             .contains("requires --pool-dir"));
-        let bad = Args::parse(&argv("g.txt --mmap-pools")).unwrap();
+        let bad = query_args("g.txt --mmap-pools");
         assert!(server_config(&bad, true)
             .unwrap_err()
             .contains("--mmap-pools requires --pool-dir"));
@@ -1456,7 +1593,7 @@ mod tests {
         let session = "select 3\nselect 2\neval 0,1\nselect 2 fast\n";
 
         // Cold run with write-back: builds and spills the default pool.
-        let args = Args::parse(&argv(&format!("{flags} --persist-pools"))).unwrap();
+        let args = query_args(&format!("{flags} --persist-pools"));
         let config = server_config(&args, true).unwrap();
         let cold_state = build_state(ModelKind::IndependentCascade, "ic", &args, config).unwrap();
         let cold = run_session(&cold_state, session);
@@ -1467,7 +1604,7 @@ mod tests {
 
         // Warm restart (fresh state, same store): zero pool builds,
         // byte-identical answers.
-        let args = Args::parse(&argv(&flags)).unwrap();
+        let args = query_args(&flags);
         let config = server_config(&args, true).unwrap();
         let warm_state = build_state(ModelKind::IndependentCascade, "ic", &args, config).unwrap();
         let warm = run_session(&warm_state, session);
@@ -1479,7 +1616,7 @@ mod tests {
         // Warm restart with --mmap-pools: the v2 spill is served as a
         // zero-copy mapping instead of being decoded — same answers, still
         // zero builds.
-        let args = Args::parse(&argv(&format!("{flags} --mmap-pools"))).unwrap();
+        let args = query_args(&format!("{flags} --mmap-pools"));
         let config = server_config(&args, true).unwrap();
         let mapped_state = build_state(ModelKind::IndependentCascade, "ic", &args, config).unwrap();
         let mapped = run_session(&mapped_state, session);
@@ -1499,11 +1636,10 @@ mod tests {
         let dir = tmpdir();
         let path = dir.join("ovr.txt");
         std::fs::write(&path, "0 1\n1 2\n2 0\n").unwrap();
-        let args = Args::parse(&argv(&format!(
+        let args = query_args(&format!(
             "--graph tuned={}::model=lt,eps=0.9,seed=6 --eps 1.0",
             path.display()
-        )))
-        .unwrap();
+        ));
         let config = server_config(&args, true).unwrap();
         let state = build_state(ModelKind::IndependentCascade, "ic", &args, config).unwrap();
         let lines = run_session(&state, "stats\n");
@@ -1513,11 +1649,7 @@ mod tests {
             lines[0]
         );
         // A bad override fails at startup, not at first query.
-        let bad = Args::parse(&argv(&format!(
-            "--graph tuned={}::model=bogus",
-            path.display()
-        )))
-        .unwrap();
+        let bad = query_args(&format!("--graph tuned={}::model=bogus", path.display()));
         let config = server_config(&bad, true).unwrap();
         assert!(
             build_state(ModelKind::IndependentCascade, "ic", &bad, config)
@@ -1580,7 +1712,7 @@ mod tests {
 
     #[test]
     fn serve_event_loop_flags_are_validated() {
-        let parse = |s: &str| server_config(&Args::parse(&argv(s)).unwrap(), true);
+        let parse = |s: &str| server_config(&serve_args(s), true);
         let config = parse("g.txt --event-loop --idle-timeout 2.5 --max-conns 100").unwrap();
         assert!(config.event_loop);
         assert_eq!(
@@ -1645,10 +1777,10 @@ mod tests {
     #[test]
     fn mmap_flag_requires_keep_weights() {
         // --mmap alone implies keep; an explicit contradiction errors.
-        let ok = Args::parse(&argv("g.timg --mmap")).unwrap();
+        let ok = query_args("g.timg --mmap");
         assert_eq!(server_config(&ok, true).unwrap().weights, "keep");
         assert!(server_config(&ok, true).unwrap().mmap);
-        let bad = Args::parse(&argv("g.timg --mmap --weights wc")).unwrap();
+        let bad = query_args("g.timg --mmap --weights wc");
         assert!(server_config(&bad, true)
             .unwrap_err()
             .contains("--mmap requires --weights keep"));
@@ -1682,11 +1814,7 @@ mod tests {
 
         let session = "select 3\nselect 2 fast\neval 0,3\nmarginal 0 3\nstats\n";
         let run = |flags: &str| {
-            let args = Args::parse(&argv(&format!(
-                "{} --eps 1.0 --seed 7 -k 4 {flags}",
-                v2.display()
-            )))
-            .unwrap();
+            let args = query_args(&format!("{} --eps 1.0 --seed 7 -k 4 {flags}", v2.display()));
             let config = server_config(&args, true).unwrap();
             let state = build_state(ModelKind::IndependentCascade, "ic", &args, config).unwrap();
             run_session(&state, session)

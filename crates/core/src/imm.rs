@@ -23,10 +23,9 @@
 //! experiment).
 
 use crate::math::ln_choose;
-use crate::select::run_greedy;
-use crate::tim::{GreedyImpl, PhaseTimings};
+use crate::tim::PhaseTimings;
 use std::time::Instant;
-use tim_coverage::{CoverResult, SelectStrategy, SetCollection};
+use tim_coverage::{greedy_max_cover, SetCollection};
 use tim_diffusion::{DiffusionModel, RrSampler};
 use tim_graph::{Graph, NodeId};
 use tim_rng::Rng;
@@ -60,9 +59,6 @@ pub struct Imm<M> {
     epsilon: f64,
     ell: f64,
     seed: u64,
-    select_threads: usize,
-    select_strategy: SelectStrategy,
-    greedy: GreedyImpl,
 }
 
 impl<M: DiffusionModel + Sync> Imm<M> {
@@ -73,9 +69,6 @@ impl<M: DiffusionModel + Sync> Imm<M> {
             epsilon: 0.1,
             ell: 1.0,
             seed: 0,
-            select_threads: 1,
-            select_strategy: SelectStrategy::Auto,
-            greedy: GreedyImpl::LazyHeap,
         }
     }
 
@@ -100,39 +93,6 @@ impl<M: DiffusionModel + Sync> Imm<M> {
     pub fn seed(mut self, seed: u64) -> Self {
         self.seed = seed;
         self
-    }
-
-    /// Worker threads for the greedy selection steps (default 1 = serial;
-    /// 0 = all cores). Never changes the answer.
-    #[must_use]
-    pub fn select_threads(mut self, select_threads: usize) -> Self {
-        self.select_threads = select_threads;
-        self
-    }
-
-    /// How sharded selection workers find each round's argmax (default
-    /// [`SelectStrategy::Auto`] = lazy). Never changes the answer.
-    #[must_use]
-    pub fn select_strategy(mut self, strategy: SelectStrategy) -> Self {
-        self.select_strategy = strategy;
-        self
-    }
-
-    /// Chooses the greedy max-coverage implementation.
-    #[must_use]
-    pub fn greedy(mut self, greedy: GreedyImpl) -> Self {
-        self.greedy = greedy;
-        self
-    }
-
-    fn cover(&self, collection: &mut SetCollection, k: usize) -> CoverResult {
-        run_greedy(
-            collection,
-            k,
-            self.greedy,
-            self.select_threads,
-            self.select_strategy,
-        )
     }
 
     /// Selects `k` seeds on `graph`.
@@ -177,7 +137,7 @@ impl<M: DiffusionModel + Sync> Imm<M> {
                 sampler.sample_random(graph, &mut rng, &mut buf);
                 collection.push(&buf);
             }
-            let cover = self.cover(&mut collection, k);
+            let cover = greedy_max_cover(&mut collection, k);
             let frac = cover.coverage_fraction(collection.len());
             if n * frac >= (1.0 + eps_p) * x {
                 lb = n * frac / (1.0 + eps_p);
@@ -201,7 +161,7 @@ impl<M: DiffusionModel + Sync> Imm<M> {
             collection.push(&buf);
         }
         let rr_memory_bytes = collection.memory_bytes();
-        let cover = self.cover(&mut collection, k);
+        let cover = greedy_max_cover(&mut collection, k);
         let selection_time = t1.elapsed();
         let frac = cover.coverage_fraction(collection.len());
 
@@ -321,21 +281,6 @@ mod tests {
         assert_eq!(a.seeds, b.seeds);
         assert_eq!(a.theta, b.theta);
         assert_eq!(a.lb, b.lb);
-        for select_threads in [2, 4, 0] {
-            for strategy in [SelectStrategy::Eager, SelectStrategy::Lazy] {
-                let c = Imm::new(IndependentCascade)
-                    .epsilon(0.6)
-                    .seed(12)
-                    .select_threads(select_threads)
-                    .select_strategy(strategy)
-                    .run(&g, 5);
-                assert_eq!(
-                    a.seeds, c.seeds,
-                    "select_threads={select_threads} {strategy}"
-                );
-                assert_eq!(a.lb, c.lb);
-            }
-        }
     }
 
     #[test]

@@ -40,9 +40,4 @@ pub mod select;
 pub mod tim;
 
 pub use imm::{Imm, ImmResult};
-pub use tim::{
-    select_stream_seed, GreedyImpl, PhaseTimings, SamplingPlan, Tim, TimPlus, TimResult,
-};
-// Re-exported so downstream crates (engine, server, CLI) can name the
-// selection knobs without depending on tim_coverage directly.
-pub use tim_coverage::{EvalStats, SelectStrategy};
+pub use tim::{select_stream_seed, PhaseTimings, SamplingPlan, Tim, TimPlus, TimResult};

@@ -11,9 +11,7 @@
 use crate::kpt::KptEstimate;
 use crate::math::{epsilon_prime, lambda_prime};
 use crate::parallel::generate_rr_sets;
-use crate::select::run_greedy;
-use crate::tim::GreedyImpl;
-use tim_coverage::SelectStrategy;
+use tim_coverage::greedy_max_cover;
 use tim_diffusion::DiffusionModel;
 use tim_graph::CsrAccess;
 use tim_rng::{RandomSource, Rng};
@@ -47,23 +45,13 @@ pub fn refine_kpt<G: CsrAccess, M: DiffusionModel<G> + Sync>(
     eps_prime_override: Option<f64>,
     rng: &mut Rng,
     threads: usize,
-    select_threads: usize,
-    select_strategy: SelectStrategy,
-    greedy: GreedyImpl,
 ) -> Refined {
     let n = graph.n() as u64;
     let eps_p = eps_prime_override.unwrap_or_else(|| epsilon_prime(epsilon, k.max(1) as u64, ell));
     assert!(eps_p > 0.0, "refine_kpt: epsilon_prime must be positive");
 
     // Lines 2-6: greedy cover on the last iteration's RR sets.
-    let cover = run_greedy(
-        &mut kpt.last_iteration_sets,
-        k,
-        greedy,
-        select_threads,
-        select_strategy,
-    );
-    let candidate = cover.seeds;
+    let candidate = greedy_max_cover(&mut kpt.last_iteration_sets, k).seeds;
 
     // Lines 7-9: θ' fresh RR sets.
     let lam_p = lambda_prime(n, eps_p, ell);
@@ -110,9 +98,6 @@ mod tests {
             None,
             &mut rng,
             1,
-            1,
-            SelectStrategy::Auto,
-            GreedyImpl::LazyHeap,
         );
         assert!(refined.kpt_plus >= star);
         assert!(refined.theta_prime >= 1);
@@ -136,9 +121,6 @@ mod tests {
             None,
             &mut rng,
             1,
-            1,
-            SelectStrategy::Auto,
-            GreedyImpl::LazyHeap,
         );
         assert!(
             refined.kpt_plus >= 1.2 * star,
@@ -155,31 +137,8 @@ mod tests {
         let k = 10;
         let mut rng = Rng::seed_from_u64(6);
         let kpt = estimate_kpt(&g, &IndependentCascade, k as u64, 1.0, &mut rng);
-        let refined = refine_kpt(
-            &g,
-            &IndependentCascade,
-            k,
-            0.5,
-            1.0,
-            kpt,
-            None,
-            &mut rng,
-            1,
-            1,
-            SelectStrategy::Auto,
-            GreedyImpl::LazyHeap,
-        );
-        let sel = crate::select::node_selection(
-            &g,
-            &IndependentCascade,
-            k,
-            20_000,
-            7,
-            2,
-            1,
-            SelectStrategy::Auto,
-            GreedyImpl::LazyHeap,
-        );
+        let refined = refine_kpt(&g, &IndependentCascade, k, 0.5, 1.0, kpt, None, &mut rng, 1);
+        let sel = crate::select::node_selection(&g, &IndependentCascade, k, 20_000, 7, 2);
         let opt_proxy = SpreadEstimator::new(IndependentCascade)
             .runs(20_000)
             .seed(8)
@@ -206,9 +165,6 @@ mod tests {
             Some(0.25),
             &mut rng,
             1,
-            1,
-            SelectStrategy::Auto,
-            GreedyImpl::LazyHeap,
         );
         assert_eq!(refined.epsilon_prime, 0.25);
     }
@@ -219,21 +175,7 @@ mod tests {
         let run = |seed: u64| {
             let mut rng = Rng::seed_from_u64(seed);
             let kpt = estimate_kpt(&g, &IndependentCascade, 8, 1.0, &mut rng);
-            refine_kpt(
-                &g,
-                &IndependentCascade,
-                8,
-                0.5,
-                1.0,
-                kpt,
-                None,
-                &mut rng,
-                2,
-                2,
-                SelectStrategy::Auto,
-                GreedyImpl::LazyHeap,
-            )
-            .kpt_plus
+            refine_kpt(&g, &IndependentCascade, 8, 0.5, 1.0, kpt, None, &mut rng, 2).kpt_plus
         };
         assert_eq!(run(12), run(12));
     }

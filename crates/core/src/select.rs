@@ -6,48 +6,9 @@
 //! (Theorem 1).
 
 use crate::parallel::{generate_rr_sets, BulkStats};
-use crate::tim::GreedyImpl;
-use tim_coverage::{
-    greedy_max_cover, greedy_max_cover_bucket, greedy_max_cover_sharded_with, CoverResult,
-    SelectStrategy, SetCollection,
-};
+use tim_coverage::greedy_max_cover;
 use tim_diffusion::DiffusionModel;
 use tim_graph::{CsrAccess, NodeId};
-
-/// Resolves a `select_threads` knob to a worker count: `0` means all
-/// cores, anything else is taken literally. Without the `parallel`
-/// feature every value resolves to 1 (serial), like sampling.
-pub fn resolve_select_threads(select_threads: usize) -> usize {
-    if !cfg!(feature = "parallel") {
-        return 1;
-    }
-    if select_threads == 0 {
-        std::thread::available_parallelism().map_or(1, |p| p.get())
-    } else {
-        select_threads
-    }
-}
-
-/// Runs the configured greedy solver over `collection`, sharding the
-/// lazy-heap solver across [`resolve_select_threads`]`(select_threads)`
-/// workers finding their per-round argmax per `select_strategy`. Neither
-/// thread count nor strategy ever changes the result — the sharded solver
-/// is byte-identical to the serial one — so callers may tune both freely.
-pub(crate) fn run_greedy(
-    collection: &mut SetCollection,
-    k: usize,
-    greedy: GreedyImpl,
-    select_threads: usize,
-    select_strategy: SelectStrategy,
-) -> CoverResult {
-    match greedy {
-        GreedyImpl::LazyHeap => match resolve_select_threads(select_threads) {
-            0 | 1 => greedy_max_cover(collection, k),
-            t => greedy_max_cover_sharded_with(collection, k, t, select_strategy),
-        },
-        GreedyImpl::BucketQueue => greedy_max_cover_bucket(collection, k),
-    }
-}
 
 /// Output of [`node_selection`].
 #[derive(Debug)]
@@ -68,11 +29,8 @@ pub struct Selection {
 }
 
 /// Runs Algorithm 1: samples `theta` RR sets under `model` and greedily
-/// selects `k` nodes. `threads` drives sampling, `select_threads` the
-/// greedy phase ([`resolve_select_threads`]; 1 = serial, 0 = all cores)
-/// and `select_strategy` how its workers search (eager scan or lazy
-/// heap); none of the three ever changes the answer.
-#[allow(clippy::too_many_arguments)]
+/// selects `k` nodes. `threads` drives sampling and never changes the
+/// answer.
 pub fn node_selection<G: CsrAccess, M: DiffusionModel<G> + Sync>(
     graph: &G,
     model: &M,
@@ -80,14 +38,10 @@ pub fn node_selection<G: CsrAccess, M: DiffusionModel<G> + Sync>(
     theta: u64,
     seed: u64,
     threads: usize,
-    select_threads: usize,
-    select_strategy: SelectStrategy,
-    greedy: GreedyImpl,
 ) -> Selection {
     let (mut collection, stats) = generate_rr_sets(graph, model, theta, seed, threads);
     let rr_memory_bytes = collection.memory_bytes();
-    let cover: CoverResult =
-        run_greedy(&mut collection, k, greedy, select_threads, select_strategy);
+    let cover = greedy_max_cover(&mut collection, k);
     let frac = cover.coverage_fraction(collection.len());
     Selection {
         estimated_spread: frac * graph.n() as f64,
@@ -109,17 +63,7 @@ mod tests {
     fn selects_k_distinct_seeds() {
         let mut g = gen::barabasi_albert(150, 3, 0.0, 1);
         weights::assign_weighted_cascade(&mut g);
-        let sel = node_selection(
-            &g,
-            &IndependentCascade,
-            10,
-            2_000,
-            2,
-            1,
-            1,
-            SelectStrategy::Auto,
-            GreedyImpl::LazyHeap,
-        );
+        let sel = node_selection(&g, &IndependentCascade, 10, 2_000, 2, 1);
         assert_eq!(sel.seeds.len(), 10);
         let mut s = sel.seeds.clone();
         s.sort_unstable();
@@ -137,17 +81,7 @@ mod tests {
             b.add_edge_with_probability(0, v, 1.0);
         }
         let g = b.build();
-        let sel = node_selection(
-            &g,
-            &IndependentCascade,
-            1,
-            500,
-            3,
-            1,
-            1,
-            SelectStrategy::Auto,
-            GreedyImpl::LazyHeap,
-        );
+        let sel = node_selection(&g, &IndependentCascade, 1, 500, 3, 1);
         assert_eq!(sel.seeds, vec![0]);
         assert_eq!(sel.coverage_fraction, 1.0);
         assert_eq!(sel.estimated_spread, n as f64);
@@ -157,17 +91,7 @@ mod tests {
     fn coverage_estimate_tracks_monte_carlo_spread() {
         let mut g = gen::barabasi_albert(300, 4, 0.0, 4);
         weights::assign_weighted_cascade(&mut g);
-        let sel = node_selection(
-            &g,
-            &IndependentCascade,
-            5,
-            20_000,
-            5,
-            2,
-            2,
-            SelectStrategy::Auto,
-            GreedyImpl::LazyHeap,
-        );
+        let sel = node_selection(&g, &IndependentCascade, 5, 20_000, 5, 2);
         let mc = SpreadEstimator::new(IndependentCascade)
             .runs(20_000)
             .seed(6)
@@ -182,70 +106,13 @@ mod tests {
     }
 
     #[test]
-    fn greedy_variants_give_same_quality() {
-        let mut g = gen::barabasi_albert(200, 3, 0.0, 7);
-        weights::assign_weighted_cascade(&mut g);
-        let a = node_selection(
-            &g,
-            &IndependentCascade,
-            8,
-            5_000,
-            8,
-            1,
-            1,
-            SelectStrategy::Auto,
-            GreedyImpl::LazyHeap,
-        );
-        let b = node_selection(
-            &g,
-            &IndependentCascade,
-            8,
-            5_000,
-            8,
-            1,
-            1,
-            SelectStrategy::Auto,
-            GreedyImpl::BucketQueue,
-        );
-        let rel = (a.coverage_fraction - b.coverage_fraction).abs() / a.coverage_fraction.max(1e-9);
-        assert!(
-            rel < 0.02,
-            "lazy {} vs bucket {}",
-            a.coverage_fraction,
-            b.coverage_fraction
-        );
-    }
-
-    #[test]
     fn selection_is_deterministic_across_thread_counts() {
         let mut g = gen::barabasi_albert(150, 3, 0.0, 9);
         weights::assign_weighted_cascade(&mut g);
-        let a = node_selection(
-            &g,
-            &IndependentCascade,
-            5,
-            3_000,
-            10,
-            1,
-            1,
-            SelectStrategy::Auto,
-            GreedyImpl::LazyHeap,
-        );
-        // Both sampling and selection thread counts vary; the answer may
-        // not (0 = all cores exercises the auto-resolution path too).
-        for (threads, select_threads) in [(4, 2), (2, 4), (1, 8), (4, 0)] {
-            let b = node_selection(
-                &g,
-                &IndependentCascade,
-                5,
-                3_000,
-                10,
-                threads,
-                select_threads,
-                SelectStrategy::Auto,
-                GreedyImpl::LazyHeap,
-            );
-            assert_eq!(a.seeds, b.seeds, "select_threads={select_threads}");
+        let a = node_selection(&g, &IndependentCascade, 5, 3_000, 10, 1);
+        for threads in [2, 4, 8] {
+            let b = node_selection(&g, &IndependentCascade, 5, 3_000, 10, threads);
+            assert_eq!(a.seeds, b.seeds, "threads={threads}");
             assert_eq!(a.estimated_spread, b.estimated_spread);
         }
     }

@@ -16,20 +16,9 @@ use crate::math::{adjusted_ell, lambda};
 use crate::refine::refine_kpt;
 use crate::select::node_selection;
 use std::time::{Duration, Instant};
-use tim_coverage::SelectStrategy;
 use tim_diffusion::DiffusionModel;
 use tim_graph::{CsrAccess, NodeId};
 use tim_rng::{RandomSource, Rng};
-
-/// Which greedy max-coverage implementation the selection phases use.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum GreedyImpl {
-    /// Lazy max-heap (CELF-style); the default.
-    #[default]
-    LazyHeap,
-    /// Bucket queue with the linear-time bound.
-    BucketQueue,
-}
 
 /// Wall-clock time spent in each phase of a run.
 #[derive(Debug, Clone, Copy, Default)]
@@ -80,9 +69,6 @@ struct Config {
     ell: f64,
     seed: u64,
     threads: usize,
-    select_threads: usize,
-    select_strategy: SelectStrategy,
-    greedy: GreedyImpl,
     eps_prime_override: Option<f64>,
 }
 
@@ -93,9 +79,6 @@ impl Default for Config {
             ell: 1.0,
             seed: 0,
             threads: std::thread::available_parallelism().map_or(1, |p| p.get()),
-            select_threads: 1,
-            select_strategy: SelectStrategy::Auto,
-            greedy: GreedyImpl::LazyHeap,
             eps_prime_override: None,
         }
     }
@@ -136,32 +119,6 @@ macro_rules! builder_methods {
             self.cfg.threads = threads;
             self
         }
-
-        /// Worker threads for the greedy selection phase (default 1 =
-        /// serial; 0 = all cores). The sharded solver is byte-identical
-        /// to the serial one, so this never changes the answer.
-        #[must_use]
-        pub fn select_threads(mut self, select_threads: usize) -> Self {
-            self.cfg.select_threads = select_threads;
-            self
-        }
-
-        /// How sharded selection workers find each round's argmax
-        /// (default [`SelectStrategy::Auto`], which picks the lazy
-        /// CELF-style heap). Like `select_threads`, the strategy never
-        /// changes the answer — only how much work finding it takes.
-        #[must_use]
-        pub fn select_strategy(mut self, strategy: SelectStrategy) -> Self {
-            self.cfg.select_strategy = strategy;
-            self
-        }
-
-        /// Chooses the greedy max-coverage implementation.
-        #[must_use]
-        pub fn greedy(mut self, greedy: GreedyImpl) -> Self {
-            self.cfg.greedy = greedy;
-            self
-        }
     };
 }
 
@@ -170,11 +127,11 @@ macro_rules! builder_methods {
 /// the KPT bounds that produced them.
 ///
 /// A plan is a pure function of `(graph, model, ε, ℓ, seed, k)` — two
-/// equal plans followed by [`node_selection`] with the same greedy variant
-/// produce byte-identical seed sets. `tim_engine` relies on this to answer
-/// queries from a persisted RR-set pool without re-running selection
-/// sampling: it re-derives the plan (cheap) and replays only the greedy
-/// step over the pool prefix that a fresh run would have sampled.
+/// equal plans followed by [`node_selection`] produce byte-identical seed
+/// sets. `tim_engine` relies on this to answer queries from a persisted
+/// RR-set pool without re-running selection sampling: it re-derives the
+/// plan (cheap) and replays only the greedy step over the pool prefix
+/// that a fresh run would have sampled.
 #[derive(Debug, Clone)]
 pub struct SamplingPlan {
     /// Requested seed-set size, clamped to `n`.
@@ -359,9 +316,6 @@ fn plan_impl<G: CsrAccess, M: DiffusionModel<G> + Sync>(
             cfg.eps_prime_override,
             &mut refine_rng,
             cfg.threads,
-            cfg.select_threads,
-            cfg.select_strategy,
-            cfg.greedy,
         );
         phases.refinement = t1.elapsed();
         estimation_rr_sets += refined.theta_prime;
@@ -410,9 +364,6 @@ fn run_impl<G: CsrAccess, M: DiffusionModel<G> + Sync>(
         plan.theta,
         plan.select_seed,
         cfg.threads,
-        cfg.select_threads,
-        cfg.select_strategy,
-        cfg.greedy,
     );
     phases.node_selection = t2.elapsed();
 
@@ -528,35 +479,15 @@ mod tests {
             .seed(12)
             .threads(1)
             .run(&g, 5);
-        let b = TimPlus::new(IndependentCascade)
-            .epsilon(0.8)
-            .seed(12)
-            .threads(4)
-            .run(&g, 5);
-        assert_eq!(a.seeds, b.seeds);
-        assert_eq!(a.theta, b.theta);
-        assert_eq!(a.estimated_spread, b.estimated_spread);
-        // The greedy phase shards deterministically too (0 = all cores),
-        // whatever strategy the workers use to find their argmax.
-        for select_threads in [2, 4, 0] {
-            for strategy in [
-                SelectStrategy::Eager,
-                SelectStrategy::Lazy,
-                SelectStrategy::Auto,
-            ] {
-                let c = TimPlus::new(IndependentCascade)
-                    .epsilon(0.8)
-                    .seed(12)
-                    .threads(2)
-                    .select_threads(select_threads)
-                    .select_strategy(strategy)
-                    .run(&g, 5);
-                assert_eq!(
-                    a.seeds, c.seeds,
-                    "select_threads={select_threads} {strategy}"
-                );
-                assert_eq!(a.estimated_spread, c.estimated_spread);
-            }
+        for threads in [2, 4] {
+            let b = TimPlus::new(IndependentCascade)
+                .epsilon(0.8)
+                .seed(12)
+                .threads(threads)
+                .run(&g, 5);
+            assert_eq!(a.seeds, b.seeds, "threads={threads}");
+            assert_eq!(a.theta, b.theta);
+            assert_eq!(a.estimated_spread, b.estimated_spread);
         }
     }
 
@@ -628,17 +559,6 @@ mod tests {
     fn zero_k_panics() {
         let g = wc_graph(50, 21);
         Tim::new(IndependentCascade).run(&g, 0);
-    }
-
-    #[test]
-    fn bucket_greedy_variant_runs() {
-        let g = wc_graph(200, 22);
-        let r = TimPlus::new(IndependentCascade)
-            .epsilon(0.8)
-            .seed(23)
-            .greedy(GreedyImpl::BucketQueue)
-            .run(&g, 5);
-        assert_eq!(r.seeds.len(), 5);
     }
 
     #[test]

@@ -12,20 +12,8 @@
 //!   than allocator-bound; its size is exactly what the paper's Figure 12
 //!   measures.
 //! - [`greedy_max_cover`] — lazy-heap greedy (CELF-style; exact for
-//!   submodular coverage).
-//! - [`greedy_max_cover_bucket`] — bucket-queue greedy with the linear-time
-//!   bound of \[3\]'s Step 2.
-//! - [`greedy_max_cover_sharded`] — the lazy-heap contract parallelized
-//!   across worker threads (see [`sharded`]), **byte-identical** to
-//!   [`greedy_max_cover_indexed`] at any thread count. A
-//!   [`SelectStrategy`] knob picks how each worker finds its local argmax
-//!   — an eager full-range scan or a CELF-style lazy heap with dirty-node
-//!   invalidation — without changing a single answer byte; [`EvalStats`]
-//!   counts the algorithmic work either way.
-//!
-//! The heap and bucket solvers return identical coverage values
-//! (tie-breaking may differ); the criterion bench `max_cover` compares
-//! their constants.
+//!   submodular coverage). It is the only solver: every caller, from
+//!   one-shot TIM/TIM+ to the serving engine, runs this one loop.
 //!
 //! The `&mut` in the solver entry points exists only to build the lazy
 //! inverted index; once [`SetCollection::has_inverted_index`] holds, the
@@ -44,20 +32,12 @@
 mod collection;
 mod greedy;
 mod mmap_sets;
-pub mod sharded;
 mod store;
-mod strategy;
 
 pub use collection::{build_inverted_index, count_covered_indexed, SetCollection, SetsAccess};
 pub use greedy::{
-    greedy_max_cover, greedy_max_cover_bucket, greedy_max_cover_bucket_indexed,
-    greedy_max_cover_indexed, greedy_max_cover_indexed_stats, CoverResult,
+    greedy_max_cover, greedy_max_cover_indexed, greedy_max_cover_indexed_stats, CoverResult,
+    EvalStats,
 };
 pub use mmap_sets::{MmapSets, MmapSetsLayout, SETS_SECTION_COUNT, SETS_SECTION_NAMES};
-pub use sharded::{
-    greedy_max_cover_sharded, greedy_max_cover_sharded_indexed,
-    greedy_max_cover_sharded_indexed_stats, greedy_max_cover_sharded_indexed_with,
-    greedy_max_cover_sharded_with,
-};
 pub use store::{SetsStore, SetsView};
-pub use strategy::{EvalStats, SelectStrategy};

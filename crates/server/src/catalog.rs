@@ -208,9 +208,7 @@ impl<M: BackingModel + Send + Clone + 'static> GraphState<M> {
         .epsilon(eps)
         .ell(ell)
         .seed(self.config.seed)
-        .k_max(self.config.k_max)
-        .select_threads(self.config.select_threads)
-        .select_strategy(self.config.select_strategy);
+        .k_max(self.config.k_max);
         if self.config.sample_threads > 0 {
             engine = engine.threads(self.config.sample_threads);
         }
@@ -239,9 +237,6 @@ impl<M: BackingModel + Send + Clone + 'static> GraphState<M> {
             ),
         }
         .map_err(|e| e.to_string())?;
-        engine = engine
-            .select_threads(self.config.select_threads)
-            .select_strategy(self.config.select_strategy);
         if self.config.sample_threads > 0 {
             engine = engine.threads(self.config.sample_threads);
         }
@@ -734,16 +729,6 @@ impl<M: BackingModel + Send + Clone + 'static> GraphCatalog<M> {
         }
         if let Some(mmap_pools) = overrides.mmap_pools {
             config.mmap_pools = mmap_pools;
-        }
-        if let Some(t) = overrides.select_threads {
-            config.select_threads = t;
-        }
-        if let Some(s) = &overrides.select_strategy {
-            // Validated at parse time by GraphOverrides, so this cannot
-            // fail on a catalog that loaded successfully.
-            config.select_strategy = s
-                .parse()
-                .expect("GraphOverrides validated the strategy spelling");
         }
         Arc::new(config)
     }

@@ -34,6 +34,14 @@ echo "selected seeds: $SEEDS"
 "$TIM" evaluate "$GRAPH" --seeds "$SEEDS" --model ic --weights wc --runs 2000 --seed 7 \
     | tee out/kick-tires/evaluate.txt
 
+# A mistyped flag is an error (exit 2), never silently ignored.
+if "$TIM" query "$GRAPH" --esp 0.3 < /dev/null 2> out/kick-tires/unknown_flag.txt; then
+    echo "tim query accepted an unknown flag" >&2
+    exit 1
+fi
+grep -q 'unknown flag --esp' out/kick-tires/unknown_flag.txt \
+    && echo "unknown flags are rejected: OK"
+
 echo "== snapshot: binary graph round trip =="
 SNAP=out/kick-tires/ba_small.timg
 "$TIM" snapshot "$GRAPH" --out "$SNAP" | tee out/kick-tires/snapshot.txt
@@ -281,70 +289,6 @@ wait $OC_PID 2>/dev/null || true
 trap - EXIT
 diff out/kick-tires/oc_heap.txt out/kick-tires/oc_serve_answers.txt \
     && echo "mmap-backed serve byte-identical to heap query: OK"
-
-echo "== sharded selection: --select-threads 4 transcript == serial transcript =="
-# Same snapshot, same session, selection sharded across 4 workers (and
-# once with 0 = all cores): the thread count may only change latency —
-# the transcripts must be byte-identical to the serial query run.
-"$TIM" query "$SNAP2" -k 10 --eps 0.3 --seed 7 --weights keep --select-threads 4 < "$SESSION" \
-    > out/kick-tires/sharded_query.txt
-diff out/kick-tires/oc_heap.txt out/kick-tires/sharded_query.txt \
-    && echo "--select-threads 4 query byte-identical to serial: OK"
-"$TIM" query "$SNAP2" -k 10 --eps 0.3 --seed 7 --weights keep --select-threads 0 < "$SESSION" \
-    > out/kick-tires/sharded_query_auto.txt
-diff out/kick-tires/oc_heap.txt out/kick-tires/sharded_query_auto.txt \
-    && echo "--select-threads 0 (all cores) byte-identical to serial: OK"
-# And through a live server over the mmap backing.
-"$TIM" serve "$SNAP2" --addr 127.0.0.1:0 --mmap --select-threads 4 -k 10 --eps 0.3 --seed 7 \
-    > out/kick-tires/sharded_serve.addr 2> out/kick-tires/sharded_serve.log &
-SH_PID=$!
-trap 'kill $SH_PID 2>/dev/null || true' EXIT
-for _ in $(seq 1 100); do
-    grep -q '^listening on ' out/kick-tires/sharded_serve.addr 2>/dev/null && break
-    sleep 0.1
-done
-SH_ADDR=$(sed -n 's/^listening on //p' out/kick-tires/sharded_serve.addr)
-echo "sharded-selection server at $SH_ADDR (pid $SH_PID)"
-"$TIM" client --addr "$SH_ADDR" --timeout 60 < "$SESSION" \
-    > out/kick-tires/sharded_serve_answers.txt
-kill $SH_PID 2>/dev/null || true
-wait $SH_PID 2>/dev/null || true
-trap - EXIT
-diff out/kick-tires/oc_serve_answers.txt out/kick-tires/sharded_serve_answers.txt \
-    && echo "--select-threads 4 serve byte-identical to serial serve: OK"
-
-echo "== lazy selection: --select-strategy lazy/eager transcripts == serial transcript =="
-# The CELF-style lazy heaps and the eager scans are the same argmax:
-# strategy, like thread count, may only change latency — never a byte.
-"$TIM" query "$SNAP2" -k 10 --eps 0.3 --seed 7 --weights keep \
-    --select-threads 4 --select-strategy lazy < "$SESSION" \
-    > out/kick-tires/lazy_query.txt
-diff out/kick-tires/oc_heap.txt out/kick-tires/lazy_query.txt \
-    && echo "--select-strategy lazy query byte-identical to serial: OK"
-"$TIM" query "$SNAP2" -k 10 --eps 0.3 --seed 7 --weights keep \
-    --select-threads 4 --select-strategy eager < "$SESSION" \
-    > out/kick-tires/eager_query.txt
-diff out/kick-tires/oc_heap.txt out/kick-tires/eager_query.txt \
-    && echo "--select-strategy eager query byte-identical to serial: OK"
-# And the lazy strategy through a live server over the mmap backing.
-"$TIM" serve "$SNAP2" --addr 127.0.0.1:0 --mmap --select-threads 4 --select-strategy lazy \
-    -k 10 --eps 0.3 --seed 7 \
-    > out/kick-tires/lazy_serve.addr 2> out/kick-tires/lazy_serve.log &
-LZ_PID=$!
-trap 'kill $LZ_PID 2>/dev/null || true' EXIT
-for _ in $(seq 1 100); do
-    grep -q '^listening on ' out/kick-tires/lazy_serve.addr 2>/dev/null && break
-    sleep 0.1
-done
-LZ_ADDR=$(sed -n 's/^listening on //p' out/kick-tires/lazy_serve.addr)
-echo "lazy-selection server at $LZ_ADDR (pid $LZ_PID)"
-"$TIM" client --addr "$LZ_ADDR" --timeout 60 < "$SESSION" \
-    > out/kick-tires/lazy_serve_answers.txt
-kill $LZ_PID 2>/dev/null || true
-wait $LZ_PID 2>/dev/null || true
-trap - EXIT
-diff out/kick-tires/oc_serve_answers.txt out/kick-tires/lazy_serve_answers.txt \
-    && echo "--select-strategy lazy mmap serve byte-identical to serial serve: OK"
 
 echo "== experiment driver (quick): Figure 4 phase breakdown =="
 cargo run --release -p tim_bench --bin experiments -- fig4 --quick --scale 0.2 \

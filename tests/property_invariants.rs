@@ -2,7 +2,7 @@
 //! graphs and random seed sets.
 
 use proptest::prelude::*;
-use tim_influence::coverage::{greedy_max_cover, greedy_max_cover_bucket, SetCollection};
+use tim_influence::coverage::{greedy_max_cover, greedy_max_cover_indexed_stats, SetCollection};
 use tim_influence::prelude::*;
 use tim_influence::rng::Xoshiro256pp as TimRng;
 
@@ -18,6 +18,23 @@ fn arb_graph() -> impl Strategy<Value = Graph> {
             b.build()
         })
     })
+}
+
+/// A random collection: `sets` sets over universe `n`, each with up to
+/// `max_size` distinct members (empty sets included). Deterministic in
+/// `seed`.
+fn random_collection(seed: u64, n: usize, sets: usize, max_size: usize) -> SetCollection {
+    let mut rng = TimRng::seed_from_u64(seed);
+    let mut c = SetCollection::new(n);
+    for _ in 0..sets {
+        let size = rng.next_index(max_size + 1);
+        let mut members: Vec<NodeId> = (0..size).map(|_| rng.next_index(n) as NodeId).collect();
+        members.sort_unstable();
+        members.dedup();
+        c.push(&members);
+    }
+    c.ensure_inverted_index();
+    c
 }
 
 proptest! {
@@ -95,23 +112,63 @@ proptest! {
             proptest::collection::btree_set(0u32..25, 1..6),
             1..40,
         ),
-        k in 1usize..6,
+        k in 1usize..26,
     ) {
         let mut c = SetCollection::new(25);
         for s in &sets {
             let members: Vec<NodeId> = s.iter().copied().collect();
             c.push(&members);
         }
-        let mut c2 = c.clone();
         let r = greedy_max_cover(&mut c, k);
         for w in r.marginal.windows(2) {
             prop_assert!(w[0] >= w[1], "marginals increased: {:?}", r.marginal);
         }
         prop_assert_eq!(r.covered, c.count_covered(&r.seeds));
-        // Bucket variant achieves the same (1-1/e)-sound coverage range.
-        let rb = greedy_max_cover_bucket(&mut c2, k);
-        let (lo, hi) = (r.covered.min(rb.covered), r.covered.max(rb.covered));
-        prop_assert!(lo as f64 >= (1.0 - 1.0 / std::f64::consts::E) * hi as f64);
+        prop_assert_eq!(r.seeds.len(), k);
+    }
+
+    /// Replays every round of the lazy heap against a plain-table
+    /// reference greedy written from the contract: the largest
+    /// `(gain, node)` wins, and once nothing is left to cover the smallest
+    /// unselected id pads. Warm-pool replay relies on exactly this order,
+    /// so the seeds and the marginals must both match, padding included.
+    #[test]
+    fn lazy_rounds_match_the_reference_oracle(
+        seed in 0u64..1_000_000,
+        n in 2usize..50,
+        sets in 0usize..100,
+        k_frac in 0.0f64..1.0,
+    ) {
+        let c = random_collection(seed, n, sets, 6);
+        let k = 1 + (k_frac * (n - 1) as f64) as usize;
+        let (got, stats) = greedy_max_cover_indexed_stats(&c, k);
+        prop_assert_eq!(got.seeds.len(), k);
+        prop_assert_eq!(stats.rounds, k);
+
+        let mut gain: Vec<usize> = (0..n as NodeId).map(|v| c.degree(v)).collect();
+        let mut selected = vec![false; n];
+        let mut covered = vec![false; c.len()];
+        for (round, &node) in got.seeds.iter().enumerate() {
+            let best = (0..n)
+                .filter(|&v| !selected[v] && gain[v] > 0)
+                .map(|v| (gain[v], v as NodeId))
+                .max();
+            let (want, marginal) = match best {
+                Some((g, v)) => (v, g),
+                None => ((0..n).find(|&v| !selected[v]).unwrap() as NodeId, 0),
+            };
+            prop_assert_eq!(node, want, "round {}", round);
+            prop_assert_eq!(got.marginal[round], marginal, "round {}", round);
+            for &s in c.sets_containing(node) {
+                if !covered[s as usize] {
+                    covered[s as usize] = true;
+                    for &u in c.set(s as usize) {
+                        gain[u as usize] -= 1;
+                    }
+                }
+            }
+            selected[node as usize] = true;
+        }
     }
 
     #[test]
