@@ -46,11 +46,11 @@ fn kpt_phase(c: &mut Criterion) {
     let g = prepare(Dataset::NetHept, Some(0.2), Model::Ic);
     let mut group = c.benchmark_group("kpt_estimation");
     group.sample_size(10);
-    for k in [1u64, 50] {
+    for k in [1usize, 50] {
         group.bench_with_input(BenchmarkId::from_parameter(k), &k, |b, &k| {
             b.iter(|| {
                 let mut rng = Rng::seed_from_u64(11);
-                black_box(estimate_kpt(&g, &IndependentCascade, k, 1.0, &mut rng).kpt_star)
+                black_box(estimate_kpt(&g, &IndependentCascade, &[k], 1.0, &mut rng)[0].kpt_star)
             });
         });
     }

@@ -13,7 +13,7 @@
 
 use crate::kpt::estimate_kpt;
 use crate::math::{adjusted_ell, lambda};
-use crate::refine::refine_kpt;
+use crate::refine::{refine_kpt, Refined};
 use crate::select::node_selection;
 use std::time::{Duration, Instant};
 use tim_diffusion::DiffusionModel;
@@ -152,7 +152,8 @@ pub struct SamplingPlan {
     pub ell_eff: f64,
     /// RR sets consumed by the estimation phases themselves.
     pub estimation_rr_sets: u64,
-    /// Wall-clock spent planning (`node_selection` component is zero).
+    /// Wall-clock spent planning (`node_selection` component is zero);
+    /// for a plan from [`TimPlus::plans`], the whole batch's.
     pub phases: PhaseTimings,
 }
 
@@ -195,7 +196,7 @@ impl<M> Tim<M> {
     where
         M: DiffusionModel<G> + Sync,
     {
-        plan_impl(&self.model, &self.cfg, graph, k, false)
+        plans_impl(&self.model, &self.cfg, graph, &[k], false).remove(0)
     }
 
     /// Selects `k` seeds on `graph`.
@@ -252,12 +253,55 @@ impl<M> TimPlus<M> {
     }
 
     /// Runs the estimation and refinement phases only, returning the θ and
-    /// selection-stream seed a full [`run`](Self::run) would use.
+    /// selection-stream seed a full [`run`](Self::run) would use. The
+    /// one-element case of [`plans`](Self::plans).
     pub fn plan<G: CsrAccess>(&self, graph: &G, k: usize) -> SamplingPlan
     where
         M: DiffusionModel<G> + Sync,
     {
-        plan_impl(&self.model, &self.cfg, graph, k, true)
+        self.plans(graph, &[k]).remove(0)
+    }
+
+    /// Plans every seed-set size in `ks` in one batched pass, returning
+    /// one plan per entry of `ks`, in order (duplicates allowed, each `k`
+    /// clamped to `n` as [`plan`](Self::plan) clamps it).
+    ///
+    /// Every plan is bit-identical to `plan(graph, k)`. In Algorithms 2
+    /// and 3 only the κ statistic, the stopping test, ε′ and λ′ depend on
+    /// `k`; the RR streams they read depend on the run seed alone. So the
+    /// batch draws Algorithm 2's iterations once, keeping one κ sum per
+    /// `k` and stopping each `k` at its own iteration, then samples
+    /// Algorithm 3's θ′ stream once, at the largest θ′(k), and scores each
+    /// `k`'s greedy candidate on its own shard-aligned θ′(k) prefix. The
+    /// cost is about that of the single most expensive plan, not the sum
+    /// of all of them, which is what lets `tim_engine` plan every
+    /// `k ≤ k_max` when it warms a pool.
+    ///
+    /// Each plan's [`phases`](SamplingPlan::phases) holds the whole
+    /// batch's estimation and refinement times.
+    ///
+    /// ```
+    /// use tim_core::TimPlus;
+    /// use tim_diffusion::IndependentCascade;
+    /// use tim_graph::{gen, weights};
+    ///
+    /// let mut g = gen::barabasi_albert(300, 4, 0.1, 1);
+    /// weights::assign_weighted_cascade(&mut g);
+    /// let planner = TimPlus::new(IndependentCascade).epsilon(0.8).seed(7);
+    /// let plans = planner.plans(&g, &[5, 1, 5]);
+    /// assert_eq!(plans.len(), 3);
+    /// assert_eq!(plans[1].theta, planner.plan(&g, 1).theta);
+    /// assert_eq!(plans[0].kpt_plus, plans[2].kpt_plus);
+    /// ```
+    ///
+    /// # Panics
+    /// Panics if any `k == 0`, or the graph has fewer than 2 nodes or no
+    /// edges.
+    pub fn plans<G: CsrAccess>(&self, graph: &G, ks: &[usize]) -> Vec<SamplingPlan>
+    where
+        M: DiffusionModel<G> + Sync,
+    {
+        plans_impl(&self.model, &self.cfg, graph, ks, true)
     }
 
     /// Selects `k` seeds on `graph`.
@@ -272,18 +316,21 @@ impl<M> TimPlus<M> {
     }
 }
 
-fn plan_impl<G: CsrAccess, M: DiffusionModel<G> + Sync>(
+fn plans_impl<G: CsrAccess, M: DiffusionModel<G> + Sync>(
     model: &M,
     cfg: &Config,
     graph: &G,
-    k: usize,
+    ks: &[usize],
     refine: bool,
-) -> SamplingPlan {
-    assert!(k >= 1, "k must be at least 1");
+) -> Vec<SamplingPlan> {
+    assert!(ks.iter().all(|&k| k >= 1), "k must be at least 1");
     assert!(graph.n() >= 2, "graph must have at least 2 nodes");
     assert!(graph.m() >= 1, "graph must have at least 1 edge");
     let n = graph.n() as u64;
-    let k = k.min(graph.n());
+    // Each distinct k, clamped to n, is planned once.
+    let mut distinct: Vec<usize> = ks.iter().map(|&k| k.min(graph.n())).collect();
+    distinct.sort_unstable();
+    distinct.dedup();
 
     // §3.3 / §4.1: scale ℓ so the union-bounded success probability over
     // 2 (TIM) or 3 (TIM+) sub-steps is still 1 - n^-ℓ.
@@ -298,51 +345,56 @@ fn plan_impl<G: CsrAccess, M: DiffusionModel<G> + Sync>(
 
     // Phase 1: Algorithm 2.
     let t0 = Instant::now();
-    let kpt = estimate_kpt(graph, model, k as u64, ell_eff, &mut kpt_rng);
+    let kpts = estimate_kpt(graph, model, &distinct, ell_eff, &mut kpt_rng);
     phases.parameter_estimation = t0.elapsed();
-    let kpt_star = kpt.kpt_star;
-    let mut estimation_rr_sets = kpt.total_rr_sets;
 
     // Intermediate step: Algorithm 3 (TIM+ only).
-    let (bound, kpt_plus, eps_prime) = if refine {
+    let refined: Vec<Option<Refined>> = if refine {
         let t1 = Instant::now();
         let refined = refine_kpt(
             graph,
             model,
-            k,
+            &distinct,
             cfg.epsilon,
             ell_eff,
-            kpt,
+            &kpts,
             cfg.eps_prime_override,
             &mut refine_rng,
             cfg.threads,
         );
         phases.refinement = t1.elapsed();
-        estimation_rr_sets += refined.theta_prime;
-        (
-            refined.kpt_plus,
-            Some(refined.kpt_plus),
-            Some(refined.epsilon_prime),
-        )
+        refined.into_iter().map(Some).collect()
     } else {
-        (kpt_star, None, None)
+        vec![None; distinct.len()]
     };
 
-    // θ = λ / bound (Equation 5).
-    let lam = lambda(n, k as u64, cfg.epsilon, ell_eff);
-    let theta = (lam / bound).ceil().max(1.0) as u64;
-
-    SamplingPlan {
-        k,
-        theta,
-        select_seed,
-        kpt_star,
-        kpt_plus,
-        epsilon_prime: eps_prime,
-        ell_eff,
-        estimation_rr_sets,
-        phases,
-    }
+    let planned: Vec<SamplingPlan> = distinct
+        .iter()
+        .zip(&kpts)
+        .zip(refined)
+        .map(|((&k, kpt), refined)| {
+            let bound = refined.as_ref().map_or(kpt.kpt_star, |r| r.kpt_plus);
+            // θ = λ / bound (Equation 5).
+            let lam = lambda(n, k as u64, cfg.epsilon, ell_eff);
+            SamplingPlan {
+                k,
+                theta: (lam / bound).ceil().max(1.0) as u64,
+                select_seed,
+                kpt_star: kpt.kpt_star,
+                kpt_plus: refined.as_ref().map(|r| r.kpt_plus),
+                epsilon_prime: refined.as_ref().map(|r| r.epsilon_prime),
+                ell_eff,
+                estimation_rr_sets: kpt.total_rr_sets + refined.map_or(0, |r| r.theta_prime),
+                phases,
+            }
+        })
+        .collect();
+    ks.iter()
+        .map(|&k| {
+            let at = distinct.binary_search(&k.min(graph.n()));
+            planned[at.expect("every k was planned")].clone()
+        })
+        .collect()
 }
 
 fn run_impl<G: CsrAccess, M: DiffusionModel<G> + Sync>(
@@ -352,7 +404,7 @@ fn run_impl<G: CsrAccess, M: DiffusionModel<G> + Sync>(
     k: usize,
     refine: bool,
 ) -> TimResult {
-    let plan = plan_impl(model, cfg, graph, k, refine);
+    let plan = plans_impl(model, cfg, graph, &[k], refine).remove(0);
     let mut phases = plan.phases;
 
     // Phase 2: Algorithm 1 with the planned θ.

@@ -98,7 +98,7 @@ pub struct QueryEngine<M> {
     /// replaces it with a freshly sampled heap collection.
     pool: SetsStore,
     pool_theta: u64,
-    /// Plan cache keyed by `(k, ε bits, ℓ bits)`.
+    /// Plan cache keyed by [`plan_key`](Self::plan_key).
     plans: BTreeMap<(usize, u64, u64), SamplingPlan>,
     fast: Option<FastCover>,
 }
@@ -406,49 +406,69 @@ impl<M: BackingModel + Clone> QueryEngine<M> {
     }
 
     /// Warms the pool so that **every** `k ≤ k_max` is answerable without
-    /// resampling, and returns the resulting pool θ.
+    /// replanning or resampling, and returns the resulting pool θ.
     ///
-    /// θ(k) = λ(k)/KPT⁺(k) is *not* monotone in `k`: λ grows with `k`,
-    /// but so does the KPT⁺ bound, and for small `k` the bound is small
-    /// enough that θ(1) routinely exceeds θ(k_max). Warming therefore
-    /// provisions `max(θ(1), θ(k_max), ⌈λ(k_max)/KPT⁺(1)⌉)`; the last
-    /// term upper-bounds θ(k) for every `k ≤ k_max` whose KPT⁺ estimate
-    /// is at least KPT⁺(1) (KPT is monotone in `k`, so estimates only
-    /// fall below that on sampling noise).
+    /// θ(k) = λ(k)/KPT⁺(k) is not monotone in `k`: λ grows with `k`, but
+    /// so does the KPT⁺ bound, and θ(1) routinely exceeds θ(k_max). So
+    /// no one plan bounds the rest. Warming plans every `k` in
+    /// `1..=k_max` in one batched pass ([`TimPlus::plans`], which costs
+    /// about as much as the most expensive single plan), caches every
+    /// plan, and samples exactly `max θ(k)`: the smallest pool from which
+    /// every exact `select k ≤ k_max` carves its θ(k)-prefix.
+    ///
+    /// The pool is sized up front rather than grown per query because
+    /// [`select_fast`](Self::select_fast), [`spread`](Self::spread) and
+    /// [`marginal_gain`](Self::marginal_gain) answer over the whole pool:
+    /// a pool that grew mid-session to serve an exact `select` would
+    /// change their answers.
     pub fn warm(&mut self) -> u64 {
-        let plan_one = self.plan_for(1, self.epsilon, self.ell);
-        let plan_top = self.plan_for(self.k_max, self.epsilon, self.ell);
-        let bound_one = plan_one.kpt_plus.unwrap_or(plan_one.kpt_star);
-        let lam_top = tim_core::math::lambda(
-            self.store.n() as u64,
-            plan_top.k as u64,
-            self.epsilon,
-            plan_top.ell_eff,
-        );
-        let theta_bound = (lam_top / bound_one).ceil().max(1.0) as u64;
-        self.ensure_theta(plan_one.theta.max(plan_top.theta).max(theta_bound));
+        // Every k > n shares the plan for n (plans clamp k to n), so
+        // warming never plans more than n sizes, whatever k_max says.
+        let ks: Vec<usize> = (1..=self.k_max.min(self.store.n())).collect();
+        let plans = self.plans_for(&ks, self.epsilon, self.ell);
+        let theta = plans.iter().map(|p| p.theta).max().unwrap_or(1);
+        self.ensure_theta(theta);
         self.pool_theta
+    }
+
+    /// The plan-cache key of `k` under `(eps, ell)`: `k` clamped to `n`,
+    /// as the planner clamps it, and the float parameters by bits.
+    fn plan_key(&self, k: usize, eps: f64, ell: f64) -> (usize, u64, u64) {
+        (k.min(self.store.n()), eps.to_bits(), ell.to_bits())
     }
 
     /// Computes (and caches) the sampling plan for `k` under `(eps, ell)`.
     fn plan_for(&mut self, k: usize, eps: f64, ell: f64) -> SamplingPlan {
-        let key = (k, eps.to_bits(), ell.to_bits());
-        if let Some(plan) = self.plans.get(&key) {
-            return plan.clone();
+        self.plans_for(&[k], eps, ell).remove(0)
+    }
+
+    /// The sampling plans for `ks` under `(eps, ell)`, in order: the
+    /// uncached ones are planned in one batched pass and cached.
+    fn plans_for(&mut self, ks: &[usize], eps: f64, ell: f64) -> Vec<SamplingPlan> {
+        let missing: Vec<usize> = ks
+            .iter()
+            .copied()
+            .filter(|&k| !self.plans.contains_key(&self.plan_key(k, eps, ell)))
+            .collect();
+        if !missing.is_empty() {
+            let planner = TimPlus::new(self.model.clone())
+                .epsilon(eps)
+                .ell(ell)
+                .seed(self.seed)
+                .threads(self.threads);
+            // Dispatch once on the backing; the planner body is
+            // monomorphized per concrete CSR type.
+            let planned = match self.store.view() {
+                CsrView::Heap(g) => planner.plans(g, &missing),
+                CsrView::Mmap(v) => planner.plans(v, &missing),
+            };
+            for (k, plan) in missing.into_iter().zip(planned) {
+                self.plans.insert(self.plan_key(k, eps, ell), plan);
+            }
         }
-        let planner = TimPlus::new(self.model.clone())
-            .epsilon(eps)
-            .ell(ell)
-            .seed(self.seed)
-            .threads(self.threads);
-        // Dispatch once on the backing; the planner body is monomorphized
-        // per concrete CSR type, so the heap path keeps its old codegen.
-        let plan = match self.store.view() {
-            CsrView::Heap(g) => planner.plan(g, k),
-            CsrView::Mmap(v) => planner.plan(v, k),
-        };
-        self.plans.insert(key, plan.clone());
-        plan
+        ks.iter()
+            .map(|&k| self.plans[&self.plan_key(k, eps, ell)].clone())
+            .collect()
     }
 
     /// Grows the pool to at least `theta` sets; returns true if it
@@ -568,7 +588,7 @@ impl<M: BackingModel + Clone> QueryEngine<M> {
         let eps = eps.unwrap_or(self.epsilon);
         let ell = ell.unwrap_or(self.ell);
         assert!(eps > 0.0 && ell > 0.0, "epsilon and ell must be positive");
-        let plan = self.plans.get(&(k, eps.to_bits(), ell.to_bits()))?;
+        let plan = self.plans.get(&self.plan_key(k, eps, ell))?;
         if plan.theta > self.pool_theta {
             return None;
         }
@@ -661,7 +681,7 @@ impl<M: BackingModel + Clone> QueryEngine<M> {
         }
         let plan = self
             .plans
-            .get(&(self.k_max, self.epsilon.to_bits(), self.ell.to_bits()))?;
+            .get(&self.plan_key(self.k_max, self.epsilon, self.ell))?;
         if plan.theta > self.pool_theta {
             return None;
         }
@@ -872,8 +892,8 @@ mod tests {
         )
         .unwrap()
         .threads(2);
-        // θ scales as ε⁻²: 0.8 → 0.1 is a 64× demand, beyond any warm-up
-        // over-provisioning.
+        // θ scales as ε⁻²: 0.8 → 0.1 is a 64× demand, beyond the warm
+        // pool's max θ(k).
         let grown = e.select_with(12, Some(0.1), None);
         assert!(grown.resampled);
         assert!(!e.pool_is_mapped(), "growth must move the pool heap-side");
@@ -898,12 +918,43 @@ mod tests {
     }
 
     #[test]
+    fn warm_plans_every_k_and_samples_the_largest_theta() {
+        let mut e = engine(13);
+        let theta = e.warm();
+        let planner = TimPlus::new(IndependentCascade).epsilon(0.8).seed(13);
+        let g = wc_graph(300, 1);
+        let thetas: Vec<u64> = (1..=12).map(|k| planner.plan(&g, k).theta).collect();
+        // Exactly the largest plan's θ, no more.
+        assert_eq!(theta, *thetas.iter().max().unwrap());
+        assert_eq!(e.pool_theta(), theta);
+        for (k, &want) in (1..=12).zip(&thetas) {
+            let out = e
+                .try_select_with(k, None, None)
+                .unwrap_or_else(|| panic!("k={k}: warm-up must cache its plan"));
+            assert_eq!(out.theta_used, want, "k={k}");
+            assert!(!out.resampled);
+        }
+
+        // A k_max past n plans only n sizes: every k > n shares the plan
+        // for n, and still answers without replanning.
+        let mut e = QueryEngine::new(wc_graph(40, 2), IndependentCascade, "ic")
+            .epsilon(0.8)
+            .seed(13)
+            .k_max(usize::MAX);
+        e.warm();
+        let out = e
+            .try_select_with(1 << 40, None, None)
+            .expect("k > n shares n's plan");
+        assert_eq!(out.seeds.len(), 40);
+    }
+
+    #[test]
     fn tighter_epsilon_grows_the_pool() {
         let mut e = engine(6);
         e.warm();
         let before = e.pool_theta();
         // theta scales as eps^-2: 0.8 -> 0.1 is a 64x demand, far beyond
-        // any over-provisioning the warm-up applied.
+        // the warm pool's max theta(k).
         let out = e.select_with(12, Some(0.1), None);
         assert!(out.resampled, "eps 0.8 -> 0.1 must grow theta");
         assert!(out.theta_used > before);
@@ -975,13 +1026,24 @@ mod tests {
         assert_eq!(e.try_marginal_gain(&[4], 4), Some(0.0));
 
         e.warm();
-        // Warm pool but no plan cached for k = 3 yet: still a miss.
-        assert!(e.try_select_with(3, None, None).is_none());
+        // Warm-up caches every plan up to k_max, so k = 3 answers
+        // read-only at once, as the blocking path does.
+        let got = e
+            .try_select_with(3, None, None)
+            .expect("warm-up cached k = 3");
         let want = e.select(3);
-        let got = e.try_select_with(3, None, None).expect("plan now cached");
         assert_eq!(got.seeds, want.seeds);
         assert_eq!(got.theta_used, want.theta_used);
         assert!(!got.resampled);
+        // Past k_max no plan is cached yet: a miss until the blocking
+        // path plans it.
+        let past = e.warmed_k() + 1;
+        assert!(e.try_select_with(past, None, None).is_none());
+        let want_past = e.select(past);
+        let got_past = e
+            .try_select_with(past, None, None)
+            .expect("plan now cached");
+        assert_eq!(got_past.seeds, want_past.seeds);
 
         // Fast cache must exist before the read-only fast path serves.
         assert!(e.try_select_fast(2).is_none());

@@ -63,6 +63,12 @@ pub struct SharedEngine<M> {
     /// compare against their last-spilled epoch to decide whether a
     /// pool has new work worth writing back to disk.
     growth: AtomicU64,
+    /// The pool's θ and its heap + mapped bytes, republished at the end
+    /// of every write-lock section (the only place the pool changes), so
+    /// size reporting reads them without ever waiting on a build or a
+    /// growth.
+    theta: AtomicU64,
+    bytes: AtomicU64,
 }
 
 /// Panic message used when a previous writer panicked mid-update.
@@ -73,15 +79,19 @@ impl<M: BackingModel + Clone> SharedEngine<M> {
     /// ([`QueryEngine::warm`]) if the first queries should not pay the
     /// sampling cost under the write lock.
     pub fn new(engine: QueryEngine<M>) -> Self {
-        SharedEngine {
+        let shared = SharedEngine {
             inner: RwLock::new(engine),
             growth: AtomicU64::new(0),
-        }
+            theta: AtomicU64::new(0),
+            bytes: AtomicU64::new(0),
+        };
+        shared.publish(&shared.inner.read().expect(POISONED));
+        shared
     }
 
-    /// Runs a blocking (write-lock) engine call and bumps the growth
-    /// epoch if the pool grew under it — the single funnel every mutable
-    /// query path goes through.
+    /// Runs a blocking (write-lock) engine call, bumps the growth epoch
+    /// if the pool grew under it and republishes the pool's size — the
+    /// single funnel every mutable query path goes through.
     fn with_growth<T>(&self, f: impl FnOnce(&mut QueryEngine<M>) -> T) -> T {
         let mut guard = self.inner.write().expect(POISONED);
         let before = guard.pool_theta();
@@ -89,7 +99,14 @@ impl<M: BackingModel + Clone> SharedEngine<M> {
         if guard.pool_theta() > before {
             self.growth.fetch_add(1, Ordering::Release);
         }
+        self.publish(&guard);
         out
+    }
+
+    fn publish(&self, engine: &QueryEngine<M>) {
+        let bytes = engine.pool_memory_bytes() + engine.pool_mapped_bytes();
+        self.theta.store(engine.pool_theta(), Ordering::Release);
+        self.bytes.store(bytes as u64, Ordering::Release);
     }
 
     /// How many times the pool has grown (resampled) through this
@@ -163,9 +180,18 @@ impl<M: BackingModel + Clone> SharedEngine<M> {
         self.with_growth(|e| e.marginal_gain(base, candidate))
     }
 
-    /// Current pool size θ (0 when cold).
+    /// Current pool size θ (0 when cold), as of the last completed
+    /// write-lock section. Reads an atomic, so it never waits on a build
+    /// or a growth.
     pub fn pool_theta(&self) -> u64 {
-        self.inner.read().expect(POISONED).pool_theta()
+        self.theta.load(Ordering::Acquire)
+    }
+
+    /// Bytes the pool holds — heap plus file mapping — as of the last
+    /// completed write-lock section. Like [`pool_theta`](Self::pool_theta),
+    /// never waits on a build or a growth.
+    pub fn pool_bytes(&self) -> u64 {
+        self.bytes.load(Ordering::Acquire)
     }
 
     /// The `k` the pool is warmed for.
@@ -385,6 +411,24 @@ mod tests {
         // The same query again answers from the grown pool.
         s.select_with(3, Some(0.1), None);
         assert_eq!(s.growth_epoch(), 1);
+    }
+
+    #[test]
+    fn published_pool_size_tracks_the_engine() {
+        let read = |s: &SharedEngine<IndependentCascade>| {
+            let e = s.inner.read().unwrap();
+            let bytes = e.pool_memory_bytes() + e.pool_mapped_bytes();
+            (e.pool_theta(), bytes as u64)
+        };
+        let s = shared(7);
+        let (theta, bytes) = read(&s);
+        assert!(theta > 0 && bytes > 0);
+        assert_eq!((s.pool_theta(), s.pool_bytes()), (theta, bytes));
+        // Growth republishes both in the write-lock section it ran in.
+        s.select_with(3, Some(0.1), None);
+        let (grown_theta, grown_bytes) = read(&s);
+        assert!(grown_theta > theta && grown_bytes > bytes);
+        assert_eq!((s.pool_theta(), s.pool_bytes()), (grown_theta, grown_bytes));
     }
 
     #[test]

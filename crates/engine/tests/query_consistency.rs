@@ -29,10 +29,12 @@ fn warm_engine() -> QueryEngine<IndependentCascade> {
 }
 
 #[test]
-fn warm_pool_matches_fresh_runs_at_k_1_half_k_and_k() {
+fn warm_pool_matches_fresh_runs_at_every_k() {
     let g = ic_graph();
     let mut engine = warm_engine();
-    for k in [1usize, K / 2, K] {
+    let pool_theta = engine.pool_theta();
+    let mut largest = 0;
+    for k in 1..=K {
         let fresh = TimPlus::new(IndependentCascade)
             .epsilon(EPS)
             .ell(ELL)
@@ -46,7 +48,11 @@ fn warm_pool_matches_fresh_runs_at_k_1_half_k_and_k() {
         assert_eq!(warm.theta_used, fresh.theta, "k={k}: theta differs");
         assert!(!warm.resampled, "k={k}: warm pool must not resample");
         assert_eq!(warm.estimated_spread, fresh.estimated_spread);
+        largest = largest.max(fresh.theta);
     }
+    // The warm pool is exactly as large as the largest plan needs.
+    assert_eq!(pool_theta, largest);
+    assert_eq!(engine.pool_theta(), pool_theta);
 }
 
 #[test]

@@ -506,6 +506,18 @@ impl<M: BackingModel + Clone> PoolCache<M> {
         self.len() == 0
     }
 
+    /// Σ pool θ and Σ pool bytes (heap + mapped) over the cached
+    /// engines, from the sizes each [`SharedEngine`] publishes: never
+    /// waits on a build or a growth. Entries still resolving count as
+    /// empty.
+    pub fn pool_totals(&self) -> (u64, u64) {
+        let inner = self.inner.lock().expect(POISONED);
+        let engines = inner.entries.values().filter_map(|s| s.entry.engine.get());
+        engines.fold((0, 0), |(theta, bytes), e| {
+            (theta + e.pool_theta(), bytes + e.pool_bytes())
+        })
+    }
+
     /// Maximum number of entries.
     pub fn capacity(&self) -> usize {
         self.capacity

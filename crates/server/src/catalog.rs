@@ -314,7 +314,10 @@ impl<M: BackingModel + Send + Clone + 'static> GraphState<M> {
     /// (hit/miss/build/load/spill/evict) plus the store's quarantine and
     /// restore-backing counters (`mmap_opens`/`verifies`/`heap_loads` —
     /// how restores were served: zero-copy mapped, checksum-verified,
-    /// or heap-decoded). Deliberately **not** deterministic across
+    /// or heap-decoded), then the cached pools' total `theta` and
+    /// `pool_bytes` (heap + mapped), read from the sizes each engine
+    /// publishes, so the line never waits on a build or a growth.
+    /// Deliberately **not** deterministic across
     /// interleavings — it reports live effectiveness, which is the
     /// point: the warm-path claim (`builds=0` with `mmap_opens>0` after
     /// a warm restart under `--mmap-pools`) is observable, not inferred.
@@ -322,8 +325,9 @@ impl<M: BackingModel + Send + Clone + 'static> GraphState<M> {
         let s = self.cache.stats();
         let store = self.pool_store().map(|store| store.stats());
         let store = store.unwrap_or_default();
+        let (theta, pool_bytes) = self.cache.pool_totals();
         format!(
-            "pools: graph={} cached={} hits={} misses={} builds={} loads={} spills={} evictions={} quarantined={} mmap_opens={} verifies={} heap_loads={}",
+            "pools: graph={} cached={} hits={} misses={} builds={} loads={} spills={} evictions={} quarantined={} mmap_opens={} verifies={} heap_loads={} theta={theta} pool_bytes={pool_bytes}",
             self.name,
             self.cache.len(),
             s.hits,

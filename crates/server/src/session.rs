@@ -652,6 +652,19 @@ mod tests {
             "got {pools}"
         );
         assert!(pools.contains("builds=1"), "got {pools}");
+        // The pool sizes close the line: Σ θ and Σ bytes over the cached
+        // pools, here extra's one warm pool.
+        let engine = state.catalog().get("extra").unwrap().default_engine();
+        assert!(engine.pool_theta() > 0 && engine.pool_bytes() > 0);
+        let sizes = format!(
+            " heap_loads=0 theta={} pool_bytes={}",
+            engine.pool_theta(),
+            engine.pool_bytes()
+        );
+        assert!(
+            pools.ends_with(&sizes),
+            "got {pools}, want it to end in {sizes}"
+        );
         // persist without a pool dir is an explicit error.
         assert_eq!(
             one(&mut s, "persist"),

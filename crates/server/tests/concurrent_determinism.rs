@@ -7,13 +7,20 @@ use std::net::{SocketAddr, TcpStream};
 use std::sync::Arc;
 use tim_diffusion::IndependentCascade;
 use tim_engine::QueryEngine;
-use tim_graph::{gen, weights, Graph};
+use tim_graph::{gen, io, weights, Graph};
 use tim_server::{protocol, LabelMap, Server, ServerConfig, ServerState};
 
+/// BA(300, 4, p = 0.1), symmetrised as `tim snapshot --undirected` does
+/// (an edge-list round trip), with weighted-cascade probabilities. At
+/// ε = 0.8 and seed 7, θ(k) rises with k past k_max = 8: θ(1..=8) ≤
+/// 3,345 while θ(16) = 4,063, so `select 16` grows a warm pool.
 fn wc_graph() -> Graph {
-    let mut g = gen::barabasi_albert(300, 4, 0.0, 1);
-    weights::assign_weighted_cascade(&mut g);
-    g
+    let g = gen::barabasi_albert(300, 4, 0.1, 1);
+    let mut text = Vec::new();
+    io::write_edge_list(&g, &mut text).unwrap();
+    let mut loaded = io::read_edge_list(text.as_slice(), true).unwrap();
+    weights::assign_weighted_cascade(&mut loaded.graph);
+    loaded.graph
 }
 
 fn config() -> ServerConfig {
@@ -127,17 +134,30 @@ fn interleaved_clients_get_byte_identical_answers() {
 
 #[test]
 fn pool_growth_keeps_exact_replay_byte_identical() {
-    // k = 12 > k_max = 8 forces the default pool to grow mid-session.
-    // Exact-replay selects carve their plan's θ-prefix out of whatever
-    // the pool holds, so even clients racing the growth get answers
-    // byte-identical to the serial replay.
-    let script: Vec<String> = ["select 12", "select 3", "select 8", "select 1"]
+    // k = 16 > k_max = 8 needs θ(16) > max θ(1..=8), so the default pool
+    // grows mid-session. Exact-replay selects carve their plan's
+    // θ-prefix out of whatever the pool holds, so even clients racing
+    // the growth get answers byte-identical to the serial replay.
+    let script: Vec<String> = ["select 16", "select 3", "select 8", "select 1"]
         .iter()
         .map(|s| s.to_string())
         .collect();
     let want = serial_replay(&script);
+    // Cheap reads answer over the whole pool, so a reader racing the
+    // growth sees the pool from before it or from after it, line by line.
+    let reads: Vec<String> = ["eval 0,1,2", "select 2 fast", "marginal 0,1 2", "select 5"]
+        .iter()
+        .map(|s| s.to_string())
+        .collect();
+    let reads_before = serial_replay(&reads);
+    let grown: Vec<String> = std::iter::once("select 16".to_string())
+        .chain(reads.iter().cloned())
+        .collect();
+    let reads_after = serial_replay(&grown)[1..].to_vec();
+    assert_ne!(reads_before, reads_after, "growth must change cheap reads");
 
-    let (_state, handle) = start_server();
+    let (state, handle) = start_server();
+    let warm_theta = state.default_engine().pool_theta();
     let addr = handle.addr();
     let clients: Vec<_> = (0..4)
         .map(|i| {
@@ -147,6 +167,12 @@ fn pool_growth_keeps_exact_replay_byte_identical() {
                 rotated.rotate_left(i % script.len());
                 (rotated.clone(), run_client(addr, &rotated))
             })
+        })
+        .collect();
+    let readers: Vec<_> = (0..2)
+        .map(|_| {
+            let reads = reads.clone();
+            std::thread::spawn(move || run_client(addr, &reads))
         })
         .collect();
     for c in clients {
@@ -160,5 +186,23 @@ fn pool_growth_keeps_exact_replay_byte_identical() {
         sorted_want.sort();
         assert_eq!(expect, sorted_want);
     }
+    for r in readers {
+        let got = r.join().unwrap();
+        assert_eq!(got.len(), reads.len());
+        for (i, line) in got.iter().enumerate() {
+            assert!(
+                *line == reads_before[i] || *line == reads_after[i],
+                "'{}' answered '{line}', neither the pre- nor the post-growth reply",
+                reads[i]
+            );
+        }
+    }
+    let engine = state.default_engine();
+    assert_eq!(
+        engine.growth_epoch(),
+        1,
+        "select 16 must grow the pool once"
+    );
+    assert!(engine.pool_theta() > warm_theta);
     handle.stop();
 }

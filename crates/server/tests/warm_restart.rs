@@ -18,6 +18,19 @@ fn wc_graph(n: usize, seed: u64) -> Graph {
     g
 }
 
+/// BA(300, 4, p = 0.1), symmetrised as `tim snapshot --undirected` does
+/// (an edge-list round trip), with weighted-cascade probabilities. At
+/// ε = 0.8 and seed 7, θ(k) rises with k past k = 8: θ(1..=8) ≤ 3,345
+/// while θ(16) = 4,063, so `select 16` grows a pool warmed for k_max = 8.
+fn rising_theta_graph() -> Graph {
+    let g = gen::barabasi_albert(300, 4, 0.1, 1);
+    let mut text = Vec::new();
+    tim_graph::io::write_edge_list(&g, &mut text).unwrap();
+    let mut loaded = tim_graph::io::read_edge_list(text.as_slice(), true).unwrap();
+    weights::assign_weighted_cascade(&mut loaded.graph);
+    loaded.graph
+}
+
 fn config() -> ServerConfig {
     ServerConfig {
         threads: 2,
@@ -175,7 +188,7 @@ fn growth_on_mapped_pool_races_readers_and_stays_byte_identical() {
     let dir = tmpdir("mmap_growth");
     let pool_dir = dir.join("pools");
     let state = |persist: bool, mmap_pools: bool| {
-        let g = wc_graph(150, 1);
+        let g = rising_theta_graph();
         let n = g.n();
         Arc::new(ServerState::new(
             g,
@@ -186,22 +199,27 @@ fn growth_on_mapped_pool_races_readers_and_stays_byte_identical() {
                 pool_dir: Some(pool_dir.clone()),
                 persist_pools: persist,
                 mmap_pools,
+                epsilon: 0.8,
+                seed: 7,
+                k_max: 8,
                 ..config()
             },
         ))
     };
 
-    // Reader sessions stay within the provisioned k_max=4; the grower
-    // asks for k=6, which forces ensure_theta to resample — on a mapped
-    // pool that swaps the backing heap-side mid-serve.
+    // Reader sessions stay within the provisioned k_max = 8; the grower
+    // asks for k = 16, whose θ exceeds the warm pool, which forces
+    // ensure_theta to resample — on a mapped pool that swaps the
+    // backing heap-side mid-serve.
     let readers: [&str; 2] = [
         "select 3\neval 0,1\nselect 2 fast\nmarginal 0 2\nselect 4\n",
-        "select 2\nmarginal 0,1 3\neval 2,3\nselect 3 fast\nselect 4\n",
+        "select 2\nmarginal 0,1 3\neval 2,3\nselect 3 fast\nselect 8\n",
     ];
-    let grower = "select 6\nselect 3\neval 0,1\n";
+    let grower = "select 16\nselect 3\neval 0,1\n";
 
     // Spill once, then capture the heap-restart reference transcripts
-    // serially (growth included).
+    // serially: the readers before the growth, the grower, and the
+    // readers after it.
     let cold_state = state(true, false);
     let server = Server::bind(Arc::clone(&cold_state), "127.0.0.1:0").unwrap();
     let (addr, handle) = (server.local_addr(), server.start());
@@ -212,16 +230,25 @@ fn growth_on_mapped_pool_races_readers_and_stays_byte_identical() {
     let heap_state = state(false, false);
     let server = Server::bind(Arc::clone(&heap_state), "127.0.0.1:0").unwrap();
     let (addr, handle) = (server.local_addr(), server.start());
+    let before: Vec<Vec<String>> = readers.iter().map(|r| tcp_session(addr, r)).collect();
     let want_grow = tcp_session(addr, grower);
-    let want_readers: Vec<Vec<String>> = readers.iter().map(|r| tcp_session(addr, r)).collect();
+    let after: Vec<Vec<String>> = readers.iter().map(|r| tcp_session(addr, r)).collect();
     handle.stop();
+    assert_eq!(heap_state.default_engine().growth_epoch(), 1);
     drop(heap_state);
+    assert_ne!(
+        before, after,
+        "growth must change the readers' cheap replies"
+    );
 
-    // Mapped restart: the grower races the readers. Answers must match
-    // the serial heap reference line for line regardless of interleaving.
+    // Mapped restart: the grower races the readers. The grower's
+    // transcript and every exact select match the serial heap reference
+    // line for line; a cheap read matches the reply from before the
+    // growth or the one from after it.
     let mapped_state = state(false, true);
     let server = Server::bind(Arc::clone(&mapped_state), "127.0.0.1:0").unwrap();
     let (addr, handle) = (server.local_addr(), server.start());
+    let warm_theta = mapped_state.default_engine().pool_theta();
     std::thread::scope(|scope| {
         let grow = scope.spawn(move || tcp_session(addr, grower));
         let got: Vec<_> = readers
@@ -229,11 +256,21 @@ fn growth_on_mapped_pool_races_readers_and_stays_byte_identical() {
             .map(|r| scope.spawn(move || tcp_session(addr, r)))
             .collect();
         assert_eq!(grow.join().unwrap(), want_grow, "grower byte-identical");
-        for (th, want) in got.into_iter().zip(&want_readers) {
-            assert_eq!(&th.join().unwrap(), want, "reader byte-identical");
+        for ((th, before), after) in got.into_iter().zip(&before).zip(&after) {
+            let got = th.join().unwrap();
+            assert_eq!(got.len(), before.len());
+            for (i, line) in got.iter().enumerate() {
+                assert!(
+                    *line == before[i] || *line == after[i],
+                    "reader line {i}: '{line}' is neither the pre- nor the post-growth reply"
+                );
+            }
         }
     });
     handle.stop();
+    let engine = mapped_state.default_engine();
+    assert_eq!(engine.growth_epoch(), 1, "select 16 grows the mapped pool");
+    assert!(engine.pool_theta() > warm_theta);
     assert_eq!(
         mapped_state.default_state().cache_stats().builds,
         0,
