@@ -10,12 +10,13 @@
 //!
 //! For each scale the harness snapshots the same weighted graph in both
 //! formats and measures the cold-start story end to end: fully decoding
-//! the v1 snapshot onto the heap, opening the v2 snapshot as a zero-copy
-//! `MmapCsr` view, answering a first influence query through the mapped
-//! store (page faults included), and answering it again warm. The first
-//! query is also run on the heap graph and its seed set compared — a
-//! mapping that is fast but wrong fails loudly (`answers_match`), as does
-//! a backing-dependent provenance checksum (`checksums_match`).
+//! the v1 snapshot onto the heap, opening the v2 snapshot zero-copy
+//! (`GraphStore::open_mmap`), answering a first influence query through
+//! the mapped graph (page faults included), and answering it again warm.
+//! The first query is also run on the heap graph and its seed set
+//! compared — a mapping that is fast but wrong fails loudly
+//! (`answers_match`), as does a backing-dependent provenance checksum
+//! (`checksums_match`).
 //!
 //! The report is machine readable (schema `tim-bench-graph-load/1`);
 //! `bench_schema_check` validates it in CI, and the full-scale run —
@@ -87,7 +88,7 @@ fn median_ms<T>(runs: usize, mut f: impl FnMut() -> T) -> (f64, T) {
 /// The first query every backing answers: a deterministic seed selection
 /// over `theta` RR sets. Small enough to be a "first query", large enough
 /// to walk a representative sample of the CSR pages.
-fn query<G: tim_graph::CsrAccess>(graph: &G, theta: u64) -> Vec<u32> {
+fn query(graph: &Graph, theta: u64) -> Vec<u32> {
     node_selection(
         graph,
         &IndependentCascade,
@@ -126,20 +127,14 @@ fn run_scale(
     // cache stays warm, exactly as for v1.
     let (v2_open_ms, _) = median_ms(3, || GraphStore::open_mmap(&v2_path).expect("open v2"));
     let (v2_open_plus_query_ms, (store, mapped_seeds)) = median_ms(3, || {
-        let store = GraphStore::open_mmap(&v2_path).expect("open v2");
-        let seeds = match store.view() {
-            tim_graph::CsrView::Heap(g) => query(g, theta),
-            tim_graph::CsrView::Mmap(v) => query(v, theta),
-        };
+        let (store, _) = GraphStore::open_mmap(&v2_path).expect("open v2");
+        let seeds = query(store.graph(), theta);
         (store, seeds)
     });
     let first_query_ms = (v2_open_plus_query_ms - v2_open_ms).max(0.0);
 
     // Warm query: same store, pages resident.
-    let (warm_query_ms, warm_seeds) = median_ms(3, || match store.view() {
-        tim_graph::CsrView::Heap(g) => query(g, theta),
-        tim_graph::CsrView::Mmap(v) => query(v, theta),
-    });
+    let (warm_query_ms, warm_seeds) = median_ms(3, || query(store.graph(), theta));
 
     let heap_seeds = query(&v1_loaded.graph, theta);
     let answers_match = heap_seeds == mapped_seeds && warm_seeds == mapped_seeds;

@@ -19,7 +19,7 @@
 //! compared — a mapping that is fast but wrong fails loudly
 //! (`answers_match`), as does a restore that loses provenance
 //! (`provenance_match`). The deferred full-checksum scan the server runs
-//! under `--mmap-pools` (`PoolMmap::verify`) is timed separately so the
+//! under `--mmap-pools` (`RrPool::verify`) is timed separately so the
 //! open number stays honest about what it skips.
 //!
 //! The report is machine readable (schema `tim-bench-pool-load/1`);
@@ -32,7 +32,7 @@ use std::time::Instant;
 use tim_core::parallel::generate_rr_sets;
 use tim_coverage::greedy_max_cover_indexed;
 use tim_diffusion::IndependentCascade;
-use tim_engine::{PoolMeta, PoolMmap, RrPool};
+use tim_engine::{PoolMeta, RrPool};
 use tim_graph::{gen, snapshot, weights, Graph};
 
 struct Opts {
@@ -152,18 +152,18 @@ fn run_scale(
     // greedy straight over the mapped posting lists — the inverted index
     // is read from the file, never rebuilt — faulting pages in on demand.
     // A fresh mapping per run keeps the "open" honest.
-    let (v2_open_ms, _) = median_ms(3, || PoolMmap::open(&v2_path).expect("open v2"));
+    let (v2_open_ms, _) = median_ms(3, || RrPool::open_mapped(&v2_path).expect("open v2"));
     let (v2_open_plus_select_ms, mapped_seeds) = median_ms(3, || {
-        let view = PoolMmap::open(&v2_path).expect("open v2");
-        greedy_max_cover_indexed(view.sets().as_ref(), K).seeds
+        let view = RrPool::open_mapped(&v2_path).expect("open v2");
+        greedy_max_cover_indexed(&view.sets, K).seeds
     });
 
     // The deferred integrity scan (`--mmap-pools` runs it once per
     // restore before serving): one sequential FNV pass over every
     // section, doubling as prefault.
-    let mapped = PoolMmap::open(&v2_path).expect("open v2");
+    let mapped = RrPool::open_mapped(&v2_path).expect("open v2");
     let (v2_verify_ms, _) = median_ms(3, || mapped.verify().expect("verify v2"));
-    let provenance_match = *mapped.meta() == v1_meta;
+    let provenance_match = mapped.meta == v1_meta;
 
     ScaleReport {
         name,

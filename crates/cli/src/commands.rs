@@ -10,7 +10,7 @@ use tim_baselines::{
 };
 use tim_core::{Imm, Tim, TimPlus};
 use tim_diffusion::{
-    BackingModel, DiffusionModel, IndependentCascade, LinearThreshold, ModelKind, SpreadEstimator,
+    DiffusionModel, IndependentCascade, LinearThreshold, ModelKind, SpreadEstimator,
 };
 use tim_engine::{QueryEngine, RrPool};
 use tim_eval::Dataset;
@@ -770,7 +770,7 @@ fn query_with(model: ModelKind, model_name: &str, args: &Args) -> Result<(), Str
 /// `tim serve` connections — so the two front ends cannot drift. The
 /// 1 MiB request-line cap applies exactly as on TCP: an over-limit line
 /// answers `error: …` and ends the session.
-fn catalog_query_session<M: BackingModel + Send + Clone + 'static>(
+fn catalog_query_session<M: DiffusionModel + Send + Clone + 'static>(
     state: &ServerState<M>,
     input: impl Read,
     out: &mut impl Write,
@@ -1290,7 +1290,7 @@ mod tests {
         )
     }
 
-    fn run_session<M: BackingModel + Send + Clone + 'static>(
+    fn run_session<M: DiffusionModel + Send + Clone + 'static>(
         state: &ServerState<M>,
         input: &str,
     ) -> Vec<String> {

@@ -22,7 +22,7 @@ use crate::math::{kappa, kpt_iteration_samples};
 use std::sync::Arc;
 use tim_coverage::SetCollection;
 use tim_diffusion::{DiffusionModel, RrSampler};
-use tim_graph::CsrAccess;
+use tim_graph::Graph;
 use tim_rng::Rng;
 
 /// One `k`'s output of [`estimate_kpt`].
@@ -63,8 +63,8 @@ impl KptEstimate {
 /// # Panics
 /// Panics if the graph has no nodes or no edges (KPT is undefined without
 /// edges; callers special-case empty graphs).
-pub fn estimate_kpt<G: CsrAccess, M: DiffusionModel<G>>(
-    graph: &G,
+pub fn estimate_kpt<M: DiffusionModel>(
+    graph: &Graph,
     model: &M,
     ks: &[usize],
     ell: f64,
@@ -144,7 +144,7 @@ pub fn estimate_kpt<G: CsrAccess, M: DiffusionModel<G>>(
 mod tests {
     use super::*;
     use tim_diffusion::{IndependentCascade, LinearThreshold, SpreadEstimator};
-    use tim_graph::{gen, weights, Graph};
+    use tim_graph::{gen, weights};
 
     fn wc_graph(seed: u64) -> Graph {
         let mut g = gen::barabasi_albert(400, 4, 0.0, seed);

@@ -9,7 +9,7 @@
 
 use tim_coverage::SetCollection;
 use tim_diffusion::{DiffusionModel, RrSampler, RrStats};
-use tim_graph::CsrAccess;
+use tim_graph::Graph;
 use tim_rng::Rng;
 
 /// Fixed shard count, chosen so shards are plentiful enough to balance yet
@@ -66,13 +66,12 @@ impl BulkStats {
 /// Generates `theta` random RR sets into a [`SetCollection`].
 ///
 /// `threads = 1` runs inline; larger values use scoped worker threads. The
-/// output is identical for any `threads` value — and for any graph
-/// backing: the shard RNG streams depend only on `(seed, shard)`, so a
-/// heap [`Graph`](tim_graph::Graph) and an
-/// [`MmapCsr`](tim_graph::MmapCsr) view of the same snapshot produce
-/// bit-identical collections.
-pub fn generate_rr_sets<G: CsrAccess, M: DiffusionModel<G> + Sync>(
-    graph: &G,
+/// output is identical for any `threads` value — and whether the graph
+/// owns its arrays or maps a v2 snapshot: the shard RNG streams depend
+/// only on `(seed, shard)`, so a heap-loaded and a mapped copy of the
+/// same snapshot produce bit-identical collections.
+pub fn generate_rr_sets<M: DiffusionModel + Sync>(
+    graph: &Graph,
     model: &M,
     theta: u64,
     seed: u64,
@@ -157,7 +156,7 @@ pub fn generate_rr_sets<G: CsrAccess, M: DiffusionModel<G> + Sync>(
 mod tests {
     use super::*;
     use tim_diffusion::IndependentCascade;
-    use tim_graph::{gen, weights, Graph};
+    use tim_graph::{gen, weights};
 
     fn graph() -> Graph {
         let mut g = gen::barabasi_albert(200, 4, 0.0, 1);

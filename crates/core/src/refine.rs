@@ -14,7 +14,7 @@ use crate::parallel::{generate_rr_sets, shard_layout};
 use std::sync::Arc;
 use tim_coverage::greedy_max_cover_indexed;
 use tim_diffusion::DiffusionModel;
-use tim_graph::CsrAccess;
+use tim_graph::Graph;
 use tim_rng::{RandomSource, Rng};
 
 /// One `k`'s output of [`refine_kpt`].
@@ -48,8 +48,8 @@ pub struct Refined {
 /// Panics if `ks` and `kpts` differ in length, ε′ is not positive, or an
 /// estimate's sets have no inverted index.
 #[allow(clippy::too_many_arguments)]
-pub fn refine_kpt<G: CsrAccess, M: DiffusionModel<G> + Sync>(
-    graph: &G,
+pub fn refine_kpt<M: DiffusionModel + Sync>(
+    graph: &Graph,
     model: &M,
     ks: &[usize],
     epsilon: f64,
@@ -99,7 +99,7 @@ pub fn refine_kpt<G: CsrAccess, M: DiffusionModel<G> + Sync>(
             .collect();
         let depth = group.iter().map(|&i| ks[i]).max().unwrap_or(0);
         let mut rank = vec![u32::MAX; graph.n()];
-        for (r, &v) in greedy_max_cover_indexed(&**sets, depth)
+        for (r, &v) in greedy_max_cover_indexed(sets, depth)
             .seeds
             .iter()
             .enumerate()
@@ -147,7 +147,7 @@ mod tests {
     use super::*;
     use crate::kpt::estimate_kpt;
     use tim_diffusion::{IndependentCascade, SpreadEstimator};
-    use tim_graph::{gen, weights, Graph};
+    use tim_graph::{gen, weights};
 
     fn setup(seed: u64) -> Graph {
         let mut g = gen::barabasi_albert(400, 4, 0.0, seed);

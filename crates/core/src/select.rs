@@ -8,7 +8,7 @@
 use crate::parallel::{generate_rr_sets, BulkStats};
 use tim_coverage::greedy_max_cover;
 use tim_diffusion::DiffusionModel;
-use tim_graph::{CsrAccess, NodeId};
+use tim_graph::{Graph, NodeId};
 
 /// Output of [`node_selection`].
 #[derive(Debug)]
@@ -31,8 +31,8 @@ pub struct Selection {
 /// Runs Algorithm 1: samples `theta` RR sets under `model` and greedily
 /// selects `k` nodes. `threads` drives sampling and never changes the
 /// answer.
-pub fn node_selection<G: CsrAccess, M: DiffusionModel<G> + Sync>(
-    graph: &G,
+pub fn node_selection<M: DiffusionModel + Sync>(
+    graph: &Graph,
     model: &M,
     k: usize,
     theta: u64,

@@ -17,7 +17,7 @@ use crate::refine::{refine_kpt, Refined};
 use crate::select::node_selection;
 use std::time::{Duration, Instant};
 use tim_diffusion::DiffusionModel;
-use tim_graph::{CsrAccess, NodeId};
+use tim_graph::{Graph, NodeId};
 use tim_rng::{RandomSource, Rng};
 
 /// Wall-clock time spent in each phase of a run.
@@ -192,9 +192,9 @@ impl<M> Tim<M> {
 
     /// Runs the parameter-estimation phase only, returning the θ and
     /// selection-stream seed a full [`run`](Self::run) would use.
-    pub fn plan<G: CsrAccess>(&self, graph: &G, k: usize) -> SamplingPlan
+    pub fn plan(&self, graph: &Graph, k: usize) -> SamplingPlan
     where
-        M: DiffusionModel<G> + Sync,
+        M: DiffusionModel + Sync,
     {
         plans_impl(&self.model, &self.cfg, graph, &[k], false).remove(0)
     }
@@ -218,9 +218,9 @@ impl<M> Tim<M> {
     ///
     /// # Panics
     /// Panics if the graph has fewer than 2 nodes or no edges, or `k == 0`.
-    pub fn run<G: CsrAccess>(&self, graph: &G, k: usize) -> TimResult
+    pub fn run(&self, graph: &Graph, k: usize) -> TimResult
     where
-        M: DiffusionModel<G> + Sync,
+        M: DiffusionModel + Sync,
     {
         run_impl(&self.model, &self.cfg, graph, k, false)
     }
@@ -255,9 +255,9 @@ impl<M> TimPlus<M> {
     /// Runs the estimation and refinement phases only, returning the θ and
     /// selection-stream seed a full [`run`](Self::run) would use. The
     /// one-element case of [`plans`](Self::plans).
-    pub fn plan<G: CsrAccess>(&self, graph: &G, k: usize) -> SamplingPlan
+    pub fn plan(&self, graph: &Graph, k: usize) -> SamplingPlan
     where
-        M: DiffusionModel<G> + Sync,
+        M: DiffusionModel + Sync,
     {
         self.plans(graph, &[k]).remove(0)
     }
@@ -297,9 +297,9 @@ impl<M> TimPlus<M> {
     /// # Panics
     /// Panics if any `k == 0`, or the graph has fewer than 2 nodes or no
     /// edges.
-    pub fn plans<G: CsrAccess>(&self, graph: &G, ks: &[usize]) -> Vec<SamplingPlan>
+    pub fn plans(&self, graph: &Graph, ks: &[usize]) -> Vec<SamplingPlan>
     where
-        M: DiffusionModel<G> + Sync,
+        M: DiffusionModel + Sync,
     {
         plans_impl(&self.model, &self.cfg, graph, ks, true)
     }
@@ -308,18 +308,18 @@ impl<M> TimPlus<M> {
     ///
     /// # Panics
     /// Panics if the graph has fewer than 2 nodes or no edges, or `k == 0`.
-    pub fn run<G: CsrAccess>(&self, graph: &G, k: usize) -> TimResult
+    pub fn run(&self, graph: &Graph, k: usize) -> TimResult
     where
-        M: DiffusionModel<G> + Sync,
+        M: DiffusionModel + Sync,
     {
         run_impl(&self.model, &self.cfg, graph, k, true)
     }
 }
 
-fn plans_impl<G: CsrAccess, M: DiffusionModel<G> + Sync>(
+fn plans_impl<M: DiffusionModel + Sync>(
     model: &M,
     cfg: &Config,
-    graph: &G,
+    graph: &Graph,
     ks: &[usize],
     refine: bool,
 ) -> Vec<SamplingPlan> {
@@ -397,10 +397,10 @@ fn plans_impl<G: CsrAccess, M: DiffusionModel<G> + Sync>(
         .collect()
 }
 
-fn run_impl<G: CsrAccess, M: DiffusionModel<G> + Sync>(
+fn run_impl<M: DiffusionModel + Sync>(
     model: &M,
     cfg: &Config,
-    graph: &G,
+    graph: &Graph,
     k: usize,
     refine: bool,
 ) -> TimResult {
@@ -437,7 +437,7 @@ fn run_impl<G: CsrAccess, M: DiffusionModel<G> + Sync>(
 mod tests {
     use super::*;
     use tim_diffusion::{IndependentCascade, LinearThreshold, SpreadEstimator};
-    use tim_graph::{gen, weights, Graph, GraphBuilder};
+    use tim_graph::{gen, weights, GraphBuilder};
 
     fn wc_graph(n: usize, seed: u64) -> Graph {
         let mut g = gen::barabasi_albert(n, 4, 0.0, seed);

@@ -1,13 +1,13 @@
 //! Determinism regression: RR-set generation is a pure function of
 //! (graph content, θ, seed) — never of the thread count and never of the
 //! graph's backing. The shard-prefix contract that makes parallel runs
-//! byte-identical to serial runs must hold when the CSR is a zero-copy
-//! `MmapCsr` view just as it does on the heap.
+//! byte-identical to serial runs must hold when the CSR arrays view a
+//! mapped v2 snapshot just as it does on the heap.
 
 use tim_core::parallel::generate_rr_sets;
 use tim_core::TimPlus;
 use tim_diffusion::IndependentCascade;
-use tim_graph::{gen, snapshot, weights, Graph, MmapCsr};
+use tim_graph::{gen, snapshot, weights, Graph, GraphStore};
 
 fn wc_graph(n: usize, seed: u64) -> Graph {
     let mut g = gen::barabasi_albert(n, 3, 0.0, seed);
@@ -16,13 +16,13 @@ fn wc_graph(n: usize, seed: u64) -> Graph {
 }
 
 /// Saves `g` as a v2 snapshot in a fresh temp dir and maps it.
-fn mapped(g: &Graph, tag: &str) -> (MmapCsr, std::path::PathBuf) {
+fn mapped(g: &Graph, tag: &str) -> (GraphStore, std::path::PathBuf) {
     let dir = std::env::temp_dir().join(format!("tim_core_det_{tag}_{}", std::process::id()));
     std::fs::create_dir_all(&dir).unwrap();
     let path = dir.join("g.timg");
     let labels: Vec<u64> = (0..g.n() as u64).collect();
     snapshot::save_snapshot_v2(g, &labels, &path).unwrap();
-    (MmapCsr::open(&path).unwrap(), dir)
+    (GraphStore::open_mmap(&path).unwrap().0, dir)
 }
 
 #[test]
@@ -35,7 +35,8 @@ fn parallel_rr_sets_over_mmap_match_the_serial_heap_run() {
     let (heap, heap_stats) = generate_rr_sets(&g, &IndependentCascade, theta, seed, 1);
 
     for threads in [1usize, 4, 8] {
-        let (mm, mm_stats) = generate_rr_sets(&view, &IndependentCascade, theta, seed, threads);
+        let (mm, mm_stats) =
+            generate_rr_sets(view.graph(), &IndependentCascade, theta, seed, threads);
         assert_eq!(
             heap.raw_offsets(),
             mm.raw_offsets(),
@@ -68,7 +69,7 @@ fn full_pipeline_over_mmap_matches_heap_across_thread_counts() {
             .epsilon(0.9)
             .seed(11)
             .threads(threads)
-            .run(&view, 6);
+            .run(view.graph(), 6);
         assert_eq!(run_heap.seeds, run_mm.seeds, "{threads} threads");
         assert_eq!(run_heap.theta, run_mm.theta, "{threads} threads");
         assert_eq!(

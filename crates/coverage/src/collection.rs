@@ -1,63 +1,8 @@
-//! Flat arena storage for node-set collections (the set `R` of RR sets),
-//! and the [`SetsAccess`] seam the greedy solvers are generic over.
+//! Flat arena storage for node-set collections (the set `R` of RR sets).
 
 use std::cell::RefCell;
-use tim_graph::NodeId;
-
-/// Read-only access to an indexed collection of node sets over the
-/// universe `0..universe()` — the seam between the greedy max-coverage
-/// solvers and the storage backing.
-///
-/// Two backings implement it: the heap [`SetCollection`] and the
-/// zero-copy [`MmapSets`](crate::MmapSets) view over a mapped `.timp` v2
-/// pool file. The `*_indexed` solver entry points are generic over this
-/// trait, so each backing gets its own monomorphized hot loops;
-/// [`SetsView`](crate::SetsView) carries the dispatch to the call
-/// boundary.
-///
-/// Every method is `&self` and the contract is strictly read-only —
-/// which is why a `PROT_READ` file mapping can serve concurrent
-/// selections directly.
-pub trait SetsAccess {
-    /// Universe size `n`; members are node ids in `0..n`.
-    fn universe(&self) -> usize;
-
-    /// Number of sets stored.
-    fn len(&self) -> usize;
-
-    /// True when no sets are stored.
-    fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
-    /// Total number of members across all sets (arena length).
-    fn total_members(&self) -> usize;
-
-    /// The members of set `i`.
-    fn set(&self, i: usize) -> &[NodeId];
-
-    /// True when [`sets_containing`](Self::sets_containing) may be
-    /// called. Mapped backings persist their index, so this is
-    /// constant-true there; heap collections build it lazily.
-    fn has_inverted_index(&self) -> bool;
-
-    /// Ids of the sets containing `v`, ascending.
-    ///
-    /// # Panics
-    /// May panic if the index is stale
-    /// ([`has_inverted_index`](Self::has_inverted_index) is false) or
-    /// `v` is outside the universe.
-    fn sets_containing(&self, v: NodeId) -> &[u32];
-
-    /// Number of sets containing `v` (its coverage count / hypergraph
-    /// degree).
-    ///
-    /// # Panics
-    /// As [`sets_containing`](Self::sets_containing).
-    fn degree(&self, v: NodeId) -> usize {
-        self.sets_containing(v).len()
-    }
-}
+use std::sync::Arc;
+use tim_graph::{Array, Mmap, NodeId};
 
 /// Reusable per-thread scratch for [`SetCollection::count_covered`]'s
 /// index-backed path: a stamped bitmap over set ids. Bumping the stamp
@@ -75,20 +20,26 @@ thread_local! {
 }
 
 /// A collection of node sets over the universe `0..n`, stored as one flat
-/// arena plus offsets, with a lazily built inverted index.
+/// arena plus offsets, with an inverted index built on demand.
 ///
 /// Appending a set is O(|set|); `memory_bytes` reports the arena footprint
-/// that dominates TIM's memory profile (Figure 12).
+/// that dominates TIM's memory profile (Figure 12). The four arrays are
+/// [`Array`]s: owned `Vec`s for a sampled or heap-decoded pool, or
+/// sections of a mapped `.timp` v2 file
+/// ([`from_mapping`](SetCollection::from_mapping)), whose persisted
+/// inverted index is served as is. Every query reads both the same way;
+/// [`push`](Self::push) copies a mapped arena onto the heap first.
 #[derive(Debug, Clone)]
 pub struct SetCollection {
     n: usize,
     /// Concatenated member lists.
-    data: Vec<NodeId>,
+    data: Array<NodeId>,
     /// Set `i` occupies `data[offsets[i]..offsets[i + 1]]`.
-    offsets: Vec<usize>,
-    /// Inverted index (node → ids of sets containing it), built on demand.
-    inv_data: Vec<u32>,
-    inv_offsets: Vec<usize>,
+    offsets: Array<u64>,
+    /// Inverted index (node → ids of sets containing it): node `v`'s
+    /// posting list is `inv_data[inv_offsets[v]..inv_offsets[v + 1]]`.
+    inv_data: Array<u32>,
+    inv_offsets: Array<u64>,
     inv_built_for: usize,
 }
 
@@ -97,10 +48,10 @@ impl SetCollection {
     pub fn new(n: usize) -> Self {
         Self {
             n,
-            data: Vec::new(),
-            offsets: vec![0],
-            inv_data: Vec::new(),
-            inv_offsets: Vec::new(),
+            data: Array::default(),
+            offsets: Array::from(vec![0]),
+            inv_data: Array::default(),
+            inv_offsets: Array::default(),
             inv_built_for: usize::MAX,
         }
     }
@@ -108,8 +59,8 @@ impl SetCollection {
     /// Creates an empty collection with arena capacity for `total` members.
     pub fn with_capacity(n: usize, sets: usize, total: usize) -> Self {
         let mut c = Self::new(n);
-        c.data.reserve(total);
-        c.offsets.reserve(sets);
+        c.data.edit(|data| data.reserve(total));
+        c.offsets.edit(|offsets| offsets.reserve(sets));
         c
     }
 
@@ -140,7 +91,7 @@ impl SetCollection {
     /// The members of set `i`.
     #[inline]
     pub fn set(&self, i: usize) -> &[NodeId] {
-        &self.data[self.offsets[i]..self.offsets[i + 1]]
+        &self.data[self.offsets[i] as usize..self.offsets[i + 1] as usize]
     }
 
     /// The flat member arena: all sets concatenated back to back. Together
@@ -156,61 +107,148 @@ impl SetCollection {
     /// `raw_data()[raw_offsets()[i]..raw_offsets()[i + 1]]`. Always has
     /// `len() + 1` entries starting at 0.
     #[inline]
-    pub fn raw_offsets(&self) -> &[usize] {
+    pub fn raw_offsets(&self) -> &[u64] {
         &self.offsets
     }
 
-    /// Rebuilds a collection from the arena layout exposed by
+    /// Builds a collection over the arena layout exposed by
     /// [`raw_data`](Self::raw_data) / [`raw_offsets`](Self::raw_offsets),
-    /// validating every structural invariant (used by pool deserialization
-    /// on untrusted bytes).
+    /// owned or mapped, checking every bound the accessors rely on:
+    /// offsets run monotonically from 0 to the arena length, every member
+    /// lies in the universe, and set ids fit the index's `u32`s. Pool
+    /// decoders run it on untrusted bytes.
     pub fn from_raw_parts(
         n: usize,
-        data: Vec<NodeId>,
-        offsets: Vec<usize>,
+        data: impl Into<Array<NodeId>>,
+        offsets: impl Into<Array<u64>>,
     ) -> Result<Self, String> {
+        let (data, offsets) = (data.into(), offsets.into());
         if offsets.first() != Some(&0) {
             return Err("offsets must start at 0".into());
         }
-        if offsets.last() != Some(&data.len()) {
+        if offsets.last() != Some(&(data.len() as u64)) {
             return Err("offsets must end at the arena length".into());
+        }
+        if offsets.len() - 1 > u32::MAX as usize {
+            return Err(format!(
+                "set count {} exceeds the u32 set-id space",
+                offsets.len() - 1
+            ));
         }
         if !offsets.windows(2).all(|w| w[0] <= w[1]) {
             return Err("offsets must be non-decreasing".into());
         }
-        if let Some(&v) = data.iter().find(|&&v| v as usize >= n) {
+        if let Some(&v) = data.iter().max().filter(|&&v| v as usize >= n) {
             return Err(format!("member {v} out of universe 0..{n}"));
         }
         Ok(Self {
             n,
             data,
             offsets,
-            inv_data: Vec::new(),
-            inv_offsets: Vec::new(),
+            inv_data: Array::default(),
+            inv_offsets: Array::default(),
             inv_built_for: usize::MAX,
         })
+    }
+
+    /// Adopts a persisted inverted index (the arrays
+    /// [`raw_inverted`](Self::raw_inverted) exposes), checking the bounds
+    /// that keep every posting-list slice and solver index in range:
+    /// offsets run monotonically from 0 to the arena length and every
+    /// entry names a stored set. Whether the index also *agrees* with the
+    /// arena is [`validate_index`](Self::validate_index)'s question.
+    pub fn with_index(
+        mut self,
+        inv_offsets: impl Into<Array<u64>>,
+        inv_data: impl Into<Array<u32>>,
+    ) -> Result<Self, String> {
+        let (inv_offsets, inv_data) = (inv_offsets.into(), inv_data.into());
+        let total = self.data.len() as u64;
+        if inv_offsets.len() != self.n + 1 || inv_data.len() != self.data.len() {
+            return Err("inverted index does not match the universe and arena sizes".into());
+        }
+        if inv_offsets[0] != 0 || inv_offsets[self.n] != total {
+            return Err(format!(
+                "inverted offsets must run from 0 to the arena length {total}"
+            ));
+        }
+        if !inv_offsets.windows(2).all(|w| w[0] <= w[1]) {
+            return Err("inverted offsets must be non-decreasing".into());
+        }
+        if let Some(&s) = inv_data.iter().max().filter(|&&s| s as usize >= self.len()) {
+            return Err(format!(
+                "posting entry {s} out of set range 0..{}",
+                self.len()
+            ));
+        }
+        self.inv_offsets = inv_offsets;
+        self.inv_data = inv_data;
+        self.inv_built_for = self.len();
+        Ok(self)
+    }
+
+    /// Checks that the inverted index describes the arena: each node's
+    /// posting list is strictly ascending and as long as the node's
+    /// occurrence count in the member arena, or greedy coverage counts go
+    /// wrong. One counting pass over the arena plus one posting walk per
+    /// node. Passes when no index is built.
+    pub fn validate_index(&self) -> Result<(), String> {
+        if !self.has_inverted_index() {
+            return Ok(());
+        }
+        let mut counts = vec![0u64; self.n];
+        for &v in self.data.iter() {
+            counts[v as usize] += 1;
+        }
+        for (v, &count) in counts.iter().enumerate() {
+            let list = self.sets_containing(v as NodeId);
+            if list.len() as u64 != count {
+                return Err(format!(
+                    "node {v} posting list holds {} entries but occurs {count} times in the arena",
+                    list.len()
+                ));
+            }
+            if !list.windows(2).all(|w| w[0] < w[1]) {
+                return Err(format!("node {v} posting list is not strictly ascending"));
+            }
+        }
+        Ok(())
     }
 
     /// Appends a set. Members must be in `[0, n)` (checked in debug builds);
     /// duplicates within one set are the caller's responsibility (RR
     /// samplers never produce them).
+    #[inline]
     pub fn push(&mut self, members: &[NodeId]) {
         debug_assert!(
             members.iter().all(|&v| (v as usize) < self.n),
             "set member out of universe"
         );
-        self.data.extend_from_slice(members);
-        self.offsets.push(self.data.len());
+        self.data.edit(|data| data.extend_from_slice(members));
+        let end = self.data.len() as u64;
+        self.offsets.edit(|offsets| offsets.push(end));
         self.inv_built_for = usize::MAX; // invalidate
     }
 
-    /// Heap bytes held by the arena and index.
+    /// Heap bytes held by the arena and index (0 for a mapped collection:
+    /// see [`mapped_bytes`](Self::mapped_bytes)).
     pub fn memory_bytes(&self) -> usize {
-        use std::mem::size_of;
-        self.data.capacity() * size_of::<NodeId>()
-            + self.offsets.capacity() * size_of::<usize>()
-            + self.inv_data.capacity() * size_of::<u32>()
-            + self.inv_offsets.capacity() * size_of::<usize>()
+        self.data.heap_bytes()
+            + self.offsets.heap_bytes()
+            + self.inv_data.heap_bytes()
+            + self.inv_offsets.heap_bytes()
+    }
+
+    /// The pool-file mapping the member arena views, or `None` for a
+    /// collection held on the heap.
+    pub fn mapping(&self) -> Option<&Arc<Mmap>> {
+        self.data.mapping()
+    }
+
+    /// Bytes of the file mapping the arena views (the whole pool file);
+    /// 0 on the heap.
+    pub fn mapped_bytes(&self) -> usize {
+        self.mapping().map_or(0, |map| map.len())
     }
 
     /// True when the inverted index is built and matches the current set
@@ -230,8 +268,8 @@ impl SetCollection {
             return;
         }
         let (inv_offsets, inv_data) = build_inverted_index(self.n, &self.data, &self.offsets);
-        self.inv_offsets = inv_offsets;
-        self.inv_data = inv_data;
+        self.inv_offsets = inv_offsets.into();
+        self.inv_data = inv_data.into();
         self.inv_built_for = self.len();
     }
 
@@ -242,12 +280,12 @@ impl SetCollection {
     ///
     /// This is what the `.timp` v2 pool format persists, so a mapped
     /// pool can skip the counting-sort rebuild entirely.
-    pub fn raw_inverted(&self) -> Option<(&[usize], &[u32])> {
+    pub fn raw_inverted(&self) -> Option<(&[u64], &[u32])> {
         self.has_inverted_index()
-            .then_some((self.inv_offsets.as_slice(), self.inv_data.as_slice()))
+            .then_some((&self.inv_offsets[..], &self.inv_data[..]))
     }
 
-    /// Ids of the sets containing `v`.
+    /// Ids of the sets containing `v`, ascending.
     ///
     /// # Panics
     /// Panics if the inverted index has not been built
@@ -259,7 +297,7 @@ impl SetCollection {
             "inverted index is stale; call ensure_inverted_index first"
         );
         let v = v as usize;
-        &self.inv_data[self.inv_offsets[v]..self.inv_offsets[v + 1]]
+        &self.inv_data[self.inv_offsets[v] as usize..self.inv_offsets[v + 1] as usize]
     }
 
     /// Number of sets containing `v` (its coverage count / hypergraph
@@ -305,43 +343,6 @@ impl SetCollection {
     }
 }
 
-impl SetsAccess for SetCollection {
-    #[inline]
-    fn universe(&self) -> usize {
-        SetCollection::universe(self)
-    }
-
-    #[inline]
-    fn len(&self) -> usize {
-        SetCollection::len(self)
-    }
-
-    #[inline]
-    fn total_members(&self) -> usize {
-        SetCollection::total_members(self)
-    }
-
-    #[inline]
-    fn set(&self, i: usize) -> &[NodeId] {
-        SetCollection::set(self, i)
-    }
-
-    #[inline]
-    fn has_inverted_index(&self) -> bool {
-        SetCollection::has_inverted_index(self)
-    }
-
-    #[inline]
-    fn sets_containing(&self, v: NodeId) -> &[u32] {
-        SetCollection::sets_containing(self, v)
-    }
-
-    #[inline]
-    fn degree(&self, v: NodeId) -> usize {
-        SetCollection::degree(self, v)
-    }
-}
-
 /// Counting-sort construction of the inverted index for an arena layout
 /// (`data`/`offsets` as in [`SetCollection::raw_data`] /
 /// [`SetCollection::raw_offsets`]): returns `(inv_offsets, inv_data)`
@@ -351,12 +352,8 @@ impl SetsAccess for SetCollection {
 /// order). Shared by [`SetCollection::ensure_inverted_index`] and the
 /// `.timp` v2 pool writer in `tim_engine`, which persists the arrays so
 /// a mapped pool never pays this build.
-pub fn build_inverted_index(
-    n: usize,
-    data: &[NodeId],
-    offsets: &[usize],
-) -> (Vec<usize>, Vec<u32>) {
-    let mut counts = vec![0usize; n + 1];
+pub fn build_inverted_index(n: usize, data: &[NodeId], offsets: &[u64]) -> (Vec<u64>, Vec<u32>) {
+    let mut counts = vec![0u64; n + 1];
     for &v in data {
         counts[v as usize + 1] += 1;
     }
@@ -367,8 +364,8 @@ pub fn build_inverted_index(
     let mut inv_data = vec![0u32; data.len()];
     let mut cursor = counts;
     for set_id in 0..offsets.len() - 1 {
-        for &v in &data[offsets[set_id]..offsets[set_id + 1]] {
-            inv_data[cursor[v as usize]] = set_id as u32;
+        for &v in &data[offsets[set_id] as usize..offsets[set_id + 1] as usize] {
+            inv_data[cursor[v as usize] as usize] = set_id as u32;
             cursor[v as usize] += 1;
         }
     }
@@ -377,13 +374,13 @@ pub fn build_inverted_index(
 
 /// Number of sets in `collection` intersecting `seeds`, walking the
 /// seeds' posting lists with a reusable per-thread scratch bitmap — the
-/// index-backed counting path shared by every [`SetsAccess`] backing
-/// (see [`SetCollection::count_covered`] for the cost model).
+/// index-backed counting path (see [`SetCollection::count_covered`] for
+/// the cost model).
 ///
 /// # Panics
 /// Panics if the inverted index is not built or a seed falls outside the
 /// universe.
-pub fn count_covered_indexed<C: SetsAccess>(collection: &C, seeds: &[NodeId]) -> usize {
+pub fn count_covered_indexed(collection: &SetCollection, seeds: &[NodeId]) -> usize {
     assert!(
         collection.has_inverted_index(),
         "inverted index is stale; call ensure_inverted_index first"
@@ -483,7 +480,7 @@ mod tests {
         assert_eq!(inv_data.len(), c.total_members());
         for v in 0..c.universe() {
             assert_eq!(
-                &inv_data[inv_offsets[v]..inv_offsets[v + 1]],
+                &inv_data[inv_offsets[v] as usize..inv_offsets[v + 1] as usize],
                 c.sets_containing(v as NodeId),
             );
         }
@@ -501,7 +498,7 @@ mod tests {
         // Posting lists come out strictly ascending — the invariant the
         // mapped backing validates at open.
         for v in 0..c.universe() {
-            let list = &inv_data[inv_offsets[v]..inv_offsets[v + 1]];
+            let list = &inv_data[inv_offsets[v] as usize..inv_offsets[v + 1] as usize];
             assert!(list.windows(2).all(|w| w[0] < w[1]), "node {v}: {list:?}");
         }
     }

@@ -13,7 +13,7 @@
 //! is covered, rounds pad with the smallest unselected id. Warm-pool
 //! replay in `tim_engine` relies on this order being fixed.
 
-use crate::{SetCollection, SetsAccess};
+use crate::SetCollection;
 use std::collections::BinaryHeap;
 use tim_graph::NodeId;
 
@@ -73,9 +73,8 @@ pub fn greedy_max_cover(collection: &mut SetCollection, k: usize) -> CoverResult
 }
 
 /// [`greedy_max_cover`] over a shared (`&`) collection whose inverted
-/// index is already built — generic over the [`SetsAccess`] backing, so
-/// the same monomorphized loop serves heap collections and mapped
-/// `.timp` v2 pools.
+/// index is already built — the same loop serves sampled collections and
+/// collections mapped from `.timp` v2 pools.
 ///
 /// The solver itself never mutates the collection — the `&mut` in
 /// [`greedy_max_cover`] exists only to build the lazy index. Hot query
@@ -84,8 +83,8 @@ pub fn greedy_max_cover(collection: &mut SetCollection, k: usize) -> CoverResult
 ///
 /// # Panics
 /// Panics if the inverted index is stale
-/// ([`SetsAccess::has_inverted_index`] is false).
-pub fn greedy_max_cover_indexed<C: SetsAccess>(collection: &C, k: usize) -> CoverResult {
+/// ([`SetCollection::has_inverted_index`] is false).
+pub fn greedy_max_cover_indexed(collection: &SetCollection, k: usize) -> CoverResult {
     greedy_max_cover_indexed_stats(collection, k).0
 }
 
@@ -96,9 +95,9 @@ pub fn greedy_max_cover_indexed<C: SetsAccess>(collection: &C, k: usize) -> Cove
 ///
 /// # Panics
 /// Panics if the inverted index is stale
-/// ([`SetsAccess::has_inverted_index`] is false).
-pub fn greedy_max_cover_indexed_stats<C: SetsAccess>(
-    collection: &C,
+/// ([`SetCollection::has_inverted_index`] is false).
+pub fn greedy_max_cover_indexed_stats(
+    collection: &SetCollection,
     k: usize,
 ) -> (CoverResult, EvalStats) {
     assert!(

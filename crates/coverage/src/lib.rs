@@ -21,23 +21,20 @@
 //! reference — which is what lets `tim_engine`/`tim_server` answer many
 //! queries concurrently against one immutable pool.
 //!
-//! The `*_indexed` solvers are generic over the [`SetsAccess`] backing
-//! seam: [`SetCollection`] serves from the heap, [`MmapSets`] serves
-//! zero-copy from a mapped `.timp` v2 pool file whose inverted index was
-//! persisted at spill time, and [`SetsStore`]/[`SetsView`] carry the
-//! dispatch (mirroring `tim_graph::GraphStore`/`CsrView`). Selection
-//! never mutates a collection, so a read-only mapping answers the same
-//! queries — byte-identically — without loading the pool onto the heap.
+//! A [`SetCollection`]'s arrays either own their elements or view a
+//! mapped `.timp` v2 pool file whose inverted index was persisted at
+//! spill time ([`SetCollection::from_mapping`]); it is one type either
+//! way, so every solver has one monomorphization. Selection never
+//! mutates a collection, so a read-only mapping answers the same queries
+//! — byte-identically — without loading the pool onto the heap.
 
 mod collection;
 mod greedy;
 mod mmap_sets;
-mod store;
 
-pub use collection::{build_inverted_index, count_covered_indexed, SetCollection, SetsAccess};
+pub use collection::{build_inverted_index, count_covered_indexed, SetCollection};
 pub use greedy::{
     greedy_max_cover, greedy_max_cover_indexed, greedy_max_cover_indexed_stats, CoverResult,
     EvalStats,
 };
-pub use mmap_sets::{MmapSets, MmapSetsLayout, SETS_SECTION_COUNT, SETS_SECTION_NAMES};
-pub use store::{SetsStore, SetsView};
+pub use mmap_sets::{SetsLayout, SETS_SECTION_COUNT, SETS_SECTION_NAMES};

@@ -1,54 +1,51 @@
-//! Zero-copy RR-set collections served straight from mapped pool files.
+//! RR-set collections opened straight from mapped pool files.
 //!
-//! [`MmapSets`] is the out-of-core backing behind the [`SetsAccess`]
-//! seam: the four arrays a [`SetCollection`](crate::SetCollection) holds
-//! on the heap (set offsets, member arena, inverted-index offsets,
-//! inverted-index arena), read as naturally-aligned slices out of a
+//! [`SetCollection::from_mapping`] builds the same [`SetCollection`] a
+//! sampler or a heap decode builds, its four arrays (set offsets, member
+//! arena, inverted-index offsets, inverted-index arena) viewing a
 //! read-only [`tim_graph::Mmap`]. The `.timp` v2 format persists the
-//! inverted index precisely so this type never has to build one — open
-//! costs a handful of sequential validation scans, and the first greedy
+//! inverted index precisely so such a collection never builds one —
+//! open costs a handful of sequential bounds scans, and the first greedy
 //! selection walks posting lists straight out of the page cache.
 //!
 //! The *format* (magic, header, section table) is owned by `tim_engine`;
-//! this module only consumes the parsed [`MmapSetsLayout`] — resolved
+//! this module only consumes the parsed [`SetsLayout`] — resolved
 //! section positions, counts, and recorded digests. Validation splits
 //! along what each check actually protects:
 //!
-//! - **bounds** are checked eagerly in [`MmapSets::from_map`] (offset
-//!   arrays monotone and ending at the arena length, members below the
-//!   universe, posting entries below the set count — each a single
-//!   vectorizable scan), so every accessor and every solver index is in
-//!   bounds afterwards: a hostile file cannot make a mapped collection
-//!   read out of range, only answer wrongly
-//! - **answer integrity** ([`MmapSets::verify`]): the semantic
-//!   cross-checks (posting lists strictly ascending, per-node lengths
-//!   matching the arena's occurrence counts) plus the full per-section
-//!   FNV-1a pass. Deferred so opening a multi-gigabyte pool stays
-//!   cheap; callers that serve answers from the mapping (the server's
-//!   pool cache does) run it once per restore.
+//! - **bounds** are checked eagerly, by the constructors a heap decode
+//!   uses too ([`SetCollection::from_raw_parts`],
+//!   [`SetCollection::with_index`]), so every accessor and every solver
+//!   index is in bounds afterwards: a hostile file cannot make a mapped
+//!   collection read out of range, only answer wrongly;
+//! - **answer integrity** is deferred: the semantic cross-checks
+//!   ([`SetCollection::validate_index`]) plus the per-section FNV-1a
+//!   pass ([`SetsLayout::verify_digests`]), so opening a multi-gigabyte
+//!   pool stays cheap; callers that serve answers from the mapping (the
+//!   server's pool cache does) run both once per restore.
 
-use crate::collection::{count_covered_indexed, SetCollection, SetsAccess};
+use crate::collection::SetCollection;
+use std::sync::Arc;
 use tim_graph::snapshot::Fnv1a;
-use tim_graph::{Mmap, NodeId};
+use tim_graph::{Array, Element, Mmap, NodeId};
 
 /// Number of sections a mapped pool exposes, in canonical order: set
 /// offsets, member arena, inverted-index offsets, inverted-index arena.
 pub const SETS_SECTION_COUNT: usize = 4;
 
-/// Human-readable section names, indexed like
-/// [`MmapSetsLayout::sections`].
+/// Human-readable section names, indexed like [`SetsLayout::sections`].
 pub const SETS_SECTION_NAMES: [&str; SETS_SECTION_COUNT] =
     ["offsets", "data", "inv_offsets", "inv_data"];
 
-/// Where the four sections of a mapped pool live, as resolved by the
+/// Where the four sections of a pool file live, as resolved by the
 /// format parser (`tim_engine`'s `.timp` v2 header and section table).
 ///
-/// Byte offsets index the whole mapping; digests are the section
-/// table's recorded FNV-1a values, checked lazily by
-/// [`MmapSets::verify`]. Section byte lengths are implied by the counts
-/// (`u64` offsets arrays, `u32` arenas).
+/// Byte offsets index the whole file; digests are the section table's
+/// recorded FNV-1a values, checked by
+/// [`verify_digests`](SetsLayout::verify_digests). Section byte lengths
+/// are implied by the counts (`u64` offsets arrays, `u32` arenas).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct MmapSetsLayout {
+pub struct SetsLayout {
     /// Universe size `n`; members are node ids in `0..n`.
     pub universe: usize,
     /// Number of sets.
@@ -62,299 +59,49 @@ pub struct MmapSetsLayout {
     pub section_fnv: [u64; SETS_SECTION_COUNT],
 }
 
-impl MmapSetsLayout {
+impl SetsLayout {
+    /// Element count of section `i` implied by the counts, or `None` on
+    /// arithmetic overflow (a hostile header).
+    fn section_count(&self, i: usize) -> Option<usize> {
+        match i {
+            0 => self.num_sets.checked_add(1),
+            2 => self.universe.checked_add(1),
+            _ => Some(self.total_members),
+        }
+    }
+
     /// Byte length of section `i` implied by the counts, or `None` on
     /// arithmetic overflow (a hostile header).
     pub fn section_len(&self, i: usize) -> Option<u64> {
-        let count = match i {
-            0 => (self.num_sets as u64).checked_add(1)?,
-            1 | 3 => self.total_members as u64,
-            2 => (self.universe as u64).checked_add(1)?,
-            _ => return None,
-        };
         let width = if i == 0 || i == 2 { 8 } else { 4 };
-        count.checked_mul(width)
+        (self.section_count(i)? as u64).checked_mul(width)
     }
-}
 
-/// An RR-set collection served zero-copy from a mapped `.timp` v2 pool
-/// file — the out-of-core sibling of [`SetCollection`](crate::SetCollection),
-/// with the inverted index read from disk instead of rebuilt.
-///
-/// Construction ([`from_map`](MmapSets::from_map)) validates every
-/// bound, so the [`SetsAccess`] accessors are panic-free for in-range
-/// arguments and the greedy solvers can run over the mapping directly;
-/// selection never mutates the collection, which is why a `PROT_READ`
-/// mapping suffices. Whether the mapping also *means* what it says —
-/// index consistent with the arena, digests intact — is
-/// [`verify`](MmapSets::verify)'s deferred question. Growth is the one
-/// operation a mapping cannot serve —
-/// [`to_collection`](MmapSets::to_collection) materializes a heap copy
-/// for it.
-#[derive(Debug)]
-pub struct MmapSets {
-    map: Mmap,
-    n: usize,
-    num_sets: usize,
-    total_members: usize,
-    /// Validated byte offset of each section in the mapping.
-    sections: [usize; SETS_SECTION_COUNT],
-    /// Expected digest of each section, checked by `verify`.
-    section_fnv: [u64; SETS_SECTION_COUNT],
-}
+    /// Section `i` of `map` as an array, without copying.
+    fn section<T: Element>(&self, map: &Arc<Mmap>, i: usize) -> Result<Array<T>, String> {
+        let count = self
+            .section_count(i)
+            .ok_or_else(|| format!("{} section length overflows", SETS_SECTION_NAMES[i]))?;
+        Array::mapped(map, self.sections[i], count)
+    }
 
-impl MmapSets {
-    /// Wraps a mapping whose section positions the format parser has
-    /// resolved, validating the bounds and alignment of the four arrays
-    /// so every later accessor is in range. Errors describe the first
-    /// violation; the mapping is dropped (unmapped) on failure.
-    pub fn from_map(map: Mmap, layout: &MmapSetsLayout) -> Result<MmapSets, String> {
-        if layout.num_sets > u32::MAX as usize {
-            return Err(format!(
-                "set count {} exceeds the u32 set-id space",
-                layout.num_sets
-            ));
-        }
+    /// Hashes each section of `file` (the whole pool file) and compares
+    /// it with the digest the layout records — the integrity pass both
+    /// the eager heap decode and a mapped pool's deferred verify run.
+    /// Errors name the first mismatching section.
+    pub fn verify_digests(&self, file: &[u8]) -> Result<(), String> {
         for (i, &name) in SETS_SECTION_NAMES.iter().enumerate() {
-            let len = layout
+            let len = self
                 .section_len(i)
+                .and_then(|len| usize::try_from(len).ok())
                 .ok_or_else(|| format!("{name} section length overflows"))?;
-            let start = layout.sections[i] as u64;
-            let end = start
-                .checked_add(len)
-                .ok_or_else(|| format!("{name} section end overflows"))?;
-            if end > map.len() as u64 {
-                return Err(format!(
-                    "{name} section [{start}, {end}) leaves the {}-byte mapping",
-                    map.len()
-                ));
-            }
-            let align = if i == 0 || i == 2 { 8 } else { 4 };
-            if layout.sections[i] % align != 0 {
-                return Err(format!(
-                    "{name} section offset {start} is not {align}-aligned"
-                ));
-            }
-        }
-        let sets = MmapSets {
-            map,
-            n: layout.universe,
-            num_sets: layout.num_sets,
-            total_members: layout.total_members,
-            sections: layout.sections,
-            section_fnv: layout.section_fnv,
-        };
-        sets.validate_structure()?;
-        // The scans above were sequential; selection access (posting
-        // lists, then member lists) hops around both arenas.
-        sets.map.advise_random();
-        Ok(sets)
-    }
-
-    /// The bounds scans that make every later accessor in-bounds:
-    /// offset arrays monotone and ending at the arena length, members
-    /// below the universe, posting entries below the set count. Each is
-    /// a single branch-free pass the compiler vectorizes (`windows`
-    /// comparisons, slice `max`), so opening a pool costs a few
-    /// sequential sweeps — there is no per-node work here.
-    ///
-    /// These are the memory-safety half of validation: afterwards a
-    /// hostile file can still *lie* (posting lists out of order or
-    /// inconsistent with the arena) but never push an accessor or a
-    /// solver index out of range. The lying is what
-    /// [`validate_semantics`](MmapSets::validate_semantics) — run by
-    /// `verify` — catches.
-    fn validate_structure(&self) -> Result<(), String> {
-        let total = self.total_members as u64;
-        let offsets = self.raw_offsets();
-        if offsets.first() != Some(&0) {
-            return Err("set offsets must start at 0".into());
-        }
-        if offsets.last() != Some(&total) {
-            return Err(format!("set offsets must end at the arena length {total}"));
-        }
-        if !offsets.windows(2).all(|w| w[0] <= w[1]) {
-            return Err("set offsets must be non-decreasing".into());
-        }
-        if let Some(&v) = self.raw_data().iter().max() {
-            if v as usize >= self.n {
-                return Err(format!("member {v} out of universe 0..{}", self.n));
-            }
-        }
-        let inv_offsets = self.raw_inv_offsets();
-        if inv_offsets.first() != Some(&0) {
-            return Err("inverted offsets must start at 0".into());
-        }
-        if inv_offsets.last() != Some(&total) {
-            return Err(format!(
-                "inverted offsets must end at the arena length {total}"
-            ));
-        }
-        if !inv_offsets.windows(2).all(|w| w[0] <= w[1]) {
-            return Err("inverted offsets must be non-decreasing".into());
-        }
-        if let Some(&s) = self.raw_inv_data().iter().max() {
-            if s as usize >= self.num_sets {
-                return Err(format!(
-                    "posting entry {s} out of set range 0..{}",
-                    self.num_sets
-                ));
-            }
-        }
-        Ok(())
-    }
-
-    /// The answer-integrity half of validation, deferred into
-    /// [`verify`](MmapSets::verify): posting lists strictly ascending
-    /// per node, and each node's posting-list length equal to its
-    /// occurrence count in the member arena — the two arenas must
-    /// describe the same incidence sizes, or greedy coverage counts go
-    /// wrong. Costs one occurrence-counting pass over the member arena
-    /// plus one per-node posting walk; every index it takes is already
-    /// bounded by [`validate_structure`](MmapSets::validate_structure).
-    fn validate_semantics(&self) -> Result<(), String> {
-        let mut counts = vec![0u64; self.n];
-        for &v in self.raw_data() {
-            counts[v as usize] += 1;
-        }
-        let inv_offsets = self.raw_inv_offsets();
-        let inv_data = self.raw_inv_data();
-        for v in 0..self.n {
-            let (lo, hi) = (inv_offsets[v] as usize, inv_offsets[v + 1] as usize);
-            if (hi - lo) as u64 != counts[v] {
-                return Err(format!(
-                    "node {v} posting list holds {} entries but occurs {} times in the arena",
-                    hi - lo,
-                    counts[v]
-                ));
-            }
-            let list = &inv_data[lo..hi];
-            if !list.windows(2).all(|w| w[0] < w[1]) {
-                return Err(format!("node {v} posting list is not strictly ascending"));
-            }
-        }
-        Ok(())
-    }
-
-    /// Byte length of section `i` (validated at construction).
-    #[inline]
-    fn section_len(&self, i: usize) -> usize {
-        let count = match i {
-            0 => self.num_sets + 1,
-            2 => self.n + 1,
-            _ => self.total_members,
-        };
-        count * if i == 0 || i == 2 { 8 } else { 4 }
-    }
-
-    /// Set boundaries as stored: `u64` entries, `len() + 1` of them.
-    #[inline]
-    pub fn raw_offsets(&self) -> &[u64] {
-        self.map.u64s(self.sections[0], self.num_sets + 1)
-    }
-
-    /// The flat member arena (all sets concatenated back to back).
-    #[inline]
-    pub fn raw_data(&self) -> &[NodeId] {
-        self.map.u32s(self.sections[1], self.total_members)
-    }
-
-    /// Inverted-index boundaries: `universe() + 1` `u64` entries.
-    #[inline]
-    pub fn raw_inv_offsets(&self) -> &[u64] {
-        self.map.u64s(self.sections[2], self.n + 1)
-    }
-
-    /// The flat posting arena (set ids, ascending per node).
-    #[inline]
-    pub fn raw_inv_data(&self) -> &[u32] {
-        self.map.u32s(self.sections[3], self.total_members)
-    }
-
-    /// Universe size.
-    #[inline]
-    pub fn universe(&self) -> usize {
-        self.n
-    }
-
-    /// Number of sets stored.
-    #[inline]
-    pub fn len(&self) -> usize {
-        self.num_sets
-    }
-
-    /// True when no sets are stored.
-    #[inline]
-    pub fn is_empty(&self) -> bool {
-        self.num_sets == 0
-    }
-
-    /// Total number of members across all sets.
-    #[inline]
-    pub fn total_members(&self) -> usize {
-        self.total_members
-    }
-
-    /// The members of set `i`.
-    #[inline]
-    pub fn set(&self, i: usize) -> &[NodeId] {
-        let offsets = self.raw_offsets();
-        &self.raw_data()[offsets[i] as usize..offsets[i + 1] as usize]
-    }
-
-    /// Ids of the sets containing `v`, ascending — read straight from
-    /// the persisted index.
-    #[inline]
-    pub fn sets_containing(&self, v: NodeId) -> &[u32] {
-        let v = v as usize;
-        let inv = self.raw_inv_offsets();
-        &self.raw_inv_data()[inv[v] as usize..inv[v + 1] as usize]
-    }
-
-    /// Number of sets containing `v`.
-    #[inline]
-    pub fn degree(&self, v: NodeId) -> usize {
-        self.sets_containing(v).len()
-    }
-
-    /// Number of stored sets intersecting `seeds` (the mapped analogue
-    /// of [`SetCollection::count_covered`]; the index is always
-    /// available here).
-    pub fn count_covered(&self, seeds: &[NodeId]) -> usize {
-        count_covered_indexed(self, seeds)
-    }
-
-    /// `F_R(S)`: the fraction of stored sets covered by `seeds`.
-    pub fn coverage_fraction(&self, seeds: &[NodeId]) -> f64 {
-        if self.is_empty() {
-            return 0.0;
-        }
-        self.count_covered(seeds) as f64 / self.len() as f64
-    }
-
-    /// Bytes of the underlying mapping (the whole pool file). The heap
-    /// footprint of a mapped collection is a few words; this is the
-    /// figure that corresponds to a heap collection's
-    /// [`memory_bytes`](crate::SetCollection::memory_bytes).
-    #[inline]
-    pub fn mapped_bytes(&self) -> usize {
-        self.map.len()
-    }
-
-    /// The deferred answer-integrity audit: the semantic cross-checks
-    /// (posting lists ascending and consistent with the member arena's
-    /// occurrence counts), then every section's FNV-1a digest against
-    /// the values the format parser recorded, streaming each section
-    /// once. [`from_map`](MmapSets::from_map) validates only what
-    /// memory safety needs; a caller that will *serve answers* from the
-    /// mapping runs this once first — the server's pool cache does so
-    /// on every restore.
-    pub fn verify(&self) -> Result<(), String> {
-        self.validate_semantics()?;
-        for (i, &name) in SETS_SECTION_NAMES.iter().enumerate() {
             let start = self.sections[i];
+            let bytes = start
+                .checked_add(len)
+                .and_then(|end| file.get(start..end))
+                .ok_or_else(|| format!("{name} section leaves the {}-byte file", file.len()))?;
             let mut hasher = Fnv1a::new();
-            hasher.update(&self.map.bytes()[start..start + self.section_len(i)]);
+            hasher.update(bytes);
             let got = hasher.finish();
             if got != self.section_fnv[i] {
                 return Err(format!(
@@ -365,54 +112,31 @@ impl MmapSets {
         }
         Ok(())
     }
-
-    /// Materializes a heap [`SetCollection`] with a freshly built
-    /// inverted index. This is the escape hatch pool *growth* takes:
-    /// the mapping is immutable, so resampling to a larger θ copies to
-    /// the heap, appends there, and later spills a fresh file.
-    pub fn to_collection(&self) -> SetCollection {
-        let offsets: Vec<usize> = self.raw_offsets().iter().map(|&o| o as usize).collect();
-        let mut c = SetCollection::from_raw_parts(self.n, self.raw_data().to_vec(), offsets)
-            .expect("structure validated at open");
-        c.ensure_inverted_index();
-        c
-    }
 }
 
-impl SetsAccess for MmapSets {
-    #[inline]
-    fn universe(&self) -> usize {
-        MmapSets::universe(self)
-    }
-
-    #[inline]
-    fn len(&self) -> usize {
-        MmapSets::len(self)
-    }
-
-    #[inline]
-    fn total_members(&self) -> usize {
-        MmapSets::total_members(self)
-    }
-
-    #[inline]
-    fn set(&self, i: usize) -> &[NodeId] {
-        MmapSets::set(self, i)
-    }
-
-    #[inline]
-    fn has_inverted_index(&self) -> bool {
-        true
-    }
-
-    #[inline]
-    fn sets_containing(&self, v: NodeId) -> &[u32] {
-        MmapSets::sets_containing(self, v)
-    }
-
-    #[inline]
-    fn degree(&self, v: NodeId) -> usize {
-        MmapSets::degree(self, v)
+impl SetCollection {
+    /// Opens the collection over `map` at the sections `layout` resolves,
+    /// without copying. Checks every bound, so the accessors are
+    /// panic-free for in-range arguments and the greedy solvers can run
+    /// over the mapping directly (selection never mutates a collection,
+    /// which is why a `PROT_READ` mapping suffices). Whether the mapping
+    /// also *means* what it says — index consistent with the arena,
+    /// digests intact — is the deferred question the module docs
+    /// describe. Errors describe the first violation.
+    pub fn from_mapping(map: &Arc<Mmap>, layout: &SetsLayout) -> Result<SetCollection, String> {
+        let sets = SetCollection::from_raw_parts(
+            layout.universe,
+            layout.section::<NodeId>(map, 1)?,
+            layout.section::<u64>(map, 0)?,
+        )?
+        .with_index(
+            layout.section::<u64>(map, 2)?,
+            layout.section::<u32>(map, 3)?,
+        )?;
+        // The scans above were sequential; selection access (posting
+        // lists, then member lists) hops around both arenas.
+        map.advise_random();
+        Ok(sets)
     }
 }
 
@@ -422,6 +146,7 @@ mod tests {
     use crate::greedy::greedy_max_cover_indexed;
     use std::path::PathBuf;
     use std::sync::atomic::{AtomicUsize, Ordering};
+    use tim_graph::NodeId;
 
     fn temp_path(tag: &str) -> PathBuf {
         static SEQ: AtomicUsize = AtomicUsize::new(0);
@@ -433,10 +158,10 @@ mod tests {
     }
 
     /// Serializes the collection's four arrays into consecutive
-    /// 64-aligned sections (no header — tests drive `MmapSets`
+    /// 64-aligned sections (no header — tests drive `from_mapping`
     /// directly with a hand-built layout; the real `.timp` framing
     /// lives in `tim_engine`).
-    fn write_sections(c: &mut SetCollection, tag: &str) -> (PathBuf, MmapSetsLayout) {
+    fn write_sections(c: &mut SetCollection, tag: &str) -> (PathBuf, SetsLayout) {
         c.ensure_inverted_index();
         let (inv_offsets, inv_data) = c.raw_inverted().unwrap();
         let mut bytes = Vec::new();
@@ -445,13 +170,10 @@ mod tests {
         let parts: [Vec<u8>; SETS_SECTION_COUNT] = [
             c.raw_offsets()
                 .iter()
-                .flat_map(|&o| (o as u64).to_le_bytes())
+                .flat_map(|&o| o.to_le_bytes())
                 .collect(),
             c.raw_data().iter().flat_map(|&v| v.to_le_bytes()).collect(),
-            inv_offsets
-                .iter()
-                .flat_map(|&o| (o as u64).to_le_bytes())
-                .collect(),
+            inv_offsets.iter().flat_map(|&o| o.to_le_bytes()).collect(),
             inv_data.iter().flat_map(|&s| s.to_le_bytes()).collect(),
         ];
         for (i, part) in parts.iter().enumerate() {
@@ -468,7 +190,7 @@ mod tests {
         std::fs::write(&path, &bytes).unwrap();
         (
             path,
-            MmapSetsLayout {
+            SetsLayout {
                 universe: c.universe(),
                 num_sets: c.len(),
                 total_members: c.total_members(),
@@ -488,9 +210,15 @@ mod tests {
         c
     }
 
-    fn open(path: &PathBuf, layout: &MmapSetsLayout) -> Result<MmapSets, String> {
-        let map = Mmap::open(path).expect("map test file");
-        MmapSets::from_map(map, layout)
+    fn open(path: &PathBuf, layout: &SetsLayout) -> Result<SetCollection, String> {
+        let map = Arc::new(Mmap::open(path).expect("map test file"));
+        SetCollection::from_mapping(&map, layout)
+    }
+
+    /// The deferred audit a pool's `verify` runs over its mapping.
+    fn verify(m: &SetCollection, layout: &SetsLayout) -> Result<(), String> {
+        m.validate_index()?;
+        layout.verify_digests(m.mapping().expect("mapped").bytes())
     }
 
     #[test]
@@ -512,7 +240,8 @@ mod tests {
         assert_eq!(m.count_covered(&[1, 3]), c.count_covered(&[1, 3]));
         assert_eq!(m.coverage_fraction(&[1]), c.coverage_fraction(&[1]));
         assert!(m.mapped_bytes() > 0);
-        m.verify().unwrap();
+        assert_eq!(m.memory_bytes(), 0);
+        verify(&m, &layout).unwrap();
         std::fs::remove_file(&path).ok();
     }
 
@@ -551,24 +280,39 @@ mod tests {
         assert!(m.is_empty());
         assert_eq!(m.coverage_fraction(&[0, 1]), 0.0);
         assert_eq!(greedy_max_cover_indexed(&m, 2).seeds, vec![0, 1]);
-        m.verify().unwrap();
+        verify(&m, &layout).unwrap();
         std::fs::remove_file(&path).ok();
     }
 
     #[test]
-    fn to_collection_round_trips() {
+    fn mapped_collection_copies_on_write() {
         let mut c = sample();
-        let (path, layout) = write_sections(&mut c, "materialize");
+        let (path, layout) = write_sections(&mut c, "cow");
         let m = open(&path, &layout).unwrap();
-        let back = m.to_collection();
-        assert_eq!(back.len(), c.len());
-        assert!(back.has_inverted_index());
+        let shared = m.clone();
+        assert_eq!(
+            shared.mapped_bytes(),
+            m.mapped_bytes(),
+            "a clone shares the mapping"
+        );
+        assert_eq!(shared.memory_bytes(), 0);
+
+        let mut grown = m.clone();
+        grown.push(&[2, 5]);
+        assert!(
+            grown.mapping().is_none(),
+            "a push copies the arena onto the heap"
+        );
+        assert!(!grown.has_inverted_index(), "push invalidates the index");
+        grown.ensure_inverted_index();
+        assert_eq!(grown.len(), c.len() + 1);
         for i in 0..c.len() {
-            assert_eq!(back.set(i), c.set(i));
+            assert_eq!(grown.set(i), c.set(i));
         }
-        for v in 0..c.universe() as NodeId {
-            assert_eq!(back.sets_containing(v), c.sets_containing(v));
-        }
+        assert_eq!(grown.set(c.len()), &[2, 5]);
+        assert_eq!(grown.sets_containing(5), &[c.len() as u32]);
+        assert_eq!(m.len(), c.len(), "the mapped original is untouched");
+        assert!(m.has_inverted_index());
         std::fs::remove_file(&path).ok();
     }
 
@@ -639,7 +383,7 @@ mod tests {
         let tampered = temp_path("badinv_len");
         std::fs::write(&tampered, &bytes).unwrap();
         let m = open(&tampered, &layout).expect("bounds-valid mapping opens");
-        let err = m.verify().unwrap_err();
+        let err = verify(&m, &layout).unwrap_err();
         assert!(err.contains("occurs") || err.contains("ascending"), "{err}");
         std::fs::remove_file(&tampered).ok();
 
@@ -659,7 +403,7 @@ mod tests {
         let padded = temp_path("bitflip_pad");
         std::fs::write(&padded, &bytes).unwrap();
         let m = open(&padded, &layout).unwrap();
-        m.verify().unwrap();
+        verify(&m, &layout).unwrap();
         std::fs::remove_file(&padded).ok();
 
         // A digest mismatch in the layout is reported by verify() even
@@ -667,7 +411,7 @@ mod tests {
         let mut bad = layout;
         bad.section_fnv[1] ^= 1;
         let m = open(&path, &bad).unwrap();
-        let err = m.verify().unwrap_err();
+        let err = verify(&m, &bad).unwrap_err();
         assert!(err.contains("data section checksum mismatch"), "{err}");
         std::fs::remove_file(&path).ok();
     }

@@ -19,7 +19,7 @@
 
 use crate::model::DiffusionModel;
 use std::collections::HashMap;
-use tim_graph::{CsrAccess, NodeId};
+use tim_graph::{Graph, NodeId};
 use tim_rng::{RandomSource, Rng};
 
 /// Reusable scratch state for forward simulations.
@@ -86,7 +86,7 @@ impl SimWorkspace {
     }
 
     /// One IC propagation run; returns the number of activated nodes.
-    pub fn simulate_ic<G: CsrAccess>(&mut self, graph: &G, seeds: &[NodeId], rng: &mut Rng) -> u32 {
+    pub fn simulate_ic(&mut self, graph: &Graph, seeds: &[NodeId], rng: &mut Rng) -> u32 {
         self.begin(graph.n());
         let mut count = 0u32;
         for &s in seeds {
@@ -117,7 +117,7 @@ impl SimWorkspace {
     /// a node activates when the total weight of its activated in-neighbours
     /// strictly exceeds its threshold, which matches the singleton
     /// triggering formulation in distribution.
-    pub fn simulate_lt<G: CsrAccess>(&mut self, graph: &G, seeds: &[NodeId], rng: &mut Rng) -> u32 {
+    pub fn simulate_lt(&mut self, graph: &Graph, seeds: &[NodeId], rng: &mut Rng) -> u32 {
         self.begin(graph.n());
         let mut count = 0u32;
         for &s in seeds {
@@ -157,10 +157,10 @@ impl SimWorkspace {
     /// Each node touched by the frontier samples its triggering set exactly
     /// once per run (cached), so the run is equivalent to propagation on a
     /// fixed live-edge graph, as Definition 2 / Lemma 9 require.
-    pub fn simulate_triggering<G: CsrAccess, M: DiffusionModel<G> + ?Sized>(
+    pub fn simulate_triggering<M: DiffusionModel + ?Sized>(
         &mut self,
         model: &M,
-        graph: &G,
+        graph: &Graph,
         seeds: &[NodeId],
         rng: &mut Rng,
     ) -> u32 {

@@ -28,8 +28,6 @@ mod rr;
 mod spread;
 
 pub use forward::SimWorkspace;
-pub use model::{
-    BackingModel, CustomTriggering, DiffusionModel, IndependentCascade, LinearThreshold, ModelKind,
-};
+pub use model::{CustomTriggering, DiffusionModel, IndependentCascade, LinearThreshold, ModelKind};
 pub use rr::{RrSampler, RrStats};
 pub use spread::SpreadEstimator;

@@ -1,6 +1,6 @@
 //! The triggering-model abstraction and its two canonical instances.
 
-use tim_graph::{CsrAccess, Graph, MmapCsr, NodeId};
+use tim_graph::{Graph, NodeId};
 use tim_rng::{RandomSource, Rng};
 
 /// A diffusion model in triggering form (paper §4.2).
@@ -14,24 +14,23 @@ use tim_rng::{RandomSource, Rng};
 /// generic default in terms of triggering sets, which `IC` and `LT`
 /// override with equivalent but faster edge/threshold formulations.
 ///
-/// The trait is parameterized over the graph backing `G` (any
-/// [`CsrAccess`]), defaulting to the heap [`Graph`] so existing
-/// `M: DiffusionModel` bounds keep their meaning; the canonical models
-/// implement it for **every** backing, which is how the same sampling
-/// code runs over heap vectors and mmap views with identical randomness
-/// consumption (and therefore identical RR sets).
-///
 /// [`sample_triggering_set`]: DiffusionModel::sample_triggering_set
-pub trait DiffusionModel<G: CsrAccess = Graph>: Sync {
+pub trait DiffusionModel: Sync {
     /// Samples one triggering set for `node`, appending its members
     /// (a subset of `graph.in_neighbors(node)`) to `out`.
-    fn sample_triggering_set(&self, graph: &G, node: NodeId, rng: &mut Rng, out: &mut Vec<NodeId>);
+    fn sample_triggering_set(
+        &self,
+        graph: &Graph,
+        node: NodeId,
+        rng: &mut Rng,
+        out: &mut Vec<NodeId>,
+    );
 
     /// Expected number of random draws per visited node during reverse
     /// sampling, used only for cost accounting: IC consumes one draw per
     /// in-edge, LT one draw per node (the §7.2 observation for why LT runs
     /// faster on edge-heavy graphs).
-    fn draws_per_node(&self, graph: &G, node: NodeId) -> u64 {
+    fn draws_per_node(&self, graph: &Graph, node: NodeId) -> u64 {
         graph.in_degree(node) as u64
     }
 
@@ -44,7 +43,7 @@ pub trait DiffusionModel<G: CsrAccess = Graph>: Sync {
     fn simulate(
         &self,
         ws: &mut crate::forward::SimWorkspace,
-        graph: &G,
+        graph: &Graph,
         seeds: &[NodeId],
         rng: &mut Rng,
     ) -> u32 {
@@ -57,21 +56,27 @@ pub trait DiffusionModel<G: CsrAccess = Graph>: Sync {
     }
 }
 
-impl<G: CsrAccess, M: DiffusionModel<G> + ?Sized> DiffusionModel<G> for &M {
+impl<M: DiffusionModel + ?Sized> DiffusionModel for &M {
     #[inline]
-    fn sample_triggering_set(&self, graph: &G, node: NodeId, rng: &mut Rng, out: &mut Vec<NodeId>) {
+    fn sample_triggering_set(
+        &self,
+        graph: &Graph,
+        node: NodeId,
+        rng: &mut Rng,
+        out: &mut Vec<NodeId>,
+    ) {
         (**self).sample_triggering_set(graph, node, rng, out)
     }
 
     #[inline]
-    fn draws_per_node(&self, graph: &G, node: NodeId) -> u64 {
+    fn draws_per_node(&self, graph: &Graph, node: NodeId) -> u64 {
         (**self).draws_per_node(graph, node)
     }
 
     fn simulate(
         &self,
         ws: &mut crate::forward::SimWorkspace,
-        graph: &G,
+        graph: &Graph,
         seeds: &[NodeId],
         rng: &mut Rng,
     ) -> u32 {
@@ -83,25 +88,6 @@ impl<G: CsrAccess, M: DiffusionModel<G> + ?Sized> DiffusionModel<G> for &M {
     }
 }
 
-/// A model usable with every graph backing the serving stack offers.
-///
-/// Engine and server code that holds a
-/// [`GraphStore`](tim_graph::GraphStore) needs its model to sample over
-/// the heap [`Graph`] *and* the [`MmapCsr`] view; this alias bundles the
-/// two bounds so that requirement reads as one. Blanket-implemented, so
-/// every model generic over [`CsrAccess`] (IC, LT, [`ModelKind`])
-/// qualifies automatically.
-pub trait BackingModel: DiffusionModel<Graph> + DiffusionModel<MmapCsr> {
-    /// The model's display name. Equivalent to
-    /// [`DiffusionModel::name`], which is ambiguous to call directly
-    /// under the dual bound (names are backing-independent).
-    fn model_name(&self) -> &'static str {
-        DiffusionModel::<Graph>::name(self)
-    }
-}
-
-impl<M: DiffusionModel<Graph> + DiffusionModel<MmapCsr>> BackingModel for M {}
-
 /// The Independent Cascade model (paper §2.1).
 ///
 /// Each edge `e = (u, v)` is live independently with probability `p(e)`;
@@ -110,9 +96,15 @@ impl<M: DiffusionModel<Graph> + DiffusionModel<MmapCsr>> BackingModel for M {}
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct IndependentCascade;
 
-impl<G: CsrAccess> DiffusionModel<G> for IndependentCascade {
+impl DiffusionModel for IndependentCascade {
     #[inline]
-    fn sample_triggering_set(&self, graph: &G, node: NodeId, rng: &mut Rng, out: &mut Vec<NodeId>) {
+    fn sample_triggering_set(
+        &self,
+        graph: &Graph,
+        node: NodeId,
+        rng: &mut Rng,
+        out: &mut Vec<NodeId>,
+    ) {
         let nbrs = graph.in_neighbors(node);
         let probs = graph.in_probabilities(node);
         for (&u, &p) in nbrs.iter().zip(probs) {
@@ -125,7 +117,7 @@ impl<G: CsrAccess> DiffusionModel<G> for IndependentCascade {
     fn simulate(
         &self,
         ws: &mut crate::forward::SimWorkspace,
-        graph: &G,
+        graph: &Graph,
         seeds: &[NodeId],
         rng: &mut Rng,
     ) -> u32 {
@@ -151,9 +143,15 @@ impl<G: CsrAccess> DiffusionModel<G> for IndependentCascade {
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct LinearThreshold;
 
-impl<G: CsrAccess> DiffusionModel<G> for LinearThreshold {
+impl DiffusionModel for LinearThreshold {
     #[inline]
-    fn sample_triggering_set(&self, graph: &G, node: NodeId, rng: &mut Rng, out: &mut Vec<NodeId>) {
+    fn sample_triggering_set(
+        &self,
+        graph: &Graph,
+        node: NodeId,
+        rng: &mut Rng,
+        out: &mut Vec<NodeId>,
+    ) {
         let nbrs = graph.in_neighbors(node);
         if nbrs.is_empty() {
             return;
@@ -171,14 +169,14 @@ impl<G: CsrAccess> DiffusionModel<G> for LinearThreshold {
         // x >= total weight: the triggering set is empty this time.
     }
 
-    fn draws_per_node(&self, _graph: &G, _node: NodeId) -> u64 {
+    fn draws_per_node(&self, _graph: &Graph, _node: NodeId) -> u64 {
         1
     }
 
     fn simulate(
         &self,
         ws: &mut crate::forward::SimWorkspace,
-        graph: &G,
+        graph: &Graph,
         seeds: &[NodeId],
         rng: &mut Rng,
     ) -> u32 {
@@ -227,9 +225,15 @@ impl ModelKind {
     }
 }
 
-impl<G: CsrAccess> DiffusionModel<G> for ModelKind {
+impl DiffusionModel for ModelKind {
     #[inline]
-    fn sample_triggering_set(&self, graph: &G, node: NodeId, rng: &mut Rng, out: &mut Vec<NodeId>) {
+    fn sample_triggering_set(
+        &self,
+        graph: &Graph,
+        node: NodeId,
+        rng: &mut Rng,
+        out: &mut Vec<NodeId>,
+    ) {
         match self {
             ModelKind::IndependentCascade => {
                 IndependentCascade.sample_triggering_set(graph, node, rng, out)
@@ -241,13 +245,13 @@ impl<G: CsrAccess> DiffusionModel<G> for ModelKind {
     }
 
     #[inline]
-    fn draws_per_node(&self, graph: &G, node: NodeId) -> u64 {
+    fn draws_per_node(&self, graph: &Graph, node: NodeId) -> u64 {
         match self {
             ModelKind::IndependentCascade => {
-                DiffusionModel::<G>::draws_per_node(&IndependentCascade, graph, node)
+                DiffusionModel::draws_per_node(&IndependentCascade, graph, node)
             }
             ModelKind::LinearThreshold => {
-                DiffusionModel::<G>::draws_per_node(&LinearThreshold, graph, node)
+                DiffusionModel::draws_per_node(&LinearThreshold, graph, node)
             }
         }
     }
@@ -255,7 +259,7 @@ impl<G: CsrAccess> DiffusionModel<G> for ModelKind {
     fn simulate(
         &self,
         ws: &mut crate::forward::SimWorkspace,
-        graph: &G,
+        graph: &Graph,
         seeds: &[NodeId],
         rng: &mut Rng,
     ) -> u32 {
@@ -267,8 +271,8 @@ impl<G: CsrAccess> DiffusionModel<G> for ModelKind {
 
     fn name(&self) -> &'static str {
         match self {
-            ModelKind::IndependentCascade => DiffusionModel::<G>::name(&IndependentCascade),
-            ModelKind::LinearThreshold => DiffusionModel::<G>::name(&LinearThreshold),
+            ModelKind::IndependentCascade => DiffusionModel::name(&IndependentCascade),
+            ModelKind::LinearThreshold => DiffusionModel::name(&LinearThreshold),
         }
     }
 }
@@ -449,8 +453,8 @@ mod tests {
 
     #[test]
     fn model_names() {
-        assert_eq!(IndependentCascade.model_name(), "IC");
-        assert_eq!(LinearThreshold.model_name(), "LT");
+        assert_eq!(IndependentCascade.name(), "IC");
+        assert_eq!(LinearThreshold.name(), "LT");
     }
 
     #[test]
@@ -463,7 +467,7 @@ mod tests {
         assert_eq!(ModelKind::from_tag("bogus"), None);
         assert_eq!(ModelKind::IndependentCascade.tag(), "ic");
         assert_eq!(ModelKind::LinearThreshold.tag(), "lt");
-        assert_eq!(ModelKind::IndependentCascade.model_name(), "IC");
+        assert_eq!(ModelKind::IndependentCascade.name(), "IC");
 
         // Bit-identical sampling: the enum and the concrete model consume
         // the same randomness and produce the same triggering sets.

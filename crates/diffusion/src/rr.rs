@@ -12,7 +12,7 @@
 //! the output vector growth.
 
 use crate::model::DiffusionModel;
-use tim_graph::{CsrAccess, NodeId};
+use tim_graph::{Graph, NodeId};
 use tim_rng::{RandomSource, Rng};
 
 /// Cost accounting for one generated RR set.
@@ -95,20 +95,15 @@ impl<M> RrSampler<M> {
 
     /// Generates the RR set rooted at `root`, appending its nodes (root
     /// first) to `out`. `out` is cleared first.
-    ///
-    /// Generic over the graph backing: the same randomness is consumed
-    /// whether `graph` is a heap [`Graph`](tim_graph::Graph) or an
-    /// [`MmapCsr`](tim_graph::MmapCsr) view, so RR sets are bit-identical
-    /// across backings.
-    pub fn sample_for<G: CsrAccess>(
+    pub fn sample_for(
         &mut self,
-        graph: &G,
+        graph: &Graph,
         root: NodeId,
         rng: &mut Rng,
         out: &mut Vec<NodeId>,
     ) -> RrStats
     where
-        M: DiffusionModel<G>,
+        M: DiffusionModel,
     {
         debug_assert!((root as usize) < graph.n(), "root out of range");
         self.begin(graph.n());
@@ -147,14 +142,14 @@ impl<M> RrSampler<M> {
 
     /// Generates a random RR set (uniformly random root), appending its
     /// nodes to `out` and returning `(root, stats)`.
-    pub fn sample_random<G: CsrAccess>(
+    pub fn sample_random(
         &mut self,
-        graph: &G,
+        graph: &Graph,
         rng: &mut Rng,
         out: &mut Vec<NodeId>,
     ) -> (NodeId, RrStats)
     where
-        M: DiffusionModel<G>,
+        M: DiffusionModel,
     {
         assert!(graph.n() > 0, "cannot sample an RR set on an empty graph");
         let root = rng.next_index(graph.n()) as NodeId;
@@ -167,7 +162,7 @@ impl<M> RrSampler<M> {
 mod tests {
     use super::*;
     use crate::model::{IndependentCascade, LinearThreshold};
-    use tim_graph::{weights, Graph, GraphBuilder};
+    use tim_graph::{weights, GraphBuilder};
 
     fn chain(p: f32) -> Graph {
         // 0 -> 1 -> 2 -> 3

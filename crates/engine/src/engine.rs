@@ -2,17 +2,13 @@
 
 use crate::error::EngineError;
 use crate::pool::{PoolMeta, RrPool};
-use crate::pool_mmap::PoolMmap;
 use std::collections::BTreeMap;
 use std::sync::Arc;
 use tim_core::parallel::{generate_rr_sets, shard_layout};
 use tim_core::{select_stream_seed, SamplingPlan, TimPlus};
-use tim_coverage::{
-    greedy_max_cover, greedy_max_cover_indexed, CoverResult, SetCollection, SetsAccess, SetsStore,
-    SetsView,
-};
-use tim_diffusion::BackingModel;
-use tim_graph::{CsrView, Graph, GraphStore, NodeId};
+use tim_coverage::{greedy_max_cover, greedy_max_cover_indexed, CoverResult, SetCollection};
+use tim_diffusion::DiffusionModel;
+use tim_graph::{Graph, GraphStore, NodeId};
 
 /// Result of one `select` query.
 #[derive(Debug, Clone)]
@@ -93,17 +89,17 @@ pub struct QueryEngine<M> {
     threads: usize,
     k_max: usize,
     select_seed: u64,
-    /// The RR-set pool, served from the heap or zero-copy from a mapped
-    /// `.timp` v2 file. Every query path reads through it; growth
+    /// The RR-set pool, held on the heap or mapped zero-copy from a
+    /// `.timp` v2 file. Every query path reads it the same way; growth
     /// replaces it with a freshly sampled heap collection.
-    pool: SetsStore,
+    pool: SetCollection,
     pool_theta: u64,
     /// Plan cache keyed by [`plan_key`](Self::plan_key).
     plans: BTreeMap<(usize, u64, u64), SamplingPlan>,
     fast: Option<FastCover>,
 }
 
-impl<M: BackingModel + Clone> QueryEngine<M> {
+impl<M: DiffusionModel + Clone> QueryEngine<M> {
     /// Creates a cold engine (no sets sampled yet) for `graph` under
     /// `model`, with the paper's defaults (ε = 0.1, ℓ = 1, seed 0,
     /// `k_max` 50). `model_name` is the provenance tag persisted with
@@ -111,8 +107,8 @@ impl<M: BackingModel + Clone> QueryEngine<M> {
     ///
     /// Accepts the graph by value or as an [`Arc`] — several engines (e.g.
     /// the entries of a serving pool cache) can share one immutable graph
-    /// without copying the CSR arrays. To serve an out-of-core graph
-    /// straight from a mapped v2 snapshot, use
+    /// without copying the CSR arrays. To keep a mapped v2 snapshot's
+    /// header checksum, pass its [`GraphStore`] to
     /// [`with_store`](Self::with_store).
     ///
     /// # Panics
@@ -121,11 +117,9 @@ impl<M: BackingModel + Clone> QueryEngine<M> {
         Self::with_store(GraphStore::from_arc(graph.into()), model, model_name)
     }
 
-    /// Creates a cold engine over an arbitrary [`GraphStore`] backing —
-    /// heap-resident or a zero-copy mmap view. Answers are backing-
-    /// independent: the same `(seed, ε, ℓ, k)` yields byte-identical
-    /// seeds whether the store is heap or mmap (the sampling streams
-    /// never depend on the backing).
+    /// Creates a cold engine over a [`GraphStore`], whose graph may own
+    /// its arrays or map a v2 snapshot. Answers do not depend on which:
+    /// the same `(seed, ε, ℓ, k)` yields byte-identical seeds either way.
     ///
     /// # Panics
     /// Panics if the graph has fewer than 2 nodes or no edges.
@@ -143,7 +137,7 @@ impl<M: BackingModel + Clone> QueryEngine<M> {
             threads: std::thread::available_parallelism().map_or(1, |p| p.get()),
             k_max: 50,
             select_seed: select_stream_seed(0),
-            pool: SetsStore::heap(SetCollection::new(n)),
+            pool: SetCollection::new(n),
             pool_theta: 0,
             plans: BTreeMap::new(),
             fast: None,
@@ -204,11 +198,14 @@ impl<M: BackingModel + Clone> QueryEngine<M> {
         Self::from_pool_store(GraphStore::from_arc(graph.into()), model, model_name, pool)
     }
 
-    /// [`from_pool`](Self::from_pool) over an arbitrary [`GraphStore`]
-    /// backing. Provenance validation is backing-independent — the
-    /// checksum a heap graph hashes to is the one a v2 snapshot records
-    /// in its header — so a pool sampled against a heap graph attaches
-    /// to the same graph served from an mmap view, and vice versa.
+    /// [`from_pool`](Self::from_pool) over a [`GraphStore`]. Provenance
+    /// validation does not depend on who owns the arrays — the checksum
+    /// a heap graph hashes to is the one a v2 snapshot records in its
+    /// header — so a pool sampled against a heap graph attaches to the
+    /// same graph mapped from a snapshot, and vice versa. A pool mapped
+    /// from a `.timp` v2 file ([`RrPool::open_mapped`]) stays mapped: no
+    /// heap decode, no index rebuild, byte-identical answers; growth (a
+    /// tighter ε or a larger `k`) resamples onto the heap.
     pub fn from_pool_store(
         store: GraphStore,
         model: M,
@@ -216,56 +213,7 @@ impl<M: BackingModel + Clone> QueryEngine<M> {
         pool: RrPool,
     ) -> Result<Self, EngineError> {
         let model_name = model_name.into();
-        Self::validate_pool_meta(&store, &model_name, &pool.meta, pool.sets.universe())?;
         let meta = &pool.meta;
-        let mut engine = QueryEngine::with_store(store, model, model_name)
-            .epsilon(meta.epsilon)
-            .ell(meta.ell)
-            .seed(meta.seed)
-            .k_max(meta.k_max.max(1) as usize);
-        engine.pool_theta = pool.meta.theta;
-        engine.pool = SetsStore::heap(pool.sets);
-        // Invariant: a non-empty pool always carries a fresh inverted
-        // index, so the read-only `try_*` paths can run greedy without
-        // mutating the collection. (Mapped pools persist theirs.)
-        engine.pool.ensure_inverted_index();
-        Ok(engine)
-    }
-
-    /// [`from_pool_store`](Self::from_pool_store) for a zero-copy mapped
-    /// `.timp` v2 pool: the same provenance chain is validated, but the
-    /// sets stay in the file mapping — no heap decode, no index rebuild
-    /// (v2 persists the inverted index). Every query class answers
-    /// byte-identically to the heap backing; growth (a tighter ε or a
-    /// larger `k`) resamples onto the heap exactly as it would have.
-    pub fn from_mapped_pool(
-        store: GraphStore,
-        model: M,
-        model_name: impl Into<String>,
-        pool: PoolMmap,
-    ) -> Result<Self, EngineError> {
-        let model_name = model_name.into();
-        Self::validate_pool_meta(&store, &model_name, pool.meta(), pool.sets().universe())?;
-        let (meta, sets) = pool.into_parts();
-        let mut engine = QueryEngine::with_store(store, model, model_name)
-            .epsilon(meta.epsilon)
-            .ell(meta.ell)
-            .seed(meta.seed)
-            .k_max(meta.k_max.max(1) as usize);
-        engine.pool_theta = meta.theta;
-        engine.pool = SetsStore::mapped(sets);
-        Ok(engine)
-    }
-
-    /// The provenance chain every pool attach validates, whatever the
-    /// backing: graph checksum, model tag, universe size, seed
-    /// derivation, and usable ε/ℓ.
-    fn validate_pool_meta(
-        store: &GraphStore,
-        model_name: &str,
-        meta: &PoolMeta,
-        universe: usize,
-    ) -> Result<(), EngineError> {
         let checksum = store.checksum();
         if meta.graph_checksum != checksum {
             return Err(EngineError::Mismatch(format!(
@@ -280,9 +228,10 @@ impl<M: BackingModel + Clone> QueryEngine<M> {
                 meta.model
             )));
         }
-        if universe != store.n() {
+        if pool.sets.universe() != store.n() {
             return Err(EngineError::Mismatch(format!(
-                "pool universe {universe} != graph node count {}",
+                "pool universe {} != graph node count {}",
+                pool.sets.universe(),
                 store.n()
             )));
         }
@@ -306,7 +255,18 @@ impl<M: BackingModel + Clone> QueryEngine<M> {
                 meta.ell
             )));
         }
-        Ok(())
+        let mut engine = QueryEngine::with_store(store, model, model_name)
+            .epsilon(meta.epsilon)
+            .ell(meta.ell)
+            .seed(meta.seed)
+            .k_max(meta.k_max.max(1) as usize);
+        engine.pool_theta = pool.meta.theta;
+        engine.pool = pool.sets;
+        // Invariant: a non-empty pool always carries a fresh inverted
+        // index, so the read-only `try_*` paths can run greedy without
+        // mutating the collection. (Mapped pools persist theirs.)
+        engine.pool.ensure_inverted_index();
+        Ok(engine)
     }
 
     /// The engine's current provenance header (what
@@ -325,69 +285,45 @@ impl<M: BackingModel + Clone> QueryEngine<M> {
         }
     }
 
-    /// Snapshots the current pool (with provenance) for persistence.
-    /// For a mapped backing this materializes a heap copy of the sets —
-    /// callers that only respill an unchanged mapped pool should skip
-    /// the spill instead (the file already holds these bytes).
+    /// Snapshots the current pool (with provenance) for persistence. A
+    /// heap pool is copied; a mapped pool shares its mapping.
     pub fn to_pool(&self) -> RrPool {
-        let sets = match self.pool.as_heap() {
-            Some(c) => c.clone(),
-            None => self
-                .pool
-                .as_mapped()
-                .expect("pool is heap or mapped")
-                .to_collection(),
-        };
         RrPool {
             meta: self.pool_meta(),
-            sets,
+            sets: self.pool.clone(),
         }
     }
 
-    /// True when the pool is served zero-copy from a mapped `.timp` v2
-    /// file rather than the heap.
+    /// True when the pool is mapped zero-copy from a `.timp` v2 file
+    /// rather than held on the heap.
     pub fn pool_is_mapped(&self) -> bool {
-        self.pool.is_mapped()
+        self.pool.mapping().is_some()
     }
 
-    /// Heap bytes held by the pool backing (0 when mapped).
+    /// Heap bytes held by the pool (0 when mapped).
     pub fn pool_memory_bytes(&self) -> usize {
         self.pool.memory_bytes()
     }
 
-    /// Bytes of the pool's file mapping (0 when heap-backed).
+    /// Bytes of the pool's file mapping (0 on the heap).
     pub fn pool_mapped_bytes(&self) -> usize {
         self.pool.mapped_bytes()
     }
 
-    /// The backing store queries run against (heap or mmap).
+    /// The graph store queries run against.
     pub fn store(&self) -> &GraphStore {
         &self.store
     }
 
-    /// The heap graph queries run against.
-    ///
-    /// # Panics
-    /// Panics when the engine serves a mapped snapshot — there is no
-    /// heap `Graph` to borrow; use [`store`](Self::store).
+    /// The graph queries run against.
     pub fn graph(&self) -> &Graph {
-        self.store
-            .heap_arc()
-            .expect("graph(): engine is mmap-backed (use store())")
+        self.store.graph()
     }
 
-    /// A shared handle to the heap graph, for building further engines
-    /// (e.g. pool-cache entries at a different ε/ℓ) without copying it.
-    ///
-    /// # Panics
-    /// Panics when the engine serves a mapped snapshot; clone
-    /// [`store`](Self::store) instead.
+    /// A shared handle to the graph, for building further engines (e.g.
+    /// pool-cache entries at a different ε/ℓ) without copying it.
     pub fn graph_arc(&self) -> Arc<Graph> {
-        Arc::clone(
-            self.store
-                .heap_arc()
-                .expect("graph_arc(): engine is mmap-backed (use store())"),
-        )
+        self.store.graph_arc()
     }
 
     /// Current pool size θ (0 when cold).
@@ -400,7 +336,7 @@ impl<M: BackingModel + Clone> QueryEngine<M> {
         self.k_max
     }
 
-    /// Content checksum of the attached graph (backing-independent).
+    /// Content checksum of the attached graph.
     pub fn graph_checksum(&self) -> u64 {
         self.store.checksum()
     }
@@ -456,12 +392,7 @@ impl<M: BackingModel + Clone> QueryEngine<M> {
                 .ell(ell)
                 .seed(self.seed)
                 .threads(self.threads);
-            // Dispatch once on the backing; the planner body is
-            // monomorphized per concrete CSR type.
-            let planned = match self.store.view() {
-                CsrView::Heap(g) => planner.plans(g, &missing),
-                CsrView::Mmap(v) => planner.plans(v, &missing),
-            };
+            let planned = planner.plans(self.store.graph(), &missing);
             for (k, plan) in missing.into_iter().zip(planned) {
                 self.plans.insert(self.plan_key(k, eps, ell), plan);
             }
@@ -479,18 +410,16 @@ impl<M: BackingModel + Clone> QueryEngine<M> {
         }
         // Regenerate from the fixed selection stream: deterministic, and
         // the old pool is a shard-aligned prefix of the new one. A mapped
-        // backing is simply replaced — growth is always heap-side, and
-        // the next farewell spill persists the grown pool as a fresh v2
-        // file.
-        let (pool, _) = match self.store.view() {
-            CsrView::Heap(g) => {
-                generate_rr_sets(g, &self.model, theta, self.select_seed, self.threads)
-            }
-            CsrView::Mmap(v) => {
-                generate_rr_sets(v, &self.model, theta, self.select_seed, self.threads)
-            }
-        };
-        self.pool = SetsStore::heap(pool);
+        // pool is simply replaced — growth is always heap-side, and the
+        // next farewell spill persists the grown pool as a fresh v2 file.
+        let (pool, _) = generate_rr_sets(
+            self.store.graph(),
+            &self.model,
+            theta,
+            self.select_seed,
+            self.threads,
+        );
+        self.pool = pool;
         // Keep the inverted index fresh whenever the pool is non-empty, so
         // every subsequent same-θ greedy run — including the read-only
         // `try_*` paths used under shared references — is `&self`.
@@ -506,14 +435,13 @@ impl<M: BackingModel + Clone> QueryEngine<M> {
         debug_assert!(theta <= self.pool_theta);
         let pool_counts = shard_layout(self.pool_theta);
         let want = shard_layout(theta);
-        let view = self.pool.view();
         let mut sub =
-            SetCollection::with_capacity(view.universe(), theta as usize, theta as usize * 2);
+            SetCollection::with_capacity(self.pool.universe(), theta as usize, theta as usize * 2);
         let mut start = 0usize;
         for (i, &pool_count) in pool_counts.iter().enumerate() {
             let take = want.get(i).copied().unwrap_or(0) as usize;
             for j in 0..take {
-                sub.push(view.set(start + j));
+                sub.push(self.pool.set(start + j));
             }
             start += pool_count as usize;
         }
@@ -554,7 +482,7 @@ impl<M: BackingModel + Clone> QueryEngine<M> {
         debug_assert!(plan.theta <= self.pool_theta);
         let n = self.store.n() as f64;
         let cover = if plan.theta == self.pool_theta {
-            self.cover_full_pool(plan.k)
+            greedy_max_cover_indexed(&self.pool, plan.k)
         } else {
             greedy_max_cover(&mut self.subset(plan.theta), plan.k)
         };
@@ -621,7 +549,7 @@ impl<M: BackingModel + Clone> QueryEngine<M> {
         };
         if stale {
             self.pool.ensure_inverted_index();
-            let cover = self.cover_full_pool(depth);
+            let cover = greedy_max_cover_indexed(&self.pool, depth);
             self.fast = Some(FastCover {
                 pool_theta: self.pool_theta,
                 cover,
@@ -629,16 +557,6 @@ impl<M: BackingModel + Clone> QueryEngine<M> {
         }
         let fast = self.fast.as_ref().expect("fast cover just ensured");
         Self::fast_prefix_outcome(fast, k, self.pool_theta, self.store.n(), resampled)
-    }
-
-    /// Greedy over the whole pool, whose inverted index must be fresh.
-    /// Matches once so the solver's inner loops monomorphize per backing
-    /// instead of dispatching per set access.
-    fn cover_full_pool(&self, k: usize) -> CoverResult {
-        match self.pool.view() {
-            SetsView::Heap(c) => greedy_max_cover_indexed(c, k),
-            SetsView::Mmap(m) => greedy_max_cover_indexed(m, k),
-        }
     }
 
     /// Assembles the `k`-prefix answer from a cached full-pool greedy run.
@@ -798,7 +716,7 @@ mod tests {
             .seed(5)
             .threads(2)
             .k_max(12);
-        let store = GraphStore::open_mmap(&path).unwrap();
+        let (store, _) = GraphStore::open_mmap(&path).unwrap();
         assert!(store.is_mmap());
         let mut mapped = QueryEngine::with_store(store, IndependentCascade, "ic")
             .epsilon(0.8)
@@ -826,7 +744,7 @@ mod tests {
         // (identical provenance) and keeps answering identically.
         let pool = heap.to_pool();
         let mut restored = QueryEngine::from_pool_store(
-            GraphStore::open_mmap(&path).unwrap(),
+            GraphStore::open_mmap(&path).unwrap().0,
             IndependentCascade,
             "ic",
             pool,
@@ -852,8 +770,8 @@ mod tests {
         let path = dir.join("pool.timp");
         warm.to_pool().save_v2(&path).unwrap();
 
-        let mapped = crate::PoolMmap::open(&path).unwrap();
-        let mut e = QueryEngine::from_mapped_pool(
+        let mapped = RrPool::open_mapped(&path).unwrap();
+        let mut e = QueryEngine::from_pool_store(
             GraphStore::from_arc(warm.graph_arc()),
             IndependentCascade,
             "ic",
@@ -883,8 +801,8 @@ mod tests {
 
         // Growth detaches from the mapping: a tighter ε resamples onto
         // the heap, byte-identically to the same growth on a heap pool.
-        let mapped = crate::PoolMmap::open(&path).unwrap();
-        let mut e = QueryEngine::from_mapped_pool(
+        let mapped = RrPool::open_mapped(&path).unwrap();
+        let mut e = QueryEngine::from_pool_store(
             GraphStore::from_arc(warm.graph_arc()),
             IndependentCascade,
             "ic",
@@ -899,6 +817,47 @@ mod tests {
         assert!(!e.pool_is_mapped(), "growth must move the pool heap-side");
         let reference = warm.select_with(12, Some(0.1), None);
         assert_eq!(grown.seeds, reference.seeds);
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[cfg(unix)]
+    #[test]
+    fn mapped_engine_shares_its_graph_and_pool_without_copies() {
+        // One type per artifact: an engine over a mapped snapshot and a
+        // mapped pool hands out the mapped graph and respills the mapped
+        // pool, neither copied nor rebuilt.
+        let g = wc_graph(300, 1);
+        let labels: Vec<u64> = (0..g.n() as u64).collect();
+        let dir = std::env::temp_dir().join(format!("tim_engine_shared_{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let (graph_path, pool_path) = (dir.join("g.timg"), dir.join("pool.timp"));
+        tim_graph::snapshot::save_snapshot_v2(&g, &labels, &graph_path).unwrap();
+        let mut warm = engine(5);
+        warm.warm();
+        warm.to_pool().save_v2(&pool_path).unwrap();
+
+        let (store, _) = GraphStore::open_mmap(&graph_path).unwrap();
+        let e = QueryEngine::from_pool_store(
+            store.clone(),
+            IndependentCascade,
+            "ic",
+            RrPool::open_mapped(&pool_path).unwrap(),
+        )
+        .unwrap();
+        let checksum = tim_graph::snapshot::graph_checksum;
+        assert_eq!(checksum(e.graph()), store.checksum());
+        assert_eq!(checksum(&e.graph_arc()), store.checksum());
+        assert!(e.graph().mapping().is_some());
+
+        let pool = e.to_pool();
+        assert!(pool.sets.mapped_bytes() > 0, "to_pool keeps the mapping");
+        assert_eq!(pool.sets.memory_bytes(), 0, "to_pool copies nothing");
+        let respill = dir.join("respill.timp");
+        pool.save_v2(&respill).unwrap();
+        assert_eq!(
+            std::fs::read(&respill).unwrap(),
+            std::fs::read(&pool_path).unwrap()
+        );
         std::fs::remove_dir_all(&dir).ok();
     }
 

@@ -28,10 +28,10 @@
 //! atomic write-then-rename spills and quarantine of corrupt or foreign
 //! files, so every pool a process builds outlives the process. Spills
 //! default to the page-aligned `.timp` v2 layout, which persists the
-//! inverted index; [`PoolMmap`] attaches such a file zero-copy
-//! (`PROT_READ`) so restarting a service costs a header parse and a
-//! structural scan instead of a full heap decode — see
-//! [`PoolStore::probe_backed`].
+//! inverted index; [`RrPool::open_mapped`] attaches such a file
+//! zero-copy (`PROT_READ`) as the same [`RrPool`] a heap decode yields,
+//! so restarting a service costs a header parse and a bounds scan
+//! instead of a full heap decode — see [`PoolStore::probe_backed`].
 //!
 //! For concurrent serving, [`SharedEngine`] wraps a [`QueryEngine`] in an
 //! `RwLock` with a read-mostly fast path: queries answerable from the warm
@@ -52,7 +52,6 @@ pub use pool::{
     pool_version, PoolMeta, RrPool, POOL_MAGIC, POOL_V2_ALIGN, POOL_V2_HEADER_BYTES,
     POOL_V2_MODEL_TAG_MAX, POOL_VERSION, POOL_VERSION_V2,
 };
-pub use pool_mmap::PoolMmap;
 pub use shared::{EngineReadGuard, SharedEngine};
 pub use store::{
     PoolId, PoolStore, ProbedPool, StoreStats, INDEX_FILE, POOL_EXTENSION, QUARANTINE_DIR,

@@ -32,9 +32,8 @@
 //!
 //! Version 2 is the out-of-core layout: a fixed 264-byte header plus a
 //! section table whose four sections start on 4096-byte boundaries, so
-//! the file can be attached zero-copy via
-//! [`PoolMmap`](crate::PoolMmap) / `tim_coverage::MmapSets` — and it
-//! **persists the inverted index**, so a mapped pool answers its first
+//! the file can be attached zero-copy via [`RrPool::open_mapped`] — and
+//! it **persists the inverted index**, so a mapped pool answers its first
 //! greedy selection straight from the page cache with no index rebuild.
 //!
 //! | bytes | field |
@@ -52,13 +51,16 @@
 //! (`members × u32`). Every field on disk is a fixed-width `u64`/`u32`,
 //! so v2 files carry no platform-width ambiguity by construction.
 //! Opening a v2 file costs a header parse plus a structural scan;
-//! per-section checksums are deferred to an explicit `verify` pass
-//! (mirroring `.timg` v2 in `tim_graph::snapshot`).
+//! per-section checksums are deferred to an explicit
+//! [`RrPool::verify`] pass (mirroring `.timg` v2 in
+//! `tim_graph::snapshot`).
 
 use crate::error::EngineError;
 use std::io::{Read, Write};
 use std::path::Path;
-use tim_coverage::{build_inverted_index, MmapSetsLayout, SetCollection, SETS_SECTION_COUNT};
+use tim_coverage::{
+    build_inverted_index, SetCollection, SetsLayout, SETS_SECTION_COUNT, SETS_SECTION_NAMES,
+};
 use tim_graph::snapshot::Fnv1a;
 use tim_graph::NodeId;
 
@@ -128,7 +130,9 @@ pub struct PoolMeta {
     pub select_seed: u64,
 }
 
-/// A serialized RR-set pool: provenance plus the sets themselves.
+/// A serialized RR-set pool: provenance plus the sets themselves, held on
+/// the heap or mapped from a `.timp` v2 file ([`RrPool::open_mapped`]).
+/// Cloning a mapped pool shares the mapping.
 #[derive(Debug, Clone)]
 pub struct RrPool {
     /// Provenance header.
@@ -195,7 +199,7 @@ impl RrPool {
         put_u64(&mut payload, sets.len() as u64);
         put_u64(&mut payload, sets.total_members() as u64);
         for &o in sets.raw_offsets() {
-            put_u64(&mut payload, o as u64);
+            put_u64(&mut payload, o);
         }
         for &v in sets.raw_data() {
             payload.extend_from_slice(&v.to_le_bytes());
@@ -282,11 +286,10 @@ impl RrPool {
                 .ok_or_else(|| EngineError::Format("offsets length overflows".into()))?,
             "offsets",
         )?;
-        let mut offsets = Vec::with_capacity(offsets_len);
-        for c in raw.chunks_exact(8) {
-            let o = u64::from_le_bytes(c.try_into().expect("8-byte chunk"));
-            offsets.push(usize_field(o, "set offset")?);
-        }
+        let offsets: Vec<u64> = raw
+            .chunks_exact(8)
+            .map(|c| u64::from_le_bytes(c.try_into().expect("8-byte chunk")))
+            .collect();
         let raw = cur.take(
             members
                 .checked_mul(4)
@@ -328,24 +331,14 @@ impl RrPool {
     /// its own lazily, exactly as after a v1 load.)
     fn decode_v2(bytes: &[u8]) -> Result<Self, EngineError> {
         let (meta, layout) = parse_v2(bytes, bytes.len() as u64)?;
-        for i in 0..SETS_SECTION_COUNT {
-            let len = layout.section_len(i).expect("validated by parse_v2") as usize;
-            let data = &bytes[layout.sections[i]..layout.sections[i] + len];
-            let actual = fnv1a(data);
-            if actual != layout.section_fnv[i] {
-                return Err(EngineError::Format(format!(
-                    "v2 {} section checksum mismatch: table says {:#018x}, data hashes to {actual:#018x}",
-                    tim_coverage::SETS_SECTION_NAMES[i],
-                    layout.section_fnv[i],
-                )));
-            }
-        }
+        layout
+            .verify_digests(bytes)
+            .map_err(|e| EngineError::Format(format!("v2 {e}")))?;
         let raw = &bytes[layout.sections[0]..layout.sections[0] + (layout.num_sets + 1) * 8];
-        let mut offsets = Vec::with_capacity(layout.num_sets + 1);
-        for c in raw.chunks_exact(8) {
-            let o = u64::from_le_bytes(c.try_into().expect("8-byte chunk"));
-            offsets.push(usize_field(o, "set offset")?);
-        }
+        let offsets: Vec<u64> = raw
+            .chunks_exact(8)
+            .map(|c| u64::from_le_bytes(c.try_into().expect("8-byte chunk")))
+            .collect();
         let raw = &bytes[layout.sections[1]..layout.sections[1] + layout.total_members * 4];
         let data: Vec<NodeId> = raw
             .chunks_exact(4)
@@ -375,7 +368,7 @@ impl RrPool {
         let sets = &self.sets;
         let n = sets.universe();
         let built;
-        let (inv_offsets, inv_data): (&[usize], &[u32]) = match sets.raw_inverted() {
+        let (inv_offsets, inv_data): (&[u64], &[u32]) = match sets.raw_inverted() {
             Some(parts) => parts,
             None => {
                 built = build_inverted_index(n, sets.raw_data(), sets.raw_offsets());
@@ -385,13 +378,13 @@ impl RrPool {
 
         let mut sections: [Vec<u8>; SETS_SECTION_COUNT] = Default::default();
         for &o in sets.raw_offsets() {
-            put_u64(&mut sections[0], o as u64);
+            put_u64(&mut sections[0], o);
         }
         for &v in sets.raw_data() {
             sections[1].extend_from_slice(&v.to_le_bytes());
         }
         for &o in inv_offsets {
-            put_u64(&mut sections[2], o as u64);
+            put_u64(&mut sections[2], o);
         }
         for &s in inv_data {
             sections[3].extend_from_slice(&s.to_le_bytes());
@@ -495,10 +488,7 @@ pub fn pool_version<P: AsRef<Path>>(path: P) -> Result<u32, EngineError> {
 /// page-aligned, exactly the expected length, in bounds, and
 /// non-overlapping. After this check a reader may index any section
 /// without further bounds tests; per-section checksums stay deferred.
-pub(crate) fn parse_v2(
-    bytes: &[u8],
-    file_len: u64,
-) -> Result<(PoolMeta, MmapSetsLayout), EngineError> {
+pub(crate) fn parse_v2(bytes: &[u8], file_len: u64) -> Result<(PoolMeta, SetsLayout), EngineError> {
     let fmt = |m: String| EngineError::Format(m);
     let header_len = POOL_V2_HEADER_BYTES as usize;
     if bytes.len() < 8 {
@@ -565,7 +555,7 @@ pub(crate) fn parse_v2(
     if universe >= u64::from(u32::MAX) {
         return Err(fmt(format!("v2 universe {universe} overflows NodeId")));
     }
-    let mut layout = MmapSetsLayout {
+    let mut layout = SetsLayout {
         universe: usize_field(universe, "universe")?,
         num_sets: usize_field(num_sets, "set count")?,
         total_members: usize_field(members, "member count")?,
@@ -574,8 +564,7 @@ pub(crate) fn parse_v2(
     };
 
     let mut min_start = POOL_V2_HEADER_BYTES;
-    for i in 0..SETS_SECTION_COUNT {
-        let name = tim_coverage::SETS_SECTION_NAMES[i];
+    for (i, name) in SETS_SECTION_NAMES.into_iter().enumerate() {
         let base = 136 + i * 32;
         let id = u32_at(base);
         if id as usize != i {

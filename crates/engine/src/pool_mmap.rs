@@ -1,104 +1,67 @@
 //! Zero-copy mapped RR-set pools.
 //!
-//! [`PoolMmap`] attaches a `.timp` v2 file without loading it: the
-//! header and section table are parsed and validated eagerly (see
-//! [`pool`](crate::pool) for the layout), the four sections are carved
-//! as slices straight out of a `PROT_READ` mapping, and the persisted
-//! inverted index means the first greedy selection runs with no index
-//! rebuild. Open cost is a header parse plus one structural scan —
-//! independent of how the kernel later pages the arenas in — so pools
-//! larger than RAM stay servable, mirroring `tim_graph::MmapCsr` for
-//! `.timg` snapshots.
+//! [`RrPool::open_mapped`] attaches a `.timp` v2 file without loading it:
+//! the header and section table are parsed and validated eagerly (see
+//! [`pool`](crate::pool) for the layout), and the pool's
+//! [`SetCollection`] views the four sections straight out of a
+//! `PROT_READ` mapping. The persisted inverted index means the first
+//! greedy selection runs with no index rebuild. Open cost is a header
+//! parse plus one bounds scan — independent of how the kernel later
+//! pages the arenas in — so pools larger than RAM stay servable, as
+//! `.timg` v2 snapshots do for graphs.
 //!
-//! Per-section checksums are deferred to [`verify`](PoolMmap::verify);
-//! structural validation (monotone offsets, in-universe members, a
-//! consistent ascending inverted index) happens at open inside
-//! [`MmapSets::from_map`], so the solvers can never index out of
-//! bounds even over a hostile file.
+//! The bounds checks at open are the ones a heap decode runs, so the
+//! solvers can never index out of bounds even over a hostile file. The
+//! answer-integrity checks (the index agrees with the arena, every
+//! section hashes to its recorded digest) are deferred to
+//! [`RrPool::verify`].
 
 use crate::error::EngineError;
-use crate::pool::{parse_v2, PoolMeta, RrPool};
+use crate::pool::{parse_v2, RrPool};
 use std::path::Path;
 use std::sync::Arc;
-use tim_coverage::MmapSets;
+use tim_coverage::SetCollection;
 use tim_graph::{GraphError, Mmap};
 
-fn map_graph_err(e: GraphError) -> EngineError {
-    match e {
-        GraphError::Io(io) => EngineError::Io(io),
-        other => EngineError::Format(other.to_string()),
-    }
-}
-
-/// A `.timp` v2 pool served zero-copy from a read-only file mapping:
-/// validated provenance plus a shared [`MmapSets`] collection.
-#[derive(Debug)]
-pub struct PoolMmap {
-    meta: PoolMeta,
-    sets: Arc<MmapSets>,
-}
-
-impl PoolMmap {
-    /// Maps and validates the v2 pool at `path`.
+impl RrPool {
+    /// Maps and validates the v2 pool at `path`; the returned pool's
+    /// sets view the mapping (no heap decode, no index rebuild).
     ///
     /// Errors: [`EngineError::Io`] when the file cannot be opened (a
     /// missing file stays distinguishable from a corrupt one);
-    /// [`EngineError::Format`] on any header, table, or structural
+    /// [`EngineError::Format`] on any header, table, or bounds
     /// violation — including v1 files, which must be loaded eagerly via
     /// [`RrPool::load`] instead.
-    pub fn open<P: AsRef<Path>>(path: P) -> Result<Self, EngineError> {
-        let map = Mmap::open(path).map_err(map_graph_err)?;
+    pub fn open_mapped<P: AsRef<Path>>(path: P) -> Result<RrPool, EngineError> {
+        let map = Arc::new(Mmap::open(path).map_err(|e| match e {
+            GraphError::Io(io) => EngineError::Io(io),
+            other => EngineError::Format(other.to_string()),
+        })?);
         let (meta, layout) = parse_v2(map.bytes(), map.len() as u64)?;
-        let sets = MmapSets::from_map(map, &layout).map_err(EngineError::Format)?;
-        Ok(PoolMmap {
-            meta,
-            sets: Arc::new(sets),
-        })
+        let sets = SetCollection::from_mapping(&map, &layout).map_err(EngineError::Format)?;
+        Ok(RrPool { meta, sets })
     }
 
-    /// Provenance of the mapped pool, as recorded in the (checksummed)
-    /// header.
-    pub fn meta(&self) -> &PoolMeta {
-        &self.meta
-    }
-
-    /// The mapped collection.
-    pub fn sets(&self) -> &Arc<MmapSets> {
-        &self.sets
-    }
-
-    /// Bytes of the underlying file mapping.
-    pub fn mapped_bytes(&self) -> usize {
-        self.sets.mapped_bytes()
-    }
-
-    /// Full integrity pass: hashes every section and compares against
-    /// the table recorded at spill time. O(file size) — the cost open
-    /// deliberately defers.
+    /// The integrity pass [`open_mapped`](Self::open_mapped) defers: the
+    /// inverted index must agree with the arena, and every section must
+    /// hash to the digest the file's table records. O(file size). A pool
+    /// whose sets do not map a file has nothing to check and passes.
     pub fn verify(&self) -> Result<(), EngineError> {
-        self.sets.verify().map_err(EngineError::Format)
-    }
-
-    /// Splits into provenance and the shared collection (what the
-    /// engine threads into its backing store).
-    pub fn into_parts(self) -> (PoolMeta, Arc<MmapSets>) {
-        (self.meta, self.sets)
-    }
-
-    /// Materializes a heap [`RrPool`] — the escape hatch for growth or
-    /// for re-spilling through the v1 writer.
-    pub fn to_pool(&self) -> RrPool {
-        RrPool {
-            meta: self.meta.clone(),
-            sets: self.sets.to_collection(),
-        }
+        let Some(map) = self.sets.mapping() else {
+            return Ok(());
+        };
+        let (_, layout) = parse_v2(map.bytes(), map.len() as u64)?;
+        self.sets
+            .validate_index()
+            .and_then(|()| layout.verify_digests(map.bytes()))
+            .map_err(EngineError::Format)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use tim_coverage::SetCollection;
+    use crate::pool::PoolMeta;
 
     fn sample_pool() -> RrPool {
         let mut sets = SetCollection::new(10);
@@ -132,16 +95,18 @@ mod tests {
         let pool = sample_pool();
         let path = temp_file("open");
         pool.save_v2(&path).unwrap();
-        let mapped = PoolMmap::open(&path).unwrap();
-        assert_eq!(mapped.meta(), &pool.meta);
-        assert_eq!(mapped.sets().len(), pool.sets.len());
+        let mapped = RrPool::open_mapped(&path).unwrap();
+        assert_eq!(mapped.meta, pool.meta);
+        assert_eq!(mapped.sets.len(), pool.sets.len());
         for i in 0..pool.sets.len() {
-            assert_eq!(mapped.sets().set(i), pool.sets.set(i));
+            assert_eq!(mapped.sets.set(i), pool.sets.set(i));
         }
         // The persisted index answers membership queries immediately.
-        assert_eq!(mapped.sets().sets_containing(2), &[0, 3]);
-        assert!(mapped.mapped_bytes() > 0);
+        assert_eq!(mapped.sets.sets_containing(2), &[0, 3]);
+        assert!(mapped.sets.mapped_bytes() > 0);
+        assert_eq!(mapped.sets.memory_bytes(), 0);
         mapped.verify().unwrap();
+        pool.verify().unwrap();
         std::fs::remove_file(&path).ok();
     }
 
@@ -150,7 +115,7 @@ mod tests {
         let pool = sample_pool();
         let path = temp_file("v1");
         pool.save(&path).unwrap();
-        match PoolMmap::open(&path) {
+        match RrPool::open_mapped(&path) {
             Err(EngineError::Format(m)) => assert!(m.contains("not a v2 pool"), "{m}"),
             other => panic!("expected format error, got {other:?}"),
         }
@@ -160,22 +125,28 @@ mod tests {
     #[test]
     fn missing_file_is_io_not_format() {
         assert!(matches!(
-            PoolMmap::open(temp_file("missing-nonexistent")),
+            RrPool::open_mapped(temp_file("missing-nonexistent")),
             Err(EngineError::Io(_))
         ));
     }
 
     #[test]
     fn to_pool_round_trips_through_the_heap() {
+        // Mapped and heap-decoded copies of one file are the same pool:
+        // both write it back byte for byte.
         let pool = sample_pool();
         let path = temp_file("roundtrip");
         pool.save_v2(&path).unwrap();
-        let mapped = PoolMmap::open(&path).unwrap();
-        let heap = mapped.to_pool();
-        assert_eq!(heap.meta, pool.meta);
-        let mut buf = Vec::new();
-        heap.write_v2(&mut buf).unwrap();
-        assert_eq!(buf, std::fs::read(&path).unwrap(), "respill is byte-stable");
+        let file = std::fs::read(&path).unwrap();
+        for copy in [
+            RrPool::open_mapped(&path).unwrap(),
+            RrPool::load(&path).unwrap(),
+        ] {
+            assert_eq!(copy.meta, pool.meta);
+            let mut buf = Vec::new();
+            copy.write_v2(&mut buf).unwrap();
+            assert_eq!(buf, file, "respill is byte-stable");
+        }
         std::fs::remove_file(&path).ok();
     }
 }

@@ -19,7 +19,7 @@ use crate::engine::{QueryEngine, QueryOutcome};
 use crate::pool::RrPool;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::RwLock;
-use tim_diffusion::BackingModel;
+use tim_diffusion::DiffusionModel;
 use tim_graph::NodeId;
 
 /// A [`QueryEngine`] behind an [`RwLock`] with a read-mostly fast path.
@@ -74,7 +74,7 @@ pub struct SharedEngine<M> {
 /// Panic message used when a previous writer panicked mid-update.
 const POISONED: &str = "engine lock poisoned: a writer panicked mid-update";
 
-impl<M: BackingModel + Clone> SharedEngine<M> {
+impl<M: DiffusionModel + Clone> SharedEngine<M> {
     /// Wraps an engine for shared use. Warm it first
     /// ([`QueryEngine::warm`]) if the first queries should not pay the
     /// sampling cost under the write lock.
@@ -251,7 +251,7 @@ pub struct EngineReadGuard<'a, M> {
     guard: std::sync::RwLockReadGuard<'a, QueryEngine<M>>,
 }
 
-impl<M: BackingModel + Clone> EngineReadGuard<'_, M> {
+impl<M: DiffusionModel + Clone> EngineReadGuard<'_, M> {
     /// [`QueryEngine::try_select_with`] under the held read lock.
     pub fn try_select_with(
         &self,
@@ -283,7 +283,7 @@ impl<M: BackingModel + Clone> EngineReadGuard<'_, M> {
     }
 }
 
-impl<M: BackingModel + Clone> From<QueryEngine<M>> for SharedEngine<M> {
+impl<M: DiffusionModel + Clone> From<QueryEngine<M>> for SharedEngine<M> {
     fn from(engine: QueryEngine<M>) -> Self {
         SharedEngine::new(engine)
     }

@@ -38,7 +38,6 @@
 
 use crate::error::EngineError;
 use crate::pool::{pool_version, PoolMeta, RrPool, POOL_V2_MODEL_TAG_MAX, POOL_VERSION_V2};
-use crate::pool_mmap::PoolMmap;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
@@ -181,22 +180,22 @@ pub struct StoreStats {
     pub verifies: u64,
 }
 
-/// A pool restored by [`PoolStore::probe_backed`], in whichever backing
-/// the file's version and the caller's preference allowed.
+/// A pool restored by [`PoolStore::probe_backed`], tagged with how the
+/// file's version and the caller's preference let it be read.
 #[derive(Debug)]
 pub enum ProbedPool {
     /// Eagerly decoded onto the heap (v1 files, or `mmap = false`).
     Heap(RrPool),
-    /// Attached zero-copy from a v2 file.
-    Mapped(PoolMmap),
+    /// Mapped zero-copy from a v2 file ([`RrPool::open_mapped`]); its
+    /// deferred [`RrPool::verify`] has not run yet.
+    Mapped(RrPool),
 }
 
 impl ProbedPool {
-    /// Provenance of the restored pool, whatever the backing.
-    pub fn meta(&self) -> &PoolMeta {
+    /// The restored pool, however it was read.
+    pub fn into_pool(self) -> RrPool {
         match self {
-            ProbedPool::Heap(p) => &p.meta,
-            ProbedPool::Mapped(m) => m.meta(),
+            ProbedPool::Heap(pool) | ProbedPool::Mapped(pool) => pool,
         }
     }
 }
@@ -298,10 +297,10 @@ impl PoolStore {
     }
 
     /// Like [`probe`](Self::probe), but when `mmap` is set and the
-    /// stored file is `.timp` v2, the pool is attached zero-copy as a
-    /// [`PoolMmap`] instead of being decoded onto the heap — O(header +
-    /// structural scan), with the persisted inverted index ready for the
-    /// first selection. v1 files transparently fall back to the heap
+    /// stored file is `.timp` v2, the pool is mapped zero-copy
+    /// ([`RrPool::open_mapped`]) instead of being decoded onto the heap —
+    /// O(header + bounds scan), with the persisted inverted index ready
+    /// for the first selection. v1 files transparently fall back to the heap
     /// path. The same quarantine guarantees apply: a corrupt or foreign
     /// file is moved aside and reported as a miss, never served.
     pub fn probe_backed(&self, id: &PoolId, mmap: bool) -> Result<Option<ProbedPool>, EngineError> {
@@ -321,14 +320,14 @@ impl PoolStore {
                 return Ok(None);
             }
         }
-        match PoolMmap::open(&path) {
-            Ok(mapped) if id.matches(mapped.meta()) => {
+        match RrPool::open_mapped(&path) {
+            Ok(mapped) if id.matches(&mapped.meta) => {
                 self.loads.fetch_add(1, Ordering::Relaxed);
                 self.mmap_opens.fetch_add(1, Ordering::Relaxed);
                 Ok(Some(ProbedPool::Mapped(mapped)))
             }
             Ok(mapped) => {
-                let meta = mapped.meta();
+                let meta = &mapped.meta;
                 self.quarantine(&path, &format!(
                     "provenance header (model '{}', seed {}, eps {}, ell {}, graph {:#018x}) does not match its filename",
                     meta.model, meta.seed, meta.epsilon, meta.ell, meta.graph_checksum
@@ -349,7 +348,7 @@ impl PoolStore {
     /// counts it. On failure the caller should treat the pool as
     /// corrupt — typically [`quarantine_id`](Self::quarantine_id) plus a
     /// rebuild.
-    pub fn verify_mapped(&self, pool: &PoolMmap) -> Result<(), EngineError> {
+    pub fn verify_mapped(&self, pool: &RrPool) -> Result<(), EngineError> {
         self.verifies.fetch_add(1, Ordering::Relaxed);
         pool.verify()
     }
@@ -665,8 +664,8 @@ mod tests {
         let ProbedPool::Mapped(mapped) = got else {
             panic!("a v2 spill probed with mmap must map, not load");
         };
-        assert_eq!(mapped.meta(), &p.meta);
-        assert_eq!(mapped.sets().len(), p.sets.len());
+        assert_eq!(mapped.meta, p.meta);
+        assert_eq!(mapped.sets.len(), p.sets.len());
         store.verify_mapped(&mapped).unwrap();
 
         // Heap preference still decodes eagerly from the same v2 file.

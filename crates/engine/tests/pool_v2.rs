@@ -5,7 +5,7 @@
 //! and version-gate checks. Every hostile input must yield a clean
 //! [`tim_engine::EngineError`], never a panic or an out-of-bounds read,
 //! on BOTH v2 readers: the eager heap decode (`RrPool::load`) and the
-//! zero-copy mapping (`PoolMmap::open` + `verify`). A corrupt file in a
+//! zero-copy mapping (`RrPool::open_mapped` + `verify`). A corrupt file in a
 //! [`PoolStore`] must be quarantined as a miss, never served and never
 //! fatal.
 
@@ -13,7 +13,7 @@
 
 use tim_coverage::SetCollection;
 use tim_engine::{
-    pool_version, PoolId, PoolMeta, PoolMmap, PoolStore, ProbedPool, RrPool, POOL_V2_ALIGN,
+    pool_version, PoolId, PoolMeta, PoolStore, ProbedPool, RrPool, POOL_V2_ALIGN,
     POOL_V2_HEADER_BYTES,
 };
 
@@ -87,7 +87,7 @@ fn assert_rejected(dir: &std::path::Path, bytes: &[u8], what: &str) {
         RrPool::load(&path).is_err(),
         "{what}: eager decode accepted corrupt bytes"
     );
-    if let Ok(view) = PoolMmap::open(&path) {
+    if let Ok(view) = RrPool::open_mapped(&path) {
         assert!(
             view.verify().is_err(),
             "{what}: mmap open + verify accepted corrupt bytes"
@@ -140,13 +140,11 @@ fn v2_round_trip_is_bit_identical_and_content_faithful() {
     let eager = RrPool::load(&path).unwrap();
     assert_eq!(eager.meta, pool.meta);
     assert_eq!(eager.sets.len(), pool.sets.len());
-    let view = PoolMmap::open(&path).unwrap();
+    let view = RrPool::open_mapped(&path).unwrap();
     view.verify().unwrap();
-    assert_eq!(view.meta(), &pool.meta);
-    let reloaded = view.to_pool();
-    assert_eq!(reloaded.meta, pool.meta);
+    assert_eq!(view.meta, pool.meta);
     for i in 0..pool.sets.len() {
-        assert_eq!(view.sets().set(i), pool.sets.set(i), "set {i} differs");
+        assert_eq!(view.sets.set(i), pool.sets.set(i), "set {i} differs");
     }
 
     // Sections are page-aligned as advertised, and the file ends exactly
@@ -191,7 +189,7 @@ fn bit_flips_anywhere_are_rejected_cleanly() {
                 "eager decode accepted a bit flip at byte {pos}"
             );
             // The mapped reader may defer payload checks to verify().
-            if let Ok(view) = PoolMmap::open(&path) {
+            if let Ok(view) = RrPool::open_mapped(&path) {
                 assert!(
                     view.verify().is_err(),
                     "mmap verify accepted a bit flip at byte {pos}"
@@ -324,6 +322,111 @@ fn hostile_section_tables_are_rejected() {
 }
 
 #[test]
+fn structural_pool_corruption_is_rejected_by_both_readers() {
+    let dir = tmpdir("structure");
+    let (_, pristine) = write_sample(&dir, "src");
+    let sections = table(&pristine);
+    let mut want = sample().sets;
+    want.ensure_inverted_index();
+    // Section checksums guard random flips; these mutants also FIX UP the
+    // section's checksum and the header, so only the structural checks
+    // can catch them — the path a hostile-but-consistent file takes.
+    let reseal_section = |bytes: &mut Vec<u8>, i: usize| {
+        let (offset, len) = (sections[i].0 as usize, sections[i].1 as usize);
+        let (mut hash, prime) = (0xcbf2_9ce4_8422_2325u64, 0x100_0000_01b3u64);
+        for &b in &bytes[offset..offset + len] {
+            hash ^= u64::from(b);
+            hash = hash.wrapping_mul(prime);
+        }
+        let at = TABLE_AT + i * 32 + 24;
+        bytes[at..at + 8].copy_from_slice(&hash.to_le_bytes());
+        reseal_header(bytes);
+    };
+    let u64_at = |i: usize, j: usize| {
+        let at = sections[i].0 as usize + j * 8;
+        u64::from_le_bytes(pristine[at..at + 8].try_into().unwrap())
+    };
+    let u32_at = |i: usize, j: usize| {
+        let at = sections[i].0 as usize + j * 4;
+        u32::from_le_bytes(pristine[at..at + 4].try_into().unwrap())
+    };
+    let mutant = |i: usize, at_byte: usize, value: &[u8]| {
+        let mut bytes = pristine.clone();
+        let at = sections[i].0 as usize + at_byte;
+        bytes[at..at + value.len()].copy_from_slice(value);
+        reseal_section(&mut bytes, i);
+        bytes
+    };
+    // The first node with a posting list of at least two sets.
+    let (universe, sets) = (want.universe(), want.len());
+    let fat = (1..universe)
+        .find(|&v| u64_at(2, v + 1) - u64_at(2, v) >= 2)
+        .expect("some node is in two sets");
+    let first = u64_at(2, fat) as usize;
+
+    let mutants = [
+        (
+            "decreasing set offset",
+            mutant(0, 8, &(u64_at(0, 2) + 1).to_le_bytes()),
+        ),
+        (
+            "member outside the universe",
+            mutant(1, 0, &(universe as u32).to_le_bytes()),
+        ),
+        (
+            "posting entry past the set count",
+            mutant(3, 0, &(sets as u32).to_le_bytes()),
+        ),
+        (
+            "posting list out of order",
+            mutant(
+                3,
+                first * 4,
+                &[
+                    u32_at(3, first + 1).to_le_bytes(),
+                    u32_at(3, first).to_le_bytes(),
+                ]
+                .concat(),
+            ),
+        ),
+        (
+            "posting-list length disagreeing with the arena",
+            mutant(2, fat * 8, &(u64_at(2, fat) + 1).to_le_bytes()),
+        ),
+    ];
+    for (what, bytes) in mutants {
+        let path = dir.join("mutant.timp");
+        std::fs::write(&path, &bytes).unwrap();
+        if let Ok(mapped) = RrPool::open_mapped(&path) {
+            assert!(
+                mapped.verify().is_err(),
+                "{what}: mapped open + verify accepted it"
+            );
+        }
+        // The heap decode ignores the stored index, so an index-only edit
+        // may load — but then it must answer exactly as the pristine pool.
+        if let Ok(mut heap) = RrPool::load(&path) {
+            heap.sets.ensure_inverted_index();
+            for k in [1, 3, 8] {
+                assert_eq!(
+                    tim_coverage::greedy_max_cover_indexed(&heap.sets, k),
+                    tim_coverage::greedy_max_cover_indexed(&want, k),
+                    "{what}: heap select {k} differs"
+                );
+            }
+            for seeds in [&[0u32][..], &[1, 2, 3], &[fat as u32, 7]] {
+                assert_eq!(
+                    heap.sets.count_covered(seeds),
+                    want.count_covered(seeds),
+                    "{what}: heap count_covered({seeds:?}) differs"
+                );
+            }
+        }
+    }
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+#[test]
 fn version_gates_route_v1_and_v2_transparently() {
     // Both directions of the sniffing contract: v1 pools keep loading
     // unchanged on a v2-aware build, and the mapped reader refuses v1
@@ -343,7 +446,7 @@ fn version_gates_route_v1_and_v2_transparently() {
     assert_eq!(from_v2.meta, pool.meta);
     assert_eq!(from_v1.sets.len(), from_v2.sets.len());
 
-    let err = PoolMmap::open(&v1).unwrap_err().to_string();
+    let err = RrPool::open_mapped(&v1).unwrap_err().to_string();
     assert!(err.contains("not a v2 pool"), "got: {err}");
     std::fs::remove_dir_all(&dir).ok();
 }

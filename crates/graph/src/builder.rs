@@ -121,7 +121,7 @@ impl GraphBuilder {
         let m = self.edges.len();
 
         // Forward CSR directly from the sorted order.
-        let mut out_offsets = vec![0usize; n + 1];
+        let mut out_offsets = vec![0u64; n + 1];
         for &(u, _, _) in &self.edges {
             out_offsets[u as usize + 1] += 1;
         }
@@ -136,7 +136,7 @@ impl GraphBuilder {
         }
 
         // Reverse CSR by counting sort on destination.
-        let mut in_offsets = vec![0usize; n + 1];
+        let mut in_offsets = vec![0u64; n + 1];
         for &(_, v, _) in &self.edges {
             in_offsets[v as usize + 1] += 1;
         }
@@ -147,7 +147,7 @@ impl GraphBuilder {
         let mut in_sources = vec![0 as NodeId; m];
         let mut in_probs = vec![0.0f32; m];
         for &(u, v, p) in &self.edges {
-            let slot = cursor[v as usize];
+            let slot = cursor[v as usize] as usize;
             in_sources[slot] = u;
             in_probs[slot] = p;
             cursor[v as usize] += 1;
@@ -155,12 +155,12 @@ impl GraphBuilder {
 
         let g = Graph {
             n,
-            out_offsets,
-            out_targets,
-            out_probs,
-            in_offsets,
-            in_sources,
-            in_probs,
+            out_offsets: out_offsets.into(),
+            out_targets: out_targets.into(),
+            out_probs: out_probs.into(),
+            in_offsets: in_offsets.into(),
+            in_sources: in_sources.into(),
+            in_probs: in_probs.into(),
         };
         debug_assert!(g.validate().is_ok(), "builder produced invalid CSR");
         g

@@ -1,74 +1,9 @@
 //! The CSR graph and its accessors.
 
-use crate::NodeId;
-
-/// Read-only access to a probability-weighted CSR graph — the accessor
-/// surface that RR-set sampling, forward simulation, and greedy coverage
-/// actually touch, abstracted over the backing storage.
-///
-/// Two implementations exist: the heap-resident [`Graph`] (adjacency in
-/// `Vec`s) and the zero-copy [`MmapCsr`](crate::MmapCsr) view over a
-/// memory-mapped `.timg` v2 snapshot. Generic samplers take `G: CsrAccess`
-/// and are monomorphized per backing, so the hot heap path keeps exactly
-/// the codegen it had when it was written against `&Graph` directly.
-///
-/// Implementations must guarantee that for every `v < n()` the accessor
-/// methods return without panicking and that the neighbor/probability
-/// slices for `v` have equal lengths; both backings validate their CSR
-/// structure at construction time to uphold this.
-pub trait CsrAccess: Sync {
-    /// Number of nodes `n`.
-    fn n(&self) -> usize;
-    /// Number of directed edges `m`.
-    fn m(&self) -> usize;
-    /// Out-degree of `v`.
-    fn out_degree(&self, v: NodeId) -> usize;
-    /// In-degree of `v`.
-    fn in_degree(&self, v: NodeId) -> usize;
-    /// Targets of `v`'s out-edges.
-    fn out_neighbors(&self, v: NodeId) -> &[NodeId];
-    /// Probabilities aligned with [`out_neighbors`](Self::out_neighbors).
-    fn out_probabilities(&self, v: NodeId) -> &[f32];
-    /// Sources of `v`'s in-edges.
-    fn in_neighbors(&self, v: NodeId) -> &[NodeId];
-    /// Probabilities aligned with [`in_neighbors`](Self::in_neighbors).
-    fn in_probabilities(&self, v: NodeId) -> &[f32];
-}
-
-impl CsrAccess for Graph {
-    #[inline]
-    fn n(&self) -> usize {
-        Graph::n(self)
-    }
-    #[inline]
-    fn m(&self) -> usize {
-        Graph::m(self)
-    }
-    #[inline]
-    fn out_degree(&self, v: NodeId) -> usize {
-        Graph::out_degree(self, v)
-    }
-    #[inline]
-    fn in_degree(&self, v: NodeId) -> usize {
-        Graph::in_degree(self, v)
-    }
-    #[inline]
-    fn out_neighbors(&self, v: NodeId) -> &[NodeId] {
-        Graph::out_neighbors(self, v)
-    }
-    #[inline]
-    fn out_probabilities(&self, v: NodeId) -> &[f32] {
-        Graph::out_probabilities(self, v)
-    }
-    #[inline]
-    fn in_neighbors(&self, v: NodeId) -> &[NodeId] {
-        Graph::in_neighbors(self, v)
-    }
-    #[inline]
-    fn in_probabilities(&self, v: NodeId) -> &[f32] {
-        Graph::in_probabilities(self, v)
-    }
-}
+use crate::mmap::{Array, Mmap};
+use crate::{GraphError, NodeId};
+use std::ops::Range;
+use std::sync::Arc;
 
 /// A directed graph with per-edge propagation probabilities, stored as a
 /// pair of CSR adjacency structures (forward and reverse).
@@ -77,7 +12,10 @@ impl CsrAccess for Graph {
 /// [`Graph::assign_probabilities`], which keeps both directions consistent.
 ///
 /// Construct with [`GraphBuilder`](crate::GraphBuilder), the generators in
-/// [`gen`](crate::gen), or the loaders in [`io`](crate::io).
+/// [`gen`](crate::gen), or the loaders in [`io`](crate::io); or open a v2
+/// snapshot zero-copy with [`GraphStore::open_mmap`](crate::GraphStore::open_mmap),
+/// which yields this same type with its six arrays viewing the mapping
+/// (see [`Array`]). Offsets are `u64`, as on disk.
 ///
 /// ```
 /// use tim_graph::{GraphBuilder, weights};
@@ -96,13 +34,13 @@ impl CsrAccess for Graph {
 pub struct Graph {
     pub(crate) n: usize,
     // Forward direction: out-edges of each node.
-    pub(crate) out_offsets: Vec<usize>,
-    pub(crate) out_targets: Vec<NodeId>,
-    pub(crate) out_probs: Vec<f32>,
+    pub(crate) out_offsets: Array<u64>,
+    pub(crate) out_targets: Array<NodeId>,
+    pub(crate) out_probs: Array<f32>,
     // Reverse direction: in-edges of each node (the transpose G^T).
-    pub(crate) in_offsets: Vec<usize>,
-    pub(crate) in_sources: Vec<NodeId>,
-    pub(crate) in_probs: Vec<f32>,
+    pub(crate) in_offsets: Array<u64>,
+    pub(crate) in_sources: Array<NodeId>,
+    pub(crate) in_probs: Array<f32>,
 }
 
 /// Summary degree statistics, as reported in the paper's Table 2.
@@ -155,47 +93,54 @@ impl Graph {
         self.out_targets.len()
     }
 
+    /// Edge range of `v` in one CSR half, clamped so that `lo <= hi <= m`:
+    /// offsets are validated at construction, so the clamp is the
+    /// identity, but a racing writer under a mapping then yields a short
+    /// slice instead of an out-of-range one. (Two `min`s rather than
+    /// `clamp`: measurably cheaper in the RR-sampling loop.)
+    #[inline]
+    fn range(&self, offsets: &[u64], v: NodeId) -> Range<usize> {
+        let v = v as usize;
+        let hi = (offsets[v + 1] as usize).min(self.m());
+        let lo = (offsets[v] as usize).min(hi);
+        lo..hi
+    }
+
     /// Out-degree of `v`.
     #[inline]
     pub fn out_degree(&self, v: NodeId) -> usize {
-        let v = v as usize;
-        self.out_offsets[v + 1] - self.out_offsets[v]
+        self.range(&self.out_offsets, v).len()
     }
 
     /// In-degree of `v` — the quantity that defines RR-set width `w(R)`
     /// (Equation 1) and the `V*` distribution (Lemma 4).
     #[inline]
     pub fn in_degree(&self, v: NodeId) -> usize {
-        let v = v as usize;
-        self.in_offsets[v + 1] - self.in_offsets[v]
+        self.range(&self.in_offsets, v).len()
     }
 
     /// Targets of `v`'s out-edges.
     #[inline]
     pub fn out_neighbors(&self, v: NodeId) -> &[NodeId] {
-        let v = v as usize;
-        &self.out_targets[self.out_offsets[v]..self.out_offsets[v + 1]]
+        &self.out_targets[self.range(&self.out_offsets, v)]
     }
 
     /// Probabilities aligned with [`out_neighbors`](Self::out_neighbors).
     #[inline]
     pub fn out_probabilities(&self, v: NodeId) -> &[f32] {
-        let v = v as usize;
-        &self.out_probs[self.out_offsets[v]..self.out_offsets[v + 1]]
+        &self.out_probs[self.range(&self.out_offsets, v)]
     }
 
     /// Sources of `v`'s in-edges.
     #[inline]
     pub fn in_neighbors(&self, v: NodeId) -> &[NodeId] {
-        let v = v as usize;
-        &self.in_sources[self.in_offsets[v]..self.in_offsets[v + 1]]
+        &self.in_sources[self.range(&self.in_offsets, v)]
     }
 
     /// Probabilities aligned with [`in_neighbors`](Self::in_neighbors).
     #[inline]
     pub fn in_probabilities(&self, v: NodeId) -> &[f32] {
-        let v = v as usize;
-        &self.in_probs[self.in_offsets[v]..self.in_offsets[v + 1]]
+        &self.in_probs[self.range(&self.in_offsets, v)]
     }
 
     /// Iterates over all edges as `(src, dst, p)`, grouped by source.
@@ -253,77 +198,86 @@ impl Graph {
     /// # Panics
     /// Panics (debug builds) if `f` returns a value outside `[0, 1]`.
     pub fn assign_probabilities(&mut self, mut f: impl FnMut(NodeId, NodeId) -> f32) {
-        for u in 0..self.n {
-            let (start, end) = (self.out_offsets[u], self.out_offsets[u + 1]);
-            for idx in start..end {
-                let p = f(u as NodeId, self.out_targets[idx]);
-                debug_assert!((0.0..=1.0).contains(&p), "probability {p} out of range");
-                self.out_probs[idx] = p;
+        let n = self.n;
+        let (out_offsets, out_targets) = (&self.out_offsets, &self.out_targets);
+        self.out_probs.edit(|probs| {
+            for u in 0..n {
+                for idx in out_offsets[u] as usize..out_offsets[u + 1] as usize {
+                    let p = f(u as NodeId, out_targets[idx]);
+                    debug_assert!((0.0..=1.0).contains(&p), "probability {p} out of range");
+                    probs[idx] = p;
+                }
             }
-        }
-        for v in 0..self.n {
-            let (start, end) = (self.in_offsets[v], self.in_offsets[v + 1]);
-            for idx in start..end {
-                let p = f(self.in_sources[idx], v as NodeId);
-                debug_assert!((0.0..=1.0).contains(&p), "probability {p} out of range");
-                self.in_probs[idx] = p;
+        });
+        let (in_offsets, in_sources) = (&self.in_offsets, &self.in_sources);
+        self.in_probs.edit(|probs| {
+            for v in 0..n {
+                for idx in in_offsets[v] as usize..in_offsets[v + 1] as usize {
+                    let p = f(in_sources[idx], v as NodeId);
+                    debug_assert!((0.0..=1.0).contains(&p), "probability {p} out of range");
+                    probs[idx] = p;
+                }
             }
-        }
+        });
     }
 
     /// Total heap bytes held by the adjacency arrays (used by the memory
-    /// experiment, Figure 12, to report graph-vs-RR-set footprints).
+    /// experiment, Figure 12, to report graph-vs-RR-set footprints); 0
+    /// for a graph served from a mapped snapshot.
     pub fn memory_bytes(&self) -> usize {
-        use std::mem::size_of;
-        self.out_offsets.capacity() * size_of::<usize>()
-            + self.in_offsets.capacity() * size_of::<usize>()
-            + self.out_targets.capacity() * size_of::<NodeId>()
-            + self.in_sources.capacity() * size_of::<NodeId>()
-            + self.out_probs.capacity() * size_of::<f32>()
-            + self.in_probs.capacity() * size_of::<f32>()
+        self.out_offsets.heap_bytes()
+            + self.in_offsets.heap_bytes()
+            + self.out_targets.heap_bytes()
+            + self.in_sources.heap_bytes()
+            + self.out_probs.heap_bytes()
+            + self.in_probs.heap_bytes()
     }
 
-    /// Checks internal CSR invariants; used by tests and debug assertions.
+    /// The v2 snapshot mapping this graph's arrays view, or `None` for a
+    /// graph held on the heap.
+    pub fn mapping(&self) -> Option<&Arc<Mmap>> {
+        self.out_offsets.mapping()
+    }
+
+    /// Re-hashes every section of the snapshot this graph maps against
+    /// the checksums its header records: the integrity pass that opening
+    /// defers. O(file size); faults in every page. A heap graph has no
+    /// file to check and passes.
+    pub fn verify(&self) -> Result<(), GraphError> {
+        match self.mapping() {
+            Some(map) => crate::snapshot::verify_v2_sections(map.bytes()).map(drop),
+            None => Ok(()),
+        }
+    }
+
+    /// Checks every CSR invariant, whichever arrays own the data: offsets
+    /// run monotonically from 0 to `m` in both directions, every endpoint
+    /// names a node below `n`, and every probability lies in `[0, 1]`.
+    /// Afterwards no accessor can panic for `v < n`. Snapshot decoders
+    /// and the zero-copy open run it on untrusted bytes.
     pub fn validate(&self) -> Result<(), String> {
-        if self.out_offsets.len() != self.n + 1 || self.in_offsets.len() != self.n + 1 {
-            return Err("offset arrays must have n+1 entries".into());
-        }
-        if self.out_offsets[0] != 0 || self.in_offsets[0] != 0 {
-            return Err("offsets must start at 0".into());
-        }
-        if !self.out_offsets.windows(2).all(|w| w[0] <= w[1]) {
-            return Err("out offsets must be non-decreasing".into());
-        }
-        if !self.in_offsets.windows(2).all(|w| w[0] <= w[1]) {
-            return Err("in offsets must be non-decreasing".into());
-        }
-        if *self.out_offsets.last().unwrap() != self.out_targets.len() {
-            return Err("out offsets must end at edge count".into());
-        }
-        if *self.in_offsets.last().unwrap() != self.in_sources.len() {
-            return Err("in offsets must end at edge count".into());
-        }
-        if self.out_targets.len() != self.in_sources.len() {
-            return Err("forward and reverse edge counts differ".into());
-        }
-        if self.out_probs.len() != self.out_targets.len()
-            || self.in_probs.len() != self.in_sources.len()
-        {
-            return Err("probability arrays must align with edge arrays".into());
-        }
-        for &t in &self.out_targets {
-            if t as usize >= self.n {
-                return Err(format!("out target {t} out of range"));
+        let m = self.m();
+        for (what, offsets, endpoints, probs) in [
+            ("out", &self.out_offsets, &self.out_targets, &self.out_probs),
+            ("in", &self.in_offsets, &self.in_sources, &self.in_probs),
+        ] {
+            if offsets.len() != self.n + 1 {
+                return Err(format!("{what} offsets must have n+1 entries"));
             }
-        }
-        for &s in &self.in_sources {
-            if s as usize >= self.n {
-                return Err(format!("in source {s} out of range"));
+            if offsets[0] != 0 || offsets[self.n] != m as u64 {
+                return Err(format!("{what} offsets must run from 0 to the edge count"));
             }
-        }
-        for &p in self.out_probs.iter().chain(self.in_probs.iter()) {
-            if !(0.0..=1.0).contains(&p) {
-                return Err(format!("probability {p} out of range"));
+            if offsets.windows(2).any(|w| w[0] > w[1]) {
+                return Err(format!("{what} offsets must be non-decreasing"));
+            }
+            if endpoints.len() != m || probs.len() != m {
+                return Err(format!("{what} edge arrays must hold m = {m} entries"));
+            }
+            if let Some(&bad) = endpoints.iter().find(|&&e| e as usize >= self.n) {
+                return Err(format!("{what} endpoint {bad} out of range"));
+            }
+            if let Some(&bad) = probs.iter().find(|&&p| !(0.0..=1.0).contains(&p)) {
+                return Err(format!("probability {bad} out of range"));
             }
         }
         Ok(())

@@ -24,10 +24,12 @@
 //! - [`snapshot`] — versioned, checksummed binary graph snapshots
 //!   (`.timg`): the heap-oriented v1 layout plus the page-aligned,
 //!   mmap-able v2 layout;
-//! - [`MmapCsr`] / [`GraphStore`] — zero-copy out-of-core serving: a v2
-//!   snapshot mapped read-only behind the same [`CsrAccess`] trait the
-//!   heap [`Graph`] implements, dispatched once per operation through a
-//!   backing-agnostic store handle.
+//! - [`Array`] / [`Mmap`] — zero-copy out-of-core serving: every CSR
+//!   array either owns a `Vec` or views a section of a read-only file
+//!   mapping, so [`GraphStore::open_mmap`] serves a v2 snapshot as the
+//!   same [`Graph`] a heap load builds;
+//! - [`GraphStore`] — the shared graph handle the engine and server hold,
+//!   with the content checksum that keys pool provenance.
 
 pub mod analysis;
 mod builder;
@@ -42,10 +44,10 @@ mod store;
 pub mod weights;
 
 pub use builder::GraphBuilder;
-pub use csr::{CsrAccess, DegreeStats, Graph};
+pub use csr::{DegreeStats, Graph};
 pub use error::GraphError;
-pub use mmap::{Mmap, MmapCsr};
-pub use store::{CsrView, GraphStore};
+pub use mmap::{Array, Element, Mmap};
+pub use store::GraphStore;
 
 /// A node identifier. Dense in `[0, n)`.
 pub type NodeId = u32;

@@ -1,49 +1,56 @@
-//! Zero-copy, memory-mapped file views.
+//! Zero-copy, memory-mapped file views, and the array type that owns or
+//! maps every large array in the workspace.
 //!
-//! [`Mmap`] is the reusable primitive: a whole file mapped read-only
-//! (`PROT_READ` + `MAP_PRIVATE`) with naturally-aligned `u64`/`u32`
-//! slice carving and `madvise` paging hints. It is what every
-//! page-aligned binary format in the workspace maps through — the
+//! [`Mmap`] is the mapping primitive: a whole file mapped read-only
+//! (`PROT_READ` + `MAP_PRIVATE`) with `madvise` paging hints. Every
+//! page-aligned binary format in the workspace maps through it — the
 //! `.timg` v2 snapshots here and the `.timp` v2 RR-set pools in
-//! `tim_coverage`/`tim_engine`.
+//! `tim_engine`. The syscall bindings (`mmap`/`munmap`/`madvise`) follow
+//! the same dependency-free `extern "C"` idiom as the epoll reactor in
+//! `tim_server`.
 //!
-//! [`MmapCsr`] builds on it: a [`snapshot`] v2 file served as
-//! [`CsrAccess`] slices straight out of the mapping. The kernel pages
-//! the graph in on demand, so attaching a multi-gigabyte snapshot
-//! costs a header parse plus one structural scan instead of a full heap
-//! decode, and graphs larger than RAM stay servable. The syscall bindings
-//! (`mmap`/`munmap`/`madvise`) follow the same dependency-free `extern
-//! "C"` idiom as the epoll reactor in `tim_server`.
+//! [`Array`] is the storage of both costly artifacts: the six CSR arrays
+//! of a [`Graph`](crate::Graph) and the four arrays of an RR-set
+//! collection in `tim_coverage`. It holds either a `Vec` or a section of
+//! a shared mapping and dereferences to `&[T]` through a cached pointer,
+//! so a graph opened from a v2 snapshot is the same `Graph` a heap load
+//! builds, and the samplers and greedy run one monomorphization over
+//! either owner. The kernel pages a mapped array in on demand, so
+//! attaching a multi-gigabyte file costs a header parse plus one
+//! structural scan, and artifacts larger than RAM stay servable.
 //!
 //! # Safety argument
 //!
 //! Every `unsafe` block in this module rests on the same three pillars:
 //!
-//! 1. **The mapping outlives every borrow.** [`Mmap`] owns the mapping
-//!    and only unmaps in `Drop`; the returned slices borrow `&self`, so
-//!    the borrow checker ties their lifetime to the mapping's.
+//! 1. **The mapping outlives every borrow.** [`Mmap`] only unmaps in
+//!    `Drop`. Slices from [`Mmap`] borrow `&self`; a mapped [`Array`]
+//!    holds an `Arc<Mmap>`, so the mapping lives as long as any array
+//!    that views it, and the array's slices borrow the array.
 //! 2. **The mapping is immutable.** `PROT_READ` + `MAP_PRIVATE` means
 //!    neither this process nor (through this mapping) any other can write
 //!    the pages; writes to the underlying file by another process are not
-//!    ordered with our reads, which is why [`MmapCsr::verify`] exists for
-//!    callers that distrust the file, and why every *structural* invariant
-//!    (offsets, endpoints, probabilities) is validated eagerly at open
-//!    into crate-private copies of `n`/`m`/section bounds that a racing
-//!    writer cannot retroactively change. A torn read of *data* (targets,
-//!    probabilities) under a racing writer can change results but cannot
-//!    read out of bounds: every slice is carved from the validated
-//!    section bounds, and sampling clamps endpoints defensively.
+//!    ordered with our reads, which is why the formats keep a deferred
+//!    checksum pass (`Graph::verify`, `RrPool::verify`) for callers that
+//!    distrust the file, and why every *structural* invariant (offsets,
+//!    endpoints, probabilities) is validated eagerly at open into the
+//!    arrays' private copies of their bounds, which a racing writer
+//!    cannot retroactively change. A torn read of *data* under a racing
+//!    writer can change results but cannot read out of bounds: every
+//!    slice is carved from the validated bounds, and the accessors clamp
+//!    offsets defensively.
 //! 3. **Alignment is guaranteed by the format.** v2 sections start on
 //!    4096-byte boundaries and `mmap` returns page-aligned addresses, so
-//!    reinterpreting section bytes as `u64`/`u32` is always
-//!    naturally-aligned. The decoder additionally rejects files on
-//!    big-endian hosts, where zero-copy reinterpretation of the
-//!    little-endian sections would be wrong.
+//!    reinterpreting section bytes as `u64`/`u32`/`f32` is always
+//!    naturally-aligned ([`Array::mapped`] checks it anyway).
+//!    [`Mmap::open`] additionally rejects big-endian hosts, where
+//!    zero-copy reinterpretation of the little-endian sections would be
+//!    wrong.
 
-use crate::csr::CsrAccess;
-use crate::snapshot::{self, v2_section, Fnv1a, V2Layout, V2_SECTION_COUNT};
-use crate::{GraphError, NodeId};
+use crate::GraphError;
+use std::ops::Deref;
 use std::path::Path;
+use std::sync::Arc;
 
 fn snap_err(message: impl Into<String>) -> GraphError {
     GraphError::Snapshot {
@@ -84,9 +91,8 @@ mod sys {
 /// A whole file mapped read-only (`PROT_READ` + `MAP_PRIVATE`),
 /// page-aligned by the kernel.
 ///
-/// The reusable mapping primitive behind every zero-copy view in the
-/// workspace: [`MmapCsr`] for `.timg` graph snapshots, `MmapSets` in
-/// `tim_coverage` for `.timp` RR-set pools. [`open`](Mmap::open) rejects
+/// The mapping primitive behind every mapped [`Array`]: `.timg` graph
+/// snapshots and `.timp` RR-set pools. [`open`](Mmap::open) rejects
 /// empty files, non-unix hosts, and big-endian hosts (the page-aligned
 /// formats are little-endian on disk, so zero-copy reinterpretation
 /// would be wrong); dropping the value unmaps the file.
@@ -183,36 +189,6 @@ impl Mmap {
         unsafe { std::slice::from_raw_parts(self.base, self.len) }
     }
 
-    /// `count` little-endian `u64`s starting at byte `offset`.
-    ///
-    /// # Panics
-    /// Panics if `offset` is not 8-aligned or the range leaves the
-    /// mapping — callers carve sections whose bounds a format parser has
-    /// already validated, so a trip here is a caller bug, not bad data.
-    #[inline]
-    pub fn u64s(&self, offset: usize, count: usize) -> &[u64] {
-        let len = count.checked_mul(8).expect("section length overflows");
-        assert!(offset % 8 == 0, "u64 section offset must be 8-aligned");
-        assert!(offset.checked_add(len).is_some_and(|e| e <= self.len));
-        // SAFETY: in bounds and aligned per the asserts above, the
-        // mapping is live for &self's lifetime (pillar 1), and any u64
-        // bit pattern is valid (pillar 3).
-        unsafe { std::slice::from_raw_parts(self.base.add(offset).cast::<u64>(), count) }
-    }
-
-    /// `count` little-endian `u32`s starting at byte `offset`.
-    ///
-    /// # Panics
-    /// As [`u64s`](Mmap::u64s), with 4-byte alignment.
-    #[inline]
-    pub fn u32s(&self, offset: usize, count: usize) -> &[u32] {
-        let len = count.checked_mul(4).expect("section length overflows");
-        assert!(offset % 4 == 0, "u32 section offset must be 4-aligned");
-        assert!(offset.checked_add(len).is_some_and(|e| e <= self.len));
-        // SAFETY: as u64s(), for u32.
-        unsafe { std::slice::from_raw_parts(self.base.add(offset).cast::<u32>(), count) }
-    }
-
     /// Advises the kernel the whole mapping will be accessed randomly.
     /// Best-effort: errors are ignored — default paging is slower, not
     /// wrong.
@@ -258,220 +234,177 @@ impl std::fmt::Debug for Mmap {
     }
 }
 
-/// A read-only memory-mapped v2 snapshot serving the [`CsrAccess`] API
-/// with zero copies (labels excepted — see [`MmapCsr::labels`]).
+/// Element types an [`Array`] can view straight out of a mapping: plain
+/// little-endian scalars whose alignment divides their width and for
+/// which every bit pattern is a valid value. Sealed: `u32`, `u64` and
+/// `f32`.
+pub trait Element: Copy + Send + Sync + 'static + sealed::Sealed {}
+
+mod sealed {
+    pub trait Sealed {}
+    impl Sealed for u32 {}
+    impl Sealed for u64 {}
+    impl Sealed for f32 {}
+}
+
+impl Element for u32 {}
+impl Element for u64 {}
+impl Element for f32 {}
+
+/// An array that either owns its elements (a `Vec`) or views a section
+/// of a shared file mapping.
 ///
-/// Opening validates the header, the section table, and the full CSR
-/// structure (offset monotonicity, endpoint ranges, probability ranges),
-/// so the accessors can never panic or read out of bounds for any node
-/// `v < n`. Per-section content checksums are **deferred**: call
-/// [`MmapCsr::verify`] to pay the full integrity pass when the file's
-/// provenance is in doubt. Dropping the view unmaps the file.
-#[derive(Debug)]
-pub struct MmapCsr {
-    map: Mmap,
-    n: usize,
-    m: usize,
-    checksum: u64,
-    /// Byte offset of each section from the mapping base, in
-    /// `v2_section` order.
-    sections: [usize; V2_SECTION_COUNT],
-    /// Per-section FNV checksums from the table, for [`MmapCsr::verify`].
-    section_fnv: [u64; V2_SECTION_COUNT],
+/// Dereferences to `&[T]` through a pointer and length cached at
+/// construction, with no branch on the owner, so reading one costs what
+/// reading a `Vec` costs. Cloning a mapped array shares the mapping;
+/// cloning an owned one copies the elements. [`edit`](Array::edit)
+/// copies a mapped array onto the heap first (copy on write), so a
+/// mapped artifact can still be grown or re-weighted.
+pub struct Array<T: Element> {
+    /// First element: the `Vec`'s buffer, or a checked, aligned address
+    /// inside the mapping `owner` holds.
+    ptr: *const T,
+    len: usize,
+    owner: Owner<T>,
 }
 
-impl MmapCsr {
-    /// Maps the v2 snapshot at `path` and validates everything needed to
-    /// make the accessors infallible.
-    ///
-    /// Errors with a clean [`GraphError`] when the file is not a v2
-    /// snapshot (use [`snapshot::snapshot_version`] to sniff first), when
-    /// any structural invariant fails, and on non-unix or big-endian
-    /// hosts where zero-copy mapping is not implemented (the eager heap
-    /// decoder in [`snapshot::load_snapshot`] remains fully portable).
-    pub fn open<P: AsRef<Path>>(path: P) -> Result<MmapCsr, GraphError> {
-        let map = Mmap::open(path)?;
-        let layout = snapshot::parse_v2_layout(map.bytes(), map.len() as u64)?;
-        let view = Self::from_layout(map, &layout)?;
+enum Owner<T> {
+    Heap(Vec<T>),
+    Mapped(Arc<Mmap>),
+}
 
-        view.map.advise_random();
-        // Offsets are touched for every sampled node; fault the header
-        // and both offset sections in up front.
-        view.map
-            .advise_willneed_prefix(view.sections[v2_section::OUT_TARGETS]);
-        Ok(view)
+// SAFETY: `ptr` points into data `owner` owns — a `Vec<T>` or an
+// `Arc<Mmap>`, both Send + Sync for `T: Element` — and is only read
+// through (writes go through `edit`, which needs `&mut self`), so moving
+// or sharing an `Array` moves or shares exactly what `owner` would.
+unsafe impl<T: Element> Send for Array<T> {}
+// SAFETY: as above — concurrent readers of data no `&Array` can mutate.
+unsafe impl<T: Element> Sync for Array<T> {}
+
+impl<T: Element> Array<T> {
+    /// `count` elements of `T` starting at byte `offset` of `map`,
+    /// without copying. Errors when the range overflows, leaves the
+    /// mapping, or is not aligned for `T`.
+    pub fn mapped(map: &Arc<Mmap>, offset: usize, count: usize) -> Result<Array<T>, String> {
+        let width = std::mem::size_of::<T>();
+        let len = count.checked_mul(width).ok_or("section length overflows")?;
+        let end = offset.checked_add(len).ok_or("section end overflows")?;
+        if end > map.len() {
+            return Err(format!(
+                "section [{offset}, {end}) leaves the {}-byte mapping",
+                map.len()
+            ));
+        }
+        if offset % width != 0 {
+            return Err(format!("section offset {offset} is not {width}-aligned"));
+        }
+        Ok(Array {
+            // In bounds and aligned per the checks above: the mapping's
+            // base is page-aligned and every Element's alignment divides
+            // its width (pillar 3).
+            ptr: map.bytes()[offset..].as_ptr().cast::<T>(),
+            len: count,
+            owner: Owner::Mapped(Arc::clone(map)),
+        })
     }
 
-    /// Builds the view over an already-validated layout, then runs the
-    /// eager structural scan that makes the accessors infallible.
-    fn from_layout(map: Mmap, layout: &V2Layout) -> Result<MmapCsr, GraphError> {
-        let mut sections = [0usize; V2_SECTION_COUNT];
-        let mut section_fnv = [0u64; V2_SECTION_COUNT];
-        for (i, s) in layout.sections.iter().enumerate() {
-            // In-bounds per parse_v2_layout; usize conversion cannot
-            // truncate because offset + len <= file_len <= usize::MAX.
-            sections[i] = s.offset as usize;
-            section_fnv[i] = s.fnv;
+    /// The mapping this array views, or `None` when it owns a `Vec`.
+    pub fn mapping(&self) -> Option<&Arc<Mmap>> {
+        match &self.owner {
+            Owner::Heap(_) => None,
+            Owner::Mapped(map) => Some(map),
         }
-        let view = MmapCsr {
-            map,
-            n: layout.n as usize,
-            m: layout.m as usize,
-            checksum: layout.checksum,
-            sections,
-            section_fnv,
+    }
+
+    /// Heap bytes the array holds (its `Vec`'s capacity); 0 when mapped.
+    pub fn heap_bytes(&self) -> usize {
+        match &self.owner {
+            Owner::Heap(vec) => vec.capacity() * std::mem::size_of::<T>(),
+            Owner::Mapped(_) => 0,
+        }
+    }
+
+    /// Edits the elements as a `Vec`, copying a mapped array onto the
+    /// heap first (copy on write).
+    #[inline]
+    pub fn edit<R>(&mut self, f: impl FnOnce(&mut Vec<T>) -> R) -> R {
+        if let Owner::Mapped(_) = self.owner {
+            self.copy_onto_heap();
+        }
+        // Until the cache is refreshed below, a panic in `f` leaves an
+        // empty view rather than one of a buffer `f` reallocated.
+        self.len = 0;
+        let Owner::Heap(vec) = &mut self.owner else {
+            unreachable!("copied onto the heap above")
         };
-        snapshot::validate_v2_csr(
-            layout.n,
-            layout.m,
-            view.offsets(v2_section::OUT_OFFSETS),
-            view.endpoints(v2_section::OUT_TARGETS),
-            view.offsets(v2_section::IN_OFFSETS),
-            view.endpoints(v2_section::IN_SOURCES),
-            [
-                view.prob_bits(v2_section::OUT_PROBS),
-                view.prob_bits(v2_section::IN_PROBS),
-            ],
-        )?;
-        Ok(view)
+        let out = f(vec);
+        self.ptr = vec.as_ptr();
+        self.len = vec.len();
+        out
     }
 
-    /// Byte length of section `i` (exact for `n`/`m`, validated at open).
-    fn section_len(&self, i: usize) -> usize {
-        snapshot::v2_expected_len(i, self.n as u64, self.m as u64).expect("validated at open")
-            as usize
+    /// The copy half of copy on write, kept out of line so the common
+    /// (heap) path of [`edit`](Array::edit) stays small enough to inline
+    /// into per-set loops such as `SetCollection::push`.
+    #[cold]
+    #[inline(never)]
+    fn copy_onto_heap(&mut self) {
+        *self = Array::from(self.to_vec());
     }
+}
 
-    /// Raw bytes of section `i`; bounds come from the validated table.
-    fn section_bytes(&self, i: usize) -> &[u8] {
-        &self.map.bytes()[self.sections[i]..self.sections[i] + self.section_len(i)]
-    }
-
-    /// An offsets section as `&[u64]` (length `n + 1`).
-    fn offsets(&self, i: usize) -> &[u64] {
-        self.map.u64s(self.sections[i], self.section_len(i) / 8)
-    }
-
-    /// An endpoint section as `&[u32]` (length `m`).
-    fn endpoints(&self, i: usize) -> &[NodeId] {
-        self.map.u32s(self.sections[i], self.section_len(i) / 4)
-    }
-
-    /// A probability section as raw `&[u32]` bits (length `m`).
-    fn prob_bits(&self, i: usize) -> &[u32] {
-        self.map.u32s(self.sections[i], self.section_len(i) / 4)
-    }
-
-    /// A probability section as `&[f32]` (length `m`).
-    fn probs(&self, i: usize) -> &[f32] {
-        let bits = self.prob_bits(i);
-        // SAFETY: same base pointer and length as the validated u32
-        // view; every bit pattern is a valid f32 (NaNs were rejected by
-        // the open-time range scan, but would be *safe* regardless).
-        unsafe { std::slice::from_raw_parts(bits.as_ptr().cast::<f32>(), bits.len()) }
-    }
-
-    /// Edge range of node `v` in the section pair starting at `offsets`.
-    #[inline]
-    fn range(&self, offsets: &[u64], v: NodeId) -> std::ops::Range<usize> {
-        let v = v as usize;
-        // Clamp against m: the offsets were validated monotone 0..=m at
-        // open, so under honest files this is the identity; under a
-        // racing writer it degrades to a short slice instead of UB.
-        let lo = (offsets[v] as usize).min(self.m);
-        let hi = (offsets[v + 1] as usize).clamp(lo, self.m);
-        lo..hi
-    }
-
-    /// The content checksum recorded in the header — equal to
-    /// [`snapshot::graph_checksum`] of the heap-decoded form, so pool
-    /// provenance is identical across backings without an O(m) hash.
-    pub fn checksum(&self) -> u64 {
-        self.checksum
-    }
-
-    /// The label section (`n × u64`), borrowed from the mapping.
-    pub fn labels(&self) -> &[u64] {
-        self.offsets(v2_section::LABELS)
-    }
-
-    /// Verifies every per-section FNV checksum against the mapped bytes
-    /// — the deferred integrity pass. O(file size); faults in every page.
-    pub fn verify(&self) -> Result<(), GraphError> {
-        for i in 0..V2_SECTION_COUNT {
-            let mut h = Fnv1a::new();
-            h.update(self.section_bytes(i));
-            if h.finish() != self.section_fnv[i] {
-                return Err(snap_err(format!(
-                    "v2 section {i} checksum mismatch: table says {:#018x}, \
-                     data hashes to {:#018x}",
-                    self.section_fnv[i],
-                    h.finish()
-                )));
-            }
+impl<T: Element> From<Vec<T>> for Array<T> {
+    fn from(vec: Vec<T>) -> Array<T> {
+        Array {
+            ptr: vec.as_ptr(),
+            len: vec.len(),
+            owner: Owner::Heap(vec),
         }
-        Ok(())
-    }
-
-    /// Decodes the mapping into an owned heap [`Graph`](crate::Graph) and
-    /// label vector (an escape hatch for code that needs mutation, e.g.
-    /// re-weighting).
-    pub fn to_loaded(&self) -> Result<crate::io::LoadedGraph, GraphError> {
-        snapshot::read_snapshot(self.map.bytes())
     }
 }
 
-impl CsrAccess for MmapCsr {
-    #[inline]
-    fn n(&self) -> usize {
-        self.n
-    }
-
-    #[inline]
-    fn m(&self) -> usize {
-        self.m
-    }
-
-    #[inline]
-    fn out_degree(&self, v: NodeId) -> usize {
-        self.range(self.offsets(v2_section::OUT_OFFSETS), v).len()
-    }
-
-    #[inline]
-    fn in_degree(&self, v: NodeId) -> usize {
-        self.range(self.offsets(v2_section::IN_OFFSETS), v).len()
-    }
-
-    #[inline]
-    fn out_neighbors(&self, v: NodeId) -> &[NodeId] {
-        let r = self.range(self.offsets(v2_section::OUT_OFFSETS), v);
-        &self.endpoints(v2_section::OUT_TARGETS)[r]
-    }
-
-    #[inline]
-    fn out_probabilities(&self, v: NodeId) -> &[f32] {
-        let r = self.range(self.offsets(v2_section::OUT_OFFSETS), v);
-        &self.probs(v2_section::OUT_PROBS)[r]
-    }
-
-    #[inline]
-    fn in_neighbors(&self, v: NodeId) -> &[NodeId] {
-        let r = self.range(self.offsets(v2_section::IN_OFFSETS), v);
-        &self.endpoints(v2_section::IN_SOURCES)[r]
-    }
-
-    #[inline]
-    fn in_probabilities(&self, v: NodeId) -> &[f32] {
-        let r = self.range(self.offsets(v2_section::IN_OFFSETS), v);
-        &self.probs(v2_section::IN_PROBS)[r]
+impl<T: Element> Default for Array<T> {
+    fn default() -> Array<T> {
+        Array::from(Vec::new())
     }
 }
 
+impl<T: Element> Deref for Array<T> {
+    type Target = [T];
+
+    #[inline]
+    fn deref(&self) -> &[T] {
+        // SAFETY: `ptr`/`len` always describe initialized, aligned
+        // elements `owner` keeps alive: the `Vec`'s contents (refreshed
+        // by `edit`, the only writer), or a range of the mapping checked
+        // by `mapped` (pillars 1-3).
+        unsafe { std::slice::from_raw_parts(self.ptr, self.len) }
+    }
+}
+
+impl<T: Element> Clone for Array<T> {
+    fn clone(&self) -> Array<T> {
+        match &self.owner {
+            Owner::Heap(vec) => Array::from(vec.clone()),
+            Owner::Mapped(map) => Array {
+                ptr: self.ptr,
+                len: self.len,
+                owner: Owner::Mapped(Arc::clone(map)),
+            },
+        }
+    }
+}
+
+impl<T: Element + std::fmt::Debug> std::fmt::Debug for Array<T> {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_list().entries(self.iter()).finish()
+    }
+}
 #[cfg(all(test, unix))]
 mod tests {
     use super::*;
-    use crate::snapshot::{graph_checksum, save_snapshot, save_snapshot_v2};
-    use crate::{gen, weights, Graph};
+    use crate::snapshot::{graph_checksum, save_snapshot, save_snapshot_v2, write_snapshot_v2};
+    use crate::{gen, weights, Graph, GraphStore, NodeId};
 
     fn sample() -> (Graph, Vec<u64>) {
         let mut g = gen::barabasi_albert(120, 4, 0.1, 11);
@@ -487,15 +420,22 @@ mod tests {
     }
 
     #[test]
-    fn mmap_view_matches_heap_graph_exactly() {
+    fn mapped_graph_matches_heap_graph_exactly() {
         let (g, labels) = sample();
         let path = tmp("view.timg");
         save_snapshot_v2(&g, &labels, &path).unwrap();
-        let view = MmapCsr::open(&path).unwrap();
+        let (store, mapped_labels) = GraphStore::open_mmap(&path).unwrap();
+        let view = store.graph();
+        assert!(view.mapping().is_some());
+        assert_eq!(
+            view.memory_bytes(),
+            0,
+            "a mapped graph holds no heap arrays"
+        );
         assert_eq!(view.n(), g.n());
         assert_eq!(view.m(), g.m());
-        assert_eq!(view.checksum(), graph_checksum(&g));
-        assert_eq!(view.labels(), labels.as_slice());
+        assert_eq!(store.checksum(), graph_checksum(&g));
+        assert_eq!(&mapped_labels[..], labels.as_slice());
         for v in 0..g.n() as NodeId {
             assert_eq!(view.out_neighbors(v), g.out_neighbors(v));
             assert_eq!(view.out_probabilities(v), g.out_probabilities(v));
@@ -514,7 +454,7 @@ mod tests {
         let path = tmp("v1.timg");
         save_snapshot(&g, &labels, &path).unwrap();
         assert!(matches!(
-            MmapCsr::open(&path),
+            GraphStore::open_mmap(&path),
             Err(GraphError::Snapshot { message }) if message.contains("not a v2")
         ));
         std::fs::remove_file(&path).ok();
@@ -529,26 +469,78 @@ mod tests {
         let last = bytes.len() - 1;
         bytes[last] ^= 0x80; // last label byte: structural scan passes
         std::fs::write(&path, &bytes).unwrap();
-        let view = MmapCsr::open(&path).unwrap();
-        assert!(view.verify().is_err(), "deferred checksum must catch it");
+        let (store, _) = GraphStore::open_mmap(&path).unwrap();
+        assert!(
+            store.graph().verify().is_err(),
+            "deferred checksum must catch it"
+        );
+        assert!(g.verify().is_ok(), "a heap graph has no file to check");
         std::fs::remove_file(&path).ok();
     }
 
     #[test]
     fn to_loaded_round_trips() {
+        // The mapped graph is the graph the file holds: re-encoded, it
+        // reproduces the file byte for byte.
         let (g, labels) = sample();
         let path = tmp("owned.timg");
         save_snapshot_v2(&g, &labels, &path).unwrap();
-        let view = MmapCsr::open(&path).unwrap();
-        let loaded = view.to_loaded().unwrap();
-        assert_eq!(graph_checksum(&loaded.graph), graph_checksum(&g));
-        assert_eq!(loaded.labels, labels);
+        let (store, mapped_labels) = GraphStore::open_mmap(&path).unwrap();
+        let mut bytes = Vec::new();
+        write_snapshot_v2(store.graph(), &mapped_labels, &mut bytes).unwrap();
+        assert_eq!(bytes, std::fs::read(&path).unwrap());
         std::fs::remove_file(&path).ok();
     }
 
     #[test]
     fn view_is_send_and_sync() {
         fn assert_send_sync<T: Send + Sync>() {}
-        assert_send_sync::<MmapCsr>();
+        assert_send_sync::<Array<u32>>();
+        assert_send_sync::<Graph>();
+    }
+
+    fn mapped_words(name: &str, words: &[u32]) -> (Arc<Mmap>, std::path::PathBuf) {
+        let path = tmp(name);
+        let bytes: Vec<u8> = words.iter().flat_map(|w| w.to_le_bytes()).collect();
+        std::fs::write(&path, bytes).unwrap();
+        (Arc::new(Mmap::open(&path).unwrap()), path)
+    }
+
+    #[test]
+    fn arrays_share_on_clone_and_copy_on_write() {
+        let (map, path) = mapped_words("cow.bin", &[1, 2, 3, 4, 5]);
+        let a = Array::<u32>::mapped(&map, 4, 3).unwrap();
+        assert_eq!(&a[..], &[2, 3, 4]);
+        assert_eq!(a.heap_bytes(), 0);
+        let shared = a.clone();
+        assert!(Arc::ptr_eq(shared.mapping().unwrap(), &map));
+        assert_eq!(shared.as_ptr(), a.as_ptr(), "a clone shares the mapping");
+
+        let mut edited = a.clone();
+        edited.edit(|v| v.push(9));
+        assert!(edited.mapping().is_none(), "an edit copies onto the heap");
+        assert!(edited.heap_bytes() > 0);
+        assert_eq!(&edited[..], &[2, 3, 4, 9]);
+        assert_eq!(&a[..], &[2, 3, 4], "the mapped original is untouched");
+
+        let owned = Array::from(vec![7u64, 8]);
+        let copy = owned.clone();
+        assert_ne!(copy.as_ptr(), owned.as_ptr(), "a heap clone copies");
+        assert_eq!(&copy[..], &[7, 8]);
+        std::fs::remove_file(&path).ok();
+    }
+
+    #[test]
+    fn mapped_sections_out_of_bounds_or_misaligned_are_errors() {
+        let (map, path) = mapped_words("bounds.bin", &[0; 4]);
+        assert!(Array::<u32>::mapped(&map, 0, 4).is_ok());
+        assert!(Array::<u32>::mapped(&map, 16, 0).is_ok());
+        let leaves = Array::<u32>::mapped(&map, 4, 4).unwrap_err();
+        assert!(leaves.contains("leaves"), "{leaves}");
+        let misaligned = Array::<u64>::mapped(&map, 4, 1).unwrap_err();
+        assert!(misaligned.contains("aligned"), "{misaligned}");
+        let overflow = Array::<u64>::mapped(&map, 0, usize::MAX).unwrap_err();
+        assert!(overflow.contains("overflows"), "{overflow}");
+        std::fs::remove_file(&path).ok();
     }
 }

@@ -26,9 +26,10 @@
 //! # File layout (version 2, little-endian, page-aligned)
 //!
 //! Version 2 is the **mmap-able** layout: a fixed header plus a section
-//! table, every section starting on a 4096-byte boundary so a
-//! [`MmapCsr`](crate::MmapCsr) can serve naturally-aligned `u64`/`u32`
-//! slices straight out of the mapping with zero copies.
+//! table, every section starting on a 4096-byte boundary so
+//! [`GraphStore::open_mmap`](crate::GraphStore::open_mmap) can build a
+//! [`Graph`] whose arrays are naturally-aligned `u64`/`u32`/`f32` views
+//! straight into the mapping, with zero copies.
 //!
 //! | bytes | field |
 //! |---|---|
@@ -47,8 +48,8 @@
 //! table, so offsets/lengths and the per-section checksums are
 //! tamper-evident without touching any section; per-section FNV checksums
 //! let validation be deferred section-by-section
-//! ([`MmapCsr::verify`](crate::MmapCsr::verify)), while the eager heap
-//! decoder ([`load_snapshot`] on a v2 file) always verifies everything.
+//! ([`Graph::verify`]), while the eager heap decoder ([`load_snapshot`]
+//! on a v2 file) always verifies everything.
 //!
 //! ```
 //! use tim_graph::{snapshot, Graph};
@@ -65,9 +66,11 @@
 //! ```
 
 use crate::io::LoadedGraph;
+use crate::mmap::{Array, Element, Mmap};
 use crate::{Graph, GraphError, NodeId};
 use std::io::{Read, Write};
 use std::path::Path;
+use std::sync::Arc;
 
 /// The four magic bytes opening every snapshot file.
 pub const MAGIC: [u8; 4] = *b"TIMG";
@@ -205,10 +208,10 @@ pub fn write_snapshot<W: Write>(
     let m = graph.m();
     let mut payload = Vec::with_capacity(16 + (n + 1) * 16 + m * 16 + n * 8);
     put_u64s(&mut payload, [n as u64, m as u64]);
-    put_u64s(&mut payload, graph.out_offsets.iter().map(|&o| o as u64));
+    put_u64s(&mut payload, graph.out_offsets.iter().copied());
     put_u32s(&mut payload, graph.out_targets.iter().copied());
     put_u32s(&mut payload, graph.out_probs.iter().map(|p| p.to_bits()));
-    put_u64s(&mut payload, graph.in_offsets.iter().map(|&o| o as u64));
+    put_u64s(&mut payload, graph.in_offsets.iter().copied());
     put_u32s(&mut payload, graph.in_sources.iter().copied());
     put_u32s(&mut payload, graph.in_probs.iter().map(|p| p.to_bits()));
     put_u64s(&mut payload, labels.iter().copied());
@@ -274,16 +277,6 @@ fn overflow(what: &str) -> GraphError {
     }
 }
 
-fn offsets_from(raw: Vec<u64>, m: usize, what: &str) -> Result<Vec<usize>, GraphError> {
-    let offsets: Vec<usize> = raw.into_iter().map(|o| o as usize).collect();
-    if offsets.first() != Some(&0) || offsets.last() != Some(&m) {
-        return Err(GraphError::Snapshot {
-            message: format!("{what} must run from 0 to the edge count"),
-        });
-    }
-    Ok(offsets)
-}
-
 /// Deserializes a snapshot from any reader, verifying the magic, version,
 /// checksum, and all CSR invariants before returning the graph.
 pub fn read_snapshot<R: Read>(mut reader: R) -> Result<LoadedGraph, GraphError> {
@@ -332,14 +325,14 @@ fn decode_snapshot(bytes: &[u8]) -> Result<LoadedGraph, GraphError> {
     let n1 = n.checked_add(1).ok_or_else(|| GraphError::Snapshot {
         message: "node count overflows".into(),
     })?;
-    let out_offsets = offsets_from(cur.u64s(n1, "out offsets")?, m, "out offsets")?;
+    let out_offsets = cur.u64s(n1, "out offsets")?;
     let out_targets: Vec<NodeId> = cur.u32s(m, "out targets")?;
     let out_probs: Vec<f32> = cur
         .u32s(m, "out probabilities")?
         .into_iter()
         .map(f32::from_bits)
         .collect();
-    let in_offsets = offsets_from(cur.u64s(n1, "in offsets")?, m, "in offsets")?;
+    let in_offsets = cur.u64s(n1, "in offsets")?;
     let in_sources: Vec<NodeId> = cur.u32s(m, "in sources")?;
     let in_probs: Vec<f32> = cur
         .u32s(m, "in probabilities")?
@@ -355,12 +348,12 @@ fn decode_snapshot(bytes: &[u8]) -> Result<LoadedGraph, GraphError> {
 
     let graph = Graph {
         n,
-        out_offsets,
-        out_targets,
-        out_probs,
-        in_offsets,
-        in_sources,
-        in_probs,
+        out_offsets: out_offsets.into(),
+        out_targets: out_targets.into(),
+        out_probs: out_probs.into(),
+        in_offsets: in_offsets.into(),
+        in_sources: in_sources.into(),
+        in_probs: in_probs.into(),
     };
     graph.validate().map_err(|message| GraphError::Snapshot {
         message: format!("invalid CSR in snapshot: {message}"),
@@ -405,7 +398,6 @@ pub(crate) struct V2Section {
 #[derive(Debug, Clone)]
 pub(crate) struct V2Layout {
     pub n: u64,
-    pub m: u64,
     /// [`graph_checksum`] of the decoded heap form, as recorded at write
     /// time and covered by the header checksum — pool provenance for
     /// mmap-backed graphs without an O(m) hash at open.
@@ -522,63 +514,17 @@ pub(crate) fn parse_v2_layout(bytes: &[u8], file_len: u64) -> Result<V2Layout, G
     }
     Ok(V2Layout {
         n,
-        m,
         checksum,
         sections,
     })
-}
-
-/// Validates CSR structure over raw little-endian section views — the
-/// invariant scan both v2 readers share: offsets run monotonically from 0
-/// to `m`, every endpoint names a node below `n`, and every probability is
-/// a finite value in `[0, 1]`. After this scan, slice-based accessors can
-/// never panic or read out of bounds for `v < n`.
-pub(crate) fn validate_v2_csr(
-    n: u64,
-    m: u64,
-    out_offsets: &[u64],
-    out_targets: &[u32],
-    in_offsets: &[u64],
-    in_sources: &[u32],
-    probs: [&[u32]; 2],
-) -> Result<(), GraphError> {
-    for (what, offsets, endpoints) in [
-        ("out", out_offsets, out_targets),
-        ("in", in_offsets, in_sources),
-    ] {
-        if offsets.first() != Some(&0) || offsets.last() != Some(&m) {
-            return Err(snap_err(format!(
-                "v2 {what} offsets must run from 0 to the edge count"
-            )));
-        }
-        if offsets.windows(2).any(|w| w[0] > w[1]) {
-            return Err(snap_err(format!(
-                "v2 {what} offsets must be non-decreasing"
-            )));
-        }
-        if let Some(&bad) = endpoints.iter().find(|&&e| u64::from(e) >= n) {
-            return Err(snap_err(format!("v2 {what} endpoint {bad} out of range")));
-        }
-    }
-    for bits in probs {
-        if let Some(&bad) = bits
-            .iter()
-            .find(|&&b| !(0.0..=1.0).contains(&f32::from_bits(b)))
-        {
-            return Err(snap_err(format!(
-                "v2 probability {} out of range",
-                f32::from_bits(bad)
-            )));
-        }
-    }
-    Ok(())
 }
 
 /// Serializes `graph` and its labels in the page-aligned v2 layout.
 ///
 /// Same contract as [`write_snapshot`], different bytes: the result can be
 /// decoded eagerly ([`read_snapshot`] / [`load_snapshot`] version-gate on
-/// the header) or attached zero-copy via [`MmapCsr`](crate::MmapCsr).
+/// the header) or opened zero-copy via
+/// [`GraphStore::open_mmap`](crate::GraphStore::open_mmap).
 pub fn write_snapshot_v2<W: Write>(
     graph: &Graph,
     labels: &[u64],
@@ -594,7 +540,7 @@ pub fn write_snapshot_v2<W: Write>(
     let mut sections: [Vec<u8>; V2_SECTION_COUNT] = Default::default();
     put_u64s(
         &mut sections[v2_section::OUT_OFFSETS],
-        graph.out_offsets.iter().map(|&o| o as u64),
+        graph.out_offsets.iter().copied(),
     );
     put_u32s(
         &mut sections[v2_section::OUT_TARGETS],
@@ -606,7 +552,7 @@ pub fn write_snapshot_v2<W: Write>(
     );
     put_u64s(
         &mut sections[v2_section::IN_OFFSETS],
-        graph.in_offsets.iter().map(|&o| o as u64),
+        graph.in_offsets.iter().copied(),
     );
     put_u32s(
         &mut sections[v2_section::IN_SOURCES],
@@ -675,15 +621,14 @@ pub fn save_snapshot_v2<P: AsRef<Path>>(
     write_snapshot_v2(graph, labels, std::io::BufWriter::new(file))
 }
 
-/// Eager heap decode of a v2 snapshot: verifies the header, **every**
-/// per-section checksum, the CSR structure, and that the decoded graph
-/// hashes to the content checksum the header claims.
-fn decode_snapshot_v2(bytes: &[u8]) -> Result<LoadedGraph, GraphError> {
+/// Parses the v2 header of `bytes` and checks every section against the
+/// FNV-1a checksum its table records: the full integrity pass, shared by
+/// the eager decoder and [`Graph::verify`].
+pub(crate) fn verify_v2_sections(bytes: &[u8]) -> Result<V2Layout, GraphError> {
     let layout = parse_v2_layout(bytes, bytes.len() as u64)?;
     for (i, s) in layout.sections.iter().enumerate() {
-        let data = &bytes[s.offset as usize..(s.offset + s.len) as usize];
         let mut h = Fnv1a::new();
-        h.update(data);
+        h.update(&bytes[s.offset as usize..(s.offset + s.len) as usize]);
         if h.finish() != s.fnv {
             return Err(snap_err(format!(
                 "v2 section {i} checksum mismatch: table says {:#018x}, data hashes to {:#018x}",
@@ -692,6 +637,14 @@ fn decode_snapshot_v2(bytes: &[u8]) -> Result<LoadedGraph, GraphError> {
             )));
         }
     }
+    Ok(layout)
+}
+
+/// Eager heap decode of a v2 snapshot: verifies the header, **every**
+/// per-section checksum, the CSR structure, and that the decoded graph
+/// hashes to the content checksum the header claims.
+fn decode_snapshot_v2(bytes: &[u8]) -> Result<LoadedGraph, GraphError> {
+    let layout = verify_v2_sections(bytes)?;
     let u64s = |i: usize| -> Vec<u64> {
         let s = &layout.sections[i];
         bytes[s.offset as usize..(s.offset + s.len) as usize]
@@ -706,23 +659,15 @@ fn decode_snapshot_v2(bytes: &[u8]) -> Result<LoadedGraph, GraphError> {
             .map(|c| u32::from_le_bytes(c.try_into().expect("4-byte chunk")))
             .collect()
     };
-    let (n, m) = (layout.n as usize, layout.m as usize);
-    let out_offsets = offsets_from(u64s(v2_section::OUT_OFFSETS), m, "out offsets")?;
-    let in_offsets = offsets_from(u64s(v2_section::IN_OFFSETS), m, "in offsets")?;
+    let f32s = |i: usize| -> Vec<f32> { u32s(i).into_iter().map(f32::from_bits).collect() };
     let graph = Graph {
-        n,
-        out_offsets,
-        out_targets: u32s(v2_section::OUT_TARGETS),
-        out_probs: u32s(v2_section::OUT_PROBS)
-            .into_iter()
-            .map(f32::from_bits)
-            .collect(),
-        in_offsets,
-        in_sources: u32s(v2_section::IN_SOURCES),
-        in_probs: u32s(v2_section::IN_PROBS)
-            .into_iter()
-            .map(f32::from_bits)
-            .collect(),
+        n: layout.n as usize,
+        out_offsets: u64s(v2_section::OUT_OFFSETS).into(),
+        out_targets: u32s(v2_section::OUT_TARGETS).into(),
+        out_probs: f32s(v2_section::OUT_PROBS).into(),
+        in_offsets: u64s(v2_section::IN_OFFSETS).into(),
+        in_sources: u32s(v2_section::IN_SOURCES).into(),
+        in_probs: f32s(v2_section::IN_PROBS).into(),
     };
     graph.validate().map_err(|message| GraphError::Snapshot {
         message: format!("invalid CSR in v2 snapshot: {message}"),
@@ -738,6 +683,43 @@ fn decode_snapshot_v2(bytes: &[u8]) -> Result<LoadedGraph, GraphError> {
         graph,
         labels: u64s(v2_section::LABELS),
     })
+}
+
+/// Maps the v2 snapshot at `path` without copying: the header and section
+/// table are validated, then the graph's six arrays and the label section
+/// view the mapping, and [`Graph::validate`] runs the same structural
+/// scan a heap decode runs. Per-section checksums are deferred to
+/// [`Graph::verify`]. Returns the graph, its labels, and the content
+/// checksum the header records ([`graph_checksum`] of the graph, without
+/// an O(m) hash).
+pub(crate) fn map_snapshot_v2(path: &Path) -> Result<(Graph, Array<u64>, u64), GraphError> {
+    let map = Arc::new(Mmap::open(path)?);
+    let layout = parse_v2_layout(map.bytes(), map.len() as u64)?;
+    fn section<T: Element>(map: &Arc<Mmap>, s: &V2Section) -> Result<Array<T>, GraphError> {
+        // In bounds per parse_v2_layout; usize conversion cannot truncate
+        // because offset + len <= file_len <= usize::MAX.
+        let count = s.len as usize / std::mem::size_of::<T>();
+        Array::mapped(map, s.offset as usize, count).map_err(snap_err)
+    }
+    let sections = &layout.sections;
+    let graph = Graph {
+        n: layout.n as usize,
+        out_offsets: section(&map, &sections[v2_section::OUT_OFFSETS])?,
+        out_targets: section(&map, &sections[v2_section::OUT_TARGETS])?,
+        out_probs: section(&map, &sections[v2_section::OUT_PROBS])?,
+        in_offsets: section(&map, &sections[v2_section::IN_OFFSETS])?,
+        in_sources: section(&map, &sections[v2_section::IN_SOURCES])?,
+        in_probs: section(&map, &sections[v2_section::IN_PROBS])?,
+    };
+    graph.validate().map_err(|message| GraphError::Snapshot {
+        message: format!("invalid CSR in v2 snapshot: {message}"),
+    })?;
+    map.advise_random();
+    // Offsets are touched for every sampled node; fault the header and
+    // both offset sections in up front.
+    map.advise_willneed_prefix(sections[v2_section::OUT_TARGETS].offset as usize);
+    let labels = section(&map, &sections[v2_section::LABELS])?;
+    Ok((graph, labels, layout.checksum))
 }
 
 /// Reads the snapshot version of the file at `path`: `None` when the file
@@ -954,13 +936,12 @@ mod tests {
         let bytes = encode_v2(&g, &labels);
         let layout = parse_v2_layout(&bytes, bytes.len() as u64).unwrap();
         assert_eq!(layout.n, g.n() as u64);
-        assert_eq!(layout.m, g.m() as u64);
         assert_eq!(layout.checksum, graph_checksum(&g));
         for (i, s) in layout.sections.iter().enumerate() {
             assert_eq!(s.offset % V2_ALIGN, 0, "section {i}");
             assert_eq!(
                 s.len,
-                v2_expected_len(i, layout.n, layout.m).unwrap(),
+                v2_expected_len(i, layout.n, g.m() as u64).unwrap(),
                 "section {i}"
             );
         }

@@ -1,74 +1,66 @@
-//! Backing-agnostic graph handles.
+//! Shared graph handles.
 //!
 //! A [`GraphStore`] is what the engine and server hold instead of a bare
-//! `Arc<Graph>`: a cheaply-clonable handle over either a heap-resident
-//! [`Graph`] or a zero-copy [`MmapCsr`] view, plus the content checksum
-//! that keys pool provenance. Call sites dispatch **once** per operation
-//! via [`GraphStore::view`] and hand the concrete reference to generic
-//! code bounded on [`CsrAccess`], so the hot sampling loops stay
-//! monomorphized per backing — the heap path keeps exactly the codegen it
-//! had before mmap existed.
+//! `Arc<Graph>`: the shared graph plus the content checksum that keys
+//! pool provenance, computed once (heap) or read from the v2 header
+//! (mapped) so provenance checks never rescan the CSR. Whether the graph
+//! owns its arrays or views a mapped snapshot, it is the same [`Graph`],
+//! so every caller runs the same code either way.
 
-use crate::csr::CsrAccess;
-use crate::mmap::MmapCsr;
-use crate::snapshot::graph_checksum;
-use crate::{Graph, GraphError, NodeId};
+use crate::mmap::Array;
+use crate::snapshot::{self, graph_checksum};
+use crate::{Graph, GraphError};
 use std::path::Path;
 use std::sync::Arc;
 
-/// A shared, backing-agnostic handle to an immutable graph.
+/// A shared handle to an immutable graph and its content checksum.
 ///
-/// Cloning is an `Arc` bump. The content checksum is computed once (heap)
-/// or read from the v2 header (mmap) and cached, so provenance checks
-/// never rescan the CSR.
+/// Cloning is an `Arc` bump.
 #[derive(Debug, Clone)]
 pub struct GraphStore {
-    inner: Inner,
+    graph: Arc<Graph>,
     checksum: u64,
 }
 
-#[derive(Debug, Clone)]
-enum Inner {
-    Heap(Arc<Graph>),
-    Mmap(Arc<MmapCsr>),
-}
-
-/// A borrowed view of a store's concrete backing — match once, then run
-/// monomorphized code against the concrete type.
-#[derive(Debug, Clone, Copy)]
-pub enum CsrView<'a> {
-    /// Heap-resident CSR vectors.
-    Heap(&'a Graph),
-    /// Zero-copy view over a mapped v2 snapshot.
-    Mmap(&'a MmapCsr),
-}
-
 impl GraphStore {
-    /// Wraps an already-shared heap graph.
+    /// Wraps an already-shared graph, hashing it once for its checksum.
     pub fn from_arc(graph: Arc<Graph>) -> GraphStore {
         let checksum = graph_checksum(&graph);
-        GraphStore {
-            inner: Inner::Heap(graph),
+        GraphStore { graph, checksum }
+    }
+
+    /// Opens the v2 snapshot at `path` zero-copy: the store's graph views
+    /// the mapping, and its checksum is the one the header records (no
+    /// O(m) hash). The label section comes back next to it, also mapped.
+    ///
+    /// Errors with a clean [`GraphError`] when the file is not a v2
+    /// snapshot (use [`snapshot::snapshot_version`] to sniff first), when
+    /// any structural invariant fails, and on non-unix or big-endian
+    /// hosts where zero-copy mapping is not implemented (the eager heap
+    /// decoder in [`snapshot::load_snapshot`] remains fully portable).
+    /// Section checksums are deferred to [`Graph::verify`].
+    pub fn open_mmap<P: AsRef<Path>>(path: P) -> Result<(GraphStore, Array<u64>), GraphError> {
+        let (graph, labels, checksum) = snapshot::map_snapshot_v2(path.as_ref())?;
+        let store = GraphStore {
+            graph: Arc::new(graph),
             checksum,
-        }
+        };
+        Ok((store, labels))
     }
 
-    /// Opens the v2 snapshot at `path` as a zero-copy mmap view.
-    pub fn open_mmap<P: AsRef<Path>>(path: P) -> Result<GraphStore, GraphError> {
-        Ok(GraphStore::from(MmapCsr::open(path)?))
-    }
-
-    /// The backing to dispatch on — match once per operation.
+    /// The graph.
     #[inline]
-    pub fn view(&self) -> CsrView<'_> {
-        match &self.inner {
-            Inner::Heap(g) => CsrView::Heap(g),
-            Inner::Mmap(v) => CsrView::Mmap(v),
-        }
+    pub fn graph(&self) -> &Graph {
+        &self.graph
+    }
+
+    /// A shared handle to the graph.
+    pub fn graph_arc(&self) -> Arc<Graph> {
+        Arc::clone(&self.graph)
     }
 
     /// Content checksum ([`graph_checksum`]) — identical for the same
-    /// graph regardless of backing, so pool provenance keys carry over.
+    /// graph whoever owns its arrays, so pool provenance keys carry over.
     #[inline]
     pub fn checksum(&self) -> u64 {
         self.checksum
@@ -77,41 +69,18 @@ impl GraphStore {
     /// Number of nodes.
     #[inline]
     pub fn n(&self) -> usize {
-        match self.view() {
-            CsrView::Heap(g) => g.n(),
-            CsrView::Mmap(v) => v.n(),
-        }
+        self.graph.n()
     }
 
     /// Number of arcs.
     #[inline]
     pub fn m(&self) -> usize {
-        match self.view() {
-            CsrView::Heap(g) => CsrAccess::m(g),
-            CsrView::Mmap(v) => v.m(),
-        }
+        self.graph.m()
     }
 
-    /// True when this store serves pages straight from a mapped file.
+    /// True when the graph's arrays view a mapped snapshot.
     pub fn is_mmap(&self) -> bool {
-        matches!(self.inner, Inner::Mmap(_))
-    }
-
-    /// The heap graph, when heap-backed (engine compatibility paths that
-    /// still want an `Arc<Graph>`, e.g. plan caching by pointer).
-    pub fn heap_arc(&self) -> Option<&Arc<Graph>> {
-        match &self.inner {
-            Inner::Heap(g) => Some(g),
-            Inner::Mmap(_) => None,
-        }
-    }
-
-    /// The mmap view, when mmap-backed.
-    pub fn mmap_view(&self) -> Option<&MmapCsr> {
-        match &self.inner {
-            Inner::Mmap(v) => Some(v),
-            Inner::Heap(_) => None,
-        }
+        self.graph.mapping().is_some()
     }
 }
 
@@ -127,93 +96,10 @@ impl From<Arc<Graph>> for GraphStore {
     }
 }
 
-impl From<MmapCsr> for GraphStore {
-    fn from(view: MmapCsr) -> GraphStore {
-        let checksum = view.checksum();
-        GraphStore {
-            inner: Inner::Mmap(Arc::new(view)),
-            checksum,
-        }
-    }
-}
-
-impl From<Arc<MmapCsr>> for GraphStore {
-    fn from(view: Arc<MmapCsr>) -> GraphStore {
-        let checksum = view.checksum();
-        GraphStore {
-            inner: Inner::Mmap(view),
-            checksum,
-        }
-    }
-}
-
-// Store-level accessor impl so code that does not need monomorphization
-// (stats lines, degree summaries) can treat the store itself as a CSR.
-// Hot loops should still go through `view()`.
-impl CsrAccess for GraphStore {
-    #[inline]
-    fn n(&self) -> usize {
-        GraphStore::n(self)
-    }
-
-    #[inline]
-    fn m(&self) -> usize {
-        GraphStore::m(self)
-    }
-
-    #[inline]
-    fn out_degree(&self, v: NodeId) -> usize {
-        match self.view() {
-            CsrView::Heap(g) => g.out_degree(v),
-            CsrView::Mmap(m) => m.out_degree(v),
-        }
-    }
-
-    #[inline]
-    fn in_degree(&self, v: NodeId) -> usize {
-        match self.view() {
-            CsrView::Heap(g) => g.in_degree(v),
-            CsrView::Mmap(m) => m.in_degree(v),
-        }
-    }
-
-    #[inline]
-    fn out_neighbors(&self, v: NodeId) -> &[NodeId] {
-        match self.view() {
-            CsrView::Heap(g) => g.out_neighbors(v),
-            CsrView::Mmap(m) => m.out_neighbors(v),
-        }
-    }
-
-    #[inline]
-    fn out_probabilities(&self, v: NodeId) -> &[f32] {
-        match self.view() {
-            CsrView::Heap(g) => g.out_probabilities(v),
-            CsrView::Mmap(m) => m.out_probabilities(v),
-        }
-    }
-
-    #[inline]
-    fn in_neighbors(&self, v: NodeId) -> &[NodeId] {
-        match self.view() {
-            CsrView::Heap(g) => g.in_neighbors(v),
-            CsrView::Mmap(m) => m.in_neighbors(v),
-        }
-    }
-
-    #[inline]
-    fn in_probabilities(&self, v: NodeId) -> &[f32] {
-        match self.view() {
-            CsrView::Heap(g) => g.in_probabilities(v),
-            CsrView::Mmap(m) => m.in_probabilities(v),
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{gen, weights};
+    use crate::{gen, weights, NodeId};
 
     fn sample() -> Graph {
         let mut g = gen::barabasi_albert(60, 3, 0.1, 5);
@@ -228,11 +114,11 @@ mod tests {
         let store = GraphStore::from_arc(Arc::clone(&g));
         assert_eq!(store.checksum(), expect);
         assert!(!store.is_mmap());
-        assert!(Arc::ptr_eq(store.heap_arc().unwrap(), &g));
+        assert!(Arc::ptr_eq(&store.graph_arc(), &g));
         assert_eq!(store.n(), g.n());
         assert_eq!(store.m(), g.m());
         let clone = store.clone();
-        assert!(Arc::ptr_eq(clone.heap_arc().unwrap(), &g));
+        assert!(Arc::ptr_eq(&clone.graph_arc(), &g));
     }
 
     #[cfg(unix)]
@@ -245,15 +131,18 @@ mod tests {
         let path = dir.join("s.timg");
         crate::snapshot::save_snapshot_v2(&g, &labels, &path).unwrap();
         let heap = GraphStore::from(g);
-        let mmap = GraphStore::open_mmap(&path).unwrap();
+        let (mmap, _) = GraphStore::open_mmap(&path).unwrap();
         assert!(mmap.is_mmap());
-        assert!(mmap.heap_arc().is_none());
         assert_eq!(mmap.checksum(), heap.checksum());
+        assert_eq!(graph_checksum(mmap.graph()), heap.checksum());
         assert_eq!(mmap.n(), heap.n());
         assert_eq!(mmap.m(), heap.m());
         for v in 0..heap.n() as NodeId {
-            assert_eq!(mmap.out_neighbors(v), heap.out_neighbors(v));
-            assert_eq!(mmap.in_probabilities(v), heap.in_probabilities(v));
+            assert_eq!(mmap.graph().out_neighbors(v), heap.graph().out_neighbors(v));
+            assert_eq!(
+                mmap.graph().in_probabilities(v),
+                heap.graph().in_probabilities(v)
+            );
         }
         std::fs::remove_file(&path).ok();
     }

@@ -4,11 +4,11 @@
 //! claimed counts. Every hostile input must yield a clean
 //! [`GraphError`], never a panic or an out-of-bounds read, on BOTH v2
 //! readers: the eager heap decode (`load_snapshot`) and the zero-copy
-//! mapping (`MmapCsr::open` + `verify`). A corrupt attach must also
+//! mapping (`GraphStore::open_mmap` + `Graph::verify`). A corrupt attach must also
 //! leave a catalog slot reusable, not poisoned.
 
 use tim_graph::snapshot::{graph_checksum, load_snapshot, save_snapshot_v2, snapshot_version};
-use tim_graph::{gen, weights, Graph, GraphStore, MmapCsr};
+use tim_graph::{gen, weights, Graph, GraphStore};
 
 const HEADER_BYTES: usize = 272;
 const ALIGN: usize = 4096;
@@ -47,9 +47,9 @@ fn assert_rejected(dir: &std::path::Path, bytes: &[u8], what: &str) {
         eager.is_err(),
         "{what}: eager decode accepted corrupt bytes"
     );
-    if let Ok(view) = MmapCsr::open(&path) {
+    if let Ok((view, _)) = GraphStore::open_mmap(&path) {
         assert!(
-            view.verify().is_err(),
+            view.graph().verify().is_err(),
             "{what}: mmap open + verify accepted corrupt bytes"
         );
     }
@@ -100,12 +100,11 @@ fn v2_round_trip_is_bit_identical_and_content_faithful() {
     let eager = load_snapshot(&path).unwrap();
     assert_eq!(graph_checksum(&eager.graph), graph_checksum(&g));
     assert_eq!(eager.labels, labels);
-    let view = MmapCsr::open(&path).unwrap();
-    view.verify().unwrap();
+    let (view, mapped_labels) = GraphStore::open_mmap(&path).unwrap();
+    view.graph().verify().unwrap();
     assert_eq!(view.checksum(), graph_checksum(&g));
-    assert_eq!(view.labels(), &labels[..]);
-    let reloaded = view.to_loaded().unwrap();
-    assert_eq!(graph_checksum(&reloaded.graph), graph_checksum(&g));
+    assert_eq!(&mapped_labels[..], &labels[..]);
+    assert_eq!(graph_checksum(view.graph()), graph_checksum(&g));
 
     // Sections are page-aligned as advertised.
     for (i, (offset, _)) in table(&std::fs::read(&path).unwrap()).iter().enumerate() {
@@ -145,9 +144,9 @@ fn bit_flips_anywhere_are_rejected_cleanly() {
                 "eager decode accepted a bit flip at byte {pos}"
             );
             // The mapped reader may defer payload checks to verify().
-            if let Ok(view) = MmapCsr::open(&path) {
+            if let Ok((view, _)) = GraphStore::open_mmap(&path) {
                 assert!(
-                    view.verify().is_err(),
+                    view.graph().verify().is_err(),
                     "mmap verify accepted a bit flip at byte {pos}"
                 );
             }
@@ -369,7 +368,7 @@ fn corrupt_open_never_yields_a_usable_store() {
     assert!(GraphStore::open_mmap(&v1).is_err());
     // ...and the pristine v2 still opens after all those rejections.
     std::fs::write(&path, &pristine).unwrap();
-    let store = GraphStore::open_mmap(&path).unwrap();
+    let (store, _) = GraphStore::open_mmap(&path).unwrap();
     assert_eq!(store.checksum(), graph_checksum(&sample().0));
     std::fs::remove_dir_all(&dir).ok();
 }

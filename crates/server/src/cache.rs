@@ -15,8 +15,8 @@
 //! grew since its last spill instead of destroying the work. Warm state
 //! thereby survives both eviction and process restarts. With
 //! `mmap_pools` on, v2 spills restore as verified zero-copy mappings
-//! ([`tim_engine::PoolMmap`]) instead of heap decodes — same answers,
-//! no per-restore allocation or index rebuild.
+//! ([`tim_engine::RrPool::open_mapped`]) instead of heap decodes — same
+//! answers, no per-restore allocation or index rebuild.
 //!
 //! Two locking properties matter for serving:
 //!
@@ -31,7 +31,7 @@
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, OnceLock};
-use tim_diffusion::BackingModel;
+use tim_diffusion::DiffusionModel;
 use tim_engine::{PoolId, PoolStore, ProbedPool, SharedEngine};
 
 /// Pool-cache key: the full provenance a pool depends on — exactly the
@@ -138,7 +138,7 @@ impl<M> std::fmt::Debug for PoolCache<M> {
 
 const POISONED: &str = "pool cache mutex poisoned";
 
-impl<M: BackingModel + Clone> PoolCache<M> {
+impl<M: DiffusionModel + Clone> PoolCache<M> {
     /// Creates an empty in-memory cache holding at most `capacity`
     /// engines (no persistent store: eviction discards, restarts rebuild).
     ///
@@ -574,19 +574,9 @@ mod tests {
         g: &Arc<Graph>,
         pool: ProbedPool,
     ) -> Result<SharedEngine<IndependentCascade>, String> {
-        match pool {
-            ProbedPool::Heap(pool) => {
-                QueryEngine::from_pool(Arc::clone(g), IndependentCascade, "ic", pool)
-            }
-            ProbedPool::Mapped(mapped) => QueryEngine::from_mapped_pool(
-                tim_graph::GraphStore::from_arc(Arc::clone(g)),
-                IndependentCascade,
-                "ic",
-                mapped,
-            ),
-        }
-        .map(SharedEngine::new)
-        .map_err(|e| e.to_string())
+        QueryEngine::from_pool(Arc::clone(g), IndependentCascade, "ic", pool.into_pool())
+            .map(SharedEngine::new)
+            .map_err(|e| e.to_string())
     }
 
     fn tmp_store(tag: &str) -> (std::path::PathBuf, Arc<PoolStore>) {

@@ -43,7 +43,7 @@ use crate::server::ServerConfig;
 use std::collections::HashMap;
 use std::path::PathBuf;
 use std::sync::{Arc, Mutex, RwLock, Weak};
-use tim_diffusion::BackingModel;
+use tim_diffusion::DiffusionModel;
 use tim_engine::{PoolStore, ProbedPool, QueryEngine, SharedEngine};
 use tim_graph::catalog::GraphOverrides;
 use tim_graph::{io, weights, Graph, GraphStore};
@@ -64,7 +64,7 @@ pub struct GraphState<M> {
     cache: PoolCache<M>,
 }
 
-impl<M: BackingModel + Send + Clone + 'static> GraphState<M> {
+impl<M: DiffusionModel + Send + Clone + 'static> GraphState<M> {
     /// Builds the per-graph state. `config` is the graph's *effective*
     /// configuration (global defaults with any per-graph overrides
     /// already applied); `store`, when given, makes the pool cache
@@ -97,11 +97,11 @@ impl<M: BackingModel + Send + Clone + 'static> GraphState<M> {
         )
     }
 
-    /// [`new`](Self::new) over an arbitrary [`GraphStore`] backing —
-    /// this is how an mmap tenant enters the catalog: the graph stays on
-    /// disk, queries read pages through the zero-copy view, and every
-    /// answer (including pool provenance keys) is byte-identical to the
-    /// heap-backed state for the same snapshot.
+    /// [`new`](Self::new) over a [`GraphStore`] — this is how an mmap
+    /// tenant enters the catalog: the graph's arrays stay on disk and
+    /// queries read pages through the mapping, and every answer
+    /// (including pool provenance keys) is byte-identical to the
+    /// heap-loaded state for the same snapshot.
     ///
     /// # Panics
     /// Same contract as [`new`](Self::new).
@@ -148,7 +148,7 @@ impl<M: BackingModel + Send + Clone + 'static> GraphState<M> {
         &self.name
     }
 
-    /// The backing store serving this name (heap or mmap).
+    /// The graph store serving this name.
     pub fn store(&self) -> &GraphStore {
         &self.store
     }
@@ -168,7 +168,7 @@ impl<M: BackingModel + Send + Clone + 'static> GraphState<M> {
         &self.config
     }
 
-    /// Content checksum of the served graph (backing-independent).
+    /// Content checksum of the served graph.
     pub fn graph_checksum(&self) -> u64 {
         self.store.checksum()
     }
@@ -222,20 +222,12 @@ impl<M: BackingModel + Send + Clone + 'static> GraphState<M> {
     /// served graph) is reported to the cache, which quarantines the
     /// file and falls back to a build.
     fn restore_engine(&self, pool: ProbedPool) -> Result<SharedEngine<M>, String> {
-        let mut engine = match pool {
-            ProbedPool::Heap(pool) => QueryEngine::from_pool_store(
-                self.store.clone(),
-                self.model.clone(),
-                self.model_name.clone(),
-                pool,
-            ),
-            ProbedPool::Mapped(mapped) => QueryEngine::from_mapped_pool(
-                self.store.clone(),
-                self.model.clone(),
-                self.model_name.clone(),
-                mapped,
-            ),
-        }
+        let mut engine = QueryEngine::from_pool_store(
+            self.store.clone(),
+            self.model.clone(),
+            self.model_name.clone(),
+            pool.into_pool(),
+        )
         .map_err(|e| e.to_string())?;
         if self.config.sample_threads > 0 {
             engine = engine.threads(self.config.sample_threads);
@@ -418,7 +410,7 @@ const POISONED: &str = "catalog lru mutex poisoned";
 const MAP_POISONED: &str = "catalog map lock poisoned";
 const SLOT_POISONED: &str = "catalog slot mutex poisoned";
 
-impl<M: BackingModel + Send + Clone + 'static> GraphCatalog<M> {
+impl<M: DiffusionModel + Send + Clone + 'static> GraphCatalog<M> {
     /// Creates an empty catalog serving under `config`'s defaults, with
     /// `model` registered under the tag `model_name`.
     ///
@@ -769,7 +761,7 @@ impl<M: BackingModel + Send + Clone + 'static> GraphCatalog<M> {
                         slot.name, config.weights
                     ));
                 }
-                let store = GraphStore::open_mmap(path).map_err(|e| {
+                let (store, labels) = GraphStore::open_mmap(path).map_err(|e| {
                     format!(
                         "graph '{}': mapping {}: {e} (mmap needs a v2 snapshot; \
                          create one with `tim snapshot --format v2`)",
@@ -777,11 +769,7 @@ impl<M: BackingModel + Send + Clone + 'static> GraphCatalog<M> {
                         path.display()
                     )
                 })?;
-                let labels = store
-                    .mmap_view()
-                    .map(|v| LabelMap::new(v.labels().to_vec()))
-                    .expect("open_mmap always yields an mmap store");
-                (store, Arc::new(labels))
+                (store, Arc::new(LabelMap::new(labels.to_vec())))
             }
             GraphSource::Path(path) => {
                 let mut loaded = io::load_graph(path, config.undirected).map_err(|e| {

@@ -39,7 +39,7 @@ use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
-use tim_diffusion::BackingModel;
+use tim_diffusion::DiffusionModel;
 
 /// Answer sent (best-effort) to a connection refused by `--max-conns`.
 pub const AT_CAPACITY_REPLY: &str = "error: server at connection capacity";
@@ -72,7 +72,7 @@ const LISTENER_TOKEN: u64 = u64::MAX;
 /// Spawns the event-loop shards (one per configured thread) and returns
 /// their join handles. The caller owns the stop flag; setting it makes
 /// every shard drain and exit within the heartbeat + drain grace.
-pub(crate) fn spawn_shards<M: BackingModel + Send + Clone + 'static>(
+pub(crate) fn spawn_shards<M: DiffusionModel + Send + Clone + 'static>(
     state: Arc<ServerState<M>>,
     listener: Arc<TcpListener>,
     stop: Arc<AtomicBool>,
@@ -145,7 +145,7 @@ struct Conn<'s, M> {
     drain_budget: u64,
 }
 
-impl<'s, M: BackingModel + Send + Clone + 'static> Conn<'s, M> {
+impl<'s, M: DiffusionModel + Send + Clone + 'static> Conn<'s, M> {
     fn new(stream: TcpStream, session: Session<'s, M>) -> Self {
         Conn {
             reader: CappedLineReader::new(stream),
@@ -375,7 +375,7 @@ impl<T> Slab<T> {
 
 /// One reactor shard: owns a [`Poller`], a slab of connections, and (if
 /// configured) a timer wheel; loops until stop + drain complete.
-fn run_shard<M: BackingModel + Send + Clone + 'static>(
+fn run_shard<M: DiffusionModel + Send + Clone + 'static>(
     state: &ServerState<M>,
     listener: &TcpListener,
     stop: &AtomicBool,
@@ -499,7 +499,7 @@ fn run_shard<M: BackingModel + Send + Clone + 'static>(
 /// Accepts until the listener would block, admitting or refusing each
 /// connection.
 #[allow(clippy::too_many_arguments)]
-fn accept_burst<'s, M: BackingModel + Send + Clone + 'static>(
+fn accept_burst<'s, M: DiffusionModel + Send + Clone + 'static>(
     state: &'s ServerState<M>,
     listener: &TcpListener,
     poller: &Poller,
@@ -571,7 +571,7 @@ fn refuse(stream: TcpStream) {
 
 /// Runs one progress pass on a connection (panic-isolated), closing it
 /// on completion, error, or panic; otherwise re-arms its interest.
-fn step_conn<M: BackingModel + Send + Clone + 'static>(
+fn step_conn<M: DiffusionModel + Send + Clone + 'static>(
     poller: &Poller,
     conns: &mut Slab<Conn<'_, M>>,
     token: u64,
@@ -612,7 +612,7 @@ fn step_conn<M: BackingModel + Send + Clone + 'static>(
 }
 
 /// Deregisters and drops a connection, releasing its admission slot.
-fn close_conn<M: BackingModel + Send + Clone + 'static>(
+fn close_conn<M: DiffusionModel + Send + Clone + 'static>(
     poller: &Poller,
     conns: &mut Slab<Conn<'_, M>>,
     token: u64,

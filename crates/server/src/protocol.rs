@@ -37,7 +37,7 @@
 
 use std::collections::HashMap;
 use std::io::{BufRead, BufReader, Read};
-use tim_diffusion::BackingModel;
+use tim_diffusion::DiffusionModel;
 use tim_engine::{QueryEngine, QueryOutcome, SharedEngine};
 use tim_graph::NodeId;
 
@@ -666,7 +666,7 @@ pub trait QueryBackend {
     fn marginal_gain(&mut self, base: &[NodeId], candidate: NodeId) -> f64;
 }
 
-impl<M: BackingModel + Clone> QueryBackend for QueryEngine<M> {
+impl<M: DiffusionModel + Clone> QueryBackend for QueryEngine<M> {
     fn select_with(&mut self, k: usize, eps: Option<f64>, ell: Option<f64>) -> QueryOutcome {
         QueryEngine::select_with(self, k, eps, ell)
     }
@@ -681,7 +681,7 @@ impl<M: BackingModel + Clone> QueryBackend for QueryEngine<M> {
     }
 }
 
-impl<M: BackingModel + Clone> QueryBackend for &SharedEngine<M> {
+impl<M: DiffusionModel + Clone> QueryBackend for &SharedEngine<M> {
     fn select_with(&mut self, k: usize, eps: Option<f64>, ell: Option<f64>) -> QueryOutcome {
         SharedEngine::select_with(self, k, eps, ell)
     }

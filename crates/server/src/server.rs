@@ -22,7 +22,7 @@ use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::thread::JoinHandle;
-use tim_diffusion::BackingModel;
+use tim_diffusion::DiffusionModel;
 use tim_engine::{QueryEngine, SharedEngine};
 use tim_graph::Graph;
 
@@ -144,7 +144,7 @@ pub struct ServerState<M> {
     default_graph: String,
 }
 
-impl<M: BackingModel + Send + Clone + 'static> ServerState<M> {
+impl<M: DiffusionModel + Send + Clone + 'static> ServerState<M> {
     /// Builds a single-graph state: `graph` is registered resident (never
     /// evicted) under [`DEFAULT_GRAPH_NAME`]. Pools are built lazily on
     /// first use; call [`warm_default`](Self::warm_default) to pay the
@@ -297,7 +297,7 @@ pub struct Server<M> {
     addr: SocketAddr,
 }
 
-impl<M: BackingModel + Send + Clone + 'static> Server<M> {
+impl<M: DiffusionModel + Send + Clone + 'static> Server<M> {
     /// Binds to `addr` (use port 0 for an ephemeral port; the bound
     /// address is [`local_addr`](Self::local_addr)).
     pub fn bind(state: Arc<ServerState<M>>, addr: impl ToSocketAddrs) -> std::io::Result<Self> {
@@ -440,7 +440,7 @@ fn write_answers(writer: &mut TcpStream, answers: &[String]) -> std::io::Result<
 
 /// Serves one connection: one session, one answer line per request line,
 /// until EOF (a pending batch flushes at EOF).
-fn serve_connection<M: BackingModel + Send + Clone + 'static>(
+fn serve_connection<M: DiffusionModel + Send + Clone + 'static>(
     state: &ServerState<M>,
     stream: TcpStream,
 ) -> std::io::Result<()> {

@@ -37,7 +37,7 @@ use crate::protocol::{
 };
 use crate::server::ServerState;
 use std::sync::Arc;
-use tim_diffusion::BackingModel;
+use tim_diffusion::DiffusionModel;
 use tim_engine::{EngineReadGuard, QueryOutcome, SharedEngine};
 use tim_graph::NodeId;
 
@@ -71,7 +71,7 @@ pub struct Session<'s, M> {
     closed: bool,
 }
 
-impl<'s, M: BackingModel + Send + Clone + 'static> Session<'s, M> {
+impl<'s, M: DiffusionModel + Send + Clone + 'static> Session<'s, M> {
     /// Opens a session on the server's default graph.
     pub fn new(state: &'s ServerState<M>) -> Self {
         Session {
@@ -409,7 +409,7 @@ struct BatchBackend<'e, M> {
     guard: Option<EngineReadGuard<'e, M>>,
 }
 
-impl<'e, M: BackingModel + Clone> BatchBackend<'e, M> {
+impl<'e, M: DiffusionModel + Clone> BatchBackend<'e, M> {
     fn new(engine: &'e SharedEngine<M>) -> Self {
         BatchBackend {
             engine,
@@ -425,7 +425,7 @@ impl<'e, M: BackingModel + Clone> BatchBackend<'e, M> {
     }
 }
 
-impl<M: BackingModel + Clone> QueryBackend for BatchBackend<'_, M> {
+impl<M: DiffusionModel + Clone> QueryBackend for BatchBackend<'_, M> {
     fn select_with(&mut self, k: usize, eps: Option<f64>, ell: Option<f64>) -> QueryOutcome {
         if let Some(out) = self.guard().try_select_with(k, eps, ell) {
             return out;
