@@ -7,6 +7,7 @@
 //! multiset of RR sets is a pure function of `(seed, θ)` and identical for
 //! every thread count.
 
+use std::ops::Range;
 use tim_coverage::SetCollection;
 use tim_diffusion::{DiffusionModel, RrSampler, RrStats};
 use tim_graph::Graph;
@@ -36,6 +37,36 @@ pub fn shard_layout(theta: u64) -> Vec<u64> {
     let per = theta / shards;
     let extra = theta % shards;
     (0..shards).map(|i| per + u64::from(i < extra)).collect()
+}
+
+/// The set ids a `theta`-set run occupies inside a `pool_theta`-set run
+/// on the same stream: one range per shard of `shard_layout(pool_theta)`
+/// (64 once `pool_theta ≥ 64`), shard `i`'s range holding its first
+/// `shard_layout(theta)[i]` sets (none past the end of that layout).
+/// Concatenated in order, the ranges' sets are exactly the `theta`-run's
+/// collection, which is what lets a pool answer for any smaller θ in
+/// place (`tim_coverage::greedy_max_cover_ranges`).
+///
+/// # Panics
+/// Panics if `theta > pool_theta`: a larger run is not inside the pool,
+/// and its ranges would read other shards' sets.
+pub fn prefix_ranges(pool_theta: u64, theta: u64) -> Vec<Range<usize>> {
+    assert!(
+        theta <= pool_theta,
+        "prefix_ranges: theta {theta} exceeds the pool's {pool_theta}"
+    );
+    let want = shard_layout(theta);
+    let mut start = 0usize;
+    shard_layout(pool_theta)
+        .iter()
+        .enumerate()
+        .map(|(i, &have)| {
+            let take = want.get(i).copied().unwrap_or(0) as usize;
+            let range = start..start + take;
+            start += have as usize;
+            range
+        })
+        .collect()
 }
 
 /// Aggregate statistics of a bulk generation run.
@@ -208,26 +239,48 @@ mod tests {
         // shard_layout(θ')[i] sets of each shard.
         let g = graph();
         let (big, _) = generate_rr_sets(&g, &IndependentCascade, 500, 9, 2);
-        let big_counts = shard_layout(500);
         for theta in [1u64, 3, 63, 64, 65, 200, 499, 500] {
             let (small, _) = generate_rr_sets(&g, &IndependentCascade, theta, 9, 1);
-            let want = shard_layout(theta);
             let mut idx = 0usize;
-            let mut start = 0usize;
-            for (i, &pool_count) in big_counts.iter().enumerate() {
-                let take = want.get(i).copied().unwrap_or(0) as usize;
-                for j in 0..take {
+            for (i, range) in prefix_ranges(500, theta).into_iter().enumerate() {
+                for j in range {
                     assert_eq!(
                         small.set(idx),
-                        big.set(start + j),
+                        big.set(j),
                         "theta={theta} shard={i} set={j}"
                     );
                     idx += 1;
                 }
-                start += pool_count as usize;
             }
             assert_eq!(idx, small.len());
         }
+    }
+
+    #[test]
+    fn prefix_ranges_follow_both_layouts() {
+        for (pool_theta, theta) in [(0u64, 0u64), (5, 3), (64, 1), (500, 65), (500, 500)] {
+            let pool = shard_layout(pool_theta);
+            let want = shard_layout(theta);
+            let ranges = prefix_ranges(pool_theta, theta);
+            assert_eq!(ranges.len(), pool.len(), "({pool_theta}, {theta})");
+            let mut start = 0usize;
+            for (i, range) in ranges.iter().enumerate() {
+                assert_eq!(range.start, start, "({pool_theta}, {theta}) shard {i}");
+                let take = want.get(i).copied().unwrap_or(0);
+                assert_eq!(
+                    range.len() as u64,
+                    take,
+                    "({pool_theta}, {theta}) shard {i}"
+                );
+                start += pool[i] as usize;
+            }
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "exceeds the pool")]
+    fn prefix_ranges_reject_a_theta_past_the_pool() {
+        let _ = prefix_ranges(100, 101);
     }
 
     #[test]

@@ -10,7 +10,7 @@
 
 use crate::kpt::KptEstimate;
 use crate::math::{epsilon_prime, lambda_prime};
-use crate::parallel::{generate_rr_sets, shard_layout};
+use crate::parallel::{generate_rr_sets, prefix_ranges};
 use std::sync::Arc;
 use tim_coverage::greedy_max_cover_indexed;
 use tim_diffusion::DiffusionModel;
@@ -41,7 +41,7 @@ pub struct Refined {
 /// Each refinement equals the one a call with `ks = [k]` returns, bit for
 /// bit. The θ′ stream depends on `rng` alone, and a θ′-set run is the
 /// shard-aligned prefix of any longer run on the same stream (see
-/// [`shard_layout`]), so the stream is sampled once, at the largest θ′,
+/// [`prefix_ranges`]), so the stream is sampled once, at the largest θ′,
 /// and each `k` scores its candidate on its own θ′ prefix.
 ///
 /// # Panics
@@ -82,7 +82,6 @@ pub fn refine_kpt<M: DiffusionModel + Sync>(
 
     // Lines 7-9: θ' fresh RR sets, drawn once for the largest θ′.
     let (collection, _) = generate_rr_sets(graph, model, top, rng.next_u64(), threads);
-    let top_layout = shard_layout(top);
 
     let mut out: Vec<Option<Refined>> = vec![None; ks.len()];
     for j in 0..ks.len() {
@@ -118,15 +117,11 @@ pub fn refine_kpt<M: DiffusionModel + Sync>(
         // Lines 10-12, each k on its own θ′ prefix.
         for i in group {
             let (k, theta_prime) = (ks[i], theta_primes[i]);
-            let want = shard_layout(theta_prime);
-            let mut covered = 0usize;
-            let mut start = 0usize;
-            for (shard, &have) in top_layout.iter().enumerate() {
-                let take = want.get(shard).copied().unwrap_or(0) as usize;
-                let prefix = &first_pick[start..start + take];
-                covered += prefix.iter().filter(|&&r| (r as usize) < k).count();
-                start += have as usize;
-            }
+            let covered = prefix_ranges(top, theta_prime)
+                .into_iter()
+                .flat_map(|range| &first_pick[range])
+                .filter(|&&r| (r as usize) < k)
+                .count();
             let f = covered as f64 / theta_prime as f64;
             let kpt_prime = f * n as f64 / (1.0 + eps_ps[i]);
             out[i] = Some(Refined {

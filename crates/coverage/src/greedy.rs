@@ -12,9 +12,15 @@
 //! `(gain, node)` pair, so ties go to the larger node id; once every set
 //! is covered, rounds pad with the smallest unselected id. Warm-pool
 //! replay in `tim_engine` relies on this order being fixed.
+//!
+//! The loop counts only the set ids it is given
+//! ([`greedy_max_cover_ranges`]); the other entry points give it the
+//! whole collection. Sets outside the ranges start out covered, so a
+//! warm pool answers any shard-aligned θ-prefix in place.
 
 use crate::SetCollection;
 use std::collections::BinaryHeap;
+use std::ops::Range;
 use tim_graph::NodeId;
 
 /// Result of a greedy max-coverage run.
@@ -100,6 +106,57 @@ pub fn greedy_max_cover_indexed_stats(
     collection: &SetCollection,
     k: usize,
 ) -> (CoverResult, EvalStats) {
+    let whole = 0..collection.len();
+    lazy_greedy(collection, std::slice::from_ref(&whole), k)
+}
+
+/// [`greedy_max_cover_indexed`] counting only the sets whose ids lie in
+/// `ranges`: the answer equals greedy on a copy that holds just those
+/// sets, in order, so a pool answers a shard-aligned θ-prefix (see
+/// `tim_core::parallel::prefix_ranges`) without copying it.
+///
+/// Sets outside the ranges start out covered, and initial gains come
+/// from one pass over the ranges' arena slices (the whole-collection
+/// case reads the index's degrees instead). Every later step is the
+/// same loop on the same `(gain, node)` sequence as over the copy, so
+/// picks, marginals and the covered count agree bit for bit.
+///
+/// ```
+/// use tim_coverage::{greedy_max_cover, greedy_max_cover_ranges, SetCollection};
+///
+/// let mut sets = SetCollection::new(4);
+/// for s in [&[0, 1][..], &[2], &[2, 3], &[1]] {
+///     sets.push(s);
+/// }
+/// sets.ensure_inverted_index();
+/// // Sets 1..3 alone: node 2 covers both.
+/// let cover = greedy_max_cover_ranges(&sets, &[1..3], 1);
+/// assert_eq!((cover.seeds[0], cover.covered), (2, 2));
+///
+/// let mut copy = SetCollection::new(4);
+/// copy.push(&[2]);
+/// copy.push(&[2, 3]);
+/// assert_eq!(greedy_max_cover(&mut copy, 1), cover);
+/// ```
+///
+/// # Panics
+/// Panics if the inverted index is stale, or the ranges are not
+/// ascending and disjoint within `0..`[`len`](SetCollection::len).
+pub fn greedy_max_cover_ranges(
+    collection: &SetCollection,
+    ranges: &[Range<usize>],
+    k: usize,
+) -> CoverResult {
+    lazy_greedy(collection, ranges, k).0
+}
+
+/// The one greedy loop behind every entry point, over the sets whose ids
+/// lie in `ranges`, with its work counters.
+fn lazy_greedy(
+    collection: &SetCollection,
+    ranges: &[Range<usize>],
+    k: usize,
+) -> (CoverResult, EvalStats) {
     assert!(
         collection.has_inverted_index(),
         "inverted index is stale; call ensure_inverted_index first"
@@ -107,9 +164,31 @@ pub fn greedy_max_cover_indexed_stats(
     let n = collection.universe();
     let k = k.min(n);
 
-    let mut covered = vec![false; collection.len()];
-    // Current marginal gain per node; starts at the hypergraph degree.
-    let mut gain: Vec<usize> = (0..n as NodeId).map(|v| collection.degree(v)).collect();
+    let len = collection.len();
+    assert!(
+        ranges.iter().all(|r| r.start <= r.end && r.end <= len)
+            && ranges.windows(2).all(|w| w[0].end <= w[1].start),
+        "set ranges must be ascending and disjoint within 0..{len}: {ranges:?}"
+    );
+    let counted: usize = ranges.iter().map(|r| r.len()).sum();
+
+    // Current marginal gain per node: the number of uncovered sets
+    // containing it. Over the whole collection that is the index degree.
+    let (mut covered, mut gain) = if counted == len {
+        let degrees = (0..n as NodeId).map(|v| collection.degree(v)).collect();
+        (vec![false; len], degrees)
+    } else {
+        let mut covered = vec![true; len];
+        let mut gain = vec![0usize; n];
+        let (data, offsets) = (collection.raw_data(), collection.raw_offsets());
+        for r in ranges {
+            covered[r.clone()].fill(false);
+            for &v in &data[offsets[r.start] as usize..offsets[r.end] as usize] {
+                gain[v as usize] += 1;
+            }
+        }
+        (covered, gain)
+    };
     let mut selected = vec![false; n];
 
     // Heap of (stored_gain, node); stale entries are detected by comparing
@@ -343,6 +422,26 @@ mod tests {
     fn indexed_variant_panics_without_an_index() {
         let c = collection(&[&[0, 1]], 3);
         let _ = greedy_max_cover_indexed(&c, 1);
+    }
+
+    #[test]
+    fn ranged_variant_rejects_overlapping_or_outside_ranges() {
+        let mut c = collection(&[&[0], &[1], &[2]], 3);
+        c.ensure_inverted_index();
+        let (past_the_end, reversed) = (2..4, Range { start: 2, end: 1 });
+        let bad = [
+            &[0..2, 1..3][..],
+            &[2..3, 0..1],
+            std::slice::from_ref(&past_the_end),
+            std::slice::from_ref(&reversed),
+        ];
+        for ranges in bad {
+            let run = std::panic::catch_unwind(|| greedy_max_cover_ranges(&c, ranges, 1));
+            assert!(run.is_err(), "{ranges:?} must be rejected");
+        }
+        // Touching and empty ranges are fine.
+        let ok = greedy_max_cover_ranges(&c, &[0..1, 1..1, 1..2, 3..3], 3);
+        assert_eq!((ok.covered, &ok.seeds[..2]), (2, &[1, 0][..]));
     }
 
     #[test]

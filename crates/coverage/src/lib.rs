@@ -14,6 +14,8 @@
 //! - [`greedy_max_cover`] — lazy-heap greedy (CELF-style; exact for
 //!   submodular coverage). It is the only solver: every caller, from
 //!   one-shot TIM/TIM+ to the serving engine, runs this one loop.
+//!   [`greedy_max_cover_ranges`] runs it over given set-id ranges only,
+//!   which is how the engine answers a pool's θ-prefix without a copy.
 //!
 //! The `&mut` in the solver entry points exists only to build the lazy
 //! inverted index; once [`SetCollection::has_inverted_index`] holds, the
@@ -34,7 +36,7 @@ mod mmap_sets;
 
 pub use collection::{build_inverted_index, count_covered_indexed, SetCollection};
 pub use greedy::{
-    greedy_max_cover, greedy_max_cover_indexed, greedy_max_cover_indexed_stats, CoverResult,
-    EvalStats,
+    greedy_max_cover, greedy_max_cover_indexed, greedy_max_cover_indexed_stats,
+    greedy_max_cover_ranges, CoverResult, EvalStats,
 };
 pub use mmap_sets::{SetsLayout, SETS_SECTION_COUNT, SETS_SECTION_NAMES};

@@ -4,9 +4,9 @@ use crate::error::EngineError;
 use crate::pool::{PoolMeta, RrPool};
 use std::collections::BTreeMap;
 use std::sync::Arc;
-use tim_core::parallel::{generate_rr_sets, shard_layout};
+use tim_core::parallel::{generate_rr_sets, prefix_ranges};
 use tim_core::{select_stream_seed, SamplingPlan, TimPlus};
-use tim_coverage::{greedy_max_cover, greedy_max_cover_indexed, CoverResult, SetCollection};
+use tim_coverage::{greedy_max_cover_indexed, greedy_max_cover_ranges, CoverResult, SetCollection};
 use tim_diffusion::DiffusionModel;
 use tim_graph::{Graph, GraphStore, NodeId};
 
@@ -44,9 +44,9 @@ struct FastCover {
 /// max-coverage. Two answering modes:
 ///
 /// - [`select`](Self::select) — **exact replay**: re-derives the
-///   [`SamplingPlan`] for the queried `k`, carves the exact θ-prefix a
-///   fresh run would have sampled out of the pool (see
-///   [`shard_layout`]'s prefix-composability), and returns seed sets
+///   [`SamplingPlan`] for the queried `k`, runs greedy over just the
+///   θ-prefix a fresh run would have sampled, read in place from the
+///   pool (see [`prefix_ranges`]), and returns seed sets
 ///   **byte-identical** to [`TimPlus::run`] at the same
 ///   `(seed, ε, ℓ, k)`. The pool grows (resamples) only when ε/ℓ/k
 ///   demand a larger θ than it holds.
@@ -349,8 +349,8 @@ impl<M: DiffusionModel + Clone> QueryEngine<M> {
     /// no one plan bounds the rest. Warming plans every `k` in
     /// `1..=k_max` in one batched pass ([`TimPlus::plans`], which costs
     /// about as much as the most expensive single plan), caches every
-    /// plan, and samples exactly `max θ(k)`: the smallest pool from which
-    /// every exact `select k ≤ k_max` carves its θ(k)-prefix.
+    /// plan, and samples exactly `max θ(k)`: the smallest pool that holds
+    /// every exact `select k ≤ k_max`'s θ(k)-prefix.
     ///
     /// The pool is sized up front rather than grown per query because
     /// [`select_fast`](Self::select_fast), [`spread`](Self::spread) and
@@ -429,29 +429,11 @@ impl<M: DiffusionModel + Clone> QueryEngine<M> {
         true
     }
 
-    /// Extracts the sub-collection a fresh `theta`-set run would have
-    /// produced (see [`shard_layout`] for why this is exact).
-    fn subset(&self, theta: u64) -> SetCollection {
-        debug_assert!(theta <= self.pool_theta);
-        let pool_counts = shard_layout(self.pool_theta);
-        let want = shard_layout(theta);
-        let mut sub =
-            SetCollection::with_capacity(self.pool.universe(), theta as usize, theta as usize * 2);
-        let mut start = 0usize;
-        for (i, &pool_count) in pool_counts.iter().enumerate() {
-            let take = want.get(i).copied().unwrap_or(0) as usize;
-            for j in 0..take {
-                sub.push(self.pool.set(start + j));
-            }
-            start += pool_count as usize;
-        }
-        sub
-    }
-
     /// Answers a `k`-seed selection **byte-identically** to
     /// [`TimPlus::run`] at the engine's `(seed, ε, ℓ)`: the estimation
-    /// phases are replayed (cheap), and the selection sample is carved
-    /// from the pool instead of regenerated (the expensive part).
+    /// phases are replayed (cheap), and greedy reads the selection
+    /// sample's sets in place in the pool instead of regenerating them
+    /// (the expensive part).
     ///
     /// # Panics
     /// Panics if `k == 0`.
@@ -476,16 +458,13 @@ impl<M: DiffusionModel + Clone> QueryEngine<M> {
     }
 
     /// Runs greedy for an already-satisfiable plan (`plan.theta ≤`
-    /// [`pool_theta`](Self::pool_theta)) — the shared tail of the mutable
-    /// and read-only select paths.
+    /// [`pool_theta`](Self::pool_theta)) over the pool's θ-prefix, heap
+    /// or mapped, without copying it — the shared tail of the mutable and
+    /// read-only select paths.
     fn answer_plan(&self, plan: &SamplingPlan, resampled: bool) -> QueryOutcome {
-        debug_assert!(plan.theta <= self.pool_theta);
         let n = self.store.n() as f64;
-        let cover = if plan.theta == self.pool_theta {
-            greedy_max_cover_indexed(&self.pool, plan.k)
-        } else {
-            greedy_max_cover(&mut self.subset(plan.theta), plan.k)
-        };
+        let ranges = prefix_ranges(self.pool_theta, plan.theta);
+        let cover = greedy_max_cover_ranges(&self.pool, &ranges, plan.k);
         let frac = cover.coverage_fraction(plan.theta as usize);
         QueryOutcome {
             seeds: cover.seeds,
@@ -786,14 +765,16 @@ mod tests {
 
         let mut heap = engine(5);
         heap.warm();
-        for k in [1usize, 6, 12] {
+        // Every k, so every sub-θ prefix is read in place from the
+        // mapping as well as from the heap.
+        for k in 1..=12 {
             let h = heap.select(k);
             let m = e.select(k);
             assert_eq!(h.seeds, m.seeds, "k={k}");
             assert_eq!(h.estimated_spread, m.estimated_spread);
             assert!(!m.resampled, "mapped pool must serve without resampling");
         }
-        assert!(e.pool_is_mapped(), "same-θ selects keep the mapping");
+        assert!(e.pool_is_mapped(), "selects keep the mapping");
         assert_eq!(heap.select_fast(9).seeds, e.select_fast(9).seeds);
         let seeds = heap.select(6).seeds;
         assert_eq!(heap.spread(&seeds), e.spread(&seeds));

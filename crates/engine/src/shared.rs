@@ -3,8 +3,9 @@
 //! A [`QueryEngine`] answers queries through `&mut self` because some of
 //! them *may* mutate: a plan-cache miss replays the (cheap) estimation
 //! phases, and a θ shortfall resamples the pool. But on a warm engine the
-//! overwhelmingly common case is a pure read — carve a prefix of the
-//! immutable pool and run greedy over the shared inverted index.
+//! overwhelmingly common case is a pure read — run greedy over a
+//! θ-prefix of the immutable pool, in place, through its shared inverted
+//! index.
 //!
 //! [`SharedEngine`] turns that split into a concurrency story: every query
 //! first tries the engine's read-only `try_*` path under an [`RwLock`]

@@ -2,7 +2,10 @@
 //! graphs and random seed sets.
 
 use proptest::prelude::*;
-use tim_influence::coverage::{greedy_max_cover, greedy_max_cover_indexed_stats, SetCollection};
+use std::ops::Range;
+use tim_influence::coverage::{
+    greedy_max_cover, greedy_max_cover_indexed_stats, greedy_max_cover_ranges, SetCollection,
+};
 use tim_influence::prelude::*;
 use tim_influence::rng::Xoshiro256pp as TimRng;
 
@@ -132,42 +135,70 @@ proptest! {
     /// `(gain, node)` wins, and once nothing is left to cover the smallest
     /// unselected id pads. Warm-pool replay relies on exactly this order,
     /// so the seeds and the marginals must both match, padding included.
+    /// Both over the whole collection and over random disjoint set-id
+    /// ranges, where sets outside the ranges start covered and the ranged
+    /// answer equals greedy on a copy of just the in-range sets.
     #[test]
     fn lazy_rounds_match_the_reference_oracle(
         seed in 0u64..1_000_000,
         n in 2usize..50,
         sets in 0usize..100,
         k_frac in 0.0f64..1.0,
+        cuts in proptest::collection::vec(0usize..101, 0..12),
     ) {
         let c = random_collection(seed, n, sets, 6);
         let k = 1 + (k_frac * (n - 1) as f64) as usize;
-        let (got, stats) = greedy_max_cover_indexed_stats(&c, k);
-        prop_assert_eq!(got.seeds.len(), k);
+        // Sorted cut points paired up are ascending disjoint ranges,
+        // some empty, some touching.
+        let mut cuts: Vec<usize> = cuts.iter().map(|&x| x % (c.len() + 1)).collect();
+        cuts.sort_unstable();
+        let ranges: Vec<Range<usize>> = cuts.chunks_exact(2).map(|w| w[0]..w[1]).collect();
+        let (full, stats) = greedy_max_cover_indexed_stats(&c, k);
         prop_assert_eq!(stats.rounds, k);
+        let whole = 0..c.len();
+        let runs = [
+            (std::slice::from_ref(&whole), full),
+            (&ranges[..], greedy_max_cover_ranges(&c, &ranges, k)),
+        ];
+        for (ranges, got) in runs {
+            prop_assert_eq!(got.seeds.len(), k);
 
-        let mut gain: Vec<usize> = (0..n as NodeId).map(|v| c.degree(v)).collect();
-        let mut selected = vec![false; n];
-        let mut covered = vec![false; c.len()];
-        for (round, &node) in got.seeds.iter().enumerate() {
-            let best = (0..n)
-                .filter(|&v| !selected[v] && gain[v] > 0)
-                .map(|v| (gain[v], v as NodeId))
-                .max();
-            let (want, marginal) = match best {
-                Some((g, v)) => (v, g),
-                None => ((0..n).find(|&v| !selected[v]).unwrap() as NodeId, 0),
-            };
-            prop_assert_eq!(node, want, "round {}", round);
-            prop_assert_eq!(got.marginal[round], marginal, "round {}", round);
-            for &s in c.sets_containing(node) {
-                if !covered[s as usize] {
-                    covered[s as usize] = true;
-                    for &u in c.set(s as usize) {
-                        gain[u as usize] -= 1;
-                    }
+            let mut covered = vec![true; c.len()];
+            let mut gain = vec![0usize; n];
+            for s in ranges.iter().cloned().flatten() {
+                covered[s] = false;
+                for &u in c.set(s) {
+                    gain[u as usize] += 1;
                 }
             }
-            selected[node as usize] = true;
+            let mut selected = vec![false; n];
+            for (round, &node) in got.seeds.iter().enumerate() {
+                let best = (0..n)
+                    .filter(|&v| !selected[v] && gain[v] > 0)
+                    .map(|v| (gain[v], v as NodeId))
+                    .max();
+                let (want, marginal) = match best {
+                    Some((g, v)) => (v, g),
+                    None => ((0..n).find(|&v| !selected[v]).unwrap() as NodeId, 0),
+                };
+                prop_assert_eq!(node, want, "round {} of {:?}", round, ranges);
+                prop_assert_eq!(got.marginal[round], marginal, "round {} of {:?}", round, ranges);
+                for &s in c.sets_containing(node) {
+                    if !covered[s as usize] {
+                        covered[s as usize] = true;
+                        for &u in c.set(s as usize) {
+                            gain[u as usize] -= 1;
+                        }
+                    }
+                }
+                selected[node as usize] = true;
+            }
+
+            let mut copy = SetCollection::new(n);
+            for s in ranges.iter().cloned().flatten() {
+                copy.push(c.set(s));
+            }
+            prop_assert_eq!(got, greedy_max_cover(&mut copy, k), "{:?}", ranges);
         }
     }
 
