@@ -1,9 +1,11 @@
-//! RR-set generation throughput — the primitive whose cost is `EPT` and
-//! which dominates every phase of TIM (θ · EPT, Equation 6).
+//! RR-set generation throughput — the primitive that dominates every
+//! phase of TIM. The paper's sampler costs `EPT` per set (θ · EPT,
+//! Equation 6); here IC subset sampling costs O(|R| + candidate in-edges).
 //!
 //! Ablations:
-//! - IC vs LT sampling (the §7.2 observation: IC consumes one random draw
-//!   per in-edge, LT one per node, so LT wins on edge-heavy graphs);
+//! - IC vs LT sampling (the §7.2 observation: the paper's IC consumes one
+//!   random draw per in-edge, LT one per node, so LT wins on edge-heavy
+//!   graphs; IC subset sampling draws O(1 + d·q) per node instead);
 //! - serial vs sharded-parallel bulk generation (our §8-future-work
 //!   extension; on a single-core machine the parallel path measures the
 //!   sharding overhead).

@@ -74,8 +74,6 @@ pub fn prefix_ranges(pool_theta: u64, theta: u64) -> Vec<Range<usize>> {
 pub struct BulkStats {
     /// Σ w(R) over all generated sets.
     pub total_width: u64,
-    /// Σ draws over all generated sets.
-    pub total_draws: u64,
     /// Σ |R| over all generated sets.
     pub total_nodes: u64,
 }
@@ -83,13 +81,11 @@ pub struct BulkStats {
 impl BulkStats {
     fn add(&mut self, s: RrStats) {
         self.total_width += s.width;
-        self.total_draws += s.draws;
         self.total_nodes += s.nodes;
     }
 
     fn merge(&mut self, o: BulkStats) {
         self.total_width += o.total_width;
-        self.total_draws += o.total_draws;
         self.total_nodes += o.total_nodes;
     }
 }

@@ -16,7 +16,7 @@ use crate::math::{adjusted_ell, lambda};
 use crate::refine::{refine_kpt, Refined};
 use crate::select::node_selection;
 use std::time::{Duration, Instant};
-use tim_diffusion::DiffusionModel;
+use tim_diffusion::{DiffusionModel, SAMPLER_REVISION};
 use tim_graph::{Graph, NodeId};
 use tim_rng::{RandomSource, Rng};
 
@@ -164,11 +164,22 @@ pub struct SamplingPlan {
 /// pool management (`tim_engine`) can label persisted RR-set pools with
 /// the exact stream they were drawn from. Pure function of `seed`,
 /// independent of `k`, ε, and ℓ.
+///
+/// The sampler revision ([`SAMPLER_REVISION`]) is XOR-ed in, so a pool
+/// drawn by an older sampler carries a select seed that no longer
+/// matches its run seed. Revision 0, the identity, is the derivation
+/// from before revisions were counted.
 pub fn select_stream_seed(seed: u64) -> u64 {
+    run_streams(seed).2
+}
+
+/// A run seed's three streams: KPT estimation, refinement, and the
+/// node-selection seed ([`select_stream_seed`]).
+fn run_streams(seed: u64) -> (Rng, Rng, u64) {
     let mut base = Rng::seed_from_u64(seed);
-    let _kpt_rng = base.split_off();
-    let _refine_rng = base.split_off();
-    base.next_u64()
+    let kpt_rng = base.split_off();
+    let refine_rng = base.split_off();
+    (kpt_rng, refine_rng, base.next_u64() ^ SAMPLER_REVISION)
 }
 
 /// The TIM algorithm (§3.3): parameter estimation + node selection.
@@ -336,10 +347,7 @@ fn plans_impl<M: DiffusionModel + Sync>(
     // 2 (TIM) or 3 (TIM+) sub-steps is still 1 - n^-ℓ.
     let ell_eff = adjusted_ell(cfg.ell, n, if refine { 3.0 } else { 2.0 });
 
-    let mut base = Rng::seed_from_u64(cfg.seed);
-    let mut kpt_rng = base.split_off();
-    let mut refine_rng = base.split_off();
-    let select_seed = base.next_u64();
+    let (mut kpt_rng, mut refine_rng, select_seed) = run_streams(cfg.seed);
 
     let mut phases = PhaseTimings::default();
 

@@ -6,9 +6,13 @@
 //! benchmark cannot see such a drift, because its server and its
 //! reference answers share the planner; these tables can. Each row is
 //! `(k, θ, KPT* bits, KPT⁺ bits, ε′ bits, estimation RR sets)` (TIM rows
-//! lack the two TIM+ columns), recorded with the one-`k` planner that
-//! predates `TimPlus::plans`. Both `plan(k)` and the batched `plans(ks)`
-//! must reproduce them exactly.
+//! lack the two TIM+ columns). `LT_PLUS` was recorded with the one-`k`
+//! planner that predates `TimPlus::plans`. `IC_PLUS` and `IC_TIM` were
+//! re-recorded from the lone `plan(k)` when IC reverse sampling moved to
+//! subset sampling (`tim_diffusion::SAMPLER_REVISION` 1): the RR-set
+//! distribution is unchanged but the sets drawn from a seed are not, so
+//! κ, KPT and θ moved once. Both `plan(k)` and the batched `plans(ks)`
+//! must reproduce every table exactly.
 
 use tim_core::{SamplingPlan, Tim, TimPlus};
 use tim_diffusion::{IndependentCascade, LinearThreshold};
@@ -20,163 +24,163 @@ type Row = (usize, u64, u64, u64, u64, u64);
 const IC_PLUS: [Row; 20] = [
     (
         1,
-        124174,
+        75584,
         0x3ff0000000000000,
-        0x3ff98effeaa41562,
+        0x4004fe9b5c2b5ab5,
         0x40048b7e7920170f,
         16059,
     ),
     (
         2,
-        64482,
+        68669,
         0x3ff0000000000000,
-        0x4011090ccf3cc7a4,
+        0x400ffe43c3a41947,
         0x40021e48665744b1,
         16453,
     ),
     (
         3,
-        57361,
-        0x3ff988dcc81cc706,
-        0x40180ee4569b54b2,
+        58512,
+        0x3ffbe5a99e69515c,
+        0x401795cc9f7bd2ec,
         0x40008a9587550e5e,
-        15785,
+        15642,
     ),
     (
         4,
-        47717,
-        0x4000a6496e9ac0fe,
-        0x40213c4aa709a149,
+        47433,
+        0x4002236328817fb3,
+        0x402156acfb160220,
         0x3ffecd3031014def,
-        15538,
+        15419,
     ),
     (
         5,
-        46793,
-        0x40045fbe814f5af3,
-        0x4024444d8066f20a,
+        44508,
+        0x40062264dbf9e7fa,
+        0x40254ea515c0c36a,
         0x3ffd0ae303e8ac8d,
-        15384,
+        15281,
     ),
     (
         6,
-        42709,
-        0x4007f47fc0c71ebe,
-        0x40290724db54262c,
+        36533,
+        0x4009f47ee598a70b,
+        0x402d425558264925,
         0x3ffba08194d6d10c,
-        15278,
+        15187,
     ),
     (
         7,
-        44876,
-        0x400b1e19c2293cec,
-        0x402a67f341009658,
+        35128,
+        0x400a5236ec6d312b,
+        0x4030ddf3faca90da,
         0x3ffa73d1a281a3d0,
-        8111,
+        8145,
     ),
     (
         8,
-        45355,
-        0x400e6ee5e2aae0fa,
-        0x402c99b3944997d1,
+        34988,
+        0x400d837e66e33b76,
+        0x403289914abe362b,
         0x3ff97483ac22401d,
-        8050,
+        8083,
     ),
     (
         9,
-        42084,
-        0x4010d1ef04c5743a,
-        0x4030b3ee820ea5db,
+        34669,
+        0x40104cc5409f4c78,
+        0x403446747c7aaa7e,
         0x3ff897d1878225c8,
-        8002,
+        8034,
     ),
     (
         10,
-        41905,
-        0x40125f86572bbf49,
-        0x403208cb1bfa5eb0,
+        33226,
+        0x4011cb4d6872d2f4,
+        0x4036bea60cbd9a61,
         0x3ff7d6467bce365c,
-        7963,
+        7995,
     ),
     (
         11,
-        40330,
-        0x4013e1265447abf5,
-        0x40340333b11c9e05,
+        33740,
+        0x40133e5958d18903,
+        0x4037ebde426507de,
         0x3ff72a87cf5f07b5,
-        7931,
+        7962,
     ),
     (
         12,
-        38932,
-        0x401557a6f80a19dc,
-        0x4036049c1ecb07fe,
+        32656,
+        0x4014a6d01b056c2a,
+        0x403a3fe6648f3f2d,
         0x3ff6909ef4b5fb48,
-        7904,
+        7934,
     ),
     (
         13,
-        38593,
-        0x4016c3cceedc5c3b,
-        0x40377a7a93aa00ef,
+        32334,
+        0x401605811fc7233c,
+        0x403c060f9eb4a798,
         0x3ff60589e564a270,
-        7881,
+        7911,
     ),
     (
         14,
-        38885,
-        0x4018264b7cedaaab,
-        0x4038881215611cbd,
+        32997,
+        0x4019930b5b08d5bc,
+        0x403ce8bdd88d7684,
         0x3ff586f3aa1ee9e4,
-        7861,
+        4261,
     ),
     (
         15,
-        36641,
-        0x4019a3857948d95b,
-        0x403b4f78099d4bd4,
+        32592,
+        0x401b021d94e15479,
+        0x403eb414c722a67d,
         0x3ff51304f9b2485a,
-        4288,
+        4245,
     ),
     (
         16,
-        35368,
-        0x401af107ca0ac982,
-        0x403d96867dae54b6,
+        32392,
+        0x401c68a59e2950a5,
+        0x4040274913cf6400,
         0x3ff4a843dcc790d9,
-        4273,
+        4230,
     ),
     (
         17,
-        36184,
-        0x401c36af623ee027,
-        0x403e297526b1c524,
+        31998,
+        0x401dc7335aa63483,
+        0x40410db549eb4625,
         0x3ff4457d001cbd5c,
-        4260,
+        4217,
     ),
     (
         18,
-        35216,
-        0x401d7506482a7e47,
-        0x40401eda04a7e25f,
+        32236,
+        0x401f1e494d70360e,
+        0x40419c68367fb5b6,
         0x3ff3e9b3735177c5,
-        4248,
+        4205,
     ),
     (
         19,
-        35047,
-        0x401eac89894cd17f,
-        0x4040d094f02c73e4,
+        31467,
+        0x4020372f017095af,
+        0x4042ba5e1696d6b7,
         0x3ff39414c6e76bf7,
-        4238,
+        4195,
     ),
     (
         20,
-        34384,
-        0x401fddaa98145d8d,
-        0x4041c18f253b89ac,
+        31884,
+        0x4020dbeea8ebacfa,
+        0x404325f0ca2fe926,
         0x3ff343f0351df021,
-        4228,
+        4185,
     ),
 ];
 
@@ -349,24 +353,24 @@ const LT_PLUS: [Row; 20] = [
 const IC_TIM: [(usize, u64, u64, u64); 20] = [
     (1, 192517, 0x3ff0000000000000, 13479),
     (2, 268777, 0x3ff0000000000000, 13479),
-    (3, 209388, 0x3ff9ea99c8653801, 13479),
-    (4, 191970, 0x4000e49ba56d6fe4, 13479),
-    (5, 181300, 0x4004aa494f3cd126, 13479),
-    (6, 174106, 0x40084a217c5a9e43, 13479),
-    (7, 179173, 0x400a31ac182544b6, 6688),
-    (8, 174785, 0x400d6b201a4e0da3, 6688),
-    (9, 171369, 0x4010455b6df2eeeb, 6688),
-    (10, 168646, 0x4011c927df6e7326, 6688),
-    (11, 166434, 0x401341cf2c04a9a4, 6688),
-    (12, 164609, 0x4014b0176b961df2, 6688),
-    (13, 163083, 0x401614b4fb8ef255, 6688),
-    (14, 161793, 0x4017704c41abbea9, 6688),
-    (15, 151753, 0x401a38e55f983f51, 3292),
-    (16, 151102, 0x401b8c2ac8b5203b, 3292),
-    (17, 150552, 0x401cd74a39cbeec3, 3292),
-    (18, 150082, 0x401e1ad3d2d2eda6, 3292),
-    (19, 149678, 0x401f574a2430d8da, 3292),
-    (20, 149327, 0x40204691ce3833db, 3292),
+    (3, 196077, 0x3ffbad0685082709, 13479),
+    (4, 180265, 0x4001fd6b3213e5a3, 13479),
+    (5, 170701, 0x4005f2c20127ed6a, 13479),
+    (6, 164351, 0x4009bb367007433f, 13479),
+    (7, 175105, 0x400acd7704105e2e, 6688),
+    (8, 171006, 0x400e118acf83d810, 6688),
+    (9, 167831, 0x40109d29192b570a, 6688),
+    (10, 165312, 0x401224fd88295dee, 6688),
+    (11, 163274, 0x4013a13d4f67372f, 6688),
+    (12, 161598, 0x401512c9e08873b3, 6688),
+    (13, 160200, 0x40167a6e519b9b84, 6688),
+    (14, 159022, 0x4017d8e1d5c366a5, 6688),
+    (15, 152043, 0x401a2c0d196f9315, 3292),
+    (16, 151142, 0x401b8a57d3b652be, 3292),
+    (17, 150352, 0x401ce1204222cefb, 3292),
+    (18, 149654, 0x401e30e040f12b5a, 3292),
+    (19, 149032, 0x401f7a0661706d7e, 3292),
+    (20, 148475, 0x40205e7b8ecf23be, 3292),
 ];
 
 /// Weighted-cascade Barabási–Albert graph, n = 400.

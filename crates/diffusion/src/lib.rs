@@ -29,5 +29,5 @@ mod spread;
 
 pub use forward::SimWorkspace;
 pub use model::{CustomTriggering, DiffusionModel, IndependentCascade, LinearThreshold, ModelKind};
-pub use rr::{RrSampler, RrStats};
+pub use rr::{RrSampler, RrStats, SAMPLER_REVISION};
 pub use spread::SpreadEstimator;

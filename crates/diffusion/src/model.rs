@@ -1,4 +1,16 @@
 //! The triggering-model abstraction and its two canonical instances.
+//!
+//! Reverse sampling spends its time in [`DiffusionModel::sample_triggering_set`].
+//! The paper's reverse BFS (§3.1) flips one coin per in-edge, so one RR
+//! set costs its width `w(R)`. [`IndependentCascade`] instead draws only
+//! the in-edges that can come up live, by subset sampling (Guo, Wang,
+//! Wei and Chen, *Influence Maximization Revisited: Efficient Reverse
+//! Reachable Set Generation with Bound Tightened* (SUBSIM), SIGMOD 2020):
+//! O(1 + d·q) draws at a node of in-degree `d` whose largest
+//! in-probability is `q`. Under weighted cascade (`p = 1/d`, so `d·q = 1`)
+//! that is O(1) per visited node whatever its degree. The distribution of
+//! triggering sets is the paper's; the random stream it consumes is not,
+//! which [`SAMPLER_REVISION`](crate::SAMPLER_REVISION) records.
 
 use tim_graph::{Graph, NodeId};
 use tim_rng::{RandomSource, Rng};
@@ -25,14 +37,6 @@ pub trait DiffusionModel: Sync {
         rng: &mut Rng,
         out: &mut Vec<NodeId>,
     );
-
-    /// Expected number of random draws per visited node during reverse
-    /// sampling, used only for cost accounting: IC consumes one draw per
-    /// in-edge, LT one draw per node (the §7.2 observation for why LT runs
-    /// faster on edge-heavy graphs).
-    fn draws_per_node(&self, graph: &Graph, node: NodeId) -> u64 {
-        graph.in_degree(node) as u64
-    }
 
     /// Runs one forward propagation from `seeds`, returning the number of
     /// activated nodes (one Monte Carlo sample of `I(S)`).
@@ -68,11 +72,6 @@ impl<M: DiffusionModel + ?Sized> DiffusionModel for &M {
         (**self).sample_triggering_set(graph, node, rng, out)
     }
 
-    #[inline]
-    fn draws_per_node(&self, graph: &Graph, node: NodeId) -> u64 {
-        (**self).draws_per_node(graph, node)
-    }
-
     fn simulate(
         &self,
         ws: &mut crate::forward::SimWorkspace,
@@ -93,6 +92,14 @@ impl<M: DiffusionModel + ?Sized> DiffusionModel for &M {
 /// Each edge `e = (u, v)` is live independently with probability `p(e)`;
 /// equivalently, `v`'s triggering set contains each in-neighbour `u`
 /// independently with probability `p(u, v)`.
+///
+/// Triggering sets are drawn by subset sampling at `v`'s largest
+/// in-probability `q` ([`Graph::max_in_probability`]): geometric jumps
+/// visit each in-edge as a candidate with probability `q`, and a
+/// candidate of probability `p` is kept with probability `p/q`, so each
+/// in-edge is live with probability `p`, independently of the others.
+/// A node with a certain in-edge (`q = 1`) flips one coin per in-edge
+/// instead; one whose in-edges all have `p = 0` draws nothing.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct IndependentCascade;
 
@@ -107,10 +114,16 @@ impl DiffusionModel for IndependentCascade {
     ) {
         let nbrs = graph.in_neighbors(node);
         let probs = graph.in_probabilities(node);
-        for (&u, &p) in nbrs.iter().zip(probs) {
-            if rng.bernoulli_f32(p) {
-                out.push(u);
+        let q = graph.max_in_probability(node);
+        if q >= 1.0 {
+            // Every in-edge is a candidate: one coin each.
+            for (&u, &p) in nbrs.iter().zip(probs) {
+                if rng.bernoulli_f32(p) {
+                    out.push(u);
+                }
             }
+        } else if q > 0.0 {
+            subset_sample(nbrs, probs, q, rng, out);
         }
     }
 
@@ -129,6 +142,32 @@ impl DiffusionModel for IndependentCascade {
     }
 }
 
+/// Subset sampling of the in-edges `(nbrs, probs)` whose largest
+/// probability is `q`, with `0 < q < 1`.
+///
+/// The gap to the next candidate counts the failures before the next
+/// success of a Bernoulli(`q`) sequence, `⌊ln U / ln(1−q)⌋` with `U` in
+/// `(0, 1]`, so `P(gap ≥ j) = (1−q)^j`. It is compared in `f64` with the
+/// edges left before it is cast: a small `q` can jump past `usize::MAX`.
+#[inline]
+fn subset_sample(nbrs: &[NodeId], probs: &[f32], q: f32, rng: &mut Rng, out: &mut Vec<NodeId>) {
+    let q64 = f64::from(q);
+    let ln_miss = (-q64).ln_1p();
+    let mut next = 0usize;
+    loop {
+        let gap = ((1.0 - rng.next_f64()).ln() / ln_miss).floor();
+        if gap >= (nbrs.len() - next) as f64 {
+            return;
+        }
+        let at = next + gap as usize;
+        let p = probs[at];
+        if p == q || rng.next_f64() * q64 < f64::from(p) {
+            out.push(nbrs[at]);
+        }
+        next = at + 1;
+    }
+}
+
 /// The Linear Threshold model (paper §7.1), in triggering form.
 ///
 /// Every sample from `T(v)` is either empty or a singleton: in-neighbour
@@ -138,8 +177,10 @@ impl DiffusionModel for IndependentCascade {
 /// ([`assign_lt_normalized`](tim_graph::weights::assign_lt_normalized)),
 /// in which case the triggering set is always a singleton.
 ///
-/// Note this consumes **one** random draw per node, versus one per in-edge
-/// for IC — the reason TIM runs measurably faster under LT (§7.2).
+/// Note this consumes **one** random draw per node. The paper's IC
+/// sampler flips one coin per in-edge, which is why TIM runs measurably
+/// faster under LT in §7.2; [`IndependentCascade`] here draws O(1 + d·q)
+/// per node, which narrows that gap.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct LinearThreshold;
 
@@ -167,10 +208,6 @@ impl DiffusionModel for LinearThreshold {
             }
         }
         // x >= total weight: the triggering set is empty this time.
-    }
-
-    fn draws_per_node(&self, _graph: &Graph, _node: NodeId) -> u64 {
-        1
     }
 
     fn simulate(
@@ -240,18 +277,6 @@ impl DiffusionModel for ModelKind {
             }
             ModelKind::LinearThreshold => {
                 LinearThreshold.sample_triggering_set(graph, node, rng, out)
-            }
-        }
-    }
-
-    #[inline]
-    fn draws_per_node(&self, graph: &Graph, node: NodeId) -> u64 {
-        match self {
-            ModelKind::IndependentCascade => {
-                DiffusionModel::draws_per_node(&IndependentCascade, graph, node)
-            }
-            ModelKind::LinearThreshold => {
-                DiffusionModel::draws_per_node(&LinearThreshold, graph, node)
             }
         }
     }
@@ -363,6 +388,159 @@ mod tests {
         }
     }
 
+    /// The paper's per-edge IC sampler, one coin per in-edge: the
+    /// reference the subset sampler must match in distribution.
+    struct PerEdgeCascade;
+
+    impl DiffusionModel for PerEdgeCascade {
+        fn sample_triggering_set(
+            &self,
+            graph: &Graph,
+            node: NodeId,
+            rng: &mut Rng,
+            out: &mut Vec<NodeId>,
+        ) {
+            let nbrs = graph.in_neighbors(node);
+            for (&u, &p) in nbrs.iter().zip(graph.in_probabilities(node)) {
+                if rng.bernoulli_f32(p) {
+                    out.push(u);
+                }
+            }
+        }
+    }
+
+    /// Star whose leaf `i + 1` points at node 0 with probability `probs[i]`.
+    fn star_with(probs: &[f32]) -> Graph {
+        Graph::from_edges(probs.len() + 1, (1..).zip(probs).map(|(u, &p)| (u, 0, p)))
+    }
+
+    /// `|freq − p| ≤ 4σ` for a frequency over `trials` Bernoulli(`p`) draws.
+    fn assert_within_4_sigma(hits: u64, trials: u64, p: f64, what: &str) {
+        let freq = hits as f64 / trials as f64;
+        let sigma = (p * (1.0 - p) / trials as f64).sqrt();
+        assert!(
+            (freq - p).abs() <= 4.0 * sigma,
+            "{what}: frequency {freq} vs p {p} (4σ = {})",
+            4.0 * sigma
+        );
+    }
+
+    /// Samples node 0's triggering set `trials` times and checks each
+    /// edge's live frequency and every pair's joint frequency.
+    fn check_edge_and_pair_frequencies(g: &Graph, seed: u64) {
+        let probs: Vec<f64> = g
+            .in_probabilities(0)
+            .iter()
+            .map(|&p| f64::from(p))
+            .collect();
+        let d = probs.len();
+        let trials = 400_000u64;
+        let (mut single, mut pair) = (vec![0u64; d], vec![vec![0u64; d]; d]);
+        let mut rng = Rng::seed_from_u64(seed);
+        let mut buf = Vec::new();
+        for _ in 0..trials {
+            buf.clear();
+            IndependentCascade.sample_triggering_set(g, 0, &mut rng, &mut buf);
+            // Leaf u sits at in-edge u − 1.
+            for (a, &u) in buf.iter().enumerate() {
+                single[u as usize - 1] += 1;
+                for &w in &buf[a + 1..] {
+                    pair[u as usize - 1][w as usize - 1] += 1;
+                }
+            }
+        }
+        for i in 0..d {
+            assert_within_4_sigma(single[i], trials, probs[i], &format!("edge {i}"));
+            for j in i + 1..d {
+                let both = pair[i][j] + pair[j][i];
+                assert_within_4_sigma(both, trials, probs[i] * probs[j], &format!("pair {i},{j}"));
+            }
+        }
+    }
+
+    #[test]
+    fn ic_edges_are_live_independently_at_their_own_probability() {
+        let probs = [0.0, 1e-4, 0.01, 0.3, 0.3, 1.0];
+        // q = 1: one coin per in-edge.
+        check_edge_and_pair_frequencies(&star_with(&probs), 21);
+        // q = 0.3: geometric jumps, kept with probability p/q.
+        check_edge_and_pair_frequencies(&star_with(&probs[..5]), 22);
+    }
+
+    #[test]
+    fn ic_with_all_zero_in_probabilities_draws_nothing() {
+        let g = star_with(&[0.0, 0.0, 0.0]);
+        let mut rng = Rng::seed_from_u64(23);
+        let before = rng.clone();
+        let mut buf = Vec::new();
+        IndependentCascade.sample_triggering_set(&g, 0, &mut rng, &mut buf);
+        assert!(buf.is_empty());
+        assert_eq!(rng.next_u64(), before.clone().next_u64(), "no draw spent");
+    }
+
+    /// Mean and variance of `|R|` and `w(R)` over `sets` random RR sets.
+    fn rr_moments<M: DiffusionModel>(model: M, g: &Graph, seed: u64, sets: u64) -> [(f64, f64); 2] {
+        let mut sampler = crate::RrSampler::new(model);
+        let mut rng = Rng::seed_from_u64(seed);
+        let mut out = Vec::new();
+        let mut sums = [(0.0f64, 0.0f64); 2];
+        for _ in 0..sets {
+            let (_, st) = sampler.sample_random(g, &mut rng, &mut out);
+            for (sum, x) in sums.iter_mut().zip([st.nodes as f64, st.width as f64]) {
+                sum.0 += x;
+                sum.1 += x * x;
+            }
+        }
+        sums.map(|(s, s2)| {
+            let mean = s / sets as f64;
+            (mean, s2 / sets as f64 - mean * mean)
+        })
+    }
+
+    #[test]
+    fn ic_rr_sets_match_the_per_edge_reference_in_size_and_width() {
+        let sets = 20_000u64;
+        let base = tim_graph::gen::symmetrize(&tim_graph::gen::barabasi_albert(3_000, 4, 0.0, 5));
+        let mut wc = base.clone();
+        weights::assign_weighted_cascade(&mut wc);
+        let mut tri = base;
+        weights::assign_trivalency(&mut tri, 6);
+        for (name, g) in [("weighted cascade", wc), ("trivalency", tri)] {
+            let subset = rr_moments(IndependentCascade, &g, 31, sets);
+            let per_edge = rr_moments(PerEdgeCascade, &g, 32, sets);
+            for (what, (a, va), (b, vb)) in [
+                ("|R|", subset[0], per_edge[0]),
+                ("width", subset[1], per_edge[1]),
+            ] {
+                let se = ((va + vb) / sets as f64).sqrt();
+                assert!(
+                    (a - b).abs() <= 4.0 * se,
+                    "{name} mean {what}: subset {a} vs per-edge {b} (4σ = {})",
+                    4.0 * se
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn ic_follows_probabilities_reassigned_after_sampling() {
+        let mut g = in_star(8, 0.01);
+        let mut rng = Rng::seed_from_u64(33);
+        let mut buf = Vec::new();
+        IndependentCascade.sample_triggering_set(&g, 0, &mut rng, &mut buf);
+        assert_eq!(g.max_in_probability(0), 0.01);
+        // A stale bound of 0.01 would keep each edge about 1% of the time.
+        weights::assign_constant(&mut g, 0.9);
+        let trials = 20_000u64;
+        let mut hits = 0u64;
+        for _ in 0..trials {
+            buf.clear();
+            IndependentCascade.sample_triggering_set(&g, 0, &mut rng, &mut buf);
+            hits += buf.len() as u64;
+        }
+        assert_within_4_sigma(hits, trials * 8, 0.9, "reweighted edges");
+    }
+
     #[test]
     fn lt_with_normalized_weights_always_picks_exactly_one() {
         let mut g = in_star(6, 0.0);
@@ -428,13 +606,6 @@ mod tests {
     }
 
     #[test]
-    fn draws_per_node_reflects_model_cost() {
-        let g = in_star(7, 0.5);
-        assert_eq!(IndependentCascade.draws_per_node(&g, 0), 7);
-        assert_eq!(LinearThreshold.draws_per_node(&g, 0), 1);
-    }
-
-    #[test]
     fn custom_triggering_dispatches_closure() {
         let g = in_star(4, 1.0);
         // "Always everyone" — the deterministic cascade.
@@ -495,7 +666,5 @@ mod tests {
                 assert_eq!(a, b, "{kind:?}");
             }
         }
-        assert_eq!(ModelKind::LinearThreshold.draws_per_node(&g, 0), 1);
-        assert_eq!(ModelKind::IndependentCascade.draws_per_node(&g, 0), 8);
     }
 }

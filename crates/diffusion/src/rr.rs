@@ -7,13 +7,30 @@
 //! generalisation): dequeue a node, sample its triggering set, enqueue
 //! unvisited members.
 //!
+//! The paper flips one coin per in-edge of every dequeued node, so a set
+//! costs its width `w(R)`. Under IC this crate draws only candidate
+//! in-edges by subset sampling (see [`IndependentCascade`]), so a set
+//! costs O(|R| + candidate in-edges) draws; its width is still summed
+//! from in-degrees, because κ(R) (Algorithm 2) and EPT need it.
+//!
 //! The sampler owns its scratch memory (epoch-stamped visited array, BFS
 //! queue), so generating millions of RR sets performs no allocation beyond
 //! the output vector growth.
+//!
+//! [`IndependentCascade`]: crate::IndependentCascade
 
 use crate::model::DiffusionModel;
 use tim_graph::{Graph, NodeId};
 use tim_rng::{RandomSource, Rng};
+
+/// Revision of the random stream reverse sampling consumes for a given
+/// seed. A change that keeps the RR-set distribution but draws different
+/// sets from the same seed bumps it, so sets persisted by an older
+/// sampler can be told apart: `tim_core` folds it into every
+/// node-selection stream seed, which RR-set pools record. Revision 0 is
+/// the paper's one-coin-per-in-edge IC sampler; revision 1 samples IC
+/// in-edges by subset sampling.
+pub const SAMPLER_REVISION: u64 = 1;
 
 /// Cost accounting for one generated RR set.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -21,15 +38,13 @@ pub struct RrStats {
     /// `w(R)` from Equation 1: the number of edges in `G` pointing to nodes
     /// in `R` (Σ in-degree over `R`). Drives `EPT` and `κ(R)`.
     pub width: u64,
-    /// Number of random draws consumed — one per examined in-edge for IC,
-    /// one per visited node for LT (the §7.2 cost asymmetry).
-    pub draws: u64,
     /// `|R|`: number of nodes in the set (root included).
     pub nodes: u64,
 }
 
 impl RrStats {
-    /// Nodes-plus-edges examined; the quantity RIS thresholds on (§2.3).
+    /// Nodes plus width: what the paper's reverse BFS examines, and the
+    /// cost RIS thresholds on (§2.3), whatever this sampler draws.
     #[inline]
     pub fn examined(&self) -> u64 {
         self.nodes + self.width
@@ -114,7 +129,6 @@ impl<M> RrSampler<M> {
         out.push(root);
         stats.nodes = 1;
         stats.width = graph.in_degree(root) as u64;
-        stats.draws = self.model.draws_per_node(graph, root);
 
         // `out` doubles as the BFS queue: nodes are appended in visit order
         // and `head` walks it.
@@ -133,7 +147,6 @@ impl<M> RrSampler<M> {
                     out.push(u);
                     stats.nodes += 1;
                     stats.width += graph.in_degree(u) as u64;
-                    stats.draws += self.model.draws_per_node(graph, u);
                 }
             }
         }
@@ -275,9 +288,7 @@ mod tests {
         let mut rng = Rng::seed_from_u64(11);
         let mut out = Vec::new();
         for _ in 0..100 {
-            let (_, stats) = s.sample_random(&g, &mut rng, &mut out);
-            // A reverse walk consumes exactly one draw per visited node.
-            assert_eq!(stats.draws, stats.nodes);
+            s.sample_random(&g, &mut rng, &mut out);
             // Every non-terminal hop must be a real edge.
             for w in out.windows(2) {
                 assert!(
@@ -289,38 +300,9 @@ mod tests {
     }
 
     #[test]
-    fn draws_accounting_differs_between_models() {
-        let mut g = tim_graph::gen::erdos_renyi_gnm(100, 800, 12);
-        weights::assign_weighted_cascade(&mut g);
-        let mut rng = Rng::seed_from_u64(13);
-        let mut out = Vec::new();
-
-        let mut ic = RrSampler::new(IndependentCascade);
-        let mut ic_draws = 0u64;
-        let mut ic_nodes = 0u64;
-        for _ in 0..200 {
-            let (_, st) = ic.sample_random(&g, &mut rng, &mut out);
-            ic_draws += st.draws;
-            ic_nodes += st.nodes;
-        }
-        // IC consumes one draw per examined in-edge == width.
-        assert!(
-            ic_draws >= ic_nodes,
-            "IC draws {ic_draws} < nodes {ic_nodes}"
-        );
-
-        let mut lt = RrSampler::new(LinearThreshold);
-        for _ in 0..200 {
-            let (_, st) = lt.sample_random(&g, &mut rng, &mut out);
-            assert_eq!(st.draws, st.nodes);
-        }
-    }
-
-    #[test]
     fn examined_is_nodes_plus_width() {
         let st = RrStats {
             width: 10,
-            draws: 3,
             nodes: 4,
         };
         assert_eq!(st.examined(), 14);

@@ -237,7 +237,9 @@ impl<M: DiffusionModel + Clone> QueryEngine<M> {
         }
         if meta.select_seed != select_stream_seed(meta.seed) {
             return Err(EngineError::Mismatch(
-                "pool's select seed is not derived from its run seed".into(),
+                "pool's select seed is not derived from its run seed: it was drawn \
+                 by another sampler revision, or it is corrupt"
+                    .into(),
             ));
         }
         // f64::from_bits accepts anything, so a structurally valid pool can
@@ -1049,8 +1051,20 @@ mod tests {
             Err(EngineError::Mismatch(_))
         ));
         assert!(matches!(
-            QueryEngine::from_pool(wc_graph(300, 1), IndependentCascade, "lt", pool),
+            QueryEngine::from_pool(wc_graph(300, 1), IndependentCascade, "lt", pool.clone()),
             Err(EngineError::Mismatch(_))
         ));
+        // Sets drawn before the sampler revision: the select seed derived
+        // without it (revision 0) is refused, naming both causes.
+        let mut stale = pool;
+        stale.meta.select_seed ^= tim_diffusion::SAMPLER_REVISION;
+        let err = QueryEngine::from_pool(wc_graph(300, 1), IndependentCascade, "ic", stale)
+            .expect_err("a pre-revision pool must not attach");
+        assert!(matches!(err, EngineError::Mismatch(_)), "{err}");
+        let msg = err.to_string();
+        assert!(
+            msg.contains("sampler revision") && msg.contains("corrupt"),
+            "{msg}"
+        );
     }
 }

@@ -1,6 +1,7 @@
 //! Incremental construction of [`Graph`] from an edge list.
 
 use crate::{Graph, GraphError, NodeId};
+use std::sync::OnceLock;
 
 /// Accumulates directed edges and produces a [`Graph`].
 ///
@@ -161,6 +162,7 @@ impl GraphBuilder {
             in_offsets: in_offsets.into(),
             in_sources: in_sources.into(),
             in_probs: in_probs.into(),
+            in_max: OnceLock::new(),
         };
         debug_assert!(g.validate().is_ok(), "builder produced invalid CSR");
         g

@@ -3,13 +3,14 @@
 use crate::mmap::{Array, Mmap};
 use crate::{GraphError, NodeId};
 use std::ops::Range;
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 
 /// A directed graph with per-edge propagation probabilities, stored as a
 /// pair of CSR adjacency structures (forward and reverse).
 ///
 /// Immutable after construction except for probability reassignment via
-/// [`Graph::assign_probabilities`], which keeps both directions consistent.
+/// [`Graph::assign_probabilities`], which keeps both directions consistent
+/// and drops the per-node bound [`Graph::max_in_probability`] derives.
 ///
 /// Construct with [`GraphBuilder`](crate::GraphBuilder), the generators in
 /// [`gen`](crate::gen), or the loaders in [`io`](crate::io); or open a v2
@@ -41,6 +42,10 @@ pub struct Graph {
     pub(crate) in_offsets: Array<u64>,
     pub(crate) in_sources: Array<NodeId>,
     pub(crate) in_probs: Array<f32>,
+    /// Each node's largest in-probability, derived on first use (4n heap
+    /// bytes whoever owns the arrays above). Every constructor starts it
+    /// empty, and so does [`assign_probabilities`](Graph::assign_probabilities).
+    pub(crate) in_max: OnceLock<Box<[f32]>>,
 }
 
 /// Summary degree statistics, as reported in the paper's Table 2.
@@ -143,6 +148,24 @@ impl Graph {
         &self.in_probs[self.range(&self.in_offsets, v)]
     }
 
+    /// The largest probability among `v`'s in-edges, 0 when it has none:
+    /// the rate at which IC reverse sampling draws candidate in-edges
+    /// (`tim_diffusion::IndependentCascade`). The first call derives it
+    /// for every node in one O(m) pass; later calls read it.
+    #[inline]
+    pub fn max_in_probability(&self, v: NodeId) -> f32 {
+        let max = self.in_max.get_or_init(|| {
+            (0..self.n as NodeId)
+                .map(|u| {
+                    self.in_probabilities(u)
+                        .iter()
+                        .fold(0.0f32, |a, &p| a.max(p))
+                })
+                .collect()
+        });
+        max[v as usize]
+    }
+
     /// Iterates over all edges as `(src, dst, p)`, grouped by source.
     pub fn edges(&self) -> impl Iterator<Item = (NodeId, NodeId, f32)> + '_ {
         (0..self.n as NodeId).flat_map(move |u| {
@@ -154,7 +177,9 @@ impl Graph {
     }
 
     /// Returns the transpose graph `G^T` (all edges reversed). O(1): the two
-    /// CSR halves swap roles, probabilities travel with their edges.
+    /// CSR halves swap roles, probabilities travel with their edges. Its
+    /// in-edges are this graph's out-edges, so it derives its own
+    /// [`max_in_probability`](Self::max_in_probability).
     pub fn transpose(&self) -> Graph {
         Graph {
             n: self.n,
@@ -164,6 +189,7 @@ impl Graph {
             in_offsets: self.out_offsets.clone(),
             in_sources: self.out_targets.clone(),
             in_probs: self.out_probs.clone(),
+            in_max: OnceLock::new(),
         }
     }
 
@@ -187,7 +213,9 @@ impl Graph {
     }
 
     /// Reassigns every edge probability as `f(src, dst)`, updating both the
-    /// forward and reverse CSR consistently.
+    /// forward and reverse CSR consistently. The next
+    /// [`max_in_probability`](Self::max_in_probability) derives the bound
+    /// afresh.
     ///
     /// `f` must be a pure function of the edge endpoints: it is invoked once
     /// per edge per direction, and the two invocations must agree. The
@@ -198,6 +226,7 @@ impl Graph {
     /// # Panics
     /// Panics (debug builds) if `f` returns a value outside `[0, 1]`.
     pub fn assign_probabilities(&mut self, mut f: impl FnMut(NodeId, NodeId) -> f32) {
+        self.in_max = OnceLock::new();
         let n = self.n;
         let (out_offsets, out_targets) = (&self.out_offsets, &self.out_targets);
         self.out_probs.edit(|probs| {
@@ -223,7 +252,9 @@ impl Graph {
 
     /// Total heap bytes held by the adjacency arrays (used by the memory
     /// experiment, Figure 12, to report graph-vs-RR-set footprints); 0
-    /// for a graph served from a mapped snapshot.
+    /// for a graph served from a mapped snapshot. The derived
+    /// [`max_in_probability`](Self::max_in_probability) bound is not
+    /// counted.
     pub fn memory_bytes(&self) -> usize {
         self.out_offsets.heap_bytes()
             + self.in_offsets.heap_bytes()
@@ -381,6 +412,27 @@ mod tests {
             }
         }
         g.validate().unwrap();
+    }
+
+    fn max_in(g: &crate::Graph, v: u32) -> f32 {
+        g.in_probabilities(v).iter().fold(0.0, |a, &p| a.max(p))
+    }
+
+    #[test]
+    fn max_in_probability_follows_reweighting_and_transpose() {
+        let mut g = diamond();
+        assert_eq!(g.max_in_probability(3), 1.0);
+        assert_eq!(g.max_in_probability(0), 0.0, "no in-edges");
+        // Derived before the reassignment; must not survive it.
+        g.assign_probabilities(|u, v| 0.1 * (u + v) as f32);
+        for v in 0..4u32 {
+            assert_eq!(g.max_in_probability(v), max_in(&g, v), "node {v}");
+        }
+        // Derived for `g` before transposing; `t`'s in-edges differ.
+        let t = g.transpose();
+        for v in 0..4u32 {
+            assert_eq!(t.max_in_probability(v), max_in(&t, v), "transpose node {v}");
+        }
     }
 
     #[test]

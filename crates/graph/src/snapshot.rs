@@ -70,7 +70,7 @@ use crate::mmap::{Array, Element, Mmap};
 use crate::{Graph, GraphError, NodeId};
 use std::io::{Read, Write};
 use std::path::Path;
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 
 /// The four magic bytes opening every snapshot file.
 pub const MAGIC: [u8; 4] = *b"TIMG";
@@ -354,6 +354,7 @@ fn decode_snapshot(bytes: &[u8]) -> Result<LoadedGraph, GraphError> {
         in_offsets: in_offsets.into(),
         in_sources: in_sources.into(),
         in_probs: in_probs.into(),
+        in_max: OnceLock::new(),
     };
     graph.validate().map_err(|message| GraphError::Snapshot {
         message: format!("invalid CSR in snapshot: {message}"),
@@ -668,6 +669,7 @@ fn decode_snapshot_v2(bytes: &[u8]) -> Result<LoadedGraph, GraphError> {
         in_offsets: u64s(v2_section::IN_OFFSETS).into(),
         in_sources: u32s(v2_section::IN_SOURCES).into(),
         in_probs: f32s(v2_section::IN_PROBS).into(),
+        in_max: OnceLock::new(),
     };
     graph.validate().map_err(|message| GraphError::Snapshot {
         message: format!("invalid CSR in v2 snapshot: {message}"),
@@ -710,6 +712,7 @@ pub(crate) fn map_snapshot_v2(path: &Path) -> Result<(Graph, Array<u64>, u64), G
         in_offsets: section(&map, &sections[v2_section::IN_OFFSETS])?,
         in_sources: section(&map, &sections[v2_section::IN_SOURCES])?,
         in_probs: section(&map, &sections[v2_section::IN_PROBS])?,
+        in_max: OnceLock::new(),
     };
     graph.validate().map_err(|message| GraphError::Snapshot {
         message: format!("invalid CSR in v2 snapshot: {message}"),

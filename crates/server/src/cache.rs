@@ -858,6 +858,29 @@ mod tests {
         assert_eq!(built.load(Ordering::SeqCst), 1, "corrupt file → rebuild");
         assert_eq!(store.stats().quarantined, 1);
         assert_eq!(cache2.stats().loads, 0);
+
+        // A well-formed file drawn by an earlier sampler revision: its
+        // select seed lacks the revision, so restore refuses it.
+        let mut stale = QueryEngine::new(Arc::clone(&g), IndependentCascade, "ic")
+            .epsilon(1.0)
+            .threads(1)
+            .k_max(2);
+        stale.warm();
+        let mut stale = stale.to_pool();
+        stale.meta.select_seed ^= tim_diffusion::SAMPLER_REVISION;
+        assert_eq!(store.spill(&stale).unwrap(), path);
+        let cache3 = PoolCache::with_store(2, Arc::clone(&store), true, false);
+        cache3.get_or_load(
+            &k,
+            |p| restore(&g, p),
+            || {
+                built.fetch_add(1, Ordering::SeqCst);
+                cheap_engine(&g, 1.0)
+            },
+        );
+        assert_eq!(built.load(Ordering::SeqCst), 2, "stale revision → rebuild");
+        assert_eq!(store.stats().quarantined, 2);
+        assert_eq!(cache3.stats().loads, 0);
         std::fs::remove_dir_all(&dir).ok();
     }
 

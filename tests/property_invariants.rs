@@ -221,15 +221,6 @@ proptest! {
     }
 
     #[test]
-    fn lt_rr_draws_equal_nodes(g in arb_graph(), seed in 0u64..1000) {
-        let mut sampler = RrSampler::new(LinearThreshold);
-        let mut rng = TimRng::seed_from_u64(seed);
-        let mut out = Vec::new();
-        let (_, stats) = sampler.sample_random(&g, &mut rng, &mut out);
-        prop_assert_eq!(stats.draws, stats.nodes);
-    }
-
-    #[test]
     fn alias_table_sampling_stays_in_range(
         weights in proptest::collection::vec(0.0f64..100.0, 1..50),
         seed in 0u64..1000,
