@@ -755,7 +755,7 @@ fn query_with(model: ModelKind, model_name: &str, args: &Args) -> Result<(), Str
         if engine.pool_theta() != before {
             engine
                 .to_pool()
-                .save(p)
+                .save_v2(p)
                 .map_err(|e| format!("re-saving pool {p}: {e}"))?;
             if !quiet {
                 eprintln!("pool grew to theta = {}; re-saved {p}", engine.pool_theta());

@@ -1,0 +1,76 @@
+//! `tim query --pool` persists a pool that grew during the session as a
+//! whole `.timp` v2 file, written beside the old one and renamed over it.
+
+use std::io::Write;
+use std::path::{Path, PathBuf};
+use std::process::{Command, Stdio};
+use tim_engine::{pool_version, RrPool};
+
+/// Runs `tim <args>` in `dir` with `stdin` as its input; returns stderr.
+fn tim(dir: &Path, args: &str, stdin: &str) -> String {
+    let mut child = Command::new(env!("CARGO_BIN_EXE_tim"))
+        .args(args.split(' '))
+        .current_dir(dir)
+        .stdin(Stdio::piped())
+        .stdout(Stdio::null())
+        .stderr(Stdio::piped())
+        .spawn()
+        .expect("spawn tim");
+    child
+        .stdin
+        .take()
+        .expect("piped stdin")
+        .write_all(stdin.as_bytes())
+        .expect("write stdin");
+    let out = child.wait_with_output().expect("wait for tim");
+    let stderr = String::from_utf8_lossy(&out.stderr).into_owned();
+    assert!(out.status.success(), "tim {args} failed: {stderr}");
+    stderr
+}
+
+/// The number after `prefix` on the stderr line that starts with it.
+fn theta_after(stderr: &str, prefix: &str) -> u64 {
+    let line = stderr
+        .lines()
+        .find_map(|l| l.strip_prefix(prefix))
+        .unwrap_or_else(|| panic!("no {prefix:?} line in: {stderr}"));
+    let digits: String = line.chars().take_while(char::is_ascii_digit).collect();
+    digits.parse().expect("theta")
+}
+
+#[test]
+fn grown_pool_is_resaved_as_v2_in_place() {
+    let dir: PathBuf =
+        std::env::temp_dir().join(format!("tim_query_resave_{}", std::process::id()));
+    std::fs::remove_dir_all(&dir).ok();
+    std::fs::create_dir_all(&dir).unwrap();
+    tim(
+        &dir,
+        "generate ba --out g.txt --n 1000 --param 3 --seed 1",
+        "",
+    );
+
+    // Warmed for k <= 2, the pool is too small for k = 50, so the session
+    // grows it and the process saves it again on exit.
+    let query = "query g.txt --pool p.timp -k 2 --eps 0.5";
+    let stderr = tim(&dir, query, "select 50\n");
+    let warmed = theta_after(&stderr, "warmed pool: theta = ");
+    let grown = theta_after(&stderr, "pool grew to theta = ");
+    assert!(grown > warmed, "select 50 must grow the pool: {stderr}");
+
+    let pool = dir.join("p.timp");
+    assert_eq!(pool_version(&pool).unwrap(), 2, "the re-save writes v2");
+    let mapped = RrPool::open_mapped(&pool).expect("the grown pool maps");
+    assert_eq!(mapped.meta.theta, grown);
+    assert_eq!(mapped.sets.len() as u64, grown);
+    assert!(mapped.sets.mapping().is_some());
+    mapped.verify().expect("the grown pool verifies");
+
+    let mut left: Vec<String> = std::fs::read_dir(&dir)
+        .unwrap()
+        .map(|e| e.unwrap().file_name().to_string_lossy().into_owned())
+        .collect();
+    left.sort();
+    assert_eq!(left, ["g.txt", "p.timp"], "no temporary sibling remains");
+    std::fs::remove_dir_all(&dir).ok();
+}

@@ -1,7 +1,7 @@
 //! Flat arena storage for node-set collections (the set `R` of RR sets).
 
 use std::cell::RefCell;
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 use tim_graph::{Array, Mmap, NodeId};
 
 /// Reusable per-thread scratch for [`SetCollection::count_covered`]'s
@@ -41,6 +41,10 @@ pub struct SetCollection {
     inv_data: Array<u32>,
     inv_offsets: Array<u64>,
     inv_built_for: usize,
+    /// Greedy's candidate order, derived from the index on first use
+    /// ([`degree_order`](Self::degree_order)); reset whenever the index
+    /// is rebuilt or adopted.
+    order: OnceLock<Vec<NodeId>>,
 }
 
 impl SetCollection {
@@ -53,6 +57,7 @@ impl SetCollection {
             inv_data: Array::default(),
             inv_offsets: Array::default(),
             inv_built_for: usize::MAX,
+            order: OnceLock::new(),
         }
     }
 
@@ -148,6 +153,7 @@ impl SetCollection {
             inv_data: Array::default(),
             inv_offsets: Array::default(),
             inv_built_for: usize::MAX,
+            order: OnceLock::new(),
         })
     }
 
@@ -184,6 +190,7 @@ impl SetCollection {
         self.inv_offsets = inv_offsets;
         self.inv_data = inv_data;
         self.inv_built_for = self.len();
+        self.order = OnceLock::new();
         Ok(self)
     }
 
@@ -271,6 +278,7 @@ impl SetCollection {
         self.inv_offsets = inv_offsets.into();
         self.inv_data = inv_data.into();
         self.inv_built_for = self.len();
+        self.order = OnceLock::new();
     }
 
     /// The built inverted index as its raw arrays `(inv_offsets,
@@ -305,6 +313,48 @@ impl SetCollection {
     #[inline]
     pub fn degree(&self, v: NodeId) -> usize {
         self.sets_containing(v).len()
+    }
+
+    /// The nodes of positive degree by descending `(degree, id)`: the
+    /// order in which greedy first counts its candidates, since a node's
+    /// degree bounds its gain over any set-id ranges. Derived from the
+    /// index on first use and kept until the index is rebuilt or adopted;
+    /// concurrent first readers of a shared collection fill it once.
+    /// Like the index it is derived data, so
+    /// [`memory_bytes`](Self::memory_bytes) leaves it out.
+    ///
+    /// # Panics
+    /// Panics if the inverted index is stale.
+    pub(crate) fn degree_order(&self) -> &[NodeId] {
+        assert!(
+            self.has_inverted_index(),
+            "inverted index is stale; call ensure_inverted_index first"
+        );
+        self.order.get_or_init(|| {
+            let degree = |v: usize| (self.inv_offsets[v + 1] - self.inv_offsets[v]) as usize;
+            // Counting sort: `slot[d]` is where the next node of degree
+            // `d` goes, buckets laid out from the largest degree down.
+            // Filling each bucket from the largest id keeps ids
+            // descending within it.
+            let max = (0..self.n).map(degree).max().unwrap_or(0);
+            let mut slot = vec![0usize; max + 1];
+            for v in 0..self.n {
+                slot[degree(v)] += 1;
+            }
+            let mut listed = 0;
+            for d in (1..=max).rev() {
+                (slot[d], listed) = (listed, listed + slot[d]);
+            }
+            let mut order = vec![0; listed];
+            for v in (0..self.n).rev() {
+                let d = degree(v);
+                if d > 0 {
+                    order[slot[d]] = v as NodeId;
+                    slot[d] += 1;
+                }
+            }
+            order
+        })
     }
 
     /// `F_R(S)`: the fraction of stored sets covered by (intersecting) the
@@ -577,6 +627,92 @@ mod tests {
         let mut c = sample();
         c.ensure_inverted_index();
         c.coverage_fraction(&[10]);
+    }
+
+    /// The degree order written from its definition: every node of
+    /// positive degree, sorted by descending `(degree, id)`.
+    fn degree_order_by_sorting(c: &SetCollection) -> Vec<NodeId> {
+        let mut order: Vec<NodeId> = (0..c.universe() as NodeId)
+            .filter(|&v| c.degree(v) > 0)
+            .collect();
+        order.sort_unstable_by_key(|&v| std::cmp::Reverse((c.degree(v), v)));
+        order
+    }
+
+    #[test]
+    fn degree_order_lists_positive_degrees_by_descending_degree_then_id() {
+        let mut c = sample();
+        c.ensure_inverted_index();
+        // Degrees 1, 3, 1, 2, 1 for nodes 0..5.
+        assert_eq!(c.degree_order(), &[1, 3, 4, 2, 0]);
+        let mut wide = SetCollection::new(8);
+        wide.push(&[7]);
+        wide.ensure_inverted_index();
+        assert_eq!(wide.degree_order(), &[7], "degree-0 nodes are not listed");
+
+        use tim_rng::{RandomSource, Rng};
+        let mut rng = Rng::seed_from_u64(0x0DE6);
+        for _ in 0..30 {
+            let n = 1 + rng.next_index(40);
+            let mut c = SetCollection::new(n);
+            for _ in 0..rng.next_index(120) {
+                let mut m: Vec<NodeId> = (0..rng.next_index(6))
+                    .map(|_| rng.next_index(n) as NodeId)
+                    .collect();
+                m.sort_unstable();
+                m.dedup();
+                c.push(&m);
+            }
+            c.ensure_inverted_index();
+            assert_eq!(c.degree_order(), degree_order_by_sorting(&c));
+        }
+    }
+
+    #[test]
+    fn mapped_collection_has_the_heap_degree_order() {
+        let mut c = sample();
+        let (path, layout) = crate::mmap_sets::tests::write_sections(&mut c, "order");
+        let m = crate::mmap_sets::tests::open(&path, &layout).unwrap();
+        assert!(m.mapping().is_some());
+        assert_eq!(m.degree_order(), c.degree_order());
+        std::fs::remove_file(&path).ok();
+    }
+
+    #[test]
+    fn degree_order_is_rebuilt_with_the_index() {
+        use crate::greedy::greedy_max_cover_indexed;
+        // Node 4 overtakes node 1 once the new sets are indexed.
+        let grow: &[&[NodeId]] = &[&[4], &[2, 4], &[0, 4]];
+        let mut fresh = sample();
+        for s in grow {
+            fresh.push(s);
+        }
+        fresh.ensure_inverted_index();
+        let want = greedy_max_cover_indexed(&fresh, 2);
+        assert_eq!(want.seeds, [4, 1]);
+
+        // Rebuilt by ensure_inverted_index after a push...
+        let mut c = sample();
+        c.ensure_inverted_index();
+        assert_eq!(greedy_max_cover_indexed(&c, 2).seeds, [1, 3]);
+        let cached = c.clone();
+        for s in grow {
+            c.push(s);
+        }
+        c.ensure_inverted_index();
+        assert_eq!(c.degree_order(), fresh.degree_order());
+        assert_eq!(greedy_max_cover_indexed(&c, 2), want);
+
+        // ...and by with_index adopting an index for the grown arena.
+        let mut c = cached;
+        for s in grow {
+            c.push(s);
+        }
+        let (inv_offsets, inv_data) =
+            build_inverted_index(c.universe(), c.raw_data(), c.raw_offsets());
+        let c = c.with_index(inv_offsets, inv_data).unwrap();
+        assert_eq!(c.degree_order(), fresh.degree_order());
+        assert_eq!(greedy_max_cover_indexed(&c, 2), want);
     }
 
     /// Counts intersections the slow way, bypassing the index path — the

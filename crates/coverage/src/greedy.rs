@@ -5,13 +5,18 @@
 //! approximation (Vazirani \[29\]), and that factor is what Theorem 1's
 //! guarantee rests on.
 //!
-//! The solver is a lazy max-heap. Coverage gain is submodular (marginal
-//! counts only decrease), so re-evaluating a popped entry whose stored
-//! gain is stale and pushing it back is exact — the same trick CELF
-//! applies to spread estimation. Each round picks the largest
-//! `(gain, node)` pair, so ties go to the larger node id; once every set
-//! is covered, rounds pad with the smallest unselected id. Warm-pool
-//! replay in `tim_engine` relies on this order being fixed.
+//! The solver counts gains on demand (Minoux's accelerated greedy, as
+//! CELF applies it to spread estimation). It keeps no gain table: a
+//! node's gain is counted from its posting list against a bitmap of
+//! covered sets, and only when the node reaches the front of the queue.
+//! Candidates not yet counted stream from the collection's degree order,
+//! their degree bounding their gain; counted ones wait in a max-heap
+//! keyed by their last count. Coverage gain is submodular (gains only
+//! fall), so a front candidate counted in the current round is the
+//! round's argmax. Each round picks the largest `(gain, node)` pair, so
+//! ties go to the larger node id; once every set is covered, rounds pad
+//! with the smallest unselected id. Warm-pool replay in `tim_engine`
+//! relies on this order being fixed.
 //!
 //! The loop counts only the set ids it is given
 //! ([`greedy_max_cover_ranges`]); the other entry points give it the
@@ -50,13 +55,15 @@ impl CoverResult {
 pub struct EvalStats {
     /// Greedy rounds run (selected seeds plus padding rounds).
     pub rounds: usize,
-    /// Heap pops whose stored gain was compared against the current one.
+    /// Posting-list recounts: candidates whose gain was counted against
+    /// the covered sets.
     pub evals: usize,
-    /// Stale heap entries re-pushed at their current gain.
+    /// Recounted candidates pushed back into the heap at their new count
+    /// (those whose count fell to zero are dropped instead).
     pub repushes: usize,
 }
 
-/// Greedy max-coverage with a lazy max-heap.
+/// Greedy max-coverage, counting gains on demand.
 ///
 /// Picks `k` distinct nodes (padding with the smallest unselected ids once
 /// every set is covered, so the result always has `min(k, n)` seeds, as
@@ -82,10 +89,11 @@ pub fn greedy_max_cover(collection: &mut SetCollection, k: usize) -> CoverResult
 /// index is already built — the same loop serves sampled collections and
 /// collections mapped from `.timp` v2 pools.
 ///
-/// The solver itself never mutates the collection — the `&mut` in
-/// [`greedy_max_cover`] exists only to build the lazy index. Hot query
-/// paths that keep the index warm (e.g. `tim_engine`'s shared pools
-/// serving concurrent readers) call this variant directly.
+/// The solver never writes the collection's arrays — the `&mut` in
+/// [`greedy_max_cover`] exists only to build the lazy index; the first
+/// run fills the collection's degree-order cache, once, through `&`.
+/// Hot query paths that keep the index warm (e.g. `tim_engine`'s shared
+/// pools serving concurrent readers) call this variant directly.
 ///
 /// # Panics
 /// Panics if the inverted index is stale
@@ -95,9 +103,9 @@ pub fn greedy_max_cover_indexed(collection: &SetCollection, k: usize) -> CoverRe
 }
 
 /// [`greedy_max_cover_indexed`] with its [`EvalStats`] work counters:
-/// `evals` counts heap pops whose gain was compared against the current
-/// table, `repushes` the stale entries refiled. The `CoverResult` is the
-/// same object the uninstrumented entry point returns.
+/// `evals` counts posting-list recounts, `repushes` the recounted
+/// candidates pushed back. The `CoverResult` is the same object the
+/// uninstrumented entry point returns.
 ///
 /// # Panics
 /// Panics if the inverted index is stale
@@ -115,11 +123,10 @@ pub fn greedy_max_cover_indexed_stats(
 /// sets, in order, so a pool answers a shard-aligned θ-prefix (see
 /// `tim_core::parallel::prefix_ranges`) without copying it.
 ///
-/// Sets outside the ranges start out covered, and initial gains come
-/// from one pass over the ranges' arena slices (the whole-collection
-/// case reads the index's degrees instead). Every later step is the
-/// same loop on the same `(gain, node)` sequence as over the copy, so
-/// picks, marginals and the covered count agree bit for bit.
+/// Sets outside the ranges start out covered, so a recount sees only
+/// the in-range sets of a posting list: the loop finds the same
+/// `(gain, node)` argmax in every round as over the copy, and picks,
+/// marginals and the covered count agree bit for bit.
 ///
 /// ```
 /// use tim_coverage::{greedy_max_cover, greedy_max_cover_ranges, SetCollection};
@@ -151,7 +158,8 @@ pub fn greedy_max_cover_ranges(
 }
 
 /// The one greedy loop behind every entry point, over the sets whose ids
-/// lie in `ranges`, with its work counters.
+/// lie in `ranges`, with its work counters. The module docs describe how
+/// it counts gains.
 fn lazy_greedy(
     collection: &SetCollection,
     ranges: &[Range<usize>],
@@ -170,33 +178,17 @@ fn lazy_greedy(
             && ranges.windows(2).all(|w| w[0].end <= w[1].start),
         "set ranges must be ascending and disjoint within 0..{len}: {ranges:?}"
     );
-    let counted: usize = ranges.iter().map(|r| r.len()).sum();
+    let mut covered = covered_outside(len, ranges);
+    let is_covered = |covered: &[u64], s: u32| covered[s as usize / 64] >> (s % 64) & 1;
 
-    // Current marginal gain per node: the number of uncovered sets
-    // containing it. Over the whole collection that is the index degree.
-    let (mut covered, mut gain) = if counted == len {
-        let degrees = (0..n as NodeId).map(|v| collection.degree(v)).collect();
-        (vec![false; len], degrees)
-    } else {
-        let mut covered = vec![true; len];
-        let mut gain = vec![0usize; n];
-        let (data, offsets) = (collection.raw_data(), collection.raw_offsets());
-        for r in ranges {
-            covered[r.clone()].fill(false);
-            for &v in &data[offsets[r.start] as usize..offsets[r.end] as usize] {
-                gain[v as usize] += 1;
-            }
-        }
-        (covered, gain)
-    };
-    let mut selected = vec![false; n];
-
-    // Heap of (stored_gain, node); stale entries are detected by comparing
-    // against `gain[node]` and reinserted with the current value.
-    let mut heap: BinaryHeap<(usize, NodeId)> = (0..n as NodeId)
-        .filter(|&v| gain[v as usize] > 0)
-        .map(|v| (gain[v as usize], v))
-        .collect();
+    // Candidates as `(bound, node)` packed into one `u64`, so comparing
+    // keys compares gains first and breaks ties toward the larger id.
+    let key = |bound: usize, v: NodeId| (bound as u64) << 32 | u64::from(v);
+    let order = collection.degree_order();
+    let mut streamed = 0;
+    let mut heap = BinaryHeap::new();
+    // The round in which each node was last counted (0: never).
+    let mut counted_in = vec![0u32; n];
 
     let mut result = CoverResult {
         seeds: Vec::with_capacity(k),
@@ -206,67 +198,73 @@ fn lazy_greedy(
     let mut stats = EvalStats::default();
 
     while result.seeds.len() < k {
-        stats.rounds += 1;
+        let round = result.seeds.len() as u32 + 1;
         let best = loop {
-            match heap.pop() {
-                Some((stored, v)) => {
-                    if selected[v as usize] {
-                        continue;
-                    }
-                    stats.evals += 1;
-                    let current = gain[v as usize];
-                    if stored == current {
-                        break Some(v);
-                    }
-                    if current > 0 {
-                        heap.push((current, v));
-                        stats.repushes += 1;
-                    }
+            let next = order.get(streamed).map(|&v| key(collection.degree(v), v));
+            let front = match (next, heap.peek()) {
+                (None, None) => break None,
+                (Some(next), top) if top.is_none_or(|&top| next > top) => {
+                    streamed += 1;
+                    next
                 }
-                None => break None,
+                _ => heap.pop().expect("heap has the front"),
+            };
+            let v = front as NodeId;
+            if counted_in[v as usize] == round {
+                break Some((v, (front >> 32) as usize));
+            }
+            counted_in[v as usize] = round;
+            stats.evals += 1;
+            let gain = collection
+                .sets_containing(v)
+                .iter()
+                .map(|&s| 1 - is_covered(&covered, s) as usize)
+                .sum();
+            if gain > 0 {
+                heap.push(key(gain, v));
+                stats.repushes += 1;
             }
         };
-        match best {
-            Some(v) => {
-                selected[v as usize] = true;
-                let mut newly = 0usize;
-                for &set_id in collection.sets_containing(v) {
-                    let s = set_id as usize;
-                    if !covered[s] {
-                        covered[s] = true;
-                        newly += 1;
-                        for &u in collection.set(s) {
-                            gain[u as usize] -= 1;
-                        }
-                    }
-                }
-                debug_assert_eq!(gain[v as usize], 0);
-                result.covered += newly;
-                result.seeds.push(v);
-                result.marginal.push(newly);
-            }
-            None => {
-                // All remaining nodes have zero gain: pad with the
-                // smallest unselected ids so |S| = k, as Algorithm 1
-                // requires.
-                let pad = (0..n as NodeId).find(|&v| !selected[v as usize]);
-                match pad {
-                    Some(v) => {
-                        selected[v as usize] = true;
-                        result.seeds.push(v);
-                        result.marginal.push(0);
-                    }
-                    None => {
-                        // The universe ran out before round k: the round
-                        // did no work, so do not count it.
-                        stats.rounds -= 1;
-                        break;
-                    }
-                }
-            }
+        let Some((v, gain)) = best else { break };
+        for &s in collection.sets_containing(v) {
+            covered[s as usize / 64] |= 1 << (s % 64);
+        }
+        result.covered += gain;
+        result.seeds.push(v);
+        result.marginal.push(gain);
+    }
+
+    // Every remaining gain is zero: pad with the smallest unselected ids
+    // so |S| = k, as Algorithm 1 requires.
+    if result.seeds.len() < k {
+        let mut taken = result.seeds.clone();
+        taken.sort_unstable();
+        let pad = (0..n as NodeId).filter(|v| taken.binary_search(v).is_err());
+        result.seeds.extend(pad.take(k - taken.len()));
+        result.marginal.resize(k, 0);
+    }
+    stats.rounds = k;
+    (result, stats)
+}
+
+/// A bitmap over set ids `0..len` with a set bit for every covered set:
+/// every set outside `ranges` starts covered. Ranges are cleared a whole
+/// word at a time where they span one.
+fn covered_outside(len: usize, ranges: &[Range<usize>]) -> Vec<u64> {
+    let mut bits = vec![u64::MAX; len.div_ceil(64)];
+    for r in ranges.iter().filter(|r| !r.is_empty()) {
+        let (first, last) = (r.start / 64, (r.end - 1) / 64);
+        let head = u64::MAX << (r.start % 64);
+        let tail = u64::MAX >> (63 - (r.end - 1) % 64);
+        if first == last {
+            bits[first] &= !(head & tail);
+        } else {
+            bits[first] &= !head;
+            bits[first + 1..last].fill(0);
+            bits[last] &= !tail;
         }
     }
-    (result, stats)
+    bits
 }
 
 #[cfg(test)]
@@ -407,7 +405,7 @@ mod tests {
         let (result, stats) = greedy_max_cover_indexed_stats(&c, 3);
         assert_eq!(result, greedy_max_cover_indexed(&c, 3));
         assert_eq!(stats.rounds, 3);
-        // Every selected round evaluates at least the fresh argmax pop.
+        // Every selected round recounts at least the node it picks.
         assert!(stats.evals >= stats.rounds, "{stats:?}");
         // Padding rounds (everything covered) still count as rounds.
         let mut tiny = collection(&[&[0]], 5);

@@ -11,9 +11,11 @@
 //!   layout is what makes TIM's node-selection phase memory-bound rather
 //!   than allocator-bound; its size is exactly what the paper's Figure 12
 //!   measures.
-//! - [`greedy_max_cover`] — lazy-heap greedy (CELF-style; exact for
-//!   submodular coverage). It is the only solver: every caller, from
-//!   one-shot TIM/TIM+ to the serving engine, runs this one loop.
+//! - [`greedy_max_cover`] — greedy that counts each candidate's gain on
+//!   demand from its posting list (lazy evaluation, CELF-style; exact for
+//!   submodular coverage), taking candidates in degree order. It is the
+//!   only solver: every caller, from one-shot TIM/TIM+ to the serving
+//!   engine, runs this one loop.
 //!   [`greedy_max_cover_ranges`] runs it over given set-id ranges only,
 //!   which is how the engine answers a pool's θ-prefix without a copy.
 //!
@@ -27,8 +29,10 @@
 //! mapped `.timp` v2 pool file whose inverted index was persisted at
 //! spill time ([`SetCollection::from_mapping`]); it is one type either
 //! way, so every solver has one monomorphization. Selection never
-//! mutates a collection, so a read-only mapping answers the same queries
-//! — byte-identically — without loading the pool onto the heap.
+//! writes a collection's arrays (it only fills the degree-order cache
+//! derived from the index, once), so a read-only mapping answers the
+//! same queries — byte-identically — without loading the pool onto the
+//! heap.
 
 mod collection;
 mod greedy;

@@ -118,10 +118,10 @@ impl SetCollection {
     /// Opens the collection over `map` at the sections `layout` resolves,
     /// without copying. Checks every bound, so the accessors are
     /// panic-free for in-range arguments and the greedy solvers can run
-    /// over the mapping directly (selection never mutates a collection,
-    /// which is why a `PROT_READ` mapping suffices). Whether the mapping
-    /// also *means* what it says — index consistent with the arena,
-    /// digests intact — is the deferred question the module docs
+    /// over the mapping directly (selection never writes the mapped
+    /// arrays, which is why a `PROT_READ` mapping suffices). Whether the
+    /// mapping also *means* what it says — index consistent with the
+    /// arena, digests intact — is the deferred question the module docs
     /// describe. Errors describe the first violation.
     pub fn from_mapping(map: &Arc<Mmap>, layout: &SetsLayout) -> Result<SetCollection, String> {
         let sets = SetCollection::from_raw_parts(
@@ -133,15 +133,15 @@ impl SetCollection {
             layout.section::<u64>(map, 2)?,
             layout.section::<u32>(map, 3)?,
         )?;
-        // The scans above were sequential; selection access (posting
-        // lists, then member lists) hops around both arenas.
+        // The scans above were sequential; selection hops between
+        // posting lists.
         map.advise_random();
         Ok(sets)
     }
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use crate::greedy::greedy_max_cover_indexed;
     use std::path::PathBuf;
@@ -161,7 +161,7 @@ mod tests {
     /// 64-aligned sections (no header — tests drive `from_mapping`
     /// directly with a hand-built layout; the real `.timp` framing
     /// lives in `tim_engine`).
-    fn write_sections(c: &mut SetCollection, tag: &str) -> (PathBuf, SetsLayout) {
+    pub(crate) fn write_sections(c: &mut SetCollection, tag: &str) -> (PathBuf, SetsLayout) {
         c.ensure_inverted_index();
         let (inv_offsets, inv_data) = c.raw_inverted().unwrap();
         let mut bytes = Vec::new();
@@ -210,7 +210,7 @@ mod tests {
         c
     }
 
-    fn open(path: &PathBuf, layout: &SetsLayout) -> Result<SetCollection, String> {
+    pub(crate) fn open(path: &PathBuf, layout: &SetsLayout) -> Result<SetCollection, String> {
         let map = Arc::new(Mmap::open(path).expect("map test file"));
         SetCollection::from_mapping(&map, layout)
     }

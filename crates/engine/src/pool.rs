@@ -56,8 +56,10 @@
 //! `tim_graph::snapshot`).
 
 use crate::error::EngineError;
-use std::io::{Read, Write};
-use std::path::Path;
+use std::fs::File;
+use std::io::{BufWriter, Read, Write};
+use std::path::{Path, PathBuf};
+use std::sync::atomic::{AtomicU64, Ordering};
 use tim_coverage::{
     build_inverted_index, SetCollection, SetsLayout, SETS_SECTION_COUNT, SETS_SECTION_NAMES,
 };
@@ -440,10 +442,11 @@ impl RrPool {
         Ok(())
     }
 
-    /// Saves the pool to `path` in the v2 layout.
+    /// Saves the pool to `path` in the v2 layout, atomically: the bytes go
+    /// to a temporary sibling, which is synced and renamed over `path`, so
+    /// a crash or a full disk mid-write leaves the previous file whole.
     pub fn save_v2<P: AsRef<Path>>(&self, path: P) -> Result<(), EngineError> {
-        let file = std::fs::File::create(path)?;
-        self.write_v2(std::io::BufWriter::new(file))
+        write_atomically(path.as_ref(), |writer| self.write_v2(writer))
     }
 
     /// Saves the pool to `path`.
@@ -456,6 +459,52 @@ impl RrPool {
     pub fn load<P: AsRef<Path>>(path: P) -> Result<Self, EngineError> {
         Self::decode(&std::fs::read(path)?)
     }
+}
+
+/// A fresh name beside `path` for a file that is about to be renamed
+/// over it: `.tmp-<stem>-<pid>-<seq>[.<ext>]`. The sequence number keeps
+/// two threads of one process apart, so one writer never truncates
+/// another's half-written file; the leading dot keeps it out of a pool
+/// store's entries.
+pub(crate) fn temp_sibling(path: &Path) -> PathBuf {
+    static SEQ: AtomicU64 = AtomicU64::new(0);
+    let stem = path.file_stem().unwrap_or_default().to_string_lossy();
+    let mut name = format!(
+        ".tmp-{stem}-{}-{}",
+        std::process::id(),
+        SEQ.fetch_add(1, Ordering::Relaxed)
+    );
+    if let Some(ext) = path.extension() {
+        name = format!("{name}.{}", ext.to_string_lossy());
+    }
+    path.with_file_name(name)
+}
+
+/// Writes the file at `path` through `write` without ever exposing a
+/// partial one: the bytes go to a [`temp_sibling`], which is synced and
+/// then renamed over `path`. On error the temporary is removed and
+/// `path` is left as it was.
+pub(crate) fn write_atomically(
+    path: &Path,
+    write: impl FnOnce(&mut BufWriter<File>) -> Result<(), EngineError>,
+) -> Result<(), EngineError> {
+    let tmp = temp_sibling(path);
+    let result = (|| {
+        let mut writer = BufWriter::new(File::create(&tmp)?);
+        write(&mut writer)?;
+        // BufWriter::into_inner flushes; sync so the rename never
+        // publishes a name pointing at unwritten data after a crash.
+        let file = writer
+            .into_inner()
+            .map_err(|e| EngineError::Io(e.into_error()))?;
+        file.sync_all()?;
+        std::fs::rename(&tmp, path)?;
+        Ok(())
+    })();
+    if result.is_err() {
+        std::fs::remove_file(&tmp).ok();
+    }
+    result
 }
 
 /// Reads the format version from the first eight bytes of a pool file

@@ -37,7 +37,10 @@
 //! rebuilds, and the evidence is preserved for inspection.
 
 use crate::error::EngineError;
-use crate::pool::{pool_version, PoolMeta, RrPool, POOL_V2_MODEL_TAG_MAX, POOL_VERSION_V2};
+use crate::pool::{
+    pool_version, temp_sibling, write_atomically, PoolMeta, RrPool, POOL_V2_MODEL_TAG_MAX,
+    POOL_VERSION_V2,
+};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
@@ -212,11 +215,6 @@ pub struct PoolStore {
     mmap_opens: AtomicU64,
     heap_loads: AtomicU64,
     verifies: AtomicU64,
-    /// Uniquifies temp-file names across threads: the pid alone is not
-    /// enough, because two sessions of one server can spill the same
-    /// provenance concurrently, and a shared temp path would let one
-    /// writer truncate the other's half-written file.
-    tmp_seq: AtomicU64,
     /// Serializes index rewrites (spills themselves are rename-atomic).
     index_lock: Mutex<()>,
 }
@@ -237,7 +235,6 @@ impl PoolStore {
             mmap_opens: AtomicU64::new(0),
             heap_loads: AtomicU64::new(0),
             verifies: AtomicU64::new(0),
-            tmp_seq: AtomicU64::new(0),
             index_lock: Mutex::new(()),
         })
     }
@@ -364,36 +361,14 @@ impl PoolStore {
     /// spill transparently falls back to v1 (losing only the zero-copy
     /// restore path for that pool).
     pub fn spill(&self, pool: &RrPool) -> Result<PathBuf, EngineError> {
-        let id = PoolId::from_meta(&pool.meta);
-        let path = self.path_for(&id);
-        let tmp = self.root.join(format!(
-            ".tmp-{}-{}-{}.{}",
-            id.file_stem(),
-            std::process::id(),
-            self.tmp_seq.fetch_add(1, Ordering::Relaxed),
-            POOL_EXTENSION
-        ));
-        let result = (|| -> Result<(), EngineError> {
-            let file = std::fs::File::create(&tmp)?;
-            let mut writer = std::io::BufWriter::new(file);
+        let path = self.path_for(&PoolId::from_meta(&pool.meta));
+        write_atomically(&path, |writer| {
             if pool.meta.model.len() <= POOL_V2_MODEL_TAG_MAX {
-                pool.write_v2(&mut writer)?;
+                pool.write_v2(writer)
             } else {
-                pool.write(&mut writer)?;
+                pool.write(writer)
             }
-            // BufWriter::into_inner flushes; sync so the rename never
-            // publishes a name pointing at unwritten data after a crash.
-            let file = writer
-                .into_inner()
-                .map_err(|e| EngineError::Io(e.into_error()))?;
-            file.sync_all()?;
-            std::fs::rename(&tmp, &path)?;
-            Ok(())
-        })();
-        if result.is_err() {
-            std::fs::remove_file(&tmp).ok();
-        }
-        result?;
+        })?;
         self.spills.fetch_add(1, Ordering::Relaxed);
         self.write_index();
         Ok(path)
@@ -492,11 +467,7 @@ impl PoolStore {
             out.push_str(path.file_name().and_then(|n| n.to_str()).unwrap_or(""));
             out.push('\n');
         }
-        let tmp = self.root.join(format!(
-            ".tmp-index-{}-{}",
-            std::process::id(),
-            self.tmp_seq.fetch_add(1, Ordering::Relaxed)
-        ));
+        let tmp = temp_sibling(&self.root.join(INDEX_FILE));
         let written = std::fs::write(&tmp, out)
             .and_then(|()| std::fs::rename(&tmp, self.root.join(INDEX_FILE)));
         if let Err(e) = written {
