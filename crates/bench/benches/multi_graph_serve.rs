@@ -10,8 +10,9 @@
 //!   sent line-at-a-time vs as one `batch 64` unit, in two flavors: exact
 //!   replay (`select k`, greedy dominates, batching ~neutral) and prefix
 //!   answering (`select k fast`, µs-cheap per query, where the one
-//!   pool-lock acquisition + one flush per batch actually show). The
-//!   responses are byte-identical by contract either way.
+//!   write and flush per batch actually show; reads take no pool lock
+//!   either way). The responses are byte-identical by contract either
+//!   way.
 //! - `catalog/graphs_{1,3}` — a session of 48 queries against a 1-graph
 //!   catalog vs the same 48 spread round-robin over 3 graphs via `use`,
 //!   measuring the cost of multi-tenant routing (per-graph pool caches,

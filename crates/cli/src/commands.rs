@@ -14,6 +14,7 @@ use tim_diffusion::{
 };
 use tim_engine::{QueryEngine, RrPool};
 use tim_eval::Dataset;
+use tim_graph::catalog::check_accuracy;
 use tim_graph::io::LoadedGraph;
 use tim_graph::{analysis, io, snapshot, weights, Graph, NodeId};
 use tim_server::{
@@ -286,8 +287,7 @@ fn select(args: &Args) -> Result<(), String> {
     }
     let algo = args.get("algo").unwrap_or("tim+").to_lowercase();
     let model_name = args.get("model").unwrap_or("ic").to_lowercase();
-    let eps: f64 = args.get_parsed("eps", 0.1f64)?;
-    let ell: f64 = args.get_parsed("ell", 1.0f64)?;
+    let (eps, ell) = accuracy_flags(args)?;
     let seed: u64 = args.get_parsed("seed", 0u64)?;
     let runs: usize = args.get_parsed("runs", 10_000usize)?;
 
@@ -488,13 +488,21 @@ fn check_pool_flag<T: PartialEq + std::fmt::Display>(
     }
 }
 
+/// The `--eps`/`--ell` flags, each checked where it enters.
+fn accuracy_flags(args: &Args) -> Result<(f64, f64), String> {
+    let eps = check_accuracy("--eps", args.get_parsed("eps", 0.1f64)?)?;
+    let ell = check_accuracy("--ell", args.get_parsed("ell", 1.0f64)?)?;
+    Ok((eps, ell))
+}
+
 /// Builds the shared server configuration from `query`/`serve` flags.
 fn server_config(args: &Args, quiet: bool) -> Result<ServerConfig, String> {
+    let (epsilon, ell) = accuracy_flags(args)?;
     let config = ServerConfig {
         threads: args.get_parsed("threads", 4usize)?,
         pool_cache: args.get_parsed("pool-cache", 4usize)?,
-        epsilon: args.get_parsed("eps", 0.1f64)?,
-        ell: args.get_parsed("ell", 1.0f64)?,
+        epsilon,
+        ell,
         seed: args.get_parsed("seed", 0u64)?,
         k_max: args.get_parsed("k", 50usize)?,
         sample_threads: 0,
@@ -1167,6 +1175,8 @@ mod tests {
         std::fs::write(&path, "0 1\n1 2\n2 0\n").unwrap();
         let path_s = path.to_str().unwrap();
         assert!(dispatch(&argv(&format!("select {path_s}"))).is_err());
+        // An infinite ℓ is refused before planning, not panicked on.
+        assert!(dispatch(&argv(&format!("select {path_s} -k 1 --ell inf"))).is_err());
         std::fs::remove_file(&path).ok();
     }
 
@@ -1485,6 +1495,12 @@ mod tests {
             "serve {path_s} --addr 127.0.0.1:0 --pool /nonexistent.timp"
         )))
         .is_err());
+        // ε and ℓ must be finite and positive before anything starts.
+        for flag in ["--eps -1", "--eps nan", "--eps inf", "--ell inf"] {
+            let args = serve_args(&format!("{path_s} --addr 127.0.0.1:0 {flag}"));
+            let err = server_config(&args, true).expect_err(flag);
+            assert!(err.contains("must be positive and finite"), "{flag}: {err}");
+        }
         std::fs::remove_file(&path).ok();
     }
 

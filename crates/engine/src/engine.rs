@@ -1,4 +1,13 @@
 //! The warm-pool query engine.
+//!
+//! An engine's answerable state is one immutable [`State`]: the pool,
+//! its θ, `k_max`, the plan cache, the fast cover and the growth epoch.
+//! Each query has one `&self` answer function on it that returns the
+//! answer or the [`Miss`] it lacks, and [`Setup::prepare`] turns a state
+//! and a miss into the next state by planning, sampling or running the
+//! fast greedy. [`QueryEngine`] answers over a state it owns;
+//! [`SharedEngine`](crate::SharedEngine) publishes one behind a pointer
+//! swap.
 
 use crate::error::EngineError;
 use crate::pool::{PoolMeta, RrPool};
@@ -8,6 +17,7 @@ use tim_core::parallel::{generate_rr_sets, prefix_ranges};
 use tim_core::{select_stream_seed, SamplingPlan, TimPlus};
 use tim_coverage::{greedy_max_cover_indexed, greedy_max_cover_ranges, CoverResult, SetCollection};
 use tim_diffusion::DiffusionModel;
+use tim_graph::catalog::check_accuracy;
 use tim_graph::{Graph, GraphStore, NodeId};
 
 /// Result of one `select` query.
@@ -28,11 +38,252 @@ pub struct QueryOutcome {
     pub estimated_spread: f64,
 }
 
-/// Cached single greedy run used by [`QueryEngine::select_fast`].
+/// A plan-cache key: `k` clamped to `n`, as the planner clamps it, and
+/// the float parameters by bits.
+type PlanKey = (usize, u64, u64);
+
+/// One immutable version of an engine's answerable state. States that
+/// differ only in plans or fast cover share the pool's `Arc`.
+#[derive(Debug, Clone)]
+pub(crate) struct State {
+    /// The RR-set pool, held on the heap or mapped zero-copy from a
+    /// `.timp` v2 file, with its inverted index built whenever it holds
+    /// sets. Growth replaces it with a freshly sampled heap collection.
+    pub(crate) pool: Arc<SetCollection>,
+    pub(crate) pool_theta: u64,
+    pub(crate) k_max: usize,
+    plans: BTreeMap<PlanKey, SamplingPlan>,
+    /// The fast cover: one greedy run over the whole pool at `k_max`
+    /// seeds, which [`QueryEngine::select_fast`] answers prefixes of.
+    /// Built only over a pool that holds θ(`k_max`); a growth or a new
+    /// `k_max` drops it.
+    fast: Option<Arc<CoverResult>>,
+    /// How many times the pool grew since the engine was shared.
+    pub(crate) epoch: u64,
+}
+
+/// What a [`State`] lacks to answer a query.
+#[derive(Debug, Clone, Copy)]
+pub(crate) enum Miss {
+    /// The plan for `k` under `(eps, ell)`, and a pool of its θ.
+    Plan { k: usize, eps: f64, ell: f64 },
+    /// The warm pool ([`QueryEngine::warm`]).
+    Warm,
+    /// A fast cover at depth `max(k_max, k)`, over a pool of that
+    /// depth's θ.
+    Fast { k: usize },
+}
+
+impl State {
+    fn cold(n: usize, k_max: usize) -> Self {
+        State {
+            pool: Arc::new(SetCollection::new(n)),
+            pool_theta: 0,
+            k_max,
+            plans: BTreeMap::new(),
+            fast: None,
+            epoch: 0,
+        }
+    }
+
+    fn n(&self) -> usize {
+        self.pool.universe()
+    }
+
+    fn plan_key(&self, k: usize, eps: f64, ell: f64) -> PlanKey {
+        (k.min(self.n()), eps.to_bits(), ell.to_bits())
+    }
+
+    /// Heap plus mapped bytes the pool holds.
+    pub(crate) fn pool_bytes(&self) -> u64 {
+        (self.pool.memory_bytes() + self.pool.mapped_bytes()) as u64
+    }
+
+    /// Exact replay ([`QueryEngine::select_with`]) at resolved `(eps, ell)`:
+    /// greedy over the plan's θ-prefix, read in place from the pool.
+    pub(crate) fn select(&self, k: usize, eps: f64, ell: f64) -> Result<QueryOutcome, Miss> {
+        let miss = Miss::Plan { k, eps, ell };
+        let plan = self.plans.get(&self.plan_key(k, eps, ell)).ok_or(miss)?;
+        if plan.theta > self.pool_theta {
+            return Err(miss);
+        }
+        let ranges = prefix_ranges(self.pool_theta, plan.theta);
+        let cover = greedy_max_cover_ranges(&self.pool, &ranges, plan.k);
+        let frac = cover.coverage_fraction(plan.theta as usize);
+        debug_assert_eq!(cover.seeds.len(), plan.k.min(self.n()));
+        Ok(QueryOutcome {
+            seeds: cover.seeds,
+            theta_used: plan.theta,
+            pool_theta: self.pool_theta,
+            resampled: false,
+            estimated_spread: frac * self.n() as f64,
+        })
+    }
+
+    /// Prefix answering ([`QueryEngine::select_fast`]): the `k`-prefix of
+    /// the fast cover.
+    pub(crate) fn select_fast(&self, k: usize) -> Result<QueryOutcome, Miss> {
+        let fast = self
+            .fast
+            .as_ref()
+            .filter(|_| k <= self.k_max)
+            .ok_or(Miss::Fast { k })?;
+        let k_eff = k.min(fast.seeds.len());
+        let covered: usize = fast.marginal[..k_eff].iter().sum();
+        let frac = covered as f64 / self.pool_theta as f64;
+        Ok(QueryOutcome {
+            seeds: fast.seeds[..k_eff].to_vec(),
+            theta_used: self.pool_theta,
+            pool_theta: self.pool_theta,
+            resampled: false,
+            estimated_spread: frac * self.n() as f64,
+        })
+    }
+
+    /// [`QueryEngine::spread`] over the full pool.
+    pub(crate) fn spread(&self, seeds: &[NodeId]) -> Result<f64, Miss> {
+        if self.pool_theta == 0 {
+            return Err(Miss::Warm);
+        }
+        Ok(self.pool.coverage_fraction(seeds) * self.n() as f64)
+    }
+
+    /// [`QueryEngine::marginal_gain`] over the full pool.
+    pub(crate) fn marginal_gain(&self, base: &[NodeId], candidate: NodeId) -> Result<f64, Miss> {
+        if base.contains(&candidate) {
+            return Ok(0.0);
+        }
+        if self.pool_theta == 0 {
+            return Err(Miss::Warm);
+        }
+        let before = self.pool.count_covered(base);
+        let mut with: Vec<NodeId> = base.to_vec();
+        with.push(candidate);
+        let after = self.pool.count_covered(&with);
+        let denom = self.pool.len().max(1) as f64;
+        Ok((after - before) as f64 / denom * self.n() as f64)
+    }
+}
+
+/// What an engine answers for: the graph, the model and the run
+/// parameters. Fixed once the engine is built; every [`State`] of the
+/// engine is prepared from it.
 #[derive(Debug)]
-struct FastCover {
-    pool_theta: u64,
-    cover: CoverResult,
+pub(crate) struct Setup<M> {
+    store: GraphStore,
+    model: M,
+    model_name: String,
+    epsilon: f64,
+    ell: f64,
+    seed: u64,
+    threads: usize,
+    select_seed: u64,
+}
+
+impl<M: DiffusionModel + Clone> Setup<M> {
+    /// `(eps, ell)` with the engine's defaults filled in.
+    pub(crate) fn resolve(&self, eps: Option<f64>, ell: Option<f64>) -> (f64, f64) {
+        let eps = eps.unwrap_or(self.epsilon);
+        let ell = ell.unwrap_or(self.ell);
+        assert!(eps > 0.0 && ell > 0.0, "epsilon and ell must be positive");
+        (eps, ell)
+    }
+
+    /// The provenance header of `state`'s pool.
+    pub(crate) fn meta(&self, state: &State) -> PoolMeta {
+        PoolMeta {
+            graph_checksum: self.store.checksum(),
+            model: self.model_name.clone(),
+            epsilon: self.epsilon,
+            ell: self.ell,
+            seed: self.seed,
+            k_max: state.k_max as u32,
+            theta: state.pool_theta,
+            select_seed: self.select_seed,
+        }
+    }
+
+    /// `state`'s pool with its provenance. A heap pool is copied; a
+    /// mapped pool shares its mapping.
+    pub(crate) fn to_pool(&self, state: &State) -> RrPool {
+        RrPool {
+            meta: self.meta(state),
+            sets: SetCollection::clone(&state.pool),
+        }
+    }
+
+    pub(crate) fn graph_checksum(&self) -> u64 {
+        self.store.checksum()
+    }
+
+    /// The next state, which answers what `state` missed: it plans, grows
+    /// the pool, or runs the fast greedy, and leaves `state` untouched.
+    pub(crate) fn prepare(&self, state: &State, miss: Miss) -> State {
+        let mut next = state.clone();
+        let theta = match miss {
+            Miss::Plan { k, eps, ell } => self.plan(&mut next, &[k], eps, ell),
+            // Every k > n shares the plan for n (plans clamp k to n), so
+            // warming never plans more than n sizes, whatever k_max says.
+            Miss::Warm => {
+                let ks: Vec<usize> = (1..=next.k_max.min(self.store.n())).collect();
+                self.plan(&mut next, &ks, self.epsilon, self.ell)
+            }
+            Miss::Fast { k } => {
+                next.k_max = next.k_max.max(k);
+                let depth = next.k_max;
+                self.plan(&mut next, &[depth], self.epsilon, self.ell)
+            }
+        };
+        if theta > next.pool_theta {
+            // Regenerate from the fixed selection stream: deterministic,
+            // and the old pool is a shard-aligned prefix of the new one.
+            // A mapped pool is simply replaced — growth is always
+            // heap-side, and the next spill persists the grown pool as a
+            // fresh v2 file.
+            let (mut pool, _) = generate_rr_sets(
+                self.store.graph(),
+                &self.model,
+                theta,
+                self.select_seed,
+                self.threads,
+            );
+            pool.ensure_inverted_index();
+            next.pool = Arc::new(pool);
+            next.pool_theta = theta;
+            next.fast = None;
+            next.epoch += 1;
+        }
+        if let Miss::Fast { .. } = miss {
+            next.fast = Some(Arc::new(greedy_max_cover_indexed(&next.pool, next.k_max)));
+        }
+        next
+    }
+
+    /// Caches the sampling plans for `ks` under `(eps, ell)` — the
+    /// uncached ones planned in one batched pass — and returns their
+    /// largest θ.
+    fn plan(&self, state: &mut State, ks: &[usize], eps: f64, ell: f64) -> u64 {
+        let missing: Vec<usize> = ks
+            .iter()
+            .copied()
+            .filter(|&k| !state.plans.contains_key(&state.plan_key(k, eps, ell)))
+            .collect();
+        if !missing.is_empty() {
+            let planner = TimPlus::new(self.model.clone())
+                .epsilon(eps)
+                .ell(ell)
+                .seed(self.seed)
+                .threads(self.threads);
+            let planned = planner.plans(self.store.graph(), &missing);
+            for (k, plan) in missing.into_iter().zip(planned) {
+                state.plans.insert(state.plan_key(k, eps, ell), plan);
+            }
+        }
+        ks.iter()
+            .map(|&k| state.plans[&state.plan_key(k, eps, ell)].theta)
+            .max()
+            .unwrap_or(0)
+    }
 }
 
 /// An influence-query engine that amortizes RR-set sampling across
@@ -59,6 +310,10 @@ struct FastCover {
 ///
 /// Spread and marginal-gain queries are answered against the full pool.
 ///
+/// Each query answers from the engine's current state when it can, and
+/// otherwise prepares the next state first (a plan, a growth or the fast
+/// cover); the `&mut` receivers are for that replacement.
+///
 /// ```
 /// use tim_diffusion::IndependentCascade;
 /// use tim_engine::QueryEngine;
@@ -80,23 +335,8 @@ struct FastCover {
 /// ```
 #[derive(Debug)]
 pub struct QueryEngine<M> {
-    store: GraphStore,
-    model: M,
-    model_name: String,
-    epsilon: f64,
-    ell: f64,
-    seed: u64,
-    threads: usize,
-    k_max: usize,
-    select_seed: u64,
-    /// The RR-set pool, held on the heap or mapped zero-copy from a
-    /// `.timp` v2 file. Every query path reads it the same way; growth
-    /// replaces it with a freshly sampled heap collection.
-    pool: SetCollection,
-    pool_theta: u64,
-    /// Plan cache keyed by [`plan_key`](Self::plan_key).
-    plans: BTreeMap<(usize, u64, u64), SamplingPlan>,
-    fast: Option<FastCover>,
+    pub(crate) setup: Setup<M>,
+    pub(crate) state: State,
 }
 
 impl<M: DiffusionModel + Clone> QueryEngine<M> {
@@ -126,21 +366,19 @@ impl<M: DiffusionModel + Clone> QueryEngine<M> {
     pub fn with_store(store: GraphStore, model: M, model_name: impl Into<String>) -> Self {
         assert!(store.n() >= 2, "engine needs at least 2 nodes");
         assert!(store.m() >= 1, "engine needs at least 1 edge");
-        let n = store.n();
+        let state = State::cold(store.n(), 50);
         QueryEngine {
-            store,
-            model,
-            model_name: model_name.into(),
-            epsilon: 0.1,
-            ell: 1.0,
-            seed: 0,
-            threads: std::thread::available_parallelism().map_or(1, |p| p.get()),
-            k_max: 50,
-            select_seed: select_stream_seed(0),
-            pool: SetCollection::new(n),
-            pool_theta: 0,
-            plans: BTreeMap::new(),
-            fast: None,
+            setup: Setup {
+                store,
+                model,
+                model_name: model_name.into(),
+                epsilon: 0.1,
+                ell: 1.0,
+                seed: 0,
+                threads: std::thread::available_parallelism().map_or(1, |p| p.get()),
+                select_seed: select_stream_seed(0),
+            },
+            state,
         }
     }
 
@@ -148,7 +386,7 @@ impl<M: DiffusionModel + Clone> QueryEngine<M> {
     #[must_use]
     pub fn epsilon(mut self, epsilon: f64) -> Self {
         assert!(epsilon > 0.0, "epsilon must be positive");
-        self.epsilon = epsilon;
+        self.setup.epsilon = epsilon;
         self
     }
 
@@ -156,15 +394,15 @@ impl<M: DiffusionModel + Clone> QueryEngine<M> {
     #[must_use]
     pub fn ell(mut self, ell: f64) -> Self {
         assert!(ell > 0.0, "ell must be positive");
-        self.ell = ell;
+        self.setup.ell = ell;
         self
     }
 
     /// Sets the run seed all queries replicate (default 0).
     #[must_use]
     pub fn seed(mut self, seed: u64) -> Self {
-        self.seed = seed;
-        self.select_seed = select_stream_seed(seed);
+        self.setup.seed = seed;
+        self.setup.select_seed = select_stream_seed(seed);
         self
     }
 
@@ -173,7 +411,7 @@ impl<M: DiffusionModel + Clone> QueryEngine<M> {
     #[must_use]
     pub fn threads(mut self, threads: usize) -> Self {
         assert!(threads > 0, "threads must be positive");
-        self.threads = threads;
+        self.setup.threads = threads;
         self
     }
 
@@ -182,7 +420,8 @@ impl<M: DiffusionModel + Clone> QueryEngine<M> {
     #[must_use]
     pub fn k_max(mut self, k_max: usize) -> Self {
         assert!(k_max >= 1, "k_max must be at least 1");
-        self.k_max = k_max;
+        self.state.k_max = k_max;
+        self.state.fast = None;
         self
     }
 
@@ -245,29 +484,19 @@ impl<M: DiffusionModel + Clone> QueryEngine<M> {
         // f64::from_bits accepts anything, so a structurally valid pool can
         // still carry unusable parameters; reject them here rather than
         // panicking in the builder asserts.
-        if meta.epsilon <= 0.0 || !meta.epsilon.is_finite() {
-            return Err(EngineError::Format(format!(
-                "pool epsilon {} is not a positive finite number",
-                meta.epsilon
-            )));
-        }
-        if meta.ell <= 0.0 || !meta.ell.is_finite() {
-            return Err(EngineError::Format(format!(
-                "pool ell {} is not a positive finite number",
-                meta.ell
-            )));
-        }
+        check_accuracy("pool epsilon", meta.epsilon).map_err(EngineError::Format)?;
+        check_accuracy("pool ell", meta.ell).map_err(EngineError::Format)?;
         let mut engine = QueryEngine::with_store(store, model, model_name)
             .epsilon(meta.epsilon)
             .ell(meta.ell)
             .seed(meta.seed)
             .k_max(meta.k_max.max(1) as usize);
-        engine.pool_theta = pool.meta.theta;
-        engine.pool = pool.sets;
-        // Invariant: a non-empty pool always carries a fresh inverted
-        // index, so the read-only `try_*` paths can run greedy without
-        // mutating the collection. (Mapped pools persist theirs.)
-        engine.pool.ensure_inverted_index();
+        engine.state.pool_theta = pool.meta.theta;
+        let mut sets = pool.sets;
+        // A state's pool always carries a fresh inverted index, so every
+        // answer function is `&self`. (Mapped pools persist theirs.)
+        sets.ensure_inverted_index();
+        engine.state.pool = Arc::new(sets);
         Ok(engine)
     }
 
@@ -275,72 +504,60 @@ impl<M: DiffusionModel + Clone> QueryEngine<M> {
     /// [`to_pool`](Self::to_pool) would persist), without cloning the
     /// sets. Cheap — used e.g. to derive pool-cache keys.
     pub fn pool_meta(&self) -> PoolMeta {
-        PoolMeta {
-            graph_checksum: self.store.checksum(),
-            model: self.model_name.clone(),
-            epsilon: self.epsilon,
-            ell: self.ell,
-            seed: self.seed,
-            k_max: self.k_max as u32,
-            theta: self.pool_theta,
-            select_seed: self.select_seed,
-        }
+        self.setup.meta(&self.state)
     }
 
     /// Snapshots the current pool (with provenance) for persistence. A
     /// heap pool is copied; a mapped pool shares its mapping.
     pub fn to_pool(&self) -> RrPool {
-        RrPool {
-            meta: self.pool_meta(),
-            sets: self.pool.clone(),
-        }
+        self.setup.to_pool(&self.state)
     }
 
     /// True when the pool is mapped zero-copy from a `.timp` v2 file
     /// rather than held on the heap.
     pub fn pool_is_mapped(&self) -> bool {
-        self.pool.mapping().is_some()
+        self.state.pool.mapping().is_some()
     }
 
     /// Heap bytes held by the pool (0 when mapped).
     pub fn pool_memory_bytes(&self) -> usize {
-        self.pool.memory_bytes()
+        self.state.pool.memory_bytes()
     }
 
     /// Bytes of the pool's file mapping (0 on the heap).
     pub fn pool_mapped_bytes(&self) -> usize {
-        self.pool.mapped_bytes()
+        self.state.pool.mapped_bytes()
     }
 
     /// The graph store queries run against.
     pub fn store(&self) -> &GraphStore {
-        &self.store
+        &self.setup.store
     }
 
     /// The graph queries run against.
     pub fn graph(&self) -> &Graph {
-        self.store.graph()
+        self.setup.store.graph()
     }
 
     /// A shared handle to the graph, for building further engines (e.g.
     /// pool-cache entries at a different ε/ℓ) without copying it.
     pub fn graph_arc(&self) -> Arc<Graph> {
-        self.store.graph_arc()
+        self.setup.store.graph_arc()
     }
 
     /// Current pool size θ (0 when cold).
     pub fn pool_theta(&self) -> u64 {
-        self.pool_theta
+        self.state.pool_theta
     }
 
     /// The `k` the pool is warmed for.
     pub fn warmed_k(&self) -> usize {
-        self.k_max
+        self.state.k_max
     }
 
     /// Content checksum of the attached graph.
     pub fn graph_checksum(&self) -> u64 {
-        self.store.checksum()
+        self.setup.graph_checksum()
     }
 
     /// Warms the pool so that **every** `k ≤ k_max` is answerable without
@@ -360,75 +577,22 @@ impl<M: DiffusionModel + Clone> QueryEngine<M> {
     /// a pool that grew mid-session to serve an exact `select` would
     /// change their answers.
     pub fn warm(&mut self) -> u64 {
-        // Every k > n shares the plan for n (plans clamp k to n), so
-        // warming never plans more than n sizes, whatever k_max says.
-        let ks: Vec<usize> = (1..=self.k_max.min(self.store.n())).collect();
-        let plans = self.plans_for(&ks, self.epsilon, self.ell);
-        let theta = plans.iter().map(|p| p.theta).max().unwrap_or(1);
-        self.ensure_theta(theta);
-        self.pool_theta
+        self.state = self.setup.prepare(&self.state, Miss::Warm);
+        self.state.pool_theta
     }
 
-    /// The plan-cache key of `k` under `(eps, ell)`: `k` clamped to `n`,
-    /// as the planner clamps it, and the float parameters by bits.
-    fn plan_key(&self, k: usize, eps: f64, ell: f64) -> (usize, u64, u64) {
-        (k.min(self.store.n()), eps.to_bits(), ell.to_bits())
-    }
-
-    /// Computes (and caches) the sampling plan for `k` under `(eps, ell)`.
-    fn plan_for(&mut self, k: usize, eps: f64, ell: f64) -> SamplingPlan {
-        self.plans_for(&[k], eps, ell).remove(0)
-    }
-
-    /// The sampling plans for `ks` under `(eps, ell)`, in order: the
-    /// uncached ones are planned in one batched pass and cached.
-    fn plans_for(&mut self, ks: &[usize], eps: f64, ell: f64) -> Vec<SamplingPlan> {
-        let missing: Vec<usize> = ks
-            .iter()
-            .copied()
-            .filter(|&k| !self.plans.contains_key(&self.plan_key(k, eps, ell)))
-            .collect();
-        if !missing.is_empty() {
-            let planner = TimPlus::new(self.model.clone())
-                .epsilon(eps)
-                .ell(ell)
-                .seed(self.seed)
-                .threads(self.threads);
-            let planned = planner.plans(self.store.graph(), &missing);
-            for (k, plan) in missing.into_iter().zip(planned) {
-                self.plans.insert(self.plan_key(k, eps, ell), plan);
+    /// Answers `query` from the current state, preparing the next state
+    /// first when it misses; the flag reports whether that grew the pool.
+    fn answer<T>(&mut self, query: impl Fn(&State) -> Result<T, Miss>) -> (T, bool) {
+        match query(&self.state) {
+            Ok(answer) => (answer, false),
+            Err(miss) => {
+                let next = self.setup.prepare(&self.state, miss);
+                let grew = next.epoch > self.state.epoch;
+                self.state = next;
+                (query(&self.state).expect(PREPARED), grew)
             }
         }
-        ks.iter()
-            .map(|&k| self.plans[&self.plan_key(k, eps, ell)].clone())
-            .collect()
-    }
-
-    /// Grows the pool to at least `theta` sets; returns true if it
-    /// resampled.
-    fn ensure_theta(&mut self, theta: u64) -> bool {
-        if theta <= self.pool_theta {
-            return false;
-        }
-        // Regenerate from the fixed selection stream: deterministic, and
-        // the old pool is a shard-aligned prefix of the new one. A mapped
-        // pool is simply replaced — growth is always heap-side, and the
-        // next farewell spill persists the grown pool as a fresh v2 file.
-        let (pool, _) = generate_rr_sets(
-            self.store.graph(),
-            &self.model,
-            theta,
-            self.select_seed,
-            self.threads,
-        );
-        self.pool = pool;
-        // Keep the inverted index fresh whenever the pool is non-empty, so
-        // every subsequent same-θ greedy run — including the read-only
-        // `try_*` paths used under shared references — is `&self`.
-        self.pool.ensure_inverted_index();
-        self.pool_theta = theta;
-        self.fast = None;
-        true
     }
 
     /// Answers a `k`-seed selection **byte-identically** to
@@ -449,59 +613,10 @@ impl<M: DiffusionModel + Clone> QueryEngine<M> {
     /// [`QueryOutcome::resampled`]).
     pub fn select_with(&mut self, k: usize, eps: Option<f64>, ell: Option<f64>) -> QueryOutcome {
         assert!(k >= 1, "k must be at least 1");
-        let eps = eps.unwrap_or(self.epsilon);
-        let ell = ell.unwrap_or(self.ell);
-        assert!(eps > 0.0 && ell > 0.0, "epsilon and ell must be positive");
-        let plan = self.plan_for(k, eps, ell);
-        let resampled = self.ensure_theta(plan.theta);
-        let outcome = self.answer_plan(&plan, resampled);
-        debug_assert_eq!(outcome.seeds.len(), plan.k.min(self.store.n()));
-        outcome
-    }
-
-    /// Runs greedy for an already-satisfiable plan (`plan.theta ≤`
-    /// [`pool_theta`](Self::pool_theta)) over the pool's θ-prefix, heap
-    /// or mapped, without copying it — the shared tail of the mutable and
-    /// read-only select paths.
-    fn answer_plan(&self, plan: &SamplingPlan, resampled: bool) -> QueryOutcome {
-        let n = self.store.n() as f64;
-        let ranges = prefix_ranges(self.pool_theta, plan.theta);
-        let cover = greedy_max_cover_ranges(&self.pool, &ranges, plan.k);
-        let frac = cover.coverage_fraction(plan.theta as usize);
-        QueryOutcome {
-            seeds: cover.seeds,
-            theta_used: plan.theta,
-            pool_theta: self.pool_theta,
-            resampled,
-            estimated_spread: frac * n,
-        }
-    }
-
-    /// Read-only [`select_with`](Self::select_with): answers from cached
-    /// plans and the current pool **without mutating the engine**, or
-    /// returns `None` when the query would need a plan computation or a
-    /// resample (then take the `&mut` path). Used by
-    /// [`SharedEngine`](crate::SharedEngine) to serve concurrent readers
-    /// under a read lock; a `Some` answer is byte-identical to what
-    /// [`select_with`](Self::select_with) would return.
-    ///
-    /// # Panics
-    /// Panics if `k == 0` or a given ε/ℓ is not positive.
-    pub fn try_select_with(
-        &self,
-        k: usize,
-        eps: Option<f64>,
-        ell: Option<f64>,
-    ) -> Option<QueryOutcome> {
-        assert!(k >= 1, "k must be at least 1");
-        let eps = eps.unwrap_or(self.epsilon);
-        let ell = ell.unwrap_or(self.ell);
-        assert!(eps > 0.0 && ell > 0.0, "epsilon and ell must be positive");
-        let plan = self.plans.get(&self.plan_key(k, eps, ell))?;
-        if plan.theta > self.pool_theta {
-            return None;
-        }
-        Some(self.answer_plan(plan, false))
+        let (eps, ell) = self.setup.resolve(eps, ell);
+        let (mut out, grew) = self.answer(|s| s.select(k, eps, ell));
+        out.resampled = grew;
+        out
     }
 
     /// Answers a `k`-seed selection as the `k`-prefix of a single cached
@@ -509,92 +624,16 @@ impl<M: DiffusionModel + Clone> QueryEngine<M> {
     /// query; uses more RR sets than a fresh run would, so the
     /// approximation guarantee is preserved (θ only ever exceeds the
     /// required λ/OPT), but seed sets may differ from
-    /// [`select`](Self::select)'s exact replay.
+    /// [`select`](Self::select)'s exact replay. A `k` past the warmed
+    /// `k_max` raises it.
     ///
     /// # Panics
     /// Panics if `k == 0`.
     pub fn select_fast(&mut self, k: usize) -> QueryOutcome {
         assert!(k >= 1, "k must be at least 1");
-        let resampled = if k > self.k_max {
-            self.k_max = k;
-            let plan = self.plan_for(k, self.epsilon, self.ell);
-            self.ensure_theta(plan.theta)
-        } else {
-            let plan = self.plan_for(self.k_max, self.epsilon, self.ell);
-            self.ensure_theta(plan.theta)
-        };
-        let depth = self.k_max;
-        let stale = match &self.fast {
-            Some(f) => f.pool_theta != self.pool_theta || f.cover.seeds.len() < k.min(depth),
-            None => true,
-        };
-        if stale {
-            self.pool.ensure_inverted_index();
-            let cover = greedy_max_cover_indexed(&self.pool, depth);
-            self.fast = Some(FastCover {
-                pool_theta: self.pool_theta,
-                cover,
-            });
-        }
-        let fast = self.fast.as_ref().expect("fast cover just ensured");
-        Self::fast_prefix_outcome(fast, k, self.pool_theta, self.store.n(), resampled)
-    }
-
-    /// Assembles the `k`-prefix answer from a cached full-pool greedy run.
-    fn fast_prefix_outcome(
-        fast: &FastCover,
-        k: usize,
-        pool_theta: u64,
-        n: usize,
-        resampled: bool,
-    ) -> QueryOutcome {
-        let k_eff = k.min(fast.cover.seeds.len());
-        let covered: usize = fast.cover.marginal[..k_eff].iter().sum();
-        let frac = if pool_theta == 0 {
-            0.0
-        } else {
-            covered as f64 / pool_theta as f64
-        };
-        QueryOutcome {
-            seeds: fast.cover.seeds[..k_eff].to_vec(),
-            theta_used: pool_theta,
-            pool_theta,
-            resampled,
-            estimated_spread: frac * n as f64,
-        }
-    }
-
-    /// Read-only [`select_fast`](Self::select_fast): serves the `k`-prefix
-    /// from the cached full-pool greedy run without mutating the engine,
-    /// or returns `None` when the cache is cold/stale or `k` exceeds the
-    /// warmed `k_max` (then take the `&mut` path). A `Some` answer is
-    /// byte-identical to what [`select_fast`](Self::select_fast) would
-    /// return from the same state.
-    ///
-    /// # Panics
-    /// Panics if `k == 0`.
-    pub fn try_select_fast(&self, k: usize) -> Option<QueryOutcome> {
-        assert!(k >= 1, "k must be at least 1");
-        if k > self.k_max {
-            return None;
-        }
-        let plan = self
-            .plans
-            .get(&self.plan_key(self.k_max, self.epsilon, self.ell))?;
-        if plan.theta > self.pool_theta {
-            return None;
-        }
-        let fast = self.fast.as_ref()?;
-        if fast.pool_theta != self.pool_theta || fast.cover.seeds.len() < k.min(self.k_max) {
-            return None;
-        }
-        Some(Self::fast_prefix_outcome(
-            fast,
-            k,
-            self.pool_theta,
-            self.store.n(),
-            false,
-        ))
+        let (mut out, grew) = self.answer(|s| s.select_fast(k));
+        out.resampled = grew;
+        out
     }
 
     /// Estimates `E[I(seeds)]` as `n · F_R(seeds)` over the full pool
@@ -604,60 +643,19 @@ impl<M: DiffusionModel + Clone> QueryEngine<M> {
     /// # Panics
     /// Panics if any seed is outside the graph's node range.
     pub fn spread(&mut self, seeds: &[NodeId]) -> f64 {
-        if self.pool_theta == 0 {
-            self.warm();
-        }
-        self.pool.coverage_fraction(seeds) * self.store.n() as f64
+        self.answer(|s| s.spread(seeds)).0
     }
 
     /// Estimates the marginal spread gain of adding `candidate` to `base`:
     /// `spread(base ∪ {candidate}) − spread(base)`, both against the full
     /// pool. Zero when `candidate` is already in `base`.
     pub fn marginal_gain(&mut self, base: &[NodeId], candidate: NodeId) -> f64 {
-        if base.contains(&candidate) {
-            return 0.0;
-        }
-        if self.pool_theta == 0 {
-            self.warm();
-        }
-        let before = self.pool.count_covered(base);
-        let mut with: Vec<NodeId> = base.to_vec();
-        with.push(candidate);
-        let after = self.pool.count_covered(&with);
-        let denom = self.pool.len().max(1) as f64;
-        (after - before) as f64 / denom * self.store.n() as f64
-    }
-
-    /// Read-only [`spread`](Self::spread): `None` when the pool is cold
-    /// (then take the `&mut` path, which warms it). A `Some` answer equals
-    /// what [`spread`](Self::spread) would return from the same state.
-    ///
-    /// # Panics
-    /// Panics if any seed is outside the graph's node range.
-    pub fn try_spread(&self, seeds: &[NodeId]) -> Option<f64> {
-        if self.pool_theta == 0 {
-            return None;
-        }
-        Some(self.pool.coverage_fraction(seeds) * self.store.n() as f64)
-    }
-
-    /// Read-only [`marginal_gain`](Self::marginal_gain): `None` when the
-    /// pool is cold (then take the `&mut` path, which warms it).
-    pub fn try_marginal_gain(&self, base: &[NodeId], candidate: NodeId) -> Option<f64> {
-        if base.contains(&candidate) {
-            return Some(0.0);
-        }
-        if self.pool_theta == 0 {
-            return None;
-        }
-        let before = self.pool.count_covered(base);
-        let mut with: Vec<NodeId> = base.to_vec();
-        with.push(candidate);
-        let after = self.pool.count_covered(&with);
-        let denom = self.pool.len().max(1) as f64;
-        Some((after - before) as f64 / denom * self.store.n() as f64)
+        self.answer(|s| s.marginal_gain(base, candidate)).0
     }
 }
+
+/// [`Setup::prepare`] makes the state answer the miss it was given.
+pub(crate) const PREPARED: &str = "a prepared state answers the query it missed";
 
 #[cfg(test)]
 mod tests {
@@ -870,9 +868,9 @@ mod tests {
         assert_eq!(theta, *thetas.iter().max().unwrap());
         assert_eq!(e.pool_theta(), theta);
         for (k, &want) in (1..=12).zip(&thetas) {
-            let out = e
-                .try_select_with(k, None, None)
-                .unwrap_or_else(|| panic!("k={k}: warm-up must cache its plan"));
+            let out = e.state.select(k, 0.8, 1.0).unwrap_or_else(|miss| {
+                panic!("k={k}: warm-up must cache its plan, missed {miss:?}")
+            });
             assert_eq!(out.theta_used, want, "k={k}");
             assert!(!out.resampled);
         }
@@ -885,7 +883,8 @@ mod tests {
             .k_max(usize::MAX);
         e.warm();
         let out = e
-            .try_select_with(1 << 40, None, None)
+            .state
+            .select(1 << 40, 0.8, 1.0)
             .expect("k > n shares n's plan");
         assert_eq!(out.seeds.len(), 40);
     }
@@ -957,22 +956,26 @@ mod tests {
     }
 
     #[test]
-    fn try_paths_answer_identically_or_report_misses() {
+    fn state_answers_match_or_report_misses() {
         let mut e = engine(12);
-        // Cold engine, nothing cached: every try_* path must miss.
-        assert!(e.try_select_with(3, None, None).is_none());
-        assert!(e.try_select_fast(3).is_none());
-        assert!(e.try_spread(&[0]).is_none());
-        assert!(e.try_marginal_gain(&[0], 1).is_none());
+        let (eps, ell) = (0.8, 1.0);
+        // Cold engine, nothing cached: every answer function misses, and
+        // says what it lacks.
+        let cold = e.state.clone();
+        assert!(matches!(
+            cold.select(3, eps, ell),
+            Err(Miss::Plan { k: 3, .. })
+        ));
+        assert!(matches!(cold.select_fast(3), Err(Miss::Fast { k: 3 })));
+        assert!(matches!(cold.spread(&[0]), Err(Miss::Warm)));
+        assert!(matches!(cold.marginal_gain(&[0], 1), Err(Miss::Warm)));
         // An already-included candidate needs no pool at all.
-        assert_eq!(e.try_marginal_gain(&[4], 4), Some(0.0));
+        assert_eq!(cold.marginal_gain(&[4], 4).unwrap(), 0.0);
 
         e.warm();
-        // Warm-up caches every plan up to k_max, so k = 3 answers
-        // read-only at once, as the blocking path does.
-        let got = e
-            .try_select_with(3, None, None)
-            .expect("warm-up cached k = 3");
+        // Warm-up caches every plan up to k_max, so k = 3 answers from
+        // the state at once, as the blocking path does.
+        let got = e.state.select(3, eps, ell).expect("warm-up cached k = 3");
         let want = e.select(3);
         assert_eq!(got.seeds, want.seeds);
         assert_eq!(got.theta_used, want.theta_used);
@@ -980,24 +983,38 @@ mod tests {
         // Past k_max no plan is cached yet: a miss until the blocking
         // path plans it.
         let past = e.warmed_k() + 1;
-        assert!(e.try_select_with(past, None, None).is_none());
+        assert!(e.state.select(past, eps, ell).is_err());
         let want_past = e.select(past);
-        let got_past = e
-            .try_select_with(past, None, None)
-            .expect("plan now cached");
+        let got_past = e.state.select(past, eps, ell).expect("plan now cached");
         assert_eq!(got_past.seeds, want_past.seeds);
 
-        // Fast cache must exist before the read-only fast path serves.
-        assert!(e.try_select_fast(2).is_none());
+        // The fast cover must exist before the state serves fast answers.
+        assert!(e.state.select_fast(2).is_err());
         let want_fast = e.select_fast(2);
-        let got_fast = e.try_select_fast(2).expect("fast cover now cached");
+        let got_fast = e.state.select_fast(2).expect("fast cover now cached");
         assert_eq!(got_fast.seeds, want_fast.seeds);
-        assert!(e.try_select_fast(e.warmed_k() + 1).is_none());
+        assert!(e.state.select_fast(e.warmed_k() + 1).is_err());
 
         let s = e.spread(&want.seeds);
-        assert_eq!(e.try_spread(&want.seeds), Some(s));
+        assert_eq!(e.state.spread(&want.seeds).unwrap(), s);
         let m = e.marginal_gain(&want.seeds, 99);
-        assert_eq!(e.try_marginal_gain(&want.seeds, 99), Some(m));
+        assert_eq!(e.state.marginal_gain(&want.seeds, 99).unwrap(), m);
+
+        // Preparing never touches the state it starts from, and a state
+        // that only gained plans or a fast cover shares its pool.
+        let warm = e.state.clone();
+        let next = e.setup.prepare(
+            &warm,
+            Miss::Plan {
+                k: 5,
+                eps: 0.9,
+                ell,
+            },
+        );
+        assert!(warm.select(5, 0.9, ell).is_err());
+        assert!(next.select(5, 0.9, ell).is_ok());
+        assert!(Arc::ptr_eq(&warm.pool, &next.pool));
+        assert_eq!(next.epoch, warm.epoch);
     }
 
     #[test]

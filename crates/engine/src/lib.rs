@@ -33,11 +33,14 @@
 //! so restarting a service costs a header parse and a bounds scan
 //! instead of a full heap decode — see [`PoolStore::probe_backed`].
 //!
-//! For concurrent serving, [`SharedEngine`] wraps a [`QueryEngine`] in an
-//! `RwLock` with a read-mostly fast path: queries answerable from the warm
-//! pool (the engine's `try_*` methods) run under a shared read guard, and
-//! only plan computation or pool growth takes the write lock. `tim_server`
-//! builds its per-provenance pool cache out of these.
+//! Each engine keeps its answerable state — pool, θ, `k_max`, plan cache,
+//! fast cover and growth epoch — as one immutable version. A query
+//! answers from it or names what it lacks, and a miss prepares the next
+//! version. For concurrent serving, [`SharedEngine`] publishes that
+//! version in an `Arc` swapped under a lock held only for the swap: hits
+//! never wait on planning or sampling, and misses run one at a time off
+//! that lock. `tim_server` builds its per-provenance pool cache out of
+//! these.
 
 mod engine;
 mod error;
@@ -52,7 +55,7 @@ pub use pool::{
     pool_version, PoolMeta, RrPool, POOL_MAGIC, POOL_V2_ALIGN, POOL_V2_HEADER_BYTES,
     POOL_V2_MODEL_TAG_MAX, POOL_VERSION, POOL_VERSION_V2,
 };
-pub use shared::{EngineReadGuard, SharedEngine};
+pub use shared::SharedEngine;
 pub use store::{
     PoolId, PoolStore, ProbedPool, StoreStats, INDEX_FILE, POOL_EXTENSION, QUARANTINE_DIR,
 };

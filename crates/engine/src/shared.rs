@@ -1,34 +1,39 @@
-//! Concurrent, shareable access to a [`QueryEngine`].
+//! Concurrent, shareable access to a query engine.
 //!
-//! A [`QueryEngine`] answers queries through `&mut self` because some of
-//! them *may* mutate: a plan-cache miss replays the (cheap) estimation
-//! phases, and a θ shortfall resamples the pool. But on a warm engine the
-//! overwhelmingly common case is a pure read — run greedy over a
-//! θ-prefix of the immutable pool, in place, through its shared inverted
-//! index.
+//! A [`SharedEngine`] keeps its engine's answerable state — one immutable
+//! version of the pool, its θ, `k_max`, the plan cache, the fast cover
+//! and the growth epoch — in an `Arc`, behind a lock held only to clone
+//! or replace that `Arc` (read-copy-update: McKenney and Slingwine,
+//! 1998). A query clones the current state and answers from it with no
+//! lock held, so reads run in parallel and never wait on planning or
+//! sampling.
 //!
-//! [`SharedEngine`] turns that split into a concurrency story: every query
-//! first tries the engine's read-only `try_*` path under an [`RwLock`]
-//! read guard (many threads in parallel), and only on a miss upgrades to
-//! the write lock to compute plans or grow the pool. Growth is monotone
-//! and the sampling stream fixed, so the handoff never changes any
-//! answer: an exact-replay `select` returns byte-identical seeds no matter
-//! how many threads interleave with it (see `tim_server`'s concurrent
-//! determinism test).
+//! A query the state cannot answer (an uncached plan, a θ shortfall, a
+//! stale fast cover, a cold pool) takes the gate, which runs misses one
+//! at a time. Under it the miss re-checks the current state, since the
+//! miss ahead of it may have prepared what it needs; otherwise it
+//! prepares the next state from the current one and publishes it with
+//! one pointer swap. Concurrent misses for one query thus prepare once.
+//!
+//! A read that arrives during a growth answers from the state before it.
+//! Growth is monotone and the sampling stream fixed, so an exact-replay
+//! `select` returns byte-identical seeds either side of it, however many
+//! threads interleave (see `tim_server`'s concurrent determinism test).
 
-use crate::engine::{QueryEngine, QueryOutcome};
+use crate::engine::{Miss, QueryEngine, QueryOutcome, Setup, State, PREPARED};
 use crate::pool::RrPool;
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::RwLock;
+use std::sync::{Arc, Mutex, PoisonError};
 use tim_diffusion::DiffusionModel;
 use tim_graph::NodeId;
 
-/// A [`QueryEngine`] behind an [`RwLock`] with a read-mostly fast path.
+/// A [`QueryEngine`] whose state is published by pointer swap.
 ///
 /// Cheap to share (`Arc<SharedEngine<M>>`); all query methods take
-/// `&self`. Lock poisoning (a panic inside a write section) is treated as
-/// fatal — the engine's invariants can no longer be trusted — and
-/// propagates as a panic to every later caller.
+/// `&self`. Neither lock guards anything a panic can leave half-written:
+/// the state lock only clones or swaps an `Arc`, and the gate guards no
+/// data, so both ignore poisoning. A panic while preparing a state
+/// publishes nothing — the previous state keeps serving — and reaches
+/// the caller that missed.
 ///
 /// ```
 /// use std::sync::Arc;
@@ -58,69 +63,74 @@ use tim_graph::NodeId;
 /// ```
 #[derive(Debug)]
 pub struct SharedEngine<M> {
-    inner: RwLock<QueryEngine<M>>,
-    /// Bumped every time the pool grows through this wrapper — the
-    /// growth hook persistence layers ([`crate::PoolStore`] callers)
-    /// compare against their last-spilled epoch to decide whether a
-    /// pool has new work worth writing back to disk.
-    growth: AtomicU64,
-    /// The pool's θ and its heap + mapped bytes, republished at the end
-    /// of every write-lock section (the only place the pool changes), so
-    /// size reporting reads them without ever waiting on a build or a
-    /// growth.
-    theta: AtomicU64,
-    bytes: AtomicU64,
+    setup: Setup<M>,
+    /// The published state.
+    current: Mutex<Arc<State>>,
+    /// Runs misses one at a time. Taken before the state lock.
+    gate: Mutex<()>,
 }
-
-/// Panic message used when a previous writer panicked mid-update.
-const POISONED: &str = "engine lock poisoned: a writer panicked mid-update";
 
 impl<M: DiffusionModel + Clone> SharedEngine<M> {
     /// Wraps an engine for shared use. Warm it first
     /// ([`QueryEngine::warm`]) if the first queries should not pay the
-    /// sampling cost under the write lock.
+    /// sampling cost.
     pub fn new(engine: QueryEngine<M>) -> Self {
-        let shared = SharedEngine {
-            inner: RwLock::new(engine),
-            growth: AtomicU64::new(0),
-            theta: AtomicU64::new(0),
-            bytes: AtomicU64::new(0),
-        };
-        shared.publish(&shared.inner.read().expect(POISONED));
-        shared
-    }
-
-    /// Runs a blocking (write-lock) engine call, bumps the growth epoch
-    /// if the pool grew under it and republishes the pool's size — the
-    /// single funnel every mutable query path goes through.
-    fn with_growth<T>(&self, f: impl FnOnce(&mut QueryEngine<M>) -> T) -> T {
-        let mut guard = self.inner.write().expect(POISONED);
-        let before = guard.pool_theta();
-        let out = f(&mut guard);
-        if guard.pool_theta() > before {
-            self.growth.fetch_add(1, Ordering::Release);
+        let QueryEngine { setup, mut state } = engine;
+        state.epoch = 0;
+        SharedEngine {
+            setup,
+            current: Mutex::new(Arc::new(state)),
+            gate: Mutex::new(()),
         }
-        self.publish(&guard);
-        out
     }
 
-    fn publish(&self, engine: &QueryEngine<M>) {
-        let bytes = engine.pool_memory_bytes() + engine.pool_mapped_bytes();
-        self.theta.store(engine.pool_theta(), Ordering::Release);
-        self.bytes.store(bytes as u64, Ordering::Release);
+    /// The published state.
+    fn current(&self) -> Arc<State> {
+        Arc::clone(&self.current.lock().unwrap_or_else(PoisonError::into_inner))
+    }
+
+    /// Replaces the published state with `next`. The state it replaces
+    /// is dropped after the lock is released.
+    fn publish(&self, next: State) -> Arc<State> {
+        let next = Arc::new(next);
+        let mut current = self.current.lock().unwrap_or_else(PoisonError::into_inner);
+        let previous = std::mem::replace(&mut *current, Arc::clone(&next));
+        drop(current);
+        drop(previous);
+        next
+    }
+
+    /// Answers `query` from the published state. On a miss it takes the
+    /// gate, re-checks the state then current, and otherwise prepares
+    /// and publishes the next one; the flag reports whether that grew
+    /// the pool.
+    fn answer<T>(&self, query: impl Fn(&State) -> Result<T, Miss>) -> (T, bool) {
+        if let Ok(answer) = query(&self.current()) {
+            return (answer, false);
+        }
+        let _gate = self.gate.lock().unwrap_or_else(PoisonError::into_inner);
+        let state = self.current();
+        let miss = match query(&state) {
+            Ok(answer) => return (answer, false),
+            Err(miss) => miss,
+        };
+        let next = self.publish(self.setup.prepare(&state, miss));
+        (query(&next).expect(PREPARED), next.epoch > state.epoch)
     }
 
     /// How many times the pool has grown (resampled) through this
     /// wrapper since construction. Persistence layers record the epoch
     /// at spill time; a later, larger epoch means the stored file is
     /// stale and the pool is worth spilling again. Monotone; `0` means
-    /// the pool is exactly what the engine was constructed with.
+    /// the pool is exactly what the engine was constructed with. It
+    /// changes in the same swap as the grown pool, so it never runs
+    /// ahead of [`to_pool`](Self::to_pool).
     pub fn growth_epoch(&self) -> u64 {
-        self.growth.load(Ordering::Acquire)
+        self.current().epoch
     }
 
-    /// [`QueryEngine::select`] — read lock when the plan is cached and the
-    /// pool suffices, write lock otherwise.
+    /// [`QueryEngine::select`] from the published state, preparing the
+    /// plan or the growth it lacks first.
     ///
     /// # Panics
     /// Panics if `k == 0`.
@@ -128,159 +138,95 @@ impl<M: DiffusionModel + Clone> SharedEngine<M> {
         self.select_with(k, None, None)
     }
 
-    /// [`QueryEngine::select_with`] with the same read-fast-path /
-    /// write-upgrade split as [`select`](Self::select).
+    /// [`QueryEngine::select_with`], answered like [`select`](Self::select).
     pub fn select_with(&self, k: usize, eps: Option<f64>, ell: Option<f64>) -> QueryOutcome {
-        if let Some(out) = self
-            .inner
-            .read()
-            .expect(POISONED)
-            .try_select_with(k, eps, ell)
-        {
-            return out;
-        }
-        // Upgrade. Another writer may have satisfied the query in between;
-        // the mutable path re-checks and is deterministic, so recomputing
-        // is correct either way.
-        self.with_growth(|e| e.select_with(k, eps, ell))
+        assert!(k >= 1, "k must be at least 1");
+        let (eps, ell) = self.setup.resolve(eps, ell);
+        let (mut out, grew) = self.answer(|s| s.select(k, eps, ell));
+        out.resampled = grew;
+        out
     }
 
-    /// [`QueryEngine::select_fast`] with the read-fast-path split.
+    /// [`QueryEngine::select_fast`] from the published state, preparing
+    /// the fast cover first when it is missing or stale.
     ///
     /// # Panics
     /// Panics if `k == 0`.
     pub fn select_fast(&self, k: usize) -> QueryOutcome {
-        if let Some(out) = self.inner.read().expect(POISONED).try_select_fast(k) {
-            return out;
-        }
-        self.with_growth(|e| e.select_fast(k))
+        assert!(k >= 1, "k must be at least 1");
+        let (mut out, grew) = self.answer(|s| s.select_fast(k));
+        out.resampled = grew;
+        out
     }
 
-    /// [`QueryEngine::spread`] — read lock on a warm pool, write lock
-    /// (warming it) on a cold one.
+    /// [`QueryEngine::spread`] from the published state, warming a cold
+    /// pool first.
     ///
     /// # Panics
     /// Panics if any seed is outside the graph's node range.
     pub fn spread(&self, seeds: &[NodeId]) -> f64 {
-        if let Some(s) = self.inner.read().expect(POISONED).try_spread(seeds) {
-            return s;
-        }
-        self.with_growth(|e| e.spread(seeds))
+        self.answer(|s| s.spread(seeds)).0
     }
 
-    /// [`QueryEngine::marginal_gain`] with the read-fast-path split.
+    /// [`QueryEngine::marginal_gain`] from the published state, warming a
+    /// cold pool first.
     pub fn marginal_gain(&self, base: &[NodeId], candidate: NodeId) -> f64 {
-        if let Some(m) = self
-            .inner
-            .read()
-            .expect(POISONED)
-            .try_marginal_gain(base, candidate)
-        {
-            return m;
-        }
-        self.with_growth(|e| e.marginal_gain(base, candidate))
+        self.answer(|s| s.marginal_gain(base, candidate)).0
     }
 
-    /// Current pool size θ (0 when cold), as of the last completed
-    /// write-lock section. Reads an atomic, so it never waits on a build
-    /// or a growth.
+    /// Pool size θ of the published state (0 when cold). Never waits on
+    /// a build or a growth.
     pub fn pool_theta(&self) -> u64 {
-        self.theta.load(Ordering::Acquire)
+        self.current().pool_theta
     }
 
-    /// Bytes the pool holds — heap plus file mapping — as of the last
-    /// completed write-lock section. Like [`pool_theta`](Self::pool_theta),
-    /// never waits on a build or a growth.
+    /// Bytes the published state's pool holds — heap plus file mapping.
+    /// Like [`pool_theta`](Self::pool_theta), never waits on a build or a
+    /// growth.
     pub fn pool_bytes(&self) -> u64 {
-        self.bytes.load(Ordering::Acquire)
+        self.current().pool_bytes()
     }
 
     /// The `k` the pool is warmed for.
     pub fn warmed_k(&self) -> usize {
-        self.inner.read().expect(POISONED).warmed_k()
+        self.current().k_max
     }
 
     /// Content checksum of the attached graph.
     pub fn graph_checksum(&self) -> u64 {
-        self.inner.read().expect(POISONED).graph_checksum()
+        self.setup.graph_checksum()
     }
 
-    /// Warms the pool ([`QueryEngine::warm`]) under the write lock and
-    /// returns the resulting θ.
+    /// Warms the pool ([`QueryEngine::warm`]) and returns the resulting
+    /// θ.
     pub fn warm(&self) -> u64 {
-        self.with_growth(|e| e.warm())
+        let _gate = self.gate.lock().unwrap_or_else(PoisonError::into_inner);
+        let state = self.current();
+        self.publish(self.setup.prepare(&state, Miss::Warm))
+            .pool_theta
     }
 
-    /// The engine's current provenance header
+    /// The published state's provenance header
     /// ([`QueryEngine::pool_meta`]), without cloning the sets.
     pub fn pool_meta(&self) -> crate::PoolMeta {
-        self.inner.read().expect(POISONED).pool_meta()
+        self.setup.meta(&self.current())
     }
 
-    /// Snapshots the current pool (with provenance) for persistence.
+    /// Snapshots the published pool (with provenance) for persistence.
     pub fn to_pool(&self) -> RrPool {
-        self.inner.read().expect(POISONED).to_pool()
+        self.setup.to_pool(&self.current())
     }
 
     /// Unwraps the engine (e.g. to persist it at shutdown).
     pub fn into_inner(self) -> QueryEngine<M> {
-        self.inner.into_inner().expect(POISONED)
-    }
-
-    /// Acquires the read lock once and returns a handle answering the
-    /// engine's read-only `try_*` queries against it — the batch-dispatch
-    /// primitive: a `tim/2` `batch` executes its whole run of same-engine
-    /// queries under **one** lock acquisition instead of one per line.
-    ///
-    /// A `try_*` miss (uncached plan, θ shortfall) returns `None`; the
-    /// caller must **drop the handle first** and go through the blocking
-    /// methods ([`select_with`](Self::select_with), …) — calling them while
-    /// holding the handle would self-deadlock on the write lock. Answers
-    /// never depend on which path served them.
-    pub fn read_handle(&self) -> EngineReadGuard<'_, M> {
-        EngineReadGuard {
-            guard: self.inner.read().expect(POISONED),
+        let current = self
+            .current
+            .into_inner()
+            .unwrap_or_else(PoisonError::into_inner);
+        QueryEngine {
+            setup: self.setup,
+            state: Arc::unwrap_or_clone(current),
         }
-    }
-}
-
-/// A read-lock guard over a [`SharedEngine`], exposing the engine's
-/// read-only query surface. Created by [`SharedEngine::read_handle`];
-/// holding it blocks pool growth (writers), not other readers.
-#[derive(Debug)]
-pub struct EngineReadGuard<'a, M> {
-    guard: std::sync::RwLockReadGuard<'a, QueryEngine<M>>,
-}
-
-impl<M: DiffusionModel + Clone> EngineReadGuard<'_, M> {
-    /// [`QueryEngine::try_select_with`] under the held read lock.
-    pub fn try_select_with(
-        &self,
-        k: usize,
-        eps: Option<f64>,
-        ell: Option<f64>,
-    ) -> Option<QueryOutcome> {
-        self.guard.try_select_with(k, eps, ell)
-    }
-
-    /// [`QueryEngine::try_select_fast`] under the held read lock.
-    pub fn try_select_fast(&self, k: usize) -> Option<QueryOutcome> {
-        self.guard.try_select_fast(k)
-    }
-
-    /// [`QueryEngine::try_spread`] under the held read lock.
-    pub fn try_spread(&self, seeds: &[NodeId]) -> Option<f64> {
-        self.guard.try_spread(seeds)
-    }
-
-    /// [`QueryEngine::try_marginal_gain`] under the held read lock.
-    pub fn try_marginal_gain(&self, base: &[NodeId], candidate: NodeId) -> Option<f64> {
-        self.guard.try_marginal_gain(base, candidate)
-    }
-
-    /// Pool size θ at the time the lock was taken.
-    pub fn pool_theta(&self) -> u64 {
-        self.guard.pool_theta()
     }
 }
 
@@ -293,8 +239,10 @@ impl<M: DiffusionModel + Clone> From<QueryEngine<M>> for SharedEngine<M> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::sync::Arc;
-    use tim_diffusion::IndependentCascade;
+    use std::panic::{catch_unwind, AssertUnwindSafe};
+    use std::sync::atomic::{AtomicBool, Ordering};
+    use std::time::Duration;
+    use tim_diffusion::{CustomTriggering, IndependentCascade};
     use tim_graph::{gen, weights, Graph};
 
     fn wc_graph(n: usize, seed: u64) -> Graph {
@@ -369,43 +317,49 @@ mod tests {
     }
 
     #[test]
-    fn read_handle_answers_match_blocking_calls() {
+    fn published_state_answers_match_blocking_calls() {
         let s = shared(4);
-        // Blocking ground truth first: these may take the write lock
-        // (plan caching, fast-cover build), which must not happen while a
-        // read handle is held.
+        // Blocking ground truth first: these prepare and publish what the
+        // warm state lacks (plan caching, the fast cover).
         let want = s.select(3);
         let fast = s.select_fast(2).seeds;
         let spread = s.spread(&want.seeds);
         let gain = s.marginal_gain(&want.seeds, 9);
         let theta = s.pool_theta();
 
-        let handle = s.read_handle();
-        assert_eq!(
-            handle.try_select_with(3, None, None).unwrap().seeds,
-            want.seeds
-        );
-        assert_eq!(handle.try_select_fast(2).unwrap().seeds, fast);
-        assert_eq!(handle.try_spread(&want.seeds).unwrap(), spread);
-        assert_eq!(handle.try_marginal_gain(&want.seeds, 9).unwrap(), gain);
-        assert_eq!(handle.pool_theta(), theta);
-        // A miss (k beyond the warmed pool) reports None instead of
-        // blocking — the caller is expected to drop the handle and retry.
-        assert!(handle.try_select_with(64, None, None).is_none());
+        let state = s.current();
+        let (eps, ell) = s.setup.resolve(None, None);
+        assert_eq!(state.select(3, eps, ell).unwrap().seeds, want.seeds);
+        assert_eq!(state.select_fast(2).unwrap().seeds, fast);
+        assert_eq!(state.spread(&want.seeds).unwrap(), spread);
+        assert_eq!(state.marginal_gain(&want.seeds, 9).unwrap(), gain);
+        assert_eq!(state.pool_theta, theta);
+        // A miss (k beyond the warmed pool) reports what it lacks instead
+        // of blocking.
+        assert!(matches!(
+            state.select(64, eps, ell),
+            Err(Miss::Plan { k: 64, .. })
+        ));
+        // Holding a state blocks nobody: the blocking path prepares and
+        // publishes the next one, and the held state never changes.
+        let past = s.select(64);
+        assert_eq!(s.current().select(64, eps, ell).unwrap().seeds, past.seeds);
+        assert!(state.select(64, eps, ell).is_err());
+        assert_eq!(state.pool_theta, theta);
     }
 
     #[test]
     fn growth_epoch_tracks_pool_growth_only() {
         let s = shared(6); // warmed before wrapping: epoch starts at 0
         assert_eq!(s.growth_epoch(), 0);
-        // Warm-pool queries (reads and write-path plan caching) never
-        // bump the epoch.
+        // Warm-pool queries (hits, and misses that only plan or build
+        // the fast cover) never bump the epoch.
         s.select(3);
         s.select_fast(2);
         s.spread(&[0, 1]);
         s.marginal_gain(&[0], 5);
         assert_eq!(s.growth_epoch(), 0, "no growth, no epoch bump");
-        // A tighter ε forces a resample through the write path.
+        // A tighter ε forces a resample.
         let out = s.select_with(3, Some(0.1), None);
         assert!(out.resampled);
         assert_eq!(s.growth_epoch(), 1);
@@ -417,19 +371,20 @@ mod tests {
     #[test]
     fn published_pool_size_tracks_the_engine() {
         let read = |s: &SharedEngine<IndependentCascade>| {
-            let e = s.inner.read().unwrap();
-            let bytes = e.pool_memory_bytes() + e.pool_mapped_bytes();
-            (e.pool_theta(), bytes as u64)
+            let state = s.current();
+            let bytes = state.pool.memory_bytes() + state.pool.mapped_bytes();
+            (state.pool_theta, bytes as u64)
         };
         let s = shared(7);
         let (theta, bytes) = read(&s);
         assert!(theta > 0 && bytes > 0);
         assert_eq!((s.pool_theta(), s.pool_bytes()), (theta, bytes));
-        // Growth republishes both in the write-lock section it ran in.
+        // Growth publishes both with the grown pool.
         s.select_with(3, Some(0.1), None);
         let (grown_theta, grown_bytes) = read(&s);
         assert!(grown_theta > theta && grown_bytes > bytes);
         assert_eq!((s.pool_theta(), s.pool_bytes()), (grown_theta, grown_bytes));
+        assert_eq!(s.pool_meta().theta, grown_theta);
     }
 
     #[test]
@@ -447,5 +402,106 @@ mod tests {
         assert!(s.spread(&out.seeds) > 0.0);
         let pool = s.to_pool();
         assert_eq!(pool.meta.theta, s.pool_theta());
+    }
+
+    /// Switches for [`faulty_engine`]'s model.
+    #[derive(Debug, Default)]
+    struct Faults {
+        /// While set, sampling waits until it clears.
+        stall: AtomicBool,
+        /// Set once sampling has waited.
+        stalled: AtomicBool,
+        /// While set, sampling panics.
+        fail: AtomicBool,
+    }
+
+    /// A warm engine over Independent Cascade wrapped to stall or panic
+    /// inside `sample_triggering_set` on demand.
+    fn faulty_engine(faults: &Arc<Faults>) -> SharedEngine<impl DiffusionModel + Clone + Send> {
+        let faults = Arc::clone(faults);
+        let model = CustomTriggering::new("faulty-ic", move |g, v, rng, out| {
+            assert!(!faults.fail.load(Ordering::Acquire), "sampling failed");
+            while faults.stall.load(Ordering::Acquire) {
+                faults.stalled.store(true, Ordering::Release);
+                std::thread::sleep(Duration::from_millis(1));
+            }
+            IndependentCascade.sample_triggering_set(g, v, rng, out);
+        });
+        let mut engine = QueryEngine::new(wc_graph(300, 1), model, "ic")
+            .epsilon(0.8)
+            .seed(4)
+            .threads(2)
+            .k_max(8);
+        engine.warm();
+        SharedEngine::new(engine)
+    }
+
+    #[test]
+    fn reads_never_wait_on_a_prepare() {
+        let faults = Arc::new(Faults::default());
+        let s = Arc::new(faulty_engine(&faults));
+        let read = |s: &SharedEngine<_>| {
+            let seeds = s.select(3).seeds;
+            let pool = s.to_pool();
+            (
+                s.select_fast(2).seeds,
+                s.spread(&seeds),
+                s.marginal_gain(&seeds, 9),
+                s.pool_theta(),
+                s.pool_bytes(),
+                s.pool_meta(),
+                s.growth_epoch(),
+                (pool.meta, pool.sets.len()),
+                seeds,
+            )
+        };
+        // Pre-growth answers, with every cache the reads use in place.
+        let want = read(&s);
+
+        // A growing select stalls inside sampling…
+        faults.stall.store(true, Ordering::Release);
+        let grower = {
+            let s = Arc::clone(&s);
+            std::thread::spawn(move || s.select_with(3, Some(0.4), None))
+        };
+        while !faults.stalled.load(Ordering::Acquire) {
+            std::thread::sleep(Duration::from_millis(1));
+        }
+        // …while every read answers from the state before it.
+        let (tx, rx) = std::sync::mpsc::channel();
+        let reader = {
+            let s = Arc::clone(&s);
+            std::thread::spawn(move || tx.send(read(&s)).unwrap())
+        };
+        let got = rx.recv_timeout(Duration::from_secs(20));
+        faults.stall.store(false, Ordering::Release);
+        reader.join().unwrap();
+        assert_eq!(got.expect("a read waited on the growth"), want);
+
+        let grown = grower.join().unwrap();
+        assert!(grown.resampled);
+        assert_eq!(s.growth_epoch(), 1);
+        assert!(s.pool_theta() > want.3, "θ grew");
+    }
+
+    #[test]
+    fn a_panic_in_prepare_leaves_the_engine_serving() {
+        let faults = Arc::new(Faults::default());
+        let s = faulty_engine(&faults);
+        let want = s.select(3);
+        let (theta, epoch) = (s.pool_theta(), s.growth_epoch());
+
+        faults.fail.store(true, Ordering::Release);
+        let grow = || s.select_with(3, Some(0.4), None);
+        assert!(catch_unwind(AssertUnwindSafe(grow)).is_err());
+        // The previous state keeps serving, unchanged.
+        assert_eq!(s.select(3).seeds, want.seeds);
+        assert_eq!((s.pool_theta(), s.growth_epoch()), (theta, epoch));
+
+        faults.fail.store(false, Ordering::Release);
+        let grown = grow();
+        assert!(grown.resampled);
+        assert!(s.pool_theta() > theta);
+        assert_eq!(s.growth_epoch(), epoch + 1);
     }
 }

@@ -14,7 +14,9 @@
 //!   overrides (`name=path::model=lt,eps=0.2,…`), the one grammar shared
 //!   by the CLI `--graph` flag and the protocol's `attach` admin verb;
 //! - [`scan_graph_dir`] — `--graphs <dir>` scans, deterministic
-//!   (name-sorted) and snapshot-preferring.
+//!   (name-sorted) and snapshot-preferring;
+//! - [`check_accuracy`] — the one check every ε and ℓ passes where it
+//!   enters.
 
 use crate::GraphError;
 use std::path::{Path, PathBuf};
@@ -97,6 +99,27 @@ pub fn parse_graph_spec(spec: &str) -> Result<(String, PathBuf), GraphError> {
     Ok((name.to_string(), PathBuf::from(path)))
 }
 
+/// Checks an accuracy parameter — the approximation slack ε or the
+/// failure exponent ℓ — where it enters: it must be finite and positive.
+/// Graph overrides, `select … eps=/ell=` requests and the CLI's
+/// `--eps`/`--ell` flags all call this, so none hands the planner a value
+/// it would panic or spin on. `name` labels the value in the error.
+///
+/// ```
+/// use tim_graph::catalog::check_accuracy;
+///
+/// assert_eq!(check_accuracy("eps", 0.2), Ok(0.2));
+/// assert!(check_accuracy("eps", f64::INFINITY).is_err());
+/// assert!(check_accuracy("ell", 0.0).is_err());
+/// ```
+pub fn check_accuracy(name: &str, value: f64) -> Result<f64, String> {
+    if value.is_finite() && value > 0.0 {
+        Ok(value)
+    } else {
+        Err(format!("{name} must be positive and finite, got '{value}'"))
+    }
+}
+
 /// Per-graph serving overrides, carried by a graph spec. Every field is
 /// optional; `None` means "inherit the catalog's global default". The
 /// semantics live in the serving layer (`tim_server`); this type owns
@@ -106,9 +129,9 @@ pub fn parse_graph_spec(spec: &str) -> Result<(String, PathBuf), GraphError> {
 pub struct GraphOverrides {
     /// Diffusion-model tag override (`model=lt`).
     pub model: Option<String>,
-    /// Approximation-slack override (`eps=0.2`; must be positive).
+    /// Approximation-slack override (`eps=0.2`; see [`check_accuracy`]).
     pub epsilon: Option<f64>,
-    /// Failure-exponent override (`ell=2`; must be positive).
+    /// Failure-exponent override (`ell=2`; see [`check_accuracy`]).
     pub ell: Option<f64>,
     /// Run-seed override (`seed=9`).
     pub seed: Option<u64>,
@@ -152,23 +175,18 @@ impl GraphOverrides {
                     return Err(dup(key));
                 }
             }
-            "eps" => {
-                let v: f64 = value
+            "eps" | "ell" => {
+                let v = value
                     .parse()
-                    .ok()
-                    .filter(|v: &f64| v.is_finite() && *v > 0.0)
-                    .ok_or_else(|| bad(format!("eps override '{value}' must be positive")))?;
-                if self.epsilon.replace(v).is_some() {
-                    return Err(dup(key));
-                }
-            }
-            "ell" => {
-                let v: f64 = value
-                    .parse()
-                    .ok()
-                    .filter(|v: &f64| v.is_finite() && *v > 0.0)
-                    .ok_or_else(|| bad(format!("ell override '{value}' must be positive")))?;
-                if self.ell.replace(v).is_some() {
+                    .map_err(|_| format!("{key} override '{value}' is not a number"))
+                    .and_then(|v| check_accuracy(&format!("{key} override"), v))
+                    .map_err(bad)?;
+                let slot = if key == "eps" {
+                    &mut self.epsilon
+                } else {
+                    &mut self.ell
+                };
+                if slot.replace(v).is_some() {
                     return Err(dup(key));
                 }
             }

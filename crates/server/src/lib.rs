@@ -17,8 +17,8 @@
 //!   from execution ([`protocol::execute`]) so a server can route a
 //!   parsed query to the right graph and pool before running it;
 //!   [`protocol::QueryBackend`] abstracts over an exclusive
-//!   [`tim_engine::QueryEngine`], a shared [`tim_engine::SharedEngine`],
-//!   and the batch read-guard backend. The module also owns the 1 MiB
+//!   [`tim_engine::QueryEngine`] and a shared
+//!   [`tim_engine::SharedEngine`]. The module also owns the 1 MiB
 //!   line framing ([`protocol::CappedLineReader`]) both transports share.
 //! - [`cache`] — [`cache::PoolCache`], an LRU cache of
 //!   [`tim_engine::SharedEngine`]s keyed by pool provenance
@@ -31,8 +31,8 @@
 //!   one graph's serving state.
 //! - [`session`] — [`session::Session`], the per-connection `tim/2` state
 //!   machine: current graph (`use`), cached default-engine handle, and
-//!   `batch` execution that amortizes lock acquisition and IO without
-//!   changing a single answer byte.
+//!   `batch` execution that amortizes IO without changing a single
+//!   answer byte.
 //! - [`server`] — [`server::Server`], a multi-threaded TCP server:
 //!   [`server::ServerState`] (catalog + defaults) shared via `Arc` across
 //!   worker threads that each accept and serve connections.
@@ -65,7 +65,7 @@
 //! warmed pool are interleaving-independent too. Graphs are isolated by
 //! construction (separate pools, separate caches), so multi-tenant
 //! traffic cannot perturb another graph's answers; batching is a pure
-//! transport/locking optimization. See ARCHITECTURE.md §"Concurrency
+//! transport optimization. See ARCHITECTURE.md §"Concurrency
 //! guarantees" and the `concurrent_determinism` / `multi_graph`
 //! integration tests.
 

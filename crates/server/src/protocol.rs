@@ -13,8 +13,7 @@
 //!   executed by [`execute`]) — `select` / `eval` / `marginal` / `ping`,
 //!   unchanged from `tim/1`. [`QueryBackend`] abstracts the engine access
 //!   so the same `execute` serves an exclusive [`QueryEngine`]
-//!   (`tim query`), a lock-sharded [`SharedEngine`] (`tim serve`), and the
-//!   batch read-guard backend.
+//!   (`tim query`) and a [`SharedEngine`] (`tim serve`).
 //! - **Session-scoped requests** ([`Request`], parsed by
 //!   [`parse_request`]) — the `tim/2` additions `use` / `graphs` /
 //!   `stats` / `batch`, which manipulate per-connection state (current
@@ -39,6 +38,7 @@ use std::collections::HashMap;
 use std::io::{BufRead, BufReader, Read};
 use tim_diffusion::DiffusionModel;
 use tim_engine::{QueryEngine, QueryOutcome, SharedEngine};
+use tim_graph::catalog::check_accuracy;
 use tim_graph::NodeId;
 
 /// Protocol version implemented by this module (see `docs/PROTOCOL.md`).
@@ -215,13 +215,13 @@ pub fn parse_query(line: &str) -> ParsedLine {
             if fast && (eps.is_some() || ell.is_some()) {
                 return Err("select: fast mode uses the pool's eps/ell".into());
             }
-            // NaN must be rejected alongside non-positive values: the
-            // engine asserts eps > 0, and a panic would kill the session.
-            if let Some(e) = eps.filter(|&e: &f64| e.is_nan() || e <= 0.0) {
-                return Err(format!("select: eps must be positive, got '{e}'"));
-            }
-            if let Some(l) = ell.filter(|&l: &f64| l.is_nan() || l <= 0.0) {
-                return Err(format!("select: ell must be positive, got '{l}'"));
+            // NaN and infinity must be rejected alongside non-positive
+            // values: the engine asserts eps > 0, and planning panics on
+            // an infinite ℓ, which would kill the session.
+            for (name, value) in [("eps", eps), ("ell", ell)] {
+                if let Some(v) = value {
+                    check_accuracy(name, v).map_err(|e| format!("select: {e}"))?;
+                }
             }
             Ok(Query::Select { k, fast, eps, ell })
         })(),
@@ -854,6 +854,8 @@ mod tests {
             ("select 2 ell=z", "bad ell"),
             ("select 2 eps=-1", "eps must be positive"),
             ("select 2 ell=0", "ell must be positive"),
+            ("select 2 eps=inf", "eps must be positive"),
+            ("select 2 ell=inf", "ell must be positive"),
             ("select 2 fast eps=0.5", "fast mode uses the pool's eps/ell"),
             ("eval", "missing seed list"),
             ("eval 1 2", "trailing tokens"),

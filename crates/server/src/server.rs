@@ -6,8 +6,8 @@
 //! completion by the worker that accepted it, through its own
 //! [`Session`] (current graph, pending batch) — per-connection state
 //! lives in the session, everything heavy (graphs, pools) is shared.
-//! Query concurrency *within* a pool is the [`SharedEngine`]
-//! read-fast-path; pool *diversity* across query mixes is the per-graph
+//! Query concurrency *within* a pool is the [`SharedEngine`]'s
+//! published state, which reads answer from without waiting; pool *diversity* across query mixes is the per-graph
 //! [`PoolCache`](crate::cache::PoolCache); graph *diversity* across
 //! tenants is the [`GraphCatalog`].
 //!
@@ -363,8 +363,10 @@ impl<M: DiffusionModel + Send + Clone + 'static> Server<M> {
                             }
                             // A dropped connection is the client's
                             // problem, not the server's; a panicked one
-                            // (poisoned lock, engine invariant assert)
-                            // must not take the worker thread with it.
+                            // (an engine invariant assert, a panic while
+                            // preparing a pool) must not take the worker
+                            // thread with it. The engine keeps serving
+                            // its previous state.
                             let outcome =
                                 std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
                                     let _ = serve_connection(&state, stream);

@@ -20,26 +20,21 @@
 //! # Batching
 //!
 //! `batch <n>` announces that the next `n` lines form one unit. The
-//! session buffers them, then executes them in order and returns all
-//! answer lines at once — the transport writes them with a single flush.
-//! Execution amortizes dispatch: engine routing is resolved per line
-//! first, then each *run of consecutive same-engine queries* executes
-//! under **one** read-lock acquisition ([`SharedEngine::read_handle`])
-//! instead of one per line. Answers are byte-identical to sending the
-//! same lines unbatched: per-line parsing, routing, and execution order
-//! are unchanged — only locking and IO are amortized (enforced by the
-//! `multi_graph` integration test).
+//! session buffers them, then answers them in order through the same
+//! path as unbatched lines and returns all answer lines at once — the
+//! transport writes them with a single flush. So answers are
+//! byte-identical to sending the same lines unbatched; only the IO is
+//! amortized (enforced by the `multi_graph` integration test).
 
 use crate::catalog::GraphState;
 use crate::protocol::{
-    execute, parse_request, ping_reply, ParsedRequest, Query, QueryBackend, Reply, Request,
-    MAX_BATCH_BYTES, OVERSIZED_BATCH_REPLY,
+    execute, parse_request, ping_reply, ParsedRequest, Query, Reply, Request, MAX_BATCH_BYTES,
+    OVERSIZED_BATCH_REPLY,
 };
 use crate::server::ServerState;
 use std::sync::Arc;
 use tim_diffusion::DiffusionModel;
-use tim_engine::{EngineReadGuard, QueryOutcome, SharedEngine};
-use tim_graph::NodeId;
+use tim_engine::SharedEngine;
 
 /// A pending `batch <n>`: lines collected so far, with their byte total
 /// (bounded by [`MAX_BATCH_BYTES`]).
@@ -124,8 +119,6 @@ impl<'s, M: DiffusionModel + Send + Clone + 'static> Session<'s, M> {
             return Vec::new();
         }
         match parse_request(line) {
-            ParsedRequest::Empty => Vec::new(),
-            ParsedRequest::Malformed(e) => vec![format!("error: {e}")],
             ParsedRequest::Request(Request::Batch(n)) => {
                 self.batch = Some(BatchCollect {
                     expect: n,
@@ -134,8 +127,27 @@ impl<'s, M: DiffusionModel + Send + Clone + 'static> Session<'s, M> {
                 });
                 Vec::new()
             }
-            ParsedRequest::Request(req) => vec![self.answer(&req)],
+            parsed => self.reply(parsed).into_iter().collect(),
         }
+    }
+
+    /// The answer line to one parsed line outside a pending batch, if it
+    /// has one. A `batch` here is one nested inside another.
+    fn reply(&mut self, parsed: ParsedRequest) -> Option<String> {
+        match parsed {
+            ParsedRequest::Empty => None,
+            ParsedRequest::Malformed(e) => Some(format!("error: {e}")),
+            ParsedRequest::Request(req) => Some(self.answer(&req)),
+        }
+    }
+
+    /// Answers a completed batch's lines in order, each as if it had
+    /// arrived unbatched.
+    fn run_batch(&mut self, lines: &[String]) -> Vec<String> {
+        lines
+            .iter()
+            .filter_map(|line| self.reply(parse_request(line)))
+            .collect()
     }
 
     /// Ends the session: a batch still pending at EOF executes with the
@@ -328,135 +340,6 @@ impl<'s, M: DiffusionModel + Send + Clone + 'static> Session<'s, M> {
             }
         }
         reply.line
-    }
-
-    /// Executes a completed batch: resolve routing per line in order
-    /// (session verbs apply immediately, so a `use` mid-batch routes the
-    /// lines after it), then run each maximal run of consecutive
-    /// same-engine queries under a single read-lock acquisition.
-    fn run_batch(&mut self, lines: &[String]) -> Vec<String> {
-        enum Step<M> {
-            Ready(String),
-            Query {
-                graph: Arc<GraphState<M>>,
-                engine: Arc<SharedEngine<M>>,
-                query: Query,
-            },
-        }
-        let mut steps: Vec<Step<M>> = Vec::with_capacity(lines.len());
-        for line in lines {
-            match parse_request(line) {
-                ParsedRequest::Empty => {}
-                ParsedRequest::Malformed(e) => steps.push(Step::Ready(format!("error: {e}"))),
-                ParsedRequest::Request(Request::Query(query)) => {
-                    if matches!(query, Query::Ping) {
-                        steps.push(Step::Ready(ping_reply()));
-                        continue;
-                    }
-                    match self.route(&query) {
-                        Ok((graph, engine)) => steps.push(Step::Query {
-                            graph,
-                            engine,
-                            query,
-                        }),
-                        Err(e) => steps.push(Step::Ready(format!("error: {e}"))),
-                    }
-                }
-                ParsedRequest::Request(req) => steps.push(Step::Ready(self.answer(&req))),
-            }
-        }
-
-        let mut answers = Vec::with_capacity(steps.len());
-        let mut i = 0;
-        while i < steps.len() {
-            match &steps[i] {
-                Step::Ready(line) => {
-                    answers.push(line.clone());
-                    i += 1;
-                }
-                Step::Query { engine, .. } => {
-                    let run_engine = Arc::clone(engine);
-                    let mut j = i;
-                    while j < steps.len() {
-                        match &steps[j] {
-                            Step::Query { engine, .. } if Arc::ptr_eq(engine, &run_engine) => {
-                                j += 1;
-                            }
-                            _ => break,
-                        }
-                    }
-                    let mut backend = BatchBackend::new(&run_engine);
-                    for step in &steps[i..j] {
-                        let Step::Query { graph, query, .. } = step else {
-                            unreachable!("run contains only queries");
-                        };
-                        answers.push(self.reply_line(execute(&mut backend, graph.labels(), query)));
-                    }
-                    i = j;
-                }
-            }
-        }
-        answers
-    }
-}
-
-/// A [`QueryBackend`] that answers a run of batch queries under one held
-/// read lock, falling back to (and re-acquiring after) the blocking
-/// write path only when a query misses the read-only fast path. Answers
-/// are identical either way — only lock traffic is amortized.
-struct BatchBackend<'e, M> {
-    engine: &'e SharedEngine<M>,
-    guard: Option<EngineReadGuard<'e, M>>,
-}
-
-impl<'e, M: DiffusionModel + Clone> BatchBackend<'e, M> {
-    fn new(engine: &'e SharedEngine<M>) -> Self {
-        BatchBackend {
-            engine,
-            guard: Some(engine.read_handle()),
-        }
-    }
-
-    fn guard(&mut self) -> &EngineReadGuard<'e, M> {
-        if self.guard.is_none() {
-            self.guard = Some(self.engine.read_handle());
-        }
-        self.guard.as_ref().expect("guard just acquired")
-    }
-}
-
-impl<M: DiffusionModel + Clone> QueryBackend for BatchBackend<'_, M> {
-    fn select_with(&mut self, k: usize, eps: Option<f64>, ell: Option<f64>) -> QueryOutcome {
-        if let Some(out) = self.guard().try_select_with(k, eps, ell) {
-            return out;
-        }
-        // Must not hold the read lock across the blocking (write) path.
-        self.guard = None;
-        self.engine.select_with(k, eps, ell)
-    }
-
-    fn select_fast(&mut self, k: usize) -> QueryOutcome {
-        if let Some(out) = self.guard().try_select_fast(k) {
-            return out;
-        }
-        self.guard = None;
-        self.engine.select_fast(k)
-    }
-
-    fn spread(&mut self, seeds: &[NodeId]) -> f64 {
-        if let Some(s) = self.guard().try_spread(seeds) {
-            return s;
-        }
-        self.guard = None;
-        self.engine.spread(seeds)
-    }
-
-    fn marginal_gain(&mut self, base: &[NodeId], candidate: NodeId) -> f64 {
-        if let Some(m) = self.guard().try_marginal_gain(base, candidate) {
-            return m;
-        }
-        self.guard = None;
-        self.engine.marginal_gain(base, candidate)
     }
 }
 
