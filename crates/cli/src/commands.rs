@@ -730,11 +730,12 @@ fn query_with(model: ModelKind, model_name: &str, args: &Args) -> Result<(), Str
             None => {
                 let t0 = std::time::Instant::now();
                 let shared = default_state.default_engine();
+                // The pool is saved at once, so its warm-up finishes here.
+                let theta = shared.warm();
                 if !quiet {
                     let cfg = default_state.config();
                     eprintln!(
-                        "warmed pool: theta = {} in {:.2?} (k <= {}, eps = {}, ell = {})",
-                        shared.pool_theta(),
+                        "warmed pool: theta = {theta} in {:.2?} (k <= {}, eps = {}, ell = {})",
                         t0.elapsed(),
                         cfg.k_max,
                         cfg.epsilon,
@@ -863,20 +864,24 @@ fn serve_with(model: ModelKind, model_name: &str, args: &Args) -> Result<(), Str
         .flush()
         .map_err(|e| format!("flushing stdout: {e}"))?;
 
+    // Warm-up step one before the workers start: plan k_max alone and
+    // sample its θ, so a first `select k_max` answers without waiting on
+    // the other plans.
     let t0 = std::time::Instant::now();
     let default_state = state
         .catalog()
         .get(state.default_graph())
         .map_err(|e| format!("serve: {e}"))?;
-    let theta = default_state.warm_default();
+    let default_engine = default_state.default_engine();
+    let theta = default_engine.pool_theta();
     if !quiet {
         let config = state.config();
         eprintln!(
-            "default pool ready on graph '{}': theta = {theta} in {:.2?} \
-             (k <= {}, eps = {}, ell = {}, seed = {})",
-            state.default_graph(),
+            "first plan ready (k = {}): theta = {theta} in {:.2?} \
+             (graph '{}', eps = {}, ell = {}, seed = {})",
+            default_engine.warmed_k(),
             t0.elapsed(),
-            config.k_max,
+            state.default_graph(),
             config.epsilon,
             config.ell,
             config.seed
@@ -920,7 +925,20 @@ fn serve_with(model: ModelKind, model_name: &str, args: &Args) -> Result<(), Str
             );
         }
     }
-    server.start().wait();
+    let running = server.start();
+    // Step two on this thread while the workers serve: plan the other
+    // k ≤ k_max and top the pool up. A panic here publishes nothing; the
+    // first request that needs the warm pool runs step two again.
+    let t1 = std::time::Instant::now();
+    match std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| default_engine.warm())) {
+        Ok(theta) if !quiet => {
+            eprintln!("warm-up finished: theta = {theta} in {:.2?}", t1.elapsed());
+        }
+        Ok(_) => {}
+        Err(_) => eprintln!("warm-up failed; the first request that needs it retries"),
+    }
+    drop(default_engine); // the pool cache alone decides its lifetime
+    running.wait();
     Ok(())
 }
 

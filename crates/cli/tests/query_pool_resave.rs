@@ -74,3 +74,33 @@ fn grown_pool_is_resaved_as_v2_in_place() {
     assert_eq!(left, ["g.txt", "p.timp"], "no temporary sibling remains");
     std::fs::remove_dir_all(&dir).ok();
 }
+
+#[test]
+fn a_built_pool_is_saved_once_its_warm_up_has_finished() {
+    let dir: PathBuf =
+        std::env::temp_dir().join(format!("tim_query_settled_{}", std::process::id()));
+    std::fs::remove_dir_all(&dir).ok();
+    std::fs::create_dir_all(&dir).unwrap();
+    tim(
+        &dir,
+        "generate ba --out g.txt --n 1000 --param 3 --seed 1",
+        "",
+    );
+
+    // Warmed for k <= 2. Where θ(1) > θ(2), a pool saved after the
+    // warm-up's first step would hold only θ(2), and `select 1` would
+    // grow it and re-save it on exit.
+    let query = "query g.txt --pool p.timp -k 2 --eps 0.5";
+    let stderr = tim(&dir, query, "select 1\nselect 2\n");
+    let (one, two) = (
+        theta_after(&stderr, "select k=1: theta = "),
+        theta_after(&stderr, "select k=2: theta = "),
+    );
+    assert!(one > two, "this graph needs θ(1) > θ(2): {stderr}");
+    assert_eq!(theta_after(&stderr, "warmed pool: theta = "), one);
+    assert!(!stderr.contains("pool grew"), "{stderr}");
+    let pool = RrPool::load(dir.join("p.timp")).expect("the saved pool loads");
+    assert_eq!(pool.meta.theta, one);
+    assert_eq!(pool.sets.len() as u64, one);
+    std::fs::remove_dir_all(&dir).ok();
+}

@@ -90,6 +90,35 @@ impl BulkStats {
     }
 }
 
+/// Where each of the [`SHARDS`] RNG streams stands after a sampling run:
+/// shard `i`'s cursor continues its stream right after the sets the run
+/// drew from it. Kept beside a pool, the cursors let the pool grow by
+/// drawing only each shard's tail ([`extend_rr_sets`]) instead of
+/// redrawing every set.
+#[derive(Debug, Clone)]
+pub struct ShardCursors {
+    theta: u64,
+    rngs: Vec<Rng>,
+}
+
+impl ShardCursors {
+    /// The cursors of an empty run on `seed`'s streams: every shard at
+    /// its start. Shard `i`'s stream is the `i`-th `split_off` of the
+    /// seed's generator, whatever θ a run reaches.
+    pub fn start(seed: u64) -> Self {
+        let mut base = Rng::seed_from_u64(seed);
+        ShardCursors {
+            theta: 0,
+            rngs: (0..SHARDS).map(|_| base.split_off()).collect(),
+        }
+    }
+
+    /// θ of the run the cursors follow.
+    pub fn theta(&self) -> u64 {
+        self.theta
+    }
+}
+
 /// Generates `theta` random RR sets into a [`SetCollection`].
 ///
 /// `threads = 1` runs inline; larger values use scoped worker threads. The
@@ -97,6 +126,8 @@ impl BulkStats {
 /// owns its arrays or maps a v2 snapshot: the shard RNG streams depend
 /// only on `(seed, shard)`, so a heap-loaded and a mapped copy of the
 /// same snapshot produce bit-identical collections.
+///
+/// This is [`extend_rr_sets`] from an empty pool.
 pub fn generate_rr_sets<M: DiffusionModel + Sync>(
     graph: &Graph,
     model: &M,
@@ -104,44 +135,100 @@ pub fn generate_rr_sets<M: DiffusionModel + Sync>(
     seed: u64,
     threads: usize,
 ) -> (SetCollection, BulkStats) {
-    assert!(graph.n() >= 1, "generate_rr_sets: empty graph");
-    let mut base = Rng::seed_from_u64(seed);
-    let shard_counts = shard_layout(theta);
-    let shards = shard_counts.len() as u64;
-    let mut shard_rngs: Vec<Rng> = (0..shards).map(|_| base.split_off()).collect();
+    let empty = SetCollection::new(graph.n());
+    let (sets, _, stats) = extend_rr_sets(
+        graph,
+        model,
+        &empty,
+        &ShardCursors::start(seed),
+        theta,
+        threads,
+    );
+    (sets, stats)
+}
+
+/// Extends `pool`, the `cursors.theta()`-set run the cursors follow, to
+/// the `theta`-set run on the same streams, returning that run, its
+/// cursors and the statistics of the sets drawn. Only each shard's tail
+/// is drawn: shard `i` keeps its `shard_layout(cursors.theta())[i]` sets
+/// from `pool` and draws up to `shard_layout(theta)[i]` from its cursor.
+/// By prefix composability the result is byte-identical to
+/// [`generate_rr_sets`] at `theta`, for any `threads`.
+///
+/// # Panics
+/// Panics if the graph is empty, if `pool` does not hold
+/// `cursors.theta()` sets, or if `theta < cursors.theta()`.
+pub fn extend_rr_sets<M: DiffusionModel + Sync>(
+    graph: &Graph,
+    model: &M,
+    pool: &SetCollection,
+    cursors: &ShardCursors,
+    theta: u64,
+    threads: usize,
+) -> (SetCollection, ShardCursors, BulkStats) {
+    assert!(graph.n() >= 1, "extend_rr_sets: empty graph");
+    assert_eq!(
+        pool.len() as u64,
+        cursors.theta,
+        "extend_rr_sets: the pool does not hold the run its cursors follow"
+    );
+    assert!(
+        theta >= cursors.theta,
+        "extend_rr_sets: theta {theta} is below the pool's {}",
+        cursors.theta
+    );
+    // Shard i keeps pool sets kept[i] and draws draws[i] more.
+    let have = shard_layout(cursors.theta);
+    let want = shard_layout(theta);
+    let mut start = 0usize;
+    let kept: Vec<Range<usize>> = (0..want.len())
+        .map(|i| {
+            let n = have.get(i).copied().unwrap_or(0) as usize;
+            start += n;
+            start - n..start
+        })
+        .collect();
+    let draws: Vec<u64> = want
+        .iter()
+        .zip(&kept)
+        .map(|(&w, kept)| w - kept.len() as u64)
+        .collect();
+    let mut rngs = cursors.rngs.clone();
+    let drawn = draws.iter().sum::<u64>() as usize;
+    let mut collection =
+        SetCollection::with_capacity(graph.n(), theta as usize, pool.total_members() + drawn * 2);
+    let mut stats = BulkStats::default();
 
     // Without the `parallel` feature every request runs the inline path;
     // output is identical either way, only wall-clock differs.
     let threads = if cfg!(feature = "parallel") {
-        threads.max(1).min(shards as usize)
+        threads.max(1).min(want.len())
     } else {
         1
     };
     if threads == 1 {
-        let mut collection =
-            SetCollection::with_capacity(graph.n(), theta as usize, theta as usize * 2);
-        let mut stats = BulkStats::default();
         let mut sampler = RrSampler::new(model);
         let mut buf = Vec::new();
-        for (rng, &count) in shard_rngs.iter_mut().zip(&shard_counts) {
+        for ((rng, &count), kept) in rngs.iter_mut().zip(&draws).zip(&kept) {
+            collection.extend_from(pool, kept.clone());
             for _ in 0..count {
                 let (_, s) = sampler.sample_random(graph, rng, &mut buf);
                 stats.add(s);
                 collection.push(&buf);
             }
         }
-        return (collection, stats);
+        return (collection, ShardCursors { theta, rngs }, stats);
     }
 
-    // Parallel path: each shard produces a local collection; merge in shard
-    // order so the result is thread-count independent.
+    // Parallel path: each shard draws its tail into a local collection;
+    // merge in shard order so the result is thread-count independent.
     let mut locals: Vec<Option<(SetCollection, BulkStats)>> =
-        (0..shards as usize).map(|_| None).collect();
-    let chunk = (shards as usize).div_ceil(threads);
+        (0..want.len()).map(|_| None).collect();
+    let chunk = want.len().div_ceil(threads);
     std::thread::scope(|scope| {
-        for ((rng_chunk, count_chunk), out_chunk) in shard_rngs
+        for ((rng_chunk, count_chunk), out_chunk) in rngs
             .chunks_mut(chunk)
-            .zip(shard_counts.chunks(chunk))
+            .zip(draws.chunks(chunk))
             .zip(locals.chunks_mut(chunk))
         {
             scope.spawn(move || {
@@ -166,17 +253,13 @@ pub fn generate_rr_sets<M: DiffusionModel + Sync>(
         }
     });
 
-    let mut collection =
-        SetCollection::with_capacity(graph.n(), theta as usize, theta as usize * 2);
-    let mut stats = BulkStats::default();
-    for slot in locals {
+    for (slot, kept) in locals.into_iter().zip(kept) {
         let (local, s) = slot.expect("all shards must complete");
         stats.merge(s);
-        for i in 0..local.len() {
-            collection.push(local.set(i));
-        }
+        collection.extend_from(pool, kept);
+        collection.extend_from(&local, 0..local.len());
     }
-    (collection, stats)
+    (collection, ShardCursors { theta, rngs }, stats)
 }
 
 #[cfg(test)]
@@ -250,6 +333,59 @@ mod tests {
             }
             assert_eq!(idx, small.len());
         }
+    }
+
+    #[test]
+    fn extending_through_cursors_matches_a_fresh_run() {
+        // What growth from a kept pool rests on: extending a θa-run through
+        // its cursors to θb is byte-identical to drawing the θb-run whole,
+        // at any thread count on either side.
+        let g = graph();
+        let sizes = [0u64, 1, 63, 64, 65, 500];
+        for threads in [1usize, 2, 4] {
+            for (i, &theta_a) in sizes.iter().enumerate() {
+                let start = ShardCursors::start(9);
+                let empty = SetCollection::new(g.n());
+                let (pool_a, cursors_a, _) =
+                    extend_rr_sets(&g, &IndependentCascade, &empty, &start, theta_a, threads);
+                assert_eq!(cursors_a.theta(), theta_a);
+                for &theta_b in &sizes[i..] {
+                    let (pool_b, cursors_b, stats) = extend_rr_sets(
+                        &g,
+                        &IndependentCascade,
+                        &pool_a,
+                        &cursors_a,
+                        theta_b,
+                        threads,
+                    );
+                    let (fresh, fresh_stats) =
+                        generate_rr_sets(&g, &IndependentCascade, theta_b, 9, 1);
+                    let case = format!("{theta_a} -> {theta_b}, {threads} threads");
+                    assert_eq!(pool_b.raw_offsets(), fresh.raw_offsets(), "{case}");
+                    assert_eq!(pool_b.raw_data(), fresh.raw_data(), "{case}");
+                    assert_eq!(cursors_b.theta(), theta_b, "{case}");
+                    // Only the tails are drawn, so the statistics count the
+                    // new sets alone.
+                    let drawn = fresh_stats.total_nodes as usize - pool_a.total_members();
+                    assert_eq!(stats.total_nodes as usize, drawn, "{case}");
+                }
+            }
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "does not hold the run")]
+    fn extending_rejects_cursors_of_another_run() {
+        let g = graph();
+        let (pool, _) = generate_rr_sets(&g, &IndependentCascade, 10, 9, 1);
+        let _ = extend_rr_sets(
+            &g,
+            &IndependentCascade,
+            &pool,
+            &ShardCursors::start(9),
+            20,
+            1,
+        );
     }
 
     #[test]

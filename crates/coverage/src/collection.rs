@@ -237,6 +237,23 @@ impl SetCollection {
         self.inv_built_for = usize::MAX; // invalidate
     }
 
+    /// Appends sets `sets` of `other`, in order: the same collection as
+    /// pushing them one by one, in one copy of their arena slice.
+    ///
+    /// # Panics
+    /// Panics if `sets` reaches past `other`'s end.
+    pub fn extend_from(&mut self, other: &SetCollection, sets: std::ops::Range<usize>) {
+        debug_assert!(other.n <= self.n, "set member out of universe");
+        let (lo, hi) = (other.offsets[sets.start], other.offsets[sets.end]);
+        let base = self.data.len() as u64;
+        self.data
+            .edit(|data| data.extend_from_slice(&other.data[lo as usize..hi as usize]));
+        let ends = &other.offsets[sets.start + 1..=sets.end];
+        self.offsets
+            .edit(|offsets| offsets.extend(ends.iter().map(|&end| end - lo + base)));
+        self.inv_built_for = usize::MAX; // invalidate
+    }
+
     /// Heap bytes held by the arena and index (0 for a mapped collection:
     /// see [`mapped_bytes`](Self::mapped_bytes)).
     pub fn memory_bytes(&self) -> usize {
@@ -488,6 +505,21 @@ mod tests {
         assert_eq!(c.total_members(), 8);
         assert_eq!(c.set(0), &[0, 1]);
         assert_eq!(c.set(3), &[1, 3, 4]);
+    }
+
+    #[test]
+    fn extend_from_copies_sets_as_push_does() {
+        let c = sample();
+        let mut pushed = SetCollection::new(5);
+        pushed.push(&[4]);
+        let mut extended = pushed.clone();
+        for i in 1..3 {
+            pushed.push(c.set(i));
+        }
+        extended.extend_from(&c, 1..3);
+        extended.extend_from(&c, 4..4);
+        assert_eq!(extended.raw_data(), pushed.raw_data());
+        assert_eq!(extended.raw_offsets(), pushed.raw_offsets());
     }
 
     #[test]

@@ -1,11 +1,12 @@
 //! The warm-pool query engine.
 //!
 //! An engine's answerable state is one immutable [`State`]: the pool,
-//! its θ, `k_max`, the plan cache, the fast cover and the growth epoch.
-//! Each query has one `&self` answer function on it that returns the
-//! answer or the [`Miss`] it lacks, and [`Setup::prepare`] turns a state
-//! and a miss into the next state by planning, sampling or running the
-//! fast greedy. [`QueryEngine`] answers over a state it owns;
+//! its θ and shard cursors, `k_max`, the plan cache, the fast cover, the
+//! growth epoch and whether the warm-up has finished. Each query has one
+//! `&self` answer function on it that returns the answer or the [`Miss`]
+//! it lacks, and [`Setup::prepare`] turns a state and a miss into the
+//! next state by planning, sampling or running the fast greedy.
+//! [`QueryEngine`] answers over a state it owns;
 //! [`SharedEngine`](crate::SharedEngine) publishes one behind a pointer
 //! swap.
 
@@ -13,7 +14,7 @@ use crate::error::EngineError;
 use crate::pool::{PoolMeta, RrPool};
 use std::collections::BTreeMap;
 use std::sync::Arc;
-use tim_core::parallel::{generate_rr_sets, prefix_ranges};
+use tim_core::parallel::{extend_rr_sets, prefix_ranges, ShardCursors};
 use tim_core::{select_stream_seed, SamplingPlan, TimPlus};
 use tim_coverage::{greedy_max_cover_indexed, greedy_max_cover_ranges, CoverResult, SetCollection};
 use tim_diffusion::DiffusionModel;
@@ -48,15 +49,24 @@ type PlanKey = (usize, u64, u64);
 pub(crate) struct State {
     /// The RR-set pool, held on the heap or mapped zero-copy from a
     /// `.timp` v2 file, with its inverted index built whenever it holds
-    /// sets. Growth replaces it with a freshly sampled heap collection.
+    /// sets. Growth replaces it with a heap collection.
     pub(crate) pool: Arc<SetCollection>,
     pub(crate) pool_theta: u64,
+    /// Where each shard's stream stands after the pool's sets, so growth
+    /// draws only the tails. Memory only: a pool attached from a file
+    /// has none, and its first growth redraws it whole.
+    cursors: Option<ShardCursors>,
     pub(crate) k_max: usize,
+    /// False until the warm-up finishes ([`QueryEngine::warm`]). An
+    /// unsettled state answers exact selects whose plan and θ it holds
+    /// and nothing that reads the whole pool, and every prepare from it
+    /// finishes the warm-up first.
+    pub(crate) settled: bool,
     plans: BTreeMap<PlanKey, SamplingPlan>,
     /// The fast cover: one greedy run over the whole pool at `k_max`
     /// seeds, which [`QueryEngine::select_fast`] answers prefixes of.
-    /// Built only over a pool that holds θ(`k_max`); a growth or a new
-    /// `k_max` drops it.
+    /// Built only over a settled pool that holds θ(`k_max`); a growth or
+    /// a new `k_max` drops it.
     fast: Option<Arc<CoverResult>>,
     /// How many times the pool grew since the engine was shared.
     pub(crate) epoch: u64,
@@ -79,7 +89,9 @@ impl State {
         State {
             pool: Arc::new(SetCollection::new(n)),
             pool_theta: 0,
+            cursors: None,
             k_max,
+            settled: false,
             plans: BTreeMap::new(),
             fast: None,
             epoch: 0,
@@ -140,11 +152,14 @@ impl State {
         })
     }
 
+    /// The pool's θ once the warm-up has finished ([`QueryEngine::warm`]).
+    pub(crate) fn warm_theta(&self) -> Result<u64, Miss> {
+        self.settled.then_some(self.pool_theta).ok_or(Miss::Warm)
+    }
+
     /// [`QueryEngine::spread`] over the full pool.
     pub(crate) fn spread(&self, seeds: &[NodeId]) -> Result<f64, Miss> {
-        if self.pool_theta == 0 {
-            return Err(Miss::Warm);
-        }
+        self.warm_theta()?;
         Ok(self.pool.coverage_fraction(seeds) * self.n() as f64)
     }
 
@@ -153,9 +168,7 @@ impl State {
         if base.contains(&candidate) {
             return Ok(0.0);
         }
-        if self.pool_theta == 0 {
-            return Err(Miss::Warm);
-        }
+        self.warm_theta()?;
         let before = self.pool.count_covered(base);
         let mut with: Vec<NodeId> = base.to_vec();
         with.push(candidate);
@@ -204,8 +217,12 @@ impl<M: DiffusionModel + Clone> Setup<M> {
     }
 
     /// `state`'s pool with its provenance. A heap pool is copied; a
-    /// mapped pool shares its mapping.
+    /// mapped pool shares its mapping. Only a settled pool is handed out:
+    /// an unsettled state is settled first, into a copy.
     pub(crate) fn to_pool(&self, state: &State) -> RrPool {
+        if !state.settled {
+            return self.to_pool(&self.prepare(state, Miss::Warm));
+        }
         RrPool {
             meta: self.meta(state),
             sets: SetCollection::clone(&state.pool),
@@ -218,45 +235,92 @@ impl<M: DiffusionModel + Clone> Setup<M> {
 
     /// The next state, which answers what `state` missed: it plans, grows
     /// the pool, or runs the fast greedy, and leaves `state` untouched.
+    /// From an unsettled state it finishes the warm-up first.
     pub(crate) fn prepare(&self, state: &State, miss: Miss) -> State {
         let mut next = state.clone();
+        if !next.settled {
+            self.settle(&mut next);
+        }
         let theta = match miss {
             Miss::Plan { k, eps, ell } => self.plan(&mut next, &[k], eps, ell),
-            // Every k > n shares the plan for n (plans clamp k to n), so
-            // warming never plans more than n sizes, whatever k_max says.
-            Miss::Warm => {
-                let ks: Vec<usize> = (1..=next.k_max.min(self.store.n())).collect();
-                self.plan(&mut next, &ks, self.epsilon, self.ell)
-            }
+            Miss::Warm => 0,
             Miss::Fast { k } => {
                 next.k_max = next.k_max.max(k);
                 let depth = next.k_max;
                 self.plan(&mut next, &[depth], self.epsilon, self.ell)
             }
         };
-        if theta > next.pool_theta {
-            // Regenerate from the fixed selection stream: deterministic,
-            // and the old pool is a shard-aligned prefix of the new one.
-            // A mapped pool is simply replaced — growth is always
-            // heap-side, and the next spill persists the grown pool as a
-            // fresh v2 file.
-            let (mut pool, _) = generate_rr_sets(
-                self.store.graph(),
-                &self.model,
-                theta,
-                self.select_seed,
-                self.threads,
-            );
-            pool.ensure_inverted_index();
-            next.pool = Arc::new(pool);
-            next.pool_theta = theta;
-            next.fast = None;
+        if self.grow(&mut next, theta) {
             next.epoch += 1;
         }
         if let Miss::Fast { .. } = miss {
             next.fast = Some(Arc::new(greedy_max_cover_indexed(&next.pool, next.k_max)));
         }
         next
+    }
+
+    /// Step one of the warm-up ([`QueryEngine::start_warm`]): plans
+    /// `k_max` alone and samples its θ. The state stays unsettled.
+    pub(crate) fn first_plan(&self, next: &mut State) {
+        let theta = self.plan(next, &[next.k_max], self.epsilon, self.ell);
+        if self.grow(next, theta) {
+            next.epoch += 1;
+        }
+    }
+
+    /// Step two of the warm-up, or the whole of it from a cold state:
+    /// plans every `k ≤ k_max` not planned yet in one batched pass, tops
+    /// the pool up to their largest θ, and settles the state. Every
+    /// k > n shares the plan for n (plans clamp k to n), so warming never
+    /// plans more than n sizes, whatever `k_max` says. Finishing a
+    /// warm-up that step one began is not a growth: only sampling a cold
+    /// pool moves the epoch.
+    fn settle(&self, next: &mut State) {
+        let cold = next.pool_theta == 0;
+        let ks: Vec<usize> = (1..=next.k_max.min(self.store.n())).collect();
+        let theta = self.plan(next, &ks, self.epsilon, self.ell);
+        if self.grow(next, theta) && cold {
+            next.epoch += 1;
+        }
+        next.settled = true;
+    }
+
+    /// Grows `next`'s pool to `theta` sets, if it holds fewer, and says
+    /// whether it did. A pool with cursors draws only each shard's tail;
+    /// one without (cold, or attached from a file) is drawn whole from
+    /// the selection stream. Both give the same sets: the old pool is a
+    /// shard-aligned prefix of the new one. Growth is always heap-side,
+    /// so a mapped pool is replaced, and the next spill persists the
+    /// grown pool as a fresh v2 file.
+    fn grow(&self, next: &mut State, theta: u64) -> bool {
+        if theta <= next.pool_theta {
+            return false;
+        }
+        let empty;
+        let (pool, cursors) = match &next.cursors {
+            Some(cursors) => (&*next.pool, cursors),
+            None => {
+                empty = (
+                    SetCollection::new(self.store.n()),
+                    ShardCursors::start(self.select_seed),
+                );
+                (&empty.0, &empty.1)
+            }
+        };
+        let (mut pool, cursors, _) = extend_rr_sets(
+            self.store.graph(),
+            &self.model,
+            pool,
+            cursors,
+            theta,
+            self.threads,
+        );
+        pool.ensure_inverted_index();
+        next.pool = Arc::new(pool);
+        next.pool_theta = theta;
+        next.cursors = Some(cursors);
+        next.fast = None;
+        true
     }
 
     /// Caches the sampling plans for `ks` under `(eps, ell)` — the
@@ -492,6 +556,7 @@ impl<M: DiffusionModel + Clone> QueryEngine<M> {
             .seed(meta.seed)
             .k_max(meta.k_max.max(1) as usize);
         engine.state.pool_theta = pool.meta.theta;
+        engine.state.settled = true;
         let mut sets = pool.sets;
         // A state's pool always carries a fresh inverted index, so every
         // answer function is `&self`. (Mapped pools persist theirs.)
@@ -508,7 +573,10 @@ impl<M: DiffusionModel + Clone> QueryEngine<M> {
     }
 
     /// Snapshots the current pool (with provenance) for persistence. A
-    /// heap pool is copied; a mapped pool shares its mapping.
+    /// heap pool is copied; a mapped pool shares its mapping. An engine
+    /// between the two warm-up steps ([`start_warm`](Self::start_warm))
+    /// hands out the settled pool, finished into a copy: no pool short of
+    /// its warm θ is ever persisted.
     pub fn to_pool(&self) -> RrPool {
         self.setup.to_pool(&self.state)
     }
@@ -564,20 +632,43 @@ impl<M: DiffusionModel + Clone> QueryEngine<M> {
     /// replanning or resampling, and returns the resulting pool θ.
     ///
     /// θ(k) = λ(k)/KPT⁺(k) is not monotone in `k`: λ grows with `k`, but
-    /// so does the KPT⁺ bound, and θ(1) routinely exceeds θ(k_max). So
-    /// no one plan bounds the rest. Warming plans every `k` in
-    /// `1..=k_max` in one batched pass ([`TimPlus::plans`], which costs
-    /// about as much as the most expensive single plan), caches every
-    /// plan, and samples exactly `max θ(k)`: the smallest pool that holds
-    /// every exact `select k ≤ k_max`'s θ(k)-prefix.
+    /// so does the KPT⁺ bound. On the 300-node test graphs θ(1) is well
+    /// above θ(k_max): θ(1) = 40,739 against θ(12) = 15,023 at ε = 0.8
+    /// and run seed 13. On the 50k-node benchmark graph it is the other
+    /// way round: θ(1) = 64,789 against θ(50) = 164,274 at ε = 0.3 and
+    /// run seed 7. So no one plan bounds the rest. Warming plans every `k` in `1..=k_max` in one batched pass
+    /// ([`TimPlus::plans`], which costs about as much as the most
+    /// expensive single plan), caches every plan, and samples exactly
+    /// `max θ(k)`: the smallest pool that holds every exact
+    /// `select k ≤ k_max`'s θ(k)-prefix.
     ///
     /// The pool is sized up front rather than grown per query because
     /// [`select_fast`](Self::select_fast), [`spread`](Self::spread) and
     /// [`marginal_gain`](Self::marginal_gain) answer over the whole pool:
     /// a pool that grew mid-session to serve an exact `select` would
     /// change their answers.
+    ///
+    /// After [`start_warm`](Self::start_warm) this is the warm-up's
+    /// second step: it plans the other sizes and tops the pool up through
+    /// its shard cursors, drawing only each shard's tail. The pool ends
+    /// byte-identical to a warm-up in one call.
     pub fn warm(&mut self) -> u64 {
-        self.state = self.setup.prepare(&self.state, Miss::Warm);
+        self.answer(State::warm_theta).0
+    }
+
+    /// Step one of [`warm`](Self::warm), for a first answer that should
+    /// not wait on plans it does not use: plans `k_max` alone, samples
+    /// θ(`k_max`), builds the index, and returns that θ.
+    ///
+    /// Until the warm-up finishes the engine answers an exact
+    /// `select k_max` (exact answers do not depend on the pool's size,
+    /// since pools are prefix-composable) and nothing that reads the
+    /// whole pool. Its next miss, [`warm`](Self::warm) or
+    /// [`to_pool`](Self::to_pool) runs step two first; so does
+    /// [`SharedEngine::warm`](crate::SharedEngine::warm) after
+    /// wrapping.
+    pub fn start_warm(&mut self) -> u64 {
+        self.setup.first_plan(&mut self.state);
         self.state.pool_theta
     }
 
@@ -887,6 +978,152 @@ mod tests {
             .select(1 << 40, 0.8, 1.0)
             .expect("k > n shares n's plan");
         assert_eq!(out.seeds.len(), 40);
+    }
+
+    #[test]
+    fn two_step_warm_matches_a_one_step_warm() {
+        let mut one = engine(13);
+        one.warm();
+        let mut two = engine(13);
+        // Step one: θ(12) alone, although θ(1) is larger on this graph.
+        assert_eq!(two.start_warm(), 15_023);
+        assert!(!two.state.settled);
+        let (eps, ell) = (0.8, 1.0);
+        let first = two
+            .state
+            .select(12, eps, ell)
+            .expect("step one answers k_max");
+        let run = TimPlus::new(IndependentCascade)
+            .epsilon(0.8)
+            .seed(13)
+            .threads(2)
+            .run(&wc_graph(300, 1), 12);
+        assert_eq!(first.seeds, run.seeds);
+        assert_eq!(first.seeds, one.select(12).seeds);
+        assert_eq!(first.theta_used, 15_023);
+        // Nothing that reads the whole pool answers yet, nor any other k.
+        let seeds = first.seeds.clone();
+        assert!(matches!(two.state.spread(&seeds), Err(Miss::Warm)));
+        assert!(matches!(
+            two.state.marginal_gain(&seeds, 99),
+            Err(Miss::Warm)
+        ));
+        assert!(matches!(two.state.select_fast(3), Err(Miss::Fast { k: 3 })));
+        assert!(matches!(
+            two.state.select(1, eps, ell),
+            Err(Miss::Plan { k: 1, .. })
+        ));
+
+        // Step two tops the pool up through its cursors to the one-step
+        // pool, byte for byte, without counting as a growth.
+        let epoch = two.state.epoch;
+        assert_eq!(two.warm(), 40_739);
+        assert!(two.state.settled);
+        assert_eq!(two.state.epoch, epoch);
+        assert_eq!(two.state.pool.raw_offsets(), one.state.pool.raw_offsets());
+        assert_eq!(two.state.pool.raw_data(), one.state.pool.raw_data());
+        for k in 1..=12 {
+            let (a, b) = (one.select(k), two.select(k));
+            assert_eq!(a.seeds, b.seeds, "k={k}");
+            assert_eq!((a.theta_used, a.pool_theta), (b.theta_used, b.pool_theta));
+            assert_eq!(a.estimated_spread.to_bits(), b.estimated_spread.to_bits());
+            assert!(!b.resampled, "k={k}");
+            let (a, b) = (one.select_fast(k), two.select_fast(k));
+            assert_eq!(a.seeds, b.seeds, "fast k={k}");
+            assert_eq!(a.estimated_spread.to_bits(), b.estimated_spread.to_bits());
+        }
+        assert_eq!(one.spread(&seeds).to_bits(), two.spread(&seeds).to_bits());
+        assert_eq!(
+            one.marginal_gain(&seeds, 99).to_bits(),
+            two.marginal_gain(&seeds, 99).to_bits()
+        );
+    }
+
+    #[test]
+    fn the_first_miss_after_step_one_finishes_the_warm_up() {
+        // Any miss from an unsettled state runs step two before it
+        // prepares what it lacks, so the answer is the one-step warm's.
+        let mut one = engine(13);
+        one.warm();
+        let mut two = engine(13);
+        two.start_warm();
+        let a = one.select(5);
+        let b = two.select(5);
+        assert_eq!(a.seeds, b.seeds);
+        assert!(!b.resampled, "finishing the warm-up is not a growth");
+        assert!(two.state.settled);
+        assert_eq!(two.pool_theta(), one.pool_theta());
+
+        let mut two = engine(13);
+        two.start_warm();
+        let seeds = one.select(4).seeds;
+        assert_eq!(one.spread(&seeds).to_bits(), two.spread(&seeds).to_bits());
+    }
+
+    #[test]
+    fn a_pool_persisted_between_the_steps_is_the_settled_one() {
+        let mut one = engine(13);
+        one.warm();
+        let mut two = engine(13);
+        two.start_warm();
+        // QueryEngine::to_pool settles into a copy; the engine stays
+        // between the steps.
+        let pool = two.to_pool();
+        assert!(!two.state.settled);
+        assert_eq!(pool.meta, one.pool_meta());
+        assert_eq!(pool.sets.raw_data(), one.state.pool.raw_data());
+
+        // SharedEngine::to_pool settles and publishes, and a spill of it
+        // stores the settled pool.
+        let dir = std::env::temp_dir().join(format!("tim_engine_settled_{}", std::process::id()));
+        std::fs::remove_dir_all(&dir).ok();
+        let store = crate::PoolStore::open(&dir).unwrap();
+        let shared = crate::SharedEngine::new(two);
+        assert_eq!(shared.pool_theta(), 15_023);
+        store.spill(&shared.to_pool()).unwrap();
+        assert_eq!(shared.pool_theta(), 40_739);
+        let stored = store
+            .probe(&crate::PoolId::from_meta(&one.pool_meta()))
+            .unwrap()
+            .expect("the spilled pool is found by its provenance");
+        assert_eq!(stored.meta, one.pool_meta());
+        assert_eq!(stored.sets.raw_offsets(), one.state.pool.raw_offsets());
+        assert_eq!(stored.sets.raw_data(), one.state.pool.raw_data());
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn growth_draws_only_the_tails_through_the_cursors() {
+        // A sampled pool keeps its cursors, so growth extends it; a pool
+        // attached from a file has none and is redrawn whole. Both give
+        // the pool a fresh run at the grown θ draws.
+        let mut e = engine(6);
+        e.warm();
+        let restored =
+            QueryEngine::from_pool(wc_graph(300, 1), IndependentCascade, "ic", e.to_pool())
+                .unwrap()
+                .threads(2);
+        assert!(e.state.cursors.is_some() && restored.state.cursors.is_none());
+        let mut restored = restored;
+        let grown = e.select_with(12, Some(0.4), None);
+        let redrawn = restored.select_with(12, Some(0.4), None);
+        assert!(grown.resampled && redrawn.resampled);
+        assert_eq!(grown.seeds, redrawn.seeds);
+        let (fresh, _) = tim_core::parallel::generate_rr_sets(
+            e.graph(),
+            &IndependentCascade,
+            e.pool_theta(),
+            select_stream_seed(6),
+            3,
+        );
+        for pool in [&e.state.pool, &restored.state.pool] {
+            assert_eq!(pool.raw_offsets(), fresh.raw_offsets());
+            assert_eq!(pool.raw_data(), fresh.raw_data());
+        }
+        assert_eq!(
+            restored.state.cursors.as_ref().map(ShardCursors::theta),
+            Some(e.pool_theta())
+        );
     }
 
     #[test]

@@ -19,6 +19,12 @@
 //! Growth is monotone and the sampling stream fixed, so an exact-replay
 //! `select` returns byte-identical seeds either side of it, however many
 //! threads interleave (see `tim_server`'s concurrent determinism test).
+//!
+//! An engine wrapped between the two warm-up steps
+//! ([`QueryEngine::start_warm`]) publishes an unsettled state: it answers
+//! exact selects it holds the plan and θ for, and every other query
+//! misses, waits on the gate, and finds the warm-up finished there by
+//! whoever ran [`SharedEngine::warm`] or missed first.
 
 use crate::engine::{Miss, QueryEngine, QueryOutcome, Setup, State, PREPARED};
 use crate::pool::RrPool;
@@ -73,7 +79,9 @@ pub struct SharedEngine<M> {
 impl<M: DiffusionModel + Clone> SharedEngine<M> {
     /// Wraps an engine for shared use. Warm it first
     /// ([`QueryEngine::warm`]) if the first queries should not pay the
-    /// sampling cost.
+    /// sampling cost, or take only the warm-up's first step
+    /// ([`QueryEngine::start_warm`]) and finish it with
+    /// [`warm`](Self::warm) while serving.
     pub fn new(engine: QueryEngine<M>) -> Self {
         let QueryEngine { setup, mut state } = engine;
         state.epoch = 0;
@@ -119,7 +127,8 @@ impl<M: DiffusionModel + Clone> SharedEngine<M> {
     }
 
     /// How many times the pool has grown (resampled) through this
-    /// wrapper since construction. Persistence layers record the epoch
+    /// wrapper since construction. Finishing the warm-up is not a
+    /// growth. Persistence layers record the epoch
     /// at spill time; a later, larger epoch means the stored file is
     /// stale and the pool is worth spilling again. Monotone; `0` means
     /// the pool is exactly what the engine was constructed with. It
@@ -174,8 +183,9 @@ impl<M: DiffusionModel + Clone> SharedEngine<M> {
         self.answer(|s| s.marginal_gain(base, candidate)).0
     }
 
-    /// Pool size θ of the published state (0 when cold). Never waits on
-    /// a build or a growth.
+    /// Pool size θ of the published state (0 when cold; θ(`k_max`)
+    /// between the two warm-up steps). Never waits on a build or a
+    /// growth.
     pub fn pool_theta(&self) -> u64 {
         self.current().pool_theta
     }
@@ -197,24 +207,27 @@ impl<M: DiffusionModel + Clone> SharedEngine<M> {
         self.setup.graph_checksum()
     }
 
-    /// Warms the pool ([`QueryEngine::warm`]) and returns the resulting
-    /// θ.
+    /// Warms the pool ([`QueryEngine::warm`]), or finishes a warm-up
+    /// that [`QueryEngine::start_warm`] began, and returns the resulting
+    /// θ. Queries the unsettled state answers keep answering meanwhile;
+    /// the rest wait for it at the gate.
     pub fn warm(&self) -> u64 {
-        let _gate = self.gate.lock().unwrap_or_else(PoisonError::into_inner);
-        let state = self.current();
-        self.publish(self.setup.prepare(&state, Miss::Warm))
-            .pool_theta
+        self.answer(State::warm_theta).0
     }
 
     /// The published state's provenance header
-    /// ([`QueryEngine::pool_meta`]), without cloning the sets.
+    /// ([`QueryEngine::pool_meta`]), without cloning the sets or waiting
+    /// on the warm-up.
     pub fn pool_meta(&self) -> crate::PoolMeta {
         self.setup.meta(&self.current())
     }
 
-    /// Snapshots the published pool (with provenance) for persistence.
+    /// Snapshots the published pool (with provenance) for persistence,
+    /// finishing the warm-up first: no pool short of its warm θ is ever
+    /// persisted.
     pub fn to_pool(&self) -> RrPool {
-        self.setup.to_pool(&self.current())
+        let settled = |s: &State| s.warm_theta().map(|_| self.setup.to_pool(s));
+        self.answer(settled).0
     }
 
     /// Unwraps the engine (e.g. to persist it at shutdown).
@@ -415,8 +428,10 @@ mod tests {
         fail: AtomicBool,
     }
 
-    /// A warm engine over Independent Cascade wrapped to stall or panic
-    /// inside `sample_triggering_set` on demand.
+    /// An engine over Independent Cascade wrapped to stall or panic
+    /// inside `sample_triggering_set` on demand, shared after the warm-up's
+    /// first step. θ(1) = 30,178 exceeds θ(8) = 15,988, so step two tops
+    /// the pool up.
     fn faulty_engine(faults: &Arc<Faults>) -> SharedEngine<impl DiffusionModel + Clone + Send> {
         let faults = Arc::clone(faults);
         let model = CustomTriggering::new("faulty-ic", move |g, v, rng, out| {
@@ -432,14 +447,68 @@ mod tests {
             .seed(4)
             .threads(2)
             .k_max(8);
-        engine.warm();
+        engine.start_warm();
         SharedEngine::new(engine)
+    }
+
+    #[test]
+    fn select_k_max_answers_while_step_two_stalls() {
+        let reference = faulty_engine(&Arc::new(Faults::default()));
+        reference.warm();
+        let faults = Arc::new(Faults::default());
+        let s = Arc::new(faulty_engine(&faults));
+        assert_eq!(s.pool_theta(), 15_988);
+
+        // Step two stalls inside its planning or its top-up…
+        faults.stall.store(true, Ordering::Release);
+        let finisher = {
+            let s = Arc::clone(&s);
+            std::thread::spawn(move || s.warm())
+        };
+        while !faults.stalled.load(Ordering::Acquire) {
+            std::thread::sleep(Duration::from_millis(1));
+        }
+        // …while an exact select 8 answers from step one's state.
+        let (tx, rx) = std::sync::mpsc::channel();
+        let selector = {
+            let s = Arc::clone(&s);
+            std::thread::spawn(move || tx.send(s.select(8)).unwrap())
+        };
+        let got = rx.recv_timeout(Duration::from_secs(20));
+        selector.join().unwrap();
+        let first = got.expect("select 8 waited on step two");
+        let want = reference.select(8);
+        assert_eq!(first.seeds, want.seeds);
+        assert!(!first.resampled);
+
+        // A spread cannot answer from that state: it waits for step two
+        // and answers over the settled pool. It cannot finish while step
+        // two stalls, however long it takes to start; the pause only
+        // lets it reach the gate first.
+        let spreader = {
+            let s = Arc::clone(&s);
+            let seeds = first.seeds.clone();
+            std::thread::spawn(move || s.spread(&seeds))
+        };
+        std::thread::sleep(Duration::from_millis(50));
+        assert!(
+            !spreader.is_finished(),
+            "spread answered an unsettled state"
+        );
+        assert_eq!(s.pool_theta(), 15_988, "nothing published mid-warm-up");
+        faults.stall.store(false, Ordering::Release);
+        assert_eq!(finisher.join().unwrap(), 30_178);
+        let spread = spreader.join().unwrap();
+        assert_eq!(spread.to_bits(), reference.spread(&want.seeds).to_bits());
+        assert_eq!(s.pool_theta(), reference.pool_theta());
+        assert_eq!(s.growth_epoch(), 0, "finishing the warm-up is not a growth");
     }
 
     #[test]
     fn reads_never_wait_on_a_prepare() {
         let faults = Arc::new(Faults::default());
         let s = Arc::new(faulty_engine(&faults));
+        s.warm();
         let read = |s: &SharedEngine<_>| {
             let seeds = s.select(3).seeds;
             let pool = s.to_pool();
@@ -488,6 +557,7 @@ mod tests {
     fn a_panic_in_prepare_leaves_the_engine_serving() {
         let faults = Arc::new(Faults::default());
         let s = faulty_engine(&faults);
+        s.warm();
         let want = s.select(3);
         let (theta, epoch) = (s.pool_theta(), s.growth_epoch());
 

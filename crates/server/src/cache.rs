@@ -244,7 +244,9 @@ impl<M: DiffusionModel + Clone> PoolCache<M> {
                 self.note_spilled(key, &entry, 0);
             } else if self.persist {
                 // Write-through: a freshly sampled pool is warm state
-                // worth keeping; spill before anyone can lose it.
+                // worth keeping; spill before anyone can lose it. The
+                // snapshot finishes the pool's warm-up first, so what
+                // lands on disk is the settled pool.
                 self.spill_entry(key, &entry, &engine);
             }
         }

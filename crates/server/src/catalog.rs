@@ -42,6 +42,7 @@ use crate::protocol::LabelMap;
 use crate::server::ServerConfig;
 use std::collections::HashMap;
 use std::path::PathBuf;
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, RwLock, Weak};
 use tim_diffusion::DiffusionModel;
 use tim_engine::{PoolStore, ProbedPool, QueryEngine, SharedEngine};
@@ -62,6 +63,9 @@ pub struct GraphState<M> {
     model_name: String,
     config: Arc<ServerConfig>,
     cache: PoolCache<M>,
+    /// Requests on this graph whose answer panicked and was contained
+    /// to an `error: internal error` line.
+    recoveries: AtomicU64,
 }
 
 impl<M: DiffusionModel + Send + Clone + 'static> GraphState<M> {
@@ -140,6 +144,7 @@ impl<M: DiffusionModel + Send + Clone + 'static> GraphState<M> {
             model_name: model_name.into(),
             cache,
             config,
+            recoveries: AtomicU64::new(0),
         }
     }
 
@@ -212,7 +217,10 @@ impl<M: DiffusionModel + Send + Clone + 'static> GraphState<M> {
         if self.config.sample_threads > 0 {
             engine = engine.threads(self.config.sample_threads);
         }
-        engine.warm();
+        // Step one only: the pool answers an exact `select k_max` at
+        // once, and its first other miss (or the server's start-up, for
+        // the default pool) finishes the warm-up.
+        engine.start_warm();
         SharedEngine::new(engine)
     }
 
@@ -255,10 +263,19 @@ impl<M: DiffusionModel + Send + Clone + 'static> GraphState<M> {
         self.engine_for(None, None)
     }
 
-    /// Builds (or reuses) the default pool now, returning its θ — lets a
-    /// server pay the sampling cost before accepting connections.
+    /// Builds (or reuses) the default pool and finishes its warm-up now,
+    /// returning its θ — lets a server pay the sampling cost before
+    /// accepting connections. (`tim serve` takes only the first step
+    /// before its workers start, through
+    /// [`default_engine`](Self::default_engine), and finishes the
+    /// warm-up while they serve.)
     pub fn warm_default(&self) -> u64 {
-        self.default_engine().pool_theta()
+        self.default_engine().warm()
+    }
+
+    /// Counts one request on this graph whose answer panicked.
+    pub(crate) fn note_recovery(&self) {
+        self.recoveries.fetch_add(1, Ordering::Relaxed);
     }
 
     /// Pre-seeds this graph's cache with an engine restored from
@@ -308,7 +325,9 @@ impl<M: DiffusionModel + Send + Clone + 'static> GraphState<M> {
     /// how restores were served: zero-copy mapped, checksum-verified,
     /// or heap-decoded), then the cached pools' total `theta` and
     /// `pool_bytes` (heap + mapped), read from the sizes each engine
-    /// publishes, so the line never waits on a build or a growth.
+    /// publishes, so the line never waits on a build or a growth (a pool
+    /// between its two warm-up steps counts θ(`k_max`)), and last the
+    /// `recoveries`: requests whose answer panicked and was contained.
     /// Deliberately **not** deterministic across
     /// interleavings — it reports live effectiveness, which is the
     /// point: the warm-path claim (`builds=0` with `mmap_opens>0` after
@@ -319,7 +338,7 @@ impl<M: DiffusionModel + Send + Clone + 'static> GraphState<M> {
         let store = store.unwrap_or_default();
         let (theta, pool_bytes) = self.cache.pool_totals();
         format!(
-            "pools: graph={} cached={} hits={} misses={} builds={} loads={} spills={} evictions={} quarantined={} mmap_opens={} verifies={} heap_loads={} theta={theta} pool_bytes={pool_bytes}",
+            "pools: graph={} cached={} hits={} misses={} builds={} loads={} spills={} evictions={} quarantined={} mmap_opens={} verifies={} heap_loads={} theta={theta} pool_bytes={pool_bytes} recoveries={}",
             self.name,
             self.cache.len(),
             s.hits,
@@ -332,6 +351,7 @@ impl<M: DiffusionModel + Send + Clone + 'static> GraphState<M> {
             store.mmap_opens,
             store.verifies,
             store.heap_loads,
+            self.recoveries.load(Ordering::Relaxed),
         )
     }
 }

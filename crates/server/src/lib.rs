@@ -89,8 +89,8 @@ pub use event_loop::{AT_CAPACITY_REPLY, IDLE_TIMEOUT_REPLY};
 pub use fanin::{drive_sessions, latency_stats, FaninReport, LatencyStats, SessionOutcome};
 pub use protocol::{
     execute, parse_query, parse_request, CappedLine, CappedLineReader, LabelMap, ParsedLine,
-    ParsedRequest, PollLine, Query, QueryBackend, Reply, Request, MAX_BATCH, MAX_BATCH_BYTES,
-    MAX_LINE_BYTES, OVERSIZED_BATCH_REPLY, OVERSIZED_LINE_REPLY, PROTOCOL_VERSION,
+    ParsedRequest, PollLine, Query, QueryBackend, Reply, Request, INTERNAL_ERROR_REPLY, MAX_BATCH,
+    MAX_BATCH_BYTES, MAX_LINE_BYTES, OVERSIZED_BATCH_REPLY, OVERSIZED_LINE_REPLY, PROTOCOL_VERSION,
 };
 pub use server::{Server, ServerConfig, ServerHandle, ServerState, DEFAULT_GRAPH_NAME};
 pub use session::Session;

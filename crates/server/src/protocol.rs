@@ -65,6 +65,12 @@ pub const MAX_LINE_BYTES: u64 = 1 << 20;
 /// The answer line sent for a request line over [`MAX_LINE_BYTES`].
 pub const OVERSIZED_LINE_REPLY: &str = "error: request line exceeds the 1 MiB limit";
 
+/// The answer line sent for a request whose answer panicked (a plan, a
+/// growth, the fast cover or a warm-up that the request ran). The
+/// session goes on, and the graph's `stats pools` line counts it under
+/// `recoveries=`.
+pub const INTERNAL_ERROR_REPLY: &str = "error: internal error";
+
 /// Parses a comma-separated list of node labels (`17,4,99`). Empty items
 /// are skipped, so trailing commas are harmless.
 pub fn parse_id_list(s: &str) -> Result<Vec<u64>, String> {

@@ -363,10 +363,11 @@ impl<M: DiffusionModel + Send + Clone + 'static> Server<M> {
                             }
                             // A dropped connection is the client's
                             // problem, not the server's; a panicked one
-                            // (an engine invariant assert, a panic while
-                            // preparing a pool) must not take the worker
-                            // thread with it. The engine keeps serving
-                            // its previous state.
+                            // must not take the worker thread with it.
+                            // Sessions answer a panic inside one request
+                            // themselves, so this catches only what runs
+                            // outside a request, such as the pool flush
+                            // at session end.
                             let outcome =
                                 std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
                                     let _ = serve_connection(&state, stream);

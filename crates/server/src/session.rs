@@ -11,6 +11,12 @@
 //! stdin session — the same code path, which is what keeps the two front
 //! ends byte-identical by construction.
 //!
+//! A panic while answering one request (a plan, a growth, the fast cover
+//! or a warm-up the request ran) is contained to that request: it
+//! answers [`INTERNAL_ERROR_REPLY`], counts as a recovery on the
+//! session's current graph, and the session goes on. The engine it
+//! panicked in keeps serving its previous state.
+//!
 //! Sessions also participate in warm-state persistence: when automatic
 //! write-back is on (`--persist-pools`), the periodic catalog re-touch
 //! doubles as a pool sync (grown pools flow back to the graph's
@@ -28,10 +34,11 @@
 
 use crate::catalog::GraphState;
 use crate::protocol::{
-    execute, parse_request, ping_reply, ParsedRequest, Query, Reply, Request, MAX_BATCH_BYTES,
-    OVERSIZED_BATCH_REPLY,
+    execute, parse_request, ping_reply, ParsedRequest, Query, Reply, Request, INTERNAL_ERROR_REPLY,
+    MAX_BATCH_BYTES, OVERSIZED_BATCH_REPLY,
 };
 use crate::server::ServerState;
+use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::Arc;
 use tim_diffusion::DiffusionModel;
 use tim_engine::SharedEngine;
@@ -137,8 +144,20 @@ impl<'s, M: DiffusionModel + Send + Clone + 'static> Session<'s, M> {
         match parsed {
             ParsedRequest::Empty => None,
             ParsedRequest::Malformed(e) => Some(format!("error: {e}")),
-            ParsedRequest::Request(req) => Some(self.answer(&req)),
+            ParsedRequest::Request(req) => Some(self.contained(&req)),
         }
+    }
+
+    /// [`answer`](Self::answer), with a panic contained to this request's
+    /// line. The session's fields stay consistent across one: its cached
+    /// handles are `Arc`s, replaced only whole.
+    fn contained(&mut self, req: &Request) -> String {
+        catch_unwind(AssertUnwindSafe(|| self.answer(req))).unwrap_or_else(|_| {
+            if let Some(graph) = &self.current {
+                graph.note_recovery();
+            }
+            INTERNAL_ERROR_REPLY.to_string()
+        })
     }
 
     /// Answers a completed batch's lines in order, each as if it had
@@ -371,7 +390,10 @@ mod tests {
         ServerState::from_catalog(catalog, "alpha").unwrap()
     }
 
-    fn one(session: &mut Session<'_, IndependentCascade>, line: &str) -> String {
+    fn one<M: DiffusionModel + Send + Clone + 'static>(
+        session: &mut Session<'_, M>,
+        line: &str,
+    ) -> String {
         let mut got = session.push_line(line);
         assert_eq!(got.len(), 1, "{line:?} answered {got:?}");
         got.remove(0)
@@ -535,12 +557,12 @@ mod tests {
             "got {pools}"
         );
         assert!(pools.contains("builds=1"), "got {pools}");
-        // The pool sizes close the line: Σ θ and Σ bytes over the cached
-        // pools, here extra's one warm pool.
+        // The pool sizes follow: Σ θ and Σ bytes over the cached pools,
+        // here extra's one warm pool. The recoveries close the line.
         let engine = state.catalog().get("extra").unwrap().default_engine();
         assert!(engine.pool_theta() > 0 && engine.pool_bytes() > 0);
         let sizes = format!(
-            " heap_loads=0 theta={} pool_bytes={}",
+            " heap_loads=0 theta={} pool_bytes={} recoveries=0",
             engine.pool_theta(),
             engine.pool_bytes()
         );
@@ -583,6 +605,56 @@ mod tests {
             "same-name use must re-resolve to the re-attached graph"
         );
         std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn a_panic_answers_its_own_line_and_the_session_goes_on() {
+        use std::sync::atomic::{AtomicBool, Ordering};
+        use tim_diffusion::CustomTriggering;
+        let fail = Arc::new(AtomicBool::new(false));
+        let model = {
+            let fail = Arc::clone(&fail);
+            CustomTriggering::new("faulty-ic", move |g, v, rng, out| {
+                assert!(!fail.load(Ordering::Acquire), "sampling failed");
+                IndependentCascade.sample_triggering_set(g, v, rng, out);
+            })
+        };
+        let config = ServerConfig {
+            epsilon: 1.0,
+            seed: 3,
+            k_max: 4,
+            sample_threads: 1,
+            admin: true,
+            ..ServerConfig::default()
+        };
+        let catalog = GraphCatalog::new(model, "ic", config);
+        let mut g = gen::barabasi_albert(120, 3, 0.0, 1);
+        weights::assign_weighted_cascade(&mut g);
+        let n = g.n();
+        catalog
+            .add_resident("alpha", g, LabelMap::identity(n))
+            .unwrap();
+        let state = ServerState::from_catalog(catalog, "alpha").unwrap();
+        let mut s = state.session();
+        // Step one answers select k_max; everything else waits on step two.
+        let four = one(&mut s, "select 4");
+        assert!(four.starts_with("seeds: "), "{four}");
+
+        fail.store(true, Ordering::Release);
+        // The warm-up's second step, run by the first miss, panics; so
+        // does the plan for an override pool. Each answers its own line.
+        for line in ["select 2", "eval 0,1", "select 2 eps=0.9"] {
+            assert_eq!(one(&mut s, line), INTERNAL_ERROR_REPLY, "{line}");
+        }
+        // The engine keeps serving the state it holds.
+        assert_eq!(one(&mut s, "select 4"), four);
+        assert!(!s.closed());
+
+        fail.store(false, Ordering::Release);
+        assert!(one(&mut s, "select 2").starts_with("seeds: "));
+        assert!(one(&mut s, "select 2 eps=0.9").starts_with("seeds: "));
+        let pools = one(&mut s, "stats pools");
+        assert!(pools.ends_with(" recoveries=3"), "{pools}");
     }
 
     #[test]

@@ -194,10 +194,12 @@ echo "cold server at $ADDR1 (pid $W1), pools in $POOLDIR"
 printf 'select 10\nstats pools\n' | "$TIM" client --addr "$ADDR1" --timeout 60 \
     | tee out/kick-tires/restart_cold_pools.txt | grep -q 'builds=1 loads=0' \
     && echo "cold phase sampled its pool (builds=1): OK"
-# The line closes with the cached pools' total θ and bytes.
-COLD_SIZE=$(grep -Eo ' theta=[1-9][0-9]* pool_bytes=[1-9][0-9]*$' out/kick-tires/restart_cold_pools.txt) \
-    || { echo "stats pools does not report theta= and pool_bytes=" >&2; exit 1; }
+# The line closes with the cached pools' total θ and bytes, then the
+# count of requests whose answer panicked (none here).
+COLD_SIZE=$(grep -Eo ' theta=[1-9][0-9]* pool_bytes=[1-9][0-9]* recoveries=0$' out/kick-tires/restart_cold_pools.txt) \
+    || { echo "stats pools does not report theta=, pool_bytes= and recoveries=0" >&2; exit 1; }
 COLD_THETA=${COLD_SIZE% pool_bytes=*}
+COLD_SIZE=${COLD_SIZE% recoveries=0}
 echo "stats pools reports the pool size:$COLD_SIZE: OK"
 kill $W1 2>/dev/null || true
 wait $W1 2>/dev/null || true
@@ -259,7 +261,7 @@ printf 'select 10\nstats pools\n' | "$TIM" client --addr "$ADDR3" --timeout 60 \
     && echo "mapped phase loaded from the store, zero rebuilds: OK"
 grep -q 'mmap_opens=1 verifies=1 heap_loads=0' out/kick-tires/restart_mapped_pools.txt \
     && echo "restore went through the mmap path (mmap_opens=1, heap_loads=0): OK"
-grep -Eq "$COLD_THETA pool_bytes=[1-9][0-9]*\$" out/kick-tires/restart_mapped_pools.txt \
+grep -Eq "$COLD_THETA pool_bytes=[1-9][0-9]* recoveries=0\$" out/kick-tires/restart_mapped_pools.txt \
     || { echo "mapped restore reports a pool θ other than the cold build's" >&2; exit 1; }
 echo "mapped pool reports the cold build's${COLD_THETA}: OK"
 kill $W3 2>/dev/null || true
