@@ -2,14 +2,14 @@
 //! (posting-list recounts against a covered-set bitmap, candidates in the
 //! collection's cached degree order) over a realistic RR-set collection,
 //! timed the way the server runs it. The inverted index and the degree
-//! order are built once, outside the timed closures; the ranged rows
-//! answer a shard-aligned θ-prefix in place, as an exact `select` does.
+//! order are built once, outside the timed closures; the prefix rows
+//! answer a θ-prefix of the sets in place, as an exact `select` does.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use std::hint::black_box;
 use tim_bench::{prepare, Model};
-use tim_core::parallel::{generate_rr_sets, prefix_ranges};
-use tim_coverage::{greedy_max_cover_indexed, greedy_max_cover_ranges, SetCollection};
+use tim_core::parallel::generate_rr_sets;
+use tim_coverage::{greedy_max_cover_indexed, greedy_max_cover_prefix, SetCollection};
 use tim_diffusion::IndependentCascade;
 use tim_eval::Dataset;
 
@@ -33,10 +33,15 @@ fn max_cover(c: &mut Criterion) {
             b.iter(|| black_box(greedy_max_cover_indexed(&collection, k).covered));
         });
     }
-    for (prefix, theta) in [("third", THETA / 3), ("two_thirds", 2 * THETA / 3)] {
-        let ranges = prefix_ranges(THETA, theta);
-        group.bench_with_input(BenchmarkId::new("ranges_k25", prefix), &ranges, |b, r| {
-            b.iter(|| black_box(greedy_max_cover_ranges(&collection, r, 25).covered));
+    let prefixes = [
+        ("tenth", THETA / 10),
+        ("third", THETA / 3),
+        ("two_thirds", 2 * THETA / 3),
+    ];
+    for (prefix, theta) in prefixes {
+        let end = theta as usize;
+        group.bench_with_input(BenchmarkId::new("prefix_k25", prefix), &end, |b, &end| {
+            b.iter(|| black_box(greedy_max_cover_prefix(&collection, end, 25).covered));
         });
     }
     group.finish();

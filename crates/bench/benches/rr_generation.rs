@@ -6,9 +6,9 @@
 //! - IC vs LT sampling (the §7.2 observation: the paper's IC consumes one
 //!   random draw per in-edge, LT one per node, so LT wins on edge-heavy
 //!   graphs; IC subset sampling draws O(1 + d·q) per node instead);
-//! - serial vs sharded-parallel bulk generation (our §8-future-work
-//!   extension; on a single-core machine the parallel path measures the
-//!   sharding overhead).
+//! - serial vs parallel bulk generation (our §8-future-work extension,
+//!   threads on contiguous blocks of keyed sets; on a single-core
+//!   machine the parallel path measures the threading overhead).
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use std::hint::black_box;

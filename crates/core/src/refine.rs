@@ -10,7 +10,7 @@
 
 use crate::kpt::KptEstimate;
 use crate::math::{epsilon_prime, lambda_prime};
-use crate::parallel::{generate_rr_sets, prefix_ranges};
+use crate::parallel::generate_rr_sets;
 use std::sync::Arc;
 use tim_coverage::greedy_max_cover_indexed;
 use tim_diffusion::DiffusionModel;
@@ -39,10 +39,10 @@ pub struct Refined {
 /// specific ε′ (`None` uses `5·(ℓ·ε²/(k+ℓ))^(1/3)`).
 ///
 /// Each refinement equals the one a call with `ks = [k]` returns, bit for
-/// bit. The θ′ stream depends on `rng` alone, and a θ′-set run is the
-/// shard-aligned prefix of any longer run on the same stream (see
-/// [`prefix_ranges`]), so the stream is sampled once, at the largest θ′,
-/// and each `k` scores its candidate on its own θ′ prefix.
+/// bit. The θ′ stream depends on `rng` alone, and a θ′-set run is sets
+/// `0..θ′` of any longer run on the same stream (see
+/// [`crate::parallel`]), so the stream is sampled once, at the largest
+/// θ′, and each `k` scores its candidate on its own θ′ prefix.
 ///
 /// # Panics
 /// Panics if `ks` and `kpts` differ in length, ε′ is not positive, or an
@@ -117,9 +117,8 @@ pub fn refine_kpt<M: DiffusionModel + Sync>(
         // Lines 10-12, each k on its own θ′ prefix.
         for i in group {
             let (k, theta_prime) = (ks[i], theta_primes[i]);
-            let covered = prefix_ranges(top, theta_prime)
-                .into_iter()
-                .flat_map(|range| &first_pick[range])
+            let covered = first_pick[..theta_prime as usize]
+                .iter()
                 .filter(|&&r| (r as usize) < k)
                 .count();
             let f = covered as f64 / theta_prime as f64;

@@ -283,7 +283,7 @@ impl<M> TimPlus<M> {
     /// batch draws Algorithm 2's iterations once, keeping one κ sum per
     /// `k` and stopping each `k` at its own iteration, then samples
     /// Algorithm 3's θ′ stream once, at the largest θ′(k), and scores each
-    /// `k`'s greedy candidate on its own shard-aligned θ′(k) prefix. The
+    /// `k`'s greedy candidate on its own θ′(k) prefix, sets `0..θ′(k)`. The
     /// cost is about that of the single most expensive plan, not the sum
     /// of all of them, which is what lets `tim_engine` plan every
     /// `k ≤ k_max` when it warms a pool.

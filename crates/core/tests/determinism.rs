@@ -1,8 +1,8 @@
 //! Determinism regression: RR-set generation is a pure function of
 //! (graph content, θ, seed) — never of the thread count and never of the
-//! graph's backing. The shard-prefix contract that makes parallel runs
-//! byte-identical to serial runs must hold when the CSR arrays view a
-//! mapped v2 snapshot just as it does on the heap.
+//! graph's backing. Set j of a run depends only on (seed, j), which makes
+//! parallel runs byte-identical to serial runs; that must hold when the
+//! CSR arrays view a mapped v2 snapshot just as it does on the heap.
 
 use tim_core::parallel::generate_rr_sets;
 use tim_core::TimPlus;

@@ -11,8 +11,12 @@
 //! re-recorded from the lone `plan(k)` when IC reverse sampling moved to
 //! subset sampling (`tim_diffusion::SAMPLER_REVISION` 1): the RR-set
 //! distribution is unchanged but the sets drawn from a seed are not, so
-//! κ, KPT and θ moved once. Both `plan(k)` and the batched `plans(ks)`
-//! must reproduce every table exactly.
+//! κ, KPT and θ moved once. The θ and KPT⁺ columns of `IC_PLUS` and
+//! `LT_PLUS` were re-recorded from the lone `plan(k)` when set j of a
+//! stream came to be keyed by `(seed, j)` (revision 2): that moved
+//! Algorithm 3's θ′ sample, while Algorithm 2's stream, and with it
+//! every other column, stayed. Both `plan(k)` and the batched
+//! `plans(ks)` must reproduce every table exactly.
 
 use tim_core::{SamplingPlan, Tim, TimPlus};
 use tim_diffusion::{IndependentCascade, LinearThreshold};
@@ -24,25 +28,25 @@ type Row = (usize, u64, u64, u64, u64, u64);
 const IC_PLUS: [Row; 20] = [
     (
         1,
-        75584,
+        82783,
         0x3ff0000000000000,
-        0x4004fe9b5c2b5ab5,
+        0x40032b3feffb100a,
         0x40048b7e7920170f,
         16059,
     ),
     (
         2,
-        68669,
+        75536,
         0x3ff0000000000000,
-        0x400ffe43c3a41947,
+        0x400d15b1f7ac7412,
         0x40021e48665744b1,
         16453,
     ),
     (
         3,
-        58512,
+        56887,
         0x3ffbe5a99e69515c,
-        0x401795cc9f7bd2ec,
+        0x4018424ecfed1376,
         0x40008a9587550e5e,
         15642,
     ),
@@ -56,129 +60,129 @@ const IC_PLUS: [Row; 20] = [
     ),
     (
         5,
-        44508,
+        40837,
         0x40062264dbf9e7fa,
-        0x40254ea515c0c36a,
+        0x402738f33478ebff,
         0x3ffd0ae303e8ac8d,
         15281,
     ),
     (
         6,
-        36533,
+        37216,
         0x4009f47ee598a70b,
-        0x402d425558264925,
+        0x402cb8e5649fb62f,
         0x3ffba08194d6d10c,
         15187,
     ),
     (
         7,
-        35128,
+        34592,
         0x400a5236ec6d312b,
-        0x4030ddf3faca90da,
+        0x403120e5e6dd9515,
         0x3ffa73d1a281a3d0,
         8145,
     ),
     (
         8,
-        34988,
+        35530,
         0x400d837e66e33b76,
-        0x403289914abe362b,
+        0x4032411dbaf20671,
         0x3ff97483ac22401d,
         8083,
     ),
     (
         9,
-        34669,
+        32948,
         0x40104cc5409f4c78,
-        0x403446747c7aaa7e,
+        0x4035559923759c7a,
         0x3ff897d1878225c8,
         8034,
     ),
     (
         10,
-        33226,
+        33943,
         0x4011cb4d6872d2f4,
-        0x4036bea60cbd9a61,
+        0x403643a28aab2cc0,
         0x3ff7d6467bce365c,
         7995,
     ),
     (
         11,
-        33740,
+        32372,
         0x40133e5958d18903,
-        0x4037ebde426507de,
+        0x4038ee9f89b50497,
         0x3ff72a87cf5f07b5,
         7962,
     ),
     (
         12,
-        32656,
+        31802,
         0x4014a6d01b056c2a,
-        0x403a3fe6648f3f2d,
+        0x403af44ccae8ff95,
         0x3ff6909ef4b5fb48,
         7934,
     ),
     (
         13,
-        32334,
+        31113,
         0x401605811fc7233c,
-        0x403c060f9eb4a798,
+        0x403d1f6590d9db56,
         0x3ff60589e564a270,
         7911,
     ),
     (
         14,
-        32997,
+        31851,
         0x4019930b5b08d5bc,
-        0x403ce8bdd88d7684,
+        0x403df2f48f4e685a,
         0x3ff586f3aa1ee9e4,
         4261,
     ),
     (
         15,
-        32592,
+        31491,
         0x401b021d94e15479,
-        0x403eb414c722a67d,
+        0x403fc6e8bfc6c55f,
         0x3ff51304f9b2485a,
         4245,
     ),
     (
         16,
-        32392,
+        30709,
         0x401c68a59e2950a5,
-        0x4040274913cf6400,
+        0x404109e05e8a18d3,
         0x3ff4a843dcc790d9,
         4230,
     ),
     (
         17,
-        31998,
+        29267,
         0x401dc7335aa63483,
-        0x40410db549eb4625,
+        0x4042a52c9be956ee,
         0x3ff4457d001cbd5c,
         4217,
     ),
     (
         18,
-        32236,
+        28974,
         0x401f1e494d70360e,
-        0x40419c68367fb5b6,
+        0x404397f9e115b786,
         0x3ff3e9b3735177c5,
         4205,
     ),
     (
         19,
-        31467,
+        28392,
         0x4020372f017095af,
-        0x4042ba5e1696d6b7,
+        0x4044c180bc17ae60,
         0x3ff39414c6e76bf7,
         4195,
     ),
     (
         20,
-        31884,
+        28935,
         0x4020dbeea8ebacfa,
-        0x404325f0ca2fe926,
+        0x404519805c58aa7d,
         0x3ff343f0351df021,
         4185,
     ),
@@ -188,161 +192,161 @@ const IC_PLUS: [Row; 20] = [
 const LT_PLUS: [Row; 20] = [
     (
         1,
-        115895,
+        108652,
         0x3ff0000000000000,
-        0x3ffb625b56d4600d,
+        0x3ffd35b6c304aab9,
         0x40048b7e7920170f,
         16059,
     ),
     (
         2,
-        61483,
+        65278,
         0x3ff0000000000000,
-        0x4011ddc8c05ef6d8,
+        0x4010d3ddd2f43bd7,
         0x40021e48665744b1,
         16453,
     ),
     (
         3,
-        51376,
+        52898,
         0x3ff0000000000000,
-        0x401adc7005877429,
+        0x401a168df2f3e6b0,
         0x40008a9587550e5e,
         16793,
     ),
     (
         4,
-        48401,
+        49453,
         0x3fffc45a60f48d9d,
-        0x4020fde587d9a07c,
+        0x4020a1587a10e954,
         0x3ffecd3031014def,
         15607,
     ),
     (
         5,
-        44605,
+        45971,
         0x4003762c20b898fb,
-        0x402542b47c7eca96,
+        0x4024a10a5f736bdb,
         0x3ffd0ae303e8ac8d,
         15444,
     ),
     (
         6,
-        41763,
+        42551,
         0x4006e8bbb9dadd02,
-        0x4029985cd2eb0c52,
+        0x40291f05c587e16c,
         0x3ffba08194d6d10c,
         15332,
     ),
     (
         7,
-        43272,
+        41591,
         0x400bd899b7b2c902,
-        0x402b629dcca7fa2f,
+        0x402c7ddfa6613040,
         0x3ffa73d1a281a3d0,
         8082,
     ),
     (
         8,
-        39059,
+        39776,
         0x400f33938c7919ee,
-        0x40309af070f05113,
+        0x40304e58815ab07a,
         0x3ff97483ac22401d,
         8024,
     ),
     (
         9,
-        35204,
+        38265,
         0x4011383340f9afc7,
-        0x4033f7a6b64a8edb,
+        0x40325eb8185912c9,
         0x3ff897d1878225c8,
         7979,
     ),
     (
         10,
-        33855,
+        38859,
         0x4012c8c469835624,
-        0x40365291b8a411ff,
+        0x4033729a1b0b0fae,
         0x3ff7d6467bce365c,
         7942,
     ),
     (
         11,
-        33413,
+        34955,
         0x40144c99b43fcc02,
-        0x403827de8e4b0e86,
+        0x4037170d3531283c,
         0x3ff72a87cf5f07b5,
         7912,
     ),
     (
         12,
-        33954,
+        34720,
         0x4015c4b4156d3f79,
-        0x40393eebb8216fab,
+        0x4038b05b39b74971,
         0x3ff6909ef4b5fb48,
         7886,
     ),
     (
         13,
-        39904,
+        35362,
         0x4019098d67dd5596,
-        0x4036b50d926a9c4d,
+        0x40399faf05840bf8,
         0x3ff60589e564a270,
         4249,
     ),
     (
         14,
-        37494,
+        34297,
         0x401a877fea0ca2fa,
-        0x403970fb277f0055,
+        0x403bd01f957ba76a,
         0x3ff586f3aa1ee9e4,
         4232,
     ),
     (
         15,
-        37176,
+        34602,
         0x401bfb1d96139c91,
-        0x403aead10c5f0988,
+        0x403ceb5b4ee0d11d,
         0x3ff51304f9b2485a,
         4217,
     ),
     (
         16,
-        36249,
+        34601,
         0x401d65201a10e2c3,
-        0x403cde860df2f693,
+        0x403e3e740e9d0250,
         0x3ff4a843dcc790d9,
         4203,
     ),
     (
         17,
-        35732,
+        34155,
         0x401ec6307dbe9642,
-        0x403e8b21ecb921cb,
+        0x403ff403fb965a7f,
         0x3ff4457d001cbd5c,
         4192,
     ),
     (
         18,
-        33918,
+        33676,
         0x40200f7460e116b2,
-        0x4040bcb8becbe326,
+        0x4040db8c07ff14ac,
         0x3ff3e9b3735177c5,
         4181,
     ),
     (
         19,
-        33031,
+        33493,
         0x4020b7eaaa6ce371,
-        0x4041d73cecda567f,
+        0x4041983dd9b2401e,
         0x3ff39414c6e76bf7,
         4172,
     ),
     (
         20,
-        32385,
+        33046,
         0x40215cbb31a3e695,
-        0x4042da16f51a6331,
+        0x4042799160d74cbc,
         0x3ff343f0351df021,
         4163,
     ),

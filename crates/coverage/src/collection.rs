@@ -334,7 +334,7 @@ impl SetCollection {
 
     /// The nodes of positive degree by descending `(degree, id)`: the
     /// order in which greedy first counts its candidates, since a node's
-    /// degree bounds its gain over any set-id ranges. Derived from the
+    /// degree bounds its gain over any prefix of the sets. Derived from the
     /// index on first use and kept until the index is rebuilt or adopted;
     /// concurrent first readers of a shared collection fill it once.
     /// Like the index it is derived data, so

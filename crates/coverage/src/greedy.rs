@@ -18,14 +18,13 @@
 //! with the smallest unselected id. Warm-pool replay in `tim_engine`
 //! relies on this order being fixed.
 //!
-//! The loop counts only the set ids it is given
-//! ([`greedy_max_cover_ranges`]); the other entry points give it the
-//! whole collection. Sets outside the ranges start out covered, so a
-//! warm pool answers any shard-aligned θ-prefix in place.
+//! The loop counts only the sets `0..end` it is given
+//! ([`greedy_max_cover_prefix`]); the other entry points give it the
+//! whole collection. A recount cuts each ascending posting list at `end`,
+//! so a warm pool answers any θ-prefix in place.
 
 use crate::SetCollection;
 use std::collections::BinaryHeap;
-use std::ops::Range;
 use tim_graph::NodeId;
 
 /// Result of a greedy max-coverage run.
@@ -114,30 +113,28 @@ pub fn greedy_max_cover_indexed_stats(
     collection: &SetCollection,
     k: usize,
 ) -> (CoverResult, EvalStats) {
-    let whole = 0..collection.len();
-    lazy_greedy(collection, std::slice::from_ref(&whole), k)
+    lazy_greedy(collection, collection.len(), k)
 }
 
-/// [`greedy_max_cover_indexed`] counting only the sets whose ids lie in
-/// `ranges`: the answer equals greedy on a copy that holds just those
-/// sets, in order, so a pool answers a shard-aligned θ-prefix (see
-/// `tim_core::parallel::prefix_ranges`) without copying it.
+/// [`greedy_max_cover_indexed`] counting only sets `0..end`: the answer
+/// equals greedy on a copy that holds just those sets, so a pool answers
+/// the θ-prefix a θ-run would have drawn (see `tim_core::parallel`)
+/// without copying it.
 ///
-/// Sets outside the ranges start out covered, so a recount sees only
-/// the in-range sets of a posting list: the loop finds the same
-/// `(gain, node)` argmax in every round as over the copy, and picks,
-/// marginals and the covered count agree bit for bit.
+/// A recount sees only the posting-list entries below `end`, so the loop
+/// finds the same `(gain, node)` argmax in every round as over the copy,
+/// and picks, marginals and the covered count agree bit for bit.
 ///
 /// ```
-/// use tim_coverage::{greedy_max_cover, greedy_max_cover_ranges, SetCollection};
+/// use tim_coverage::{greedy_max_cover, greedy_max_cover_prefix, SetCollection};
 ///
 /// let mut sets = SetCollection::new(4);
-/// for s in [&[0, 1][..], &[2], &[2, 3], &[1]] {
+/// for s in [&[2][..], &[2, 3], &[0, 1], &[1]] {
 ///     sets.push(s);
 /// }
 /// sets.ensure_inverted_index();
-/// // Sets 1..3 alone: node 2 covers both.
-/// let cover = greedy_max_cover_ranges(&sets, &[1..3], 1);
+/// // Sets 0..2 alone: node 2 covers both.
+/// let cover = greedy_max_cover_prefix(&sets, 2, 1);
 /// assert_eq!((cover.seeds[0], cover.covered), (2, 2));
 ///
 /// let mut copy = SetCollection::new(4);
@@ -147,24 +144,15 @@ pub fn greedy_max_cover_indexed_stats(
 /// ```
 ///
 /// # Panics
-/// Panics if the inverted index is stale, or the ranges are not
-/// ascending and disjoint within `0..`[`len`](SetCollection::len).
-pub fn greedy_max_cover_ranges(
-    collection: &SetCollection,
-    ranges: &[Range<usize>],
-    k: usize,
-) -> CoverResult {
-    lazy_greedy(collection, ranges, k).0
+/// Panics if the inverted index is stale, or `end` is past
+/// [`len`](SetCollection::len).
+pub fn greedy_max_cover_prefix(collection: &SetCollection, end: usize, k: usize) -> CoverResult {
+    lazy_greedy(collection, end, k).0
 }
 
-/// The one greedy loop behind every entry point, over the sets whose ids
-/// lie in `ranges`, with its work counters. The module docs describe how
-/// it counts gains.
-fn lazy_greedy(
-    collection: &SetCollection,
-    ranges: &[Range<usize>],
-    k: usize,
-) -> (CoverResult, EvalStats) {
+/// The one greedy loop behind every entry point, over sets `0..end`, with
+/// its work counters. The module docs describe how it counts gains.
+fn lazy_greedy(collection: &SetCollection, end: usize, k: usize) -> (CoverResult, EvalStats) {
     assert!(
         collection.has_inverted_index(),
         "inverted index is stale; call ensure_inverted_index first"
@@ -173,16 +161,22 @@ fn lazy_greedy(
     let k = k.min(n);
 
     let len = collection.len();
-    assert!(
-        ranges.iter().all(|r| r.start <= r.end && r.end <= len)
-            && ranges.windows(2).all(|w| w[0].end <= w[1].start),
-        "set ranges must be ascending and disjoint within 0..{len}: {ranges:?}"
-    );
-    let mut covered = covered_outside(len, ranges);
+    assert!(end <= len, "prefix end {end} is past the {len} sets held");
+    // Posting lists ascend, so one binary search cuts a list at `end`.
+    let postings = |v: NodeId| {
+        let list = collection.sets_containing(v);
+        if end == len {
+            list
+        } else {
+            &list[..list.partition_point(|&s| (s as usize) < end)]
+        }
+    };
+    let mut covered = vec![0u64; end.div_ceil(64)];
     let is_covered = |covered: &[u64], s: u32| covered[s as usize / 64] >> (s % 64) & 1;
 
     // Candidates as `(bound, node)` packed into one `u64`, so comparing
-    // keys compares gains first and breaks ties toward the larger id.
+    // keys compares gains first and breaks ties toward the larger id. A
+    // node's degree over the whole collection is its first bound.
     let key = |bound: usize, v: NodeId| (bound as u64) << 32 | u64::from(v);
     let order = collection.degree_order();
     let mut streamed = 0;
@@ -215,8 +209,7 @@ fn lazy_greedy(
             }
             counted_in[v as usize] = round;
             stats.evals += 1;
-            let gain = collection
-                .sets_containing(v)
+            let gain = postings(v)
                 .iter()
                 .map(|&s| 1 - is_covered(&covered, s) as usize)
                 .sum();
@@ -226,7 +219,7 @@ fn lazy_greedy(
             }
         };
         let Some((v, gain)) = best else { break };
-        for &s in collection.sets_containing(v) {
+        for &s in postings(v) {
             covered[s as usize / 64] |= 1 << (s % 64);
         }
         result.covered += gain;
@@ -245,26 +238,6 @@ fn lazy_greedy(
     }
     stats.rounds = k;
     (result, stats)
-}
-
-/// A bitmap over set ids `0..len` with a set bit for every covered set:
-/// every set outside `ranges` starts covered. Ranges are cleared a whole
-/// word at a time where they span one.
-fn covered_outside(len: usize, ranges: &[Range<usize>]) -> Vec<u64> {
-    let mut bits = vec![u64::MAX; len.div_ceil(64)];
-    for r in ranges.iter().filter(|r| !r.is_empty()) {
-        let (first, last) = (r.start / 64, (r.end - 1) / 64);
-        let head = u64::MAX << (r.start % 64);
-        let tail = u64::MAX >> (63 - (r.end - 1) % 64);
-        if first == last {
-            bits[first] &= !(head & tail);
-        } else {
-            bits[first] &= !head;
-            bits[first + 1..last].fill(0);
-            bits[last] &= !tail;
-        }
-    }
-    bits
 }
 
 #[cfg(test)]
@@ -423,23 +396,25 @@ mod tests {
     }
 
     #[test]
-    fn ranged_variant_rejects_overlapping_or_outside_ranges() {
+    #[should_panic(expected = "past the 3 sets held")]
+    fn prefix_variant_rejects_an_end_past_the_sets() {
         let mut c = collection(&[&[0], &[1], &[2]], 3);
         c.ensure_inverted_index();
-        let (past_the_end, reversed) = (2..4, Range { start: 2, end: 1 });
-        let bad = [
-            &[0..2, 1..3][..],
-            &[2..3, 0..1],
-            std::slice::from_ref(&past_the_end),
-            std::slice::from_ref(&reversed),
-        ];
-        for ranges in bad {
-            let run = std::panic::catch_unwind(|| greedy_max_cover_ranges(&c, ranges, 1));
-            assert!(run.is_err(), "{ranges:?} must be rejected");
-        }
-        // Touching and empty ranges are fine.
-        let ok = greedy_max_cover_ranges(&c, &[0..1, 1..1, 1..2, 3..3], 3);
-        assert_eq!((ok.covered, &ok.seeds[..2]), (2, &[1, 0][..]));
+        let _ = greedy_max_cover_prefix(&c, 4, 1);
+    }
+
+    #[test]
+    fn an_empty_prefix_covers_nothing_and_pads() {
+        let mut c = collection(&[&[2], &[1, 2], &[0]], 3);
+        c.ensure_inverted_index();
+        let empty = greedy_max_cover_prefix(&c, 0, 2);
+        assert_eq!((empty.covered, &empty.seeds[..]), (0, &[0, 1][..]));
+        assert_eq!(empty.marginal, [0, 0]);
+        // The whole collection is the indexed entry point's answer.
+        assert_eq!(
+            greedy_max_cover_prefix(&c, 3, 2),
+            greedy_max_cover_indexed(&c, 2)
+        );
     }
 
     #[test]

@@ -16,7 +16,7 @@
 //!   submodular coverage), taking candidates in degree order. It is the
 //!   only solver: every caller, from one-shot TIM/TIM+ to the serving
 //!   engine, runs this one loop.
-//!   [`greedy_max_cover_ranges`] runs it over given set-id ranges only,
+//!   [`greedy_max_cover_prefix`] runs it over the sets `0..end` only,
 //!   which is how the engine answers a pool's θ-prefix without a copy.
 //!
 //! The `&mut` in the solver entry points exists only to build the lazy
@@ -41,6 +41,6 @@ mod mmap_sets;
 pub use collection::{build_inverted_index, count_covered_indexed, SetCollection};
 pub use greedy::{
     greedy_max_cover, greedy_max_cover_indexed, greedy_max_cover_indexed_stats,
-    greedy_max_cover_ranges, CoverResult, EvalStats,
+    greedy_max_cover_prefix, CoverResult, EvalStats,
 };
 pub use mmap_sets::{SetsLayout, SETS_SECTION_COUNT, SETS_SECTION_NAMES};

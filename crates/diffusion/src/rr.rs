@@ -29,8 +29,10 @@ use tim_rng::{RandomSource, Rng};
 /// sampler can be told apart: `tim_core` folds it into every
 /// node-selection stream seed, which RR-set pools record. Revision 0 is
 /// the paper's one-coin-per-in-edge IC sampler; revision 1 samples IC
-/// in-edges by subset sampling.
-pub const SAMPLER_REVISION: u64 = 1;
+/// in-edges by subset sampling; revision 2 draws set j of a stream from
+/// a generator keyed by `(seed, j)` (`tim_core::parallel`) instead of
+/// from 64 shard streams.
+pub const SAMPLER_REVISION: u64 = 2;
 
 /// Cost accounting for one generated RR set.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]

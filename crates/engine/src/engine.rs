@@ -1,8 +1,8 @@
 //! The warm-pool query engine.
 //!
 //! An engine's answerable state is one immutable [`State`]: the pool,
-//! its θ and shard cursors, `k_max`, the plan cache, the fast cover, the
-//! growth epoch and whether the warm-up has finished. Each query has one
+//! its θ, `k_max`, the plan cache, the fast cover, the growth epoch and
+//! whether the warm-up has finished. Each query has one
 //! `&self` answer function on it that returns the answer or the [`Miss`]
 //! it lacks, and [`Setup::prepare`] turns a state and a miss into the
 //! next state by planning, sampling or running the fast greedy.
@@ -14,9 +14,9 @@ use crate::error::EngineError;
 use crate::pool::{PoolMeta, RrPool};
 use std::collections::BTreeMap;
 use std::sync::Arc;
-use tim_core::parallel::{extend_rr_sets, prefix_ranges, ShardCursors};
+use tim_core::parallel::extend_rr_sets;
 use tim_core::{select_stream_seed, SamplingPlan, TimPlus};
-use tim_coverage::{greedy_max_cover_indexed, greedy_max_cover_ranges, CoverResult, SetCollection};
+use tim_coverage::{greedy_max_cover_indexed, greedy_max_cover_prefix, CoverResult, SetCollection};
 use tim_diffusion::DiffusionModel;
 use tim_graph::catalog::check_accuracy;
 use tim_graph::{Graph, GraphStore, NodeId};
@@ -52,10 +52,6 @@ pub(crate) struct State {
     /// sets. Growth replaces it with a heap collection.
     pub(crate) pool: Arc<SetCollection>,
     pub(crate) pool_theta: u64,
-    /// Where each shard's stream stands after the pool's sets, so growth
-    /// draws only the tails. Memory only: a pool attached from a file
-    /// has none, and its first growth redraws it whole.
-    cursors: Option<ShardCursors>,
     pub(crate) k_max: usize,
     /// False until the warm-up finishes ([`QueryEngine::warm`]). An
     /// unsettled state answers exact selects whose plan and θ it holds
@@ -89,7 +85,6 @@ impl State {
         State {
             pool: Arc::new(SetCollection::new(n)),
             pool_theta: 0,
-            cursors: None,
             k_max,
             settled: false,
             plans: BTreeMap::new(),
@@ -119,8 +114,7 @@ impl State {
         if plan.theta > self.pool_theta {
             return Err(miss);
         }
-        let ranges = prefix_ranges(self.pool_theta, plan.theta);
-        let cover = greedy_max_cover_ranges(&self.pool, &ranges, plan.k);
+        let cover = greedy_max_cover_prefix(&self.pool, plan.theta as usize, plan.k);
         let frac = cover.coverage_fraction(plan.theta as usize);
         debug_assert_eq!(cover.seeds.len(), plan.k.min(self.n()));
         Ok(QueryOutcome {
@@ -286,39 +280,27 @@ impl<M: DiffusionModel + Clone> Setup<M> {
     }
 
     /// Grows `next`'s pool to `theta` sets, if it holds fewer, and says
-    /// whether it did. A pool with cursors draws only each shard's tail;
-    /// one without (cold, or attached from a file) is drawn whole from
-    /// the selection stream. Both give the same sets: the old pool is a
-    /// shard-aligned prefix of the new one. Growth is always heap-side,
-    /// so a mapped pool is replaced, and the next spill persists the
-    /// grown pool as a fresh v2 file.
+    /// whether it did. The pool holds sets `0..pool_theta` of the
+    /// selection stream, whether it was sampled here or attached from a
+    /// file, so growth copies it and draws only sets `pool_theta..theta`.
+    /// Growth is always heap-side, so a mapped pool is copied onto the
+    /// heap, and the next spill persists the grown pool as a fresh v2
+    /// file.
     fn grow(&self, next: &mut State, theta: u64) -> bool {
         if theta <= next.pool_theta {
             return false;
         }
-        let empty;
-        let (pool, cursors) = match &next.cursors {
-            Some(cursors) => (&*next.pool, cursors),
-            None => {
-                empty = (
-                    SetCollection::new(self.store.n()),
-                    ShardCursors::start(self.select_seed),
-                );
-                (&empty.0, &empty.1)
-            }
-        };
-        let (mut pool, cursors, _) = extend_rr_sets(
+        let (mut pool, _) = extend_rr_sets(
             self.store.graph(),
             &self.model,
-            pool,
-            cursors,
+            &next.pool,
+            self.select_seed,
             theta,
             self.threads,
         );
         pool.ensure_inverted_index();
         next.pool = Arc::new(pool);
         next.pool_theta = theta;
-        next.cursors = Some(cursors);
         next.fast = None;
         true
     }
@@ -361,7 +343,7 @@ impl<M: DiffusionModel + Clone> Setup<M> {
 /// - [`select`](Self::select) — **exact replay**: re-derives the
 ///   [`SamplingPlan`] for the queried `k`, runs greedy over just the
 ///   θ-prefix a fresh run would have sampled, read in place from the
-///   pool (see [`prefix_ranges`]), and returns seed sets
+///   pool (see [`greedy_max_cover_prefix`]), and returns seed sets
 ///   **byte-identical** to [`TimPlus::run`] at the same
 ///   `(seed, ε, ℓ, k)`. The pool grows (resamples) only when ε/ℓ/k
 ///   demand a larger θ than it holds.
@@ -633,10 +615,11 @@ impl<M: DiffusionModel + Clone> QueryEngine<M> {
     ///
     /// θ(k) = λ(k)/KPT⁺(k) is not monotone in `k`: λ grows with `k`, but
     /// so does the KPT⁺ bound. On the 300-node test graphs θ(1) is well
-    /// above θ(k_max): θ(1) = 40,739 against θ(12) = 15,023 at ε = 0.8
+    /// above θ(k_max): θ(1) = 38,800 against θ(12) = 12,433 at ε = 0.8
     /// and run seed 13. On the 50k-node benchmark graph it is the other
-    /// way round: θ(1) = 64,789 against θ(50) = 164,274 at ε = 0.3 and
-    /// run seed 7. So no one plan bounds the rest. Warming plans every `k` in `1..=k_max` in one batched pass
+    /// way round: θ(1) = 64,987 against θ(50) = 150,757 at ε = 0.3 and
+    /// run seed 7. So no one plan bounds the rest. Warming plans every
+    /// `k` in `1..=k_max` in one batched pass
     /// ([`TimPlus::plans`], which costs about as much as the most
     /// expensive single plan), caches every plan, and samples exactly
     /// `max θ(k)`: the smallest pool that holds every exact
@@ -649,9 +632,9 @@ impl<M: DiffusionModel + Clone> QueryEngine<M> {
     /// change their answers.
     ///
     /// After [`start_warm`](Self::start_warm) this is the warm-up's
-    /// second step: it plans the other sizes and tops the pool up through
-    /// its shard cursors, drawing only each shard's tail. The pool ends
-    /// byte-identical to a warm-up in one call.
+    /// second step: it plans the other sizes and tops the pool up,
+    /// drawing only the sets past θ(`k_max`). The pool ends byte-identical
+    /// to a warm-up in one call.
     pub fn warm(&mut self) -> u64 {
         self.answer(State::warm_theta).0
     }
@@ -751,7 +734,8 @@ pub(crate) const PREPARED: &str = "a prepared state answers the query it missed"
 #[cfg(test)]
 mod tests {
     use super::*;
-    use tim_diffusion::IndependentCascade;
+    use std::sync::atomic::{AtomicU64, Ordering};
+    use tim_diffusion::{CustomTriggering, IndependentCascade};
     use tim_graph::{gen, weights};
 
     fn wc_graph(n: usize, seed: u64) -> Graph {
@@ -986,7 +970,7 @@ mod tests {
         one.warm();
         let mut two = engine(13);
         // Step one: θ(12) alone, although θ(1) is larger on this graph.
-        assert_eq!(two.start_warm(), 15_023);
+        assert_eq!(two.start_warm(), 12_433);
         assert!(!two.state.settled);
         let (eps, ell) = (0.8, 1.0);
         let first = two
@@ -1000,7 +984,7 @@ mod tests {
             .run(&wc_graph(300, 1), 12);
         assert_eq!(first.seeds, run.seeds);
         assert_eq!(first.seeds, one.select(12).seeds);
-        assert_eq!(first.theta_used, 15_023);
+        assert_eq!(first.theta_used, 12_433);
         // Nothing that reads the whole pool answers yet, nor any other k.
         let seeds = first.seeds.clone();
         assert!(matches!(two.state.spread(&seeds), Err(Miss::Warm)));
@@ -1014,10 +998,10 @@ mod tests {
             Err(Miss::Plan { k: 1, .. })
         ));
 
-        // Step two tops the pool up through its cursors to the one-step
-        // pool, byte for byte, without counting as a growth.
+        // Step two tops the pool up to the one-step pool, byte for byte,
+        // without counting as a growth.
         let epoch = two.state.epoch;
-        assert_eq!(two.warm(), 40_739);
+        assert_eq!(two.warm(), 38_800);
         assert!(two.state.settled);
         assert_eq!(two.state.epoch, epoch);
         assert_eq!(two.state.pool.raw_offsets(), one.state.pool.raw_offsets());
@@ -1079,9 +1063,9 @@ mod tests {
         std::fs::remove_dir_all(&dir).ok();
         let store = crate::PoolStore::open(&dir).unwrap();
         let shared = crate::SharedEngine::new(two);
-        assert_eq!(shared.pool_theta(), 15_023);
+        assert_eq!(shared.pool_theta(), 12_433);
         store.spill(&shared.to_pool()).unwrap();
-        assert_eq!(shared.pool_theta(), 40_739);
+        assert_eq!(shared.pool_theta(), 38_800);
         let stored = store
             .probe(&crate::PoolId::from_meta(&one.pool_meta()))
             .unwrap()
@@ -1092,38 +1076,68 @@ mod tests {
         std::fs::remove_dir_all(&dir).ok();
     }
 
+    /// Independent Cascade wrapped to count its triggering-set draws in
+    /// `calls`.
+    fn counting_ic(calls: &Arc<AtomicU64>) -> impl DiffusionModel + Clone + Send {
+        let calls = Arc::clone(calls);
+        CustomTriggering::new("counting-ic", move |g, v, rng, out| {
+            calls.fetch_add(1, Ordering::Relaxed);
+            IndependentCascade.sample_triggering_set(g, v, rng, out);
+        })
+    }
+
+    #[cfg(unix)]
     #[test]
-    fn growth_draws_only_the_tails_through_the_cursors() {
-        // A sampled pool keeps its cursors, so growth extends it; a pool
-        // attached from a file has none and is redrawn whole. Both give
-        // the pool a fresh run at the grown θ draws.
-        let mut e = engine(6);
-        e.warm();
-        let restored =
-            QueryEngine::from_pool(wc_graph(300, 1), IndependentCascade, "ic", e.to_pool())
+    fn an_attached_pool_grows_by_drawing_only_its_new_sets() {
+        // Set j of a pool depends only on (seed, j), so any pool of sets
+        // 0..θ grows by drawing sets θ..θ′ alone. A pool restored onto the
+        // heap and one mapped from a v2 file make exactly the sampler
+        // calls of the engine that sampled it, and all three end as a
+        // fresh θ′-run.
+        let calls = Arc::new(AtomicU64::new(0));
+        let mut sampled = QueryEngine::new(wc_graph(300, 1), counting_ic(&calls), "ic")
+            .epsilon(0.8)
+            .seed(6)
+            .threads(2)
+            .k_max(12);
+        sampled.warm();
+        let dir = std::env::temp_dir().join(format!("tim_engine_grow_{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = dir.join("pool.timp");
+        sampled.to_pool().save_v2(&path).unwrap();
+        let attach = |pool| {
+            let store = GraphStore::from_arc(sampled.graph_arc());
+            QueryEngine::from_pool_store(store, counting_ic(&calls), "ic", pool)
                 .unwrap()
-                .threads(2);
-        assert!(e.state.cursors.is_some() && restored.state.cursors.is_none());
-        let mut restored = restored;
-        let grown = e.select_with(12, Some(0.4), None);
-        let redrawn = restored.select_with(12, Some(0.4), None);
-        assert!(grown.resampled && redrawn.resampled);
-        assert_eq!(grown.seeds, redrawn.seeds);
+                .threads(2)
+        };
+        let mut heap = attach(RrPool::load(&path).unwrap());
+        let mut mapped = attach(RrPool::open_mapped(&path).unwrap());
+        assert!(!heap.pool_is_mapped() && mapped.pool_is_mapped());
+
+        let grow = |e: &mut QueryEngine<_>| {
+            let before = calls.load(Ordering::Relaxed);
+            let out = e.select_with(12, Some(0.4), None);
+            assert!(out.resampled);
+            (out.seeds, calls.load(Ordering::Relaxed) - before)
+        };
+        let (seeds, draws) = grow(&mut sampled);
+        assert_eq!(grow(&mut heap), (seeds.clone(), draws));
+        assert_eq!(grow(&mut mapped), (seeds, draws));
+        assert!(!mapped.pool_is_mapped(), "growth moves the pool heap-side");
+
         let (fresh, _) = tim_core::parallel::generate_rr_sets(
-            e.graph(),
-            &IndependentCascade,
-            e.pool_theta(),
+            sampled.graph(),
+            &counting_ic(&calls),
+            sampled.pool_theta(),
             select_stream_seed(6),
             3,
         );
-        for pool in [&e.state.pool, &restored.state.pool] {
-            assert_eq!(pool.raw_offsets(), fresh.raw_offsets());
-            assert_eq!(pool.raw_data(), fresh.raw_data());
+        for e in [&sampled, &heap, &mapped] {
+            assert_eq!(e.state.pool.raw_offsets(), fresh.raw_offsets());
+            assert_eq!(e.state.pool.raw_data(), fresh.raw_data());
         }
-        assert_eq!(
-            restored.state.cursors.as_ref().map(ShardCursors::theta),
-            Some(e.pool_theta())
-        );
+        std::fs::remove_dir_all(&dir).ok();
     }
 
     #[test]

@@ -13,11 +13,13 @@
 //!   that the loader validates before the pool may serve a graph;
 //! - [`QueryEngine`] — answers seed-selection queries for any `k` from a
 //!   warm pool, **byte-identical** to a fresh [`tim_core::TimPlus`] run
-//!   at the same `(seed, ε, ℓ, k)` (exact replay via the sampling
-//!   stream's shard structure), or via a single cached greedy run
-//!   (prefix answering); plus spread and marginal-gain estimates against
-//!   the pool. It resamples only when ε/ℓ/k demand a larger θ than the
-//!   pool holds.
+//!   at the same `(seed, ε, ℓ, k)` (exact replay: set j of the sampling
+//!   stream depends only on `(seed, j)`, so a run's θ(k) sets are the
+//!   pool's first θ(k)), or via a single cached greedy run (prefix
+//!   answering); plus spread and marginal-gain estimates against the
+//!   pool. It resamples only when ε/ℓ/k demand a larger θ than the pool
+//!   holds, and then draws only the sets past the pool's θ, whether the
+//!   pool was sampled in the process or attached from a file.
 //!
 //! Pairs with [`tim_graph::snapshot`] (binary `.timg` graph snapshots) so
 //! that a serving process starts without touching a text parser: load
@@ -27,7 +29,7 @@
 //! state: a per-tenant directory of provenance-keyed `.timp` files with
 //! atomic write-then-rename spills and quarantine of corrupt or foreign
 //! files, so every pool a process builds outlives the process. Spills
-//! default to the page-aligned `.timp` v2 layout, which persists the
+//! write the page-aligned `.timp` v2 layout, which persists the
 //! inverted index; [`RrPool::open_mapped`] attaches such a file
 //! zero-copy (`PROT_READ`) as the same [`RrPool`] a heap decode yields,
 //! so restarting a service costs a header parse and a bounds scan

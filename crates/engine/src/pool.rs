@@ -83,8 +83,8 @@ pub const POOL_V2_HEADER_BYTES: u64 = 264;
 pub const POOL_V2_ALIGN: u64 = 4096;
 
 /// Capacity of the fixed model-tag field in the v2 header. Longer tags
-/// cannot be spilled as v2; [`RrPool::write_v2`] rejects them so the
-/// caller can fall back to v1.
+/// cannot be spilled: [`RrPool::write_v2`] rejects them, and model
+/// registration in the serving catalog refuses them up front.
 pub const POOL_V2_MODEL_TAG_MAX: usize = 32;
 
 fn fnv1a(bytes: &[u8]) -> u64 {
@@ -139,7 +139,7 @@ pub struct PoolMeta {
 pub struct RrPool {
     /// Provenance header.
     pub meta: PoolMeta,
-    /// The sampled RR sets, in generation (shard) order.
+    /// The sampled RR sets, in generation order: set j at position j.
     pub sets: SetCollection,
 }
 
@@ -356,14 +356,13 @@ impl RrPool {
     /// index arrays are computed here without mutating the pool.
     ///
     /// Errors with [`EngineError::Format`] when the model tag exceeds
-    /// [`POOL_V2_MODEL_TAG_MAX`] bytes — fall back to [`write`](Self::write)
-    /// (v1) for such pools.
+    /// [`POOL_V2_MODEL_TAG_MAX`] bytes.
     pub fn write_v2<W: Write>(&self, mut writer: W) -> Result<(), EngineError> {
         let model = self.meta.model.as_bytes();
         if model.len() > POOL_V2_MODEL_TAG_MAX {
             return Err(EngineError::Format(format!(
                 "model tag is {} bytes; the v2 header stores at most \
-                 {POOL_V2_MODEL_TAG_MAX} — spill as v1 instead",
+                 {POOL_V2_MODEL_TAG_MAX}, so the pool cannot be written",
                 model.len()
             )));
         }
@@ -829,7 +828,7 @@ mod tests {
         pool.meta.model = "m".repeat(POOL_V2_MODEL_TAG_MAX + 1);
         let mut buf = Vec::new();
         match pool.write_v2(&mut buf) {
-            Err(EngineError::Format(m)) => assert!(m.contains("spill as v1"), "{m}"),
+            Err(EngineError::Format(m)) => assert!(m.contains("cannot be written"), "{m}"),
             other => panic!("expected a format error, got {other:?}"),
         }
         // v1 still accepts the same pool.

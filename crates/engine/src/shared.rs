@@ -430,7 +430,7 @@ mod tests {
 
     /// An engine over Independent Cascade wrapped to stall or panic
     /// inside `sample_triggering_set` on demand, shared after the warm-up's
-    /// first step. θ(1) = 30,178 exceeds θ(8) = 15,988, so step two tops
+    /// first step. θ(1) = 33,950 exceeds θ(8) = 14,050, so step two tops
     /// the pool up.
     fn faulty_engine(faults: &Arc<Faults>) -> SharedEngine<impl DiffusionModel + Clone + Send> {
         let faults = Arc::clone(faults);
@@ -457,7 +457,7 @@ mod tests {
         reference.warm();
         let faults = Arc::new(Faults::default());
         let s = Arc::new(faulty_engine(&faults));
-        assert_eq!(s.pool_theta(), 15_988);
+        assert_eq!(s.pool_theta(), 14_050);
 
         // Step two stalls inside its planning or its top-up…
         faults.stall.store(true, Ordering::Release);
@@ -495,9 +495,9 @@ mod tests {
             !spreader.is_finished(),
             "spread answered an unsettled state"
         );
-        assert_eq!(s.pool_theta(), 15_988, "nothing published mid-warm-up");
+        assert_eq!(s.pool_theta(), 14_050, "nothing published mid-warm-up");
         faults.stall.store(false, Ordering::Release);
-        assert_eq!(finisher.join().unwrap(), 30_178);
+        assert_eq!(finisher.join().unwrap(), 33_950);
         let spread = spreader.join().unwrap();
         assert_eq!(spread.to_bits(), reference.spread(&want.seeds).to_bits());
         assert_eq!(s.pool_theta(), reference.pool_theta());

@@ -38,8 +38,7 @@
 
 use crate::error::EngineError;
 use crate::pool::{
-    pool_version, temp_sibling, write_atomically, PoolMeta, RrPool, POOL_V2_MODEL_TAG_MAX,
-    POOL_VERSION_V2,
+    pool_version, temp_sibling, write_atomically, PoolMeta, RrPool, POOL_VERSION_V2,
 };
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -356,19 +355,12 @@ impl PoolStore {
     /// same provenance is safe: both writers produce byte-identical
     /// files for the same θ, and rename makes the last one win whole.
     ///
-    /// Pools are written in the mmap-able `.timp` v2 layout unless the
-    /// model tag exceeds the v2 header's fixed field, in which case the
-    /// spill transparently falls back to v1 (losing only the zero-copy
-    /// restore path for that pool).
+    /// Pools are written in the mmap-able `.timp` v2 layout only. A model
+    /// tag longer than the v2 header's fixed field fails the spill with
+    /// [`RrPool::write_v2`]'s error and leaves no file behind.
     pub fn spill(&self, pool: &RrPool) -> Result<PathBuf, EngineError> {
         let path = self.path_for(&PoolId::from_meta(&pool.meta));
-        write_atomically(&path, |writer| {
-            if pool.meta.model.len() <= POOL_V2_MODEL_TAG_MAX {
-                pool.write_v2(writer)
-            } else {
-                pool.write(writer)
-            }
-        })?;
+        write_atomically(&path, |writer| pool.write_v2(writer))?;
         self.spills.fetch_add(1, Ordering::Relaxed);
         self.write_index();
         Ok(path)
@@ -689,15 +681,33 @@ mod tests {
     }
 
     #[test]
-    fn oversized_model_tags_spill_as_v1() {
-        let (dir, store) = tmp_store("v1_fallback");
+    fn spills_are_v2_and_oversized_model_tags_leave_no_file() {
+        let (dir, store) = tmp_store("v2_only");
+        let max = crate::pool::POOL_V2_MODEL_TAG_MAX;
+        // A tag that fills the v2 field spills as v2 and maps back.
         let mut p = pool(14, 3);
-        p.meta.model = "m".repeat(crate::pool::POOL_V2_MODEL_TAG_MAX + 1);
+        p.meta.model = "m".repeat(max);
         let path = store.spill(&p).unwrap();
-        assert_eq!(pool_version(&path).unwrap(), crate::pool::POOL_VERSION);
+        assert_eq!(pool_version(&path).unwrap(), POOL_VERSION_V2);
         let id = PoolId::from_meta(&p.meta);
         let got = store.probe_backed(&id, true).unwrap().expect("restored");
-        assert!(matches!(got, ProbedPool::Heap(_)));
+        assert!(matches!(got, ProbedPool::Mapped(_)));
+        std::fs::remove_file(&path).unwrap();
+
+        // One byte longer: the v2 writer's error, and no file, whole or
+        // temporary.
+        p.meta.model.push('m');
+        match store.spill(&p) {
+            Err(EngineError::Format(m)) => assert!(m.contains("cannot be written"), "{m}"),
+            other => panic!("expected a format error, got {other:?}"),
+        }
+        let left: Vec<_> = std::fs::read_dir(&dir)
+            .unwrap()
+            .map(|e| e.unwrap().file_name().into_string().unwrap())
+            .filter(|name| name.ends_with(".timp") || name.starts_with(".tmp-"))
+            .collect();
+        assert!(left.is_empty(), "{left:?}");
+        assert_eq!(store.len(), 0);
         std::fs::remove_dir_all(&dir).ok();
     }
 

@@ -14,8 +14,9 @@
 //!   `V*` of Lemma 4 and for LT-model in-edge selection.
 //!
 //! Everything here is deterministic given a seed, independent of platform
-//! and thread count (parallel code derives per-shard generators from the
-//! base seed, never from global state).
+//! and thread count (parallel code derives its generators from the base
+//! seed — per shard, or per RR set keyed by the set's index — never from
+//! global state).
 
 mod alias;
 mod splitmix;

@@ -45,7 +45,7 @@ use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, RwLock, Weak};
 use tim_diffusion::DiffusionModel;
-use tim_engine::{PoolStore, ProbedPool, QueryEngine, SharedEngine};
+use tim_engine::{PoolStore, ProbedPool, QueryEngine, SharedEngine, POOL_V2_MODEL_TAG_MAX};
 use tim_graph::catalog::GraphOverrides;
 use tim_graph::{io, weights, Graph, GraphStore};
 
@@ -436,7 +436,8 @@ impl<M: DiffusionModel + Send + Clone + 'static> GraphCatalog<M> {
     ///
     /// # Panics
     /// Panics if a config parameter is out of range (non-positive ε/ℓ,
-    /// zero `k_max`, zero `pool_cache`, zero `max_loaded`).
+    /// zero `k_max`, zero `pool_cache`, zero `max_loaded`), or if
+    /// [`register_model`](Self::register_model) refuses `model_name`.
     pub fn new(model: M, model_name: impl Into<String>, config: ServerConfig) -> Self {
         assert!(config.epsilon > 0.0, "epsilon must be positive");
         assert!(config.ell > 0.0, "ell must be positive");
@@ -444,11 +445,9 @@ impl<M: DiffusionModel + Send + Clone + 'static> GraphCatalog<M> {
         assert!(config.pool_cache >= 1, "pool_cache must be at least 1");
         assert!(config.max_loaded >= 1, "max_loaded must be at least 1");
         let model_name = model_name.into();
-        let mut models = HashMap::new();
-        models.insert(model_name.clone(), model);
-        GraphCatalog {
-            models,
-            model_name,
+        let mut catalog = GraphCatalog {
+            models: HashMap::new(),
+            model_name: model_name.clone(),
             config: Arc::new(config),
             inner: RwLock::new(CatalogInner {
                 slots: HashMap::new(),
@@ -459,14 +458,25 @@ impl<M: DiffusionModel + Send + Clone + 'static> GraphCatalog<M> {
                 loaded: HashMap::new(),
                 stats: CatalogStats::default(),
             }),
-        }
+        };
+        catalog.register_model(model_name, model);
+        catalog
     }
 
     /// Registers an additional diffusion model under `tag`, making
     /// `model=<tag>` a valid per-graph override. The CLI registers both
     /// `ic` and `lt` so one catalog can serve graphs under either model.
+    ///
+    /// # Panics
+    /// Panics if `tag` is longer than [`POOL_V2_MODEL_TAG_MAX`] bytes, the
+    /// field a pool file records it in: no pool under it could be spilled.
     pub fn register_model(&mut self, tag: impl Into<String>, model: M) {
-        self.models.insert(tag.into(), model);
+        let tag = tag.into();
+        assert!(
+            tag.len() <= POOL_V2_MODEL_TAG_MAX,
+            "model tag {tag:?} is longer than the {POOL_V2_MODEL_TAG_MAX} bytes a pool file records"
+        );
+        self.models.insert(tag, model);
     }
 
     /// The registered model tags, sorted.
@@ -1063,6 +1073,14 @@ mod tests {
         assert!(Arc::ptr_eq(&state_a, &c.get("a").unwrap()));
         assert!(c.detach("nope").unwrap_err().contains("unknown graph"));
         std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    #[should_panic(expected = "longer than the 32 bytes")]
+    fn register_model_rejects_a_tag_no_pool_file_can_record() {
+        let mut c = catalog(4);
+        c.register_model("m".repeat(POOL_V2_MODEL_TAG_MAX), IndependentCascade);
+        c.register_model("m".repeat(POOL_V2_MODEL_TAG_MAX + 1), IndependentCascade);
     }
 
     #[test]

@@ -13,7 +13,7 @@ use tim_server::{protocol, LabelMap, Server, ServerConfig, ServerState};
 /// BA(300, 4, p = 0.1), symmetrised as `tim snapshot --undirected` does
 /// (an edge-list round trip), with weighted-cascade probabilities. At
 /// ε = 0.8 and seed 7, θ(k) rises with k past k_max = 8: θ(1..=8) ≤
-/// 3,345 while θ(16) = 4,063, so `select 16` grows a warm pool.
+/// 4,572 while θ(32) = 5,684, so `select 32` grows a warm pool.
 fn wc_graph() -> Graph {
     let g = gen::barabasi_albert(300, 4, 0.1, 1);
     let mut text = Vec::new();
@@ -134,11 +134,11 @@ fn interleaved_clients_get_byte_identical_answers() {
 
 #[test]
 fn pool_growth_keeps_exact_replay_byte_identical() {
-    // k = 16 > k_max = 8 needs θ(16) > max θ(1..=8), so the default pool
+    // k = 32 > k_max = 8 needs θ(32) > max θ(1..=8), so the default pool
     // grows mid-session. Exact-replay selects carve their plan's
     // θ-prefix out of whatever the pool holds, so even clients racing
     // the growth get answers byte-identical to the serial replay.
-    let script: Vec<String> = ["select 16", "select 3", "select 8", "select 1"]
+    let script: Vec<String> = ["select 32", "select 3", "select 8", "select 1"]
         .iter()
         .map(|s| s.to_string())
         .collect();
@@ -150,7 +150,7 @@ fn pool_growth_keeps_exact_replay_byte_identical() {
         .map(|s| s.to_string())
         .collect();
     let reads_before = serial_replay(&reads);
-    let grown: Vec<String> = std::iter::once("select 16".to_string())
+    let grown: Vec<String> = std::iter::once("select 32".to_string())
         .chain(reads.iter().cloned())
         .collect();
     let reads_after = serial_replay(&grown)[1..].to_vec();
@@ -201,7 +201,7 @@ fn pool_growth_keeps_exact_replay_byte_identical() {
     assert_eq!(
         engine.growth_epoch(),
         1,
-        "select 16 must grow the pool once"
+        "select 32 must grow the pool once"
     );
     assert!(engine.pool_theta() > warm_theta);
     handle.stop();

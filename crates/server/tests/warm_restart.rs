@@ -20,8 +20,8 @@ fn wc_graph(n: usize, seed: u64) -> Graph {
 
 /// BA(300, 4, p = 0.1), symmetrised as `tim snapshot --undirected` does
 /// (an edge-list round trip), with weighted-cascade probabilities. At
-/// ε = 0.8 and seed 7, θ(k) rises with k past k = 8: θ(1..=8) ≤ 3,345
-/// while θ(16) = 4,063, so `select 16` grows a pool warmed for k_max = 8.
+/// ε = 0.8 and seed 7, θ(k) rises with k past k = 8: θ(1..=8) ≤ 4,572
+/// while θ(32) = 5,684, so `select 32` grows a pool warmed for k_max = 8.
 fn rising_theta_graph() -> Graph {
     let g = gen::barabasi_albert(300, 4, 0.1, 1);
     let mut text = Vec::new();
@@ -208,14 +208,14 @@ fn growth_on_mapped_pool_races_readers_and_stays_byte_identical() {
     };
 
     // Reader sessions stay within the provisioned k_max = 8; the grower
-    // asks for k = 16, whose θ exceeds the warm pool, which forces
+    // asks for k = 32, whose θ exceeds the warm pool, which forces
     // ensure_theta to resample — on a mapped pool that swaps the
     // backing heap-side mid-serve.
     let readers: [&str; 2] = [
         "select 3\neval 0,1\nselect 2 fast\nmarginal 0 2\nselect 4\n",
         "select 2\nmarginal 0,1 3\neval 2,3\nselect 3 fast\nselect 8\n",
     ];
-    let grower = "select 16\nselect 3\neval 0,1\n";
+    let grower = "select 32\nselect 3\neval 0,1\n";
 
     // Spill once, then capture the heap-restart reference transcripts
     // serially: the readers before the growth, the grower, and the
@@ -269,7 +269,7 @@ fn growth_on_mapped_pool_races_readers_and_stays_byte_identical() {
     });
     handle.stop();
     let engine = mapped_state.default_engine();
-    assert_eq!(engine.growth_epoch(), 1, "select 16 grows the mapped pool");
+    assert_eq!(engine.growth_epoch(), 1, "select 32 grows the mapped pool");
     assert!(engine.pool_theta() > warm_theta);
     assert_eq!(
         mapped_state.default_state().cache_stats().builds,

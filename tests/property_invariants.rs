@@ -2,9 +2,8 @@
 //! graphs and random seed sets.
 
 use proptest::prelude::*;
-use std::ops::Range;
 use tim_influence::coverage::{
-    greedy_max_cover, greedy_max_cover_indexed_stats, greedy_max_cover_ranges, SetCollection,
+    greedy_max_cover, greedy_max_cover_indexed_stats, greedy_max_cover_prefix, SetCollection,
 };
 use tim_influence::prelude::*;
 use tim_influence::rng::Xoshiro256pp as TimRng;
@@ -174,12 +173,12 @@ proptest! {
     /// `(gain, node)` wins, and once nothing is left to cover the smallest
     /// unselected id pads. Warm-pool replay relies on exactly this order,
     /// so the seeds and the marginals must both match, padding included.
-    /// Both over the whole collection and over random disjoint set-id
-    /// ranges, where sets outside the ranges start covered and the ranged
-    /// answer equals greedy on a copy of just the in-range sets.
+    /// Both over the whole collection and over a random prefix `0..end`
+    /// of its sets, whose answer equals greedy on a copy of just those
+    /// sets.
     ///
     /// Three input shapes (`shape`): up to 100 sets over up to 50 nodes;
-    /// 120 to 714 sets of which the ranges keep under a tenth, so degree
+    /// 120 to 714 sets of which the prefix keeps under a tenth, so degree
     /// bounds sit far above the gains; and many small sets over 2–6
     /// nodes, so candidates tie and the choice between the degree order
     /// and the heap decides picks.
@@ -190,7 +189,7 @@ proptest! {
         n in 2usize..50,
         sets in 0usize..100,
         k_frac in 0.0f64..1.0,
-        cuts in proptest::collection::vec(0usize..101, 0..12),
+        end_frac in 0.0f64..1.0,
     ) {
         let c = match shape {
             0 => random_collection(seed, n, sets, 6),
@@ -199,30 +198,19 @@ proptest! {
         };
         let n = c.universe();
         let k = 1 + (k_frac * (n - 1) as f64) as usize;
-        // Sorted cut points paired up are ascending disjoint ranges,
-        // some empty, some touching.
-        let mut cuts: Vec<usize> = cuts.iter().map(|&x| x % (c.len() + 1)).collect();
-        cuts.sort_unstable();
-        // At most six ranges: in shape 1 each keeps under len/60 sets.
-        let keep = if shape == 1 { c.len().div_ceil(60) - 1 } else { c.len() };
-        let ranges: Vec<Range<usize>> = cuts
-            .chunks_exact(2)
-            .map(|w| w[0]..w[1].min(w[0] + keep))
-            .collect();
+        // Any prefix end in 0..=len; in shape 1, under len/10.
+        let cap = if shape == 1 { c.len().div_ceil(10) - 1 } else { c.len() };
+        let end = (end_frac * (cap + 1) as f64) as usize;
         let (full, stats) = greedy_max_cover_indexed_stats(&c, k);
         prop_assert_eq!(stats.rounds, k);
-        let whole = 0..c.len();
-        let runs = [
-            (std::slice::from_ref(&whole), full),
-            (&ranges[..], greedy_max_cover_ranges(&c, &ranges, k)),
-        ];
-        for (ranges, got) in runs {
+        let runs = [(c.len(), full), (end, greedy_max_cover_prefix(&c, end, k))];
+        for (end, got) in runs {
             prop_assert_eq!(got.seeds.len(), k);
 
-            let mut covered = vec![true; c.len()];
+            // Sets past the prefix count as covered from the start.
+            let mut covered: Vec<bool> = (0..c.len()).map(|s| s >= end).collect();
             let mut gain = vec![0usize; n];
-            for s in ranges.iter().cloned().flatten() {
-                covered[s] = false;
+            for s in 0..end {
                 for &u in c.set(s) {
                     gain[u as usize] += 1;
                 }
@@ -237,8 +225,8 @@ proptest! {
                     Some((g, v)) => (v, g),
                     None => ((0..n).find(|&v| !selected[v]).unwrap() as NodeId, 0),
                 };
-                prop_assert_eq!(node, want, "round {} of {:?}", round, ranges);
-                prop_assert_eq!(got.marginal[round], marginal, "round {} of {:?}", round, ranges);
+                prop_assert_eq!(node, want, "round {} of 0..{}", round, end);
+                prop_assert_eq!(got.marginal[round], marginal, "round {} of 0..{}", round, end);
                 for &s in c.sets_containing(node) {
                     if !covered[s as usize] {
                         covered[s as usize] = true;
@@ -251,10 +239,10 @@ proptest! {
             }
 
             let mut copy = SetCollection::new(n);
-            for s in ranges.iter().cloned().flatten() {
+            for s in 0..end {
                 copy.push(c.set(s));
             }
-            prop_assert_eq!(got, greedy_max_cover(&mut copy, k), "{:?}", ranges);
+            prop_assert_eq!(got, greedy_max_cover(&mut copy, k), "0..{}", end);
         }
     }
 }
