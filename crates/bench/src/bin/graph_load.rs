@@ -27,7 +27,7 @@
 use std::time::Instant;
 use tim_core::select::node_selection;
 use tim_diffusion::IndependentCascade;
-use tim_graph::{gen, snapshot, weights, Graph, GraphStore};
+use tim_graph::{gen, io, snapshot, weights, Graph, GraphStore};
 
 struct Opts {
     quick: bool,
@@ -110,8 +110,9 @@ fn run_scale(
     let labels: Vec<u64> = (0..graph.n() as u64).collect();
     let v1_path = dir.join(format!("{name}.v1.timg"));
     let v2_path = dir.join(format!("{name}.v2.timg"));
-    snapshot::save_snapshot(&graph, &labels, &v1_path).expect("write v1");
-    snapshot::save_snapshot_v2(&graph, &labels, &v2_path).expect("write v2");
+    let v1_file = std::io::BufWriter::new(std::fs::File::create(&v1_path).expect("create v1"));
+    snapshot::write_snapshot_v1(&graph, &labels, v1_file).expect("write v1");
+    snapshot::save_snapshot(&graph, &labels, &v2_path).expect("write v2");
     let v1_bytes = std::fs::metadata(&v1_path).map(|m| m.len()).unwrap_or(0);
     let v2_bytes = std::fs::metadata(&v2_path).map(|m| m.len()).unwrap_or(0);
 
@@ -119,7 +120,7 @@ fn run_scale(
     // arc copied into fresh Vecs). Median of 3 over a warm page cache —
     // the same cache the mmap path gets, so the comparison is file-format
     // work, not disk speed.
-    let (v1_parse_ms, v1_loaded) = median_ms(3, || snapshot::load_snapshot(&v1_path).expect("v1"));
+    let (v1_parse_ms, v1_loaded) = median_ms(3, || io::load_graph(&v1_path, false).expect("v1"));
 
     // v2 cold start: map + validate the layout (no per-arc work), then
     // answer the first query through the mapping, faulting pages in on

@@ -18,8 +18,8 @@
 //! Both paths answer the same first query and their seed sets are
 //! compared — a mapping that is fast but wrong fails loudly
 //! (`answers_match`), as does a restore that loses provenance
-//! (`provenance_match`). The deferred full-checksum scan the server runs
-//! under `--mmap-pools` (`RrPool::verify`) is timed separately so the
+//! (`provenance_match`). The full-checksum scan the server runs before a
+//! mapped restore serves (`RrPool::verify`) is timed separately so the
 //! open number stays honest about what it skips.
 //!
 //! The report is machine readable (schema `tim-bench-pool-load/1`);
@@ -126,8 +126,9 @@ fn run_scale(
     };
     let v1_path = dir.join(format!("{name}.v1.timp"));
     let v2_path = dir.join(format!("{name}.v2.timp"));
-    pool.save(&v1_path).expect("write v1");
-    pool.save_v2(&v2_path).expect("write v2");
+    let v1_file = std::io::BufWriter::new(std::fs::File::create(&v1_path).expect("create v1"));
+    pool.write_v1(v1_file).expect("write v1");
+    pool.save(&v2_path).expect("write v2");
     let v1_bytes = std::fs::metadata(&v1_path).map(|m| m.len()).unwrap_or(0);
     let v2_bytes = std::fs::metadata(&v2_path).map(|m| m.len()).unwrap_or(0);
 
@@ -158,7 +159,7 @@ fn run_scale(
         greedy_max_cover_indexed(&view.sets, K).seeds
     });
 
-    // The deferred integrity scan (`--mmap-pools` runs it once per
+    // The deferred integrity scan (the pool cache runs it once per
     // restore before serving): one sequential FNV pass over every
     // section, doubling as prefault.
     let mapped = RrPool::open_mapped(&v2_path).expect("open v2");

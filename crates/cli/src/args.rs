@@ -136,7 +136,7 @@ mod tests {
     #[test]
     fn unknown_flags_and_switches_are_rejected() {
         assert_eq!(parse("x --esp 0.3").unwrap_err(), "unknown flag --esp");
-        assert_eq!(parse("x --mmap").unwrap_err(), "unknown flag --mmap");
+        assert_eq!(parse("x --verbose").unwrap_err(), "unknown flag --verbose");
         assert_eq!(parse("x -q").unwrap_err(), "unknown flag -q");
         // Switches only come in long form.
         assert_eq!(parse("x -quiet").unwrap_err(), "unknown flag -quiet");

@@ -16,7 +16,7 @@ use tim_engine::{QueryEngine, RrPool};
 use tim_eval::Dataset;
 use tim_graph::catalog::check_accuracy;
 use tim_graph::io::LoadedGraph;
-use tim_graph::{analysis, io, snapshot, weights, Graph, NodeId};
+use tim_graph::{analysis, io, snapshot, weights, Graph, GraphStore, NodeId};
 use tim_server::{
     CappedLine, CappedLineReader, GraphCatalog, LabelMap, Server, ServerConfig, ServerState,
     DEFAULT_GRAPH_NAME, OVERSIZED_LINE_REPLY,
@@ -33,14 +33,14 @@ usage:
   tim stats    <graph> [--undirected]
   tim generate <ba|gnm|ws|powerlaw|nethept|epinions|dblp|livejournal|twitter>
                --out <path> [--n 10000] [--param 4] [--scale 1.0] [--seed 0]
-  tim snapshot <graph> --out <path.timg> [--format v1|v2] [--weights keep|wc|lt|const:<p>|tri]
+  tim snapshot <graph> --out <path.timg> [--weights keep|wc|lt|const:<p>|tri]
                [--seed 0] [--undirected]
-               (--format v2 writes the page-aligned, mmap-able layout that
-                --mmap serving requires; the input may itself be a v1
-                snapshot, so this is also the v1 -> v2 migration)
+               (writes the page-aligned, mmap-able v2 layout; the input may
+                be a v1 snapshot, so this is also the v1 -> v2 migration,
+                and --out may name the input itself)
   tim query    [<graph>] [--graph <name>=<path>[::<k=v,...>]]... [--graphs <dir>]
                [--default-graph <name>] [--max-loaded 8] [--pool <path.timp>]
-               [--pool-dir <dir>] [--persist-pools] [--mmap-pools] [--admin] [--mmap]
+               [--pool-dir <dir>] [--persist-pools] [--admin]
                [-k <K=50>] [--model ic|lt] [--weights wc|...] [--eps 0.1] [--ell 1.0]
                [--seed 0] [--pool-cache 4] [--undirected] [--quiet]
                (reads line-delimited tim/3 queries from stdin:
@@ -52,7 +52,7 @@ usage:
                   persist | stats pools         [admin verbs; need --admin])
   tim serve    [<graph>] [--graph <name>=<path>[::<k=v,...>]]... [--graphs <dir>]
                [--default-graph <name>] [--max-loaded 8]
-               [--pool-dir <dir>] [--persist-pools] [--mmap-pools] [--admin] [--mmap]
+               [--pool-dir <dir>] [--persist-pools] [--admin]
                [--addr 127.0.0.1:7171] [--threads 4] [--pool-cache 4]
                [--event-loop] [--idle-timeout <secs>] [--max-conns <n>]
                [-k <K=50>] [--model ic|lt] [--weights wc|...] [--eps 0.1] [--ell 1.0]
@@ -74,22 +74,15 @@ usage:
   each --graph adds a lazily loaded named graph, and --graphs scans a
   directory of .timg/.txt/.edges files (stems become names). A --graph
   spec may carry per-graph overrides after `::` (model=ic|lt, eps=, ell=,
-  seed=, k=, weights=, mmap=true|false, mmap_pools=true|false),
-  replacing the global defaults for that graph.
+  seed=, k=, weights=), replacing the global defaults for that graph.
   With --pool-dir every graph keeps its RR-set pools in <dir>/<name>/
   (read on start — a warm restart skips the pool builds); --persist-pools
-  additionally writes newly built or grown pools back automatically;
-  --mmap-pools restores v2 (.timp) spills as zero-copy read-only
-  mappings — restore cost is the header plus a few sequential scans
-  instead of decode + index rebuild, answers stay byte-identical, v1
-  spills fall back to the heap path, and pool growth always happens
-  heap-side (per-graph `mmap_pools=` overrides flip it per graph).
-  With --mmap every path-backed graph (the positional one included) must
-  be a v2 snapshot and is served as a zero-copy mmap view instead of
-  being decoded onto the heap — answers are byte-identical to heap
-  serving. Mapped graphs serve the probabilities baked into the snapshot,
-  so --mmap implies --weights keep (an explicit contradicting --weights
-  is an error); per-graph `mmap=` overrides flip the choice per graph.";
+  additionally writes newly built or grown pools back automatically.
+  The file picks the backing, for graphs and pools alike: a v2 file
+  (.timg or .timp) is mapped read-only and serves only after every
+  checksum passes; text and v1 files load onto the heap. Answers are the
+  same either way. A served file must be replaced by rename (as every
+  `tim` writer does), never rewritten in place.";
 
 // The flags each subcommand reads; `dispatch` rejects any other.
 const SELECT: Spec = Spec {
@@ -111,7 +104,7 @@ const GENERATE: Spec = Spec {
     switches: &[],
 };
 const SNAPSHOT: Spec = Spec {
-    values: &["out", "format", "weights", "seed"],
+    values: &["out", "weights", "seed"],
     switches: &["undirected"],
 };
 const QUERY: Spec = Spec {
@@ -130,14 +123,7 @@ const QUERY: Spec = Spec {
         "ell",
         "seed",
     ],
-    switches: &[
-        "persist-pools",
-        "mmap-pools",
-        "admin",
-        "mmap",
-        "undirected",
-        "quiet",
-    ],
+    switches: &["persist-pools", "admin", "undirected", "quiet"],
 };
 const SERVE: Spec = Spec {
     values: &[
@@ -161,9 +147,7 @@ const SERVE: Spec = Spec {
     ],
     switches: &[
         "persist-pools",
-        "mmap-pools",
         "admin",
-        "mmap",
         "undirected",
         "quiet",
         "event-loop",
@@ -440,19 +424,15 @@ fn snapshot_cmd(args: &Args) -> Result<(), String> {
         seed,
     )?;
 
-    let format = args.get("format").unwrap_or("v1");
-    match format {
-        "v1" => snapshot::save_snapshot(&loaded.graph, &loaded.labels, out)
-            .map_err(|e| format!("writing {out}: {e}"))?,
-        "v2" => snapshot::save_snapshot_v2(&loaded.graph, &loaded.labels, out)
-            .map_err(|e| format!("writing {out}: {e}"))?,
-        other => return Err(format!("unknown --format '{other}' (expected v1 or v2)")),
-    }
+    // The file is replaced by rename, so `out` may be the input itself,
+    // still mapped above.
+    snapshot::save_snapshot(&loaded.graph, &loaded.labels, out)
+        .map_err(|e| format!("writing {out}: {e}"))?;
 
-    // Reload to verify the round trip and measure the binary path
-    // (load_snapshot is version-gated, so this covers both formats).
+    // Reload to verify the round trip and measure the binary path: the
+    // loader maps the new file and checks every section.
     let t1 = std::time::Instant::now();
-    let reloaded = snapshot::load_snapshot(out).map_err(|e| format!("verifying {out}: {e}"))?;
+    let reloaded = io::load_graph(out, false).map_err(|e| format!("verifying {out}: {e}"))?;
     let load_time = t1.elapsed();
     if snapshot::graph_checksum(&reloaded.graph) != snapshot::graph_checksum(&loaded.graph)
         || reloaded.labels != loaded.labels
@@ -462,7 +442,7 @@ fn snapshot_cmd(args: &Args) -> Result<(), String> {
 
     let bytes = std::fs::metadata(out).map(|m| m.len()).unwrap_or(0);
     println!(
-        "wrote {out} ({format}): {} nodes / {} arcs ({bytes} bytes)",
+        "wrote {out}: {} nodes / {} arcs ({bytes} bytes)",
         reloaded.graph.n(),
         reloaded.graph.m()
     );
@@ -507,20 +487,13 @@ fn server_config(args: &Args, quiet: bool) -> Result<ServerConfig, String> {
         k_max: args.get_parsed("k", 50usize)?,
         sample_threads: 0,
         verbose: !quiet,
-        // `--mmap` flips the weights default to "keep": a mapped graph
-        // serves the probabilities baked into its v2 snapshot verbatim.
-        weights: args
-            .get("weights")
-            .unwrap_or(if args.switch("mmap") { "keep" } else { "wc" })
-            .to_string(),
+        weights: args.get("weights").unwrap_or("wc").to_string(),
         undirected: args.switch("undirected"),
         max_loaded: args.get_parsed("max-loaded", 8usize)?,
         pool_dir: args.get("pool-dir").map(std::path::PathBuf::from),
         persist_pools: args.switch("persist-pools"),
         admin: args.switch("admin"),
         event_loop: args.switch("event-loop"),
-        mmap: args.switch("mmap"),
-        mmap_pools: args.switch("mmap-pools"),
         idle_timeout: match args.get("idle-timeout") {
             None => None,
             Some(v) => {
@@ -557,31 +530,20 @@ fn server_config(args: &Args, quiet: bool) -> Result<ServerConfig, String> {
     if config.persist_pools && config.pool_dir.is_none() {
         return Err("--persist-pools requires --pool-dir <dir>".into());
     }
-    if config.mmap_pools && config.pool_dir.is_none() {
-        return Err("--mmap-pools requires --pool-dir <dir> (it changes how \
-             persisted pools are restored)"
-            .into());
-    }
     if config.idle_timeout.is_some() && !config.event_loop {
         return Err("--idle-timeout requires --event-loop".into());
     }
     if config.max_conns.is_some() && !config.event_loop {
         return Err("--max-conns requires --event-loop".into());
     }
-    if config.mmap && config.weights != "keep" {
-        return Err(format!(
-            "--mmap requires --weights keep: probabilities are served verbatim \
-             from the v2 snapshot (bake them in with `tim snapshot --format v2 \
-             --weights {}` instead)",
-            config.weights
-        ));
-    }
     Ok(config)
 }
 
 /// Builds the multi-graph catalog state `query` and `serve` share: the
-/// positional graph (if given) is loaded eagerly and registered resident
-/// as `default`; every `--graph name=path[::overrides]` and every file a
+/// positional graph (if given) is loaded now, through the same loader as
+/// every path slot ([`GraphStore::load`]: a v2 snapshot mapped and fully
+/// checked, text and v1 onto the heap), and registered resident as
+/// `default` with the loader's checksum; every `--graph name=path[::overrides]` and every file a
 /// `--graphs` directory scan finds is registered for lazy loading.
 /// Sessions start on `--default-graph`, defaulting to `default` when
 /// present, else the first catalog name in sorted order. Both canonical
@@ -600,16 +562,12 @@ fn build_state(
         }
     }
     if !args.positional.is_empty() {
-        if args.switch("mmap") {
-            // Mapped serving: register the positional snapshot as a lazy
-            // path so the catalog attaches it as a zero-copy view instead
-            // of decoding it onto the heap here.
-            let path = args.positional(0, "input graph path")?;
-            catalog.add_path(DEFAULT_GRAPH_NAME, path)?;
-        } else {
-            let LoadedGraph { graph, labels } = load(args)?;
-            catalog.add_resident(DEFAULT_GRAPH_NAME, graph, LabelMap::new(labels))?;
-        }
+        let path = args.positional(0, "input graph path")?;
+        let config = catalog.config();
+        let (graph, labels) =
+            GraphStore::load(path, config.undirected, &config.weights, config.seed)
+                .map_err(|e| format!("loading {path}: {e}"))?;
+        catalog.add_resident(DEFAULT_GRAPH_NAME, graph, LabelMap::new(labels))?;
     }
     for spec in args.get_all("graph") {
         let (name, path, overrides) =
@@ -744,7 +702,7 @@ fn query_with(model: ModelKind, model_name: &str, args: &Args) -> Result<(), Str
                 }
                 shared
                     .to_pool()
-                    .save_v2(p)
+                    .save(p)
                     .map_err(|e| format!("saving pool {p}: {e}"))?;
                 if !quiet {
                     eprintln!("saved pool to {p}");
@@ -764,7 +722,7 @@ fn query_with(model: ModelKind, model_name: &str, args: &Args) -> Result<(), Str
         if engine.pool_theta() != before {
             engine
                 .to_pool()
-                .save_v2(p)
+                .save(p)
                 .map_err(|e| format!("re-saving pool {p}: {e}"))?;
             if !quiet {
                 eprintln!("pool grew to theta = {}; re-saved {p}", engine.pool_theta());
@@ -1127,10 +1085,22 @@ mod tests {
             dispatch(&argv("query g.txt --threads 4")).unwrap_err(),
             "query: unknown flag --threads"
         );
-        assert_eq!(
-            dispatch(&argv("select g.txt -k 5 --mmap")).unwrap_err(),
-            "select: unknown flag --mmap"
-        );
+        // Retired backing and format flags are unknown flags now: the
+        // file picks the backing, and snapshots are always v2. They are
+        // spelled in two parts so a search for the retired names finds
+        // only the change history.
+        for (cmd, flag) in [
+            ("query g.timg", concat!("--mm", "ap")),
+            ("serve g.timg", concat!("--mm", "ap")),
+            ("query g.timg --pool-dir d", concat!("--mm", "ap-pools")),
+            ("serve g.timg --pool-dir d", concat!("--mm", "ap-pools")),
+            ("snapshot g.txt --out g.timg", concat!("--for", "mat v2")),
+        ] {
+            let err = dispatch(&argv(&format!("{cmd} {flag}"))).unwrap_err();
+            let name = flag.split_whitespace().next().unwrap();
+            let sub = cmd.split_whitespace().next().unwrap();
+            assert_eq!(err, format!("{sub}: unknown flag {name}"));
+        }
     }
 
     #[test]
@@ -1146,16 +1116,16 @@ mod tests {
                 &EVALUATE,
                 "g.txt --seeds 1,2 --model ic --weights wc --runs 2000 --seed 7",
             ),
-            (&SNAPSHOT, "g.txt --out g.timg --format v2 --weights wc"),
+            (&SNAPSHOT, "g.txt --out g.timg --weights wc"),
             (
                 &QUERY,
-                "g.timg --pool p.timp -k 10 --eps 0.3 --seed 7 --quiet --weights keep --mmap",
+                "g.timg --pool p.timp -k 10 --eps 0.3 --seed 7 --quiet --weights keep",
             ),
             (
                 &SERVE,
                 "--graph ba=g.timg --addr 127.0.0.1:0 --pool p.timp -k 10 --eps 0.3 --seed 7 \
                  --event-loop --idle-timeout 30 --max-conns 256 --pool-dir d --persist-pools \
-                 --admin --mmap-pools --mmap",
+                 --admin",
             ),
             (
                 &SERVE,
@@ -1576,29 +1546,22 @@ mod tests {
 
     #[test]
     fn pool_dir_flags_wire_into_the_config() {
-        let args = query_args("g.txt --pool-dir /tmp/pd --persist-pools --mmap-pools --admin");
+        let args = query_args("g.txt --pool-dir /tmp/pd --persist-pools --admin");
         let config = server_config(&args, true).unwrap();
         assert_eq!(
             config.pool_dir.as_deref(),
             Some(std::path::Path::new("/tmp/pd"))
         );
         assert!(config.persist_pools);
-        assert!(config.mmap_pools);
         assert!(config.admin);
         let plain = query_args("g.txt");
         let config = server_config(&plain, true).unwrap();
         assert!(config.pool_dir.is_none() && !config.persist_pools && !config.admin);
-        assert!(!config.mmap_pools);
-        // Write-back without a store location is a config error, and so is
-        // asking for mapped restores with nowhere to restore from.
+        // Write-back without a store location is a config error.
         let bad = query_args("g.txt --persist-pools");
         assert!(server_config(&bad, true)
             .unwrap_err()
             .contains("requires --pool-dir"));
-        let bad = query_args("g.txt --mmap-pools");
-        assert!(server_config(&bad, true)
-            .unwrap_err()
-            .contains("--mmap-pools requires --pool-dir"));
     }
 
     #[test]
@@ -1636,31 +1599,43 @@ mod tests {
         assert!(s.spills >= 1, "cold run spills");
         drop(cold_state);
 
-        // Warm restart (fresh state, same store): zero pool builds,
-        // byte-identical answers.
+        // Warm restart (fresh state, same store): the v2 spill is served
+        // as a zero-copy mapping — zero pool builds, byte-identical
+        // answers.
         let args = query_args(&flags);
-        let config = server_config(&args, true).unwrap();
-        let warm_state = build_state(ModelKind::IndependentCascade, "ic", &args, config).unwrap();
-        let warm = run_session(&warm_state, session);
-        assert_eq!(warm, cold, "restart answers byte-identical");
-        let s = warm_state.default_state().cache_stats();
-        assert_eq!((s.builds, s.loads), (0, 1), "warm run loads, never builds");
-        drop(warm_state);
-
-        // Warm restart with --mmap-pools: the v2 spill is served as a
-        // zero-copy mapping instead of being decoded — same answers, still
-        // zero builds.
-        let args = query_args(&format!("{flags} --mmap-pools"));
-        let config = server_config(&args, true).unwrap();
-        let mapped_state = build_state(ModelKind::IndependentCascade, "ic", &args, config).unwrap();
-        let mapped = run_session(&mapped_state, session);
+        let restart = || {
+            let config = server_config(&args, true).unwrap();
+            let state = build_state(ModelKind::IndependentCascade, "ic", &args, config).unwrap();
+            let answers = run_session(&state, session);
+            let s = state.default_state().cache_stats();
+            let store = state.default_state().pool_store().unwrap().stats();
+            (
+                answers,
+                (s.builds, s.loads),
+                (store.mmap_opens, store.heap_loads),
+            )
+        };
+        let (mapped, counts, backing) = restart();
         assert_eq!(mapped, cold, "mapped restart answers byte-identical");
-        let s = mapped_state.default_state().cache_stats();
-        assert_eq!(
-            (s.builds, s.loads),
-            (0, 1),
-            "mapped run opens, never builds"
-        );
+        assert_eq!(counts, (0, 1), "warm run opens, never builds");
+        assert_eq!(backing, (1, 0), "a v2 spill restores mapped");
+
+        // A v1 copy of the spill restores onto the heap: same answers,
+        // still zero builds.
+        let spill = std::fs::read_dir(pool_dir.join(DEFAULT_GRAPH_NAME))
+            .unwrap()
+            .map(|e| e.unwrap().path())
+            .find(|p| p.extension().is_some_and(|e| e == "timp"))
+            .unwrap();
+        let pool = RrPool::load(&spill).unwrap();
+        let mut v1 = Vec::new();
+        pool.write_v1(&mut v1).unwrap();
+        drop(pool);
+        std::fs::write(&spill, v1).unwrap();
+        let (heap, counts, backing) = restart();
+        assert_eq!(heap, cold, "heap restart answers byte-identical");
+        assert_eq!(counts, (0, 1), "heap run loads, never builds");
+        assert_eq!(backing, (0, 1), "a v1 file restores onto the heap");
         std::fs::remove_file(&graph).ok();
         std::fs::remove_dir_all(&pool_dir).ok();
     }
@@ -1776,7 +1751,7 @@ mod tests {
     }
 
     #[test]
-    fn snapshot_format_v2_writes_a_servable_snapshot() {
+    fn snapshot_writes_a_servable_v2_snapshot() {
         let dir = tmpdir();
         let text = dir.join("fmt_src.txt");
         let v2 = dir.join("fmt_src_v2.timg");
@@ -1788,36 +1763,54 @@ mod tests {
         )
         .unwrap();
         dispatch(&argv(&format!(
-            "snapshot {} --out {} --format v2 --weights wc",
+            "snapshot {} --out {} --weights wc",
             text.display(),
             v2.display()
         )))
         .unwrap();
         assert_eq!(snapshot::snapshot_version(&v2).unwrap(), Some(2));
-        // The v2 file is transparently loadable by every heap consumer.
+        // The v2 file is transparently loadable by every consumer.
         dispatch(&argv(&format!("stats {}", v2.display()))).unwrap();
-        // Unknown formats are rejected.
-        assert!(dispatch(&argv(&format!(
-            "snapshot {} --out {} --format v9",
-            text.display(),
-            v2.display()
-        )))
-        .unwrap_err()
-        .contains("--format"));
         std::fs::remove_file(&text).ok();
         std::fs::remove_file(&v2).ok();
     }
 
     #[test]
-    fn mmap_flag_requires_keep_weights() {
-        // --mmap alone implies keep; an explicit contradiction errors.
-        let ok = query_args("g.timg --mmap");
-        assert_eq!(server_config(&ok, true).unwrap().weights, "keep");
-        assert!(server_config(&ok, true).unwrap().mmap);
-        let bad = query_args("g.timg --mmap --weights wc");
-        assert!(server_config(&bad, true)
-            .unwrap_err()
-            .contains("--mmap requires --weights keep"));
+    fn snapshot_may_overwrite_its_own_input() {
+        // The input is mapped while the output is written, so the output
+        // must replace the file by rename; the reload check then reads
+        // the new file, re-weighted.
+        let dir = tmpdir();
+        let text = dir.join("self_src.txt");
+        let snap = dir.join("self_src.timg");
+        std::fs::write(
+            &text,
+            (0..60u32)
+                .map(|i| format!("{} {}\n", i, (i + 3) % 60))
+                .collect::<String>(),
+        )
+        .unwrap();
+        let snap_s = snap.display().to_string();
+        dispatch(&argv(&format!(
+            "snapshot {} --out {snap_s}",
+            text.display()
+        )))
+        .unwrap();
+        let before = io::load_graph(&snap, false).unwrap();
+        dispatch(&argv(&format!(
+            "snapshot {snap_s} --out {snap_s} --weights const:0.25"
+        )))
+        .unwrap();
+        let after = io::load_graph(&snap, false).unwrap();
+        let mut want = before.graph.clone();
+        weights::assign_constant(&mut want, 0.25);
+        assert_eq!(
+            snapshot::graph_checksum(&after.graph),
+            snapshot::graph_checksum(&want)
+        );
+        assert_eq!(after.labels, before.labels);
+        std::fs::remove_file(&text).ok();
+        std::fs::remove_file(&snap).ok();
     }
 
     #[test]
@@ -1840,23 +1833,29 @@ mod tests {
         .unwrap();
         // Bake WC probabilities into a v2 snapshot.
         dispatch(&argv(&format!(
-            "snapshot {} --out {} --format v2 --weights wc",
+            "snapshot {} --out {} --weights wc",
             text.display(),
             v2.display()
         )))
         .unwrap();
 
         let session = "select 3\nselect 2 fast\neval 0,3\nmarginal 0 3\nstats\n";
-        let run = |flags: &str| {
-            let args = query_args(&format!("{} --eps 1.0 --seed 7 -k 4 {flags}", v2.display()));
+        let run = |input: &std::path::Path, flags: &str| {
+            let args = query_args(&format!(
+                "{} --eps 1.0 --seed 7 -k 4 {flags}",
+                input.display()
+            ));
             let config = server_config(&args, true).unwrap();
             let state = build_state(ModelKind::IndependentCascade, "ic", &args, config).unwrap();
-            run_session(&state, session)
+            let mapped = state.default_state().is_mmap();
+            (run_session(&state, session), mapped)
         };
-        // Heap serving decodes the v2 snapshot eagerly; --mmap serves the
-        // same file as a zero-copy view. Answers must be byte-identical.
-        let heap = run("--weights keep");
-        let mapped = run("--mmap");
+        // The text file loads onto the heap and is weighted there; the v2
+        // snapshot is served as a zero-copy view with the same weights
+        // baked in. Answers must be byte-identical.
+        let (heap, heap_mapped) = run(&text, "--weights wc");
+        let (mapped, mapped_mapped) = run(&v2, "--weights keep");
+        assert!(!heap_mapped && mapped_mapped);
         assert_eq!(heap, mapped, "mmap serving must not change any answer");
         std::fs::remove_file(&text).ok();
         std::fs::remove_file(&v2).ok();

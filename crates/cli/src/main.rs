@@ -23,6 +23,8 @@
 //!
 //! `<graph>` is either SNAP-style text (`src dst [prob]`, `#` comments) or
 //! a binary `.timg` snapshot (`tim snapshot`), auto-detected by content.
+//! The file picks the backing: v2 snapshots and pools are mapped and
+//! fully checked before they serve, text and v1 files load onto the heap.
 //! Node labels may be arbitrary integers; seeds are printed in original
 //! labels.
 //!

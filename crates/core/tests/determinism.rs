@@ -21,7 +21,7 @@ fn mapped(g: &Graph, tag: &str) -> (GraphStore, std::path::PathBuf) {
     std::fs::create_dir_all(&dir).unwrap();
     let path = dir.join("g.timg");
     let labels: Vec<u64> = (0..g.n() as u64).collect();
-    snapshot::save_snapshot_v2(g, &labels, &path).unwrap();
+    snapshot::save_snapshot(g, &labels, &path).unwrap();
     (GraphStore::open_mmap(&path).unwrap().0, dir)
 }
 

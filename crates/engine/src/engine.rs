@@ -763,7 +763,7 @@ mod tests {
         let dir = std::env::temp_dir().join(format!("tim_engine_mmap_{}", std::process::id()));
         std::fs::create_dir_all(&dir).unwrap();
         let path = dir.join("g.timg");
-        tim_graph::snapshot::save_snapshot_v2(&g, &labels, &path).unwrap();
+        tim_graph::snapshot::save_snapshot(&g, &labels, &path).unwrap();
 
         let mut heap = QueryEngine::new(g, IndependentCascade, "ic")
             .epsilon(0.8)
@@ -822,7 +822,7 @@ mod tests {
         let dir = std::env::temp_dir().join(format!("tim_engine_poolmap_{}", std::process::id()));
         std::fs::create_dir_all(&dir).unwrap();
         let path = dir.join("pool.timp");
-        warm.to_pool().save_v2(&path).unwrap();
+        warm.to_pool().save(&path).unwrap();
 
         let mapped = RrPool::open_mapped(&path).unwrap();
         let mut e = QueryEngine::from_pool_store(
@@ -887,10 +887,10 @@ mod tests {
         let dir = std::env::temp_dir().join(format!("tim_engine_shared_{}", std::process::id()));
         std::fs::create_dir_all(&dir).unwrap();
         let (graph_path, pool_path) = (dir.join("g.timg"), dir.join("pool.timp"));
-        tim_graph::snapshot::save_snapshot_v2(&g, &labels, &graph_path).unwrap();
+        tim_graph::snapshot::save_snapshot(&g, &labels, &graph_path).unwrap();
         let mut warm = engine(5);
         warm.warm();
-        warm.to_pool().save_v2(&pool_path).unwrap();
+        warm.to_pool().save(&pool_path).unwrap();
 
         let (store, _) = GraphStore::open_mmap(&graph_path).unwrap();
         let e = QueryEngine::from_pool_store(
@@ -909,7 +909,7 @@ mod tests {
         assert!(pool.sets.mapped_bytes() > 0, "to_pool keeps the mapping");
         assert_eq!(pool.sets.memory_bytes(), 0, "to_pool copies nothing");
         let respill = dir.join("respill.timp");
-        pool.save_v2(&respill).unwrap();
+        pool.save(&respill).unwrap();
         assert_eq!(
             std::fs::read(&respill).unwrap(),
             std::fs::read(&pool_path).unwrap()
@@ -1104,14 +1104,14 @@ mod tests {
         let dir = std::env::temp_dir().join(format!("tim_engine_grow_{}", std::process::id()));
         std::fs::create_dir_all(&dir).unwrap();
         let path = dir.join("pool.timp");
-        sampled.to_pool().save_v2(&path).unwrap();
+        sampled.to_pool().save(&path).unwrap();
         let attach = |pool| {
             let store = GraphStore::from_arc(sampled.graph_arc());
             QueryEngine::from_pool_store(store, counting_ic(&calls), "ic", pool)
                 .unwrap()
                 .threads(2)
         };
-        let mut heap = attach(RrPool::load(&path).unwrap());
+        let mut heap = attach(RrPool::read(std::fs::read(&path).unwrap().as_slice()).unwrap());
         let mut mapped = attach(RrPool::open_mapped(&path).unwrap());
         assert!(!heap.pool_is_mapped() && mapped.pool_is_mapped());
 

@@ -28,12 +28,15 @@
 //! [`PoolStore`] scales the single-file story to a serving fleet's warm
 //! state: a per-tenant directory of provenance-keyed `.timp` files with
 //! atomic write-then-rename spills and quarantine of corrupt or foreign
-//! files, so every pool a process builds outlives the process. Spills
-//! write the page-aligned `.timp` v2 layout, which persists the
-//! inverted index; [`RrPool::open_mapped`] attaches such a file
-//! zero-copy (`PROT_READ`) as the same [`RrPool`] a heap decode yields,
-//! so restarting a service costs a header parse and a bounds scan
-//! instead of a full heap decode — see [`PoolStore::probe_backed`].
+//! files, so every pool a process builds outlives the process. Every
+//! writer emits the page-aligned `.timp` v2 layout, which persists the
+//! inverted index, and replaces files by rename. The file picks the
+//! backing: [`RrPool::open_mapped`] attaches a v2 file zero-copy
+//! (`PROT_READ`) as the same [`RrPool`] a heap decode yields, and it
+//! serves only after its checksum pass, so restarting a service costs a
+//! mapping and one sequential scan instead of a heap decode and an index
+//! rebuild; v1 files decode onto the heap — see [`RrPool::load`] and
+//! [`PoolStore::probe_backed`].
 //!
 //! Each engine keeps its answerable state — pool, θ, `k_max`, plan cache,
 //! fast cover and growth epoch — as one immutable version. A query

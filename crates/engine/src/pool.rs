@@ -30,11 +30,12 @@
 //!
 //! # File layout (version 2, little-endian, page-aligned)
 //!
-//! Version 2 is the out-of-core layout: a fixed 264-byte header plus a
-//! section table whose four sections start on 4096-byte boundaries, so
-//! the file can be attached zero-copy via [`RrPool::open_mapped`] — and
-//! it **persists the inverted index**, so a mapped pool answers its first
-//! greedy selection straight from the page cache with no index rebuild.
+//! Version 2 is the out-of-core layout, and the only one written: a fixed
+//! 264-byte header plus a section table whose four sections start on
+//! 4096-byte boundaries, so the file can be attached zero-copy via
+//! [`RrPool::open_mapped`] — and it **persists the inverted index**, so a
+//! mapped pool answers its first greedy selection straight from the page
+//! cache with no index rebuild.
 //!
 //! | bytes | field |
 //! |---|---|
@@ -51,18 +52,19 @@
 //! (`members × u32`). Every field on disk is a fixed-width `u64`/`u32`,
 //! so v2 files carry no platform-width ambiguity by construction.
 //! Opening a v2 file costs a header parse plus a structural scan;
-//! per-section checksums are deferred to an explicit
-//! [`RrPool::verify`] pass (mirroring `.timg` v2 in
-//! `tim_graph::snapshot`).
+//! per-section checksums are an explicit [`RrPool::verify`] pass
+//! (mirroring `.timg` v2 in `tim_graph::snapshot`), which
+//! [`RrPool::load`] and the pool store's restores run before a mapped
+//! pool serves.
 
 use crate::error::EngineError;
-use std::fs::File;
-use std::io::{BufWriter, Read, Write};
-use std::path::{Path, PathBuf};
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::io::{Read, Write};
+use std::path::Path;
 use tim_coverage::{
     build_inverted_index, SetCollection, SetsLayout, SETS_SECTION_COUNT, SETS_SECTION_NAMES,
 };
+use tim_graph::io::write_atomically;
+use tim_graph::mmap::CAN_MAP;
 use tim_graph::snapshot::Fnv1a;
 use tim_graph::NodeId;
 
@@ -83,7 +85,7 @@ pub const POOL_V2_HEADER_BYTES: u64 = 264;
 pub const POOL_V2_ALIGN: u64 = 4096;
 
 /// Capacity of the fixed model-tag field in the v2 header. Longer tags
-/// cannot be spilled: [`RrPool::write_v2`] rejects them, and model
+/// cannot be spilled: [`RrPool::write`] rejects them, and model
 /// registration in the serving catalog refuses them up front.
 pub const POOL_V2_MODEL_TAG_MAX: usize = 32;
 
@@ -181,8 +183,10 @@ impl<'a> Cursor<'a> {
 }
 
 impl RrPool {
-    /// Serializes the pool into `writer`.
-    pub fn write<W: Write>(&self, mut writer: W) -> Result<(), EngineError> {
+    /// Serializes the pool in the v1 layout. Nothing saves v1 any more:
+    /// this writes the fixtures of the v1-reading tests and the legacy
+    /// rows of the `pool_load` benchmark.
+    pub fn write_v1<W: Write>(&self, mut writer: W) -> Result<(), EngineError> {
         let sets = &self.sets;
         let mut payload = Vec::with_capacity(
             64 + self.meta.model.len() + sets.raw_offsets().len() * 8 + sets.raw_data().len() * 4,
@@ -215,8 +219,9 @@ impl RrPool {
         Ok(())
     }
 
-    /// Deserializes a pool from any reader, verifying magic, version,
-    /// checksum, and the collection's structural invariants.
+    /// Deserializes a pool of either version from any reader onto the
+    /// heap, verifying magic, version, checksums, and the collection's
+    /// structural invariants.
     pub fn read<R: Read>(mut reader: R) -> Result<Self, EngineError> {
         let mut bytes = Vec::new();
         reader.read_to_end(&mut bytes)?;
@@ -357,7 +362,7 @@ impl RrPool {
     ///
     /// Errors with [`EngineError::Format`] when the model tag exceeds
     /// [`POOL_V2_MODEL_TAG_MAX`] bytes.
-    pub fn write_v2<W: Write>(&self, mut writer: W) -> Result<(), EngineError> {
+    pub fn write<W: Write>(&self, mut writer: W) -> Result<(), EngineError> {
         let model = self.meta.model.as_bytes();
         if model.len() > POOL_V2_MODEL_TAG_MAX {
             return Err(EngineError::Format(format!(
@@ -441,69 +446,27 @@ impl RrPool {
         Ok(())
     }
 
-    /// Saves the pool to `path` in the v2 layout, atomically: the bytes go
-    /// to a temporary sibling, which is synced and renamed over `path`, so
-    /// a crash or a full disk mid-write leaves the previous file whole.
-    pub fn save_v2<P: AsRef<Path>>(&self, path: P) -> Result<(), EngineError> {
-        write_atomically(path.as_ref(), |writer| self.write_v2(writer))
-    }
-
-    /// Saves the pool to `path`.
+    /// Saves the pool to `path` in the v2 layout. The file is replaced by
+    /// rename ([`write_atomically`]), never rewritten in place: a crash or
+    /// a full disk mid-write leaves the previous file whole, and a pool
+    /// still mapped from it keeps its bytes.
     pub fn save<P: AsRef<Path>>(&self, path: P) -> Result<(), EngineError> {
-        let file = std::fs::File::create(path)?;
-        self.write(std::io::BufWriter::new(file))
+        write_atomically(path.as_ref(), |writer| self.write(writer))
     }
 
-    /// Loads a pool from `path`.
+    /// Loads the pool at `path`; the file picks the backing. A v2 file is
+    /// mapped ([`open_mapped`](Self::open_mapped)) and passes
+    /// [`verify`](Self::verify) before it is returned; a v1 file, or a v2
+    /// file where [`CAN_MAP`] is false, decodes onto the heap.
     pub fn load<P: AsRef<Path>>(path: P) -> Result<Self, EngineError> {
+        let path = path.as_ref();
+        if CAN_MAP && pool_version(path)? == POOL_VERSION_V2 {
+            let pool = Self::open_mapped(path)?;
+            pool.verify()?;
+            return Ok(pool);
+        }
         Self::decode(&std::fs::read(path)?)
     }
-}
-
-/// A fresh name beside `path` for a file that is about to be renamed
-/// over it: `.tmp-<stem>-<pid>-<seq>[.<ext>]`. The sequence number keeps
-/// two threads of one process apart, so one writer never truncates
-/// another's half-written file; the leading dot keeps it out of a pool
-/// store's entries.
-pub(crate) fn temp_sibling(path: &Path) -> PathBuf {
-    static SEQ: AtomicU64 = AtomicU64::new(0);
-    let stem = path.file_stem().unwrap_or_default().to_string_lossy();
-    let mut name = format!(
-        ".tmp-{stem}-{}-{}",
-        std::process::id(),
-        SEQ.fetch_add(1, Ordering::Relaxed)
-    );
-    if let Some(ext) = path.extension() {
-        name = format!("{name}.{}", ext.to_string_lossy());
-    }
-    path.with_file_name(name)
-}
-
-/// Writes the file at `path` through `write` without ever exposing a
-/// partial one: the bytes go to a [`temp_sibling`], which is synced and
-/// then renamed over `path`. On error the temporary is removed and
-/// `path` is left as it was.
-pub(crate) fn write_atomically(
-    path: &Path,
-    write: impl FnOnce(&mut BufWriter<File>) -> Result<(), EngineError>,
-) -> Result<(), EngineError> {
-    let tmp = temp_sibling(path);
-    let result = (|| {
-        let mut writer = BufWriter::new(File::create(&tmp)?);
-        write(&mut writer)?;
-        // BufWriter::into_inner flushes; sync so the rename never
-        // publishes a name pointing at unwritten data after a crash.
-        let file = writer
-            .into_inner()
-            .map_err(|e| EngineError::Io(e.into_error()))?;
-        file.sync_all()?;
-        std::fs::rename(&tmp, path)?;
-        Ok(())
-    })();
-    if result.is_err() {
-        std::fs::remove_file(&tmp).ok();
-    }
-    result
 }
 
 /// Reads the format version from the first eight bytes of a pool file
@@ -701,7 +664,7 @@ mod tests {
 
     fn encode(pool: &RrPool) -> Vec<u8> {
         let mut buf = Vec::new();
-        pool.write(&mut buf).unwrap();
+        pool.write_v1(&mut buf).unwrap();
         buf
     }
 
@@ -780,7 +743,7 @@ mod tests {
 
     fn encode_v2(pool: &RrPool) -> Vec<u8> {
         let mut buf = Vec::new();
-        pool.write_v2(&mut buf).unwrap();
+        pool.write(&mut buf).unwrap();
         buf
     }
 
@@ -827,12 +790,12 @@ mod tests {
         let mut pool = sample_pool();
         pool.meta.model = "m".repeat(POOL_V2_MODEL_TAG_MAX + 1);
         let mut buf = Vec::new();
-        match pool.write_v2(&mut buf) {
+        match pool.write(&mut buf) {
             Err(EngineError::Format(m)) => assert!(m.contains("cannot be written"), "{m}"),
             other => panic!("expected a format error, got {other:?}"),
         }
         // v1 still accepts the same pool.
-        pool.write(&mut buf).unwrap();
+        pool.write_v1(&mut buf).unwrap();
         assert_eq!(
             RrPool::read(buf.as_slice()).unwrap().meta.model,
             pool.meta.model
@@ -846,8 +809,8 @@ mod tests {
         let pool = sample_pool();
         let v1 = dir.join("v1.timp");
         let v2 = dir.join("v2.timp");
-        pool.save(&v1).unwrap();
-        pool.save_v2(&v2).unwrap();
+        std::fs::write(&v1, encode(&pool)).unwrap();
+        pool.save(&v2).unwrap();
         assert_eq!(pool_version(&v1).unwrap(), POOL_VERSION);
         assert_eq!(pool_version(&v2).unwrap(), POOL_VERSION_V2);
 

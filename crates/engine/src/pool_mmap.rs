@@ -30,8 +30,9 @@ impl RrPool {
     /// Errors: [`EngineError::Io`] when the file cannot be opened (a
     /// missing file stays distinguishable from a corrupt one);
     /// [`EngineError::Format`] on any header, table, or bounds
-    /// violation — including v1 files, which must be loaded eagerly via
-    /// [`RrPool::load`] instead.
+    /// violation — including v1 files, which [`RrPool::load`] decodes
+    /// onto the heap instead. The section checksums are deferred to
+    /// [`verify`](Self::verify), which [`RrPool::load`] runs.
     pub fn open_mapped<P: AsRef<Path>>(path: P) -> Result<RrPool, EngineError> {
         let map = Arc::new(Mmap::open(path).map_err(|e| match e {
             GraphError::Io(io) => EngineError::Io(io),
@@ -94,7 +95,7 @@ mod tests {
     fn open_serves_the_spilled_sets_without_heap_decode() {
         let pool = sample_pool();
         let path = temp_file("open");
-        pool.save_v2(&path).unwrap();
+        pool.save(&path).unwrap();
         let mapped = RrPool::open_mapped(&path).unwrap();
         assert_eq!(mapped.meta, pool.meta);
         assert_eq!(mapped.sets.len(), pool.sets.len());
@@ -114,7 +115,9 @@ mod tests {
     fn v1_files_are_rejected_with_a_clean_error() {
         let pool = sample_pool();
         let path = temp_file("v1");
-        pool.save(&path).unwrap();
+        let mut v1 = Vec::new();
+        pool.write_v1(&mut v1).unwrap();
+        std::fs::write(&path, v1).unwrap();
         match RrPool::open_mapped(&path) {
             Err(EngineError::Format(m)) => assert!(m.contains("not a v2 pool"), "{m}"),
             other => panic!("expected format error, got {other:?}"),
@@ -136,15 +139,15 @@ mod tests {
         // both write it back byte for byte.
         let pool = sample_pool();
         let path = temp_file("roundtrip");
-        pool.save_v2(&path).unwrap();
+        pool.save(&path).unwrap();
         let file = std::fs::read(&path).unwrap();
         for copy in [
             RrPool::open_mapped(&path).unwrap(),
-            RrPool::load(&path).unwrap(),
+            RrPool::read(file.as_slice()).unwrap(),
         ] {
             assert_eq!(copy.meta, pool.meta);
             let mut buf = Vec::new();
-            copy.write_v2(&mut buf).unwrap();
+            copy.write(&mut buf).unwrap();
             assert_eq!(buf, file, "respill is byte-stable");
         }
         std::fs::remove_file(&path).ok();

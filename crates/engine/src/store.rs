@@ -37,12 +37,12 @@
 //! rebuilds, and the evidence is preserved for inspection.
 
 use crate::error::EngineError;
-use crate::pool::{
-    pool_version, temp_sibling, write_atomically, PoolMeta, RrPool, POOL_VERSION_V2,
-};
+use crate::pool::{pool_version, PoolMeta, RrPool, POOL_VERSION_V2};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
+use tim_graph::io::temp_sibling;
+use tim_graph::mmap::CAN_MAP;
 use tim_graph::snapshot::Fnv1a;
 
 /// File extension of stored pools.
@@ -186,7 +186,8 @@ pub struct StoreStats {
 /// file's version and the caller's preference let it be read.
 #[derive(Debug)]
 pub enum ProbedPool {
-    /// Eagerly decoded onto the heap (v1 files, or `mmap = false`).
+    /// Eagerly decoded onto the heap (v1 files, `mmap = false`, or a host
+    /// that cannot map).
     Heap(RrPool),
     /// Mapped zero-copy from a v2 file ([`RrPool::open_mapped`]); its
     /// deferred [`RrPool::verify`] has not run yet.
@@ -296,11 +297,14 @@ impl PoolStore {
     /// stored file is `.timp` v2, the pool is mapped zero-copy
     /// ([`RrPool::open_mapped`]) instead of being decoded onto the heap —
     /// O(header + bounds scan), with the persisted inverted index ready
-    /// for the first selection. v1 files transparently fall back to the heap
-    /// path. The same quarantine guarantees apply: a corrupt or foreign
-    /// file is moved aside and reported as a miss, never served.
+    /// for the first selection. The serving pool cache always sets it and
+    /// runs [`verify_mapped`](Self::verify_mapped) before the pool
+    /// serves; a heap probe (`mmap = false`) is for benchmarks. v1 files,
+    /// and every file where [`CAN_MAP`] is false, take the heap path. The
+    /// same quarantine guarantees apply: a corrupt or foreign file is
+    /// moved aside and reported as a miss, never served.
     pub fn probe_backed(&self, id: &PoolId, mmap: bool) -> Result<Option<ProbedPool>, EngineError> {
-        if !mmap {
+        if !(mmap && CAN_MAP) {
             return Ok(self.probe(id)?.map(ProbedPool::Heap));
         }
         let path = self.path_for(id);
@@ -357,10 +361,10 @@ impl PoolStore {
     ///
     /// Pools are written in the mmap-able `.timp` v2 layout only. A model
     /// tag longer than the v2 header's fixed field fails the spill with
-    /// [`RrPool::write_v2`]'s error and leaves no file behind.
+    /// [`RrPool::write`]'s error and leaves no file behind.
     pub fn spill(&self, pool: &RrPool) -> Result<PathBuf, EngineError> {
         let path = self.path_for(&PoolId::from_meta(&pool.meta));
-        write_atomically(&path, |writer| pool.write_v2(writer))?;
+        pool.save(&path)?;
         self.spills.fetch_add(1, Ordering::Relaxed);
         self.write_index();
         Ok(path)
@@ -653,7 +657,9 @@ mod tests {
         let (dir, store) = tmp_store("mmap_v1");
         let p = pool(12, 4);
         let id = PoolId::from_meta(&p.meta);
-        p.save(store.path_for(&id)).unwrap(); // hand-placed v1 file
+        let mut v1 = Vec::new();
+        p.write_v1(&mut v1).unwrap();
+        std::fs::write(store.path_for(&id), v1).unwrap(); // hand-placed v1 file
         let got = store.probe_backed(&id, true).unwrap().expect("restored");
         assert!(
             matches!(got, ProbedPool::Heap(_)),

@@ -52,15 +52,15 @@ fn tmp_store(tag: &str, case: u64) -> (std::path::PathBuf, PoolStore) {
     (dir, store)
 }
 
-fn encode(pool: &RrPool) -> Vec<u8> {
+fn encode_v1(pool: &RrPool) -> Vec<u8> {
     let mut bytes = Vec::new();
-    pool.write(&mut bytes).unwrap();
+    pool.write_v1(&mut bytes).unwrap();
     bytes
 }
 
 fn encode_v2(pool: &RrPool) -> Vec<u8> {
     let mut bytes = Vec::new();
-    pool.write_v2(&mut bytes).unwrap();
+    pool.write(&mut bytes).unwrap();
     bytes
 }
 
@@ -160,7 +160,7 @@ proptest! {
         let id = PoolId::from_meta(&mine.meta);
         prop_assert!(!id.matches(&foreign.meta), "provenances must differ");
 
-        std::fs::write(store.path_for(&id), encode(&foreign)).unwrap();
+        std::fs::write(store.path_for(&id), encode_v1(&foreign)).unwrap();
         prop_assert!(store.probe(&id).unwrap().is_none(), "foreign pool served");
         prop_assert_eq!(store.stats().quarantined, 1);
         prop_assert_eq!(store.stats().loads, 0);

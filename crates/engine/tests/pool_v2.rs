@@ -4,8 +4,9 @@
 //! (misaligned / overlapping / past-EOF offsets, contradictory counts),
 //! and version-gate checks. Every hostile input must yield a clean
 //! [`tim_engine::EngineError`], never a panic or an out-of-bounds read,
-//! on BOTH v2 readers: the eager heap decode (`RrPool::load`) and the
-//! zero-copy mapping (`RrPool::open_mapped` + `verify`). A corrupt file in a
+//! on every v2 reader: the eager heap decode (`RrPool::read`), the
+//! zero-copy mapping (`RrPool::open_mapped` + `verify`), and the loader
+//! that maps and verifies at once (`RrPool::load`). A corrupt file in a
 //! [`PoolStore`] must be quarantined as a miss, never served and never
 //! fatal.
 
@@ -13,7 +14,7 @@
 
 use tim_coverage::SetCollection;
 use tim_engine::{
-    pool_version, PoolId, PoolMeta, PoolStore, ProbedPool, RrPool, POOL_V2_ALIGN,
+    pool_version, EngineError, PoolId, PoolMeta, PoolStore, ProbedPool, RrPool, POOL_V2_ALIGN,
     POOL_V2_HEADER_BYTES,
 };
 
@@ -69,23 +70,32 @@ fn tmpdir(tag: &str) -> std::path::PathBuf {
 }
 
 /// Writes the sample as a v2 file and returns (path, pristine bytes).
+/// The eager heap decode of the file at `path`.
+fn eager(path: &std::path::Path) -> Result<RrPool, EngineError> {
+    RrPool::read(std::fs::read(path).unwrap().as_slice())
+}
+
 fn write_sample(dir: &std::path::Path, name: &str) -> (std::path::PathBuf, Vec<u8>) {
     let pool = sample();
     let path = dir.join(format!("{name}.timp"));
-    pool.save_v2(&path).unwrap();
+    pool.save(&path).unwrap();
     let bytes = std::fs::read(&path).unwrap();
     (path, bytes)
 }
 
-/// Both v2 readers must reject the mutated bytes with a clean error. The
+/// Every v2 reader must reject the mutated bytes with a clean error. The
 /// mapped reader gets its deferred check too (`verify`), since open alone
 /// intentionally skips the O(members) section hashing.
 fn assert_rejected(dir: &std::path::Path, bytes: &[u8], what: &str) {
     let path = dir.join("mutant.timp");
     std::fs::write(&path, bytes).unwrap();
     assert!(
-        RrPool::load(&path).is_err(),
+        eager(&path).is_err(),
         "{what}: eager decode accepted corrupt bytes"
+    );
+    assert!(
+        RrPool::load(&path).is_err(),
+        "{what}: the loader accepted corrupt bytes"
     );
     if let Ok(view) = RrPool::open_mapped(&path) {
         assert!(
@@ -124,22 +134,25 @@ fn v2_round_trip_is_bit_identical_and_content_faithful() {
     let dir = tmpdir("roundtrip");
     let pool = sample();
     let path = dir.join("rt.timp");
-    pool.save_v2(&path).unwrap();
+    pool.save(&path).unwrap();
     assert_eq!(pool_version(&path).unwrap(), 2);
 
     // Writing the same pool twice is bit-identical (no timestamps, no
     // map iteration order, nothing nondeterministic in the layout).
     let again = dir.join("rt2.timp");
-    pool.save_v2(&again).unwrap();
+    pool.save(&again).unwrap();
     assert_eq!(
         std::fs::read(&path).unwrap(),
         std::fs::read(&again).unwrap()
     );
 
-    // Both readers agree with the source.
-    let eager = RrPool::load(&path).unwrap();
-    assert_eq!(eager.meta, pool.meta);
-    assert_eq!(eager.sets.len(), pool.sets.len());
+    // Every reader agrees with the source.
+    let heap = eager(&path).unwrap();
+    assert_eq!(heap.meta, pool.meta);
+    assert_eq!(heap.sets.len(), pool.sets.len());
+    let loaded = RrPool::load(&path).unwrap();
+    assert_eq!(loaded.meta, pool.meta);
+    assert!(loaded.sets.mapped_bytes() > 0, "the loader maps a v2 file");
     let view = RrPool::open_mapped(&path).unwrap();
     view.verify().unwrap();
     assert_eq!(view.meta, pool.meta);
@@ -182,11 +195,16 @@ fn bit_flips_anywhere_are_rejected_cleanly() {
             mutant[pos] ^= 1 << (pos % 8);
             let path = dir.join("mutant.timp");
             std::fs::write(&path, &mutant).unwrap();
-            // The eager reader checks everything at load; a single flipped
-            // bit in header, table, or any section must surface as Err.
+            // The eager reader and the loader check everything at load;
+            // a single flipped bit in header, table, or any section must
+            // surface as Err.
+            assert!(
+                eager(&path).is_err(),
+                "eager decode accepted a bit flip at byte {pos}"
+            );
             assert!(
                 RrPool::load(&path).is_err(),
-                "eager decode accepted a bit flip at byte {pos}"
+                "the loader accepted a bit flip at byte {pos}"
             );
             // The mapped reader may defer payload checks to verify().
             if let Ok(view) = RrPool::open_mapped(&path) {
@@ -403,9 +421,13 @@ fn structural_pool_corruption_is_rejected_by_both_readers() {
                 "{what}: mapped open + verify accepted it"
             );
         }
+        assert!(
+            RrPool::load(&path).is_err(),
+            "{what}: the loader accepted it"
+        );
         // The heap decode ignores the stored index, so an index-only edit
         // may load — but then it must answer exactly as the pristine pool.
-        if let Ok(mut heap) = RrPool::load(&path) {
+        if let Ok(mut heap) = eager(&path) {
             heap.sets.ensure_inverted_index();
             for k in [1, 3, 8] {
                 assert_eq!(
@@ -428,15 +450,17 @@ fn structural_pool_corruption_is_rejected_by_both_readers() {
 
 #[test]
 fn version_gates_route_v1_and_v2_transparently() {
-    // Both directions of the sniffing contract: v1 pools keep loading
-    // unchanged on a v2-aware build, and the mapped reader refuses v1
-    // bytes instead of misreading them.
+    // Both directions of the version gate: v1 pools keep loading onto the
+    // heap on a v2-writing build, v2 pools load mapped, and the mapped
+    // reader refuses v1 bytes instead of misreading them.
     let dir = tmpdir("gate");
     let pool = sample();
     let v1 = dir.join("p.v1.timp");
     let v2 = dir.join("p.v2.timp");
-    pool.save(&v1).unwrap();
-    pool.save_v2(&v2).unwrap();
+    let mut bytes = Vec::new();
+    pool.write_v1(&mut bytes).unwrap();
+    std::fs::write(&v1, bytes).unwrap();
+    pool.save(&v2).unwrap();
     assert_eq!(pool_version(&v1).unwrap(), 1);
     assert_eq!(pool_version(&v2).unwrap(), 2);
 
@@ -445,6 +469,8 @@ fn version_gates_route_v1_and_v2_transparently() {
     assert_eq!(from_v1.meta, pool.meta);
     assert_eq!(from_v2.meta, pool.meta);
     assert_eq!(from_v1.sets.len(), from_v2.sets.len());
+    assert_eq!(from_v1.sets.mapped_bytes(), 0);
+    assert!(from_v2.sets.mapped_bytes() > 0);
 
     let err = RrPool::open_mapped(&v1).unwrap_err().to_string();
     assert!(err.contains("not a v2 pool"), "got: {err}");

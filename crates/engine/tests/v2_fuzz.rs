@@ -1,10 +1,11 @@
-//! Unstructured-byte fuzzing of both v2 openers. Each case overwrites
+//! Unstructured-byte fuzzing of the v2 openers. Each case overwrites
 //! 1–8 random bytes of a valid `.timg` v2 or `.timp` v2 file, reseals
 //! the header and section checksums (so the edit reaches the structural
 //! checks instead of tripping a digest), and opens the result through
-//! both owners: the eager heap decode and the zero-copy mapping. Each
-//! open must return `Err`, or a value every query path runs over without
-//! panicking.
+//! every reader: the eager heap decode, the zero-copy mapping, and the
+//! loader that maps and checks at once (`io::load_graph`,
+//! `RrPool::load`). Each open must return `Err`, or a value every query
+//! path runs over without panicking.
 
 #![cfg(unix)]
 
@@ -15,7 +16,7 @@ use tim_coverage::{greedy_max_cover, greedy_max_cover_indexed, SetCollection, SE
 use tim_diffusion::IndependentCascade;
 use tim_engine::{PoolMeta, RrPool, POOL_V2_HEADER_BYTES};
 use tim_graph::snapshot::{self, Fnv1a, V2_HEADER_BYTES, V2_SECTION_COUNT};
-use tim_graph::{gen, weights, Graph, GraphStore, NodeId};
+use tim_graph::{gen, io, weights, Graph, GraphStore, NodeId};
 
 /// Where each format's section table starts and how many entries it has.
 struct Format {
@@ -111,7 +112,7 @@ fn graph_file() -> Vec<u8> {
     let g = graph();
     let labels: Vec<u64> = (0..g.n() as u64).map(|v| v * 7 + 1).collect();
     let mut bytes = Vec::new();
-    snapshot::write_snapshot_v2(&g, &labels, &mut bytes).unwrap();
+    snapshot::write_snapshot(&g, &labels, &mut bytes).unwrap();
     bytes
 }
 
@@ -131,7 +132,7 @@ fn pool_file() -> Vec<u8> {
         sets,
     };
     let mut bytes = Vec::new();
-    pool.write_v2(&mut bytes).unwrap();
+    pool.write(&mut bytes).unwrap();
     bytes
 }
 
@@ -164,8 +165,12 @@ proptest! {
         edits in proptest::collection::vec((0u64..u64::MAX, 0u32..256), 1..9),
     ) {
         let path = fuzz_path("mutant.timg");
-        std::fs::write(&path, mutate_and_reseal(&graph_file(), &TIMG, &edits)).unwrap();
-        if let Ok(loaded) = snapshot::load_snapshot(&path) {
+        let bytes = mutate_and_reseal(&graph_file(), &TIMG, &edits);
+        std::fs::write(&path, &bytes).unwrap();
+        if let Ok(loaded) = snapshot::read_snapshot(bytes.as_slice()) {
+            exercise_graph(&loaded.graph);
+        }
+        if let Ok(loaded) = io::load_graph(&path, false) {
             exercise_graph(&loaded.graph);
         }
         if let Ok((store, labels)) = GraphStore::open_mmap(&path) {
@@ -180,11 +185,17 @@ proptest! {
         edits in proptest::collection::vec((0u64..u64::MAX, 0u32..256), 1..9),
     ) {
         let path = fuzz_path("mutant.timp");
-        std::fs::write(&path, mutate_and_reseal(&pool_file(), &TIMP, &edits)).unwrap();
-        if let Ok(mut heap) = RrPool::load(&path) {
+        let bytes = mutate_and_reseal(&pool_file(), &TIMP, &edits);
+        std::fs::write(&path, &bytes).unwrap();
+        if let Ok(mut heap) = RrPool::read(bytes.as_slice()) {
             heap.sets.ensure_inverted_index();
             exercise_sets(&heap.sets);
             greedy_max_cover_indexed(&heap.sets, 3);
+        }
+        if let Ok(loaded) = RrPool::load(&path) {
+            // A loaded pool has passed verify: every query path may run.
+            exercise_sets(&loaded.sets);
+            greedy_max_cover_indexed(&loaded.sets, 3);
         }
         if let Ok(mapped) = RrPool::open_mapped(&path) {
             // The bounds checked at open keep every accessor in range.

@@ -140,13 +140,6 @@ pub struct GraphOverrides {
     /// Weight-spec override (`weights=lt`; validated when the graph
     /// loads, like the global `--weights`).
     pub weights: Option<String>,
-    /// Backing override (`mmap=on` / `mmap=off`): serve this tenant as a
-    /// zero-copy view over a v2 snapshot instead of decoding to the heap.
-    pub mmap: Option<bool>,
-    /// Pool-backing override (`mmap_pools=on` / `mmap_pools=off`):
-    /// restore this tenant's persisted `.timp` v2 pools as zero-copy
-    /// read-only mappings instead of decoding them onto the heap.
-    pub mmap_pools: Option<bool>,
 }
 
 impl GraphOverrides {
@@ -217,38 +210,10 @@ impl GraphOverrides {
                     return Err(dup(key));
                 }
             }
-            "mmap" => {
-                let flag = match value {
-                    "on" | "true" | "1" => true,
-                    "off" | "false" | "0" => false,
-                    other => {
-                        return Err(bad(format!(
-                            "graph override 'mmap={other}' must be on or off"
-                        )))
-                    }
-                };
-                if self.mmap.replace(flag).is_some() {
-                    return Err(dup(key));
-                }
-            }
-            "mmap_pools" => {
-                let flag = match value {
-                    "on" | "true" | "1" => true,
-                    "off" | "false" | "0" => false,
-                    other => {
-                        return Err(bad(format!(
-                            "graph override 'mmap_pools={other}' must be on or off"
-                        )))
-                    }
-                };
-                if self.mmap_pools.replace(flag).is_some() {
-                    return Err(dup(key));
-                }
-            }
             other => {
                 return Err(bad(format!(
-                "unknown graph override '{other}' (known: model, eps, ell, seed, k, weights, mmap, mmap_pools)"
-            )))
+                    "unknown graph override '{other}' (known: model, eps, ell, seed, k, weights)"
+                )))
             }
         }
         Ok(())
@@ -378,23 +343,13 @@ mod tests {
 
     #[test]
     fn overrides_parse_validate_and_reject() {
-        let o = GraphOverrides::parse(
-            "model=lt,eps=0.2,ell=2,seed=9,k=20,weights=lt,mmap=on,mmap_pools=on",
-        )
-        .unwrap();
+        let o = GraphOverrides::parse("model=lt,eps=0.2,ell=2,seed=9,k=20,weights=lt").unwrap();
         assert_eq!(o.model.as_deref(), Some("lt"));
         assert_eq!(o.epsilon, Some(0.2));
         assert_eq!(o.ell, Some(2.0));
         assert_eq!(o.seed, Some(9));
         assert_eq!(o.k_max, Some(20));
         assert_eq!(o.weights.as_deref(), Some("lt"));
-        assert_eq!(o.mmap, Some(true));
-        assert_eq!(o.mmap_pools, Some(true));
-        assert_eq!(GraphOverrides::parse("mmap=off").unwrap().mmap, Some(false));
-        assert_eq!(
-            GraphOverrides::parse("mmap_pools=off").unwrap().mmap_pools,
-            Some(false)
-        );
         assert!(!o.is_empty());
         assert!(GraphOverrides::parse("").unwrap().is_empty());
         for bad in [
@@ -410,15 +365,13 @@ mod tests {
             "eps=0.1,eps=0.2",
             "weights=bogus",
             "weights=const:x",
-            "mmap=maybe",
-            "mmap=on,mmap=off",
-            "mmap_pools=maybe",
-            "mmap_pools=on,mmap_pools=off",
-            // Retired greedy-selection keys are unknown keys now. They are
-            // spelled in two parts so a search for the retired names finds
-            // only the change history.
+            // Retired keys are unknown keys now. They are spelled in two
+            // parts so a search for the retired names finds only the
+            // change history.
             concat!("select_", "threads=4"),
             concat!("select_", "strategy=lazy"),
+            concat!("mm", "ap=on"),
+            concat!("mmap", "_pools=on"),
         ] {
             assert!(GraphOverrides::parse(bad).is_err(), "{bad:?} accepted");
         }
@@ -427,7 +380,7 @@ mod tests {
             .to_string();
         assert!(
             err.contains("unknown graph override")
-                && err.contains("(known: model, eps, ell, seed, k, weights, mmap, mmap_pools)"),
+                && err.contains("(known: model, eps, ell, seed, k, weights)"),
             "{err}"
         );
         // The weights grammar accepts what apply_spec accepts.

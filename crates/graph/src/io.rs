@@ -1,15 +1,21 @@
-//! SNAP-style edge-list text format.
+//! Graph files: the SNAP-style edge-list text format, the one loader
+//! every graph file goes through ([`load_graph`]), and the atomic file
+//! writer every binary format saves through ([`write_atomically`]).
 //!
-//! One edge per line: `src dst [probability]`, whitespace separated.
-//! Lines starting with `#` or `%` are comments; blank lines are skipped.
-//! Node ids may be arbitrary (non-contiguous) `u64` labels; they are
-//! remapped to dense `u32` ids in first-appearance order, and the mapping
-//! is returned so results can be reported in original labels.
+//! Text: one edge per line, `src dst [probability]`, whitespace
+//! separated. Lines starting with `#` or `%` are comments; blank lines
+//! are skipped. Node ids may be arbitrary (non-contiguous) `u64` labels;
+//! they are remapped to dense `u32` ids in first-appearance order, and
+//! the mapping is returned so results can be reported in original labels.
 
+use crate::mmap::CAN_MAP;
+use crate::snapshot::{self, VERSION_V2};
 use crate::{Graph, GraphBuilder, GraphError};
 use std::collections::HashMap;
-use std::io::{BufRead, BufReader, Read, Write};
-use std::path::Path;
+use std::fs::File;
+use std::io::{BufRead, BufReader, BufWriter, Read, Write};
+use std::path::{Path, PathBuf};
+use std::sync::atomic::{AtomicU64, Ordering};
 
 /// Result of loading an edge list: the graph plus the label mapping.
 #[derive(Debug)]
@@ -130,18 +136,91 @@ pub fn load_edge_list<P: AsRef<Path>>(
     read_edge_list(file, undirected)
 }
 
-/// Loads a graph from either a text edge list or a binary
-/// [`snapshot`](crate::snapshot), dispatching on the file's magic bytes
-/// rather than its extension.
+/// Loads any graph file, dispatching on its content
+/// ([`snapshot_version`](snapshot::snapshot_version)) rather than its
+/// extension; the file picks the backing. A text edge list or a v1
+/// snapshot loads onto the heap. A v2 snapshot is mapped, so the graph's
+/// arrays view the file, and it passes every check the eager v2 decoder
+/// runs before it is returned: header, every section checksum, CSR
+/// structure and content checksum. Where [`CAN_MAP`] is false it decodes
+/// eagerly instead.
+///
+/// A mapped file must be replaced by rename, never rewritten in place
+/// (every writer here goes through [`write_atomically`]).
 ///
 /// `undirected` only affects the text loader: snapshots already store the
 /// final arc set, so the flag is ignored for them.
 pub fn load_graph<P: AsRef<Path>>(path: P, undirected: bool) -> Result<LoadedGraph, GraphError> {
-    if crate::snapshot::sniff_snapshot(&path)? {
-        crate::snapshot::load_snapshot(path)
-    } else {
-        load_edge_list(path, undirected)
+    read_graph(path.as_ref(), undirected).map(|(loaded, _)| loaded)
+}
+
+/// [`load_graph`], plus the content checksum a v2 file records, verified
+/// against the graph: `None` for text and v1 files.
+pub(crate) fn read_graph(
+    path: &Path,
+    undirected: bool,
+) -> Result<(LoadedGraph, Option<u64>), GraphError> {
+    match snapshot::snapshot_version(path)? {
+        None => Ok((load_edge_list(path, undirected)?, None)),
+        Some(VERSION_V2) if CAN_MAP => {
+            let (graph, labels, checksum) = snapshot::map_snapshot_v2(path, true)?;
+            let labels = labels.to_vec();
+            Ok((LoadedGraph { graph, labels }, Some(checksum)))
+        }
+        Some(_) => snapshot::decode_snapshot(&std::fs::read(path)?),
     }
+}
+
+/// A fresh name beside `path` for a file that is about to be renamed
+/// over it: `.tmp-<stem>-<pid>-<seq>[.<ext>]`. The sequence number keeps
+/// two threads of one process apart, so one writer never truncates
+/// another's half-written file; the leading dot keeps it out of a pool
+/// store's entries.
+pub fn temp_sibling(path: &Path) -> PathBuf {
+    static SEQ: AtomicU64 = AtomicU64::new(0);
+    let stem = path.file_stem().unwrap_or_default().to_string_lossy();
+    let mut name = format!(
+        ".tmp-{stem}-{}-{}",
+        std::process::id(),
+        SEQ.fetch_add(1, Ordering::Relaxed)
+    );
+    if let Some(ext) = path.extension() {
+        name = format!("{name}.{}", ext.to_string_lossy());
+    }
+    path.with_file_name(name)
+}
+
+/// Writes the file at `path` through `write` without ever exposing a
+/// partial one or touching the file it replaces: the bytes go to a
+/// [`temp_sibling`], which is synced and then renamed over `path`, and
+/// on unix the directory is synced too, so the rename survives a crash.
+/// A process that maps the old file keeps reading the old bytes, and a
+/// reader of `path` sees the old file or the new one, whole. On error
+/// the temporary is removed and `path` is left as it was.
+pub fn write_atomically<E: From<std::io::Error>>(
+    path: &Path,
+    write: impl FnOnce(&mut BufWriter<File>) -> Result<(), E>,
+) -> Result<(), E> {
+    let tmp = temp_sibling(path);
+    let result = (|| {
+        let mut writer = BufWriter::new(File::create(&tmp)?);
+        write(&mut writer)?;
+        // BufWriter::into_inner flushes; sync so the rename never
+        // publishes a name pointing at unwritten data after a crash.
+        let file = writer.into_inner().map_err(|e| e.into_error())?;
+        file.sync_all()?;
+        std::fs::rename(&tmp, path)?;
+        #[cfg(unix)]
+        {
+            let dir = path.parent().filter(|d| !d.as_os_str().is_empty());
+            File::open(dir.unwrap_or(Path::new(".")))?.sync_all()?;
+        }
+        Ok(())
+    })();
+    if result.is_err() {
+        std::fs::remove_file(&tmp).ok();
+    }
+    result
 }
 
 /// Writes `graph` as `src dst p` lines (dense ids).

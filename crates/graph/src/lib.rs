@@ -18,16 +18,17 @@
 //! - [`gen`] — deterministic synthetic generators (Erdős–Rényi G(n,m),
 //!   directed Barabási–Albert, Watts–Strogatz, power-law configuration
 //!   model) used as stand-ins for the paper's datasets;
-//! - [`io`] — a SNAP-style whitespace edge-list reader/writer, plus
-//!   [`io::load_graph`] which transparently dispatches between text and
-//!   binary inputs;
+//! - [`io`] — a SNAP-style whitespace edge-list reader/writer, the one
+//!   graph-file loader [`io::load_graph`], and the rename-based
+//!   [`io::write_atomically`] every binary format saves through;
 //! - [`snapshot`] — versioned, checksummed binary graph snapshots
-//!   (`.timg`): the heap-oriented v1 layout plus the page-aligned,
-//!   mmap-able v2 layout;
+//!   (`.timg`): the page-aligned, mmap-able v2 layout every writer
+//!   emits, and the older v1 layout, still read;
 //! - [`Array`] / [`Mmap`] — zero-copy out-of-core serving: every CSR
 //!   array either owns a `Vec` or views a section of a read-only file
-//!   mapping, so [`GraphStore::open_mmap`] serves a v2 snapshot as the
-//!   same [`Graph`] a heap load builds;
+//!   mapping, so a v2 snapshot loads as the same [`Graph`] a heap load
+//!   builds. The file picks the backing: v2 files are mapped (and fully
+//!   checked first), text and v1 files load onto the heap;
 //! - [`GraphStore`] — the shared graph handle the engine and server hold,
 //!   with the content checksum that keys pool provenance.
 

@@ -29,16 +29,17 @@
 //!    that views it, and the array's slices borrow the array.
 //! 2. **The mapping is immutable.** `PROT_READ` + `MAP_PRIVATE` means
 //!    neither this process nor (through this mapping) any other can write
-//!    the pages; writes to the underlying file by another process are not
-//!    ordered with our reads, which is why the formats keep a deferred
-//!    checksum pass (`Graph::verify`, `RrPool::verify`) for callers that
-//!    distrust the file, and why every *structural* invariant (offsets,
-//!    endpoints, probabilities) is validated eagerly at open into the
-//!    arrays' private copies of their bounds, which a racing writer
-//!    cannot retroactively change. A torn read of *data* under a racing
-//!    writer can change results but cannot read out of bounds: every
-//!    slice is carved from the validated bounds, and the accessors clamp
-//!    offsets defensively.
+//!    the pages. Writes to the underlying file by another process are not
+//!    ordered with our reads, so every writer in the workspace replaces a
+//!    file by rename (`io::write_atomically`) and never rewrites it in
+//!    place, and the loaders run the full checksum pass (`Graph::verify`,
+//!    `RrPool::verify`) before a mapped artifact serves. Every
+//!    *structural* invariant (offsets, endpoints, probabilities) is
+//!    validated at open into the arrays' private copies of their bounds,
+//!    which a racing writer cannot retroactively change. A torn read of
+//!    *data* under a racing in-place writer can change results but cannot
+//!    read out of bounds: every slice is carved from the validated
+//!    bounds, and the accessors clamp offsets defensively.
 //! 3. **Alignment is guaranteed by the format.** v2 sections start on
 //!    4096-byte boundaries and `mmap` returns page-aligned addresses, so
 //!    reinterpreting section bytes as `u64`/`u32`/`f32` is always
@@ -51,6 +52,11 @@ use crate::GraphError;
 use std::ops::Deref;
 use std::path::Path;
 use std::sync::Arc;
+
+/// True where [`Mmap::open`] can map a file: unix hosts with
+/// little-endian byte order. Elsewhere every loader decodes v2 files
+/// onto the heap instead of mapping them.
+pub const CAN_MAP: bool = cfg!(all(unix, target_endian = "little"));
 
 fn snap_err(message: impl Into<String>) -> GraphError {
     GraphError::Snapshot {
@@ -403,7 +409,7 @@ impl<T: Element + std::fmt::Debug> std::fmt::Debug for Array<T> {
 #[cfg(all(test, unix))]
 mod tests {
     use super::*;
-    use crate::snapshot::{graph_checksum, save_snapshot, save_snapshot_v2, write_snapshot_v2};
+    use crate::snapshot::{graph_checksum, save_snapshot, write_snapshot, write_snapshot_v1};
     use crate::{gen, weights, Graph, GraphStore, NodeId};
 
     fn sample() -> (Graph, Vec<u64>) {
@@ -423,7 +429,7 @@ mod tests {
     fn mapped_graph_matches_heap_graph_exactly() {
         let (g, labels) = sample();
         let path = tmp("view.timg");
-        save_snapshot_v2(&g, &labels, &path).unwrap();
+        save_snapshot(&g, &labels, &path).unwrap();
         let (store, mapped_labels) = GraphStore::open_mmap(&path).unwrap();
         let view = store.graph();
         assert!(view.mapping().is_some());
@@ -452,7 +458,9 @@ mod tests {
     fn v1_snapshot_is_rejected_cleanly() {
         let (g, labels) = sample();
         let path = tmp("v1.timg");
-        save_snapshot(&g, &labels, &path).unwrap();
+        let mut v1 = Vec::new();
+        write_snapshot_v1(&g, &labels, &mut v1).unwrap();
+        std::fs::write(&path, v1).unwrap();
         assert!(matches!(
             GraphStore::open_mmap(&path),
             Err(GraphError::Snapshot { message }) if message.contains("not a v2")
@@ -464,7 +472,7 @@ mod tests {
     fn verify_catches_a_post_open_flip() {
         let (g, labels) = sample();
         let path = tmp("flip.timg");
-        save_snapshot_v2(&g, &labels, &path).unwrap();
+        save_snapshot(&g, &labels, &path).unwrap();
         let mut bytes = std::fs::read(&path).unwrap();
         let last = bytes.len() - 1;
         bytes[last] ^= 0x80; // last label byte: structural scan passes
@@ -484,10 +492,10 @@ mod tests {
         // reproduces the file byte for byte.
         let (g, labels) = sample();
         let path = tmp("owned.timg");
-        save_snapshot_v2(&g, &labels, &path).unwrap();
+        save_snapshot(&g, &labels, &path).unwrap();
         let (store, mapped_labels) = GraphStore::open_mmap(&path).unwrap();
         let mut bytes = Vec::new();
-        write_snapshot_v2(store.graph(), &mapped_labels, &mut bytes).unwrap();
+        write_snapshot(store.graph(), &mapped_labels, &mut bytes).unwrap();
         assert_eq!(bytes, std::fs::read(&path).unwrap());
         std::fs::remove_file(&path).ok();
     }

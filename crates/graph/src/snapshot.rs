@@ -4,9 +4,15 @@
 //! every line is parsed, labels are interned through a hash map, and the
 //! CSR layout is rebuilt from scratch. A snapshot stores the finished
 //! product — both CSR directions, the edge probabilities, and the
-//! label map — so loading is a bounds-checked `memcpy` plus a checksum
-//! pass, and the loaded [`Graph`] is bit-identical to the one that was
-//! saved.
+//! label map — so loading is a mapping or a bounds-checked `memcpy` plus
+//! a checksum pass, and the loaded [`Graph`] is bit-identical to the one
+//! that was saved.
+//!
+//! [`write_snapshot`] and [`save_snapshot`] write version 2 only;
+//! [`save_snapshot`] replaces the file by rename, so a process serving
+//! the old file keeps its bytes. Version 1 files stay readable:
+//! [`io::load_graph`](crate::io::load_graph) decodes them onto the heap
+//! and maps version 2 files.
 //!
 //! # File layout (version 1, little-endian)
 //!
@@ -46,10 +52,12 @@
 //! (`m×u32`), `out_probs` (`m×u32` f32 bits), `in_offsets`, `in_sources`,
 //! `in_probs`, `labels` (`n×u64`). The header checksum covers the section
 //! table, so offsets/lengths and the per-section checksums are
-//! tamper-evident without touching any section; per-section FNV checksums
-//! let validation be deferred section-by-section
-//! ([`Graph::verify`]), while the eager heap decoder ([`load_snapshot`]
-//! on a v2 file) always verifies everything.
+//! tamper-evident without touching any section. Every loader checks every
+//! section and the content checksum before the graph serves:
+//! [`io::load_graph`](crate::io::load_graph) when it maps a v2 file, and
+//! the eager decoder ([`read_snapshot`]) always.
+//! [`GraphStore::open_mmap`](crate::GraphStore::open_mmap) alone defers
+//! the section checksums to [`Graph::verify`].
 //!
 //! ```
 //! use tim_graph::{snapshot, Graph};
@@ -65,7 +73,7 @@
 //! assert_eq!(snapshot::graph_checksum(&loaded.graph), snapshot::graph_checksum(&g));
 //! ```
 
-use crate::io::LoadedGraph;
+use crate::io::{write_atomically, LoadedGraph};
 use crate::mmap::{Array, Element, Mmap};
 use crate::{Graph, GraphError, NodeId};
 use std::io::{Read, Write};
@@ -185,25 +193,16 @@ fn put_u32s(buf: &mut Vec<u8>, values: impl IntoIterator<Item = u32>) {
     }
 }
 
-/// Serializes `graph` and its label map into `writer`.
-///
-/// `labels[i]` must be the original label of dense node `i`; pass
-/// `(0..n as u64)` (see [`LoadedGraph::from_dense`]) for graphs that never
-/// had external labels. Errors if `labels.len() != graph.n()`.
-pub fn write_snapshot<W: Write>(
+/// Serializes `graph` and its label map in the v1 layout. Nothing saves
+/// v1 any more: this writes the fixtures of the v1-reading tests and the
+/// legacy rows of the `graph_load` benchmark. Same contract as
+/// [`write_snapshot`].
+pub fn write_snapshot_v1<W: Write>(
     graph: &Graph,
     labels: &[u64],
     mut writer: W,
 ) -> Result<(), GraphError> {
-    if labels.len() != graph.n() {
-        return Err(GraphError::Snapshot {
-            message: format!(
-                "label map has {} entries for a {}-node graph",
-                labels.len(),
-                graph.n()
-            ),
-        });
-    }
+    check_labels(graph, labels)?;
     let n = graph.n();
     let m = graph.m();
     let mut payload = Vec::with_capacity(16 + (n + 1) * 16 + m * 16 + n * 8);
@@ -277,15 +276,18 @@ fn overflow(what: &str) -> GraphError {
     }
 }
 
-/// Deserializes a snapshot from any reader, verifying the magic, version,
-/// checksum, and all CSR invariants before returning the graph.
+/// Deserializes a snapshot of either version from any reader onto the
+/// heap, verifying the magic, version, checksums, and all CSR invariants
+/// before returning the graph.
 pub fn read_snapshot<R: Read>(mut reader: R) -> Result<LoadedGraph, GraphError> {
     let mut bytes = Vec::new();
     reader.read_to_end(&mut bytes)?;
-    decode_snapshot(&bytes)
+    decode_snapshot(&bytes).map(|(loaded, _)| loaded)
 }
 
-fn decode_snapshot(bytes: &[u8]) -> Result<LoadedGraph, GraphError> {
+/// The eager decoder of both versions. A v2 file also yields the content
+/// checksum its header records, verified against the decoded graph.
+pub(crate) fn decode_snapshot(bytes: &[u8]) -> Result<(LoadedGraph, Option<u64>), GraphError> {
     let mut cur = Cursor { buf: bytes, pos: 0 };
     let magic = cur.take(4, "magic")?;
     if magic != MAGIC {
@@ -298,7 +300,7 @@ fn decode_snapshot(bytes: &[u8]) -> Result<LoadedGraph, GraphError> {
     // caller asking for a heap graph gets one regardless of the on-disk
     // layout); anything else is from the future and must be rejected.
     if version == VERSION_V2 {
-        return decode_snapshot_v2(bytes);
+        return decode_snapshot_v2(bytes).map(|(loaded, checksum)| (loaded, Some(checksum)));
     }
     if version != VERSION {
         return Err(GraphError::Snapshot {
@@ -359,28 +361,24 @@ fn decode_snapshot(bytes: &[u8]) -> Result<LoadedGraph, GraphError> {
     graph.validate().map_err(|message| GraphError::Snapshot {
         message: format!("invalid CSR in snapshot: {message}"),
     })?;
-    Ok(LoadedGraph { graph, labels })
-}
-
-/// Saves `graph` and its label map to `path`.
-pub fn save_snapshot<P: AsRef<Path>>(
-    graph: &Graph,
-    labels: &[u64],
-    path: P,
-) -> Result<(), GraphError> {
-    let file = std::fs::File::create(path)?;
-    write_snapshot(graph, labels, std::io::BufWriter::new(file))
-}
-
-/// Loads a snapshot from `path`.
-pub fn load_snapshot<P: AsRef<Path>>(path: P) -> Result<LoadedGraph, GraphError> {
-    decode_snapshot(&std::fs::read(path)?)
+    Ok((LoadedGraph { graph, labels }, None))
 }
 
 fn snap_err(message: impl Into<String>) -> GraphError {
     GraphError::Snapshot {
         message: message.into(),
     }
+}
+
+fn check_labels(graph: &Graph, labels: &[u64]) -> Result<(), GraphError> {
+    if labels.len() != graph.n() {
+        return Err(snap_err(format!(
+            "label map has {} entries for a {}-node graph",
+            labels.len(),
+            graph.n()
+        )));
+    }
+    Ok(())
 }
 
 /// One entry of the v2 section table, already bounds-validated against the
@@ -520,24 +518,20 @@ pub(crate) fn parse_v2_layout(bytes: &[u8], file_len: u64) -> Result<V2Layout, G
     })
 }
 
-/// Serializes `graph` and its labels in the page-aligned v2 layout.
+/// Serializes `graph` and its label map into `writer` in the page-aligned
+/// v2 layout. The result loads mapped through
+/// [`io::load_graph`](crate::io::load_graph), or eagerly through
+/// [`read_snapshot`].
 ///
-/// Same contract as [`write_snapshot`], different bytes: the result can be
-/// decoded eagerly ([`read_snapshot`] / [`load_snapshot`] version-gate on
-/// the header) or opened zero-copy via
-/// [`GraphStore::open_mmap`](crate::GraphStore::open_mmap).
-pub fn write_snapshot_v2<W: Write>(
+/// `labels[i]` must be the original label of dense node `i`; pass
+/// `(0..n as u64)` (see [`LoadedGraph::from_dense`]) for graphs that never
+/// had external labels. Errors if `labels.len() != graph.n()`.
+pub fn write_snapshot<W: Write>(
     graph: &Graph,
     labels: &[u64],
     mut writer: W,
 ) -> Result<(), GraphError> {
-    if labels.len() != graph.n() {
-        return Err(snap_err(format!(
-            "label map has {} entries for a {}-node graph",
-            labels.len(),
-            graph.n()
-        )));
-    }
+    check_labels(graph, labels)?;
     let mut sections: [Vec<u8>; V2_SECTION_COUNT] = Default::default();
     put_u64s(
         &mut sections[v2_section::OUT_OFFSETS],
@@ -612,14 +606,18 @@ pub fn write_snapshot_v2<W: Write>(
     Ok(())
 }
 
-/// Saves `graph` and its label map to `path` in the v2 layout.
-pub fn save_snapshot_v2<P: AsRef<Path>>(
+/// Saves `graph` and its label map to `path` in the v2 layout. The file
+/// is replaced by rename ([`write_atomically`]), never rewritten in
+/// place, so a graph still mapped from the old file keeps its bytes, and
+/// `path` may be the file the graph was loaded from.
+pub fn save_snapshot<P: AsRef<Path>>(
     graph: &Graph,
     labels: &[u64],
     path: P,
 ) -> Result<(), GraphError> {
-    let file = std::fs::File::create(path)?;
-    write_snapshot_v2(graph, labels, std::io::BufWriter::new(file))
+    write_atomically(path.as_ref(), |writer| {
+        write_snapshot(graph, labels, writer)
+    })
 }
 
 /// Parses the v2 header of `bytes` and checks every section against the
@@ -643,8 +641,8 @@ pub(crate) fn verify_v2_sections(bytes: &[u8]) -> Result<V2Layout, GraphError> {
 
 /// Eager heap decode of a v2 snapshot: verifies the header, **every**
 /// per-section checksum, the CSR structure, and that the decoded graph
-/// hashes to the content checksum the header claims.
-fn decode_snapshot_v2(bytes: &[u8]) -> Result<LoadedGraph, GraphError> {
+/// hashes to the content checksum the header claims, which it returns.
+fn decode_snapshot_v2(bytes: &[u8]) -> Result<(LoadedGraph, u64), GraphError> {
     let layout = verify_v2_sections(bytes)?;
     let u64s = |i: usize| -> Vec<u64> {
         let s = &layout.sections[i];
@@ -674,27 +672,41 @@ fn decode_snapshot_v2(bytes: &[u8]) -> Result<LoadedGraph, GraphError> {
     graph.validate().map_err(|message| GraphError::Snapshot {
         message: format!("invalid CSR in v2 snapshot: {message}"),
     })?;
-    let actual = graph_checksum(&graph);
-    if actual != layout.checksum {
-        return Err(snap_err(format!(
-            "v2 content checksum mismatch: header says {:#018x}, graph hashes to {actual:#018x}",
-            layout.checksum
-        )));
-    }
-    Ok(LoadedGraph {
+    check_content(&graph, layout.checksum)?;
+    let loaded = LoadedGraph {
         graph,
         labels: u64s(v2_section::LABELS),
-    })
+    };
+    Ok((loaded, layout.checksum))
+}
+
+/// Checks that `graph` hashes to the content checksum a v2 header records.
+fn check_content(graph: &Graph, recorded: u64) -> Result<(), GraphError> {
+    let actual = graph_checksum(graph);
+    if actual != recorded {
+        return Err(snap_err(format!(
+            "v2 content checksum mismatch: header says {recorded:#018x}, graph hashes to {actual:#018x}"
+        )));
+    }
+    Ok(())
 }
 
 /// Maps the v2 snapshot at `path` without copying: the header and section
 /// table are validated, then the graph's six arrays and the label section
 /// view the mapping, and [`Graph::validate`] runs the same structural
-/// scan a heap decode runs. Per-section checksums are deferred to
-/// [`Graph::verify`]. Returns the graph, its labels, and the content
-/// checksum the header records ([`graph_checksum`] of the graph, without
-/// an O(m) hash).
-pub(crate) fn map_snapshot_v2(path: &Path) -> Result<(Graph, Array<u64>, u64), GraphError> {
+/// scan a heap decode runs. Returns the graph, its labels, and the
+/// content checksum the header records.
+///
+/// With `verify`, the open also runs every other check the eager decoder
+/// runs: each section against its checksum ([`Graph::verify`]), then the
+/// graph against the content checksum. The sequential scan runs before
+/// the random-access paging advice, so it reads ahead. Without it, the
+/// section checksums are left to [`Graph::verify`] and the recorded
+/// content checksum is taken on trust.
+pub(crate) fn map_snapshot_v2(
+    path: &Path,
+    verify: bool,
+) -> Result<(Graph, Array<u64>, u64), GraphError> {
     let map = Arc::new(Mmap::open(path)?);
     let layout = parse_v2_layout(map.bytes(), map.len() as u64)?;
     fn section<T: Element>(map: &Arc<Mmap>, s: &V2Section) -> Result<Array<T>, GraphError> {
@@ -717,6 +729,10 @@ pub(crate) fn map_snapshot_v2(path: &Path) -> Result<(Graph, Array<u64>, u64), G
     graph.validate().map_err(|message| GraphError::Snapshot {
         message: format!("invalid CSR in v2 snapshot: {message}"),
     })?;
+    if verify {
+        graph.verify()?;
+        check_content(&graph, layout.checksum)?;
+    }
     map.advise_random();
     // Offsets are touched for every sampled node; fault the header and
     // both offset sections in up front.
@@ -728,8 +744,8 @@ pub(crate) fn map_snapshot_v2(path: &Path) -> Result<(Graph, Array<u64>, u64), G
 /// Reads the snapshot version of the file at `path`: `None` when the file
 /// does not start with the snapshot magic, `Some(version)` otherwise.
 ///
-/// The catalog uses this to decide whether a path can be attached
-/// mmap-backed (only v2 files can) without parsing anything.
+/// [`io::load_graph`](crate::io::load_graph) dispatches on it: text, v1
+/// onto the heap, v2 mapped.
 pub fn snapshot_version<P: AsRef<Path>>(path: P) -> Result<Option<u32>, GraphError> {
     let mut file = std::fs::File::open(path)?;
     let mut head = [0u8; 8];
@@ -748,23 +764,6 @@ pub fn snapshot_version<P: AsRef<Path>>(path: P) -> Result<Option<u32>, GraphErr
     )))
 }
 
-/// True when the file at `path` starts with the snapshot magic bytes.
-///
-/// Used by [`io::load_graph`](crate::io::load_graph) to dispatch between
-/// the text and binary loaders without relying on file extensions.
-pub fn sniff_snapshot<P: AsRef<Path>>(path: P) -> Result<bool, GraphError> {
-    let mut file = std::fs::File::open(path)?;
-    let mut head = [0u8; 4];
-    let mut filled = 0;
-    while filled < head.len() {
-        match file.read(&mut head[filled..])? {
-            0 => return Ok(false), // shorter than the magic: not a snapshot
-            k => filled += k,
-        }
-    }
-    Ok(head == MAGIC)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -779,7 +778,7 @@ mod tests {
 
     fn encode(g: &Graph, labels: &[u64]) -> Vec<u8> {
         let mut buf = Vec::new();
-        write_snapshot(g, labels, &mut buf).unwrap();
+        write_snapshot_v1(g, labels, &mut buf).unwrap();
         buf
     }
 
@@ -893,6 +892,10 @@ mod tests {
             write_snapshot(&g, &[1, 2, 3], &mut buf),
             Err(GraphError::Snapshot { .. })
         ));
+        assert!(matches!(
+            write_snapshot_v1(&g, &[1, 2, 3], &mut buf),
+            Err(GraphError::Snapshot { .. })
+        ));
     }
 
     #[test]
@@ -904,9 +907,9 @@ mod tests {
         let text = dir.join("g.txt");
         save_snapshot(&g, &labels, &snap).unwrap();
         crate::io::save_edge_list(&g, &text).unwrap();
-        assert!(sniff_snapshot(&snap).unwrap());
-        assert!(!sniff_snapshot(&text).unwrap());
-        let loaded = load_snapshot(&snap).unwrap();
+        assert_eq!(snapshot_version(&snap).unwrap(), Some(VERSION_V2));
+        assert_eq!(snapshot_version(&text).unwrap(), None);
+        let loaded = crate::io::load_graph(&snap, false).unwrap();
         assert_eq!(loaded.labels, labels);
         assert_eq!(graph_checksum(&loaded.graph), graph_checksum(&g));
         std::fs::remove_file(&snap).ok();
@@ -915,7 +918,7 @@ mod tests {
 
     fn encode_v2(g: &Graph, labels: &[u64]) -> Vec<u8> {
         let mut buf = Vec::new();
-        write_snapshot_v2(g, labels, &mut buf).unwrap();
+        write_snapshot(g, labels, &mut buf).unwrap();
         buf
     }
 
@@ -973,15 +976,17 @@ mod tests {
         let v1 = dir.join("g1.timg");
         let v2 = dir.join("g2.timg");
         let text = dir.join("g.txt");
-        save_snapshot(&g, &labels, &v1).unwrap();
-        save_snapshot_v2(&g, &labels, &v2).unwrap();
+        std::fs::write(&v1, encode(&g, &labels)).unwrap();
+        save_snapshot(&g, &labels, &v2).unwrap();
         crate::io::save_edge_list(&g, &text).unwrap();
         assert_eq!(snapshot_version(&v1).unwrap(), Some(VERSION));
         assert_eq!(snapshot_version(&v2).unwrap(), Some(VERSION_V2));
         assert_eq!(snapshot_version(&text).unwrap(), None);
-        assert!(sniff_snapshot(&v2).unwrap(), "sniffing is version-agnostic");
-        let loaded = load_snapshot(&v2).unwrap();
-        assert_eq!(graph_checksum(&loaded.graph), graph_checksum(&g));
+        for path in [&v1, &v2] {
+            let loaded = crate::io::load_graph(path, false).unwrap();
+            assert_eq!(graph_checksum(&loaded.graph), graph_checksum(&g));
+            assert_eq!(loaded.labels, labels);
+        }
         for p in [&v1, &v2, &text] {
             std::fs::remove_file(p).ok();
         }
@@ -1017,7 +1022,7 @@ mod tests {
         std::fs::create_dir_all(&dir).unwrap();
         let path = dir.join("empty");
         std::fs::write(&path, b"").unwrap();
-        assert!(!sniff_snapshot(&path).unwrap());
+        assert_eq!(snapshot_version(&path).unwrap(), None);
         assert!(read_snapshot(std::fs::File::open(&path).unwrap()).is_err());
         std::fs::remove_file(&path).ok();
     }

@@ -2,13 +2,16 @@
 //! property-driven corruption — bit flips, truncation at every section
 //! boundary, misaligned/overlapping/out-of-bounds section offsets, huge
 //! claimed counts. Every hostile input must yield a clean
-//! [`GraphError`], never a panic or an out-of-bounds read, on BOTH v2
-//! readers: the eager heap decode (`load_snapshot`) and the zero-copy
-//! mapping (`GraphStore::open_mmap` + `Graph::verify`). A corrupt attach must also
-//! leave a catalog slot reusable, not poisoned.
+//! [`GraphError`], never a panic or an out-of-bounds read, on every v2
+//! reader: the eager heap decode (`read_snapshot`), the zero-copy
+//! mapping (`GraphStore::open_mmap` + `Graph::verify`), and the loader
+//! that maps and checks at once (`io::load_graph`). A corrupt attach must
+//! also leave a catalog slot reusable, not poisoned.
 
-use tim_graph::snapshot::{graph_checksum, load_snapshot, save_snapshot_v2, snapshot_version};
-use tim_graph::{gen, weights, Graph, GraphStore};
+use tim_graph::snapshot::{
+    graph_checksum, read_snapshot, save_snapshot, snapshot_version, write_snapshot_v1,
+};
+use tim_graph::{gen, io, weights, Graph, GraphStore};
 
 const HEADER_BYTES: usize = 272;
 const ALIGN: usize = 4096;
@@ -31,22 +34,37 @@ fn tmpdir(tag: &str) -> std::path::PathBuf {
 fn write_sample(dir: &std::path::Path, name: &str) -> (std::path::PathBuf, Vec<u8>) {
     let (g, labels) = sample();
     let path = dir.join(format!("{name}.timg"));
-    save_snapshot_v2(&g, &labels, &path).unwrap();
+    save_snapshot(&g, &labels, &path).unwrap();
     let bytes = std::fs::read(&path).unwrap();
     (path, bytes)
 }
 
-/// Both v2 readers must reject the mutated bytes with a clean error. The
+/// Writes a v1 copy of the sample to `path`.
+fn write_sample_v1(path: &std::path::Path) {
+    let (g, labels) = sample();
+    let mut bytes = Vec::new();
+    write_snapshot_v1(&g, &labels, &mut bytes).unwrap();
+    std::fs::write(path, bytes).unwrap();
+}
+
+/// Every v2 reader must reject the mutated bytes with a clean error. The
 /// mapped reader gets its deferred check too (`verify`), since open alone
 /// intentionally skips the O(m) section hashing.
 fn assert_rejected(dir: &std::path::Path, bytes: &[u8], what: &str) {
     let path = dir.join("mutant.timg");
     std::fs::write(&path, bytes).unwrap();
-    let eager = load_snapshot(&path);
     assert!(
-        eager.is_err(),
+        read_snapshot(bytes).is_err(),
         "{what}: eager decode accepted corrupt bytes"
     );
+    // Cut below its magic and version, a file is no snapshot by content,
+    // and the loader reads it as a text edge list.
+    if snapshot_version(&path).unwrap().is_some() {
+        assert!(
+            io::load_graph(&path, false).is_err(),
+            "{what}: the loader accepted corrupt bytes"
+        );
+    }
     if let Ok((view, _)) = GraphStore::open_mmap(&path) {
         assert!(
             view.graph().verify().is_err(),
@@ -84,22 +102,25 @@ fn v2_round_trip_is_bit_identical_and_content_faithful() {
     let dir = tmpdir("roundtrip");
     let (g, labels) = sample();
     let path = dir.join("rt.timg");
-    save_snapshot_v2(&g, &labels, &path).unwrap();
+    save_snapshot(&g, &labels, &path).unwrap();
     assert_eq!(snapshot_version(&path).unwrap(), Some(2));
 
     // Writing the same graph twice is bit-identical (no timestamps, no
     // map iteration order, nothing nondeterministic in the layout).
     let again = dir.join("rt2.timg");
-    save_snapshot_v2(&g, &labels, &again).unwrap();
+    save_snapshot(&g, &labels, &again).unwrap();
     assert_eq!(
         std::fs::read(&path).unwrap(),
         std::fs::read(&again).unwrap()
     );
 
-    // Both readers agree with the source, bit for bit.
-    let eager = load_snapshot(&path).unwrap();
+    // Every reader agrees with the source, bit for bit.
+    let eager = read_snapshot(std::fs::read(&path).unwrap().as_slice()).unwrap();
     assert_eq!(graph_checksum(&eager.graph), graph_checksum(&g));
     assert_eq!(eager.labels, labels);
+    let loaded = io::load_graph(&path, false).unwrap();
+    assert_eq!(graph_checksum(&loaded.graph), graph_checksum(&g));
+    assert_eq!(loaded.labels, labels);
     let (view, mapped_labels) = GraphStore::open_mmap(&path).unwrap();
     view.graph().verify().unwrap();
     assert_eq!(view.checksum(), graph_checksum(&g));
@@ -137,11 +158,16 @@ fn bit_flips_anywhere_are_rejected_cleanly() {
             mutant[pos] ^= 1 << (pos % 8);
             let path = dir.join("mutant.timg");
             std::fs::write(&path, &mutant).unwrap();
-            // The eager reader checks everything at load; a single flipped
-            // bit in header, table, or any section must surface as Err.
+            // The eager reader and the loader check everything at load;
+            // a single flipped bit in header, table, or any section must
+            // surface as Err.
             assert!(
-                load_snapshot(&path).is_err(),
+                read_snapshot(mutant.as_slice()).is_err(),
                 "eager decode accepted a bit flip at byte {pos}"
+            );
+            assert!(
+                io::load_graph(&path, false).is_err(),
+                "the loader accepted a bit flip at byte {pos}"
             );
             // The mapped reader may defer payload checks to verify().
             if let Ok((view, _)) = GraphStore::open_mmap(&path) {
@@ -313,20 +339,22 @@ fn structural_csr_corruption_is_rejected_by_both_readers() {
 
 #[test]
 fn io_load_graph_version_gates_transparently() {
-    // Both directions of the sniffing contract: v1 snapshots keep loading
-    // unchanged on a v2-aware build, and a v2 file handed to the generic
-    // heap loader decodes eagerly instead of erroring.
+    // Both directions of the version gate: v1 snapshots keep loading onto
+    // the heap on a v2-writing build, and a v2 file handed to the same
+    // loader is mapped, checked, and answers for the same graph.
     let dir = tmpdir("io_gate");
     let (g, labels) = sample();
     let v1 = dir.join("g.v1.timg");
     let v2 = dir.join("g.v2.timg");
-    tim_graph::snapshot::save_snapshot(&g, &labels, &v1).unwrap();
-    save_snapshot_v2(&g, &labels, &v2).unwrap();
+    write_sample_v1(&v1);
+    save_snapshot(&g, &labels, &v2).unwrap();
     assert_eq!(snapshot_version(&v1).unwrap(), Some(1));
     assert_eq!(snapshot_version(&v2).unwrap(), Some(2));
 
-    let from_v1 = tim_graph::io::load_graph(&v1, false).unwrap();
-    let from_v2 = tim_graph::io::load_graph(&v2, false).unwrap();
+    let from_v1 = io::load_graph(&v1, false).unwrap();
+    let from_v2 = io::load_graph(&v2, false).unwrap();
+    assert!(from_v1.graph.mapping().is_none());
+    assert_eq!(from_v2.graph.mapping().is_some(), tim_graph::mmap::CAN_MAP);
     assert_eq!(graph_checksum(&from_v1.graph), graph_checksum(&g));
     assert_eq!(graph_checksum(&from_v2.graph), graph_checksum(&g));
     assert_eq!(from_v1.labels, labels);
@@ -336,10 +364,7 @@ fn io_load_graph_version_gates_transparently() {
     let text = dir.join("g.txt");
     std::fs::write(&text, "0 1\n1 2\n2 0\n").unwrap();
     assert_eq!(snapshot_version(&text).unwrap(), None);
-    assert_eq!(
-        tim_graph::io::load_graph(&text, false).unwrap().graph.n(),
-        3
-    );
+    assert_eq!(io::load_graph(&text, false).unwrap().graph.n(), 3);
     std::fs::remove_dir_all(&dir).ok();
 }
 
@@ -362,9 +387,8 @@ fn corrupt_open_never_yields_a_usable_store() {
     assert!(GraphStore::open_mmap(&path).is_err());
 
     // A v1 snapshot is not mmap-able: open must refuse, not misread.
-    let (g, labels) = sample();
     let v1 = dir.join("v1.timg");
-    tim_graph::snapshot::save_snapshot(&g, &labels, &v1).unwrap();
+    write_sample_v1(&v1);
     assert!(GraphStore::open_mmap(&v1).is_err());
     // ...and the pristine v2 still opens after all those rejections.
     std::fs::write(&path, &pristine).unwrap();

@@ -13,10 +13,11 @@
 //! sampling (cold miss → disk probe → build only on a true miss), a
 //! fresh build is spilled back to disk, and eviction spills a pool that
 //! grew since its last spill instead of destroying the work. Warm state
-//! thereby survives both eviction and process restarts. With
-//! `mmap_pools` on, v2 spills restore as verified zero-copy mappings
-//! ([`tim_engine::RrPool::open_mapped`]) instead of heap decodes — same
-//! answers, no per-restore allocation or index rebuild.
+//! thereby survives both eviction and process restarts. The file picks
+//! the backing of a restore: a v2 spill is mapped zero-copy
+//! ([`tim_engine::RrPool::open_mapped`]) and checksum-verified before it
+//! serves, with no per-restore allocation or index rebuild; a v1 file
+//! decodes onto the heap. Answers are the same either way.
 //!
 //! Two locking properties matter for serving:
 //!
@@ -99,12 +100,6 @@ pub struct PoolCache<M> {
     /// [`spill_dirty`](Self::spill_dirty) works regardless — it is the
     /// explicit-persist path.
     persist: bool,
-    /// Restore v2 spills as zero-copy mappings ([`ProbedPool::Mapped`])
-    /// instead of heap decodes. Mapped restores are checksum-verified
-    /// here, before the pool can serve — a corrupt file is quarantined
-    /// and the miss falls through to a build, exactly like a failed
-    /// heap decode.
-    mmap_pools: bool,
     hits: AtomicU64,
     misses: AtomicU64,
     builds: AtomicU64,
@@ -150,7 +145,6 @@ impl<M: DiffusionModel + Clone> PoolCache<M> {
             capacity,
             store: None,
             persist: false,
-            mmap_pools: false,
             hits: AtomicU64::new(0),
             misses: AtomicU64::new(0),
             builds: AtomicU64::new(0),
@@ -170,22 +164,15 @@ impl<M: DiffusionModel + Clone> PoolCache<M> {
     /// (spill on build, on eviction of a grown pool, and on
     /// [`spill_dirty`](Self::spill_dirty) sync); without it the store is
     /// read-only until an explicit [`spill_dirty`](Self::spill_dirty).
-    /// `mmap_pools` restores v2 spills as verified zero-copy mappings
-    /// instead of heap decodes (v1 files fall back to the heap
-    /// transparently); answers are byte-identical either way.
+    /// v2 spills restore as verified zero-copy mappings, v1 files as heap
+    /// decodes; answers are byte-identical either way.
     ///
     /// # Panics
     /// Panics if `capacity == 0`.
-    pub fn with_store(
-        capacity: usize,
-        store: Arc<PoolStore>,
-        persist: bool,
-        mmap_pools: bool,
-    ) -> Self {
+    pub fn with_store(capacity: usize, store: Arc<PoolStore>, persist: bool) -> Self {
         let mut cache = Self::new(capacity);
         cache.store = Some(store);
         cache.persist = persist;
-        cache.mmap_pools = mmap_pools;
         cache
     }
 
@@ -307,7 +294,7 @@ impl<M: DiffusionModel + Clone> PoolCache<M> {
 
     fn store_probe(&self, key: &PoolKey) -> Option<ProbedPool> {
         let store = self.store.as_ref()?;
-        let found = match store.probe_backed(key, self.mmap_pools) {
+        let found = match store.probe_backed(key, true) {
             Ok(found) => found?,
             Err(e) => {
                 // IO trouble (permissions, disk): serving must not die —
@@ -322,9 +309,10 @@ impl<M: DiffusionModel + Clone> PoolCache<M> {
         if let ProbedPool::Mapped(mapped) = &found {
             // Mapping defers the section checksums; pay them here, once,
             // before the pool can serve. The scan is sequential (and
-            // prefaults the pages selection will touch) — it replaces
-            // v1's read-everything + decode + index rebuild, not adds
-            // to it. A mismatch is corruption: quarantine and rebuild.
+            // prefaults the pages selection will touch) — it replaces a
+            // heap restore's read-everything + decode + index rebuild,
+            // not adds to it. A mismatch is corruption: quarantine and
+            // rebuild, exactly like a failed heap decode.
             if let Err(e) = store.verify_mapped(mapped) {
                 store.quarantine_id(key, &e.to_string());
                 return None;
@@ -704,7 +692,7 @@ mod tests {
         let k = true_key(&g, 1.0);
 
         // First process: true miss → build → write-through spill.
-        let cache = PoolCache::with_store(2, Arc::clone(&store), true, false);
+        let cache = PoolCache::with_store(2, Arc::clone(&store), true);
         let want = cache
             .get_or_load(&k, |p| restore(&g, p), || cheap_engine(&g, 1.0))
             .select(2)
@@ -714,7 +702,7 @@ mod tests {
         assert_eq!(store.len(), 1, "pool on disk");
 
         // Second process (fresh cache, same store): disk hit, no build.
-        let cache2 = PoolCache::with_store(2, Arc::clone(&store), true, false);
+        let cache2 = PoolCache::with_store(2, Arc::clone(&store), true);
         let built = AtomicUsize::new(0);
         let got = cache2
             .get_or_load(
@@ -740,16 +728,16 @@ mod tests {
         let (dir, store) = tmp_store("mmap");
         let k = true_key(&g, 1.0);
 
-        // First process: build + write-through (spills are v2 by default).
-        let cache = PoolCache::with_store(2, Arc::clone(&store), true, false);
+        // First process: build + write-through (spills are v2).
+        let cache = PoolCache::with_store(2, Arc::clone(&store), true);
         let want = cache
             .get_or_load(&k, |p| restore(&g, p), || cheap_engine(&g, 1.0))
             .select(2)
             .seeds;
 
-        // Second process with mmap_pools on: zero-copy restore, verified,
-        // no rebuild, identical answers.
-        let cache2 = PoolCache::with_store(2, Arc::clone(&store), true, true);
+        // Second process: the v2 spill restores zero-copy, verified, with
+        // no rebuild and identical answers.
+        let cache2 = PoolCache::with_store(2, Arc::clone(&store), true);
         let built = AtomicUsize::new(0);
         let engine = cache2.get_or_load(
             &k,
@@ -779,7 +767,7 @@ mod tests {
     fn eviction_spills_grown_pools_and_skips_clean_ones() {
         let g = graph();
         let (dir, store) = tmp_store("evict");
-        let cache = PoolCache::with_store(1, Arc::clone(&store), true, false);
+        let cache = PoolCache::with_store(1, Arc::clone(&store), true);
         let k1 = true_key(&g, 1.0);
         let e = cache.get_or_load(&k1, |p| restore(&g, p), || cheap_engine(&g, 1.0));
         assert_eq!(cache.stats().spills, 1, "write-through at build");
@@ -816,7 +804,7 @@ mod tests {
         let g = graph();
         let (dir, store) = tmp_store("dirty");
         // persist = false: the store is read-only until an explicit call.
-        let cache = PoolCache::with_store(2, Arc::clone(&store), false, false);
+        let cache = PoolCache::with_store(2, Arc::clone(&store), false);
         let k = true_key(&g, 1.0);
         let e = cache.get_or_load(&k, |p| restore(&g, p), || cheap_engine(&g, 1.0));
         assert_eq!(cache.stats().spills, 0, "no automatic write-back");
@@ -837,7 +825,7 @@ mod tests {
         let (dir, store) = tmp_store("fallback");
         let k = true_key(&g, 1.0);
         {
-            let cache = PoolCache::with_store(2, Arc::clone(&store), true, false);
+            let cache = PoolCache::with_store(2, Arc::clone(&store), true);
             cache.get_or_load(&k, |p| restore(&g, p), || cheap_engine(&g, 1.0));
         }
         // Corrupt the stored file.
@@ -847,7 +835,7 @@ mod tests {
         bytes[mid] ^= 0xFF;
         std::fs::write(&path, bytes).unwrap();
 
-        let cache2 = PoolCache::with_store(2, Arc::clone(&store), true, false);
+        let cache2 = PoolCache::with_store(2, Arc::clone(&store), true);
         let built = AtomicUsize::new(0);
         cache2.get_or_load(
             &k,
@@ -871,7 +859,7 @@ mod tests {
         let mut stale = stale.to_pool();
         stale.meta.select_seed ^= tim_diffusion::SAMPLER_REVISION;
         assert_eq!(store.spill(&stale).unwrap(), path);
-        let cache3 = PoolCache::with_store(2, Arc::clone(&store), true, false);
+        let cache3 = PoolCache::with_store(2, Arc::clone(&store), true);
         cache3.get_or_load(
             &k,
             |p| restore(&g, p),

@@ -22,6 +22,12 @@
 //! configured each graph owns a persistent [`PoolStore`] under
 //! `<pool-dir>/<name>/` so its warm pools survive eviction and restarts.
 //!
+//! Path-backed graphs load through [`GraphStore::load`], so the file
+//! picks the backing: a v2 snapshot is mapped, and is served only after
+//! every section and content checksum passes; text and v1 files load
+//! onto the heap. A served file must be replaced by rename, never
+//! rewritten in place.
+//!
 //! Locking follows the same discipline as [`PoolCache`]:
 //!
 //! - Each slot has its **own** mutex, held while loading that graph:
@@ -47,7 +53,7 @@ use std::sync::{Arc, Mutex, RwLock, Weak};
 use tim_diffusion::DiffusionModel;
 use tim_engine::{PoolStore, ProbedPool, QueryEngine, SharedEngine, POOL_V2_MODEL_TAG_MAX};
 use tim_graph::catalog::GraphOverrides;
-use tim_graph::{io, weights, Graph, GraphStore};
+use tim_graph::GraphStore;
 
 /// Everything one served graph needs, shared immutably across sessions:
 /// the graph, its label map, the model, the effective configuration, and
@@ -69,9 +75,11 @@ pub struct GraphState<M> {
 }
 
 impl<M: DiffusionModel + Send + Clone + 'static> GraphState<M> {
-    /// Builds the per-graph state. `config` is the graph's *effective*
-    /// configuration (global defaults with any per-graph overrides
-    /// already applied); `store`, when given, makes the pool cache
+    /// Builds the per-graph state. `graph` may own its arrays or map a v2
+    /// snapshot; every answer (pool provenance keys included) is the same
+    /// either way. `config` is the graph's *effective* configuration
+    /// (global defaults with any per-graph overrides already applied);
+    /// `store`, when given, makes the pool cache
     /// read-through/write-through over that persistent store. Pools are
     /// built lazily on first use; call [`warm_default`](Self::warm_default)
     /// to pay the default pool's sampling cost up front instead of on the
@@ -83,41 +91,14 @@ impl<M: DiffusionModel + Send + Clone + 'static> GraphState<M> {
     /// `pool_cache`).
     pub fn new(
         name: impl Into<String>,
-        graph: impl Into<Arc<Graph>>,
+        graph: impl Into<GraphStore>,
         labels: impl Into<Arc<LabelMap>>,
         model: M,
         model_name: impl Into<String>,
         config: Arc<ServerConfig>,
         store: Option<Arc<PoolStore>>,
     ) -> Self {
-        Self::from_store(
-            name,
-            GraphStore::from_arc(graph.into()),
-            labels,
-            model,
-            model_name,
-            config,
-            store,
-        )
-    }
-
-    /// [`new`](Self::new) over a [`GraphStore`] — this is how an mmap
-    /// tenant enters the catalog: the graph's arrays stay on disk and
-    /// queries read pages through the mapping, and every answer
-    /// (including pool provenance keys) is byte-identical to the
-    /// heap-loaded state for the same snapshot.
-    ///
-    /// # Panics
-    /// Same contract as [`new`](Self::new).
-    pub fn from_store(
-        name: impl Into<String>,
-        graph: GraphStore,
-        labels: impl Into<Arc<LabelMap>>,
-        model: M,
-        model_name: impl Into<String>,
-        config: Arc<ServerConfig>,
-        store: Option<Arc<PoolStore>>,
-    ) -> Self {
+        let graph: GraphStore = graph.into();
         let labels: Arc<LabelMap> = labels.into();
         assert_eq!(
             labels.len(),
@@ -128,12 +109,7 @@ impl<M: DiffusionModel + Send + Clone + 'static> GraphState<M> {
         assert!(config.ell > 0.0, "ell must be positive");
         assert!(config.k_max >= 1, "k_max must be at least 1");
         let cache = match store {
-            Some(store) => PoolCache::with_store(
-                config.pool_cache,
-                store,
-                config.persist_pools,
-                config.mmap_pools,
-            ),
+            Some(store) => PoolCache::with_store(config.pool_cache, store, config.persist_pools),
             None => PoolCache::new(config.pool_cache),
         };
         GraphState {
@@ -225,10 +201,10 @@ impl<M: DiffusionModel + Send + Clone + 'static> GraphState<M> {
     }
 
     /// Attaches a pool loaded from this graph's store to the graph —
-    /// the read-through path, heap-decoded or zero-copy mapped
-    /// (`mmap_pools`). A failure (the file matched its name but not the
-    /// served graph) is reported to the cache, which quarantines the
-    /// file and falls back to a build.
+    /// the read-through path, zero-copy mapped (a verified v2 file) or
+    /// heap-decoded (a v1 file). A failure (the file matched its name
+    /// but not the served graph) is reported to the cache, which
+    /// quarantines the file and falls back to a build.
     fn restore_engine(&self, pool: ProbedPool) -> Result<SharedEngine<M>, String> {
         let mut engine = QueryEngine::from_pool_store(
             self.store.clone(),
@@ -322,16 +298,16 @@ impl<M: DiffusionModel + Send + Clone + 'static> GraphState<M> {
     /// One `stats pools` answer line: this graph's pool-cache counters
     /// (hit/miss/build/load/spill/evict) plus the store's quarantine and
     /// restore-backing counters (`mmap_opens`/`verifies`/`heap_loads` —
-    /// how restores were served: zero-copy mapped, checksum-verified,
-    /// or heap-decoded), then the cached pools' total `theta` and
-    /// `pool_bytes` (heap + mapped), read from the sizes each engine
-    /// publishes, so the line never waits on a build or a growth (a pool
-    /// between its two warm-up steps counts θ(`k_max`)), and last the
-    /// `recoveries`: requests whose answer panicked and was contained.
-    /// Deliberately **not** deterministic across
+    /// how restores were served: v2 files zero-copy mapped and
+    /// checksum-verified, v1 files heap-decoded), then the cached pools'
+    /// total `theta` and `pool_bytes` (heap + mapped), read from the
+    /// sizes each engine publishes, so the line never waits on a build or
+    /// a growth (a pool between its two warm-up steps counts θ(`k_max`)),
+    /// and last the `recoveries`: requests whose answer panicked and was
+    /// contained. Deliberately **not** deterministic across
     /// interleavings — it reports live effectiveness, which is the
     /// point: the warm-path claim (`builds=0` with `mmap_opens>0` after
-    /// a warm restart under `--mmap-pools`) is observable, not inferred.
+    /// a warm restart over v2 spills) is observable, not inferred.
     pub fn pools_line(&self) -> String {
         let s = self.cache.stats();
         let store = self.pool_store().map(|store| store.stats());
@@ -359,12 +335,13 @@ impl<M: DiffusionModel + Send + Clone + 'static> GraphState<M> {
 /// Where a catalog slot's graph comes from.
 #[derive(Debug)]
 enum GraphSource {
-    /// Load lazily from disk (text edge list or `.timg`, sniffed by
-    /// content), applying the effective config's weight spec. Evictable.
+    /// Load lazily from disk through [`GraphStore::load`] (text edge
+    /// list or `.timg`, by content), applying the effective config's
+    /// weight spec. Evictable.
     Path(PathBuf),
-    /// Registered in memory (single-graph servers, tests). Pinned: never
-    /// evicted, because there is no path to reload it from.
-    Resident(Arc<Graph>, Arc<LabelMap>),
+    /// Registered already loaded (single-graph servers, tests), with its
+    /// checksum. Pinned: never evicted, and never hashed again.
+    Resident(GraphStore, Arc<LabelMap>),
 }
 
 #[derive(Debug)]
@@ -526,8 +503,8 @@ impl<M: DiffusionModel + Send + Clone + 'static> GraphCatalog<M> {
     }
 
     /// Registers a graph to be loaded lazily from `path` on first use
-    /// (text edge list or `.timg` snapshot, sniffed by content; the
-    /// effective config's weight spec is applied after loading).
+    /// (text edge list or `.timg` snapshot, by content, through
+    /// [`GraphStore::load`] with the effective config's weight spec).
     pub fn add_path(
         &self,
         name: impl Into<String>,
@@ -572,8 +549,9 @@ impl<M: DiffusionModel + Send + Clone + 'static> GraphCatalog<M> {
         self.add_slot(name.into(), GraphSource::Path(path.into()), overrides, true)
     }
 
-    /// Registers an already-loaded graph under `name`. Resident graphs
-    /// are pinned: they never count toward `max_loaded` eviction.
+    /// Registers an already-loaded graph under `name`, keeping the
+    /// store's checksum (a bare graph is hashed here, once). Resident
+    /// graphs are pinned: they never count toward `max_loaded` eviction.
     ///
     /// Validates the label map here, at registration — a mismatch must
     /// fail fast at startup, not panic inside a worker thread on the
@@ -581,11 +559,11 @@ impl<M: DiffusionModel + Send + Clone + 'static> GraphCatalog<M> {
     pub fn add_resident(
         &self,
         name: impl Into<String>,
-        graph: impl Into<Arc<Graph>>,
+        graph: impl Into<GraphStore>,
         labels: impl Into<Arc<LabelMap>>,
     ) -> Result<(), String> {
         let name = name.into();
-        let graph: Arc<Graph> = graph.into();
+        let graph: GraphStore = graph.into();
         let labels: Arc<LabelMap> = labels.into();
         if labels.len() != graph.n() {
             return Err(format!(
@@ -750,12 +728,6 @@ impl<M: DiffusionModel + Send + Clone + 'static> GraphCatalog<M> {
         if let Some(w) = &overrides.weights {
             config.weights = w.clone();
         }
-        if let Some(mmap) = overrides.mmap {
-            config.mmap = mmap;
-        }
-        if let Some(mmap_pools) = overrides.mmap_pools {
-            config.mmap_pools = mmap_pools;
-        }
         Arc::new(config)
     }
 
@@ -773,44 +745,16 @@ impl<M: DiffusionModel + Send + Clone + 'static> GraphCatalog<M> {
             .cloned()
             .ok_or_else(|| format!("graph '{}': unknown model '{tag}'", slot.name))?;
         let (graph, labels) = match &slot.source {
-            GraphSource::Resident(graph, labels) => {
-                (GraphStore::from_arc(Arc::clone(graph)), Arc::clone(labels))
-            }
-            GraphSource::Path(path) if config.mmap => {
-                // Out-of-core tenant: map the v2 snapshot instead of
-                // decoding it. Probabilities live in the mapped file, so
-                // the only legal weight spec is "keep" — anything else
-                // would silently serve weights the operator did not ask
-                // for. A failure here leaves the slot unloaded (not
-                // poisoned): the next `use` retries from scratch.
-                if config.weights != "keep" {
-                    return Err(format!(
-                        "graph '{}': mmap serving requires weights=keep (probabilities are \
-                         baked into the v2 snapshot; bake them with `tim snapshot --format v2 \
-                         --weights {}` instead)",
-                        slot.name, config.weights
-                    ));
-                }
-                let (store, labels) = GraphStore::open_mmap(path).map_err(|e| {
-                    format!(
-                        "graph '{}': mapping {}: {e} (mmap needs a v2 snapshot; \
-                         create one with `tim snapshot --format v2`)",
-                        slot.name,
-                        path.display()
-                    )
-                })?;
-                (store, Arc::new(LabelMap::new(labels.to_vec())))
-            }
+            GraphSource::Resident(graph, labels) => (graph.clone(), Arc::clone(labels)),
             GraphSource::Path(path) => {
-                let mut loaded = io::load_graph(path, config.undirected).map_err(|e| {
-                    format!("graph '{}': loading {}: {e}", slot.name, path.display())
-                })?;
-                weights::apply_spec(&mut loaded.graph, &config.weights, config.seed)
-                    .map_err(|e| format!("graph '{}': {e}", slot.name))?;
-                (
-                    GraphStore::from(loaded.graph),
-                    Arc::new(LabelMap::new(loaded.labels)),
-                )
+                // A failure (a corrupt v2 file included) leaves the slot
+                // unloaded, not poisoned: the next `use` retries.
+                let (graph, labels) =
+                    GraphStore::load(path, config.undirected, &config.weights, config.seed)
+                        .map_err(|e| {
+                            format!("graph '{}': loading {}: {e}", slot.name, path.display())
+                        })?;
+                (graph, Arc::new(LabelMap::new(labels)))
             }
         };
         let store = match &config.pool_dir {
@@ -820,7 +764,7 @@ impl<M: DiffusionModel + Send + Clone + 'static> GraphCatalog<M> {
             )),
             None => None,
         };
-        Ok(GraphState::from_store(
+        Ok(GraphState::new(
             slot.name.clone(),
             graph,
             labels,

@@ -608,12 +608,16 @@ impl<R: Read> CappedLineReader<R> {
         }
     }
 
-    /// Reports the over-cap line: `buf` holds a truncated prefix, the
-    /// accumulated state is discarded.
+    /// Reports the over-cap line: `buf` holds its longest UTF-8 prefix
+    /// within the cap, the accumulated state is discarded. (A lossy
+    /// decode would widen each invalid byte to three, past the cap.)
     fn emit_oversized(&mut self, buf: &mut String) -> std::io::Result<PollLine> {
-        let prefix = (MAX_LINE_BYTES as usize).min(self.partial.len());
+        let head = &self.partial[..(MAX_LINE_BYTES as usize).min(self.partial.len())];
+        let valid = std::str::from_utf8(head).unwrap_or_else(|e| {
+            std::str::from_utf8(&head[..e.valid_up_to()]).expect("valid up to here")
+        });
         buf.clear();
-        buf.push_str(&String::from_utf8_lossy(&self.partial[..prefix]));
+        buf.push_str(valid);
         self.partial.clear();
         Ok(PollLine::Oversized)
     }

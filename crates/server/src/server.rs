@@ -56,21 +56,6 @@ pub struct ServerConfig {
     pub weights: String,
     /// Load lazily loaded catalog graphs as undirected (default false).
     pub undirected: bool,
-    /// Serve path-backed graphs as zero-copy mmap views of their v2
-    /// `.timg` snapshots instead of decoding them onto the heap
-    /// (default false). Requires `weights = "keep"` — probabilities are
-    /// baked into the snapshot and cannot be rewritten in place. Answers
-    /// are byte-identical to heap serving.
-    pub mmap: bool,
-    /// Restore persisted `.timp` v2 pools as zero-copy read-only
-    /// mappings instead of decoding them onto the heap (default false).
-    /// Open is the header plus a few vectorized bounds sweeps, one
-    /// deferred integrity scan runs before the pool serves, and the
-    /// first select runs greedy over the persisted posting lists
-    /// straight out of mapped memory. v1 files fall back to the heap
-    /// decode transparently, pool growth stays heap-side, and answers
-    /// are byte-identical to heap-restored pools.
-    pub mmap_pools: bool,
     /// Most *path-backed* graphs kept loaded at once; the
     /// least-recently-used one is evicted beyond this (default 8).
     /// Resident graphs are pinned and do not consume the budget.
@@ -118,8 +103,6 @@ impl Default for ServerConfig {
             verbose: false,
             weights: "wc".to_string(),
             undirected: false,
-            mmap: false,
-            mmap_pools: false,
             max_loaded: 8,
             pool_dir: None,
             persist_pools: false,
@@ -166,6 +149,7 @@ impl<M: DiffusionModel + Send + Clone + 'static> ServerState<M> {
         // add_resident only fails on a graph/label-map mismatch here (the
         // name is fixed and the catalog empty); that must panic now, at
         // construction, never later inside a worker thread.
+        let graph: Arc<Graph> = graph.into();
         if let Err(e) = catalog.add_resident(DEFAULT_GRAPH_NAME, graph, labels) {
             panic!("{e}");
         }

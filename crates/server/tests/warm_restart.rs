@@ -1,16 +1,19 @@
 //! Warm-state tenancy end to end: a server restart with `--pool-dir`
 //! serves a previously seen query mix with **zero** pool builds
-//! (counter-asserted) and byte-identical responses, and runtime
+//! (counter-asserted) and byte-identical responses, whether the spills
+//! restore mapped (v2 files) or onto the heap (v1 copies), and runtime
 //! attach/detach leaves concurrent sessions on other graphs
 //! byte-identical to a static-catalog replay.
 
 use std::io::{BufRead, BufReader, Write};
 use std::net::TcpStream;
+use std::path::{Path, PathBuf};
 use std::sync::Arc;
 use tim_diffusion::IndependentCascade;
+use tim_engine::RrPool;
 use tim_graph::catalog::GraphOverrides;
 use tim_graph::{gen, weights, Graph};
-use tim_server::{GraphCatalog, LabelMap, Server, ServerConfig, ServerState};
+use tim_server::{GraphCatalog, LabelMap, Server, ServerConfig, ServerState, DEFAULT_GRAPH_NAME};
 
 fn wc_graph(n: usize, seed: u64) -> Graph {
     let mut g = gen::barabasi_albert(n, 3, 0.0, seed);
@@ -49,6 +52,27 @@ fn tcp_session(addr: std::net::SocketAddr, lines: &str) -> Vec<String> {
     stream.write_all(lines.as_bytes()).unwrap();
     stream.shutdown(std::net::Shutdown::Write).unwrap();
     BufReader::new(stream).lines().map(|l| l.unwrap()).collect()
+}
+
+/// Rewrites every pool the default graph spilled under `pool_dir` as a
+/// v1 file, which restores onto the heap, and returns the v2 files it
+/// replaced so a later phase can put them back.
+fn spills_to_v1(pool_dir: &Path) -> Vec<(PathBuf, Vec<u8>)> {
+    let mut replaced = Vec::new();
+    for entry in std::fs::read_dir(pool_dir.join(DEFAULT_GRAPH_NAME)).unwrap() {
+        let path = entry.unwrap().path();
+        if path.extension().and_then(|e| e.to_str()) != Some("timp") {
+            continue;
+        }
+        let v2 = std::fs::read(&path).unwrap();
+        let mut v1 = Vec::new();
+        let pool = RrPool::read(v2.as_slice()).unwrap();
+        pool.write_v1(&mut v1).unwrap();
+        std::fs::write(&path, v1).unwrap();
+        replaced.push((path, v2));
+    }
+    assert!(!replaced.is_empty(), "the cold phase spilled");
+    replaced
 }
 
 fn tmpdir(tag: &str) -> std::path::PathBuf {
@@ -111,7 +135,7 @@ fn restart_with_pool_dir_serves_warm_with_zero_rebuilds() {
 }
 
 #[test]
-fn mmap_pools_restart_serves_mapped_zero_build_byte_identical() {
+fn mapped_restart_serves_zero_build_byte_identical() {
     let dir = tmpdir("mmap_restart");
     let pool_dir = dir.join("pools");
     // Everything whose answer depends on pool bytes, the batch verb
@@ -119,7 +143,7 @@ fn mmap_pools_restart_serves_mapped_zero_build_byte_identical() {
     let mix = "ping\nselect 4\nselect 2\nselect 3 eps=0.5\nselect 2 fast\n\
                eval 0,1,2\nmarginal 0,1 2\nbatch 3\nselect 3\neval 0,3\nmarginal 0 2\nstats\n";
 
-    let state = |persist: bool, mmap_pools: bool| {
+    let state = |persist: bool| {
         let g = wc_graph(150, 1);
         let n = g.n();
         Arc::new(ServerState::new(
@@ -130,7 +154,6 @@ fn mmap_pools_restart_serves_mapped_zero_build_byte_identical() {
             ServerConfig {
                 pool_dir: Some(pool_dir.clone()),
                 persist_pools: persist,
-                mmap_pools,
                 admin: true,
                 ..config()
             },
@@ -146,21 +169,33 @@ fn mmap_pools_restart_serves_mapped_zero_build_byte_identical() {
     };
 
     // Cold phase: heap serving builds and spills both pools (v2 files).
-    let cold_state = state(true, false);
+    let cold_state = state(true);
     let cold = serve(&cold_state, mix);
     assert_eq!(cold_state.default_state().cache_stats().builds, 2);
     drop(cold_state);
 
-    // Heap warm restart is the reference transcript.
-    let heap_state = state(false, false);
-    let heap = serve(&heap_state, mix);
-    assert_eq!(heap, cold, "heap restart transcript byte-identical");
+    // Heap warm restart over v1 copies of the spills is the reference
+    // transcript.
+    let v2_spills = spills_to_v1(&pool_dir);
+    let heap_state = state(false);
+    let heap = serve(&heap_state, format!("{mix}stats pools\n").as_str());
+    let (heap, heap_pools) = heap.split_at(heap.len() - 1);
+    assert_eq!(heap, &cold[..], "heap restart transcript byte-identical");
+    assert!(
+        heap_pools[0].contains("builds=0") && heap_pools[0].contains("heap_loads=2"),
+        "v1 copies restore onto the heap: {}",
+        heap_pools[0]
+    );
+    let heap = heap.to_vec();
     drop(heap_state);
+    for (path, v2) in v2_spills {
+        std::fs::write(path, v2).unwrap();
+    }
 
     // Mapped warm restart: byte-identical to heap serving, zero builds,
     // and the store counters prove the pools really were mapped (and
     // checksum-verified), not decoded.
-    let mapped_state = state(false, true);
+    let mapped_state = state(false);
     let mapped = serve(&mapped_state, format!("{mix}stats pools\n").as_str());
     let (answers, pools_line) = mapped.split_at(mapped.len() - 1);
     assert_eq!(answers, &heap[..], "mapped transcript byte-identical");
@@ -187,7 +222,7 @@ fn mmap_pools_restart_serves_mapped_zero_build_byte_identical() {
 fn growth_on_mapped_pool_races_readers_and_stays_byte_identical() {
     let dir = tmpdir("mmap_growth");
     let pool_dir = dir.join("pools");
-    let state = |persist: bool, mmap_pools: bool| {
+    let state = |persist: bool| {
         let g = rising_theta_graph();
         let n = g.n();
         Arc::new(ServerState::new(
@@ -198,7 +233,6 @@ fn growth_on_mapped_pool_races_readers_and_stays_byte_identical() {
             ServerConfig {
                 pool_dir: Some(pool_dir.clone()),
                 persist_pools: persist,
-                mmap_pools,
                 epsilon: 0.8,
                 seed: 7,
                 k_max: 8,
@@ -218,16 +252,17 @@ fn growth_on_mapped_pool_races_readers_and_stays_byte_identical() {
     let grower = "select 32\nselect 3\neval 0,1\n";
 
     // Spill once, then capture the heap-restart reference transcripts
-    // serially: the readers before the growth, the grower, and the
-    // readers after it.
-    let cold_state = state(true, false);
+    // serially, over a v1 copy of the spill: the readers before the
+    // growth, the grower, and the readers after it.
+    let cold_state = state(true);
     let server = Server::bind(Arc::clone(&cold_state), "127.0.0.1:0").unwrap();
     let (addr, handle) = (server.local_addr(), server.start());
     tcp_session(addr, "select 4\n");
     handle.stop();
     drop(cold_state);
 
-    let heap_state = state(false, false);
+    let v2_spills = spills_to_v1(&pool_dir);
+    let heap_state = state(false);
     let server = Server::bind(Arc::clone(&heap_state), "127.0.0.1:0").unwrap();
     let (addr, handle) = (server.local_addr(), server.start());
     let before: Vec<Vec<String>> = readers.iter().map(|r| tcp_session(addr, r)).collect();
@@ -236,6 +271,9 @@ fn growth_on_mapped_pool_races_readers_and_stays_byte_identical() {
     handle.stop();
     assert_eq!(heap_state.default_engine().growth_epoch(), 1);
     drop(heap_state);
+    for (path, v2) in v2_spills {
+        std::fs::write(path, v2).unwrap();
+    }
     assert_ne!(
         before, after,
         "growth must change the readers' cheap replies"
@@ -245,7 +283,7 @@ fn growth_on_mapped_pool_races_readers_and_stays_byte_identical() {
     // transcript and every exact select match the serial heap reference
     // line for line; a cheap read matches the reply from before the
     // growth or the one from after it.
-    let mapped_state = state(false, true);
+    let mapped_state = state(false);
     let server = Server::bind(Arc::clone(&mapped_state), "127.0.0.1:0").unwrap();
     let (addr, handle) = (server.local_addr(), server.start());
     let warm_theta = mapped_state.default_engine().pool_theta();

@@ -207,7 +207,10 @@ trap - EXIT
 test -n "$(find "$POOLDIR" -name '*.timp' 2>/dev/null)" \
     && echo "pool spilled to the store before the kill: OK"
 # Phase 2 (warm): restart against the same store, read-through only. The
-# transcript must be byte-for-byte identical with zero pool builds.
+# spill is a v2 file, so the restore maps it and verifies it before it
+# serves. The transcript must be byte-for-byte identical with zero pool
+# builds, and the counters must show the mapped path served it
+# (mmap_opens + verifies, not heap_loads).
 "$TIM" serve "$SNAP" --addr 127.0.0.1:0 --pool-dir "$POOLDIR" --admin \
     -k 10 --eps 0.3 --seed 7 \
     > out/kick-tires/warm2.addr 2> out/kick-tires/warm2.log &
@@ -225,6 +228,11 @@ diff out/kick-tires/restart_cold.txt out/kick-tires/restart_warm.txt \
 printf 'select 10\nstats pools\n' | "$TIM" client --addr "$ADDR2" --timeout 60 \
     | tee out/kick-tires/restart_warm_pools.txt | grep -q 'builds=0 loads=1' \
     && echo "warm phase loaded from the store, zero rebuilds: OK"
+grep -q 'mmap_opens=1 verifies=1 heap_loads=0' out/kick-tires/restart_warm_pools.txt \
+    && echo "restore went through the mmap path (mmap_opens=1, heap_loads=0): OK"
+grep -Eq "$COLD_THETA pool_bytes=[1-9][0-9]* recoveries=0\$" out/kick-tires/restart_warm_pools.txt \
+    || { echo "mapped restore reports a pool θ other than the cold build's" >&2; exit 1; }
+echo "mapped pool reports the cold build's${COLD_THETA}: OK"
 # Runtime tenancy: attach the ws graph live, query it, detach it again —
 # every answer must be a non-error (tim client asserts that itself).
 printf 'attach ws-live=%s\nuse ws-live\nselect 4\nstats\ndetach ws-live\nselect 2\npersist\n' "$GRAPH2" \
@@ -237,68 +245,41 @@ kill $W2 2>/dev/null || true
 wait $W2 2>/dev/null || true
 trap - EXIT
 
-echo "== out-of-core pools: --mmap-pools restart == cold transcript =="
-# Phase 3 (mapped): restart once more with --mmap-pools — the v2 spill
-# restores as a zero-copy read-only mapping instead of a heap decode.
-# Same transcript to the byte, zero builds, and the counters must show
-# the mapped path served it (mmap_opens + verifies, not heap_loads).
-"$TIM" serve "$SNAP" --addr 127.0.0.1:0 --pool-dir "$POOLDIR" --mmap-pools --admin \
-    -k 10 --eps 0.3 --seed 7 \
-    > out/kick-tires/warm3.addr 2> out/kick-tires/warm3.log &
-W3=$!
-trap 'kill $W3 2>/dev/null || true' EXIT
-for _ in $(seq 1 100); do
-    grep -q '^listening on ' out/kick-tires/warm3.addr 2>/dev/null && break
-    sleep 0.1
-done
-ADDR3=$(sed -n 's/^listening on //p' out/kick-tires/warm3.addr)
-echo "mapped-pool server at $ADDR3 (pid $W3)"
-"$TIM" client --addr "$ADDR3" --timeout 60 < "$SESSION" > out/kick-tires/restart_mapped.txt
-diff out/kick-tires/restart_cold.txt out/kick-tires/restart_mapped.txt \
-    && echo "--mmap-pools transcript byte-identical to the cold run: OK"
-printf 'select 10\nstats pools\n' | "$TIM" client --addr "$ADDR3" --timeout 60 \
-    | tee out/kick-tires/restart_mapped_pools.txt | grep -q 'builds=0 loads=1' \
-    && echo "mapped phase loaded from the store, zero rebuilds: OK"
-grep -q 'mmap_opens=1 verifies=1 heap_loads=0' out/kick-tires/restart_mapped_pools.txt \
-    && echo "restore went through the mmap path (mmap_opens=1, heap_loads=0): OK"
-grep -Eq "$COLD_THETA pool_bytes=[1-9][0-9]* recoveries=0\$" out/kick-tires/restart_mapped_pools.txt \
-    || { echo "mapped restore reports a pool θ other than the cold build's" >&2; exit 1; }
-echo "mapped pool reports the cold build's${COLD_THETA}: OK"
-kill $W3 2>/dev/null || true
-wait $W3 2>/dev/null || true
-trap - EXIT
-
-echo "== out-of-core: v2 snapshot served via mmap == heap transcript =="
-# Bake the WC probabilities into a page-aligned v2 snapshot, then run the
-# same scripted session through the heap loader (--weights keep) and the
-# zero-copy mmap backing (--mmap). The transcripts must be byte-identical.
-SNAP2=out/kick-tires/ba_small.v2.timg
-"$TIM" snapshot "$GRAPH" --out "$SNAP2" --format v2 --weights wc \
+echo "== out-of-core: v2 snapshot served mapped == text served on the heap =="
+# Bake the WC probabilities into a v2 snapshot, then run the same scripted
+# session over two inputs: the text edge list on the heap (--weights wc)
+# and the v2 snapshot, mapped (--weights keep). Through `query` and
+# through `serve`, every transcript must be byte-identical.
+SNAP2=out/kick-tires/ba_small.wc.timg
+"$TIM" snapshot "$GRAPH" --out "$SNAP2" --weights wc \
     | tee out/kick-tires/snapshot_v2.txt
-"$TIM" query "$SNAP2" -k 10 --eps 0.3 --seed 7 --weights keep < "$SESSION" \
+"$TIM" query "$GRAPH" -k 10 --eps 0.3 --seed 7 --weights wc < "$SESSION" \
     > out/kick-tires/oc_heap.txt
-"$TIM" query "$SNAP2" -k 10 --eps 0.3 --seed 7 --mmap < "$SESSION" \
+"$TIM" query "$SNAP2" -k 10 --eps 0.3 --seed 7 --weights keep < "$SESSION" \
     > out/kick-tires/oc_mmap.txt
 diff out/kick-tires/oc_heap.txt out/kick-tires/oc_mmap.txt \
     && echo "mmap-backed answers byte-identical to heap answers: OK"
-# Serve the mapped graph and replay the session through a live client too.
-"$TIM" serve "$SNAP2" --addr 127.0.0.1:0 --mmap -k 10 --eps 0.3 --seed 7 \
-    > out/kick-tires/oc_serve.addr 2> out/kick-tires/oc_serve.log &
-OC_PID=$!
-trap 'kill $OC_PID 2>/dev/null || true' EXIT
-for _ in $(seq 1 100); do
-    grep -q '^listening on ' out/kick-tires/oc_serve.addr 2>/dev/null && break
-    sleep 0.1
+# Serve each input and replay the session through a live client too.
+for side in heap:"$GRAPH":wc mmap:"$SNAP2":keep; do
+    IFS=: read -r NAME INPUT WEIGHTS <<< "$side"
+    "$TIM" serve "$INPUT" --addr 127.0.0.1:0 --weights "$WEIGHTS" -k 10 --eps 0.3 --seed 7 \
+        > out/kick-tires/oc_serve_$NAME.addr 2> out/kick-tires/oc_serve_$NAME.log &
+    OC_PID=$!
+    trap 'kill $OC_PID 2>/dev/null || true' EXIT
+    for _ in $(seq 1 100); do
+        grep -q '^listening on ' out/kick-tires/oc_serve_$NAME.addr 2>/dev/null && break
+        sleep 0.1
+    done
+    OC_ADDR=$(sed -n 's/^listening on //p' out/kick-tires/oc_serve_$NAME.addr)
+    echo "$NAME-backed server at $OC_ADDR (pid $OC_PID)"
+    "$TIM" client --addr "$OC_ADDR" --timeout 60 < "$SESSION" \
+        > out/kick-tires/oc_serve_${NAME}_answers.txt
+    kill $OC_PID 2>/dev/null || true
+    wait $OC_PID 2>/dev/null || true
+    trap - EXIT
+    diff out/kick-tires/oc_heap.txt out/kick-tires/oc_serve_${NAME}_answers.txt \
+        && echo "$NAME-backed serve byte-identical to heap query: OK"
 done
-OC_ADDR=$(sed -n 's/^listening on //p' out/kick-tires/oc_serve.addr)
-echo "mmap-backed server at $OC_ADDR (pid $OC_PID)"
-"$TIM" client --addr "$OC_ADDR" --timeout 60 < "$SESSION" \
-    > out/kick-tires/oc_serve_answers.txt
-kill $OC_PID 2>/dev/null || true
-wait $OC_PID 2>/dev/null || true
-trap - EXIT
-diff out/kick-tires/oc_heap.txt out/kick-tires/oc_serve_answers.txt \
-    && echo "mmap-backed serve byte-identical to heap query: OK"
 
 echo "== experiment driver (quick): Figure 4 phase breakdown =="
 cargo run --release -p tim_bench --bin experiments -- fig4 --quick --scale 0.2 \
