@@ -25,6 +25,7 @@
 //!   server's pool cache does) run both once per restore.
 
 use crate::collection::SetCollection;
+use std::ops::Range;
 use std::sync::Arc;
 use tim_graph::snapshot::Fnv1a;
 use tim_graph::{Array, Element, Mmap, NodeId};
@@ -85,12 +86,13 @@ impl SetsLayout {
         Array::mapped(map, self.sections[i], count)
     }
 
-    /// Hashes each section of `file` (the whole pool file) and compares
-    /// it with the digest the layout records — the integrity pass both
-    /// the eager heap decode and a mapped pool's deferred verify run.
-    /// Errors name the first mismatching section.
-    pub fn verify_digests(&self, file: &[u8]) -> Result<(), String> {
-        for (i, &name) in SETS_SECTION_NAMES.iter().enumerate() {
+    /// Hashes sections `which` of `file` (the whole pool file), in
+    /// order, and compares each with the digest the layout records — the
+    /// integrity pass both the eager heap decode and a mapped pool's
+    /// deferred verify run. Errors name the first mismatching section.
+    pub fn verify_digests(&self, file: &[u8], which: Range<usize>) -> Result<(), String> {
+        for i in which {
+            let name = SETS_SECTION_NAMES[i];
             let len = self
                 .section_len(i)
                 .and_then(|len| usize::try_from(len).ok())
@@ -218,7 +220,7 @@ pub(crate) mod tests {
     /// The deferred audit a pool's `verify` runs over its mapping.
     fn verify(m: &SetCollection, layout: &SetsLayout) -> Result<(), String> {
         m.validate_index()?;
-        layout.verify_digests(m.mapping().expect("mapped").bytes())
+        layout.verify_digests(m.mapping().expect("mapped").bytes(), 0..SETS_SECTION_COUNT)
     }
 
     #[test]

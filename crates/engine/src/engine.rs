@@ -1,8 +1,9 @@
 //! The warm-pool query engine.
 //!
 //! An engine's answerable state is one immutable [`State`]: the pool,
-//! its θ, `k_max`, the plan cache, the fast cover, the growth epoch and
-//! whether the warm-up has finished. Each query has one
+//! its θ, `k_max`, the plan cache (each plan with its exact answer once
+//! it is asked), the fast cover, the growth epoch and whether the
+//! warm-up has finished. Each query has one
 //! `&self` answer function on it that returns the answer or the [`Miss`]
 //! it lacks, and [`Setup::prepare`] turns a state and a miss into the
 //! next state by planning, sampling or running the fast greedy.
@@ -13,7 +14,7 @@
 use crate::error::EngineError;
 use crate::pool::{PoolMeta, RrPool};
 use std::collections::BTreeMap;
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 use tim_core::parallel::extend_rr_sets;
 use tim_core::{select_stream_seed, SamplingPlan, TimPlus};
 use tim_coverage::{greedy_max_cover_indexed, greedy_max_cover_prefix, CoverResult, SetCollection};
@@ -43,8 +44,23 @@ pub struct QueryOutcome {
 /// the float parameters by bits.
 type PlanKey = (usize, u64, u64);
 
+/// A plan-cache entry: the sampling plan and, once a `select` has asked
+/// for it, its exact answer. Every state prepared from the one that
+/// cached the plan shares the entry.
+#[derive(Debug)]
+struct PlanEntry {
+    plan: SamplingPlan,
+    /// Greedy over the pool's sets `0..θ`, set by the first `select`
+    /// that runs it. Set j of a pool depends only on `(seed, j)`, so the
+    /// answer holds for every later pool, grown or not.
+    answer: OnceLock<CoverResult>,
+}
+
 /// One immutable version of an engine's answerable state. States that
-/// differ only in plans or fast cover share the pool's `Arc`.
+/// differ only in plans or fast cover share the pool's `Arc`, and every
+/// state prepared from another shares its plan entries. An entry's
+/// answer is filled in after the state is published, by the first
+/// `select` that asks for it.
 #[derive(Debug, Clone)]
 pub(crate) struct State {
     /// The RR-set pool, held on the heap or mapped zero-copy from a
@@ -58,7 +74,7 @@ pub(crate) struct State {
     /// and nothing that reads the whole pool, and every prepare from it
     /// finishes the warm-up first.
     pub(crate) settled: bool,
-    plans: BTreeMap<PlanKey, SamplingPlan>,
+    plans: BTreeMap<PlanKey, Arc<PlanEntry>>,
     /// The fast cover: one greedy run over the whole pool at `k_max`
     /// seeds, which [`QueryEngine::select_fast`] answers prefixes of.
     /// Built only over a settled pool that holds θ(`k_max`); a growth or
@@ -107,18 +123,29 @@ impl State {
     }
 
     /// Exact replay ([`QueryEngine::select_with`]) at resolved `(eps, ell)`:
-    /// greedy over the plan's θ-prefix, read in place from the pool.
+    /// greedy over the plan's θ-prefix, read in place from the pool, run
+    /// once per plan. Readers racing on a first ask each run it and
+    /// compute the same answer; the first to store it wins, and none
+    /// waits on another's greedy.
     pub(crate) fn select(&self, k: usize, eps: f64, ell: f64) -> Result<QueryOutcome, Miss> {
         let miss = Miss::Plan { k, eps, ell };
-        let plan = self.plans.get(&self.plan_key(k, eps, ell)).ok_or(miss)?;
+        let entry = self.plans.get(&self.plan_key(k, eps, ell)).ok_or(miss)?;
+        let plan = &entry.plan;
         if plan.theta > self.pool_theta {
             return Err(miss);
         }
-        let cover = greedy_max_cover_prefix(&self.pool, plan.theta as usize, plan.k);
+        let cover = match entry.answer.get() {
+            Some(cover) => cover,
+            None => {
+                let cover = greedy_max_cover_prefix(&self.pool, plan.theta as usize, plan.k);
+                debug_assert_eq!(cover.seeds.len(), plan.k.min(self.n()));
+                let _ = entry.answer.set(cover);
+                entry.answer.get().expect("the answer was just set")
+            }
+        };
         let frac = cover.coverage_fraction(plan.theta as usize);
-        debug_assert_eq!(cover.seeds.len(), plan.k.min(self.n()));
         Ok(QueryOutcome {
-            seeds: cover.seeds,
+            seeds: cover.seeds.clone(),
             theta_used: plan.theta,
             pool_theta: self.pool_theta,
             resampled: false,
@@ -306,8 +333,8 @@ impl<M: DiffusionModel + Clone> Setup<M> {
     }
 
     /// Caches the sampling plans for `ks` under `(eps, ell)` — the
-    /// uncached ones planned in one batched pass — and returns their
-    /// largest θ.
+    /// uncached ones planned in one batched pass, with no answer yet —
+    /// and returns their largest θ.
     fn plan(&self, state: &mut State, ks: &[usize], eps: f64, ell: f64) -> u64 {
         let missing: Vec<usize> = ks
             .iter()
@@ -322,11 +349,15 @@ impl<M: DiffusionModel + Clone> Setup<M> {
                 .threads(self.threads);
             let planned = planner.plans(self.store.graph(), &missing);
             for (k, plan) in missing.into_iter().zip(planned) {
-                state.plans.insert(state.plan_key(k, eps, ell), plan);
+                let key = state.plan_key(k, eps, ell);
+                let answer = OnceLock::new();
+                state
+                    .plans
+                    .insert(key, Arc::new(PlanEntry { plan, answer }));
             }
         }
         ks.iter()
-            .map(|&k| state.plans[&state.plan_key(k, eps, ell)].theta)
+            .map(|&k| state.plans[&state.plan_key(k, eps, ell)].plan.theta)
             .max()
             .unwrap_or(0)
     }
@@ -345,8 +376,10 @@ impl<M: DiffusionModel + Clone> Setup<M> {
 ///   θ-prefix a fresh run would have sampled, read in place from the
 ///   pool (see [`greedy_max_cover_prefix`]), and returns seed sets
 ///   **byte-identical** to [`TimPlus::run`] at the same
-///   `(seed, ε, ℓ, k)`. The pool grows (resamples) only when ε/ℓ/k
-///   demand a larger θ than it holds.
+///   `(seed, ε, ℓ, k)`. Greedy runs on the first ask of each plan; the
+///   plan cache keeps the answer for every repeat, across growths. The
+///   pool grows (resamples) only when ε/ℓ/k demand a larger θ than it
+///   holds.
 /// - [`select_fast`](Self::select_fast) — **prefix answering**: one
 ///   greedy run over the whole pool at its full θ, answering any `k` as
 ///   the `k`-prefix of that run (greedy's prefix property). Uses *more*
@@ -1266,6 +1299,111 @@ mod tests {
         assert!(next.select(5, 0.9, ell).is_ok());
         assert!(Arc::ptr_eq(&warm.pool, &next.pool));
         assert_eq!(next.epoch, warm.epoch);
+    }
+
+    /// The plan-cache entry `state` holds for `k` at ε = 0.8, ℓ = 1.
+    fn entry(state: &State, k: usize) -> Arc<PlanEntry> {
+        Arc::clone(&state.plans[&state.plan_key(k, 0.8, 1.0)])
+    }
+
+    #[test]
+    fn the_first_select_keeps_its_answer_and_growth_shares_it() {
+        let mut e = engine(5);
+        e.warm();
+        let cell = entry(&e.state, 6);
+        assert!(
+            cell.answer.get().is_none(),
+            "the warm-up runs no exact greedy"
+        );
+        let first = e.select(6);
+        let kept = cell
+            .answer
+            .get()
+            .expect("the first select keeps its answer");
+        assert_eq!(kept.seeds, first.seeds);
+
+        // θ scales as ε⁻²: 0.8 → 0.1 grows the pool far past θ(6).
+        let theta = e.pool_theta();
+        assert!(e.select_with(12, Some(0.1), None).resampled);
+        assert!(e.pool_theta() > theta);
+        assert!(
+            Arc::ptr_eq(&entry(&e.state, 6), &cell),
+            "growth shares the entry"
+        );
+
+        // The kept answer is the grown pool's, and a fresh run's.
+        let end = cell.plan.theta as usize;
+        let regreedy = greedy_max_cover_prefix(&e.state.pool, end, 6);
+        let again = e.select(6);
+        assert_eq!(again.seeds, regreedy.seeds);
+        let spread = regreedy.coverage_fraction(end) * 300.0;
+        assert_eq!(again.estimated_spread.to_bits(), spread.to_bits());
+        assert_eq!(
+            again.estimated_spread.to_bits(),
+            first.estimated_spread.to_bits()
+        );
+        assert_eq!(
+            (again.theta_used, again.resampled),
+            (first.theta_used, false)
+        );
+        assert_eq!(again.pool_theta, e.pool_theta());
+        let run = TimPlus::new(IndependentCascade)
+            .epsilon(0.8)
+            .seed(5)
+            .threads(2)
+            .run(&wc_graph(300, 1), 6);
+        assert_eq!(again.seeds, run.seeds);
+
+        // An answer kept between the warm-up's steps survives step two.
+        let mut two = engine(13);
+        two.start_warm();
+        let early = two.select(12).seeds;
+        let cell = entry(&two.state, 12);
+        assert!(cell.answer.get().is_some());
+        two.warm();
+        assert!(Arc::ptr_eq(&entry(&two.state, 12), &cell));
+        assert_eq!(two.select(12).seeds, early);
+    }
+
+    #[test]
+    fn racing_first_asks_on_a_shared_engine_agree() {
+        let mut serial = engine(5);
+        serial.warm();
+        let ks = [1usize, 6, 12];
+        let want: Vec<QueryOutcome> = ks.iter().map(|&k| serial.select(k)).collect();
+
+        let mut e = engine(5);
+        e.warm();
+        let shared = Arc::new(crate::SharedEngine::new(e));
+        let start = Arc::new(std::sync::Barrier::new(8));
+        let racers: Vec<_> = (0..8)
+            .map(|_| {
+                let (shared, start) = (Arc::clone(&shared), Arc::clone(&start));
+                std::thread::spawn(move || {
+                    start.wait();
+                    ks.map(|k| shared.select(k))
+                })
+            })
+            .collect();
+        for racer in racers {
+            for (got, want) in racer.join().unwrap().iter().zip(&want) {
+                assert_eq!(got.seeds, want.seeds);
+                assert_eq!(
+                    got.estimated_spread.to_bits(),
+                    want.estimated_spread.to_bits()
+                );
+                assert_eq!(
+                    (got.theta_used, got.pool_theta),
+                    (want.theta_used, want.pool_theta)
+                );
+                assert!(!got.resampled);
+            }
+        }
+        let e = Arc::into_inner(shared).unwrap().into_inner();
+        for (&k, want) in ks.iter().zip(&want) {
+            let kept = entry(&e.state, k);
+            assert_eq!(kept.answer.get().expect("kept").seeds, want.seeds, "k={k}");
+        }
     }
 
     #[test]

@@ -339,7 +339,7 @@ impl RrPool {
     fn decode_v2(bytes: &[u8]) -> Result<Self, EngineError> {
         let (meta, layout) = parse_v2(bytes, bytes.len() as u64)?;
         layout
-            .verify_digests(bytes)
+            .verify_digests(bytes, 0..SETS_SECTION_COUNT)
             .map_err(|e| EngineError::Format(format!("v2 {e}")))?;
         let raw = &bytes[layout.sections[0]..layout.sections[0] + (layout.num_sets + 1) * 8];
         let offsets: Vec<u64> = raw

@@ -20,7 +20,7 @@ use crate::error::EngineError;
 use crate::pool::{parse_v2, RrPool};
 use std::path::Path;
 use std::sync::Arc;
-use tim_coverage::SetCollection;
+use tim_coverage::{SetCollection, SETS_SECTION_COUNT};
 use tim_graph::{GraphError, Mmap};
 
 impl RrPool {
@@ -47,15 +47,36 @@ impl RrPool {
     /// inverted index must agree with the arena, and every section must
     /// hash to the digest the file's table records. O(file size). A pool
     /// whose sets do not map a file has nothing to check and passes.
+    ///
+    /// The two checks run side by side on two threads, and errors come
+    /// in sequential order: the index, then the digests by section.
     pub fn verify(&self) -> Result<(), EngineError> {
         let Some(map) = self.sets.mapping() else {
             return Ok(());
         };
         let (_, layout) = parse_v2(map.bytes(), map.len() as u64)?;
-        self.sets
-            .validate_index()
-            .and_then(|()| layout.verify_digests(map.bytes()))
-            .map_err(EngineError::Format)
+        // Each thread takes about half the work. On the benchmark pool
+        // (151k sets) the index check takes 3.5 ms and the digests 17 ms,
+        // 7.4 of them for the last section (inv_data), so the helper
+        // checks the index and hashes inv_data, and this thread hashes
+        // the other three sections (9.6 ms).
+        let bytes = map.bytes();
+        let split = SETS_SECTION_COUNT - 1;
+        let (index, head, tail) = std::thread::scope(|scope| {
+            let helper = scope.spawn(|| {
+                let index = self.sets.validate_index();
+                (
+                    index,
+                    layout.verify_digests(bytes, split..SETS_SECTION_COUNT),
+                )
+            });
+            let head = layout.verify_digests(bytes, 0..split);
+            let (index, tail) = helper
+                .join()
+                .unwrap_or_else(|p| std::panic::resume_unwind(p));
+            (index, head, tail)
+        });
+        index.and(head).and(tail).map_err(EngineError::Format)
     }
 }
 
@@ -108,6 +129,53 @@ mod tests {
         assert_eq!(mapped.sets.memory_bytes(), 0);
         mapped.verify().unwrap();
         pool.verify().unwrap();
+        std::fs::remove_file(&path).ok();
+    }
+
+    #[test]
+    fn verify_reports_the_index_then_digests_in_section_order() {
+        // The index check and the digests run on two threads; the error
+        // is still the one the sequential order finds first.
+        let path = temp_file("order");
+        sample_pool().save(&path).unwrap();
+        let pristine = std::fs::read(&path).unwrap();
+        let (_, layout) = parse_v2(&pristine, pristine.len() as u64).unwrap();
+        // Overwrites u32 element `at` of `section`.
+        let put = |bytes: &mut Vec<u8>, section: usize, at: usize, v: u32| {
+            let start = layout.sections[section] + at * 4;
+            bytes[start..start + 4].copy_from_slice(&v.to_le_bytes());
+        };
+        let error = |bytes: &[u8]| {
+            std::fs::write(&path, bytes).unwrap();
+            let pool = RrPool::open_mapped(&path).expect("bounds still hold");
+            match pool.verify() {
+                Err(EngineError::Format(m)) => m,
+                other => panic!("expected a format error, got {other:?}"),
+            }
+        };
+        // Sets [0, 1, 2] [3] [4, 5] [2, 3, 9]: node 2's posting list is
+        // inv_data[2..4] = [0, 3].
+        let (data, inv_data) = (1, 3);
+
+        // A posting list out of order fails the index and its digest.
+        let mut both = pristine.clone();
+        put(&mut both, inv_data, 2, 3);
+        put(&mut both, inv_data, 3, 0);
+        assert!(error(&both).contains("posting list"), "{}", error(&both));
+        // A reordered set and a relabelled posting list keep the index
+        // consistent and fail two digests: the earlier section is named.
+        let mut two = pristine.clone();
+        put(&mut two, data, 0, 1);
+        put(&mut two, data, 1, 0);
+        put(&mut two, inv_data, 2, 1);
+        assert!(error(&two).starts_with("data section"), "{}", error(&two));
+        let mut last = pristine.clone();
+        put(&mut last, inv_data, 2, 1);
+        assert!(
+            error(&last).starts_with("inv_data section"),
+            "{}",
+            error(&last)
+        );
         std::fs::remove_file(&path).ok();
     }
 

@@ -4,7 +4,7 @@
 
 use std::io::{BufRead, BufReader, Write};
 use std::net::{SocketAddr, TcpStream};
-use std::sync::Arc;
+use std::sync::{Arc, Barrier};
 use tim_diffusion::IndependentCascade;
 use tim_engine::QueryEngine;
 use tim_graph::{gen, io, weights, Graph};
@@ -204,5 +204,58 @@ fn pool_growth_keeps_exact_replay_byte_identical() {
         "select 32 must grow the pool once"
     );
     assert!(engine.pool_theta() > warm_theta);
+    handle.stop();
+}
+
+#[test]
+fn racing_first_asks_beside_a_growth_match_a_serial_replay() {
+    // A warmed server holds every plan for k ≤ k_max but no answer: the
+    // first ask of each k runs greedy and keeps what it found. Eight
+    // sessions race on the same first asks (one on an ε override's own
+    // pool) while a ninth grows the default pool past k_max. Each session
+    // gets what the same lines get, alone, on another fresh server.
+    let lines = |l: &[&str]| -> Vec<String> { l.iter().map(|s| s.to_string()).collect() };
+    let script = lines(&[
+        "select 3",
+        "select 6",
+        "select 2 eps=0.9",
+        "select 8",
+        "select 3",
+    ]);
+    let growth = lines(&["select 32", "select 6"]);
+    let alone = |lines: &[String]| {
+        let (state, handle) = start_server();
+        state.warm_default();
+        let got = run_client(handle.addr(), lines);
+        handle.stop();
+        got
+    };
+    let (want, want_growth) = (alone(&script), alone(&growth));
+    for reply in want.iter().chain(&want_growth) {
+        assert!(reply.starts_with("seeds: "), "{reply}");
+    }
+
+    let (state, handle) = start_server();
+    state.warm_default();
+    let addr = handle.addr();
+    let start = Arc::new(Barrier::new(9));
+    let session = |lines: &Vec<String>| {
+        let (lines, start) = (lines.clone(), Arc::clone(&start));
+        std::thread::spawn(move || {
+            start.wait();
+            run_client(addr, &lines)
+        })
+    };
+    let racers: Vec<_> = (0..8).map(|_| session(&script)).collect();
+    let grower = session(&growth);
+    for racer in racers {
+        assert_eq!(racer.join().unwrap(), want);
+    }
+    assert_eq!(grower.join().unwrap(), want_growth);
+    assert_eq!(
+        state.default_engine().growth_epoch(),
+        1,
+        "select 32 grew the pool"
+    );
     handle.stop();
 }

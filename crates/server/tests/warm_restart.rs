@@ -10,7 +10,7 @@ use std::net::TcpStream;
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
 use tim_diffusion::IndependentCascade;
-use tim_engine::RrPool;
+use tim_engine::{PoolStore, RrPool};
 use tim_graph::catalog::GraphOverrides;
 use tim_graph::{gen, weights, Graph};
 use tim_server::{GraphCatalog, LabelMap, Server, ServerConfig, ServerState, DEFAULT_GRAPH_NAME};
@@ -215,6 +215,67 @@ fn mapped_restart_serves_zero_build_byte_identical() {
         );
     }
     drop(mapped_state);
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+#[test]
+fn kept_answers_stay_in_memory_and_restored_pools_recompute_them() {
+    // An exact select keeps its answer beside its plan, in memory only: a
+    // pool spilled after answering is byte-identical to one spilled
+    // without, and a server restored from it computes the same answers.
+    let dir = tmpdir("kept_answers");
+    let asks = "select 1\nselect 3\nselect 4\nselect 2\n";
+    let state = |pool_dir: Option<PathBuf>| {
+        let g = wc_graph(150, 1);
+        let n = g.n();
+        Arc::new(ServerState::new(
+            g,
+            LabelMap::identity(n),
+            IndependentCascade,
+            "ic",
+            ServerConfig {
+                pool_dir,
+                admin: true,
+                ..config()
+            },
+        ))
+    };
+    let serve = |state: &Arc<ServerState<IndependentCascade>>, lines: &str| {
+        let server = Server::bind(Arc::clone(state), "127.0.0.1:0").unwrap();
+        let addr = server.local_addr();
+        let handle = server.start();
+        let out = tcp_session(addr, lines);
+        handle.stop();
+        out
+    };
+    let spill = |state: &Arc<ServerState<IndependentCascade>>, pool_dir: &Path| {
+        let store = PoolStore::open(pool_dir.join(DEFAULT_GRAPH_NAME)).unwrap();
+        let path = store.spill(&state.default_engine().to_pool()).unwrap();
+        std::fs::read(path).unwrap()
+    };
+
+    let asked = state(None);
+    let answers = serve(&asked, asks);
+    assert!(
+        answers.iter().all(|a| a.starts_with("seeds: ")),
+        "{answers:?}"
+    );
+    let unasked = state(None);
+    unasked.warm_default();
+    let asked_dir = dir.join("asked");
+    assert_eq!(
+        spill(&asked, &asked_dir),
+        spill(&unasked, &dir.join("unasked")),
+        "answering adds no byte to the spill"
+    );
+
+    let restored = state(Some(asked_dir));
+    let replies = serve(&restored, &format!("{asks}{asks}stats pools\n"));
+    let (replies, pools) = replies.split_at(replies.len() - 1);
+    assert_eq!(replies, [answers.clone(), answers].concat());
+    for part in ["builds=0", "mmap_opens=1", "heap_loads=0"] {
+        assert!(pools[0].contains(part), "want {part} in {}", pools[0]);
+    }
     std::fs::remove_dir_all(&dir).ok();
 }
 

@@ -7,6 +7,20 @@
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
+# check <label> <cmd…>: runs the command, then prints "<label>: OK", or
+# names the label on stderr and stops the run. A command that fails
+# before `&&` does not trip `set -e`, so every check goes through here.
+check() {
+    local label=$1
+    shift
+    if "$@"; then
+        echo "$label: OK"
+    else
+        echo "check failed: $label" >&2
+        exit 1
+    fi
+}
+
 echo "Starting Kick Tires"
 
 rm -rf out/kick-tires
@@ -39,8 +53,7 @@ if "$TIM" query "$GRAPH" --esp 0.3 < /dev/null 2> out/kick-tires/unknown_flag.tx
     echo "tim query accepted an unknown flag" >&2
     exit 1
 fi
-grep -q 'unknown flag --esp' out/kick-tires/unknown_flag.txt \
-    && echo "unknown flags are rejected: OK"
+check "unknown flags are rejected" grep -q 'unknown flag --esp' out/kick-tires/unknown_flag.txt
 
 echo "== snapshot: binary graph round trip =="
 SNAP=out/kick-tires/ba_small.timg
@@ -63,8 +76,8 @@ SESSION=out/kick-tires/session.txt
 # The k=10 query answer must be byte-identical to the fresh select run.
 sed -n 2p out/kick-tires/query.txt | sed 's/^seeds: //' | tr ' ' '\n' \
     > out/kick-tires/query_seeds.txt
-diff out/kick-tires/select.txt out/kick-tires/query_seeds.txt \
-    && echo "warm-pool seeds byte-identical to fresh select: OK"
+check "warm-pool seeds byte-identical to fresh select" \
+    diff out/kick-tires/select.txt out/kick-tires/query_seeds.txt
 
 echo "== server: tim serve answers == tim query answers =="
 # Ephemeral port; the bound address appears on stdout as "listening on …".
@@ -88,11 +101,11 @@ wait $C2 $C3
 kill $SERVE_PID 2>/dev/null || true
 wait $SERVE_PID 2>/dev/null || true
 trap - EXIT
-diff out/kick-tires/query.txt out/kick-tires/serve_answers.txt \
-    && echo "tim serve byte-identical to tim query: OK"
+check "tim serve byte-identical to tim query" \
+    diff out/kick-tires/query.txt out/kick-tires/serve_answers.txt
 diff out/kick-tires/serve_answers.txt out/kick-tires/serve_answers2.txt
-diff out/kick-tires/serve_answers.txt out/kick-tires/serve_answers3.txt \
-    && echo "concurrent client sessions byte-identical: OK"
+check "concurrent client sessions byte-identical" \
+    diff out/kick-tires/serve_answers.txt out/kick-tires/serve_answers3.txt
 
 echo "== event-loop server: epoll core answers == tim query answers =="
 # Same snapshot and session through the epoll serving core, with idle
@@ -119,11 +132,11 @@ wait $E2 $E3
 kill $EV_PID 2>/dev/null || true
 wait $EV_PID 2>/dev/null || true
 trap - EXIT
-diff out/kick-tires/query.txt out/kick-tires/evloop_answers.txt \
-    && echo "event-loop serve byte-identical to tim query: OK"
+check "event-loop serve byte-identical to tim query" \
+    diff out/kick-tires/query.txt out/kick-tires/evloop_answers.txt
 diff out/kick-tires/evloop_answers.txt out/kick-tires/evloop_answers2.txt
-diff out/kick-tires/evloop_answers.txt out/kick-tires/evloop_answers3.txt \
-    && echo "concurrent event-loop sessions byte-identical: OK"
+check "concurrent event-loop sessions byte-identical" \
+    diff out/kick-tires/evloop_answers.txt out/kick-tires/evloop_answers3.txt
 
 echo "== multi-graph serve: two-graph use/batch session == two single-graph replays =="
 GRAPH2=out/kick-tires/ws_small.txt
@@ -171,8 +184,8 @@ trap - EXIT
     echo "using ws"
     "$TIM" query "$GRAPH2" -k 10 --eps 0.3 --seed 7 --quiet < "$QB"
 } > out/kick-tires/mg_expected.txt
-diff out/kick-tires/mg_expected.txt out/kick-tires/mg_answers.txt \
-    && echo "two-graph use/batch session byte-identical to single-graph replays: OK"
+check "two-graph use/batch session byte-identical to single-graph replays" \
+    diff out/kick-tires/mg_expected.txt out/kick-tires/mg_answers.txt
 
 echo "== warm-state tenancy: two-phase restart drill =="
 POOLDIR=out/kick-tires/pools
@@ -192,8 +205,9 @@ ADDR1=$(sed -n 's/^listening on //p' out/kick-tires/warm1.addr)
 echo "cold server at $ADDR1 (pid $W1), pools in $POOLDIR"
 "$TIM" client --addr "$ADDR1" --timeout 60 < "$SESSION" > out/kick-tires/restart_cold.txt
 printf 'select 10\nstats pools\n' | "$TIM" client --addr "$ADDR1" --timeout 60 \
-    | tee out/kick-tires/restart_cold_pools.txt | grep -q 'builds=1 loads=0' \
-    && echo "cold phase sampled its pool (builds=1): OK"
+    > out/kick-tires/restart_cold_pools.txt
+check "cold phase sampled its pool (builds=1)" \
+    grep -q 'builds=1 loads=0' out/kick-tires/restart_cold_pools.txt
 # The line closes with the cached pools' total θ and bytes, then the
 # count of requests whose answer panicked (none here).
 COLD_SIZE=$(grep -Eo ' theta=[1-9][0-9]* pool_bytes=[1-9][0-9]* recoveries=0$' out/kick-tires/restart_cold_pools.txt) \
@@ -204,8 +218,8 @@ echo "stats pools reports the pool size:$COLD_SIZE: OK"
 kill $W1 2>/dev/null || true
 wait $W1 2>/dev/null || true
 trap - EXIT
-test -n "$(find "$POOLDIR" -name '*.timp' 2>/dev/null)" \
-    && echo "pool spilled to the store before the kill: OK"
+check "pool spilled to the store before the kill" \
+    test -n "$(find "$POOLDIR" -name '*.timp' 2>/dev/null)"
 # Phase 2 (warm): restart against the same store, read-through only. The
 # spill is a v2 file, so the restore maps it and verifies it before it
 # serves. The transcript must be byte-for-byte identical with zero pool
@@ -223,13 +237,14 @@ done
 ADDR2=$(sed -n 's/^listening on //p' out/kick-tires/warm2.addr)
 echo "warm server at $ADDR2 (pid $W2)"
 "$TIM" client --addr "$ADDR2" --timeout 60 < "$SESSION" > out/kick-tires/restart_warm.txt
-diff out/kick-tires/restart_cold.txt out/kick-tires/restart_warm.txt \
-    && echo "restart transcripts byte-identical: OK"
+check "restart transcripts byte-identical" \
+    diff out/kick-tires/restart_cold.txt out/kick-tires/restart_warm.txt
 printf 'select 10\nstats pools\n' | "$TIM" client --addr "$ADDR2" --timeout 60 \
-    | tee out/kick-tires/restart_warm_pools.txt | grep -q 'builds=0 loads=1' \
-    && echo "warm phase loaded from the store, zero rebuilds: OK"
-grep -q 'mmap_opens=1 verifies=1 heap_loads=0' out/kick-tires/restart_warm_pools.txt \
-    && echo "restore went through the mmap path (mmap_opens=1, heap_loads=0): OK"
+    > out/kick-tires/restart_warm_pools.txt
+check "warm phase loaded from the store, zero rebuilds" \
+    grep -q 'builds=0 loads=1' out/kick-tires/restart_warm_pools.txt
+check "restore went through the mmap path (mmap_opens=1, heap_loads=0)" \
+    grep -q 'mmap_opens=1 verifies=1 heap_loads=0' out/kick-tires/restart_warm_pools.txt
 grep -Eq "$COLD_THETA pool_bytes=[1-9][0-9]* recoveries=0\$" out/kick-tires/restart_warm_pools.txt \
     || { echo "mapped restore reports a pool θ other than the cold build's" >&2; exit 1; }
 echo "mapped pool reports the cold build's${COLD_THETA}: OK"
@@ -239,8 +254,8 @@ printf 'attach ws-live=%s\nuse ws-live\nselect 4\nstats\ndetach ws-live\nselect 
     | "$TIM" client --addr "$ADDR2" --timeout 60 \
     | tee out/kick-tires/attach_detach.txt
 grep -q '^attached ws-live$' out/kick-tires/attach_detach.txt
-grep -q '^detached ws-live$' out/kick-tires/attach_detach.txt \
-    && echo "runtime attach/detach with drain: OK"
+check "runtime attach/detach with drain" \
+    grep -q '^detached ws-live$' out/kick-tires/attach_detach.txt
 kill $W2 2>/dev/null || true
 wait $W2 2>/dev/null || true
 trap - EXIT
@@ -257,8 +272,8 @@ SNAP2=out/kick-tires/ba_small.wc.timg
     > out/kick-tires/oc_heap.txt
 "$TIM" query "$SNAP2" -k 10 --eps 0.3 --seed 7 --weights keep < "$SESSION" \
     > out/kick-tires/oc_mmap.txt
-diff out/kick-tires/oc_heap.txt out/kick-tires/oc_mmap.txt \
-    && echo "mmap-backed answers byte-identical to heap answers: OK"
+check "mmap-backed answers byte-identical to heap answers" \
+    diff out/kick-tires/oc_heap.txt out/kick-tires/oc_mmap.txt
 # Serve each input and replay the session through a live client too.
 for side in heap:"$GRAPH":wc mmap:"$SNAP2":keep; do
     IFS=: read -r NAME INPUT WEIGHTS <<< "$side"
@@ -277,8 +292,8 @@ for side in heap:"$GRAPH":wc mmap:"$SNAP2":keep; do
     kill $OC_PID 2>/dev/null || true
     wait $OC_PID 2>/dev/null || true
     trap - EXIT
-    diff out/kick-tires/oc_heap.txt out/kick-tires/oc_serve_${NAME}_answers.txt \
-        && echo "$NAME-backed serve byte-identical to heap query: OK"
+    check "$NAME-backed serve byte-identical to heap query" \
+        diff out/kick-tires/oc_heap.txt out/kick-tires/oc_serve_${NAME}_answers.txt
 done
 
 echo "== experiment driver (quick): Figure 4 phase breakdown =="
