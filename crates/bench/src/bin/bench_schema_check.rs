@@ -1,20 +1,15 @@
 //! Validates a bench report against its schema, dispatching on the
 //! report's `schema` string: `tim-bench-fanin/1` (`BENCH_6.json`, the
-//! `c10k_fanin` bin), `tim-bench-graph-load/1` (`BENCH_7.json`, the
-//! `graph_load` bin), or `tim-bench-pool-load/1` (`BENCH_10.json`, the
-//! `pool_load` bin: v1 heap restore vs v2 mmap open of spilled RR-set
-//! pools).
+//! `c10k_fanin` bin) is the one schema.
 //!
 //! ```text
 //! cargo run -p tim_bench --bin bench_schema_check -- <report.json>
 //! ```
 //!
-//! CI runs this on the quick-mode artifacts so a refactor that silently
-//! breaks a report shape (or a run whose transcripts/answers diverged)
-//! fails the build instead of producing an unreadable trajectory point.
-//! Full-mode graph-load reports additionally enforce the acceptance bar:
-//! v2 open+first-query must beat the v1 full parse by ≥ 5× at the
-//! million-arc scale.
+//! CI runs this on the quick-mode artifacts and on every checked-in
+//! `BENCH_*.json`, so a refactor that silently breaks a report shape (or
+//! a run whose transcripts diverged) fails the build instead of
+//! producing an unreadable trajectory point.
 
 use tim_bench::json::{parse, Value};
 
@@ -51,23 +46,20 @@ fn check_mode(mode: &Value, name: &str) {
             "{what}: need 0 <= p50_ms <= p99_ms, got {p50}/{p99}"
         ));
     }
-    // First-byte percentiles (added after BENCH_6.json was first checked
-    // in): optional for old reports, but when present they must be
-    // ordered and cannot exceed the matching session-lifetime numbers.
-    if mode.get("first_byte_p50_ms").is_some() || mode.get("first_byte_p99_ms").is_some() {
-        let fb50 = require_f64(mode, "first_byte_p50_ms", &what);
-        let fb99 = require_f64(mode, "first_byte_p99_ms", &what);
-        if fb50 < 0.0 || fb99 < fb50 {
-            fail(&format!(
-                "{what}: need 0 <= first_byte_p50_ms <= first_byte_p99_ms, got {fb50}/{fb99}"
-            ));
-        }
-        if fb50 > p50 || fb99 > p99 {
-            fail(&format!(
-                "{what}: first-byte percentiles exceed session-lifetime percentiles \
-                 ({fb50}/{fb99} vs {p50}/{p99})"
-            ));
-        }
+    // First-byte percentiles must be ordered and cannot exceed the
+    // matching session-lifetime numbers.
+    let fb50 = require_f64(mode, "first_byte_p50_ms", &what);
+    let fb99 = require_f64(mode, "first_byte_p99_ms", &what);
+    if fb50 < 0.0 || fb99 < fb50 {
+        fail(&format!(
+            "{what}: need 0 <= first_byte_p50_ms <= first_byte_p99_ms, got {fb50}/{fb99}"
+        ));
+    }
+    if fb50 > p50 || fb99 > p99 {
+        fail(&format!(
+            "{what}: first-byte percentiles exceed session-lifetime percentiles \
+             ({fb50}/{fb99} vs {p50}/{p99})"
+        ));
     }
     if mode.get("transcripts_ok").and_then(Value::as_bool) != Some(true) {
         fail(&format!(
@@ -76,8 +68,17 @@ fn check_mode(mode: &Value, name: &str) {
     }
 }
 
-/// `tim-bench-fanin/…`: the c10k fan-in report shape.
+/// `tim-bench-fanin/…`: the c10k fan-in report shape. The report names
+/// the host it ran on, and both cores ran at the same in-flight cap, so
+/// their latencies compare.
 fn check_fanin(doc: &Value, path: &str, schema: &str) {
+    if doc
+        .get("host")
+        .and_then(Value::as_str)
+        .is_none_or(str::is_empty)
+    {
+        fail("missing 'host' string: name the machine the numbers came from");
+    }
     let modes = doc
         .get("modes")
         .and_then(Value::as_arr)
@@ -85,6 +86,7 @@ fn check_fanin(doc: &Value, path: &str, schema: &str) {
     if modes.is_empty() {
         fail("'modes' is empty");
     }
+    let mut caps = Vec::new();
     for want in ["event_loop", "thread_pool"] {
         let Some(mode) = modes
             .iter()
@@ -93,156 +95,15 @@ fn check_fanin(doc: &Value, path: &str, schema: &str) {
             fail(&format!("missing required mode '{want}'"));
         };
         check_mode(mode, want);
+        caps.push(require_f64(mode, "max_in_flight", want));
+    }
+    if caps[0] != caps[1] {
+        fail(&format!(
+            "the modes ran at different in-flight caps ({} vs {}): their latencies do not compare",
+            caps[0], caps[1]
+        ));
     }
     println!("{path}: ok ({schema}, {} modes)", modes.len());
-}
-
-/// `tim-bench-graph-load/…`: the v1-parse vs v2-mmap report shape.
-fn check_graph_load(doc: &Value, path: &str, schema: &str) {
-    let quick = doc
-        .get("quick")
-        .and_then(Value::as_bool)
-        .unwrap_or_else(|| fail("missing boolean 'quick'"));
-    let scales = doc
-        .get("scales")
-        .and_then(Value::as_arr)
-        .unwrap_or_else(|| fail("missing 'scales' array"));
-    if scales.is_empty() {
-        fail("'scales' is empty");
-    }
-    for scale in scales {
-        let name = scale
-            .get("name")
-            .and_then(Value::as_str)
-            .unwrap_or_else(|| fail("scale: missing 'name' string"));
-        let what = format!("scale '{name}'");
-        for key in ["nodes", "arcs", "v1_bytes", "v2_bytes"] {
-            let v = require_f64(scale, key, &what);
-            if v < 1.0 || v.fract() != 0.0 {
-                fail(&format!(
-                    "{what}: '{key}' must be a positive integer, got {v}"
-                ));
-            }
-        }
-        for key in [
-            "v1_parse_ms",
-            "v2_open_ms",
-            "v2_open_plus_query_ms",
-            "warm_query_ms",
-        ] {
-            if require_f64(scale, key, &what) <= 0.0 {
-                fail(&format!("{what}: '{key}' must be positive"));
-            }
-        }
-        if require_f64(scale, "first_query_ms", &what) < 0.0 {
-            fail(&format!("{what}: 'first_query_ms' must be non-negative"));
-        }
-        if require_f64(scale, "speedup", &what) <= 0.0 {
-            fail(&format!("{what}: 'speedup' must be positive"));
-        }
-        for key in ["answers_match", "checksums_match"] {
-            if scale.get(key).and_then(Value::as_bool) != Some(true) {
-                fail(&format!("{what}: '{key}' must be true — the run diverged"));
-            }
-        }
-    }
-    // Full-mode runs carry the acceptance bar: at the ~million-arc scale,
-    // v2 open+first-query must beat the v1 full parse by ≥ 5×.
-    if !quick {
-        let Some(big) = scales
-            .iter()
-            .find(|s| require_f64(s, "arcs", "scale") >= 1_000_000.0)
-        else {
-            fail("full-mode report has no million-arc scale");
-        };
-        let speedup = require_f64(big, "speedup", "million-arc scale");
-        if speedup < 5.0 {
-            fail(&format!(
-                "million-arc scale: v2 open+first-query is only {speedup:.1}x \
-                 faster than the v1 parse (need >= 5x)"
-            ));
-        }
-    }
-    println!("{path}: ok ({schema}, {} scales)", scales.len());
-}
-
-/// `tim-bench-pool-load/…`: the v1-restore vs v2-mmap pool report
-/// shape. Same bones as `check_graph_load`, pool-flavored fields: the
-/// restore-to-first-answer pair (`v1_restore_plus_select_ms` vs
-/// `v2_open_plus_select_ms`) carries the acceptance bar, and every
-/// scale must have re-verified its seed sets (`answers_match`) and
-/// provenance header (`provenance_match`) across backings.
-fn check_pool_load(doc: &Value, path: &str, schema: &str) {
-    let quick = doc
-        .get("quick")
-        .and_then(Value::as_bool)
-        .unwrap_or_else(|| fail("missing boolean 'quick'"));
-    let scales = doc
-        .get("scales")
-        .and_then(Value::as_arr)
-        .unwrap_or_else(|| fail("missing 'scales' array"));
-    if scales.is_empty() {
-        fail("'scales' is empty");
-    }
-    for scale in scales {
-        let name = scale
-            .get("name")
-            .and_then(Value::as_str)
-            .unwrap_or_else(|| fail("scale: missing 'name' string"));
-        let what = format!("scale '{name}'");
-        for key in ["nodes", "arcs", "sets", "members", "v1_bytes", "v2_bytes"] {
-            let v = require_f64(scale, key, &what);
-            if v < 1.0 || v.fract() != 0.0 {
-                fail(&format!(
-                    "{what}: '{key}' must be a positive integer, got {v}"
-                ));
-            }
-        }
-        for key in [
-            "v1_load_ms",
-            "v1_restore_plus_select_ms",
-            "v2_open_ms",
-            "v2_verify_ms",
-            "v2_open_plus_select_ms",
-            "speedup",
-        ] {
-            if require_f64(scale, key, &what) <= 0.0 {
-                fail(&format!("{what}: '{key}' must be positive"));
-            }
-        }
-        // The composite timings contain their components.
-        if require_f64(scale, "v1_restore_plus_select_ms", &what)
-            < require_f64(scale, "v1_load_ms", &what)
-        {
-            fail(&format!(
-                "{what}: v1 restore+select is faster than the v1 load it contains"
-            ));
-        }
-        for key in ["answers_match", "provenance_match"] {
-            if scale.get(key).and_then(Value::as_bool) != Some(true) {
-                fail(&format!("{what}: '{key}' must be true — the run diverged"));
-            }
-        }
-    }
-    // Full-mode runs carry the acceptance bar: at the ~1.3M-arc /
-    // 200k-set scale, v2 open+first-select must beat the v1
-    // restore+first-select by ≥ 5×.
-    if !quick {
-        let Some(big) = scales.iter().find(|s| {
-            require_f64(s, "arcs", "scale") >= 1_000_000.0
-                && require_f64(s, "sets", "scale") >= 200_000.0
-        }) else {
-            fail("full-mode report has no million-arc / 200k-set scale");
-        };
-        let speedup = require_f64(big, "speedup", "million-arc scale");
-        if speedup < 5.0 {
-            fail(&format!(
-                "million-arc scale: v2 open+first-select is only {speedup:.1}x \
-                 faster than the v1 restore+first-select (need >= 5x)"
-            ));
-        }
-    }
-    println!("{path}: ok ({schema}, {} scales)", scales.len());
 }
 
 fn main() {
@@ -260,10 +121,6 @@ fn main() {
         .to_string();
     if schema.starts_with("tim-bench-fanin/") {
         check_fanin(&doc, &path, &schema);
-    } else if schema.starts_with("tim-bench-graph-load/") {
-        check_graph_load(&doc, &path, &schema);
-    } else if schema.starts_with("tim-bench-pool-load/") {
-        check_pool_load(&doc, &path, &schema);
     } else {
         fail(&format!("unknown schema '{schema}'"));
     }

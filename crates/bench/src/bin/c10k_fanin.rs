@@ -14,22 +14,26 @@
 //! reads to EOF. Transcripts are checked byte-for-byte against a serial
 //! replay through the same session machinery — a run that answers fast
 //! but wrong fails loudly (`transcripts_ok`). The report is machine
-//! readable (schema `tim-bench-fanin/1`); `bench_schema_check` validates
-//! it in CI and the full-scale run is checked in at the repo root so the
-//! trajectory is diffable across PRs.
+//! readable (schema `tim-bench-fanin/1`), names the host it ran on, and
+//! `bench_schema_check` validates it in CI; the full-scale run is
+//! checked in at the repo root so the trajectory is diffable across PRs.
 //!
-//! Fairness note: the event-loop mode opens every session at once (that
-//! is the point of the epoll core); the thread-pool mode is driven with
-//! at most 128 in flight so the measurement stays inside the listener
-//! backlog — beyond that the kernel drops SYNs and the numbers would
-//! measure retransmission timers, not the server.
+//! Both cores are driven at the same offered load, `IN_FLIGHT` (128)
+//! sessions at a time, so their latency columns compare like with like.
+//! The cap stays inside the listener backlog: beyond it the kernel drops
+//! SYNs and the numbers would measure retransmission timers, not the
+//! server. First-byte latency runs from connect, so a session's wait in
+//! the thread pool's accept backlog counts too.
 
 #[cfg(target_os = "linux")]
 mod fanin_bench {
     use std::sync::Arc;
     use std::time::Duration;
     use tim_diffusion::IndependentCascade;
-    use tim_server::{fanin, reactor, LabelMap, Server, ServerConfig, ServerState};
+    use tim_server::{fanin, LabelMap, Server, ServerConfig, ServerState};
+
+    /// Sessions in flight at once, for both serving cores.
+    const IN_FLIGHT: usize = 128;
 
     /// One benched serving mode.
     struct ModeReport {
@@ -152,7 +156,6 @@ mod fanin_bench {
         event_loop: bool,
         threads: usize,
         sessions: usize,
-        max_in_flight: usize,
         quick: bool,
     ) -> (ModeReport, usize, usize) {
         let (state, nodes, arcs) = build_state(quick, event_loop, threads);
@@ -163,13 +166,9 @@ mod fanin_bench {
 
         let server = Server::bind(Arc::clone(&state), "127.0.0.1:0").expect("bind");
         let handle = server.start();
-        let report = fanin::drive_sessions(
-            handle.addr(),
-            &scripts,
-            max_in_flight,
-            Duration::from_secs(900),
-        )
-        .expect("fan-in run");
+        let report =
+            fanin::drive_sessions(handle.addr(), &scripts, IN_FLIGHT, Duration::from_secs(900))
+                .expect("fan-in run");
         handle.stop();
 
         let transcripts_ok = report
@@ -177,9 +176,8 @@ mod fanin_bench {
             .iter()
             .enumerate()
             .all(|(i, o)| o.transcript == expected[i % VARIANTS.len()]);
-        // Session lifetime (connect → EOF) is dominated by admission
-        // queueing under an everything-at-once fan-in; first-byte is the
-        // per-session responsiveness number comparable across modes.
+        // Session lifetime runs connect → EOF; first-byte, connect → the
+        // first answer byte, is the per-session responsiveness number.
         let stats = fanin::latency_stats(&report.outcomes);
         let wall = report.wall.as_secs_f64();
         (
@@ -187,7 +185,7 @@ mod fanin_bench {
                 mode,
                 threads,
                 sessions,
-                max_in_flight,
+                max_in_flight: IN_FLIGHT,
                 wall_ms: wall * 1e3,
                 sessions_per_sec: sessions as f64 / wall,
                 p50_ms: stats.p50_ms,
@@ -205,12 +203,28 @@ mod fanin_bench {
         )
     }
 
+    /// The machine the run measured: CPUs this process may use, the CPU
+    /// model, and the OS.
+    fn host() -> String {
+        let cpus = std::thread::available_parallelism().map_or(0, |n| n.get());
+        let model = std::fs::read_to_string("/proc/cpuinfo")
+            .ok()
+            .and_then(|info| {
+                info.lines()
+                    .find_map(|l| l.strip_prefix("model name"))
+                    .map(|l| l.trim_start_matches([' ', '\t', ':']).trim().to_string())
+            })
+            .unwrap_or_else(|| "unknown CPU".to_string());
+        format!("{cpus} CPUs, {model}, {}", std::env::consts::OS).replace('"', "'")
+    }
+
     fn emit_json(quick: bool, nodes: usize, arcs: usize, modes: &[ModeReport]) -> String {
         let mut out = String::new();
         out.push_str("{\n");
         out.push_str("  \"schema\": \"tim-bench-fanin/1\",\n");
         out.push_str("  \"bench\": \"c10k_fanin\",\n");
         out.push_str("  \"protocol\": \"tim/3\",\n");
+        out.push_str(&format!("  \"host\": \"{}\",\n", host()));
         out.push_str(&format!("  \"quick\": {quick},\n"));
         out.push_str(&format!(
             "  \"graph\": {{\"kind\": \"barabasi_albert\", \"nodes\": {nodes}, \"arcs\": {arcs}}},\n"
@@ -247,43 +261,30 @@ mod fanin_bench {
             .sessions
             .unwrap_or(if opts.quick { 1000 } else { 10_000 });
 
-        // Every fan-in session costs two fds (one in the driver, one in
-        // the server) plus slack for listeners/epoll instances. If the
-        // hard limit won't cover full concurrency, cap in-flight rather
-        // than letting accept()/connect() die on EMFILE mid-run.
-        let want = (2 * sessions + 512) as u64;
-        let got = reactor::raise_nofile_limit(want);
-        let in_flight_cap = ((got.saturating_sub(512)) / 2).max(1) as usize;
-        let ev_in_flight = sessions.min(in_flight_cap);
-        if ev_in_flight < sessions {
-            eprintln!("note: RLIMIT_NOFILE {got} caps concurrency at {ev_in_flight} of {sessions}");
-        }
-
         eprintln!(
-            "c10k_fanin: {sessions} sessions per mode ({})",
+            "c10k_fanin: {sessions} sessions per mode, {IN_FLIGHT} in flight ({})",
             if opts.quick { "quick" } else { "full" }
         );
 
-        // Event loop: every session open at once across 2 shards (minus
-        // any fd-limit cap).
-        let (ev, nodes, arcs) = run_mode("event_loop", true, 2, sessions, ev_in_flight, opts.quick);
-        eprintln!(
-            "  event_loop:  {:>8.1} sessions/s  p50 {:>8.3} ms  p99 {:>8.3} ms  \
-             first-byte p50 {:>8.3} ms  ok={}",
-            ev.sessions_per_sec, ev.p50_ms, ev.p99_ms, ev.first_byte_p50_ms, ev.transcripts_ok
-        );
-
-        // Thread pool: one thread per live connection; drive at most 128
-        // in flight (the listener backlog) so queueing happens in
-        // accept(), not in SYN retransmits.
-        let (tp, _, _) = run_mode("thread_pool", false, 32, sessions, 128, opts.quick);
-        eprintln!(
-            "  thread_pool: {:>8.1} sessions/s  p50 {:>8.3} ms  p99 {:>8.3} ms  \
-             first-byte p50 {:>8.3} ms  ok={}",
-            tp.sessions_per_sec, tp.p50_ms, tp.p99_ms, tp.first_byte_p50_ms, tp.transcripts_ok
-        );
-
+        // Event loop: 2 reactor shards. Thread pool: one worker thread per
+        // live connection.
+        let (ev, nodes, arcs) = run_mode("event_loop", true, 2, sessions, opts.quick);
+        let (tp, _, _) = run_mode("thread_pool", false, 32, sessions, opts.quick);
         let modes = [ev, tp];
+        for m in &modes {
+            eprintln!(
+                "  {:<12} {:>8.1} sessions/s  p50 {:>8.3} ms  p99 {:>8.3} ms  \
+                 first-byte p50 {:>8.3} ms  p99 {:>8.3} ms  ok={}",
+                format!("{}:", m.mode),
+                m.sessions_per_sec,
+                m.p50_ms,
+                m.p99_ms,
+                m.first_byte_p50_ms,
+                m.first_byte_p99_ms,
+                m.transcripts_ok
+            );
+        }
+
         let json = emit_json(opts.quick, nodes, arcs, &modes);
         // Self-check the emitter against our own parser before writing:
         // a malformed report should fail here, not in CI.

@@ -35,9 +35,8 @@ usage:
                --out <path> [--n 10000] [--param 4] [--scale 1.0] [--seed 0]
   tim snapshot <graph> --out <path.timg> [--weights keep|wc|lt|const:<p>|tri]
                [--seed 0] [--undirected]
-               (writes the page-aligned, mmap-able v2 layout; the input may
-                be a v1 snapshot, so this is also the v1 -> v2 migration,
-                and --out may name the input itself)
+               (writes the page-aligned, mmap-able v2 layout; --out may
+                name the input itself)
   tim query    [<graph>] [--graph <name>=<path>[::<k=v,...>]]... [--graphs <dir>]
                [--default-graph <name>] [--max-loaded 8] [--pool <path.timp>]
                [--pool-dir <dir>] [--persist-pools] [--admin]
@@ -59,9 +58,10 @@ usage:
                [--seed 0] [--pool <path.timp>] [--undirected] [--quiet]
                (serves the tim/3 query protocol over TCP; prints
                 `listening on <addr>` on stdout when bound — see docs/PROTOCOL.md;
-                --event-loop serves via epoll reactor shards instead of
-                thread-per-connection workers: concurrency bounded by fds,
-                with --idle-timeout reaping and --max-conns admission)
+                --idle-timeout closes connections silent that long, on
+                either core; --event-loop serves via epoll reactor shards
+                instead of thread-per-connection workers: concurrency
+                bounded by fds, with --max-conns admission)
   tim client   --addr <host:port> [--timeout <secs>]
                (pipes line-delimited queries from stdin to a running server,
                 answers to stdout; exits nonzero if any response is `error: …`;
@@ -78,11 +78,13 @@ usage:
   With --pool-dir every graph keeps its RR-set pools in <dir>/<name>/
   (read on start — a warm restart skips the pool builds); --persist-pools
   additionally writes newly built or grown pools back automatically.
-  The file picks the backing, for graphs and pools alike: a v2 file
-  (.timg or .timp) is mapped read-only and serves only after every
-  checksum passes; text and v1 files load onto the heap. Answers are the
-  same either way. A served file must be replaced by rename (as every
-  `tim` writer does), never rewritten in place.";
+  Binary files (.timg graphs, .timp pools) have one format, v2: it is
+  mapped read-only and serves only after every check passes, while text
+  graphs load onto the heap; answers are the same either way. An older
+  .timg is refused (re-run `tim snapshot` on its text source); an older
+  pool in a --pool-dir is quarantined and rebuilt. A served file must be
+  replaced by rename (as every `tim` writer does), never rewritten in
+  place.";
 
 // The flags each subcommand reads; `dispatch` rejects any other.
 const SELECT: Spec = Spec {
@@ -530,9 +532,6 @@ fn server_config(args: &Args, quiet: bool) -> Result<ServerConfig, String> {
     if config.persist_pools && config.pool_dir.is_none() {
         return Err("--persist-pools requires --pool-dir <dir>".into());
     }
-    if config.idle_timeout.is_some() && !config.event_loop {
-        return Err("--idle-timeout requires --event-loop".into());
-    }
     if config.max_conns.is_some() && !config.event_loop {
         return Err("--max-conns requires --event-loop".into());
     }
@@ -541,8 +540,8 @@ fn server_config(args: &Args, quiet: bool) -> Result<ServerConfig, String> {
 
 /// Builds the multi-graph catalog state `query` and `serve` share: the
 /// positional graph (if given) is loaded now, through the same loader as
-/// every path slot ([`GraphStore::load`]: a v2 snapshot mapped and fully
-/// checked, text and v1 onto the heap), and registered resident as
+/// every path slot ([`GraphStore::load`]: a snapshot mapped and fully
+/// checked, text onto the heap), and registered resident as
 /// `default` with the loader's checksum; every `--graph name=path[::overrides]` and every file a
 /// `--graphs` directory scan finds is registered for lazy loading.
 /// Sessions start on `--default-graph`, defaulting to `default` when
@@ -1263,6 +1262,29 @@ mod tests {
         std::fs::remove_file(&path).ok();
     }
 
+    #[test]
+    fn snapshot_refuses_a_v1_input_and_names_the_fix() {
+        // The start of a version 1 snapshot: no writer emits one any more.
+        let dir = tmpdir();
+        let old = dir.join("old_v1.timg");
+        let out = dir.join("old_v1_out.timg");
+        std::fs::write(
+            &old,
+            [&snapshot::MAGIC[..], &1u32.to_le_bytes(), &[0u8; 24]].concat(),
+        )
+        .unwrap();
+        let err = dispatch(&argv(&format!(
+            "snapshot {} --out {}",
+            old.display(),
+            out.display()
+        )))
+        .unwrap_err();
+        assert!(err.contains("version 1"), "{err}");
+        assert!(err.contains("tim snapshot"), "{err}");
+        assert!(!out.exists(), "nothing is written");
+        std::fs::remove_file(&old).ok();
+    }
+
     /// Single-graph catalog state over a parsed edge list, mirroring what
     /// `tim query <graph>` builds.
     fn session_state(
@@ -1612,30 +1634,28 @@ mod tests {
             (
                 answers,
                 (s.builds, s.loads),
-                (store.mmap_opens, store.heap_loads),
+                (store.mmap_opens, store.heap_loads, store.quarantined),
             )
         };
         let (mapped, counts, backing) = restart();
         assert_eq!(mapped, cold, "mapped restart answers byte-identical");
         assert_eq!(counts, (0, 1), "warm run opens, never builds");
-        assert_eq!(backing, (1, 0), "a v2 spill restores mapped");
+        assert_eq!(backing, (1, 0, 0), "a v2 spill restores mapped");
 
-        // A v1 copy of the spill restores onto the heap: same answers,
-        // still zero builds.
+        // A v1 pool under the spill's name (the magic, version 1, a few
+        // payload bytes; no writer emits one any more) is quarantined and
+        // rebuilt: the answers match the cold run byte for byte.
         let spill = std::fs::read_dir(pool_dir.join(DEFAULT_GRAPH_NAME))
             .unwrap()
             .map(|e| e.unwrap().path())
             .find(|p| p.extension().is_some_and(|e| e == "timp"))
             .unwrap();
-        let pool = RrPool::load(&spill).unwrap();
-        let mut v1 = Vec::new();
-        pool.write_v1(&mut v1).unwrap();
-        drop(pool);
+        let v1 = [&tim_engine::POOL_MAGIC[..], &1u32.to_le_bytes(), &[0; 32]].concat();
         std::fs::write(&spill, v1).unwrap();
-        let (heap, counts, backing) = restart();
-        assert_eq!(heap, cold, "heap restart answers byte-identical");
-        assert_eq!(counts, (0, 1), "heap run loads, never builds");
-        assert_eq!(backing, (0, 1), "a v1 file restores onto the heap");
+        let (rebuilt, counts, backing) = restart();
+        assert_eq!(rebuilt, cold, "rebuilt answers byte-identical");
+        assert_eq!(counts, (1, 0), "a v1 file is rebuilt, never loaded");
+        assert_eq!(backing, (0, 0, 1), "and quarantined");
         std::fs::remove_file(&graph).ok();
         std::fs::remove_dir_all(&pool_dir).ok();
     }
@@ -1731,11 +1751,15 @@ mod tests {
         assert_eq!(config.max_conns, Some(100));
         let plain = parse("g.txt").unwrap();
         assert!(!plain.event_loop && plain.idle_timeout.is_none() && plain.max_conns.is_none());
-        // The knobs are event-loop semantics: silently ignoring them on
-        // the blocking server would be worse than refusing.
-        assert!(parse("g.txt --idle-timeout 2")
+        // Both cores reap idle connections, so --idle-timeout stands
+        // alone; the connection cap is event-loop semantics, and silently
+        // ignoring it on the blocking server would be worse than refusing.
+        let pooled = parse("g.txt --idle-timeout 2").unwrap();
+        assert!(!pooled.event_loop);
+        assert_eq!(pooled.idle_timeout, Some(std::time::Duration::from_secs(2)));
+        assert!(parse("g.txt --idle-timeout 0")
             .unwrap_err()
-            .contains("requires --event-loop"));
+            .contains("--idle-timeout"));
         assert!(parse("g.txt --max-conns 10")
             .unwrap_err()
             .contains("requires --event-loop"));

@@ -23,8 +23,9 @@
 //!
 //! `<graph>` is either SNAP-style text (`src dst [prob]`, `#` comments) or
 //! a binary `.timg` snapshot (`tim snapshot`), auto-detected by content.
-//! The file picks the backing: v2 snapshots and pools are mapped and
-//! fully checked before they serve, text and v1 files load onto the heap.
+//! The file picks the backing: snapshots and pools (one format each, v2)
+//! are mapped and fully checked before they serve, text loads onto the
+//! heap.
 //! Node labels may be arbitrary integers; seeds are printed in original
 //! labels.
 //!

@@ -1,13 +1,15 @@
 //! `tim query --pool` persists a pool that grew during the session as a
-//! whole `.timp` v2 file, written beside the old one and renamed over it.
+//! whole `.timp` v2 file, written beside the old one and renamed over it,
+//! and refuses a pool file of an older format version.
 
 use std::io::Write;
 use std::path::{Path, PathBuf};
 use std::process::{Command, Stdio};
-use tim_engine::{pool_version, RrPool};
+use tim_engine::{pool_version, RrPool, POOL_MAGIC};
 
-/// Runs `tim <args>` in `dir` with `stdin` as its input; returns stderr.
-fn tim(dir: &Path, args: &str, stdin: &str) -> String {
+/// Runs `tim <args>` in `dir` with `stdin` as its input; returns whether
+/// it exited successfully, and its stderr.
+fn run_tim(dir: &Path, args: &str, stdin: &str) -> (bool, String) {
     let mut child = Command::new(env!("CARGO_BIN_EXE_tim"))
         .args(args.split(' '))
         .current_dir(dir)
@@ -24,7 +26,13 @@ fn tim(dir: &Path, args: &str, stdin: &str) -> String {
         .expect("write stdin");
     let out = child.wait_with_output().expect("wait for tim");
     let stderr = String::from_utf8_lossy(&out.stderr).into_owned();
-    assert!(out.status.success(), "tim {args} failed: {stderr}");
+    (out.status.success(), stderr)
+}
+
+/// Runs `tim <args>` in `dir` with `stdin` as its input; returns stderr.
+fn tim(dir: &Path, args: &str, stdin: &str) -> String {
+    let (ok, stderr) = run_tim(dir, args, stdin);
+    assert!(ok, "tim {args} failed: {stderr}");
     stderr
 }
 
@@ -60,11 +68,10 @@ fn grown_pool_is_resaved_as_v2_in_place() {
 
     let pool = dir.join("p.timp");
     assert_eq!(pool_version(&pool).unwrap(), 2, "the re-save writes v2");
-    let mapped = RrPool::open_mapped(&pool).expect("the grown pool maps");
+    let mapped = RrPool::load(&pool).expect("the grown pool maps and passes every check");
     assert_eq!(mapped.meta.theta, grown);
     assert_eq!(mapped.sets.len() as u64, grown);
     assert!(mapped.sets.mapping().is_some());
-    mapped.verify().expect("the grown pool verifies");
 
     let mut left: Vec<String> = std::fs::read_dir(&dir)
         .unwrap()
@@ -102,5 +109,30 @@ fn a_built_pool_is_saved_once_its_warm_up_has_finished() {
     let pool = RrPool::load(dir.join("p.timp")).expect("the saved pool loads");
     assert_eq!(pool.meta.theta, one);
     assert_eq!(pool.sets.len() as u64, one);
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+#[test]
+fn an_old_pool_file_is_refused_with_its_version() {
+    let dir: PathBuf = std::env::temp_dir().join(format!("tim_query_old_{}", std::process::id()));
+    std::fs::remove_dir_all(&dir).ok();
+    std::fs::create_dir_all(&dir).unwrap();
+    tim(
+        &dir,
+        "generate ba --out g.txt --n 200 --param 3 --seed 1",
+        "",
+    );
+    // The start of a version 1 pool: no writer emits one any more.
+    let old = [&POOL_MAGIC[..], &1u32.to_le_bytes(), &[0u8; 32]].concat();
+    std::fs::write(dir.join("old.timp"), &old).unwrap();
+    // No stdin: the pool fails to load before the session would read.
+    let (ok, stderr) = run_tim(&dir, "query g.txt --pool old.timp -k 2", "");
+    assert!(!ok, "tim query must fail on an old pool: {stderr}");
+    assert!(stderr.contains("version 1"), "{stderr}");
+    assert_eq!(
+        std::fs::read(dir.join("old.timp")).unwrap(),
+        old,
+        "the file is left as it was"
+    );
     std::fs::remove_dir_all(&dir).ok();
 }

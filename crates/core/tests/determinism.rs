@@ -22,7 +22,7 @@ fn mapped(g: &Graph, tag: &str) -> (GraphStore, std::path::PathBuf) {
     let path = dir.join("g.timg");
     let labels: Vec<u64> = (0..g.n() as u64).collect();
     snapshot::save_snapshot(g, &labels, &path).unwrap();
-    (GraphStore::open_mmap(&path).unwrap().0, dir)
+    (GraphStore::load(&path, false, "keep", 0).unwrap().0, dir)
 }
 
 #[test]

@@ -18,11 +18,11 @@
 //!   [`SetCollection::with_index`]), so every accessor and every solver
 //!   index is in bounds afterwards: a hostile file cannot make a mapped
 //!   collection read out of range, only answer wrongly;
-//! - **answer integrity** is deferred: the semantic cross-checks
+//! - **answer integrity** is a second pass: the semantic cross-checks
 //!   ([`SetCollection::validate_index`]) plus the per-section FNV-1a
-//!   pass ([`SetsLayout::verify_digests`]), so opening a multi-gigabyte
-//!   pool stays cheap; callers that serve answers from the mapping (the
-//!   server's pool cache does) run both once per restore.
+//!   pass ([`SetsLayout::verify_digests`]). `tim_engine`'s pool opens
+//!   (`RrPool::load` and the pool store's mapped restore) run both before
+//!   they return a pool, so no mapped pool answers before it passes.
 
 use crate::collection::SetCollection;
 use std::ops::Range;
@@ -88,8 +88,8 @@ impl SetsLayout {
 
     /// Hashes sections `which` of `file` (the whole pool file), in
     /// order, and compares each with the digest the layout records — the
-    /// integrity pass both the eager heap decode and a mapped pool's
-    /// deferred verify run. Errors name the first mismatching section.
+    /// integrity pass both the eager heap decode and a mapped pool's open
+    /// run. Errors name the first mismatching section.
     pub fn verify_digests(&self, file: &[u8], which: Range<usize>) -> Result<(), String> {
         for i in which {
             let name = SETS_SECTION_NAMES[i];
@@ -123,7 +123,7 @@ impl SetCollection {
     /// over the mapping directly (selection never writes the mapped
     /// arrays, which is why a `PROT_READ` mapping suffices). Whether the
     /// mapping also *means* what it says — index consistent with the
-    /// arena, digests intact — is the deferred question the module docs
+    /// arena, digests intact — is the second pass the module docs
     /// describe. Errors describe the first violation.
     pub fn from_mapping(map: &Arc<Mmap>, layout: &SetsLayout) -> Result<SetCollection, String> {
         let sets = SetCollection::from_raw_parts(
@@ -217,7 +217,7 @@ pub(crate) mod tests {
         SetCollection::from_mapping(&map, layout)
     }
 
-    /// The deferred audit a pool's `verify` runs over its mapping.
+    /// The second pass a pool's open runs over its mapping.
     fn verify(m: &SetCollection, layout: &SetsLayout) -> Result<(), String> {
         m.validate_index()?;
         layout.verify_digests(m.mapping().expect("mapped").bytes(), 0..SETS_SECTION_COUNT)

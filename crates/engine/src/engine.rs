@@ -521,7 +521,7 @@ impl<M: DiffusionModel + Clone> QueryEngine<M> {
     /// a heap graph hashes to is the one a v2 snapshot records in its
     /// header — so a pool sampled against a heap graph attaches to the
     /// same graph mapped from a snapshot, and vice versa. A pool mapped
-    /// from a `.timp` v2 file ([`RrPool::open_mapped`]) stays mapped: no
+    /// from a `.timp` file ([`RrPool::load`]) stays mapped: no
     /// heap decode, no index rebuild, byte-identical answers; growth (a
     /// tighter ε or a larger `k`) resamples onto the heap.
     pub fn from_pool_store(
@@ -803,7 +803,7 @@ mod tests {
             .seed(5)
             .threads(2)
             .k_max(12);
-        let (store, _) = GraphStore::open_mmap(&path).unwrap();
+        let (store, _) = GraphStore::load(&path, false, "keep", 0).unwrap();
         assert!(store.is_mmap());
         let mut mapped = QueryEngine::with_store(store, IndependentCascade, "ic")
             .epsilon(0.8)
@@ -831,7 +831,7 @@ mod tests {
         // (identical provenance) and keeps answering identically.
         let pool = heap.to_pool();
         let mut restored = QueryEngine::from_pool_store(
-            GraphStore::open_mmap(&path).unwrap().0,
+            GraphStore::load(&path, false, "keep", 0).unwrap().0,
             IndependentCascade,
             "ic",
             pool,
@@ -857,7 +857,7 @@ mod tests {
         let path = dir.join("pool.timp");
         warm.to_pool().save(&path).unwrap();
 
-        let mapped = RrPool::open_mapped(&path).unwrap();
+        let mapped = RrPool::load(&path).unwrap();
         let mut e = QueryEngine::from_pool_store(
             GraphStore::from_arc(warm.graph_arc()),
             IndependentCascade,
@@ -890,7 +890,7 @@ mod tests {
 
         // Growth detaches from the mapping: a tighter ε resamples onto
         // the heap, byte-identically to the same growth on a heap pool.
-        let mapped = RrPool::open_mapped(&path).unwrap();
+        let mapped = RrPool::load(&path).unwrap();
         let mut e = QueryEngine::from_pool_store(
             GraphStore::from_arc(warm.graph_arc()),
             IndependentCascade,
@@ -925,12 +925,12 @@ mod tests {
         warm.warm();
         warm.to_pool().save(&pool_path).unwrap();
 
-        let (store, _) = GraphStore::open_mmap(&graph_path).unwrap();
+        let (store, _) = GraphStore::load(&graph_path, false, "keep", 0).unwrap();
         let e = QueryEngine::from_pool_store(
             store.clone(),
             IndependentCascade,
             "ic",
-            RrPool::open_mapped(&pool_path).unwrap(),
+            RrPool::load(&pool_path).unwrap(),
         )
         .unwrap();
         let checksum = tim_graph::snapshot::graph_checksum;
@@ -1145,7 +1145,7 @@ mod tests {
                 .threads(2)
         };
         let mut heap = attach(RrPool::read(std::fs::read(&path).unwrap().as_slice()).unwrap());
-        let mut mapped = attach(RrPool::open_mapped(&path).unwrap());
+        let mut mapped = attach(RrPool::load(&path).unwrap());
         assert!(!heap.pool_is_mapped() && mapped.pool_is_mapped());
 
         let grow = |e: &mut QueryEngine<_>| {

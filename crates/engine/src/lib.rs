@@ -28,15 +28,15 @@
 //! [`PoolStore`] scales the single-file story to a serving fleet's warm
 //! state: a per-tenant directory of provenance-keyed `.timp` files with
 //! atomic write-then-rename spills and quarantine of corrupt or foreign
-//! files, so every pool a process builds outlives the process. Every
-//! writer emits the page-aligned `.timp` v2 layout, which persists the
-//! inverted index, and replaces files by rename. The file picks the
-//! backing: [`RrPool::open_mapped`] attaches a v2 file zero-copy
-//! (`PROT_READ`) as the same [`RrPool`] a heap decode yields, and it
-//! serves only after its checksum pass, so restarting a service costs a
-//! mapping and one sequential scan instead of a heap decode and an index
-//! rebuild; v1 files decode onto the heap — see [`RrPool::load`] and
-//! [`PoolStore::probe_backed`].
+//! files, so every pool a process builds outlives the process. There is
+//! one format, the page-aligned `.timp` v2 layout, which persists the
+//! inverted index; every writer emits it and replaces files by rename.
+//! Every open maps the file zero-copy (`PROT_READ`) as the same
+//! [`RrPool`] a heap decode yields, and returns it only after its
+//! checksum pass, so restarting a service costs a mapping and one
+//! sequential scan instead of a heap decode and an index rebuild — see
+//! [`RrPool::load`] and [`PoolStore::probe_backed`]. A file of another
+//! version is refused, and a store quarantines it for a rebuild.
 //!
 //! Each engine keeps its answerable state — pool, θ, `k_max`, plan cache,
 //! fast cover and growth epoch — as one immutable version. A query
@@ -58,7 +58,7 @@ pub use engine::{QueryEngine, QueryOutcome};
 pub use error::EngineError;
 pub use pool::{
     pool_version, PoolMeta, RrPool, POOL_MAGIC, POOL_V2_ALIGN, POOL_V2_HEADER_BYTES,
-    POOL_V2_MODEL_TAG_MAX, POOL_VERSION, POOL_VERSION_V2,
+    POOL_V2_MODEL_TAG_MAX, POOL_VERSION_V2,
 };
 pub use shared::SharedEngine;
 pub use store::{

@@ -10,32 +10,20 @@
 //! loader refuses any mismatch rather than silently serving sets drawn
 //! from a different distribution.
 //!
-//! # File layout (version 1, little-endian)
-//!
-//! | bytes | field |
-//! |---|---|
-//! | 0..4 | magic `b"TIMP"` |
-//! | 4..8 | format version (`u32`) |
-//! | 8..16 | FNV-1a checksum of everything after this field (`u64`) |
-//! | … | provenance: graph checksum, seed, select seed, θ, `k_max`, ε, ℓ, model tag |
-//! | … | collection: universe `n`, set count, member count, offsets, arena |
-//!
-//! All v1 counts and offsets are written as 8-byte values regardless of
-//! the writing platform's pointer width. The historical portability
-//! quirk was on the **read** side: counts were narrowed `u64 as usize`,
-//! so a pool spilled by a 64-bit host could decode to silently truncated
-//! counts on a 32-bit host. The reader now converts with
-//! `usize::try_from` and rejects irreconcilable files with a clean
-//! [`EngineError::Format`].
+//! There is one format, version 2, and [`RrPool::load`] is its one
+//! public open: it maps the file and runs every check before the pool
+//! returns. [`RrPool::read`] decodes onto the heap with the same checks,
+//! for hosts that cannot map. Any other version, the older v1 included,
+//! is refused; a pool store quarantines it and the pool is rebuilt, as
+//! for any bad file.
 //!
 //! # File layout (version 2, little-endian, page-aligned)
 //!
-//! Version 2 is the out-of-core layout, and the only one written: a fixed
-//! 264-byte header plus a section table whose four sections start on
-//! 4096-byte boundaries, so the file can be attached zero-copy via
-//! [`RrPool::open_mapped`] — and it **persists the inverted index**, so a
-//! mapped pool answers its first greedy selection straight from the page
-//! cache with no index rebuild.
+//! A fixed 264-byte header plus a section table whose four sections
+//! start on 4096-byte boundaries, so the file can be attached zero-copy,
+//! and the layout **persists the inverted index**, so a mapped pool
+//! answers its first greedy selection straight from the page cache with
+//! no index rebuild.
 //!
 //! | bytes | field |
 //! |---|---|
@@ -49,13 +37,13 @@
 //!
 //! Sections in canonical order: `offsets` (`(sets+1) × u64`), `data`
 //! (`members × u32`), `inv_offsets` (`(n+1) × u64`), `inv_data`
-//! (`members × u32`). Every field on disk is a fixed-width `u64`/`u32`,
-//! so v2 files carry no platform-width ambiguity by construction.
-//! Opening a v2 file costs a header parse plus a structural scan;
-//! per-section checksums are an explicit [`RrPool::verify`] pass
-//! (mirroring `.timg` v2 in `tim_graph::snapshot`), which
-//! [`RrPool::load`] and the pool store's restores run before a mapped
-//! pool serves.
+//! (`members × u32`). The bytes between the header and the first
+//! section, and between sections, are zero; the file ends at the last
+//! section's final byte. Every field on disk is a fixed-width
+//! `u64`/`u32`, so files carry no platform-width ambiguity. Every reader
+//! checks the header, the padding, the structure, the index against the
+//! arena, and every section against its digest before a pool returns
+//! (mirroring `.timg` v2 in `tim_graph::snapshot`).
 
 use crate::error::EngineError;
 use std::io::{Read, Write};
@@ -71,11 +59,8 @@ use tim_graph::NodeId;
 /// The four magic bytes opening every pool file.
 pub const POOL_MAGIC: [u8; 4] = *b"TIMP";
 
-/// Pool format version 1: the eager heap-decode layout.
-pub const POOL_VERSION: u32 = 1;
-
-/// Pool format version 2: the page-aligned, mmap-able layout with a
-/// persisted inverted index.
+/// The pool format version, the one every reader accepts: the
+/// page-aligned, mmap-able layout with a persisted inverted index.
 pub const POOL_VERSION_V2: u32 = 2;
 
 /// Fixed byte length of the v2 header (including the section table).
@@ -96,8 +81,8 @@ fn fnv1a(bytes: &[u8]) -> u64 {
 }
 
 /// Converts an on-disk `u64` count/offset to `usize`, failing with a
-/// clean format error instead of the silent `as usize` truncation v1
-/// readers used to perform on 32-bit hosts.
+/// clean format error instead of a silent `as usize` truncation on
+/// 32-bit hosts.
 fn usize_field(v: u64, what: &str) -> Result<usize, EngineError> {
     usize::try_from(v).map_err(|_| {
         EngineError::Format(format!(
@@ -135,8 +120,8 @@ pub struct PoolMeta {
 }
 
 /// A serialized RR-set pool: provenance plus the sets themselves, held on
-/// the heap or mapped from a `.timp` v2 file ([`RrPool::open_mapped`]).
-/// Cloning a mapped pool shares the mapping.
+/// the heap or mapped from a `.timp` file ([`RrPool::load`]). Cloning a
+/// mapped pool shares the mapping.
 #[derive(Debug, Clone)]
 pub struct RrPool {
     /// Provenance header.
@@ -149,195 +134,24 @@ fn put_u64(buf: &mut Vec<u8>, v: u64) {
     buf.extend_from_slice(&v.to_le_bytes());
 }
 
-struct Cursor<'a> {
-    buf: &'a [u8],
-    pos: usize,
-}
-
-impl<'a> Cursor<'a> {
-    fn take(&mut self, len: usize, what: &str) -> Result<&'a [u8], EngineError> {
-        let end = self.pos.checked_add(len).filter(|&e| e <= self.buf.len());
-        match end {
-            Some(end) => {
-                let s = &self.buf[self.pos..end];
-                self.pos = end;
-                Ok(s)
-            }
-            None => Err(EngineError::Format(format!(
-                "pool truncated while reading {what}"
-            ))),
-        }
-    }
-
-    fn u64(&mut self, what: &str) -> Result<u64, EngineError> {
-        Ok(u64::from_le_bytes(
-            self.take(8, what)?.try_into().expect("8-byte slice"),
-        ))
-    }
-
-    fn u32(&mut self, what: &str) -> Result<u32, EngineError> {
-        Ok(u32::from_le_bytes(
-            self.take(4, what)?.try_into().expect("4-byte slice"),
-        ))
-    }
-}
-
 impl RrPool {
-    /// Serializes the pool in the v1 layout. Nothing saves v1 any more:
-    /// this writes the fixtures of the v1-reading tests and the legacy
-    /// rows of the `pool_load` benchmark.
-    pub fn write_v1<W: Write>(&self, mut writer: W) -> Result<(), EngineError> {
-        let sets = &self.sets;
-        let mut payload = Vec::with_capacity(
-            64 + self.meta.model.len() + sets.raw_offsets().len() * 8 + sets.raw_data().len() * 4,
-        );
-        put_u64(&mut payload, self.meta.graph_checksum);
-        put_u64(&mut payload, self.meta.seed);
-        put_u64(&mut payload, self.meta.select_seed);
-        put_u64(&mut payload, self.meta.theta);
-        payload.extend_from_slice(&self.meta.k_max.to_le_bytes());
-        put_u64(&mut payload, self.meta.epsilon.to_bits());
-        put_u64(&mut payload, self.meta.ell.to_bits());
-        let model = self.meta.model.as_bytes();
-        payload.extend_from_slice(&(model.len() as u32).to_le_bytes());
-        payload.extend_from_slice(model);
-        put_u64(&mut payload, sets.universe() as u64);
-        put_u64(&mut payload, sets.len() as u64);
-        put_u64(&mut payload, sets.total_members() as u64);
-        for &o in sets.raw_offsets() {
-            put_u64(&mut payload, o);
-        }
-        for &v in sets.raw_data() {
-            payload.extend_from_slice(&v.to_le_bytes());
-        }
-
-        writer.write_all(&POOL_MAGIC)?;
-        writer.write_all(&POOL_VERSION.to_le_bytes())?;
-        writer.write_all(&fnv1a(&payload).to_le_bytes())?;
-        writer.write_all(&payload)?;
-        writer.flush()?;
-        Ok(())
-    }
-
-    /// Deserializes a pool of either version from any reader onto the
-    /// heap, verifying magic, version, checksums, and the collection's
-    /// structural invariants.
+    /// Deserializes a pool from any reader onto the heap, checking
+    /// everything [`load`](Self::load) checks: header, padding, every
+    /// section digest, and the collection's structure. The heap path where
+    /// [`CAN_MAP`] is false.
     pub fn read<R: Read>(mut reader: R) -> Result<Self, EngineError> {
         let mut bytes = Vec::new();
         reader.read_to_end(&mut bytes)?;
         Self::decode(&bytes)
     }
 
-    fn decode(bytes: &[u8]) -> Result<Self, EngineError> {
-        // Version sniff: v2 files take the section-table path, anything
-        // else (v1 or garbage) falls through to the v1 decoder and its
-        // error messages.
-        if bytes.len() >= 8
-            && bytes[0..4] == POOL_MAGIC
-            && u32::from_le_bytes(bytes[4..8].try_into().expect("4 bytes")) == POOL_VERSION_V2
-        {
-            return Self::decode_v2(bytes);
-        }
-        Self::decode_v1(bytes)
-    }
-
-    fn decode_v1(bytes: &[u8]) -> Result<Self, EngineError> {
-        let mut cur = Cursor { buf: bytes, pos: 0 };
-        if cur.take(4, "magic")? != POOL_MAGIC {
-            return Err(EngineError::Format(
-                "not a TIMP pool file (bad magic)".into(),
-            ));
-        }
-        let version = cur.u32("version")?;
-        if version != POOL_VERSION {
-            return Err(EngineError::Format(format!(
-                "unsupported pool version {version} (expected {POOL_VERSION} or {POOL_VERSION_V2})"
-            )));
-        }
-        let stored = cur.u64("checksum")?;
-        let actual = fnv1a(&bytes[cur.pos..]);
-        if stored != actual {
-            return Err(EngineError::Format(format!(
-                "pool checksum mismatch: file says {stored:#018x}, payload hashes to {actual:#018x}"
-            )));
-        }
-
-        let graph_checksum = cur.u64("graph checksum")?;
-        let seed = cur.u64("seed")?;
-        let select_seed = cur.u64("select seed")?;
-        let theta = cur.u64("theta")?;
-        let k_max = cur.u32("k_max")?;
-        let epsilon = f64::from_bits(cur.u64("epsilon")?);
-        let ell = f64::from_bits(cur.u64("ell")?);
-        let model_len = cur.u32("model tag length")? as usize;
-        let model = String::from_utf8(cur.take(model_len, "model tag")?.to_vec())
-            .map_err(|_| EngineError::Format("model tag is not UTF-8".into()))?;
-
-        let n = usize_field(cur.u64("universe")?, "universe")?;
-        let num_sets = usize_field(cur.u64("set count")?, "set count")?;
-        let members = usize_field(cur.u64("member count")?, "member count")?;
-        if num_sets as u64 != theta {
-            return Err(EngineError::Format(format!(
-                "pool stores {num_sets} sets but header claims theta = {theta}"
-            )));
-        }
-        let offsets_len = num_sets
-            .checked_add(1)
-            .ok_or_else(|| EngineError::Format("set count overflows".into()))?;
-        // Bounds-check against the actual payload BEFORE allocating: the
-        // header is untrusted, and a huge claimed count must fail as a
-        // truncation error, not an allocation abort.
-        let raw = cur.take(
-            offsets_len
-                .checked_mul(8)
-                .ok_or_else(|| EngineError::Format("offsets length overflows".into()))?,
-            "offsets",
-        )?;
-        let offsets: Vec<u64> = raw
-            .chunks_exact(8)
-            .map(|c| u64::from_le_bytes(c.try_into().expect("8-byte chunk")))
-            .collect();
-        let raw = cur.take(
-            members
-                .checked_mul(4)
-                .ok_or_else(|| EngineError::Format("arena length overflows".into()))?,
-            "member arena",
-        )?;
-        let data: Vec<NodeId> = raw
-            .chunks_exact(4)
-            .map(|c| NodeId::from_le_bytes(c.try_into().expect("4-byte chunk")))
-            .collect();
-        if cur.pos != bytes.len() {
-            return Err(EngineError::Format(format!(
-                "{} trailing bytes after pool payload",
-                bytes.len() - cur.pos
-            )));
-        }
-
-        let sets = SetCollection::from_raw_parts(n, data, offsets)
-            .map_err(|e| EngineError::Format(format!("invalid set collection: {e}")))?;
-        Ok(RrPool {
-            meta: PoolMeta {
-                graph_checksum,
-                model,
-                epsilon,
-                ell,
-                seed,
-                k_max,
-                theta,
-                select_seed,
-            },
-            sets,
-        })
-    }
-
-    /// Eager heap decode of a v2 pool: verifies the header and **every**
-    /// per-section checksum, then rebuilds a [`SetCollection`] from the
+    /// Eager heap decode: checks the header and **every** per-section
+    /// checksum, then rebuilds a [`SetCollection`] from the
     /// `offsets`/`data` sections. (The persisted inverted index is
-    /// checksum-verified but not loaded — the heap collection rebuilds
-    /// its own lazily, exactly as after a v1 load.)
-    fn decode_v2(bytes: &[u8]) -> Result<Self, EngineError> {
-        let (meta, layout) = parse_v2(bytes, bytes.len() as u64)?;
+    /// checksummed but not loaded — the heap collection rebuilds its own
+    /// lazily.)
+    fn decode(bytes: &[u8]) -> Result<Self, EngineError> {
+        let (meta, layout) = parse_v2(bytes)?;
         layout
             .verify_digests(bytes, 0..SETS_SECTION_COUNT)
             .map_err(|e| EngineError::Format(format!("v2 {e}")))?;
@@ -454,13 +268,14 @@ impl RrPool {
         write_atomically(path.as_ref(), |writer| self.write(writer))
     }
 
-    /// Loads the pool at `path`; the file picks the backing. A v2 file is
-    /// mapped ([`open_mapped`](Self::open_mapped)) and passes
-    /// [`verify`](Self::verify) before it is returned; a v1 file, or a v2
-    /// file where [`CAN_MAP`] is false, decodes onto the heap.
+    /// Loads the pool at `path`, the one public pool open. The file is
+    /// mapped and passes every check before it is returned: header,
+    /// padding, structure, the index against the arena, and every
+    /// section digest. Where [`CAN_MAP`] is false it decodes onto the
+    /// heap ([`read`](Self::read)) with the same checks. Any version but
+    /// 2 is refused with an error that names it.
     pub fn load<P: AsRef<Path>>(path: P) -> Result<Self, EngineError> {
-        let path = path.as_ref();
-        if CAN_MAP && pool_version(path)? == POOL_VERSION_V2 {
+        if CAN_MAP {
             let pool = Self::open_mapped(path)?;
             pool.verify()?;
             return Ok(pool);
@@ -470,7 +285,7 @@ impl RrPool {
 }
 
 /// Reads the format version from the first eight bytes of a pool file
-/// without decoding it — how callers pick the eager-load or mmap path.
+/// without decoding it.
 ///
 /// I/O errors pass through as [`EngineError::Io`] (so a missing file
 /// stays distinguishable); a file too short for a header or with the
@@ -493,13 +308,14 @@ pub fn pool_version<P: AsRef<Path>>(path: P) -> Result<u32, EngineError> {
     Ok(u32::from_le_bytes(head[4..8].try_into().expect("4 bytes")))
 }
 
-/// Parses and validates a v2 pool header against the file's real
-/// length: magic, version, header checksum, provenance fields, count
-/// sanity, and a section table whose entries are canonically ordered,
-/// page-aligned, exactly the expected length, in bounds, and
-/// non-overlapping. After this check a reader may index any section
-/// without further bounds tests; per-section checksums stay deferred.
-pub(crate) fn parse_v2(bytes: &[u8], file_len: u64) -> Result<(PoolMeta, SetsLayout), EngineError> {
+/// Parses and validates the v2 pool header of the whole file `bytes`:
+/// magic, version, header checksum, provenance fields, count sanity, a
+/// section table whose entries are canonically ordered, page-aligned,
+/// exactly the expected length, in bounds, and non-overlapping, and zero
+/// padding before and between the sections. After this check a reader
+/// may index any section without further bounds tests; the section
+/// digests are the caller's to check.
+pub(crate) fn parse_v2(bytes: &[u8]) -> Result<(PoolMeta, SetsLayout), EngineError> {
     let fmt = |m: String| EngineError::Format(m);
     let header_len = POOL_V2_HEADER_BYTES as usize;
     if bytes.len() < 8 {
@@ -508,11 +324,14 @@ pub(crate) fn parse_v2(bytes: &[u8], file_len: u64) -> Result<(PoolMeta, SetsLay
     if bytes[0..4] != POOL_MAGIC {
         return Err(fmt("not a TIMP pool file (bad magic)".into()));
     }
-    // Version before length: a short file that is a valid v1 pool must
+    // Version before length: a short file of another version must
     // report its version, not claim v2 truncation.
     let version = u32::from_le_bytes(bytes[4..8].try_into().expect("4 bytes"));
     if version != POOL_VERSION_V2 {
-        return Err(fmt(format!("not a v2 pool (version {version})")));
+        return Err(fmt(format!(
+            "unsupported pool version {version}: only version {POOL_VERSION_V2} is read, \
+             so the pool must be rebuilt"
+        )));
     }
     if bytes.len() < header_len {
         return Err(fmt("truncated v2 pool header".into()));
@@ -606,20 +425,30 @@ pub(crate) fn parse_v2(bytes: &[u8], file_len: u64) -> Result<(PoolMeta, SetsLay
         }
         let end = offset
             .checked_add(len)
-            .filter(|&e| e <= file_len)
+            .filter(|&e| e <= bytes.len() as u64)
             .ok_or_else(|| {
                 fmt(format!(
                     "v2 {name} section ({offset}+{len} bytes) runs past the end of the file"
                 ))
             })?;
+        // Every writer zero-fills up to each section, so any other byte
+        // there is corruption no digest would see.
+        if bytes[min_start as usize..offset as usize]
+            .iter()
+            .any(|&b| b != 0)
+        {
+            return Err(fmt(format!(
+                "v2 padding before the {name} section is not zero"
+            )));
+        }
         min_start = end;
         layout.sections[i] = usize_field(offset, "section offset")?;
         layout.section_fnv[i] = fnv;
     }
-    if min_start != file_len {
+    if min_start != bytes.len() as u64 {
         return Err(fmt(format!(
             "{} trailing bytes after the last v2 section",
-            file_len - min_start
+            bytes.len() as u64 - min_start
         )));
     }
 
@@ -664,8 +493,14 @@ mod tests {
 
     fn encode(pool: &RrPool) -> Vec<u8> {
         let mut buf = Vec::new();
-        pool.write_v1(&mut buf).unwrap();
+        pool.write(&mut buf).unwrap();
         buf
+    }
+
+    /// Rewrites the header checksum after an edit below it.
+    fn reseal(bytes: &mut [u8]) {
+        let checksum = fnv1a(&bytes[16..POOL_V2_HEADER_BYTES as usize]);
+        bytes[8..16].copy_from_slice(&checksum.to_le_bytes());
     }
 
     #[test]
@@ -702,20 +537,16 @@ mod tests {
     #[test]
     fn huge_claimed_set_count_fails_as_truncation_not_allocation() {
         // The header is untrusted: a claimed theta of 2^60 must be caught
-        // by payload bounds checks, not by attempting the allocation.
+        // by the section bounds checks, not by attempting the allocation.
         let pool = sample_pool();
         let mut bytes = encode(&pool);
         let huge = (1u64 << 60).to_le_bytes();
-        // Payload layout: checksum'd region starts at byte 16; theta is at
-        // payload offset 24, the set count at offset 66 (after the 2-byte
-        // "ic" model tag and the universe).
-        bytes[16 + 24..16 + 32].copy_from_slice(&huge);
-        bytes[16 + 66..16 + 74].copy_from_slice(&huge);
-        let checksum = fnv1a(&bytes[16..]);
-        bytes[8..16].copy_from_slice(&checksum.to_le_bytes());
+        bytes[40..48].copy_from_slice(&huge); // theta
+        bytes[112..120].copy_from_slice(&huge); // set count, kept equal
+        reseal(&mut bytes);
         match RrPool::read(bytes.as_slice()) {
-            Err(EngineError::Format(m)) => assert!(m.contains("truncated"), "{m}"),
-            other => panic!("expected truncation error, got {other:?}"),
+            Err(EngineError::Format(m)) => assert!(m.contains("offsets section"), "{m}"),
+            other => panic!("expected a format error, got {other:?}"),
         }
     }
 
@@ -741,16 +572,10 @@ mod tests {
         std::fs::remove_file(&path).ok();
     }
 
-    fn encode_v2(pool: &RrPool) -> Vec<u8> {
-        let mut buf = Vec::new();
-        pool.write(&mut buf).unwrap();
-        buf
-    }
-
     #[test]
     fn v2_round_trip_preserves_meta_and_sets() {
         let pool = sample_pool();
-        let bytes = encode_v2(&pool);
+        let bytes = encode(&pool);
         assert_eq!(bytes[4..8], POOL_VERSION_V2.to_le_bytes());
         let loaded = RrPool::read(bytes.as_slice()).unwrap();
         assert_eq!(loaded.meta, pool.meta);
@@ -765,12 +590,12 @@ mod tests {
         let mut pool = sample_pool();
         // Writing with a pre-built index and without one must produce
         // identical bytes: the writer computes the same arrays either way.
-        let lazy = encode_v2(&pool);
+        let lazy = encode(&pool);
         pool.sets.ensure_inverted_index();
-        let eager = encode_v2(&pool);
+        let eager = encode(&pool);
         assert_eq!(lazy, eager);
 
-        let (_, layout) = parse_v2(&eager, eager.len() as u64).unwrap();
+        let (_, layout) = parse_v2(&eager).unwrap();
         for (i, &off) in layout.sections.iter().enumerate() {
             assert_eq!(off as u64 % POOL_V2_ALIGN, 0, "section {i}");
         }
@@ -794,12 +619,6 @@ mod tests {
             Err(EngineError::Format(m)) => assert!(m.contains("cannot be written"), "{m}"),
             other => panic!("expected a format error, got {other:?}"),
         }
-        // v1 still accepts the same pool.
-        pool.write_v1(&mut buf).unwrap();
-        assert_eq!(
-            RrPool::read(buf.as_slice()).unwrap().meta.model,
-            pool.meta.model
-        );
     }
 
     #[test]
@@ -809,10 +628,19 @@ mod tests {
         let pool = sample_pool();
         let v1 = dir.join("v1.timp");
         let v2 = dir.join("v2.timp");
-        std::fs::write(&v1, encode(&pool)).unwrap();
+        // The start of a version 1 file: no writer emits one any more.
+        std::fs::write(
+            &v1,
+            [&POOL_MAGIC[..], &1u32.to_le_bytes(), &[0; 16]].concat(),
+        )
+        .unwrap();
         pool.save(&v2).unwrap();
-        assert_eq!(pool_version(&v1).unwrap(), POOL_VERSION);
+        assert_eq!(pool_version(&v1).unwrap(), 1);
         assert_eq!(pool_version(&v2).unwrap(), POOL_VERSION_V2);
+        assert!(matches!(
+            RrPool::load(&v1),
+            Err(EngineError::Format(m)) if m.contains("pool version 1")
+        ));
 
         let junk = dir.join("junk.timp");
         std::fs::write(&junk, b"NOTAPOOL").unwrap();
@@ -831,17 +659,16 @@ mod tests {
     }
 
     #[test]
-    fn v1_unrepresentable_counts_fail_cleanly() {
+    fn unrepresentable_counts_fail_cleanly() {
         // A 64-bit count that cannot fit a 32-bit usize must produce a
         // clean format error, never a silent `as usize` truncation. On
-        // 64-bit hosts the same doctored count instead trips the payload
-        // bounds check — either way, a clean `Format` error.
+        // 64-bit hosts the same doctored count instead trips the section
+        // length check — either way, a clean `Format` error.
         let pool = sample_pool();
         let mut bytes = encode(&pool);
         let huge = ((1u64 << 33) + 3).to_le_bytes();
-        bytes[16 + 74..16 + 82].copy_from_slice(&huge); // member count field
-        let checksum = fnv1a(&bytes[16..]);
-        bytes[8..16].copy_from_slice(&checksum.to_le_bytes());
+        bytes[120..128].copy_from_slice(&huge); // member count field
+        reseal(&mut bytes);
         match RrPool::read(bytes.as_slice()) {
             Err(EngineError::Format(_)) => {}
             other => panic!("expected format error, got {other:?}"),

@@ -1,20 +1,20 @@
-//! Zero-copy mapped RR-set pools.
+//! Zero-copy mapped RR-set pools: the two halves of [`RrPool::load`]
+//! and of the pool store's mapped restore.
 //!
-//! [`RrPool::open_mapped`] attaches a `.timp` v2 file without loading it:
+//! [`RrPool::open_mapped`] attaches a `.timp` file without loading it:
 //! the header and section table are parsed and validated eagerly (see
 //! [`pool`](crate::pool) for the layout), and the pool's
 //! [`SetCollection`] views the four sections straight out of a
 //! `PROT_READ` mapping. The persisted inverted index means the first
-//! greedy selection runs with no index rebuild. Open cost is a header
-//! parse plus one bounds scan — independent of how the kernel later
-//! pages the arenas in — so pools larger than RAM stay servable, as
-//! `.timg` v2 snapshots do for graphs.
+//! greedy selection runs with no index rebuild, and pools larger than
+//! RAM stay servable, as `.timg` snapshots do for graphs.
 //!
 //! The bounds checks at open are the ones a heap decode runs, so the
-//! solvers can never index out of bounds even over a hostile file. The
-//! answer-integrity checks (the index agrees with the arena, every
-//! section hashes to its recorded digest) are deferred to
-//! [`RrPool::verify`].
+//! solvers can never index out of bounds even over a hostile file.
+//! [`RrPool::verify`] runs the answer-integrity checks (the index agrees
+//! with the arena, every section hashes to its recorded digest). Both
+//! are crate-private and every caller runs the two back to back, so no
+//! public call returns a mapped pool whose digests were not checked.
 
 use crate::error::EngineError;
 use crate::pool::{parse_v2, RrPool};
@@ -24,37 +24,36 @@ use tim_coverage::{SetCollection, SETS_SECTION_COUNT};
 use tim_graph::{GraphError, Mmap};
 
 impl RrPool {
-    /// Maps and validates the v2 pool at `path`; the returned pool's
-    /// sets view the mapping (no heap decode, no index rebuild).
+    /// Maps and validates the pool at `path`; the returned pool's sets
+    /// view the mapping (no heap decode, no index rebuild).
     ///
     /// Errors: [`EngineError::Io`] when the file cannot be opened (a
     /// missing file stays distinguishable from a corrupt one);
-    /// [`EngineError::Format`] on any header, table, or bounds
-    /// violation — including v1 files, which [`RrPool::load`] decodes
-    /// onto the heap instead. The section checksums are deferred to
-    /// [`verify`](Self::verify), which [`RrPool::load`] runs.
-    pub fn open_mapped<P: AsRef<Path>>(path: P) -> Result<RrPool, EngineError> {
+    /// [`EngineError::Format`] on any header, padding, table, or bounds
+    /// violation, and on any version but 2. The digests are left to
+    /// [`verify`](Self::verify), which every caller runs next.
+    pub(crate) fn open_mapped<P: AsRef<Path>>(path: P) -> Result<RrPool, EngineError> {
         let map = Arc::new(Mmap::open(path).map_err(|e| match e {
             GraphError::Io(io) => EngineError::Io(io),
             other => EngineError::Format(other.to_string()),
         })?);
-        let (meta, layout) = parse_v2(map.bytes(), map.len() as u64)?;
+        let (meta, layout) = parse_v2(map.bytes())?;
         let sets = SetCollection::from_mapping(&map, &layout).map_err(EngineError::Format)?;
         Ok(RrPool { meta, sets })
     }
 
-    /// The integrity pass [`open_mapped`](Self::open_mapped) defers: the
-    /// inverted index must agree with the arena, and every section must
-    /// hash to the digest the file's table records. O(file size). A pool
-    /// whose sets do not map a file has nothing to check and passes.
+    /// The integrity pass that follows [`open_mapped`](Self::open_mapped):
+    /// the inverted index must agree with the arena, and every section
+    /// must hash to the digest the file's table records. O(file size). A
+    /// pool whose sets do not map a file has nothing to check and passes.
     ///
     /// The two checks run side by side on two threads, and errors come
     /// in sequential order: the index, then the digests by section.
-    pub fn verify(&self) -> Result<(), EngineError> {
+    pub(crate) fn verify(&self) -> Result<(), EngineError> {
         let Some(map) = self.sets.mapping() else {
             return Ok(());
         };
-        let (_, layout) = parse_v2(map.bytes(), map.len() as u64)?;
+        let (_, layout) = parse_v2(map.bytes())?;
         // Each thread takes about half the work. On the benchmark pool
         // (151k sets) the index check takes 3.5 ms and the digests 17 ms,
         // 7.4 of them for the last section (inv_data), so the helper
@@ -139,7 +138,7 @@ mod tests {
         let path = temp_file("order");
         sample_pool().save(&path).unwrap();
         let pristine = std::fs::read(&path).unwrap();
-        let (_, layout) = parse_v2(&pristine, pristine.len() as u64).unwrap();
+        let (_, layout) = parse_v2(&pristine).unwrap();
         // Overwrites u32 element `at` of `section`.
         let put = |bytes: &mut Vec<u8>, section: usize, at: usize, v: u32| {
             let start = layout.sections[section] + at * 4;
@@ -181,13 +180,20 @@ mod tests {
 
     #[test]
     fn v1_files_are_rejected_with_a_clean_error() {
-        let pool = sample_pool();
+        // The start of a version 1 file: no writer emits one any more.
         let path = temp_file("v1");
-        let mut v1 = Vec::new();
-        pool.write_v1(&mut v1).unwrap();
-        std::fs::write(&path, v1).unwrap();
+        std::fs::write(
+            &path,
+            [
+                &crate::pool::POOL_MAGIC[..],
+                &1u32.to_le_bytes(),
+                &[0u8; 32],
+            ]
+            .concat(),
+        )
+        .unwrap();
         match RrPool::open_mapped(&path) {
-            Err(EngineError::Format(m)) => assert!(m.contains("not a v2 pool"), "{m}"),
+            Err(EngineError::Format(m)) => assert!(m.contains("pool version 1"), "{m}"),
             other => panic!("expected format error, got {other:?}"),
         }
         std::fs::remove_file(&path).ok();

@@ -28,16 +28,18 @@
 //!
 //! Spills are write-then-rename: the pool is fully written to a
 //! temporary sibling and atomically renamed into place, so a reader (or
-//! a crash) can never observe a half-written `.timp`. Loads validate the
-//! file's checksum and compare its provenance header against the
-//! filename's claim; a file that fails either check — truncated by an
-//! unlucky copy, hand-edited, or dropped in from a different graph — is
+//! a crash) can never observe a half-written `.timp`. A restore runs
+//! every check of the file before it returns the pool — header,
+//! padding, structure, index and every section digest — and compares the
+//! provenance header against the filename's claim; a file that fails
+//! either check — truncated by an unlucky copy, hand-edited, written in
+//! an older format version, or dropped in from a different graph — is
 //! moved to `quarantine/` with a stderr warning and reported as a miss.
 //! A bad file is therefore **never served and never fatal**: the caller
 //! rebuilds, and the evidence is preserved for inspection.
 
 use crate::error::EngineError;
-use crate::pool::{pool_version, PoolMeta, RrPool, POOL_VERSION_V2};
+use crate::pool::{PoolMeta, RrPool};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
@@ -165,32 +167,33 @@ impl PoolId {
 pub struct StoreStats {
     /// Pools written (spilled) into the store.
     pub spills: u64,
-    /// Pools successfully restored from the store — the sum of
+    /// Pools restored from the store and returned — the sum of
     /// [`heap_loads`](Self::heap_loads) and
     /// [`mmap_opens`](Self::mmap_opens).
     pub loads: u64,
-    /// Files moved to `quarantine/` (corrupt or foreign).
+    /// Files moved to `quarantine/` (corrupt, foreign, or of another
+    /// format version).
     pub quarantined: u64,
-    /// Restores served zero-copy by mapping a v2 file
-    /// ([`PoolStore::probe_backed`] with `mmap`).
+    /// Restores returned as a zero-copy mapping
+    /// ([`PoolStore::probe_backed`] with `mmap`), each after its
+    /// checksum pass.
     pub mmap_opens: u64,
-    /// Restores that decoded a pool onto the heap (v1 files, or heap
-    /// probes).
+    /// Restores returned decoded onto the heap ([`PoolStore::probe`],
+    /// heap probes, and every restore on a host that cannot map).
     pub heap_loads: u64,
-    /// Deferred full-checksum passes run over mapped pools
-    /// ([`PoolStore::verify_mapped`]).
+    /// Checksum passes run over mapped files by
+    /// [`PoolStore::probe_backed`], passed or failed; a failed one
+    /// quarantines its file.
     pub verifies: u64,
 }
 
-/// A pool restored by [`PoolStore::probe_backed`], tagged with how the
-/// file's version and the caller's preference let it be read.
+/// A pool restored by [`PoolStore::probe_backed`], tagged with its
+/// backing. Either way every check of the file has passed.
 #[derive(Debug)]
 pub enum ProbedPool {
-    /// Eagerly decoded onto the heap (v1 files, `mmap = false`, or a host
-    /// that cannot map).
+    /// Decoded onto the heap (`mmap = false`, or a host that cannot map).
     Heap(RrPool),
-    /// Mapped zero-copy from a v2 file ([`RrPool::open_mapped`]); its
-    /// deferred [`RrPool::verify`] has not run yet.
+    /// Mapped zero-copy from the file.
     Mapped(RrPool),
 }
 
@@ -293,64 +296,47 @@ impl PoolStore {
         }
     }
 
-    /// Like [`probe`](Self::probe), but when `mmap` is set and the
-    /// stored file is `.timp` v2, the pool is mapped zero-copy
-    /// ([`RrPool::open_mapped`]) instead of being decoded onto the heap —
-    /// O(header + bounds scan), with the persisted inverted index ready
-    /// for the first selection. The serving pool cache always sets it and
-    /// runs [`verify_mapped`](Self::verify_mapped) before the pool
-    /// serves; a heap probe (`mmap = false`) is for benchmarks. v1 files,
-    /// and every file where [`CAN_MAP`] is false, take the heap path. The
-    /// same quarantine guarantees apply: a corrupt or foreign file is
-    /// moved aside and reported as a miss, never served.
+    /// Like [`probe`](Self::probe), but when `mmap` is set the stored
+    /// file is mapped zero-copy instead of decoded onto the heap, with
+    /// the persisted inverted index ready for the first selection. The
+    /// mapped file passes its checksum pass (counted in
+    /// [`StoreStats::verifies`]) before the pool returns, so the O(file)
+    /// scan replaces a heap restore's decode and index rebuild rather
+    /// than adding to it. The serving pool cache always sets `mmap`; a
+    /// heap probe (`mmap = false`) is for benchmarks, and every probe
+    /// where [`CAN_MAP`] is false takes the heap path. The same
+    /// quarantine guarantees apply: a corrupt, foreign or old-version
+    /// file is moved aside and reported as a miss, never served.
     pub fn probe_backed(&self, id: &PoolId, mmap: bool) -> Result<Option<ProbedPool>, EngineError> {
         if !(mmap && CAN_MAP) {
             return Ok(self.probe(id)?.map(ProbedPool::Heap));
         }
         let path = self.path_for(id);
-        match pool_version(&path) {
-            Ok(POOL_VERSION_V2) => {}
-            // v1 (or an unknown version the eager decoder will report
-            // on): the heap path handles it, quarantine included.
-            Ok(_) => return Ok(self.probe(id)?.map(ProbedPool::Heap)),
+        let mapped = match RrPool::open_mapped(&path) {
+            Ok(mapped) => mapped,
             Err(EngineError::Io(e)) if e.kind() == std::io::ErrorKind::NotFound => return Ok(None),
             Err(EngineError::Io(e)) => return Err(e.into()),
             Err(e) => {
                 self.quarantine(&path, &e.to_string());
                 return Ok(None);
             }
+        };
+        if !id.matches(&mapped.meta) {
+            let meta = &mapped.meta;
+            self.quarantine(&path, &format!(
+                "provenance header (model '{}', seed {}, eps {}, ell {}, graph {:#018x}) does not match its filename",
+                meta.model, meta.seed, meta.epsilon, meta.ell, meta.graph_checksum
+            ));
+            return Ok(None);
         }
-        match RrPool::open_mapped(&path) {
-            Ok(mapped) if id.matches(&mapped.meta) => {
-                self.loads.fetch_add(1, Ordering::Relaxed);
-                self.mmap_opens.fetch_add(1, Ordering::Relaxed);
-                Ok(Some(ProbedPool::Mapped(mapped)))
-            }
-            Ok(mapped) => {
-                let meta = &mapped.meta;
-                self.quarantine(&path, &format!(
-                    "provenance header (model '{}', seed {}, eps {}, ell {}, graph {:#018x}) does not match its filename",
-                    meta.model, meta.seed, meta.epsilon, meta.ell, meta.graph_checksum
-                ));
-                Ok(None)
-            }
-            Err(EngineError::Io(e)) if e.kind() == std::io::ErrorKind::NotFound => Ok(None),
-            Err(EngineError::Io(e)) => Err(e.into()),
-            Err(e) => {
-                self.quarantine(&path, &e.to_string());
-                Ok(None)
-            }
-        }
-    }
-
-    /// Runs the deferred full-checksum pass over a mapped pool (the
-    /// O(file) work [`probe_backed`](Self::probe_backed) skips) and
-    /// counts it. On failure the caller should treat the pool as
-    /// corrupt — typically [`quarantine_id`](Self::quarantine_id) plus a
-    /// rebuild.
-    pub fn verify_mapped(&self, pool: &RrPool) -> Result<(), EngineError> {
         self.verifies.fetch_add(1, Ordering::Relaxed);
-        pool.verify()
+        if let Err(e) = mapped.verify() {
+            self.quarantine(&path, &e.to_string());
+            return Ok(None);
+        }
+        self.loads.fetch_add(1, Ordering::Relaxed);
+        self.mmap_opens.fetch_add(1, Ordering::Relaxed);
+        Ok(Some(ProbedPool::Mapped(mapped)))
     }
 
     /// Spills `pool` into the store under its own provenance, atomically
@@ -633,7 +619,6 @@ mod tests {
         };
         assert_eq!(mapped.meta, p.meta);
         assert_eq!(mapped.sets.len(), p.sets.len());
-        store.verify_mapped(&mapped).unwrap();
 
         // Heap preference still decodes eagerly from the same v2 file.
         let heap = store.probe_backed(&id, false).unwrap().expect("restored");
@@ -653,20 +638,23 @@ mod tests {
     }
 
     #[test]
-    fn probe_backed_falls_back_to_heap_for_v1_files() {
+    fn probe_backed_quarantines_v1_files() {
         let (dir, store) = tmp_store("mmap_v1");
         let p = pool(12, 4);
         let id = PoolId::from_meta(&p.meta);
-        let mut v1 = Vec::new();
-        p.write_v1(&mut v1).unwrap();
-        std::fs::write(store.path_for(&id), v1).unwrap(); // hand-placed v1 file
-        let got = store.probe_backed(&id, true).unwrap().expect("restored");
-        assert!(
-            matches!(got, ProbedPool::Heap(_)),
-            "a v1 file cannot be mapped; it loads eagerly"
-        );
-        assert_eq!(store.stats().mmap_opens, 0);
-        assert_eq!(store.stats().heap_loads, 1);
+        // The start of a version 1 file, hand-placed under a valid name:
+        // no writer emits version 1 any more.
+        let v1 = [&crate::pool::POOL_MAGIC[..], &1u32.to_le_bytes(), &[0; 32]].concat();
+        for mmap in [true, false] {
+            std::fs::write(store.path_for(&id), &v1).unwrap();
+            assert!(
+                store.probe_backed(&id, mmap).unwrap().is_none(),
+                "a v1 file is a miss, never served"
+            );
+            assert!(!store.path_for(&id).exists(), "and moved out of the store");
+        }
+        let stats = store.stats();
+        assert_eq!((stats.quarantined, stats.loads), (2, 0));
         std::fs::remove_dir_all(&dir).ok();
     }
 
@@ -694,7 +682,10 @@ mod tests {
         let mut p = pool(14, 3);
         p.meta.model = "m".repeat(max);
         let path = store.spill(&p).unwrap();
-        assert_eq!(pool_version(&path).unwrap(), POOL_VERSION_V2);
+        assert_eq!(
+            crate::pool::pool_version(&path).unwrap(),
+            crate::pool::POOL_VERSION_V2
+        );
         let id = PoolId::from_meta(&p.meta);
         let got = store.probe_backed(&id, true).unwrap().expect("restored");
         assert!(matches!(got, ProbedPool::Mapped(_)));

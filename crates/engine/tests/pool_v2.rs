@@ -5,17 +5,19 @@
 //! and version-gate checks. Every hostile input must yield a clean
 //! [`tim_engine::EngineError`], never a panic or an out-of-bounds read,
 //! on every v2 reader: the eager heap decode (`RrPool::read`), the
-//! zero-copy mapping (`RrPool::open_mapped` + `verify`), and the loader
-//! that maps and verifies at once (`RrPool::load`). A corrupt file in a
-//! [`PoolStore`] must be quarantined as a miss, never served and never
-//! fatal.
+//! loader that maps and checks at once (`RrPool::load`), and a pool
+//! store's mapped restore (`PoolStore::probe_backed`). Every byte of the
+//! file counts: a flip in the zero padding is refused too. A corrupt
+//! file in a [`PoolStore`] must be quarantined as a miss, never served
+//! and never fatal.
 
 #![cfg(unix)]
 
+use proptest::prelude::*;
 use tim_coverage::SetCollection;
 use tim_engine::{
-    pool_version, EngineError, PoolId, PoolMeta, PoolStore, ProbedPool, RrPool, POOL_V2_ALIGN,
-    POOL_V2_HEADER_BYTES,
+    pool_version, EngineError, PoolId, PoolMeta, PoolStore, ProbedPool, RrPool, POOL_MAGIC,
+    POOL_V2_ALIGN, POOL_V2_HEADER_BYTES,
 };
 
 const HEADER_BYTES: usize = POOL_V2_HEADER_BYTES as usize;
@@ -83,26 +85,28 @@ fn write_sample(dir: &std::path::Path, name: &str) -> (std::path::PathBuf, Vec<u
     (path, bytes)
 }
 
-/// Every v2 reader must reject the mutated bytes with a clean error. The
-/// mapped reader gets its deferred check too (`verify`), since open alone
-/// intentionally skips the O(members) section hashing.
-fn assert_rejected(dir: &std::path::Path, bytes: &[u8], what: &str) {
+/// Which readers refused `bytes`: `(RrPool::read, RrPool::load, a store
+/// restore under the sample's id)`. The store's file is quarantined when
+/// refused.
+fn refusals(dir: &std::path::Path, bytes: &[u8]) -> (bool, bool, bool) {
     let path = dir.join("mutant.timp");
     std::fs::write(&path, bytes).unwrap();
-    assert!(
+    let store = PoolStore::open(dir.join("store")).unwrap();
+    let id = PoolId::from_meta(&sample().meta);
+    std::fs::write(store.path_for(&id), bytes).unwrap();
+    (
         eager(&path).is_err(),
-        "{what}: eager decode accepted corrupt bytes"
-    );
-    assert!(
         RrPool::load(&path).is_err(),
-        "{what}: the loader accepted corrupt bytes"
-    );
-    if let Ok(view) = RrPool::open_mapped(&path) {
-        assert!(
-            view.verify().is_err(),
-            "{what}: mmap open + verify accepted corrupt bytes"
-        );
-    }
+        store.probe_backed(&id, true).unwrap().is_none(),
+    )
+}
+
+/// Every v2 reader must reject the mutated bytes with a clean error.
+fn assert_rejected(dir: &std::path::Path, bytes: &[u8], what: &str) {
+    let (read, load, restore) = refusals(dir, bytes);
+    assert!(read, "{what}: eager decode accepted corrupt bytes");
+    assert!(load, "{what}: the loader accepted corrupt bytes");
+    assert!(restore, "{what}: the store restore served corrupt bytes");
 }
 
 /// The section table entries as (offset, len), straight from the header.
@@ -153,11 +157,8 @@ fn v2_round_trip_is_bit_identical_and_content_faithful() {
     let loaded = RrPool::load(&path).unwrap();
     assert_eq!(loaded.meta, pool.meta);
     assert!(loaded.sets.mapped_bytes() > 0, "the loader maps a v2 file");
-    let view = RrPool::open_mapped(&path).unwrap();
-    view.verify().unwrap();
-    assert_eq!(view.meta, pool.meta);
     for i in 0..pool.sets.len() {
-        assert_eq!(view.sets.set(i), pool.sets.set(i), "set {i} differs");
+        assert_eq!(loaded.sets.set(i), pool.sets.set(i), "set {i} differs");
     }
 
     // Sections are page-aligned as advertised, and the file ends exactly
@@ -177,43 +178,15 @@ fn bit_flips_anywhere_are_rejected_cleanly() {
     let dir = tmpdir("bitflips");
     let (_, pristine) = write_sample(&dir, "src");
     // A deterministic spray: every region of the file gets hit — header
-    // fields, table entries, section payloads. Inter-section padding is
-    // not covered by any checksum, so flips there may legitimately be
-    // accepted by both readers; skip bytes outside every section.
-    let sections = table(&pristine);
-    let in_some_section = |pos: usize| {
-        pos < HEADER_BYTES
-            || sections
-                .iter()
-                .any(|&(o, l)| (pos as u64) >= o && (pos as u64) < o + l)
-    };
+    // fields, table entries, the zero padding, section payloads. Every
+    // reader checks everything at load, so a single flipped bit anywhere
+    // must surface as Err.
     let mut step = 97usize; // coprime-ish stride: ~hundreds of positions
     let mut pos = 3usize;
     while pos < pristine.len() {
-        if in_some_section(pos) {
-            let mut mutant = pristine.clone();
-            mutant[pos] ^= 1 << (pos % 8);
-            let path = dir.join("mutant.timp");
-            std::fs::write(&path, &mutant).unwrap();
-            // The eager reader and the loader check everything at load;
-            // a single flipped bit in header, table, or any section must
-            // surface as Err.
-            assert!(
-                eager(&path).is_err(),
-                "eager decode accepted a bit flip at byte {pos}"
-            );
-            assert!(
-                RrPool::load(&path).is_err(),
-                "the loader accepted a bit flip at byte {pos}"
-            );
-            // The mapped reader may defer payload checks to verify().
-            if let Ok(view) = RrPool::open_mapped(&path) {
-                assert!(
-                    view.verify().is_err(),
-                    "mmap verify accepted a bit flip at byte {pos}"
-                );
-            }
-        }
+        let mut mutant = pristine.clone();
+        mutant[pos] ^= 1 << (pos % 8);
+        assert_rejected(&dir, &mutant, &format!("bit flip at byte {pos}"));
         pos += step;
         step = step.wrapping_mul(31) % 151 + 17; // vary the stride
     }
@@ -414,17 +387,9 @@ fn structural_pool_corruption_is_rejected_by_both_readers() {
     ];
     for (what, bytes) in mutants {
         let path = dir.join("mutant.timp");
-        std::fs::write(&path, &bytes).unwrap();
-        if let Ok(mapped) = RrPool::open_mapped(&path) {
-            assert!(
-                mapped.verify().is_err(),
-                "{what}: mapped open + verify accepted it"
-            );
-        }
-        assert!(
-            RrPool::load(&path).is_err(),
-            "{what}: the loader accepted it"
-        );
+        let (_, load, restore) = refusals(&dir, &bytes);
+        assert!(load, "{what}: the loader accepted it");
+        assert!(restore, "{what}: the store restore served it");
         // The heap decode ignores the stored index, so an index-only edit
         // may load — but then it must answer exactly as the pristine pool.
         if let Ok(mut heap) = eager(&path) {
@@ -450,30 +415,33 @@ fn structural_pool_corruption_is_rejected_by_both_readers() {
 
 #[test]
 fn version_gates_route_v1_and_v2_transparently() {
-    // Both directions of the version gate: v1 pools keep loading onto the
-    // heap on a v2-writing build, v2 pools load mapped, and the mapped
-    // reader refuses v1 bytes instead of misreading them.
+    // Both directions of the version gate: a v1 pool is refused by every
+    // reader with an error that names its version, and quarantined by a
+    // store (the caller rebuilds it); a v2 pool loads mapped.
     let dir = tmpdir("gate");
     let pool = sample();
     let v1 = dir.join("p.v1.timp");
     let v2 = dir.join("p.v2.timp");
-    let mut bytes = Vec::new();
-    pool.write_v1(&mut bytes).unwrap();
-    std::fs::write(&v1, bytes).unwrap();
+    // The start of a version 1 file: no writer emits one any more.
+    let v1_bytes = [&POOL_MAGIC[..], &1u32.to_le_bytes(), &[5u8; 48]].concat();
+    std::fs::write(&v1, &v1_bytes).unwrap();
     pool.save(&v2).unwrap();
     assert_eq!(pool_version(&v1).unwrap(), 1);
     assert_eq!(pool_version(&v2).unwrap(), 2);
 
-    let from_v1 = RrPool::load(&v1).unwrap();
-    let from_v2 = RrPool::load(&v2).unwrap();
-    assert_eq!(from_v1.meta, pool.meta);
-    assert_eq!(from_v2.meta, pool.meta);
-    assert_eq!(from_v1.sets.len(), from_v2.sets.len());
-    assert_eq!(from_v1.sets.mapped_bytes(), 0);
-    assert!(from_v2.sets.mapped_bytes() > 0);
+    for refused in [RrPool::load(&v1), eager(&v1)] {
+        match refused {
+            Err(EngineError::Format(m)) => assert!(m.contains("pool version 1"), "{m}"),
+            other => panic!("a v1 pool must be refused, got {other:?}"),
+        }
+    }
+    let (_, _, restore) = refusals(&dir, &v1_bytes);
+    assert!(restore, "a store must not restore a v1 pool");
 
-    let err = RrPool::open_mapped(&v1).unwrap_err().to_string();
-    assert!(err.contains("not a v2 pool"), "got: {err}");
+    let from_v2 = RrPool::load(&v2).unwrap();
+    assert_eq!(from_v2.meta, pool.meta);
+    assert_eq!(from_v2.sets.len(), pool.sets.len());
+    assert!(from_v2.sets.mapped_bytes() > 0);
     std::fs::remove_dir_all(&dir).ok();
 }
 
@@ -506,8 +474,8 @@ fn corrupt_store_files_are_quarantined_never_served() {
 
     // Structure-preserving payload corruption — swapping two members
     // inside one set keeps every offset, bound, and occurrence count
-    // intact, so the structural open accepts it; only the deferred
-    // checksum (verify_mapped) can catch it. The documented contract.
+    // intact, so only the section digest can catch it, and the restore
+    // runs it before it returns.
     store.spill(&pool).unwrap();
     let sections = table(&pristine);
     let off_at = sections[0].0 as usize;
@@ -528,18 +496,50 @@ fn corrupt_store_files_are_quarantined_never_served() {
         swapped.swap(a + j, a + 4 + j);
     }
     std::fs::write(&path, &swapped).unwrap();
-    match store.probe_backed(&id, true).unwrap().expect("opens") {
-        ProbedPool::Mapped(m) => {
-            assert!(store.verify_mapped(&m).is_err(), "verify missed the flip")
-        }
-        ProbedPool::Heap(_) => panic!("v2 spill must map"),
-    }
+    assert!(store.probe_backed(&id, true).unwrap().is_none());
+    assert_eq!(store.stats().quarantined, 3);
+    assert_eq!(store.stats().verifies, 1, "the digest pass ran and failed");
 
     // The store remains healthy: a fresh spill serves again.
     store.spill(&pool).unwrap();
     match store.probe_backed(&id, true).unwrap().expect("serves") {
-        ProbedPool::Mapped(m) => store.verify_mapped(&m).unwrap(),
+        ProbedPool::Mapped(m) => assert_eq!(m.meta, pool.meta),
         ProbedPool::Heap(_) => panic!("v2 spill must map"),
     }
+    assert_eq!(store.stats().loads, 1);
     std::fs::remove_dir_all(&dir).ok();
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(16))]
+
+    #[test]
+    fn every_single_byte_corruption_is_rejected(
+        frac in 0.0f64..1.0,
+        bit in 0u32..8,
+    ) {
+        let dir = tmpdir("byte_prop");
+        let (_, mut bytes) = write_sample(&dir, "src");
+        let pos = ((bytes.len() - 1) as f64 * frac) as usize;
+        bytes[pos] ^= 1 << bit;
+        // A flip anywhere — header, table, padding, or a section — must
+        // surface as an error, never as a silently different pool.
+        let (read, load, restore) = refusals(&dir, &bytes);
+        prop_assert!(read, "RrPool::read missed bit {} of byte {}", bit, pos);
+        prop_assert!(load, "RrPool::load missed bit {} of byte {}", bit, pos);
+        prop_assert!(restore, "the store restored bit {} of byte {}", bit, pos);
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn every_truncation_is_rejected(frac in 0.0f64..1.0) {
+        let dir = tmpdir("cut_prop");
+        let (_, bytes) = write_sample(&dir, "src");
+        let cut = ((bytes.len() - 1) as f64 * frac) as usize;
+        let (read, load, restore) = refusals(&dir, &bytes[..cut]);
+        prop_assert!(read, "RrPool::read accepted a cut to {} bytes", cut);
+        prop_assert!(load, "RrPool::load accepted a cut to {} bytes", cut);
+        prop_assert!(restore, "the store restored a cut to {} bytes", cut);
+        std::fs::remove_dir_all(&dir).ok();
+    }
 }

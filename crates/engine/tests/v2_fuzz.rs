@@ -2,10 +2,10 @@
 //! 1–8 random bytes of a valid `.timg` v2 or `.timp` v2 file, reseals
 //! the header and section checksums (so the edit reaches the structural
 //! checks instead of tripping a digest), and opens the result through
-//! every reader: the eager heap decode, the zero-copy mapping, and the
-//! loader that maps and checks at once (`io::load_graph`,
-//! `RrPool::load`). Each open must return `Err`, or a value every query
-//! path runs over without panicking.
+//! every reader: the eager heap decode and the loaders that map and
+//! check at once (`io::load_graph`, `GraphStore::load`, `RrPool::load`).
+//! Each open must return `Err`, or a value every query path runs over
+//! without panicking.
 
 #![cfg(unix)]
 
@@ -60,7 +60,8 @@ fn sections(bytes: &[u8], format: &Format) -> Vec<(usize, usize)> {
 }
 
 /// Overwrites bytes of `file` at positions drawn over the header and the
-/// sections (no decoder reads the padding), then reseals: every section
+/// sections (an edit to the zero padding is refused outright), then
+/// reseals: every section
 /// the edited table still places inside the file gets its digest
 /// rewritten, and then the header checksum.
 fn mutate_and_reseal(file: &[u8], format: &Format, edits: &[(u64, u32)]) -> Vec<u8> {
@@ -173,9 +174,8 @@ proptest! {
         if let Ok(loaded) = io::load_graph(&path, false) {
             exercise_graph(&loaded.graph);
         }
-        if let Ok((store, labels)) = GraphStore::open_mmap(&path) {
+        if let Ok((store, labels)) = GraphStore::load(&path, false, "keep", 0) {
             prop_assert_eq!(labels.len(), store.n());
-            let _ = store.graph().verify();
             exercise_graph(store.graph());
         }
     }
@@ -193,19 +193,10 @@ proptest! {
             greedy_max_cover_indexed(&heap.sets, 3);
         }
         if let Ok(loaded) = RrPool::load(&path) {
-            // A loaded pool has passed verify: every query path may run.
+            // A loaded pool has passed every check: every query path may
+            // run.
             exercise_sets(&loaded.sets);
             greedy_max_cover_indexed(&loaded.sets, 3);
-        }
-        if let Ok(mapped) = RrPool::open_mapped(&path) {
-            // The bounds checked at open keep every accessor in range.
-            exercise_sets(&mapped.sets);
-            // Greedy's gain bookkeeping trusts the index to agree with
-            // the arena, which is what verify establishes; a mapped pool
-            // serves no answer before it passes (the pool cache checks).
-            if mapped.verify().is_ok() {
-                greedy_max_cover_indexed(&mapped.sets, 3);
-            }
         }
     }
 }

@@ -1,7 +1,7 @@
 //! The CSR graph and its accessors.
 
 use crate::mmap::{Array, Mmap};
-use crate::{GraphError, NodeId};
+use crate::NodeId;
 use std::ops::Range;
 use std::sync::{Arc, OnceLock};
 
@@ -13,10 +13,10 @@ use std::sync::{Arc, OnceLock};
 /// and drops the per-node bound [`Graph::max_in_probability`] derives.
 ///
 /// Construct with [`GraphBuilder`](crate::GraphBuilder), the generators in
-/// [`gen`](crate::gen), or the loaders in [`io`](crate::io); or open a v2
-/// snapshot zero-copy with [`GraphStore::open_mmap`](crate::GraphStore::open_mmap),
-/// which yields this same type with its six arrays viewing the mapping
-/// (see [`Array`]). Offsets are `u64`, as on disk.
+/// [`gen`](crate::gen), or the loaders in [`io`](crate::io). A snapshot
+/// loads zero-copy: [`io::load_graph`](crate::io::load_graph) yields this
+/// same type with its six arrays viewing the mapping (see [`Array`]).
+/// Offsets are `u64`, as on disk.
 ///
 /// ```
 /// use tim_graph::{GraphBuilder, weights};
@@ -268,17 +268,6 @@ impl Graph {
     /// graph held on the heap.
     pub fn mapping(&self) -> Option<&Arc<Mmap>> {
         self.out_offsets.mapping()
-    }
-
-    /// Re-hashes every section of the snapshot this graph maps against
-    /// the checksums its header records: the integrity pass that opening
-    /// defers. O(file size); faults in every page. A heap graph has no
-    /// file to check and passes.
-    pub fn verify(&self) -> Result<(), GraphError> {
-        match self.mapping() {
-            Some(map) => crate::snapshot::verify_v2_sections(map.bytes()).map(drop),
-            None => Ok(()),
-        }
     }
 
     /// Checks every CSR invariant, whichever arrays own the data: offsets

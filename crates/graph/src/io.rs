@@ -9,7 +9,7 @@
 //! the mapping is returned so results can be reported in original labels.
 
 use crate::mmap::CAN_MAP;
-use crate::snapshot::{self, VERSION_V2};
+use crate::snapshot;
 use crate::{Graph, GraphBuilder, GraphError};
 use std::collections::HashMap;
 use std::fs::File;
@@ -138,12 +138,14 @@ pub fn load_edge_list<P: AsRef<Path>>(
 
 /// Loads any graph file, dispatching on its content
 /// ([`snapshot_version`](snapshot::snapshot_version)) rather than its
-/// extension; the file picks the backing. A text edge list or a v1
-/// snapshot loads onto the heap. A v2 snapshot is mapped, so the graph's
-/// arrays view the file, and it passes every check the eager v2 decoder
-/// runs before it is returned: header, every section checksum, CSR
-/// structure and content checksum. Where [`CAN_MAP`] is false it decodes
-/// eagerly instead.
+/// extension; the file picks the backing. A text edge list loads onto
+/// the heap. A snapshot is mapped, so the graph's arrays view the file,
+/// and it passes every check before it is returned: header, zero
+/// padding, every section checksum, CSR structure and content checksum.
+/// Where [`CAN_MAP`] is false it decodes onto the heap
+/// ([`read_snapshot`](snapshot::read_snapshot)) with the same checks.
+/// Only version 2 snapshots load; any other version is refused with an
+/// error that names it.
 ///
 /// A mapped file must be replaced by rename, never rewritten in place
 /// (every writer here goes through [`write_atomically`]).
@@ -154,21 +156,23 @@ pub fn load_graph<P: AsRef<Path>>(path: P, undirected: bool) -> Result<LoadedGra
     read_graph(path.as_ref(), undirected).map(|(loaded, _)| loaded)
 }
 
-/// [`load_graph`], plus the content checksum a v2 file records, verified
-/// against the graph: `None` for text and v1 files.
+/// [`load_graph`], plus the content checksum a snapshot records, checked
+/// against the graph: `None` for text files.
 pub(crate) fn read_graph(
     path: &Path,
     undirected: bool,
 ) -> Result<(LoadedGraph, Option<u64>), GraphError> {
-    match snapshot::snapshot_version(path)? {
-        None => Ok((load_edge_list(path, undirected)?, None)),
-        Some(VERSION_V2) if CAN_MAP => {
-            let (graph, labels, checksum) = snapshot::map_snapshot_v2(path, true)?;
-            let labels = labels.to_vec();
-            Ok((LoadedGraph { graph, labels }, Some(checksum)))
-        }
-        Some(_) => snapshot::decode_snapshot(&std::fs::read(path)?),
+    if snapshot::snapshot_version(path)?.is_none() {
+        return Ok((load_edge_list(path, undirected)?, None));
     }
+    let (loaded, checksum) = if CAN_MAP {
+        let (graph, labels, checksum) = snapshot::map_snapshot_v2(path)?;
+        let labels = labels.to_vec();
+        (LoadedGraph { graph, labels }, checksum)
+    } else {
+        snapshot::decode_snapshot(&std::fs::read(path)?)?
+    };
+    Ok((loaded, Some(checksum)))
 }
 
 /// A fresh name beside `path` for a file that is about to be renamed

@@ -21,14 +21,14 @@
 //! - [`io`] — a SNAP-style whitespace edge-list reader/writer, the one
 //!   graph-file loader [`io::load_graph`], and the rename-based
 //!   [`io::write_atomically`] every binary format saves through;
-//! - [`snapshot`] — versioned, checksummed binary graph snapshots
-//!   (`.timg`): the page-aligned, mmap-able v2 layout every writer
-//!   emits, and the older v1 layout, still read;
+//! - [`snapshot`] — checksummed binary graph snapshots (`.timg`) in one
+//!   format, the page-aligned, mmap-able v2 layout; older versions are
+//!   refused with an error that says to re-snapshot the text source;
 //! - [`Array`] / [`Mmap`] — zero-copy out-of-core serving: every CSR
 //!   array either owns a `Vec` or views a section of a read-only file
-//!   mapping, so a v2 snapshot loads as the same [`Graph`] a heap load
-//!   builds. The file picks the backing: v2 files are mapped (and fully
-//!   checked first), text and v1 files load onto the heap;
+//!   mapping, so a snapshot loads as the same [`Graph`] a heap load
+//!   builds. The file picks the backing: snapshots are mapped (and fully
+//!   checked before they return), text files load onto the heap;
 //! - [`GraphStore`] — the shared graph handle the engine and server hold,
 //!   with the content checksum that keys pool provenance.
 

@@ -16,8 +16,9 @@
 //! so a graph opened from a v2 snapshot is the same `Graph` a heap load
 //! builds, and the samplers and greedy run one monomorphization over
 //! either owner. The kernel pages a mapped array in on demand, so
-//! attaching a multi-gigabyte file costs a header parse plus one
-//! structural scan, and artifacts larger than RAM stay servable.
+//! attaching a multi-gigabyte file costs a header parse, one structural
+//! scan and one checksum pass, with no heap copy, and artifacts larger
+//! than RAM stay servable.
 //!
 //! # Safety argument
 //!
@@ -32,14 +33,16 @@
 //!    the pages. Writes to the underlying file by another process are not
 //!    ordered with our reads, so every writer in the workspace replaces a
 //!    file by rename (`io::write_atomically`) and never rewrites it in
-//!    place, and the loaders run the full checksum pass (`Graph::verify`,
-//!    `RrPool::verify`) before a mapped artifact serves. Every
-//!    *structural* invariant (offsets, endpoints, probabilities) is
-//!    validated at open into the arrays' private copies of their bounds,
-//!    which a racing writer cannot retroactively change. A torn read of
-//!    *data* under a racing in-place writer can change results but cannot
-//!    read out of bounds: every slice is carved from the validated
-//!    bounds, and the accessors clamp offsets defensively.
+//!    place. There is no unchecked open: the one open of each artifact
+//!    (`io::load_graph` and `GraphStore::load` for graphs, `RrPool::load`
+//!    and the pool store's restore for pools) runs the full checksum pass
+//!    over the mapping before it returns. Every *structural* invariant
+//!    (offsets, endpoints, probabilities) is validated at open into the
+//!    arrays' private copies of their bounds, which a racing writer
+//!    cannot retroactively change. A torn read of *data* under a racing
+//!    in-place writer can change results but cannot read out of bounds:
+//!    every slice is carved from the validated bounds, and the accessors
+//!    clamp offsets defensively.
 //! 3. **Alignment is guaranteed by the format.** v2 sections start on
 //!    4096-byte boundaries and `mmap` returns page-aligned addresses, so
 //!    reinterpreting section bytes as `u64`/`u32`/`f32` is always
@@ -409,7 +412,7 @@ impl<T: Element + std::fmt::Debug> std::fmt::Debug for Array<T> {
 #[cfg(all(test, unix))]
 mod tests {
     use super::*;
-    use crate::snapshot::{graph_checksum, save_snapshot, write_snapshot, write_snapshot_v1};
+    use crate::snapshot::{graph_checksum, save_snapshot, write_snapshot, MAGIC};
     use crate::{gen, weights, Graph, GraphStore, NodeId};
 
     fn sample() -> (Graph, Vec<u64>) {
@@ -430,7 +433,7 @@ mod tests {
         let (g, labels) = sample();
         let path = tmp("view.timg");
         save_snapshot(&g, &labels, &path).unwrap();
-        let (store, mapped_labels) = GraphStore::open_mmap(&path).unwrap();
+        let (store, mapped_labels) = GraphStore::load(&path, false, "keep", 0).unwrap();
         let view = store.graph();
         assert!(view.mapping().is_some());
         assert_eq!(
@@ -450,39 +453,22 @@ mod tests {
             assert_eq!(view.out_degree(v), g.out_degree(v));
             assert_eq!(view.in_degree(v), g.in_degree(v));
         }
-        view.verify().unwrap();
         std::fs::remove_file(&path).ok();
     }
 
     #[test]
     fn v1_snapshot_is_rejected_cleanly() {
-        let (g, labels) = sample();
+        // The start of a version 1 file: no writer emits one any more.
         let path = tmp("v1.timg");
-        let mut v1 = Vec::new();
-        write_snapshot_v1(&g, &labels, &mut v1).unwrap();
-        std::fs::write(&path, v1).unwrap();
+        std::fs::write(
+            &path,
+            [&MAGIC[..], &1u32.to_le_bytes(), &[0u8; 24]].concat(),
+        )
+        .unwrap();
         assert!(matches!(
-            GraphStore::open_mmap(&path),
-            Err(GraphError::Snapshot { message }) if message.contains("not a v2")
+            GraphStore::load(&path, false, "keep", 0),
+            Err(GraphError::Snapshot { message }) if message.contains("version 1")
         ));
-        std::fs::remove_file(&path).ok();
-    }
-
-    #[test]
-    fn verify_catches_a_post_open_flip() {
-        let (g, labels) = sample();
-        let path = tmp("flip.timg");
-        save_snapshot(&g, &labels, &path).unwrap();
-        let mut bytes = std::fs::read(&path).unwrap();
-        let last = bytes.len() - 1;
-        bytes[last] ^= 0x80; // last label byte: structural scan passes
-        std::fs::write(&path, &bytes).unwrap();
-        let (store, _) = GraphStore::open_mmap(&path).unwrap();
-        assert!(
-            store.graph().verify().is_err(),
-            "deferred checksum must catch it"
-        );
-        assert!(g.verify().is_ok(), "a heap graph has no file to check");
         std::fs::remove_file(&path).ok();
     }
 
@@ -493,7 +479,8 @@ mod tests {
         let (g, labels) = sample();
         let path = tmp("owned.timg");
         save_snapshot(&g, &labels, &path).unwrap();
-        let (store, mapped_labels) = GraphStore::open_mmap(&path).unwrap();
+        let (store, mapped_labels) = GraphStore::load(&path, false, "keep", 0).unwrap();
+        assert!(store.is_mmap());
         let mut bytes = Vec::new();
         write_snapshot(store.graph(), &mapped_labels, &mut bytes).unwrap();
         assert_eq!(bytes, std::fs::read(&path).unwrap());

@@ -1,41 +1,26 @@
-//! Versioned, checksummed binary graph snapshots (`.timg`).
+//! Checksummed binary graph snapshots (`.timg`).
 //!
 //! Text edge lists are convenient for interchange but expensive to load:
 //! every line is parsed, labels are interned through a hash map, and the
 //! CSR layout is rebuilt from scratch. A snapshot stores the finished
 //! product — both CSR directions, the edge probabilities, and the
-//! label map — so loading is a mapping or a bounds-checked `memcpy` plus
-//! a checksum pass, and the loaded [`Graph`] is bit-identical to the one
-//! that was saved.
+//! label map — so loading is a mapping plus the checksum passes, and the
+//! loaded [`Graph`] is bit-identical to the one that was saved.
 //!
-//! [`write_snapshot`] and [`save_snapshot`] write version 2 only;
-//! [`save_snapshot`] replaces the file by rename, so a process serving
-//! the old file keeps its bytes. Version 1 files stay readable:
-//! [`io::load_graph`](crate::io::load_graph) decodes them onto the heap
-//! and maps version 2 files.
-//!
-//! # File layout (version 1, little-endian)
-//!
-//! | bytes | field |
-//! |---|---|
-//! | 0..4 | magic `b"TIMG"` |
-//! | 4..8 | format version (`u32`) |
-//! | 8..16 | FNV-1a checksum of everything after this field (`u64`) |
-//! | 16..32 | `n`, `m` (`u64` each) |
-//! | … | `out_offsets` (`(n+1)×u64`), `out_targets` (`m×u32`), `out_probs` (`m×f32` as bits) |
-//! | … | `in_offsets` (`(n+1)×u64`), `in_sources` (`m×u32`), `in_probs` (`m×f32` as bits) |
-//! | … | `labels` (`n×u64`) |
-//!
-//! Any truncation, trailing garbage, bit flip, or structural violation is
-//! rejected with [`GraphError::Snapshot`].
+//! There is one format, version 2, and every reader checks all of it
+//! before a graph comes back. [`save_snapshot`] replaces the file by
+//! rename, so a process serving the old file keeps its bytes.
+//! [`io::load_graph`](crate::io::load_graph) maps the file where
+//! [`CAN_MAP`](crate::mmap::CAN_MAP) holds; [`read_snapshot`] decodes
+//! onto the heap. Any other version, the older v1 included, is refused:
+//! re-run `tim snapshot` on the graph's text source.
 //!
 //! # File layout (version 2, little-endian, page-aligned)
 //!
-//! Version 2 is the **mmap-able** layout: a fixed header plus a section
-//! table, every section starting on a 4096-byte boundary so
-//! [`GraphStore::open_mmap`](crate::GraphStore::open_mmap) can build a
-//! [`Graph`] whose arrays are naturally-aligned `u64`/`u32`/`f32` views
-//! straight into the mapping, with zero copies.
+//! A fixed header plus a section table, every section starting on a
+//! 4096-byte boundary, so a mapped [`Graph`]'s arrays are
+//! naturally-aligned `u64`/`u32`/`f32` views straight into the mapping,
+//! with zero copies.
 //!
 //! | bytes | field |
 //! |---|---|
@@ -50,14 +35,14 @@
 //!
 //! Sections, in fixed order: `out_offsets` (`(n+1)×u64`), `out_targets`
 //! (`m×u32`), `out_probs` (`m×u32` f32 bits), `in_offsets`, `in_sources`,
-//! `in_probs`, `labels` (`n×u64`). The header checksum covers the section
+//! `in_probs`, `labels` (`n×u64`). The bytes between the header and the
+//! first section, and between sections, are zero; the file ends at the
+//! last section's final byte. The header checksum covers the section
 //! table, so offsets/lengths and the per-section checksums are
-//! tamper-evident without touching any section. Every loader checks every
-//! section and the content checksum before the graph serves:
-//! [`io::load_graph`](crate::io::load_graph) when it maps a v2 file, and
-//! the eager decoder ([`read_snapshot`]) always.
-//! [`GraphStore::open_mmap`](crate::GraphStore::open_mmap) alone defers
-//! the section checksums to [`Graph::verify`].
+//! tamper-evident without touching any section. Every reader checks the
+//! header, the zero padding, every section, the CSR structure and the
+//! content checksum before the graph serves, so a flip of any bit and
+//! any truncation is refused.
 //!
 //! ```
 //! use tim_graph::{snapshot, Graph};
@@ -83,10 +68,7 @@ use std::sync::{Arc, OnceLock};
 /// The four magic bytes opening every snapshot file.
 pub const MAGIC: [u8; 4] = *b"TIMG";
 
-/// The heap-oriented snapshot format version.
-pub const VERSION: u32 = 1;
-
-/// The page-aligned, mmap-able snapshot format version.
+/// The snapshot format version, the one every reader accepts.
 pub const VERSION_V2: u32 = 2;
 
 /// Alignment of every v2 section offset (one page on every platform we
@@ -193,175 +175,15 @@ fn put_u32s(buf: &mut Vec<u8>, values: impl IntoIterator<Item = u32>) {
     }
 }
 
-/// Serializes `graph` and its label map in the v1 layout. Nothing saves
-/// v1 any more: this writes the fixtures of the v1-reading tests and the
-/// legacy rows of the `graph_load` benchmark. Same contract as
-/// [`write_snapshot`].
-pub fn write_snapshot_v1<W: Write>(
-    graph: &Graph,
-    labels: &[u64],
-    mut writer: W,
-) -> Result<(), GraphError> {
-    check_labels(graph, labels)?;
-    let n = graph.n();
-    let m = graph.m();
-    let mut payload = Vec::with_capacity(16 + (n + 1) * 16 + m * 16 + n * 8);
-    put_u64s(&mut payload, [n as u64, m as u64]);
-    put_u64s(&mut payload, graph.out_offsets.iter().copied());
-    put_u32s(&mut payload, graph.out_targets.iter().copied());
-    put_u32s(&mut payload, graph.out_probs.iter().map(|p| p.to_bits()));
-    put_u64s(&mut payload, graph.in_offsets.iter().copied());
-    put_u32s(&mut payload, graph.in_sources.iter().copied());
-    put_u32s(&mut payload, graph.in_probs.iter().map(|p| p.to_bits()));
-    put_u64s(&mut payload, labels.iter().copied());
-
-    let mut checksum = Fnv1a::new();
-    checksum.update(&payload);
-
-    writer.write_all(&MAGIC)?;
-    writer.write_all(&VERSION.to_le_bytes())?;
-    writer.write_all(&checksum.finish().to_le_bytes())?;
-    writer.write_all(&payload)?;
-    writer.flush()?;
-    Ok(())
-}
-
-/// Byte-slice cursor used by the decoder; every read is bounds-checked so
-/// truncated files produce a clean [`GraphError::Snapshot`].
-struct Cursor<'a> {
-    buf: &'a [u8],
-    pos: usize,
-}
-
-impl<'a> Cursor<'a> {
-    fn take(&mut self, len: usize, what: &str) -> Result<&'a [u8], GraphError> {
-        let end = self.pos.checked_add(len).filter(|&e| e <= self.buf.len());
-        match end {
-            Some(end) => {
-                let slice = &self.buf[self.pos..end];
-                self.pos = end;
-                Ok(slice)
-            }
-            None => Err(GraphError::Snapshot {
-                message: format!("truncated while reading {what}"),
-            }),
-        }
-    }
-
-    fn u64(&mut self, what: &str) -> Result<u64, GraphError> {
-        let bytes = self.take(8, what)?;
-        Ok(u64::from_le_bytes(bytes.try_into().expect("8-byte slice")))
-    }
-
-    fn u64s(&mut self, count: usize, what: &str) -> Result<Vec<u64>, GraphError> {
-        let bytes = self.take(count.checked_mul(8).ok_or_else(|| overflow(what))?, what)?;
-        Ok(bytes
-            .chunks_exact(8)
-            .map(|c| u64::from_le_bytes(c.try_into().expect("8-byte chunk")))
-            .collect())
-    }
-
-    fn u32s(&mut self, count: usize, what: &str) -> Result<Vec<u32>, GraphError> {
-        let bytes = self.take(count.checked_mul(4).ok_or_else(|| overflow(what))?, what)?;
-        Ok(bytes
-            .chunks_exact(4)
-            .map(|c| u32::from_le_bytes(c.try_into().expect("4-byte chunk")))
-            .collect())
-    }
-}
-
-fn overflow(what: &str) -> GraphError {
-    GraphError::Snapshot {
-        message: format!("{what} length overflows"),
-    }
-}
-
-/// Deserializes a snapshot of either version from any reader onto the
-/// heap, verifying the magic, version, checksums, and all CSR invariants
-/// before returning the graph.
+/// Deserializes a v2 snapshot from any reader onto the heap, checking
+/// everything a mapped load checks (header, padding, every section
+/// checksum, the CSR structure and the content checksum) before
+/// returning the graph. The heap path where
+/// [`CAN_MAP`](crate::mmap::CAN_MAP) is false.
 pub fn read_snapshot<R: Read>(mut reader: R) -> Result<LoadedGraph, GraphError> {
     let mut bytes = Vec::new();
     reader.read_to_end(&mut bytes)?;
     decode_snapshot(&bytes).map(|(loaded, _)| loaded)
-}
-
-/// The eager decoder of both versions. A v2 file also yields the content
-/// checksum its header records, verified against the decoded graph.
-pub(crate) fn decode_snapshot(bytes: &[u8]) -> Result<(LoadedGraph, Option<u64>), GraphError> {
-    let mut cur = Cursor { buf: bytes, pos: 0 };
-    let magic = cur.take(4, "magic")?;
-    if magic != MAGIC {
-        return Err(GraphError::Snapshot {
-            message: "not a TIMG snapshot (bad magic)".into(),
-        });
-    }
-    let version = u32::from_le_bytes(cur.take(4, "version")?.try_into().expect("4 bytes"));
-    // Version gate: v2 files decode eagerly into the same heap form (a
-    // caller asking for a heap graph gets one regardless of the on-disk
-    // layout); anything else is from the future and must be rejected.
-    if version == VERSION_V2 {
-        return decode_snapshot_v2(bytes).map(|(loaded, checksum)| (loaded, Some(checksum)));
-    }
-    if version != VERSION {
-        return Err(GraphError::Snapshot {
-            message: format!(
-                "unsupported snapshot version {version} (expected {VERSION} or {VERSION_V2})"
-            ),
-        });
-    }
-    let stored_checksum = cur.u64("checksum")?;
-    let payload = &bytes[cur.pos..];
-    let mut checksum = Fnv1a::new();
-    checksum.update(payload);
-    if checksum.finish() != stored_checksum {
-        return Err(GraphError::Snapshot {
-            message: format!(
-                "checksum mismatch: file says {stored_checksum:#018x}, payload hashes to {:#018x}",
-                checksum.finish()
-            ),
-        });
-    }
-
-    let n = cur.u64("node count")? as usize;
-    let m = cur.u64("edge count")? as usize;
-    let n1 = n.checked_add(1).ok_or_else(|| GraphError::Snapshot {
-        message: "node count overflows".into(),
-    })?;
-    let out_offsets = cur.u64s(n1, "out offsets")?;
-    let out_targets: Vec<NodeId> = cur.u32s(m, "out targets")?;
-    let out_probs: Vec<f32> = cur
-        .u32s(m, "out probabilities")?
-        .into_iter()
-        .map(f32::from_bits)
-        .collect();
-    let in_offsets = cur.u64s(n1, "in offsets")?;
-    let in_sources: Vec<NodeId> = cur.u32s(m, "in sources")?;
-    let in_probs: Vec<f32> = cur
-        .u32s(m, "in probabilities")?
-        .into_iter()
-        .map(f32::from_bits)
-        .collect();
-    let labels = cur.u64s(n, "labels")?;
-    if cur.pos != bytes.len() {
-        return Err(GraphError::Snapshot {
-            message: format!("{} trailing bytes after payload", bytes.len() - cur.pos),
-        });
-    }
-
-    let graph = Graph {
-        n,
-        out_offsets: out_offsets.into(),
-        out_targets: out_targets.into(),
-        out_probs: out_probs.into(),
-        in_offsets: in_offsets.into(),
-        in_sources: in_sources.into(),
-        in_probs: in_probs.into(),
-        in_max: OnceLock::new(),
-    };
-    graph.validate().map_err(|message| GraphError::Snapshot {
-        message: format!("invalid CSR in snapshot: {message}"),
-    })?;
-    Ok((LoadedGraph { graph, labels }, None))
 }
 
 fn snap_err(message: impl Into<String>) -> GraphError {
@@ -418,22 +240,30 @@ pub(crate) fn v2_expected_len(i: usize, n: u64, m: u64) -> Option<u64> {
     }
 }
 
-/// Parses and validates a v2 header against the file's real length:
-/// magic, version, header checksum, count sanity, and a section table
-/// whose entries are canonically ordered, page-aligned, exactly the
-/// expected length, in bounds, and non-overlapping. After this check a
-/// reader may index any section without further bounds tests.
-pub(crate) fn parse_v2_layout(bytes: &[u8], file_len: u64) -> Result<V2Layout, GraphError> {
+/// Parses and validates the v2 header of the whole file `bytes`: magic,
+/// version, header checksum, count sanity, a section table whose
+/// entries are canonically ordered, page-aligned, exactly the expected
+/// length, in bounds, and non-overlapping, and zero padding before and
+/// between the sections. After this check a reader may index any
+/// section without further bounds tests.
+pub(crate) fn parse_v2_layout(bytes: &[u8]) -> Result<V2Layout, GraphError> {
     let header_len = V2_HEADER_BYTES as usize;
-    if bytes.len() < header_len {
-        return Err(snap_err("truncated v2 header"));
+    if bytes.len() < 8 {
+        return Err(snap_err("truncated snapshot header"));
     }
     if bytes[0..4] != MAGIC {
         return Err(snap_err("not a TIMG snapshot (bad magic)"));
     }
+    // Version before length: a short v1 file must name its version.
     let version = u32::from_le_bytes(bytes[4..8].try_into().expect("4 bytes"));
     if version != VERSION_V2 {
-        return Err(snap_err(format!("not a v2 snapshot (version {version})")));
+        return Err(snap_err(format!(
+            "unsupported snapshot version {version}: only version {VERSION_V2} is read; \
+             re-run `tim snapshot` on the graph's text edge list to rewrite it"
+        )));
+    }
+    if bytes.len() < header_len {
+        return Err(snap_err("truncated v2 header"));
     }
     let stored = u64::from_le_bytes(bytes[8..16].try_into().expect("8 bytes"));
     let mut h = Fnv1a::new();
@@ -496,19 +326,29 @@ pub(crate) fn parse_v2_layout(bytes: &[u8], file_len: u64) -> Result<V2Layout, G
         }
         let end = offset
             .checked_add(len)
-            .filter(|&e| e <= file_len)
+            .filter(|&e| e <= bytes.len() as u64)
             .ok_or_else(|| {
                 snap_err(format!(
                     "v2 section {i} ({offset}+{len} bytes) runs past the end of the file"
                 ))
             })?;
+        // Every writer zero-fills up to each section, so any other byte
+        // there is corruption no checksum would see.
+        if bytes[min_start as usize..offset as usize]
+            .iter()
+            .any(|&b| b != 0)
+        {
+            return Err(snap_err(format!(
+                "v2 padding before section {i} is not zero"
+            )));
+        }
         min_start = end;
         *section = V2Section { offset, len, fnv };
     }
-    if min_start != file_len {
+    if min_start != bytes.len() as u64 {
         return Err(snap_err(format!(
             "{} trailing bytes after the last v2 section",
-            file_len - min_start
+            bytes.len() as u64 - min_start
         )));
     }
     Ok(V2Layout {
@@ -620,15 +460,6 @@ pub fn save_snapshot<P: AsRef<Path>>(
     })
 }
 
-/// Parses the v2 header of `bytes` and checks every section against the
-/// FNV-1a checksum its table records: the full integrity pass, shared by
-/// the eager decoder and [`Graph::verify`].
-pub(crate) fn verify_v2_sections(bytes: &[u8]) -> Result<V2Layout, GraphError> {
-    let layout = parse_v2_layout(bytes, bytes.len() as u64)?;
-    check_v2_sections(bytes, &layout, 0..V2_SECTION_COUNT)?;
-    Ok(layout)
-}
-
 /// Checks sections `which` of `bytes` against the checksums `layout`
 /// records, in order; the error names the first that fails.
 fn check_v2_sections(
@@ -651,11 +482,12 @@ fn check_v2_sections(
     Ok(())
 }
 
-/// Eager heap decode of a v2 snapshot: verifies the header, **every**
+/// Eager heap decode of a v2 snapshot: checks the header, **every**
 /// per-section checksum, the CSR structure, and that the decoded graph
 /// hashes to the content checksum the header claims, which it returns.
-fn decode_snapshot_v2(bytes: &[u8]) -> Result<(LoadedGraph, u64), GraphError> {
-    let layout = verify_v2_sections(bytes)?;
+pub(crate) fn decode_snapshot(bytes: &[u8]) -> Result<(LoadedGraph, u64), GraphError> {
+    let layout = parse_v2_layout(bytes)?;
+    check_v2_sections(bytes, &layout, 0..V2_SECTION_COUNT)?;
     let u64s = |i: usize| -> Vec<u64> {
         let s = &layout.sections[i];
         bytes[s.offset as usize..(s.offset + s.len) as usize]
@@ -703,30 +535,25 @@ fn check_content(graph: &Graph, recorded: u64) -> Result<(), GraphError> {
     Ok(())
 }
 
-/// Maps the v2 snapshot at `path` without copying: the header and section
-/// table are validated, then the graph's six arrays and the label section
-/// view the mapping, and [`Graph::validate`] runs the same structural
-/// scan a heap decode runs. Returns the graph, its labels, and the
+/// Maps the v2 snapshot at `path` without copying, and runs every check
+/// the eager decoder runs before it returns: the header and section
+/// table are validated, the graph's six arrays and the label section
+/// view the mapping, [`Graph::validate`] runs the structural scan, and
+/// then each section is checked against its checksum and the graph
+/// against the content checksum. Returns the graph, its labels, and the
 /// content checksum the header records.
 ///
-/// With `verify`, the open also runs every other check the eager decoder
-/// runs: each section against its checksum (the [`Graph::verify`] pass),
-/// and the graph against the content checksum. The two run side by side
-/// on two threads, after the structural scan (the content hash walks the
-/// offsets it checks), and errors come in the eager decoder's order:
-/// sections, then content. The sequential scans run before the
-/// random-access paging advice, so they read ahead. Without `verify`,
-/// the section checksums are left to [`Graph::verify`] and the recorded
-/// content checksum is taken on trust.
-pub(crate) fn map_snapshot_v2(
-    path: &Path,
-    verify: bool,
-) -> Result<(Graph, Array<u64>, u64), GraphError> {
+/// The section and content checks run side by side on two threads,
+/// after the structural scan (the content hash walks the offsets it
+/// checks), and errors come in the eager decoder's order: sections, then
+/// content. The sequential scans run before the random-access paging
+/// advice, so they read ahead.
+pub(crate) fn map_snapshot_v2(path: &Path) -> Result<(Graph, Array<u64>, u64), GraphError> {
     let map = Arc::new(Mmap::open(path)?);
-    let layout = parse_v2_layout(map.bytes(), map.len() as u64)?;
+    let layout = parse_v2_layout(map.bytes())?;
     fn section<T: Element>(map: &Arc<Mmap>, s: &V2Section) -> Result<Array<T>, GraphError> {
         // In bounds per parse_v2_layout; usize conversion cannot truncate
-        // because offset + len <= file_len <= usize::MAX.
+        // because offset + len <= the mapping's length.
         let count = s.len as usize / std::mem::size_of::<T>();
         Array::mapped(map, s.offset as usize, count).map_err(snap_err)
     }
@@ -744,27 +571,24 @@ pub(crate) fn map_snapshot_v2(
     graph.validate().map_err(|message| GraphError::Snapshot {
         message: format!("invalid CSR in v2 snapshot: {message}"),
     })?;
-    if verify {
-        // Each thread takes about half the work. On the 50k-node
-        // benchmark graph the sections hash in 12 ms and the content in
-        // 5.6 ms, so the helper takes the content hash and the last two
-        // sections (in_probs, labels: 3.2 ms), and this thread the other
-        // five (8.8 ms).
-        let bytes = map.bytes();
-        let split = v2_section::IN_PROBS;
-        let (head, tail) = std::thread::scope(|scope| {
-            let tail = scope.spawn(|| {
-                check_v2_sections(bytes, &layout, split..V2_SECTION_COUNT)
-                    .and_then(|()| check_content(&graph, layout.checksum))
-            });
-            let head = check_v2_sections(bytes, &layout, 0..split);
-            (
-                head,
-                tail.join().unwrap_or_else(|p| std::panic::resume_unwind(p)),
-            )
+    // Each thread takes about half the work. On the 50k-node benchmark
+    // graph the sections hash in 12 ms and the content in 5.6 ms, so the
+    // helper takes the content hash and the last two sections (in_probs,
+    // labels: 3.2 ms), and this thread the other five (8.8 ms).
+    let bytes = map.bytes();
+    let split = v2_section::IN_PROBS;
+    let (head, tail) = std::thread::scope(|scope| {
+        let tail = scope.spawn(|| {
+            check_v2_sections(bytes, &layout, split..V2_SECTION_COUNT)
+                .and_then(|()| check_content(&graph, layout.checksum))
         });
-        head.and(tail)?;
-    }
+        let head = check_v2_sections(bytes, &layout, 0..split);
+        (
+            head,
+            tail.join().unwrap_or_else(|p| std::panic::resume_unwind(p)),
+        )
+    });
+    head.and(tail)?;
     map.advise_random();
     // Offsets are touched for every sampled node; fault the header and
     // both offset sections in up front.
@@ -776,8 +600,8 @@ pub(crate) fn map_snapshot_v2(
 /// Reads the snapshot version of the file at `path`: `None` when the file
 /// does not start with the snapshot magic, `Some(version)` otherwise.
 ///
-/// [`io::load_graph`](crate::io::load_graph) dispatches on it: text, v1
-/// onto the heap, v2 mapped.
+/// [`io::load_graph`](crate::io::load_graph) dispatches on it: text
+/// without the magic, the snapshot readers with it.
 pub fn snapshot_version<P: AsRef<Path>>(path: P) -> Result<Option<u32>, GraphError> {
     let mut file = std::fs::File::open(path)?;
     let mut head = [0u8; 8];
@@ -810,8 +634,18 @@ mod tests {
 
     fn encode(g: &Graph, labels: &[u64]) -> Vec<u8> {
         let mut buf = Vec::new();
-        write_snapshot_v1(g, labels, &mut buf).unwrap();
+        write_snapshot(g, labels, &mut buf).unwrap();
         buf
+    }
+
+    fn assert_bit_identical(a: &Graph, b: &Graph) {
+        for v in 0..b.n() as NodeId {
+            assert_eq!(a.out_neighbors(v), b.out_neighbors(v));
+            assert_eq!(a.out_probabilities(v), b.out_probabilities(v));
+            assert_eq!(a.in_neighbors(v), b.in_neighbors(v));
+            assert_eq!(a.in_probabilities(v), b.in_probabilities(v));
+        }
+        assert_eq!(graph_checksum(a), graph_checksum(b));
     }
 
     #[test]
@@ -821,13 +655,7 @@ mod tests {
         assert_eq!(loaded.labels, labels);
         assert_eq!(loaded.graph.n(), g.n());
         assert_eq!(loaded.graph.m(), g.m());
-        for v in 0..g.n() as NodeId {
-            assert_eq!(loaded.graph.out_neighbors(v), g.out_neighbors(v));
-            assert_eq!(loaded.graph.out_probabilities(v), g.out_probabilities(v));
-            assert_eq!(loaded.graph.in_neighbors(v), g.in_neighbors(v));
-            assert_eq!(loaded.graph.in_probabilities(v), g.in_probabilities(v));
-        }
-        assert_eq!(graph_checksum(&loaded.graph), graph_checksum(&g));
+        assert_bit_identical(&loaded.graph, &g);
     }
 
     #[test]
@@ -856,7 +684,7 @@ mod tests {
         bytes[4] = 99;
         assert!(matches!(
             read_snapshot(bytes.as_slice()),
-            Err(GraphError::Snapshot { message }) if message.contains("version")
+            Err(GraphError::Snapshot { message }) if message.contains("version 99")
         ));
     }
 
@@ -864,8 +692,8 @@ mod tests {
     fn flipped_payload_bit_fails_checksum() {
         let (g, labels) = sample();
         let mut bytes = encode(&g, &labels);
-        let mid = 16 + (bytes.len() - 16) / 2;
-        bytes[mid] ^= 0x01;
+        let labels_at = parse_v2_layout(&bytes).unwrap().sections[v2_section::LABELS];
+        bytes[(labels_at.offset + labels_at.len / 2) as usize] ^= 0x01;
         assert!(matches!(
             read_snapshot(bytes.as_slice()),
             Err(GraphError::Snapshot { message }) if message.contains("checksum")
@@ -889,25 +717,45 @@ mod tests {
         let (g, labels) = sample();
         let mut bytes = encode(&g, &labels);
         bytes.push(0);
-        // The appended byte breaks the checksum first; either message is a
-        // rejection, which is what matters.
-        assert!(read_snapshot(bytes.as_slice()).is_err());
+        assert!(matches!(
+            read_snapshot(bytes.as_slice()),
+            Err(GraphError::Snapshot { message }) if message.contains("trailing")
+        ));
+    }
+
+    #[test]
+    fn nonzero_padding_is_rejected() {
+        // Every writer zero-fills the gap after the header and between
+        // sections; no checksum covers those bytes, so the parser checks
+        // them.
+        let (g, labels) = sample();
+        let pristine = encode(&g, &labels);
+        let layout = parse_v2_layout(&pristine).unwrap();
+        let first = &layout.sections[0];
+        let after_first = (first.offset + first.len) as usize;
+        assert!(after_first < layout.sections[1].offset as usize);
+        for at in [V2_HEADER_BYTES as usize, 300, after_first] {
+            let mut bytes = pristine.clone();
+            bytes[at] = 1;
+            match read_snapshot(bytes.as_slice()) {
+                Err(GraphError::Snapshot { message }) => {
+                    assert!(message.contains("padding"), "byte {at}: {message}")
+                }
+                other => panic!("byte {at}: expected a snapshot error, got {other:?}"),
+            }
+        }
     }
 
     #[test]
     fn huge_claimed_node_count_is_rejected_cleanly() {
-        // n = u64::MAX with a valid checksum must fail as a snapshot
-        // error (overflow/truncation), never panic or allocate.
-        let mut payload = Vec::new();
-        payload.extend_from_slice(&u64::MAX.to_le_bytes()); // n
-        payload.extend_from_slice(&0u64.to_le_bytes()); // m
+        // n = u64::MAX under a valid header checksum must fail as a
+        // snapshot error, never panic or allocate.
+        let (g, labels) = sample();
+        let mut bytes = encode(&g, &labels);
+        bytes[16..24].copy_from_slice(&u64::MAX.to_le_bytes());
         let mut h = Fnv1a::new();
-        h.update(&payload);
-        let mut bytes = Vec::new();
-        bytes.extend_from_slice(&MAGIC);
-        bytes.extend_from_slice(&VERSION.to_le_bytes());
-        bytes.extend_from_slice(&h.finish().to_le_bytes());
-        bytes.extend_from_slice(&payload);
+        h.update(&bytes[16..V2_HEADER_BYTES as usize]);
+        bytes[8..16].copy_from_slice(&h.finish().to_le_bytes());
         match read_snapshot(bytes.as_slice()) {
             Err(GraphError::Snapshot { message }) => {
                 assert!(message.contains("overflow"), "{message}")
@@ -922,10 +770,6 @@ mod tests {
         let mut buf = Vec::new();
         assert!(matches!(
             write_snapshot(&g, &[1, 2, 3], &mut buf),
-            Err(GraphError::Snapshot { .. })
-        ));
-        assert!(matches!(
-            write_snapshot_v1(&g, &[1, 2, 3], &mut buf),
             Err(GraphError::Snapshot { .. })
         ));
     }
@@ -948,31 +792,26 @@ mod tests {
         std::fs::remove_file(&text).ok();
     }
 
-    fn encode_v2(g: &Graph, labels: &[u64]) -> Vec<u8> {
-        let mut buf = Vec::new();
-        write_snapshot(g, labels, &mut buf).unwrap();
-        buf
-    }
-
     #[test]
     fn v2_round_trip_is_bit_identical() {
+        // Through the file and the loader, which maps it where it can.
         let (g, labels) = sample();
-        let loaded = read_snapshot(encode_v2(&g, &labels).as_slice()).unwrap();
+        let dir = std::env::temp_dir().join(format!("timg_rt_{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = dir.join("g.timg");
+        save_snapshot(&g, &labels, &path).unwrap();
+        let loaded = crate::io::load_graph(&path, false).unwrap();
+        assert_eq!(loaded.graph.mapping().is_some(), crate::mmap::CAN_MAP);
         assert_eq!(loaded.labels, labels);
-        for v in 0..g.n() as NodeId {
-            assert_eq!(loaded.graph.out_neighbors(v), g.out_neighbors(v));
-            assert_eq!(loaded.graph.out_probabilities(v), g.out_probabilities(v));
-            assert_eq!(loaded.graph.in_neighbors(v), g.in_neighbors(v));
-            assert_eq!(loaded.graph.in_probabilities(v), g.in_probabilities(v));
-        }
-        assert_eq!(graph_checksum(&loaded.graph), graph_checksum(&g));
+        assert_bit_identical(&loaded.graph, &g);
+        std::fs::remove_dir_all(&dir).ok();
     }
 
     #[test]
     fn v2_sections_are_page_aligned_and_exactly_sized() {
         let (g, labels) = sample();
-        let bytes = encode_v2(&g, &labels);
-        let layout = parse_v2_layout(&bytes, bytes.len() as u64).unwrap();
+        let bytes = encode(&g, &labels);
+        let layout = parse_v2_layout(&bytes).unwrap();
         assert_eq!(layout.n, g.n() as u64);
         assert_eq!(layout.checksum, graph_checksum(&g));
         for (i, s) in layout.sections.iter().enumerate() {
@@ -988,19 +827,6 @@ mod tests {
     }
 
     #[test]
-    fn v2_decodes_identically_to_v1() {
-        let (g, labels) = sample();
-        let v1 = read_snapshot(encode(&g, &labels).as_slice()).unwrap();
-        let v2 = read_snapshot(encode_v2(&g, &labels).as_slice()).unwrap();
-        assert_eq!(v1.labels, v2.labels);
-        assert_eq!(
-            graph_checksum(&v1.graph),
-            graph_checksum(&v2.graph),
-            "both versions must decode to the same graph"
-        );
-    }
-
-    #[test]
     fn snapshot_version_distinguishes_formats() {
         let (g, labels) = sample();
         let dir = std::env::temp_dir().join(format!("timg_ver_{}", std::process::id()));
@@ -1008,16 +834,21 @@ mod tests {
         let v1 = dir.join("g1.timg");
         let v2 = dir.join("g2.timg");
         let text = dir.join("g.txt");
-        std::fs::write(&v1, encode(&g, &labels)).unwrap();
+        // The start of a version 1 file: no writer emits one any more.
+        std::fs::write(&v1, [&MAGIC[..], &1u32.to_le_bytes(), &[7u8; 24]].concat()).unwrap();
         save_snapshot(&g, &labels, &v2).unwrap();
         crate::io::save_edge_list(&g, &text).unwrap();
-        assert_eq!(snapshot_version(&v1).unwrap(), Some(VERSION));
+        assert_eq!(snapshot_version(&v1).unwrap(), Some(1));
         assert_eq!(snapshot_version(&v2).unwrap(), Some(VERSION_V2));
         assert_eq!(snapshot_version(&text).unwrap(), None);
-        for path in [&v1, &v2] {
-            let loaded = crate::io::load_graph(path, false).unwrap();
-            assert_eq!(graph_checksum(&loaded.graph), graph_checksum(&g));
-            assert_eq!(loaded.labels, labels);
+        let loaded = crate::io::load_graph(&v2, false).unwrap();
+        assert_eq!(graph_checksum(&loaded.graph), graph_checksum(&g));
+        assert_eq!(loaded.labels, labels);
+        match crate::io::load_graph(&v1, false) {
+            Err(GraphError::Snapshot { message }) => {
+                assert!(message.contains("version 1"), "{message}")
+            }
+            other => panic!("expected a snapshot error, got {other:?}"),
         }
         for p in [&v1, &v2, &text] {
             std::fs::remove_file(p).ok();
@@ -1027,8 +858,8 @@ mod tests {
     #[test]
     fn v2_flipped_section_bit_fails_its_checksum() {
         let (g, labels) = sample();
-        let mut bytes = encode_v2(&g, &labels);
-        let layout = parse_v2_layout(&bytes, bytes.len() as u64).unwrap();
+        let mut bytes = encode(&g, &labels);
+        let layout = parse_v2_layout(&bytes).unwrap();
         let probe = layout.sections[v2_section::OUT_TARGETS].offset as usize + 2;
         bytes[probe] ^= 0x10;
         assert!(matches!(
@@ -1042,8 +873,8 @@ mod tests {
         // Sections and content are checked on two threads; the error is
         // still the one the sequential order finds first.
         let (g, labels) = sample();
-        let pristine = encode_v2(&g, &labels);
-        let layout = parse_v2_layout(&pristine, pristine.len() as u64).unwrap();
+        let pristine = encode(&g, &labels);
+        let layout = parse_v2_layout(&pristine).unwrap();
         // Sets a probability of `section` to another value in [0, 1], so
         // the structural scan still passes.
         let set_prob = |bytes: &mut Vec<u8>, section: usize| {
@@ -1062,7 +893,7 @@ mod tests {
         let path = dir.join("g.timg");
         let error = |bytes: &[u8]| {
             std::fs::write(&path, bytes).unwrap();
-            match map_snapshot_v2(&path, true) {
+            match map_snapshot_v2(&path) {
                 Err(GraphError::Snapshot { message }) => message,
                 other => panic!("expected a snapshot error, got {other:?}"),
             }
@@ -1101,14 +932,14 @@ mod tests {
             error(&content)
         );
         std::fs::write(&path, &pristine).unwrap();
-        assert!(map_snapshot_v2(&path, true).is_ok());
+        assert!(map_snapshot_v2(&path).is_ok());
         std::fs::remove_dir_all(&dir).ok();
     }
 
     #[test]
     fn v2_flipped_header_bit_fails_header_checksum() {
         let (g, labels) = sample();
-        let mut bytes = encode_v2(&g, &labels);
+        let mut bytes = encode(&g, &labels);
         bytes[17] ^= 0x01; // inside n, covered by the header checksum
         assert!(matches!(
             read_snapshot(bytes.as_slice()),

@@ -4,13 +4,13 @@
 //! `Arc<Graph>`: the shared graph plus the content checksum that keys
 //! pool provenance, computed once, so provenance checks never rescan the
 //! CSR. [`GraphStore::load`] opens any graph file, and the file picks
-//! the backing: text and v1 snapshots load onto the heap, v2 snapshots
-//! are mapped and fully checked. Whether the graph owns its arrays or
-//! views a mapped snapshot, it is the same [`Graph`], so every caller
-//! runs the same code either way.
+//! the backing: text loads onto the heap, a snapshot is mapped and fully
+//! checked before it returns. Whether the graph owns its arrays or views
+//! a mapped snapshot, it is the same [`Graph`], so every caller runs the
+//! same code either way. No call returns a mapped graph whose checksums
+//! were not checked.
 
-use crate::mmap::Array;
-use crate::snapshot::{self, graph_checksum};
+use crate::snapshot::graph_checksum;
 use crate::{io, weights, Graph, GraphError};
 use std::path::Path;
 use std::sync::Arc;
@@ -34,11 +34,11 @@ impl GraphStore {
     /// Loads the graph file at `path` for serving: the one loader of the
     /// catalog's path slots and of `tim serve` / `tim query`'s positional
     /// graph. The file picks the backing, as in [`io::load_graph`]: text
-    /// and v1 snapshots load onto the heap; a v2 snapshot is mapped and
-    /// passes every check the eager decoder runs before it returns.
+    /// loads onto the heap; a snapshot is mapped and passes every check
+    /// the eager decoder runs before it returns.
     ///
     /// Then the weight spec applies ([`weights::apply_spec`] with
-    /// `seed`). With `"keep"`, a v2 file's verified content checksum
+    /// `seed`). With `"keep"`, a snapshot's checked content checksum
     /// becomes the store's, so the graph is hashed once. Any other spec
     /// re-weights the graph (a mapped graph copies only its two
     /// probability arrays onto the heap) and hashes it again. Returns the
@@ -62,25 +62,6 @@ impl GraphStore {
             checksum,
         };
         Ok((store, loaded.labels))
-    }
-
-    /// Opens the v2 snapshot at `path` zero-copy: the store's graph views
-    /// the mapping, and its checksum is the one the header records (no
-    /// O(m) hash). The label section comes back next to it, also mapped.
-    ///
-    /// Errors with a clean [`GraphError`] when the file is not a v2
-    /// snapshot (see [`snapshot::snapshot_version`]), when any structural
-    /// invariant fails, and where [`CAN_MAP`](crate::mmap::CAN_MAP) is
-    /// false. Section checksums are deferred to [`Graph::verify`], and
-    /// the header's content checksum is taken on trust: serving loads go
-    /// through [`load`](Self::load), which checks both.
-    pub fn open_mmap<P: AsRef<Path>>(path: P) -> Result<(GraphStore, Array<u64>), GraphError> {
-        let (graph, labels, checksum) = snapshot::map_snapshot_v2(path.as_ref(), false)?;
-        let store = GraphStore {
-            graph: Arc::new(graph),
-            checksum,
-        };
-        Ok((store, labels))
     }
 
     /// The graph.
@@ -166,7 +147,7 @@ mod tests {
         let path = dir.join("s.timg");
         crate::snapshot::save_snapshot(&g, &labels, &path).unwrap();
         let heap = GraphStore::from(g);
-        let (mmap, _) = GraphStore::open_mmap(&path).unwrap();
+        let (mmap, _) = GraphStore::load(&path, false, "keep", 0).unwrap();
         assert!(mmap.is_mmap());
         assert_eq!(mmap.checksum(), heap.checksum());
         assert_eq!(graph_checksum(mmap.graph()), heap.checksum());
@@ -222,6 +203,7 @@ mod tests {
         std::fs::create_dir_all(&dir).unwrap();
         let path = dir.join("r.timg");
         crate::snapshot::save_snapshot(&g, &labels, &path).unwrap();
+        let original = std::fs::read(&path).unwrap();
         let (mapped, _) = GraphStore::load(&path, false, "keep", 0).unwrap();
         assert!(mapped.is_mmap());
         let before = mapped.checksum();
@@ -232,7 +214,7 @@ mod tests {
         crate::snapshot::save_snapshot(&other, &labels, &path).unwrap();
 
         assert_eq!(graph_checksum(mapped.graph()), before);
-        mapped.graph().verify().unwrap();
+        assert_eq!(mapped.graph().mapping().unwrap().bytes(), &original[..]);
         let (reloaded, _) = GraphStore::load(&path, false, "keep", 0).unwrap();
         assert_eq!(reloaded.checksum(), graph_checksum(&other));
         std::fs::remove_dir_all(&dir).ok();

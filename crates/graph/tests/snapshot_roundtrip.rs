@@ -1,9 +1,11 @@
 //! Property tests for graph IO: text → snapshot → load must be lossless
 //! (bit-identical CSR arrays and label maps), and corrupt or truncated
-//! snapshots must be rejected, never mis-loaded.
+//! snapshots must be rejected, never mis-loaded, by every loader
+//! (`io::load_graph` and `GraphStore::load`). Every byte of the file
+//! counts: a flip in the zero padding between sections is refused too.
 
 use proptest::prelude::*;
-use tim_graph::{gen, io, snapshot, weights, Graph, GraphError, NodeId};
+use tim_graph::{gen, io, snapshot, weights, Graph, GraphError, GraphStore, NodeId};
 
 /// Deterministic synthetic graph with a non-trivial label map, built by
 /// writing a generated graph out as text with remapped sparse labels and
@@ -37,6 +39,21 @@ fn assert_graphs_bit_identical(a: &Graph, b: &Graph) {
     assert_eq!(snapshot::graph_checksum(a), snapshot::graph_checksum(b));
 }
 
+/// Writes `bytes` to a fresh file and reports whether each loader
+/// refused it: `(io::load_graph, GraphStore::load)`.
+fn loaders_refuse(bytes: &[u8], tag: &str) -> (bool, bool) {
+    let dir = std::env::temp_dir().join(format!("timg_prop_bad_{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    let path = dir.join(format!("{tag}.timg"));
+    std::fs::write(&path, bytes).unwrap();
+    let refused = (
+        io::load_graph(&path, false).is_err(),
+        GraphStore::load(&path, false, "keep", 0).is_err(),
+    );
+    std::fs::remove_file(&path).ok();
+    refused
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(16))]
 
@@ -47,15 +64,12 @@ proptest! {
         seed in 0u64..1_000,
     ) {
         let loaded = labelled_graph(n, density, seed);
-        let (mut v2, mut v1) = (Vec::new(), Vec::new());
-        snapshot::write_snapshot(&loaded.graph, &loaded.labels, &mut v2).unwrap();
-        snapshot::write_snapshot_v1(&loaded.graph, &loaded.labels, &mut v1).unwrap();
-        for buf in [v2, v1] {
-            let reloaded = snapshot::read_snapshot(buf.as_slice()).unwrap();
-            prop_assert_eq!(&reloaded.labels, &loaded.labels);
-            assert_graphs_bit_identical(&reloaded.graph, &loaded.graph);
-            prop_assert!(reloaded.graph.validate().is_ok());
-        }
+        let mut buf = Vec::new();
+        snapshot::write_snapshot(&loaded.graph, &loaded.labels, &mut buf).unwrap();
+        let reloaded = snapshot::read_snapshot(buf.as_slice()).unwrap();
+        prop_assert_eq!(&reloaded.labels, &loaded.labels);
+        assert_graphs_bit_identical(&reloaded.graph, &loaded.graph);
+        prop_assert!(reloaded.graph.validate().is_ok());
     }
 
     #[test]
@@ -66,12 +80,17 @@ proptest! {
     ) {
         let loaded = labelled_graph(n, 2, seed);
         let mut buf = Vec::new();
-        snapshot::write_snapshot_v1(&loaded.graph, &loaded.labels, &mut buf).unwrap();
-        let cut = ((buf.len() - 1) as f64 * frac) as usize;
+        snapshot::write_snapshot(&loaded.graph, &loaded.labels, &mut buf).unwrap();
+        // Cuts keep the magic and version: shorter, a file is no snapshot
+        // by content, and the loaders read it as a text edge list.
+        let cut = 8 + ((buf.len() - 9) as f64 * frac) as usize;
         prop_assert!(
             snapshot::read_snapshot(&buf[..cut]).is_err(),
-            "truncation to {} of {} bytes must fail", cut, buf.len()
+            "the heap decode accepted a truncation to {} of {} bytes", cut, buf.len()
         );
+        let (load_graph, store_load) = loaders_refuse(&buf[..cut], "cut");
+        prop_assert!(load_graph, "io::load_graph accepted a truncation to {} bytes", cut);
+        prop_assert!(store_load, "GraphStore::load accepted a truncation to {} bytes", cut);
     }
 
     #[test]
@@ -81,20 +100,16 @@ proptest! {
         frac in 0.0f64..1.0,
         bit in 0u32..8,
     ) {
-        // v1 checksums every byte after its checksum field; the v2
-        // corruption suite (`snapshot_v2`) covers the v2 layout, whose
-        // padding no checksum covers.
         let loaded = labelled_graph(n, 2, seed);
         let mut buf = Vec::new();
-        snapshot::write_snapshot_v1(&loaded.graph, &loaded.labels, &mut buf).unwrap();
+        snapshot::write_snapshot(&loaded.graph, &loaded.labels, &mut buf).unwrap();
         let pos = ((buf.len() - 1) as f64 * frac) as usize;
         buf[pos] ^= 1 << bit;
-        // A flip anywhere — header, checksum field, or payload — must
+        // A flip anywhere — header, table, padding, or a section — must
         // surface as an error, never as a silently different graph.
-        prop_assert!(
-            snapshot::read_snapshot(buf.as_slice()).is_err(),
-            "bit {} of byte {} flipped undetected", bit, pos
-        );
+        let (load_graph, store_load) = loaders_refuse(&buf, "flip");
+        prop_assert!(load_graph, "io::load_graph missed bit {} of byte {}", bit, pos);
+        prop_assert!(store_load, "GraphStore::load missed bit {} of byte {}", bit, pos);
     }
 
     #[test]

@@ -3,15 +3,12 @@
 //! boundary, misaligned/overlapping/out-of-bounds section offsets, huge
 //! claimed counts. Every hostile input must yield a clean
 //! [`GraphError`], never a panic or an out-of-bounds read, on every v2
-//! reader: the eager heap decode (`read_snapshot`), the zero-copy
-//! mapping (`GraphStore::open_mmap` + `Graph::verify`), and the loader
-//! that maps and checks at once (`io::load_graph`). A corrupt attach must
-//! also leave a catalog slot reusable, not poisoned.
+//! reader: the eager heap decode (`read_snapshot`) and the loaders that
+//! map and check at once (`io::load_graph`, `GraphStore::load`). A
+//! corrupt attach must also leave a catalog slot reusable, not poisoned.
 
-use tim_graph::snapshot::{
-    graph_checksum, read_snapshot, save_snapshot, snapshot_version, write_snapshot_v1,
-};
-use tim_graph::{gen, io, weights, Graph, GraphStore};
+use tim_graph::snapshot::{graph_checksum, read_snapshot, save_snapshot, snapshot_version, MAGIC};
+use tim_graph::{gen, io, weights, Graph, GraphError, GraphStore};
 
 const HEADER_BYTES: usize = 272;
 const ALIGN: usize = 4096;
@@ -39,17 +36,13 @@ fn write_sample(dir: &std::path::Path, name: &str) -> (std::path::PathBuf, Vec<u
     (path, bytes)
 }
 
-/// Writes a v1 copy of the sample to `path`.
-fn write_sample_v1(path: &std::path::Path) {
-    let (g, labels) = sample();
-    let mut bytes = Vec::new();
-    write_snapshot_v1(&g, &labels, &mut bytes).unwrap();
-    std::fs::write(path, bytes).unwrap();
+/// Writes the start of a version 1 file to `path`: the magic, version 1,
+/// then a few payload bytes. No writer emits version 1 any more.
+fn write_v1(path: &std::path::Path) {
+    std::fs::write(path, [&MAGIC[..], &1u32.to_le_bytes(), &[9u8; 40]].concat()).unwrap();
 }
 
-/// Every v2 reader must reject the mutated bytes with a clean error. The
-/// mapped reader gets its deferred check too (`verify`), since open alone
-/// intentionally skips the O(m) section hashing.
+/// Every v2 reader must reject the mutated bytes with a clean error.
 fn assert_rejected(dir: &std::path::Path, bytes: &[u8], what: &str) {
     let path = dir.join("mutant.timg");
     std::fs::write(&path, bytes).unwrap();
@@ -64,11 +57,9 @@ fn assert_rejected(dir: &std::path::Path, bytes: &[u8], what: &str) {
             io::load_graph(&path, false).is_err(),
             "{what}: the loader accepted corrupt bytes"
         );
-    }
-    if let Ok((view, _)) = GraphStore::open_mmap(&path) {
         assert!(
-            view.graph().verify().is_err(),
-            "{what}: mmap open + verify accepted corrupt bytes"
+            GraphStore::load(&path, false, "keep", 0).is_err(),
+            "{what}: the store loader accepted corrupt bytes"
         );
     }
 }
@@ -121,10 +112,10 @@ fn v2_round_trip_is_bit_identical_and_content_faithful() {
     let loaded = io::load_graph(&path, false).unwrap();
     assert_eq!(graph_checksum(&loaded.graph), graph_checksum(&g));
     assert_eq!(loaded.labels, labels);
-    let (view, mapped_labels) = GraphStore::open_mmap(&path).unwrap();
-    view.graph().verify().unwrap();
+    let (view, mapped_labels) = GraphStore::load(&path, false, "keep", 0).unwrap();
+    assert_eq!(view.is_mmap(), tim_graph::mmap::CAN_MAP);
     assert_eq!(view.checksum(), graph_checksum(&g));
-    assert_eq!(&mapped_labels[..], &labels[..]);
+    assert_eq!(mapped_labels, labels);
     assert_eq!(graph_checksum(view.graph()), graph_checksum(&g));
 
     // Sections are page-aligned as advertised.
@@ -139,44 +130,28 @@ fn bit_flips_anywhere_are_rejected_cleanly() {
     let dir = tmpdir("bitflips");
     let (_, pristine) = write_sample(&dir, "src");
     // A deterministic spray: every region of the file gets hit — header
-    // fields, table entries, section payloads, padding (a flipped pad
-    // byte lands in a checksummed... no: padding is not covered by any
-    // section checksum, so flips there may legitimately be accepted by
-    // both readers; skip bytes that fall outside every section).
-    let sections = table(&pristine);
-    let in_some_section = |pos: usize| {
-        pos < HEADER_BYTES
-            || sections
-                .iter()
-                .any(|&(o, l)| (pos as u64) >= o && (pos as u64) < o + l)
-    };
+    // fields, table entries, the zero padding, section payloads.
     let mut step = 97usize; // coprime-ish stride: ~hundreds of positions
     let mut pos = 3usize;
     while pos < pristine.len() {
-        if in_some_section(pos) {
-            let mut mutant = pristine.clone();
-            mutant[pos] ^= 1 << (pos % 8);
-            let path = dir.join("mutant.timg");
-            std::fs::write(&path, &mutant).unwrap();
-            // The eager reader and the loader check everything at load;
-            // a single flipped bit in header, table, or any section must
-            // surface as Err.
-            assert!(
-                read_snapshot(mutant.as_slice()).is_err(),
-                "eager decode accepted a bit flip at byte {pos}"
-            );
-            assert!(
-                io::load_graph(&path, false).is_err(),
-                "the loader accepted a bit flip at byte {pos}"
-            );
-            // The mapped reader may defer payload checks to verify().
-            if let Ok((view, _)) = GraphStore::open_mmap(&path) {
-                assert!(
-                    view.graph().verify().is_err(),
-                    "mmap verify accepted a bit flip at byte {pos}"
-                );
-            }
-        }
+        let mut mutant = pristine.clone();
+        mutant[pos] ^= 1 << (pos % 8);
+        let path = dir.join("mutant.timg");
+        std::fs::write(&path, &mutant).unwrap();
+        // Every reader checks everything at load: a single flipped bit
+        // anywhere must surface as Err.
+        assert!(
+            read_snapshot(mutant.as_slice()).is_err(),
+            "eager decode accepted a bit flip at byte {pos}"
+        );
+        assert!(
+            io::load_graph(&path, false).is_err(),
+            "the loader accepted a bit flip at byte {pos}"
+        );
+        assert!(
+            GraphStore::load(&path, false, "keep", 0).is_err(),
+            "the store loader accepted a bit flip at byte {pos}"
+        );
         pos += step;
         step = step.wrapping_mul(31) % 151 + 17; // vary the stride
     }
@@ -339,25 +314,37 @@ fn structural_csr_corruption_is_rejected_by_both_readers() {
 
 #[test]
 fn io_load_graph_version_gates_transparently() {
-    // Both directions of the version gate: v1 snapshots keep loading onto
-    // the heap on a v2-writing build, and a v2 file handed to the same
-    // loader is mapped, checked, and answers for the same graph.
+    // Both directions of the version gate: a v1 snapshot is refused with
+    // an error that names its version and the way to rewrite it, and a
+    // v2 file handed to the same loader is mapped, checked, and answers
+    // for the same graph.
     let dir = tmpdir("io_gate");
     let (g, labels) = sample();
     let v1 = dir.join("g.v1.timg");
     let v2 = dir.join("g.v2.timg");
-    write_sample_v1(&v1);
+    write_v1(&v1);
     save_snapshot(&g, &labels, &v2).unwrap();
     assert_eq!(snapshot_version(&v1).unwrap(), Some(1));
     assert_eq!(snapshot_version(&v2).unwrap(), Some(2));
 
-    let from_v1 = io::load_graph(&v1, false).unwrap();
+    let refusals = [
+        io::load_graph(&v1, false).map(drop),
+        GraphStore::load(&v1, false, "keep", 0).map(drop),
+        read_snapshot(std::fs::read(&v1).unwrap().as_slice()).map(drop),
+    ];
+    for refused in refusals {
+        match refused {
+            Err(GraphError::Snapshot { message }) => {
+                assert!(message.contains("version 1"), "{message}");
+                assert!(message.contains("tim snapshot"), "{message}");
+                assert!(message.contains("text edge list"), "{message}");
+            }
+            other => panic!("a v1 file must be refused, got {other:?}"),
+        }
+    }
     let from_v2 = io::load_graph(&v2, false).unwrap();
-    assert!(from_v1.graph.mapping().is_none());
     assert_eq!(from_v2.graph.mapping().is_some(), tim_graph::mmap::CAN_MAP);
-    assert_eq!(graph_checksum(&from_v1.graph), graph_checksum(&g));
     assert_eq!(graph_checksum(&from_v2.graph), graph_checksum(&g));
-    assert_eq!(from_v1.labels, labels);
     assert_eq!(from_v2.labels, labels);
 
     // A plain text edge list still sniffs as "not a snapshot".
@@ -370,29 +357,30 @@ fn io_load_graph_version_gates_transparently() {
 
 #[test]
 fn corrupt_open_never_yields_a_usable_store() {
-    // GraphStore::open_mmap — the path the catalog attaches through —
-    // must fail closed on the same corruption the readers reject.
+    // GraphStore::load — the path the catalog attaches through — must
+    // fail closed on the same corruption the readers reject.
     let dir = tmpdir("store");
     let (_, pristine) = write_sample(&dir, "src");
     let path = dir.join("mutant.timg");
+    let open = |path: &std::path::Path| GraphStore::load(path, false, "keep", 0);
 
     let mut truncated = pristine.clone();
     truncated.truncate(HEADER_BYTES + 100);
     std::fs::write(&path, &truncated).unwrap();
-    assert!(GraphStore::open_mmap(&path).is_err());
+    assert!(open(&path).is_err());
 
     let mut flipped = pristine.clone();
     flipped[20] ^= 0xFF; // count field under the header checksum
     std::fs::write(&path, &flipped).unwrap();
-    assert!(GraphStore::open_mmap(&path).is_err());
+    assert!(open(&path).is_err());
 
-    // A v1 snapshot is not mmap-able: open must refuse, not misread.
+    // A v1 snapshot is not read: the open must refuse, not misread.
     let v1 = dir.join("v1.timg");
-    write_sample_v1(&v1);
-    assert!(GraphStore::open_mmap(&v1).is_err());
+    write_v1(&v1);
+    assert!(open(&v1).is_err());
     // ...and the pristine v2 still opens after all those rejections.
     std::fs::write(&path, &pristine).unwrap();
-    let (store, _) = GraphStore::open_mmap(&path).unwrap();
+    let (store, _) = open(&path).unwrap();
     assert_eq!(store.checksum(), graph_checksum(&sample().0));
     std::fs::remove_dir_all(&dir).ok();
 }

@@ -13,11 +13,11 @@
 //! sampling (cold miss → disk probe → build only on a true miss), a
 //! fresh build is spilled back to disk, and eviction spills a pool that
 //! grew since its last spill instead of destroying the work. Warm state
-//! thereby survives both eviction and process restarts. The file picks
-//! the backing of a restore: a v2 spill is mapped zero-copy
-//! ([`tim_engine::RrPool::open_mapped`]) and checksum-verified before it
-//! serves, with no per-restore allocation or index rebuild; a v1 file
-//! decodes onto the heap. Answers are the same either way.
+//! thereby survives both eviction and process restarts. A restore maps
+//! the spill zero-copy ([`PoolStore::probe_backed`]), which runs every
+//! check of the file before it returns, with no per-restore allocation
+//! or index rebuild; a file that fails one, or of another format
+//! version, is quarantined and the pool rebuilt.
 //!
 //! Two locking properties matter for serving:
 //!
@@ -164,8 +164,8 @@ impl<M: DiffusionModel + Clone> PoolCache<M> {
     /// (spill on build, on eviction of a grown pool, and on
     /// [`spill_dirty`](Self::spill_dirty) sync); without it the store is
     /// read-only until an explicit [`spill_dirty`](Self::spill_dirty).
-    /// v2 spills restore as verified zero-copy mappings, v1 files as heap
-    /// decodes; answers are byte-identical either way.
+    /// Spills restore as checked zero-copy mappings; answers are
+    /// byte-identical to the pool that was spilled.
     ///
     /// # Panics
     /// Panics if `capacity == 0`.
@@ -294,8 +294,8 @@ impl<M: DiffusionModel + Clone> PoolCache<M> {
 
     fn store_probe(&self, key: &PoolKey) -> Option<ProbedPool> {
         let store = self.store.as_ref()?;
-        let found = match store.probe_backed(key, true) {
-            Ok(found) => found?,
+        match store.probe_backed(key, true) {
+            Ok(found) => found,
             Err(e) => {
                 // IO trouble (permissions, disk): serving must not die —
                 // fall through to a build, like a store-less cache.
@@ -303,22 +303,9 @@ impl<M: DiffusionModel + Clone> PoolCache<M> {
                     "pool store: probe failed in {} ({e}); rebuilding",
                     store.root().display()
                 );
-                return None;
-            }
-        };
-        if let ProbedPool::Mapped(mapped) = &found {
-            // Mapping defers the section checksums; pay them here, once,
-            // before the pool can serve. The scan is sequential (and
-            // prefaults the pages selection will touch) — it replaces a
-            // heap restore's read-everything + decode + index rebuild,
-            // not adds to it. A mismatch is corruption: quarantine and
-            // rebuild, exactly like a failed heap decode.
-            if let Err(e) = store.verify_mapped(mapped) {
-                store.quarantine_id(key, &e.to_string());
-                return None;
+                None
             }
         }
-        Some(found)
     }
 
     /// Spills `engine`'s pool and records the spilled epoch on the slot.

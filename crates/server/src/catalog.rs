@@ -23,10 +23,10 @@
 //! `<pool-dir>/<name>/` so its warm pools survive eviction and restarts.
 //!
 //! Path-backed graphs load through [`GraphStore::load`], so the file
-//! picks the backing: a v2 snapshot is mapped, and is served only after
-//! every section and content checksum passes; text and v1 files load
-//! onto the heap. A served file must be replaced by rename, never
-//! rewritten in place.
+//! picks the backing: a snapshot is mapped, and is served only after
+//! every section and content checksum passes; text files load onto the
+//! heap. A served file must be replaced by rename, never rewritten in
+//! place.
 //!
 //! Locking follows the same discipline as [`PoolCache`]:
 //!
@@ -201,10 +201,10 @@ impl<M: DiffusionModel + Send + Clone + 'static> GraphState<M> {
     }
 
     /// Attaches a pool loaded from this graph's store to the graph —
-    /// the read-through path, zero-copy mapped (a verified v2 file) or
-    /// heap-decoded (a v1 file). A failure (the file matched its name
-    /// but not the served graph) is reported to the cache, which
-    /// quarantines the file and falls back to a build.
+    /// the read-through path, zero-copy mapped after its checksum pass
+    /// (heap-decoded where the host cannot map). A failure (the file
+    /// matched its name but not the served graph) is reported to the
+    /// cache, which quarantines the file and falls back to a build.
     fn restore_engine(&self, pool: ProbedPool) -> Result<SharedEngine<M>, String> {
         let mut engine = QueryEngine::from_pool_store(
             self.store.clone(),
@@ -298,8 +298,9 @@ impl<M: DiffusionModel + Send + Clone + 'static> GraphState<M> {
     /// One `stats pools` answer line: this graph's pool-cache counters
     /// (hit/miss/build/load/spill/evict) plus the store's quarantine and
     /// restore-backing counters (`mmap_opens`/`verifies`/`heap_loads` —
-    /// how restores were served: v2 files zero-copy mapped and
-    /// checksum-verified, v1 files heap-decoded), then the cached pools'
+    /// how restores were served: checksum passes run, restores served
+    /// zero-copy mapped, and restores decoded onto the heap), then the
+    /// cached pools'
     /// total `theta` and `pool_bytes` (heap + mapped), read from the
     /// sizes each engine publishes, so the line never waits on a build or
     /// a growth (a pool between its two warm-up steps counts θ(`k_max`)),
@@ -307,7 +308,7 @@ impl<M: DiffusionModel + Send + Clone + 'static> GraphState<M> {
     /// contained. Deliberately **not** deterministic across
     /// interleavings — it reports live effectiveness, which is the
     /// point: the warm-path claim (`builds=0` with `mmap_opens>0` after
-    /// a warm restart over v2 spills) is observable, not inferred.
+    /// a warm restart over spilled pools) is observable, not inferred.
     pub fn pools_line(&self) -> String {
         let s = self.cache.stats();
         let store = self.pool_store().map(|store| store.stats());

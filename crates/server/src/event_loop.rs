@@ -28,7 +28,9 @@
 //!   and closes — with a hard deadline so a stuck peer cannot pin
 //!   shutdown.
 
-use crate::protocol::{CappedLineReader, DiscardOutcome, PollLine, OVERSIZED_LINE_REPLY};
+use crate::protocol::{
+    CappedLineReader, DiscardOutcome, PollLine, IDLE_TIMEOUT_REPLY, OVERSIZED_LINE_REPLY,
+};
 use crate::reactor::{Events, Interest, Poller, TimerWheel};
 use crate::server::{ServerState, MAX_LINE_BYTES};
 use crate::session::Session;
@@ -43,9 +45,6 @@ use tim_diffusion::DiffusionModel;
 
 /// Answer sent (best-effort) to a connection refused by `--max-conns`.
 pub const AT_CAPACITY_REPLY: &str = "error: server at connection capacity";
-
-/// Answer sent (best-effort) before an idle connection is closed.
-pub const IDLE_TIMEOUT_REPLY: &str = "error: idle timeout, closing connection";
 
 /// Per-connection answer backlog beyond which the server stops reading
 /// from that connection (pipelining backpressure).

@@ -84,13 +84,14 @@ pub mod session;
 pub use cache::{CacheStats, PoolCache, PoolKey};
 pub use catalog::{CatalogStats, GraphCatalog, GraphState};
 #[cfg(target_os = "linux")]
-pub use event_loop::{AT_CAPACITY_REPLY, IDLE_TIMEOUT_REPLY};
+pub use event_loop::AT_CAPACITY_REPLY;
 #[cfg(target_os = "linux")]
 pub use fanin::{drive_sessions, latency_stats, FaninReport, LatencyStats, SessionOutcome};
 pub use protocol::{
     execute, parse_query, parse_request, CappedLine, CappedLineReader, LabelMap, ParsedLine,
-    ParsedRequest, PollLine, Query, QueryBackend, Reply, Request, INTERNAL_ERROR_REPLY, MAX_BATCH,
-    MAX_BATCH_BYTES, MAX_LINE_BYTES, OVERSIZED_BATCH_REPLY, OVERSIZED_LINE_REPLY, PROTOCOL_VERSION,
+    ParsedRequest, PollLine, Query, QueryBackend, Reply, Request, IDLE_TIMEOUT_REPLY,
+    INTERNAL_ERROR_REPLY, MAX_BATCH, MAX_BATCH_BYTES, MAX_LINE_BYTES, OVERSIZED_BATCH_REPLY,
+    OVERSIZED_LINE_REPLY, PROTOCOL_VERSION,
 };
 pub use server::{Server, ServerConfig, ServerHandle, ServerState, DEFAULT_GRAPH_NAME};
 pub use session::Session;

@@ -65,6 +65,10 @@ pub const MAX_LINE_BYTES: u64 = 1 << 20;
 /// The answer line sent for a request line over [`MAX_LINE_BYTES`].
 pub const OVERSIZED_LINE_REPLY: &str = "error: request line exceeds the 1 MiB limit";
 
+/// The answer line sent (best-effort) before a connection idle for
+/// longer than `--idle-timeout` is closed, by either serving core.
+pub const IDLE_TIMEOUT_REPLY: &str = "error: idle timeout, closing connection";
+
 /// The answer line sent for a request whose answer panicked (a plan, a
 /// growth, the fast cover or a warm-up that the request ran). The
 /// session goes on, and the graph's `stats pools` line counts it under

@@ -6,6 +6,8 @@
 //! completion by the worker that accepted it, through its own
 //! [`Session`] (current graph, pending batch) — per-connection state
 //! lives in the session, everything heavy (graphs, pools) is shared.
+//! With [`ServerConfig::idle_timeout`] a worker closes a connection that
+//! stays silent that long, so idle clients cannot hold every worker.
 //! Query concurrency *within* a pool is the [`SharedEngine`]'s
 //! published state, which reads answer from without waiting; pool *diversity* across query mixes is the per-graph
 //! [`PoolCache`](crate::cache::PoolCache); graph *diversity* across
@@ -15,7 +17,9 @@
 
 use crate::cache::{CacheStats, PoolKey};
 use crate::catalog::{CatalogStats, GraphCatalog, GraphState};
-use crate::protocol::{CappedLine, CappedLineReader, LabelMap, OVERSIZED_LINE_REPLY};
+use crate::protocol::{
+    CappedLine, CappedLineReader, LabelMap, IDLE_TIMEOUT_REPLY, OVERSIZED_LINE_REPLY,
+};
 use crate::session::Session;
 use std::io::Write;
 use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
@@ -78,10 +82,11 @@ pub struct ServerConfig {
     /// reactor shard count and concurrency is bounded by fds, not
     /// stacks. Default false.
     pub event_loop: bool,
-    /// Event-loop mode only: close connections with no socket activity
-    /// for this long (best-effort [`crate::event_loop::IDLE_TIMEOUT_REPLY`]
-    /// first). `None` (the default) keeps idle connections forever, like
-    /// the blocking server.
+    /// Close connections with no socket activity for this long
+    /// (best-effort [`IDLE_TIMEOUT_REPLY`] first), on either serving
+    /// core. The thread pool sets it as each connection's read and write
+    /// timeout, so an idle or stalled client frees its worker. `None`
+    /// (the default) keeps idle connections forever.
     pub idle_timeout: Option<std::time::Duration>,
     /// Event-loop mode only: admission cap on concurrent connections;
     /// excess connections get a best-effort
@@ -425,19 +430,43 @@ fn write_answers(writer: &mut TcpStream, answers: &[String]) -> std::io::Result<
     writer.flush()
 }
 
+/// True for the error a socket read returns when its timeout expires:
+/// `WouldBlock` on unix, `TimedOut` elsewhere.
+fn timed_out(e: &std::io::Error) -> bool {
+    matches!(
+        e.kind(),
+        std::io::ErrorKind::WouldBlock | std::io::ErrorKind::TimedOut
+    )
+}
+
 /// Serves one connection: one session, one answer line per request line,
-/// until EOF (a pending batch flushes at EOF).
+/// until EOF (a pending batch flushes at EOF). With
+/// [`ServerConfig::idle_timeout`], a read that waits longer ends the
+/// connection as the event loop does: [`IDLE_TIMEOUT_REPLY`] goes out
+/// best-effort, and a pending batch is dropped unanswered. A write that
+/// waits longer drops the connection.
 fn serve_connection<M: DiffusionModel + Send + Clone + 'static>(
     state: &ServerState<M>,
     stream: TcpStream,
 ) -> std::io::Result<()> {
     stream.set_nodelay(true).ok();
+    let idle_timeout = state.config().idle_timeout;
+    stream.set_read_timeout(idle_timeout)?;
+    stream.set_write_timeout(idle_timeout)?;
     let mut reader = CappedLineReader::new(stream.try_clone()?);
     let mut writer = stream;
     let mut session = state.session();
     let mut line = String::new();
     loop {
-        match reader.read_line(&mut line)? {
+        let read = match reader.read_line(&mut line) {
+            Err(e) if timed_out(&e) => {
+                let _ = writer.write_all(format!("{IDLE_TIMEOUT_REPLY}\n").as_bytes());
+                let _ = writer.shutdown(std::net::Shutdown::Both);
+                return Ok(());
+            }
+            read => read?,
+        };
+        match read {
             CappedLine::Eof => break,
             CappedLine::Oversized => {
                 writer.write_all(OVERSIZED_LINE_REPLY.as_bytes())?;

@@ -1,9 +1,10 @@
 //! Event-loop serving acceptance: thousands of truly concurrent
 //! sessions produce byte-identical transcripts vs a serial replay, idle
-//! connections are reaped without disturbing active ones, admission
-//! control refuses over-cap connections, graceful drain answers what is
-//! in flight, and the oversized-line close discipline survives the
-//! nonblocking rewrite.
+//! connections are reaped without disturbing active ones (on both
+//! serving cores, so idle clients cannot starve the thread pool's
+//! workers either), admission control refuses over-cap connections,
+//! graceful drain answers what is in flight, and the oversized-line
+//! close discipline survives the nonblocking rewrite.
 #![cfg(target_os = "linux")]
 
 use std::io::{BufRead, BufReader, Read, Write};
@@ -113,9 +114,22 @@ fn thousand_concurrent_sessions_match_serial_replay() {
     handle.stop();
 }
 
-#[test]
-fn idle_connections_are_reaped_without_disturbing_active_ones() {
+/// Reads the idle notice and then EOF from a connection that sent
+/// nothing.
+fn assert_reaped(idle: TcpStream) {
+    let mut gone = String::new();
+    let mut idle_reader = BufReader::new(idle);
+    idle_reader.read_line(&mut gone).unwrap();
+    assert_eq!(gone.trim_end(), IDLE_TIMEOUT_REPLY);
+    gone.clear();
+    assert_eq!(idle_reader.read_line(&mut gone).unwrap(), 0, "then EOF");
+}
+
+/// Idle reaping on one serving core: the epoll event loop, or the
+/// thread pool (`event_loop = false`).
+fn idle_reaping(event_loop: bool) {
     let mut cfg = config();
+    cfg.event_loop = event_loop;
     cfg.idle_timeout = Some(Duration::from_millis(300));
     let (_state, handle) = start(cfg);
     let addr = handle.addr();
@@ -145,19 +159,45 @@ fn idle_connections_are_reaped_without_disturbing_active_ones() {
 
     // ~1s of silence vs a 300ms timeout: the idle connection must be
     // gone, with the best-effort notice first.
-    let mut gone = String::new();
-    let mut idle_reader = BufReader::new(idle);
-    idle_reader.read_line(&mut gone).unwrap();
-    assert_eq!(gone.trim_end(), IDLE_TIMEOUT_REPLY);
-    gone.clear();
-    assert_eq!(idle_reader.read_line(&mut gone).unwrap(), 0, "then EOF");
+    assert_reaped(idle);
 
     // The active connection still finishes a clean session.
     active.write_all(b"ping\n").unwrap();
     answer.clear();
     active_reader.read_line(&mut answer).unwrap();
     assert_eq!(answer.trim_end(), "pong tim/3");
+    drop((active, active_reader));
+
+    if !event_loop {
+        // Both workers (threads = 2) held by connections that send
+        // nothing: a third client is answered once the timeout frees
+        // one of them, well within 2 s.
+        let idle: Vec<TcpStream> = (0..2).map(|_| TcpStream::connect(addr).unwrap()).collect();
+        let started = std::time::Instant::now();
+        let mut third = TcpStream::connect(addr).unwrap();
+        third
+            .set_read_timeout(Some(Duration::from_secs(2)))
+            .unwrap();
+        third.write_all(b"ping\n").unwrap();
+        let mut answer = String::new();
+        BufReader::new(third)
+            .read_line(&mut answer)
+            .expect("the third client is answered within 2 s");
+        assert_eq!(answer.trim_end(), "pong tim/3");
+        assert!(started.elapsed() < Duration::from_secs(2));
+        for conn in idle {
+            conn.set_read_timeout(Some(Duration::from_secs(10)))
+                .unwrap();
+            assert_reaped(conn);
+        }
+    }
     handle.stop();
+}
+
+#[test]
+fn idle_connections_are_reaped_without_disturbing_active_ones() {
+    idle_reaping(true);
+    idle_reaping(false);
 }
 
 #[test]

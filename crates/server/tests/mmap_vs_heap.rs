@@ -2,12 +2,12 @@
 //! and mmap-backed must answer every `tim/3` session byte-identically —
 //! selections, fast selections, spreads, marginals, batches, admin
 //! stats — and must share pool provenance, so pools spilled by one
-//! backing warm-start the other. Registration and file format pick the
-//! backing: the heap side is the graph registered resident or a v1 copy
-//! attached by path, the mapped side is the v2 file attached by path.
+//! backing warm-start the other. Registration picks the backing: the
+//! heap side is the generated graph registered resident, the mapped side
+//! its snapshot attached by path.
 
 use tim_diffusion::IndependentCascade;
-use tim_graph::{gen, snapshot, weights, Graph, GraphStore};
+use tim_graph::{gen, io, snapshot, weights, Graph, GraphError, GraphStore};
 use tim_server::{GraphCatalog, LabelMap, ServerConfig, ServerState};
 
 fn wc_graph(n: usize, seed: u64) -> Graph {
@@ -37,45 +37,38 @@ fn tmpdir(tag: &str) -> std::path::PathBuf {
     dir
 }
 
-/// Writes a weighted graph (sparse labels, so the mapped label section is
-/// exercised) as a v2 snapshot and returns its path.
+/// The sparse labels `save_graph` bakes in, so the mapped label section
+/// is exercised.
+fn labels(n: usize) -> Vec<u64> {
+    (0..n as u64).map(|v| v * 10 + 3).collect()
+}
+
+/// Writes a weighted graph as a v2 snapshot and returns its path.
 fn save_graph(dir: &std::path::Path, name: &str, n: usize, seed: u64) -> std::path::PathBuf {
     let g = wc_graph(n, seed);
-    let labels: Vec<u64> = (0..g.n() as u64).map(|v| v * 10 + 3).collect();
     let path = dir.join(format!("{name}.timg"));
-    snapshot::save_snapshot(&g, &labels, &path).unwrap();
+    snapshot::save_snapshot(&g, &labels(g.n()), &path).unwrap();
     path
 }
 
-/// A single-graph catalog state that attaches `path` by path: a v2 file
-/// is served mapped, a v1 file from the heap.
+/// A single-graph catalog state that attaches `path` by path: a snapshot
+/// is served mapped.
 fn state_over(path: &std::path::Path, config: ServerConfig) -> ServerState<IndependentCascade> {
     let catalog = GraphCatalog::new(IndependentCascade, "ic", config);
     catalog.add_path("g", path).unwrap();
     ServerState::from_catalog(catalog, "g").unwrap()
 }
 
-/// The heap side: the graph of the v2 file at `path`, decoded eagerly and
-/// registered resident.
-fn resident_state(path: &std::path::Path, config: ServerConfig) -> ServerState<IndependentCascade> {
-    let loaded = snapshot::read_snapshot(std::fs::read(path).unwrap().as_slice()).unwrap();
+/// The heap side: the graph `save_graph(_, _, n, seed)` wrote, generated
+/// again in memory and registered resident.
+fn resident_state(n: usize, seed: u64, config: ServerConfig) -> ServerState<IndependentCascade> {
+    let g = wc_graph(n, seed);
+    let labels = LabelMap::new(labels(g.n()));
     let catalog = GraphCatalog::new(IndependentCascade, "ic", config);
-    let graph = GraphStore::from(loaded.graph);
     catalog
-        .add_resident("g", graph, LabelMap::new(loaded.labels))
+        .add_resident("g", GraphStore::from(g), labels)
         .unwrap();
     ServerState::from_catalog(catalog, "g").unwrap()
-}
-
-/// The other heap side: a v1 copy of the v2 file at `path`, attached by
-/// path.
-fn v1_state(path: &std::path::Path, config: ServerConfig) -> ServerState<IndependentCascade> {
-    let loaded = snapshot::read_snapshot(std::fs::read(path).unwrap().as_slice()).unwrap();
-    let mut v1 = Vec::new();
-    snapshot::write_snapshot_v1(&loaded.graph, &loaded.labels, &mut v1).unwrap();
-    let v1_path = path.with_extension("v1.timg");
-    std::fs::write(&v1_path, v1).unwrap();
-    state_over(&v1_path, config)
 }
 
 /// Runs one scripted session and returns its full transcript.
@@ -112,18 +105,15 @@ fn heap_and_mmap_transcripts_are_byte_identical() {
     let dir = tmpdir("transcripts");
     let path = save_graph(&dir, "g", 150, 1);
 
-    let heap_state = resident_state(&path, config());
-    let v1_state = v1_state(&path, config());
+    let heap_state = resident_state(150, 1, config());
     let mmap_state = state_over(&path, config());
 
     let heap = run_session(&heap_state, MIX);
     let mapped = run_session(&mmap_state, MIX);
     assert_eq!(heap, mapped, "transcripts must not depend on the backing");
-    assert_eq!(run_session(&v1_state, MIX), heap, "nor on the file format");
 
     // The backing really differs — we compared code paths, not one.
     assert!(!heap_state.catalog().get("g").unwrap().is_mmap());
-    assert!(!v1_state.catalog().get("g").unwrap().is_mmap());
     assert!(mmap_state.catalog().get("g").unwrap().is_mmap());
     std::fs::remove_dir_all(&dir).ok();
 }
@@ -133,17 +123,14 @@ fn pool_provenance_is_backing_independent() {
     let dir = tmpdir("provenance");
     let path = save_graph(&dir, "g", 140, 2);
 
-    let heap_state = resident_state(&path, config());
-    let v1_state = v1_state(&path, config());
+    let heap_state = resident_state(140, 2, config());
     let mmap_state = state_over(&path, config());
     let heap_g = heap_state.catalog().get("g").unwrap();
-    let v1_g = v1_state.catalog().get("g").unwrap();
     let mmap_g = mmap_state.catalog().get("g").unwrap();
 
     // The graph checksum — the root of every pool key — must be computed
     // from content, never from the backing.
     assert_eq!(heap_g.graph_checksum(), mmap_g.graph_checksum());
-    assert_eq!(v1_g.graph_checksum(), mmap_g.graph_checksum());
     assert_eq!(heap_g.key_for(None, None), mmap_g.key_for(None, None));
     assert_eq!(
         heap_g.key_for(Some(0.5), None),
@@ -168,7 +155,8 @@ fn pools_spilled_by_heap_serving_warm_start_mmap_serving() {
     // Cold heap phase: build the default and ε-override pools, spill
     // them through the write-back store.
     let cold_state = resident_state(
-        &path,
+        150,
+        3,
         ServerConfig {
             pool_dir: Some(pool_dir.clone()),
             persist_pools: true,
@@ -211,27 +199,34 @@ fn corrupt_v2_attach_fails_without_poisoning_the_slot() {
     let path = save_graph(&dir, "g", 120, 9);
     let pristine = std::fs::read(&path).unwrap();
 
-    // Corrupt the file (flip a count byte under the header checksum),
-    // then attach it by path: the first use must fail cleanly...
-    let mut bad = pristine.clone();
-    bad[20] ^= 0xFF;
-    std::fs::write(&path, &bad).unwrap();
-    let state = state_over(&path, config());
-    let mut session = state.session();
-    let answers = session.push_line("select 2");
-    assert!(
-        answers[0].starts_with("error: "),
-        "corrupt mapping must answer an error, got {answers:?}"
-    );
+    // Corrupt files attached by path: a count byte flipped under the
+    // header checksum, a zero padding byte set, and the start of a
+    // version 1 file (no writer emits one any more).
+    let mut flipped = pristine.clone();
+    flipped[20] ^= 0xFF;
+    let mut padding = pristine.clone();
+    padding[300] = 1;
+    let v1 = [&snapshot::MAGIC[..], &1u32.to_le_bytes(), &[0u8; 24]].concat();
+    for bad in [flipped, padding, v1] {
+        // The first use must fail cleanly...
+        std::fs::write(&path, &bad).unwrap();
+        let state = state_over(&path, config());
+        let mut session = state.session();
+        let answers = session.push_line("select 2");
+        assert!(
+            answers[0].starts_with("error: "),
+            "a corrupt file must answer an error, got {answers:?}"
+        );
 
-    // ...and must NOT poison the slot: after the file is repaired in
-    // place, the same catalog entry loads and serves normally.
-    std::fs::write(&path, &pristine).unwrap();
-    let answers = session.push_line("select 2");
-    assert!(
-        answers[0].starts_with("seeds: "),
-        "repaired slot must serve, got {answers:?}"
-    );
+        // ...and must NOT poison the slot: after the file is repaired in
+        // place, the same catalog entry loads and serves normally.
+        std::fs::write(&path, &pristine).unwrap();
+        let answers = session.push_line("select 2");
+        assert!(
+            answers[0].starts_with("seeds: "),
+            "repaired slot must serve, got {answers:?}"
+        );
+    }
     std::fs::remove_dir_all(&dir).ok();
 }
 
@@ -262,9 +257,14 @@ fn corrupt_probability_section_is_refused_not_served() {
     let flipped = f32::from_le_bytes(bad[at..at + 4].try_into().unwrap());
     assert!((0.0..=1.0).contains(&flipped), "still a probability");
     std::fs::write(&path, &bad).unwrap();
-    let (unchecked, _) = GraphStore::open_mmap(&path).expect("the structural scan passes");
-    assert!(unchecked.graph().verify().is_err());
-    drop(unchecked);
+    // The structure still validates; it is the section checksum that
+    // refuses the file.
+    match io::load_graph(&path, false) {
+        Err(GraphError::Snapshot { message }) => {
+            assert!(message.contains("section 2 checksum"), "{message}")
+        }
+        other => panic!("expected a snapshot error, got {other:?}"),
+    }
 
     let state = state_over(&path, config());
     let mut session = state.session();
@@ -310,7 +310,7 @@ fn concurrent_sessions_on_both_backings_stay_identical() {
         (ta, tb)
     };
 
-    let (heap_a, heap_b) = transcripts(resident_state(&path, config()));
+    let (heap_a, heap_b) = transcripts(resident_state(130, 4, config()));
     let (mmap_a, mmap_b) = transcripts(state_over(&path, config()));
     assert_eq!(heap_a, mmap_a);
     assert_eq!(heap_b, mmap_b);

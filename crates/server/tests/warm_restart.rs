@@ -1,16 +1,16 @@
 //! Warm-state tenancy end to end: a server restart with `--pool-dir`
 //! serves a previously seen query mix with **zero** pool builds
-//! (counter-asserted) and byte-identical responses, whether the spills
-//! restore mapped (v2 files) or onto the heap (v1 copies), and runtime
-//! attach/detach leaves concurrent sessions on other graphs
-//! byte-identical to a static-catalog replay.
+//! (counter-asserted) and responses byte-identical to the ones given
+//! before the restart, a pool file of an older format version is
+//! quarantined and rebuilt, and runtime attach/detach leaves concurrent
+//! sessions on other graphs byte-identical to a static-catalog replay.
 
 use std::io::{BufRead, BufReader, Write};
 use std::net::TcpStream;
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
 use tim_diffusion::IndependentCascade;
-use tim_engine::{PoolStore, RrPool};
+use tim_engine::{PoolStore, POOL_MAGIC};
 use tim_graph::catalog::GraphOverrides;
 use tim_graph::{gen, weights, Graph};
 use tim_server::{GraphCatalog, LabelMap, Server, ServerConfig, ServerState, DEFAULT_GRAPH_NAME};
@@ -54,25 +54,15 @@ fn tcp_session(addr: std::net::SocketAddr, lines: &str) -> Vec<String> {
     BufReader::new(stream).lines().map(|l| l.unwrap()).collect()
 }
 
-/// Rewrites every pool the default graph spilled under `pool_dir` as a
-/// v1 file, which restores onto the heap, and returns the v2 files it
-/// replaced so a later phase can put them back.
-fn spills_to_v1(pool_dir: &Path) -> Vec<(PathBuf, Vec<u8>)> {
-    let mut replaced = Vec::new();
-    for entry in std::fs::read_dir(pool_dir.join(DEFAULT_GRAPH_NAME)).unwrap() {
-        let path = entry.unwrap().path();
-        if path.extension().and_then(|e| e.to_str()) != Some("timp") {
-            continue;
-        }
-        let v2 = std::fs::read(&path).unwrap();
-        let mut v1 = Vec::new();
-        let pool = RrPool::read(v2.as_slice()).unwrap();
-        pool.write_v1(&mut v1).unwrap();
-        std::fs::write(&path, v1).unwrap();
-        replaced.push((path, v2));
-    }
-    assert!(!replaced.is_empty(), "the cold phase spilled");
-    replaced
+/// The pool files the default graph spilled under `pool_dir`.
+fn spills(pool_dir: &Path) -> Vec<PathBuf> {
+    let found: Vec<PathBuf> = std::fs::read_dir(pool_dir.join(DEFAULT_GRAPH_NAME))
+        .unwrap()
+        .map(|entry| entry.unwrap().path())
+        .filter(|path| path.extension().and_then(|e| e.to_str()) == Some("timp"))
+        .collect();
+    assert!(!found.is_empty(), "the cold phase spilled");
+    found
 }
 
 fn tmpdir(tag: &str) -> std::path::PathBuf {
@@ -174,31 +164,13 @@ fn mapped_restart_serves_zero_build_byte_identical() {
     assert_eq!(cold_state.default_state().cache_stats().builds, 2);
     drop(cold_state);
 
-    // Heap warm restart over v1 copies of the spills is the reference
-    // transcript.
-    let v2_spills = spills_to_v1(&pool_dir);
-    let heap_state = state(false);
-    let heap = serve(&heap_state, format!("{mix}stats pools\n").as_str());
-    let (heap, heap_pools) = heap.split_at(heap.len() - 1);
-    assert_eq!(heap, &cold[..], "heap restart transcript byte-identical");
-    assert!(
-        heap_pools[0].contains("builds=0") && heap_pools[0].contains("heap_loads=2"),
-        "v1 copies restore onto the heap: {}",
-        heap_pools[0]
-    );
-    let heap = heap.to_vec();
-    drop(heap_state);
-    for (path, v2) in v2_spills {
-        std::fs::write(path, v2).unwrap();
-    }
-
-    // Mapped warm restart: byte-identical to heap serving, zero builds,
-    // and the store counters prove the pools really were mapped (and
-    // checksum-verified), not decoded.
+    // Mapped warm restart: byte-identical to the answers given before
+    // the restart, zero builds, and the store counters prove the pools
+    // really were mapped (and checksum-verified), not decoded.
     let mapped_state = state(false);
     let mapped = serve(&mapped_state, format!("{mix}stats pools\n").as_str());
     let (answers, pools_line) = mapped.split_at(mapped.len() - 1);
-    assert_eq!(answers, &heap[..], "mapped transcript byte-identical");
+    assert_eq!(answers, &cold[..], "mapped transcript byte-identical");
     let s = mapped_state.default_state().cache_stats();
     assert_eq!((s.builds, s.loads), (0, 2), "mapped restart builds nothing");
     for part in [
@@ -215,6 +187,32 @@ fn mapped_restart_serves_zero_build_byte_identical() {
         );
     }
     drop(mapped_state);
+
+    // Old pools: a v1 file under each spill's name (the magic, version 1,
+    // a few payload bytes; no writer emits one any more) is quarantined
+    // and rebuilt, and the answers still match the cold run byte for
+    // byte.
+    let old = spills(&pool_dir);
+    for path in &old {
+        let v1 = [&POOL_MAGIC[..], &1u32.to_le_bytes(), &[0u8; 32]].concat();
+        std::fs::write(path, v1).unwrap();
+    }
+    let rebuilt_state = state(false);
+    let rebuilt = serve(&rebuilt_state, format!("{mix}stats pools\n").as_str());
+    let (answers, pools_line) = rebuilt.split_at(rebuilt.len() - 1);
+    assert_eq!(answers, &cold[..], "rebuilt transcript byte-identical");
+    for part in [
+        format!("builds={}", old.len()),
+        " loads=0 ".to_string(),
+        format!("quarantined={}", old.len()),
+        "mmap_opens=0".to_string(),
+    ] {
+        assert!(
+            pools_line[0].contains(&part),
+            "want {part} in {}",
+            pools_line[0]
+        );
+    }
     std::fs::remove_dir_all(&dir).ok();
 }
 
@@ -283,7 +281,7 @@ fn kept_answers_stay_in_memory_and_restored_pools_recompute_them() {
 fn growth_on_mapped_pool_races_readers_and_stays_byte_identical() {
     let dir = tmpdir("mmap_growth");
     let pool_dir = dir.join("pools");
-    let state = |persist: bool| {
+    let state = |pool_dir: Option<PathBuf>, persist: bool| {
         let g = rising_theta_graph();
         let n = g.n();
         Arc::new(ServerState::new(
@@ -292,7 +290,7 @@ fn growth_on_mapped_pool_races_readers_and_stays_byte_identical() {
             IndependentCascade,
             "ic",
             ServerConfig {
-                pool_dir: Some(pool_dir.clone()),
+                pool_dir,
                 persist_pools: persist,
                 epsilon: 0.8,
                 seed: 7,
@@ -312,18 +310,18 @@ fn growth_on_mapped_pool_races_readers_and_stays_byte_identical() {
     ];
     let grower = "select 32\nselect 3\neval 0,1\n";
 
-    // Spill once, then capture the heap-restart reference transcripts
-    // serially, over a v1 copy of the spill: the readers before the
-    // growth, the grower, and the readers after it.
-    let cold_state = state(true);
+    // Spill once, then capture the reference transcripts serially on a
+    // server that keeps its pool in memory only, sampled from the same
+    // seed: the readers before the growth, the grower, and the readers
+    // after it.
+    let cold_state = state(Some(pool_dir.clone()), true);
     let server = Server::bind(Arc::clone(&cold_state), "127.0.0.1:0").unwrap();
     let (addr, handle) = (server.local_addr(), server.start());
     tcp_session(addr, "select 4\n");
     handle.stop();
     drop(cold_state);
 
-    let v2_spills = spills_to_v1(&pool_dir);
-    let heap_state = state(false);
+    let heap_state = state(None, false);
     let server = Server::bind(Arc::clone(&heap_state), "127.0.0.1:0").unwrap();
     let (addr, handle) = (server.local_addr(), server.start());
     let before: Vec<Vec<String>> = readers.iter().map(|r| tcp_session(addr, r)).collect();
@@ -332,19 +330,16 @@ fn growth_on_mapped_pool_races_readers_and_stays_byte_identical() {
     handle.stop();
     assert_eq!(heap_state.default_engine().growth_epoch(), 1);
     drop(heap_state);
-    for (path, v2) in v2_spills {
-        std::fs::write(path, v2).unwrap();
-    }
     assert_ne!(
         before, after,
         "growth must change the readers' cheap replies"
     );
 
     // Mapped restart: the grower races the readers. The grower's
-    // transcript and every exact select match the serial heap reference
-    // line for line; a cheap read matches the reply from before the
-    // growth or the one from after it.
-    let mapped_state = state(false);
+    // transcript and every exact select match the serial in-memory
+    // reference line for line; a cheap read matches the reply from
+    // before the growth or the one from after it.
+    let mapped_state = state(Some(pool_dir.clone()), false);
     let server = Server::bind(Arc::clone(&mapped_state), "127.0.0.1:0").unwrap();
     let (addr, handle) = (server.local_addr(), server.start());
     let warm_theta = mapped_state.default_engine().pool_theta();
