@@ -5,8 +5,8 @@
 //! framed answers — against a running server with 1, 4, or 8 worker
 //! threads, split evenly across that many concurrent client connections.
 //! The baseline answers the same queries the way a pool-less deployment
-//! would: a fresh `QueryEngine` per request (plan + full RR sampling +
-//! greedy, no pool reuse, no TCP).
+//! would: a fresh engine per request (plan + full RR sampling + greedy,
+//! no pool reuse, no TCP).
 //!
 //! Reported times are **per iteration**, i.e. per `QUERIES_PER_ITER`
 //! queries, for every entry — so entries are directly comparable and
@@ -25,7 +25,7 @@ use std::net::{SocketAddr, TcpStream};
 use std::sync::Arc;
 use std::time::Duration;
 use tim_diffusion::IndependentCascade;
-use tim_engine::QueryEngine;
+use tim_engine::{QueryEngine, SharedEngine};
 use tim_graph::{gen, weights, Graph};
 use tim_server::{LabelMap, Server, ServerConfig, ServerState};
 
@@ -108,12 +108,12 @@ fn serve_throughput(c: &mut Criterion) {
         b.iter(|| {
             let mut total = 0usize;
             for i in 0..QUERIES_PER_ITER {
-                let mut engine = QueryEngine::new(Arc::clone(&graph), IndependentCascade, "ic")
+                let engine = QueryEngine::new(Arc::clone(&graph), IndependentCascade, "ic")
                     .epsilon(cfg.epsilon)
                     .ell(cfg.ell)
                     .seed(cfg.seed)
                     .k_max(cfg.k_max);
-                total += engine.select(i % 10 + 1).seeds.len();
+                total += SharedEngine::new(engine).select(i % 10 + 1).seeds.len();
             }
             black_box(total)
         });

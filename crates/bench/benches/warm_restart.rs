@@ -7,27 +7,24 @@
 //! the kick-tires graph shape (2k-node BA, wc weights — what
 //! `scripts/kick-tires.sh` generates):
 //!
-//! - `cold_build` — `QueryEngine::new` + `warm()`: plan the θ for
-//!   `k ≤ k_max` and sample every RR set (the restart cost without a
-//!   store);
+//! - `cold_build` — a cold `SharedEngine` answering one `select`: plan
+//!   the θ for `k ≤ k_max` and sample every RR set (the restart cost
+//!   without a store);
 //! - `store_load` — `PoolStore::probe` + `QueryEngine::from_pool` + one
 //!   warm `select`: read the spilled `.timp`, validate checksum and
-//!   provenance, rebuild the inverted index, and answer (the restart
-//!   cost with `--pool-dir`);
+//!   provenance, rebuild the inverted index, and answer (the heap
+//!   restore, which a store falls back to where it cannot map);
 //! - `state_restart/{cold,warm}` — the same comparison end-to-end
 //!   through a `ServerState` with a store-backed pool cache, i.e. what
-//!   the server actually does on its first query after boot.
-//!
-//! The acceptance bar is `store_load` ≥ 5× faster than `cold_build` (the
-//! serve_throughput bench showed ≈9.6× for warm-vs-cold serving; this is
-//! the same gap moved across a process boundary).
+//!   the server actually does on its first query after boot; the warm
+//!   side restores the spill mapped.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use std::hint::black_box;
 use std::sync::Arc;
 use std::time::Duration;
 use tim_diffusion::IndependentCascade;
-use tim_engine::{PoolId, PoolStore, QueryEngine};
+use tim_engine::{PoolId, PoolStore, QueryEngine, SharedEngine};
 use tim_graph::{gen, weights, Graph};
 use tim_server::{LabelMap, ServerConfig, ServerState};
 
@@ -43,12 +40,10 @@ fn bench_graph() -> Graph {
 }
 
 fn cold_engine(graph: &Arc<Graph>) -> QueryEngine<IndependentCascade> {
-    let mut engine = QueryEngine::new(Arc::clone(graph), IndependentCascade, "ic")
+    QueryEngine::new(Arc::clone(graph), IndependentCascade, "ic")
         .epsilon(EPS)
         .seed(SEED)
-        .k_max(K_MAX);
-    engine.warm();
-    engine
+        .k_max(K_MAX)
 }
 
 fn config(pool_dir: Option<std::path::PathBuf>) -> ServerConfig {
@@ -72,15 +67,15 @@ fn warm_restart(c: &mut Criterion) {
 
     // Spill once: the store state every "restart" below loads from.
     let store = Arc::new(PoolStore::open(dir.join("engine")).expect("open store"));
-    let warmed = cold_engine(&graph);
-    store.spill(&warmed.to_pool()).expect("spill");
-    let id = PoolId::from_meta(&warmed.pool_meta());
+    let warmed = cold_engine(&graph).to_pool();
+    store.spill(&warmed).expect("spill");
+    let id = PoolId::from_meta(&warmed.meta);
     drop(warmed);
 
     // The restart cost without a store: plan + sample everything.
     group.bench_function("cold_build", |b| {
         b.iter(|| {
-            let mut engine = cold_engine(&graph);
+            let engine = SharedEngine::new(cold_engine(&graph));
             black_box(engine.select(K_MAX).seeds.len())
         });
     });
@@ -92,10 +87,9 @@ fn warm_restart(c: &mut Criterion) {
                 .probe(&id)
                 .expect("probe")
                 .expect("pool stored for the bench");
-            let mut engine =
-                QueryEngine::from_pool(Arc::clone(&graph), IndependentCascade, "ic", pool)
-                    .expect("provenance matches");
-            black_box(engine.select(K_MAX).seeds.len())
+            let engine = QueryEngine::from_pool(Arc::clone(&graph), IndependentCascade, "ic", pool)
+                .expect("provenance matches");
+            black_box(SharedEngine::new(engine).select(K_MAX).seeds.len())
         });
     });
 

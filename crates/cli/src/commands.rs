@@ -12,7 +12,7 @@ use tim_core::{Imm, Tim, TimPlus};
 use tim_diffusion::{
     DiffusionModel, IndependentCascade, LinearThreshold, ModelKind, SpreadEstimator,
 };
-use tim_engine::{QueryEngine, RrPool};
+use tim_engine::{QueryEngine, RrPool, SharedEngine};
 use tim_eval::Dataset;
 use tim_graph::catalog::check_accuracy;
 use tim_graph::io::LoadedGraph;
@@ -477,6 +477,84 @@ fn accuracy_flags(args: &Args) -> Result<(f64, f64), String> {
     Ok((eps, ell))
 }
 
+/// Loads the `--pool` file `p` of `query` or `serve` and reconciles the
+/// serving config with it. A persisted pool pins its configuration, so
+/// an explicit flag that contradicts it is refused. With a single graph,
+/// absent flags adopt the pool's values, so the default graph's default
+/// engine *is* the loaded pool. With a multi-graph catalog the config is
+/// shared by every graph, and adopting would silently change unrelated
+/// graphs' provenance: there the pool's values must be given explicitly.
+fn load_pool(p: &str, args: &Args, config: &mut ServerConfig) -> Result<RrPool, String> {
+    let pool = RrPool::load(p).map_err(|e| format!("loading pool {p}: {e}"))?;
+    check_pool_flag(
+        "eps",
+        args.get("eps").map(|_| config.epsilon),
+        pool.meta.epsilon,
+    )?;
+    check_pool_flag("ell", args.get("ell").map(|_| config.ell), pool.meta.ell)?;
+    check_pool_flag(
+        "seed",
+        args.get("seed").map(|_| config.seed),
+        pool.meta.seed,
+    )?;
+    check_pool_flag(
+        "k",
+        args.get("k").map(|_| config.k_max),
+        pool.meta.k_max as usize,
+    )?;
+    let multi_graph = !args.get_all("graph").is_empty() || args.get("graphs").is_some();
+    if multi_graph {
+        for (flag, given, pool_value) in [
+            ("eps", config.epsilon, pool.meta.epsilon),
+            ("ell", config.ell, pool.meta.ell),
+            ("seed", config.seed as f64, pool.meta.seed as f64),
+            ("k", config.k_max as f64, pool.meta.k_max as f64),
+        ] {
+            if given != pool_value {
+                return Err(format!(
+                    "--pool {p} pins {flag} = {pool_value}, but the catalog serves \
+                     {flag} = {given}; pass --{flag} {pool_value} explicitly (pool \
+                     provenance is not inherited by multi-graph catalogs)"
+                ));
+            }
+        }
+    } else {
+        config.epsilon = pool.meta.epsilon;
+        config.ell = pool.meta.ell;
+        config.seed = pool.meta.seed;
+        config.k_max = pool.meta.k_max as usize;
+    }
+    Ok(pool)
+}
+
+/// Attaches a pool [`load_pool`] returned to the default graph, keyed by
+/// its own provenance, and reports its θ.
+fn preload_pool(
+    state: &ServerState<ModelKind>,
+    p: &str,
+    pool: RrPool,
+    model: ModelKind,
+    model_name: &str,
+    quiet: bool,
+) -> Result<Arc<SharedEngine<ModelKind>>, String> {
+    let default_state = state
+        .catalog()
+        .get(state.default_graph())
+        .map_err(|e| format!("--pool {p}: {e}"))?;
+    let engine =
+        QueryEngine::from_pool_store(default_state.store().clone(), model, model_name, pool)
+            .map_err(|e| format!("attaching pool {p}: {e}"))?;
+    let shared = default_state.preload(engine);
+    if !quiet {
+        eprintln!(
+            "loaded pool {p}: theta = {}, warmed for k <= {}",
+            shared.pool_theta(),
+            shared.warmed_k()
+        );
+    }
+    Ok(shared)
+}
+
 /// Builds the shared server configuration from `query`/`serve` flags.
 fn server_config(args: &Args, quiet: bool) -> Result<ServerConfig, String> {
     let (epsilon, ell) = accuracy_flags(args)?;
@@ -601,56 +679,8 @@ fn query_with(model: ModelKind, model_name: &str, args: &Args) -> Result<(), Str
     let quiet = args.switch("quiet");
     let mut config = server_config(args, quiet)?;
     let pool_path = args.get("pool");
-    let multi_graph = !args.get_all("graph").is_empty() || args.get("graphs").is_some();
-
-    // A persisted pool pins its configuration: explicit flags must agree.
-    // In the classic single-graph shape, absent flags inherit the pool's
-    // values (so the session's default engine *is* the loaded pool). With
-    // a multi-graph catalog the config is shared by *every* graph, so
-    // inheriting would silently change unrelated graphs' provenance —
-    // there the pool's values must be given explicitly.
     let loaded_pool = match pool_path {
-        Some(p) if std::path::Path::new(p).exists() => {
-            let pool = RrPool::load(p).map_err(|e| format!("loading pool {p}: {e}"))?;
-            check_pool_flag(
-                "eps",
-                args.get("eps").map(|_| config.epsilon),
-                pool.meta.epsilon,
-            )?;
-            check_pool_flag("ell", args.get("ell").map(|_| config.ell), pool.meta.ell)?;
-            check_pool_flag(
-                "seed",
-                args.get("seed").map(|_| config.seed),
-                pool.meta.seed,
-            )?;
-            check_pool_flag(
-                "k",
-                args.get("k").map(|_| config.k_max),
-                pool.meta.k_max as usize,
-            )?;
-            if multi_graph {
-                for (flag, given, pool_value) in [
-                    ("eps", config.epsilon, pool.meta.epsilon),
-                    ("ell", config.ell, pool.meta.ell),
-                    ("seed", config.seed as f64, pool.meta.seed as f64),
-                    ("k", config.k_max as f64, pool.meta.k_max as f64),
-                ] {
-                    if given != pool_value {
-                        return Err(format!(
-                            "--pool {p} pins {flag} = {pool_value}, but the catalog serves \
-                             {flag} = {given}; pass --{flag} {pool_value} explicitly (pool \
-                             provenance is not inherited by multi-graph catalogs)"
-                        ));
-                    }
-                }
-            } else {
-                config.epsilon = pool.meta.epsilon;
-                config.ell = pool.meta.ell;
-                config.seed = pool.meta.seed;
-                config.k_max = pool.meta.k_max as usize;
-            }
-            Some(pool)
-        }
+        Some(p) if std::path::Path::new(p).exists() => Some(load_pool(p, args, &mut config)?),
         _ => None,
     };
 
@@ -659,57 +689,38 @@ fn query_with(model: ModelKind, model_name: &str, args: &Args) -> Result<(), Str
     // Attach or build-and-save the persistent pool on the default graph —
     // the only case that loads the default graph eagerly; without --pool
     // every graph (the default included) loads lazily on first query.
-    let mut watched_engine = None;
-    if let Some(p) = pool_path {
-        let default_state = state
-            .catalog()
-            .get(state.default_graph())
-            .map_err(|e| format!("query: {e}"))?;
-        match loaded_pool {
-            Some(pool) => {
-                let engine = QueryEngine::from_pool_store(
-                    default_state.store().clone(),
-                    model,
-                    model_name,
-                    pool,
-                )
-                .map_err(|e| format!("attaching pool {p}: {e} (delete the file to rebuild)"))?;
-                let shared = default_state.preload(engine);
-                if !quiet {
-                    eprintln!(
-                        "loaded pool {p}: theta = {}, warmed for k <= {}",
-                        shared.pool_theta(),
-                        shared.warmed_k()
-                    );
-                }
-                watched_engine = Some(shared);
+    let watched_engine = match (pool_path, loaded_pool) {
+        (None, _) => None,
+        (Some(p), Some(pool)) => Some(preload_pool(&state, p, pool, model, model_name, quiet)?),
+        (Some(p), None) => {
+            let default_state = state
+                .catalog()
+                .get(state.default_graph())
+                .map_err(|e| format!("query: {e}"))?;
+            let t0 = std::time::Instant::now();
+            let shared = default_state.default_engine();
+            // The pool is saved at once, so its warm-up finishes here.
+            let theta = shared.warm();
+            if !quiet {
+                let cfg = default_state.config();
+                eprintln!(
+                    "warmed pool: theta = {theta} in {:.2?} (k <= {}, eps = {}, ell = {})",
+                    t0.elapsed(),
+                    cfg.k_max,
+                    cfg.epsilon,
+                    cfg.ell
+                );
             }
-            None => {
-                let t0 = std::time::Instant::now();
-                let shared = default_state.default_engine();
-                // The pool is saved at once, so its warm-up finishes here.
-                let theta = shared.warm();
-                if !quiet {
-                    let cfg = default_state.config();
-                    eprintln!(
-                        "warmed pool: theta = {theta} in {:.2?} (k <= {}, eps = {}, ell = {})",
-                        t0.elapsed(),
-                        cfg.k_max,
-                        cfg.epsilon,
-                        cfg.ell
-                    );
-                }
-                shared
-                    .to_pool()
-                    .save(p)
-                    .map_err(|e| format!("saving pool {p}: {e}"))?;
-                if !quiet {
-                    eprintln!("saved pool to {p}");
-                }
-                watched_engine = Some(shared);
+            shared
+                .to_pool()
+                .save(p)
+                .map_err(|e| format!("saving pool {p}: {e}"))?;
+            if !quiet {
+                eprintln!("saved pool to {p}");
             }
+            Some(shared)
         }
-    }
+    };
     let theta_before = watched_engine.as_ref().map(|e| e.pool_theta());
 
     let stdin = std::io::stdin();
@@ -731,7 +742,7 @@ fn query_with(model: ModelKind, model_name: &str, args: &Args) -> Result<(), Str
     Ok(())
 }
 
-/// Runs a `tim/2` session over `input`: one answer line on `out` per
+/// Runs a `tim/3` session over `input`: one answer line on `out` per
 /// request line, through the very same [`tim_server::Session`] machinery that serves
 /// `tim serve` connections — so the two front ends cannot drift. The
 /// 1 MiB request-line cap applies exactly as on TCP: an over-limit line
@@ -780,35 +791,23 @@ fn serve(args: &Args) -> Result<(), String> {
 fn serve_with(model: ModelKind, model_name: &str, args: &Args) -> Result<(), String> {
     let addr = args.get("addr").unwrap_or("127.0.0.1:7171");
     let quiet = args.switch("quiet");
-    let config = server_config(args, quiet).map_err(|e| format!("serve: {e}"))?;
-    let state = Arc::new(build_state(model, model_name, args, config)?);
+    let mut config = server_config(args, quiet).map_err(|e| format!("serve: {e}"))?;
 
-    // Pre-seed the default graph's pool cache from a persisted `.timp`
-    // pool (keyed by the pool's own provenance, which need not match the
-    // serving defaults). This happens *before* the listening line is
-    // printed: a missing or corrupt pool must fail here, not after
-    // scripts have already parsed the address and assumed the server is
-    // up.
-    if let Some(p) = args.get("pool") {
-        if !std::path::Path::new(p).exists() {
+    // Load the persisted `.timp` pool and seed the default graph's pool
+    // cache with it, exactly as `query` does. This happens *before* the
+    // listening line is printed: a missing, corrupt or contradicted pool
+    // must fail here, not after scripts have already parsed the address
+    // and assumed the server is up.
+    let pool = match args.get("pool") {
+        Some(p) if !std::path::Path::new(p).exists() => {
             return Err(format!("serve: pool file {p} does not exist"));
         }
-        let default_state = state
-            .catalog()
-            .get(state.default_graph())
-            .map_err(|e| format!("serve: {e}"))?;
-        let pool = RrPool::load(p).map_err(|e| format!("loading pool {p}: {e}"))?;
-        let engine =
-            QueryEngine::from_pool_store(default_state.store().clone(), model, model_name, pool)
-                .map_err(|e| format!("attaching pool {p}: {e}"))?;
-        let shared = default_state.preload(engine);
-        if !quiet {
-            eprintln!(
-                "preloaded pool {p}: theta = {}, warmed for k <= {}",
-                shared.pool_theta(),
-                shared.warmed_k()
-            );
-        }
+        Some(p) => Some((p, load_pool(p, args, &mut config)?)),
+        None => None,
+    };
+    let state = Arc::new(build_state(model, model_name, args, config)?);
+    if let Some((p, pool)) = pool {
+        preload_pool(&state, p, pool, model, model_name, quiet)?;
     }
 
     // Bind before the (possibly long) default-pool warm-up: the address
@@ -844,8 +843,8 @@ fn serve_with(model: ModelKind, model_name: &str, args: &Args) -> Result<(), Str
             config.seed
         );
         eprintln!(
-            "serving {} graph(s) with {} {}, pool cache capacity {} per graph, \
-             up to {} graphs loaded",
+            "serving {} graph(s) with {} {}, idle timeout {}, pool cache capacity {} \
+             per graph, up to {} graphs loaded",
             state.catalog().len(),
             config.threads,
             if config.event_loop {
@@ -853,16 +852,16 @@ fn serve_with(model: ModelKind, model_name: &str, args: &Args) -> Result<(), Str
             } else {
                 "workers"
             },
+            match config.idle_timeout {
+                Some(t) => format!("{:.1}s", t.as_secs_f64()),
+                None => "off".to_string(),
+            },
             config.pool_cache,
             config.max_loaded
         );
         if config.event_loop {
             eprintln!(
-                "event loop: idle timeout {}, connection cap {}",
-                match config.idle_timeout {
-                    Some(t) => format!("{:.1}s", t.as_secs_f64()),
-                    None => "off".to_string(),
-                },
+                "event loop: connection cap {}",
                 match config.max_conns {
                     Some(n) => n.to_string(),
                     None => "off".to_string(),
@@ -1416,12 +1415,13 @@ mod tests {
         let loaded = io::load_graph(&g1, false).unwrap();
         let mut graph = loaded.graph;
         weights::assign_weighted_cascade(&mut graph);
-        let mut engine = QueryEngine::new(graph, IndependentCascade, "ic")
+        QueryEngine::new(graph, IndependentCascade, "ic")
             .epsilon(0.7)
             .seed(5)
-            .k_max(3);
-        engine.warm();
-        engine.to_pool().save(&pool).unwrap();
+            .k_max(3)
+            .to_pool()
+            .save(&pool)
+            .unwrap();
 
         // Multi-graph catalog + absent flags: the pool's provenance must
         // NOT leak into the shared config — explicit flags are required.

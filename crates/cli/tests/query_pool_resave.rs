@@ -5,7 +5,7 @@
 use std::io::Write;
 use std::path::{Path, PathBuf};
 use std::process::{Command, Stdio};
-use tim_engine::{pool_version, RrPool, POOL_MAGIC};
+use tim_engine::{RrPool, POOL_MAGIC, POOL_VERSION_V2};
 
 /// Runs `tim <args>` in `dir` with `stdin` as its input; returns whether
 /// it exited successfully, and its stderr.
@@ -67,7 +67,12 @@ fn grown_pool_is_resaved_as_v2_in_place() {
     assert!(grown > warmed, "select 50 must grow the pool: {stderr}");
 
     let pool = dir.join("p.timp");
-    assert_eq!(pool_version(&pool).unwrap(), 2, "the re-save writes v2");
+    let version = &std::fs::read(&pool).unwrap()[4..8];
+    assert_eq!(
+        version,
+        POOL_VERSION_V2.to_le_bytes(),
+        "the re-save writes v2"
+    );
     let mapped = RrPool::load(&pool).expect("the grown pool maps and passes every check");
     assert_eq!(mapped.meta.theta, grown);
     assert_eq!(mapped.sets.len() as u64, grown);

@@ -7,9 +7,9 @@
 //! `&self` answer function on it that returns the answer or the [`Miss`]
 //! it lacks, and [`Setup::prepare`] turns a state and a miss into the
 //! next state by planning, sampling or running the fast greedy.
-//! [`QueryEngine`] answers over a state it owns;
-//! [`SharedEngine`](crate::SharedEngine) publishes one behind a pointer
-//! swap.
+//! [`QueryEngine`] builds an engine, attaches a persisted pool to it and
+//! persists its pool; [`SharedEngine`](crate::SharedEngine) publishes its
+//! state behind a pointer swap and answers every query.
 
 use crate::error::EngineError;
 use crate::pool::{PoolMeta, RrPool};
@@ -69,16 +69,18 @@ pub(crate) struct State {
     pub(crate) pool: Arc<SetCollection>,
     pub(crate) pool_theta: u64,
     pub(crate) k_max: usize,
-    /// False until the warm-up finishes ([`QueryEngine::warm`]). An
-    /// unsettled state answers exact selects whose plan and θ it holds
-    /// and nothing that reads the whole pool, and every prepare from it
-    /// finishes the warm-up first.
+    /// False until the warm-up finishes
+    /// ([`SharedEngine::warm`](crate::SharedEngine::warm)). An unsettled
+    /// state answers exact selects whose plan and θ it holds and nothing
+    /// that reads the whole pool, and every prepare from it finishes the
+    /// warm-up first.
     pub(crate) settled: bool,
     plans: BTreeMap<PlanKey, Arc<PlanEntry>>,
     /// The fast cover: one greedy run over the whole pool at `k_max`
-    /// seeds, which [`QueryEngine::select_fast`] answers prefixes of.
-    /// Built only over a settled pool that holds θ(`k_max`); a growth or
-    /// a new `k_max` drops it.
+    /// seeds, which
+    /// [`SharedEngine::select_fast`](crate::SharedEngine::select_fast)
+    /// answers prefixes of. Built only over a settled pool that holds
+    /// θ(`k_max`); a growth or a new `k_max` drops it.
     fast: Option<Arc<CoverResult>>,
     /// How many times the pool grew since the engine was shared.
     pub(crate) epoch: u64,
@@ -89,7 +91,7 @@ pub(crate) struct State {
 pub(crate) enum Miss {
     /// The plan for `k` under `(eps, ell)`, and a pool of its θ.
     Plan { k: usize, eps: f64, ell: f64 },
-    /// The warm pool ([`QueryEngine::warm`]).
+    /// The warm pool ([`SharedEngine::warm`](crate::SharedEngine::warm)).
     Warm,
     /// A fast cover at depth `max(k_max, k)`, over a pool of that
     /// depth's θ.
@@ -122,11 +124,12 @@ impl State {
         (self.pool.memory_bytes() + self.pool.mapped_bytes()) as u64
     }
 
-    /// Exact replay ([`QueryEngine::select_with`]) at resolved `(eps, ell)`:
-    /// greedy over the plan's θ-prefix, read in place from the pool, run
-    /// once per plan. Readers racing on a first ask each run it and
-    /// compute the same answer; the first to store it wins, and none
-    /// waits on another's greedy.
+    /// Exact replay
+    /// ([`SharedEngine::select_with`](crate::SharedEngine::select_with))
+    /// at resolved `(eps, ell)`: greedy over the plan's θ-prefix, read in
+    /// place from the pool, run once per plan. Readers racing on a first
+    /// ask each run it and compute the same answer; the first to store it
+    /// wins, and none waits on another's greedy.
     pub(crate) fn select(&self, k: usize, eps: f64, ell: f64) -> Result<QueryOutcome, Miss> {
         let miss = Miss::Plan { k, eps, ell };
         let entry = self.plans.get(&self.plan_key(k, eps, ell)).ok_or(miss)?;
@@ -153,8 +156,9 @@ impl State {
         })
     }
 
-    /// Prefix answering ([`QueryEngine::select_fast`]): the `k`-prefix of
-    /// the fast cover.
+    /// Prefix answering
+    /// ([`SharedEngine::select_fast`](crate::SharedEngine::select_fast)):
+    /// the `k`-prefix of the fast cover.
     pub(crate) fn select_fast(&self, k: usize) -> Result<QueryOutcome, Miss> {
         let fast = self
             .fast
@@ -173,18 +177,21 @@ impl State {
         })
     }
 
-    /// The pool's θ once the warm-up has finished ([`QueryEngine::warm`]).
+    /// The pool's θ once the warm-up has finished
+    /// ([`SharedEngine::warm`](crate::SharedEngine::warm)).
     pub(crate) fn warm_theta(&self) -> Result<u64, Miss> {
         self.settled.then_some(self.pool_theta).ok_or(Miss::Warm)
     }
 
-    /// [`QueryEngine::spread`] over the full pool.
+    /// [`SharedEngine::spread`](crate::SharedEngine::spread) over the
+    /// full pool.
     pub(crate) fn spread(&self, seeds: &[NodeId]) -> Result<f64, Miss> {
         self.warm_theta()?;
         Ok(self.pool.coverage_fraction(seeds) * self.n() as f64)
     }
 
-    /// [`QueryEngine::marginal_gain`] over the full pool.
+    /// [`SharedEngine::marginal_gain`](crate::SharedEngine::marginal_gain)
+    /// over the full pool.
     pub(crate) fn marginal_gain(&self, base: &[NodeId], candidate: NodeId) -> Result<f64, Miss> {
         if base.contains(&candidate) {
             return Ok(0.0);
@@ -248,10 +255,6 @@ impl<M: DiffusionModel + Clone> Setup<M> {
             meta: self.meta(state),
             sets: SetCollection::clone(&state.pool),
         }
-    }
-
-    pub(crate) fn graph_checksum(&self) -> u64 {
-        self.store.checksum()
     }
 
     /// The next state, which answers what `state` missed: it plans, grows
@@ -363,54 +366,39 @@ impl<M: DiffusionModel + Clone> Setup<M> {
     }
 }
 
-/// An influence-query engine that amortizes RR-set sampling across
-/// queries.
+/// An influence-query engine before it is shared: it builds a pool,
+/// attaches a persisted one and hands its pool out for persistence, and
+/// answers nothing.
 ///
 /// TIM+ splits into an expensive sampling phase and a cheap greedy phase;
-/// a `QueryEngine` keeps the sampled pool resident (and optionally
-/// persisted via [`RrPool`]) so that repeated queries pay only for greedy
-/// max-coverage. Two answering modes:
-///
-/// - [`select`](Self::select) — **exact replay**: re-derives the
-///   [`SamplingPlan`] for the queried `k`, runs greedy over just the
-///   θ-prefix a fresh run would have sampled, read in place from the
-///   pool (see [`greedy_max_cover_prefix`]), and returns seed sets
-///   **byte-identical** to [`TimPlus::run`] at the same
-///   `(seed, ε, ℓ, k)`. Greedy runs on the first ask of each plan; the
-///   plan cache keeps the answer for every repeat, across growths. The
-///   pool grows (resamples) only when ε/ℓ/k demand a larger θ than it
-///   holds.
-/// - [`select_fast`](Self::select_fast) — **prefix answering**: one
-///   greedy run over the whole pool at its full θ, answering any `k` as
-///   the `k`-prefix of that run (greedy's prefix property). Uses *more*
-///   sets than required — θ ≥ λ/OPT still holds, so the
-///   `(1 − 1/e − ε)` guarantee is preserved — at near-zero marginal
-///   cost per query.
-///
-/// Spread and marginal-gain queries are answered against the full pool.
-///
-/// Each query answers from the engine's current state when it can, and
-/// otherwise prepares the next state first (a plan, a growth or the fast
-/// cover); the `&mut` receivers are for that replacement.
+/// an engine keeps the sampled pool resident (and optionally persisted
+/// via [`RrPool`]) so that repeated queries pay only for greedy
+/// max-coverage. A `QueryEngine` sets the run parameters, takes the
+/// warm-up's first step ([`start_warm`](Self::start_warm)), attaches a
+/// pool ([`from_pool`](Self::from_pool)) and snapshots its own
+/// ([`to_pool`](Self::to_pool)). Wrapped in a
+/// [`SharedEngine`](crate::SharedEngine), it answers every query.
 ///
 /// ```
 /// use tim_diffusion::IndependentCascade;
-/// use tim_engine::QueryEngine;
+/// use tim_engine::{QueryEngine, SharedEngine};
 /// use tim_graph::{gen, weights};
 ///
 /// let mut g = gen::barabasi_albert(300, 4, 0.1, 1);
 /// weights::assign_weighted_cascade(&mut g);
-/// let mut engine = QueryEngine::new(g, IndependentCascade, "ic")
+/// let engine = QueryEngine::new(g.clone(), IndependentCascade, "ic")
 ///     .epsilon(0.8)
 ///     .seed(7)
 ///     .k_max(10);
-/// engine.warm();
+/// // The settled pool, warmed for every k <= 10, with its provenance.
+/// let pool = engine.to_pool();
 ///
-/// let five = engine.select(5);
+/// // A later process attaches it and answers without sampling.
+/// let restored = QueryEngine::from_pool(g, IndependentCascade, "ic", pool).unwrap();
+/// let shared = SharedEngine::new(restored);
+/// let five = shared.select(5);
 /// assert_eq!(five.seeds.len(), 5);
-/// assert!(!five.resampled); // served from the warm pool
-/// let gain = engine.marginal_gain(&five.seeds, 99);
-/// assert!(gain >= 0.0);
+/// assert!(!five.resampled); // served from the attached pool
 /// ```
 #[derive(Debug)]
 pub struct QueryEngine<M> {
@@ -596,177 +584,33 @@ impl<M: DiffusionModel + Clone> QueryEngine<M> {
         self.setup.to_pool(&self.state)
     }
 
-    /// True when the pool is mapped zero-copy from a `.timp` v2 file
-    /// rather than held on the heap.
-    pub fn pool_is_mapped(&self) -> bool {
-        self.state.pool.mapping().is_some()
-    }
-
     /// Heap bytes held by the pool (0 when mapped).
     pub fn pool_memory_bytes(&self) -> usize {
         self.state.pool.memory_bytes()
     }
 
-    /// Bytes of the pool's file mapping (0 on the heap).
-    pub fn pool_mapped_bytes(&self) -> usize {
-        self.state.pool.mapped_bytes()
-    }
-
-    /// The graph store queries run against.
-    pub fn store(&self) -> &GraphStore {
-        &self.setup.store
-    }
-
-    /// The graph queries run against.
-    pub fn graph(&self) -> &Graph {
-        self.setup.store.graph()
-    }
-
-    /// A shared handle to the graph, for building further engines (e.g.
-    /// pool-cache entries at a different ε/ℓ) without copying it.
-    pub fn graph_arc(&self) -> Arc<Graph> {
-        self.setup.store.graph_arc()
-    }
-
-    /// Current pool size θ (0 when cold).
-    pub fn pool_theta(&self) -> u64 {
-        self.state.pool_theta
-    }
-
-    /// The `k` the pool is warmed for.
-    pub fn warmed_k(&self) -> usize {
-        self.state.k_max
-    }
-
-    /// Content checksum of the attached graph.
-    pub fn graph_checksum(&self) -> u64 {
-        self.setup.graph_checksum()
-    }
-
-    /// Warms the pool so that **every** `k ≤ k_max` is answerable without
-    /// replanning or resampling, and returns the resulting pool θ.
-    ///
-    /// θ(k) = λ(k)/KPT⁺(k) is not monotone in `k`: λ grows with `k`, but
-    /// so does the KPT⁺ bound. On the 300-node test graphs θ(1) is well
-    /// above θ(k_max): θ(1) = 38,800 against θ(12) = 12,433 at ε = 0.8
-    /// and run seed 13. On the 50k-node benchmark graph it is the other
-    /// way round: θ(1) = 64,987 against θ(50) = 150,757 at ε = 0.3 and
-    /// run seed 7. So no one plan bounds the rest. Warming plans every
-    /// `k` in `1..=k_max` in one batched pass
-    /// ([`TimPlus::plans`], which costs about as much as the most
-    /// expensive single plan), caches every plan, and samples exactly
-    /// `max θ(k)`: the smallest pool that holds every exact
-    /// `select k ≤ k_max`'s θ(k)-prefix.
-    ///
-    /// The pool is sized up front rather than grown per query because
-    /// [`select_fast`](Self::select_fast), [`spread`](Self::spread) and
-    /// [`marginal_gain`](Self::marginal_gain) answer over the whole pool:
-    /// a pool that grew mid-session to serve an exact `select` would
-    /// change their answers.
-    ///
-    /// After [`start_warm`](Self::start_warm) this is the warm-up's
-    /// second step: it plans the other sizes and tops the pool up,
-    /// drawing only the sets past θ(`k_max`). The pool ends byte-identical
-    /// to a warm-up in one call.
-    pub fn warm(&mut self) -> u64 {
-        self.answer(State::warm_theta).0
-    }
-
-    /// Step one of [`warm`](Self::warm), for a first answer that should
-    /// not wait on plans it does not use: plans `k_max` alone, samples
-    /// θ(`k_max`), builds the index, and returns that θ.
+    /// Step one of the warm-up
+    /// ([`SharedEngine::warm`](crate::SharedEngine::warm) finishes it),
+    /// for a first answer that should not wait on plans it does not use:
+    /// plans `k_max` alone, samples θ(`k_max`), builds the index, and
+    /// returns that θ.
     ///
     /// Until the warm-up finishes the engine answers an exact
     /// `select k_max` (exact answers do not depend on the pool's size,
     /// since pools are prefix-composable) and nothing that reads the
-    /// whole pool. Its next miss, [`warm`](Self::warm) or
-    /// [`to_pool`](Self::to_pool) runs step two first; so does
-    /// [`SharedEngine::warm`](crate::SharedEngine::warm) after
-    /// wrapping.
+    /// whole pool. Once wrapped, its next miss or
+    /// [`SharedEngine::warm`](crate::SharedEngine::warm) runs step two;
+    /// [`to_pool`](Self::to_pool) runs it into a copy.
     pub fn start_warm(&mut self) -> u64 {
         self.setup.first_plan(&mut self.state);
         self.state.pool_theta
     }
-
-    /// Answers `query` from the current state, preparing the next state
-    /// first when it misses; the flag reports whether that grew the pool.
-    fn answer<T>(&mut self, query: impl Fn(&State) -> Result<T, Miss>) -> (T, bool) {
-        match query(&self.state) {
-            Ok(answer) => (answer, false),
-            Err(miss) => {
-                let next = self.setup.prepare(&self.state, miss);
-                let grew = next.epoch > self.state.epoch;
-                self.state = next;
-                (query(&self.state).expect(PREPARED), grew)
-            }
-        }
-    }
-
-    /// Answers a `k`-seed selection **byte-identically** to
-    /// [`TimPlus::run`] at the engine's `(seed, ε, ℓ)`: the estimation
-    /// phases are replayed (cheap), and greedy reads the selection
-    /// sample's sets in place in the pool instead of regenerating them
-    /// (the expensive part).
-    ///
-    /// # Panics
-    /// Panics if `k == 0`.
-    pub fn select(&mut self, k: usize) -> QueryOutcome {
-        self.select_with(k, None, None)
-    }
-
-    /// [`select`](Self::select) with per-query ε/ℓ overrides. A tighter
-    /// ε or ℓ than the pool was built for may demand a larger θ, which
-    /// triggers a resample (reported in
-    /// [`QueryOutcome::resampled`]).
-    pub fn select_with(&mut self, k: usize, eps: Option<f64>, ell: Option<f64>) -> QueryOutcome {
-        assert!(k >= 1, "k must be at least 1");
-        let (eps, ell) = self.setup.resolve(eps, ell);
-        let (mut out, grew) = self.answer(|s| s.select(k, eps, ell));
-        out.resampled = grew;
-        out
-    }
-
-    /// Answers a `k`-seed selection as the `k`-prefix of a single cached
-    /// greedy run over the **full** pool. Near-zero marginal cost per
-    /// query; uses more RR sets than a fresh run would, so the
-    /// approximation guarantee is preserved (θ only ever exceeds the
-    /// required λ/OPT), but seed sets may differ from
-    /// [`select`](Self::select)'s exact replay. A `k` past the warmed
-    /// `k_max` raises it.
-    ///
-    /// # Panics
-    /// Panics if `k == 0`.
-    pub fn select_fast(&mut self, k: usize) -> QueryOutcome {
-        assert!(k >= 1, "k must be at least 1");
-        let (mut out, grew) = self.answer(|s| s.select_fast(k));
-        out.resampled = grew;
-        out
-    }
-
-    /// Estimates `E[I(seeds)]` as `n · F_R(seeds)` over the full pool
-    /// (Corollary 1's unbiased coverage estimator). Warms the pool first
-    /// if cold.
-    ///
-    /// # Panics
-    /// Panics if any seed is outside the graph's node range.
-    pub fn spread(&mut self, seeds: &[NodeId]) -> f64 {
-        self.answer(|s| s.spread(seeds)).0
-    }
-
-    /// Estimates the marginal spread gain of adding `candidate` to `base`:
-    /// `spread(base ∪ {candidate}) − spread(base)`, both against the full
-    /// pool. Zero when `candidate` is already in `base`.
-    pub fn marginal_gain(&mut self, base: &[NodeId], candidate: NodeId) -> f64 {
-        self.answer(|s| s.marginal_gain(base, candidate)).0
-    }
 }
-
-/// [`Setup::prepare`] makes the state answer the miss it was given.
-pub(crate) const PREPARED: &str = "a prepared state answers the query it missed";
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::SharedEngine;
     use std::sync::atomic::{AtomicU64, Ordering};
     use tim_diffusion::{CustomTriggering, IndependentCascade};
     use tim_graph::{gen, weights};
@@ -785,6 +629,26 @@ mod tests {
             .k_max(12)
     }
 
+    /// `engine`, warmed the way a server warms a pool: step one before it
+    /// is shared, step two through the shared engine.
+    fn warm<M: DiffusionModel + Clone>(mut engine: QueryEngine<M>) -> SharedEngine<M> {
+        engine.start_warm();
+        let shared = SharedEngine::new(engine);
+        shared.warm();
+        shared
+    }
+
+    /// `engine`, warmed in one step from cold through the shared engine.
+    fn warm_cold<M: DiffusionModel + Clone>(engine: QueryEngine<M>) -> SharedEngine<M> {
+        let shared = SharedEngine::new(engine);
+        shared.warm();
+        shared
+    }
+
+    fn is_mapped<M: DiffusionModel + Clone>(e: &SharedEngine<M>) -> bool {
+        e.current().pool.mapping().is_some()
+    }
+
     #[cfg(unix)]
     #[test]
     fn mmap_backed_engine_answers_identically_to_heap() {
@@ -798,20 +662,21 @@ mod tests {
         let path = dir.join("g.timg");
         tim_graph::snapshot::save_snapshot(&g, &labels, &path).unwrap();
 
-        let mut heap = QueryEngine::new(g, IndependentCascade, "ic")
+        let heap = QueryEngine::new(g, IndependentCascade, "ic")
             .epsilon(0.8)
             .seed(5)
             .threads(2)
             .k_max(12);
         let (store, _) = GraphStore::load(&path, false, "keep", 0).unwrap();
         assert!(store.is_mmap());
-        let mut mapped = QueryEngine::with_store(store, IndependentCascade, "ic")
+        let mapped = QueryEngine::with_store(store, IndependentCascade, "ic")
             .epsilon(0.8)
             .seed(5)
             .threads(2)
             .k_max(12);
-        assert_eq!(heap.graph_checksum(), mapped.graph_checksum());
-        assert_eq!(heap.warm(), mapped.warm());
+        assert_eq!(heap.pool_meta(), mapped.pool_meta());
+        let (heap, mapped) = (warm_cold(heap), warm_cold(mapped));
+        assert_eq!(heap.pool_theta(), mapped.pool_theta());
         for k in [1usize, 6, 12] {
             let h = heap.select(k);
             let m = mapped.select(k);
@@ -830,14 +695,14 @@ mod tests {
         // A pool spilled from the heap engine attaches to the mmap store
         // (identical provenance) and keeps answering identically.
         let pool = heap.to_pool();
-        let mut restored = QueryEngine::from_pool_store(
+        let restored = QueryEngine::from_pool_store(
             GraphStore::load(&path, false, "keep", 0).unwrap().0,
             IndependentCascade,
             "ic",
             pool,
         )
         .expect("heap-sampled pool must attach to the mmap backing");
-        let out = restored.select(6);
+        let out = SharedEngine::new(restored).select(6);
         assert_eq!(out.seeds, seeds);
         assert!(!out.resampled);
         std::fs::remove_file(&path).ok();
@@ -850,29 +715,39 @@ mod tests {
         // attached zero-copy must answer every query class — exact
         // replay, fast prefix, spread, marginal gain — byte-identically
         // to the heap pool it was spilled from, with no resample.
-        let mut warm = engine(5);
-        warm.warm();
+        let g = Arc::new(wc_graph(300, 1));
+        let on_g = || {
+            QueryEngine::new(Arc::clone(&g), IndependentCascade, "ic")
+                .epsilon(0.8)
+                .seed(5)
+                .threads(2)
+                .k_max(12)
+        };
+        let warm_pool = warm(on_g());
         let dir = std::env::temp_dir().join(format!("tim_engine_poolmap_{}", std::process::id()));
         std::fs::create_dir_all(&dir).unwrap();
         let path = dir.join("pool.timp");
-        warm.to_pool().save(&path).unwrap();
+        warm_pool.to_pool().save(&path).unwrap();
+        let attach = || {
+            let mapped = RrPool::load(&path).unwrap();
+            QueryEngine::from_pool_store(
+                GraphStore::from_arc(Arc::clone(&g)),
+                IndependentCascade,
+                "ic",
+                mapped,
+            )
+            .expect("spilled pool must re-attach mapped")
+            .threads(2)
+        };
 
-        let mapped = RrPool::load(&path).unwrap();
-        let mut e = QueryEngine::from_pool_store(
-            GraphStore::from_arc(warm.graph_arc()),
-            IndependentCascade,
-            "ic",
-            mapped,
-        )
-        .expect("spilled pool must re-attach mapped")
-        .threads(2);
-        assert!(e.pool_is_mapped());
-        assert_eq!(e.pool_theta(), warm.pool_theta());
+        let e = attach();
+        assert!(e.state.pool.mapping().is_some());
+        assert_eq!(e.state.pool_theta, warm_pool.pool_theta());
         assert_eq!(e.pool_memory_bytes(), 0);
-        assert!(e.pool_mapped_bytes() > 0);
+        assert!(e.state.pool.mapped_bytes() > 0);
+        let e = SharedEngine::new(e);
 
-        let mut heap = engine(5);
-        heap.warm();
+        let heap = warm(on_g());
         // Every k, so every sub-θ prefix is read in place from the
         // mapping as well as from the heap.
         for k in 1..=12 {
@@ -882,7 +757,7 @@ mod tests {
             assert_eq!(h.estimated_spread, m.estimated_spread);
             assert!(!m.resampled, "mapped pool must serve without resampling");
         }
-        assert!(e.pool_is_mapped(), "selects keep the mapping");
+        assert!(is_mapped(&e), "selects keep the mapping");
         assert_eq!(heap.select_fast(9).seeds, e.select_fast(9).seeds);
         let seeds = heap.select(6).seeds;
         assert_eq!(heap.spread(&seeds), e.spread(&seeds));
@@ -890,21 +765,13 @@ mod tests {
 
         // Growth detaches from the mapping: a tighter ε resamples onto
         // the heap, byte-identically to the same growth on a heap pool.
-        let mapped = RrPool::load(&path).unwrap();
-        let mut e = QueryEngine::from_pool_store(
-            GraphStore::from_arc(warm.graph_arc()),
-            IndependentCascade,
-            "ic",
-            mapped,
-        )
-        .unwrap()
-        .threads(2);
+        let e = SharedEngine::new(attach());
         // θ scales as ε⁻²: 0.8 → 0.1 is a 64× demand, beyond the warm
         // pool's max θ(k).
         let grown = e.select_with(12, Some(0.1), None);
         assert!(grown.resampled);
-        assert!(!e.pool_is_mapped(), "growth must move the pool heap-side");
-        let reference = warm.select_with(12, Some(0.1), None);
+        assert!(!is_mapped(&e), "growth must move the pool heap-side");
+        let reference = warm_pool.select_with(12, Some(0.1), None);
         assert_eq!(grown.seeds, reference.seeds);
         std::fs::remove_dir_all(&dir).ok();
     }
@@ -921,9 +788,7 @@ mod tests {
         std::fs::create_dir_all(&dir).unwrap();
         let (graph_path, pool_path) = (dir.join("g.timg"), dir.join("pool.timp"));
         tim_graph::snapshot::save_snapshot(&g, &labels, &graph_path).unwrap();
-        let mut warm = engine(5);
-        warm.warm();
-        warm.to_pool().save(&pool_path).unwrap();
+        engine(5).to_pool().save(&pool_path).unwrap();
 
         let (store, _) = GraphStore::load(&graph_path, false, "keep", 0).unwrap();
         let e = QueryEngine::from_pool_store(
@@ -934,9 +799,9 @@ mod tests {
         )
         .unwrap();
         let checksum = tim_graph::snapshot::graph_checksum;
-        assert_eq!(checksum(e.graph()), store.checksum());
-        assert_eq!(checksum(&e.graph_arc()), store.checksum());
-        assert!(e.graph().mapping().is_some());
+        assert_eq!(checksum(e.setup.store.graph()), store.checksum());
+        assert_eq!(checksum(&e.setup.store.graph_arc()), store.checksum());
+        assert!(e.setup.store.graph().mapping().is_some());
 
         let pool = e.to_pool();
         assert!(pool.sets.mapped_bytes() > 0, "to_pool keeps the mapping");
@@ -952,8 +817,7 @@ mod tests {
 
     #[test]
     fn warm_pool_select_does_not_resample() {
-        let mut e = engine(5);
-        e.warm();
+        let e = warm(engine(5));
         let theta = e.pool_theta();
         assert!(theta > 0);
         for k in [1usize, 6, 12] {
@@ -967,7 +831,7 @@ mod tests {
 
     #[test]
     fn warm_plans_every_k_and_samples_the_largest_theta() {
-        let mut e = engine(13);
+        let e = SharedEngine::new(engine(13));
         let theta = e.warm();
         let planner = TimPlus::new(IndependentCascade).epsilon(0.8).seed(13);
         let g = wc_graph(300, 1);
@@ -975,8 +839,9 @@ mod tests {
         // Exactly the largest plan's θ, no more.
         assert_eq!(theta, *thetas.iter().max().unwrap());
         assert_eq!(e.pool_theta(), theta);
+        let state = e.current();
         for (k, &want) in (1..=12).zip(&thetas) {
-            let out = e.state.select(k, 0.8, 1.0).unwrap_or_else(|miss| {
+            let out = state.select(k, 0.8, 1.0).unwrap_or_else(|miss| {
                 panic!("k={k}: warm-up must cache its plan, missed {miss:?}")
             });
             assert_eq!(out.theta_used, want, "k={k}");
@@ -985,13 +850,14 @@ mod tests {
 
         // A k_max past n plans only n sizes: every k > n shares the plan
         // for n, and still answers without replanning.
-        let mut e = QueryEngine::new(wc_graph(40, 2), IndependentCascade, "ic")
-            .epsilon(0.8)
-            .seed(13)
-            .k_max(usize::MAX);
-        e.warm();
+        let e = warm_cold(
+            QueryEngine::new(wc_graph(40, 2), IndependentCascade, "ic")
+                .epsilon(0.8)
+                .seed(13)
+                .k_max(usize::MAX),
+        );
         let out = e
-            .state
+            .current()
             .select(1 << 40, 0.8, 1.0)
             .expect("k > n shares n's plan");
         assert_eq!(out.seeds.len(), 40);
@@ -999,8 +865,7 @@ mod tests {
 
     #[test]
     fn two_step_warm_matches_a_one_step_warm() {
-        let mut one = engine(13);
-        one.warm();
+        let one = warm_cold(engine(13));
         let mut two = engine(13);
         // Step one: θ(12) alone, although θ(1) is larger on this graph.
         assert_eq!(two.start_warm(), 12_433);
@@ -1033,12 +898,13 @@ mod tests {
 
         // Step two tops the pool up to the one-step pool, byte for byte,
         // without counting as a growth.
-        let epoch = two.state.epoch;
+        let two = SharedEngine::new(two);
         assert_eq!(two.warm(), 38_800);
-        assert!(two.state.settled);
-        assert_eq!(two.state.epoch, epoch);
-        assert_eq!(two.state.pool.raw_offsets(), one.state.pool.raw_offsets());
-        assert_eq!(two.state.pool.raw_data(), one.state.pool.raw_data());
+        assert!(two.current().settled);
+        assert_eq!(two.growth_epoch(), 0);
+        let (a, b) = (one.current(), two.current());
+        assert_eq!(a.pool.raw_offsets(), b.pool.raw_offsets());
+        assert_eq!(a.pool.raw_data(), b.pool.raw_data());
         for k in 1..=12 {
             let (a, b) = (one.select(k), two.select(k));
             assert_eq!(a.seeds, b.seeds, "k={k}");
@@ -1060,27 +926,28 @@ mod tests {
     fn the_first_miss_after_step_one_finishes_the_warm_up() {
         // Any miss from an unsettled state runs step two before it
         // prepares what it lacks, so the answer is the one-step warm's.
-        let mut one = engine(13);
-        one.warm();
-        let mut two = engine(13);
-        two.start_warm();
+        let one = warm_cold(engine(13));
+        let step_one = || {
+            let mut two = engine(13);
+            two.start_warm();
+            SharedEngine::new(two)
+        };
+        let two = step_one();
         let a = one.select(5);
         let b = two.select(5);
         assert_eq!(a.seeds, b.seeds);
         assert!(!b.resampled, "finishing the warm-up is not a growth");
-        assert!(two.state.settled);
+        assert!(two.current().settled);
         assert_eq!(two.pool_theta(), one.pool_theta());
 
-        let mut two = engine(13);
-        two.start_warm();
+        let two = step_one();
         let seeds = one.select(4).seeds;
         assert_eq!(one.spread(&seeds).to_bits(), two.spread(&seeds).to_bits());
     }
 
     #[test]
     fn a_pool_persisted_between_the_steps_is_the_settled_one() {
-        let mut one = engine(13);
-        one.warm();
+        let one = warm_cold(engine(13));
         let mut two = engine(13);
         two.start_warm();
         // QueryEngine::to_pool settles into a copy; the engine stays
@@ -1088,14 +955,14 @@ mod tests {
         let pool = two.to_pool();
         assert!(!two.state.settled);
         assert_eq!(pool.meta, one.pool_meta());
-        assert_eq!(pool.sets.raw_data(), one.state.pool.raw_data());
+        assert_eq!(pool.sets.raw_data(), one.current().pool.raw_data());
 
         // SharedEngine::to_pool settles and publishes, and a spill of it
         // stores the settled pool.
         let dir = std::env::temp_dir().join(format!("tim_engine_settled_{}", std::process::id()));
         std::fs::remove_dir_all(&dir).ok();
         let store = crate::PoolStore::open(&dir).unwrap();
-        let shared = crate::SharedEngine::new(two);
+        let shared = SharedEngine::new(two);
         assert_eq!(shared.pool_theta(), 12_433);
         store.spill(&shared.to_pool()).unwrap();
         assert_eq!(shared.pool_theta(), 38_800);
@@ -1104,8 +971,8 @@ mod tests {
             .unwrap()
             .expect("the spilled pool is found by its provenance");
         assert_eq!(stored.meta, one.pool_meta());
-        assert_eq!(stored.sets.raw_offsets(), one.state.pool.raw_offsets());
-        assert_eq!(stored.sets.raw_data(), one.state.pool.raw_data());
+        assert_eq!(stored.sets.raw_offsets(), one.current().pool.raw_offsets());
+        assert_eq!(stored.sets.raw_data(), one.current().pool.raw_data());
         std::fs::remove_dir_all(&dir).ok();
     }
 
@@ -1128,55 +995,57 @@ mod tests {
         // calls of the engine that sampled it, and all three end as a
         // fresh θ′-run.
         let calls = Arc::new(AtomicU64::new(0));
-        let mut sampled = QueryEngine::new(wc_graph(300, 1), counting_ic(&calls), "ic")
-            .epsilon(0.8)
-            .seed(6)
-            .threads(2)
-            .k_max(12);
-        sampled.warm();
+        let g = Arc::new(wc_graph(300, 1));
+        let sampled = warm(
+            QueryEngine::new(Arc::clone(&g), counting_ic(&calls), "ic")
+                .epsilon(0.8)
+                .seed(6)
+                .threads(2)
+                .k_max(12),
+        );
         let dir = std::env::temp_dir().join(format!("tim_engine_grow_{}", std::process::id()));
         std::fs::create_dir_all(&dir).unwrap();
         let path = dir.join("pool.timp");
         sampled.to_pool().save(&path).unwrap();
         let attach = |pool| {
-            let store = GraphStore::from_arc(sampled.graph_arc());
+            let store = GraphStore::from_arc(Arc::clone(&g));
             QueryEngine::from_pool_store(store, counting_ic(&calls), "ic", pool)
                 .unwrap()
                 .threads(2)
         };
-        let mut heap = attach(RrPool::read(std::fs::read(&path).unwrap().as_slice()).unwrap());
-        let mut mapped = attach(RrPool::load(&path).unwrap());
-        assert!(!heap.pool_is_mapped() && mapped.pool_is_mapped());
+        let heap = attach(RrPool::read(std::fs::read(&path).unwrap().as_slice()).unwrap());
+        let mapped = attach(RrPool::load(&path).unwrap());
+        assert!(heap.state.pool.mapping().is_none() && mapped.state.pool.mapping().is_some());
+        let (heap, mapped) = (SharedEngine::new(heap), SharedEngine::new(mapped));
 
-        let grow = |e: &mut QueryEngine<_>| {
+        let grow = |e: &SharedEngine<_>| {
             let before = calls.load(Ordering::Relaxed);
             let out = e.select_with(12, Some(0.4), None);
             assert!(out.resampled);
             (out.seeds, calls.load(Ordering::Relaxed) - before)
         };
-        let (seeds, draws) = grow(&mut sampled);
-        assert_eq!(grow(&mut heap), (seeds.clone(), draws));
-        assert_eq!(grow(&mut mapped), (seeds, draws));
-        assert!(!mapped.pool_is_mapped(), "growth moves the pool heap-side");
+        let (seeds, draws) = grow(&sampled);
+        assert_eq!(grow(&heap), (seeds.clone(), draws));
+        assert_eq!(grow(&mapped), (seeds, draws));
+        assert!(!is_mapped(&mapped), "growth moves the pool heap-side");
 
         let (fresh, _) = tim_core::parallel::generate_rr_sets(
-            sampled.graph(),
+            &g,
             &counting_ic(&calls),
             sampled.pool_theta(),
             select_stream_seed(6),
             3,
         );
         for e in [&sampled, &heap, &mapped] {
-            assert_eq!(e.state.pool.raw_offsets(), fresh.raw_offsets());
-            assert_eq!(e.state.pool.raw_data(), fresh.raw_data());
+            assert_eq!(e.current().pool.raw_offsets(), fresh.raw_offsets());
+            assert_eq!(e.current().pool.raw_data(), fresh.raw_data());
         }
         std::fs::remove_dir_all(&dir).ok();
     }
 
     #[test]
     fn tighter_epsilon_grows_the_pool() {
-        let mut e = engine(6);
-        e.warm();
+        let e = warm(engine(6));
         let before = e.pool_theta();
         // theta scales as eps^-2: 0.8 -> 0.1 is a 64x demand, far beyond
         // the warm pool's max theta(k).
@@ -1191,8 +1060,7 @@ mod tests {
 
     #[test]
     fn fast_mode_is_a_prefix_of_the_deep_run() {
-        let mut e = engine(7);
-        e.warm();
+        let e = warm(engine(7));
         let full = e.select_fast(12);
         for k in [1usize, 4, 9] {
             let out = e.select_fast(k);
@@ -1204,17 +1072,14 @@ mod tests {
 
     #[test]
     fn spread_and_marginal_agree_with_pool_coverage() {
-        let mut e = engine(8);
-        e.warm();
+        let e = warm(engine(8));
         let out = e.select(4);
         let s = e.spread(&out.seeds);
         assert!((s - out.estimated_spread).abs() / out.estimated_spread < 0.25);
         // Marginal gain of an already-chosen seed is 0.
         assert_eq!(e.marginal_gain(&out.seeds, out.seeds[0]), 0.0);
         // Submodularity: gain on top of seeds <= gain on empty base.
-        let cand = (0..e.graph().n() as NodeId)
-            .find(|v| !out.seeds.contains(v))
-            .unwrap();
+        let cand = (0..300).find(|v| !out.seeds.contains(v)).unwrap();
         let on_seeds = e.marginal_gain(&out.seeds, cand);
         let on_empty = e.marginal_gain(&[], cand);
         assert!(on_seeds <= on_empty + 1e-9);
@@ -1225,23 +1090,22 @@ mod tests {
 
     #[test]
     fn pool_round_trip_preserves_answers() {
-        let mut e = engine(9);
-        e.warm();
+        let e = warm(engine(9));
         let want = e.select(5).seeds;
         let pool = e.to_pool();
         let mut bytes = Vec::new();
         pool.write(&mut bytes).unwrap();
         let loaded = RrPool::read(bytes.as_slice()).unwrap();
-        let mut e2 =
+        let e2 =
             QueryEngine::from_pool(wc_graph(300, 1), IndependentCascade, "ic", loaded).unwrap();
-        let out = e2.select(5);
+        let out = SharedEngine::new(e2).select(5);
         assert_eq!(out.seeds, want);
         assert!(!out.resampled);
     }
 
     #[test]
     fn state_answers_match_or_report_misses() {
-        let mut e = engine(12);
+        let e = engine(12);
         let (eps, ell) = (0.8, 1.0);
         // Cold engine, nothing cached: every answer function misses, and
         // says what it lacks.
@@ -1256,10 +1120,13 @@ mod tests {
         // An already-included candidate needs no pool at all.
         assert_eq!(cold.marginal_gain(&[4], 4).unwrap(), 0.0);
 
-        e.warm();
+        let e = warm_cold(e);
         // Warm-up caches every plan up to k_max, so k = 3 answers from
         // the state at once, as the blocking path does.
-        let got = e.state.select(3, eps, ell).expect("warm-up cached k = 3");
+        let got = e
+            .current()
+            .select(3, eps, ell)
+            .expect("warm-up cached k = 3");
         let want = e.select(3);
         assert_eq!(got.seeds, want.seeds);
         assert_eq!(got.theta_used, want.theta_used);
@@ -1267,26 +1134,27 @@ mod tests {
         // Past k_max no plan is cached yet: a miss until the blocking
         // path plans it.
         let past = e.warmed_k() + 1;
-        assert!(e.state.select(past, eps, ell).is_err());
+        assert!(e.current().select(past, eps, ell).is_err());
         let want_past = e.select(past);
-        let got_past = e.state.select(past, eps, ell).expect("plan now cached");
+        let got_past = e.current().select(past, eps, ell).expect("plan now cached");
         assert_eq!(got_past.seeds, want_past.seeds);
 
         // The fast cover must exist before the state serves fast answers.
-        assert!(e.state.select_fast(2).is_err());
+        assert!(e.current().select_fast(2).is_err());
         let want_fast = e.select_fast(2);
-        let got_fast = e.state.select_fast(2).expect("fast cover now cached");
+        let got_fast = e.current().select_fast(2).expect("fast cover now cached");
         assert_eq!(got_fast.seeds, want_fast.seeds);
-        assert!(e.state.select_fast(e.warmed_k() + 1).is_err());
+        assert!(e.current().select_fast(e.warmed_k() + 1).is_err());
 
         let s = e.spread(&want.seeds);
-        assert_eq!(e.state.spread(&want.seeds).unwrap(), s);
+        assert_eq!(e.current().spread(&want.seeds).unwrap(), s);
         let m = e.marginal_gain(&want.seeds, 99);
-        assert_eq!(e.state.marginal_gain(&want.seeds, 99).unwrap(), m);
+        assert_eq!(e.current().marginal_gain(&want.seeds, 99).unwrap(), m);
 
         // Preparing never touches the state it starts from, and a state
         // that only gained plans or a fast cover shares its pool.
-        let warm = e.state.clone();
+        let e = engine(12);
+        let warm = e.setup.prepare(&e.state, Miss::Warm);
         let next = e.setup.prepare(
             &warm,
             Miss::Plan {
@@ -1308,9 +1176,8 @@ mod tests {
 
     #[test]
     fn the_first_select_keeps_its_answer_and_growth_shares_it() {
-        let mut e = engine(5);
-        e.warm();
-        let cell = entry(&e.state, 6);
+        let e = warm(engine(5));
+        let cell = entry(&e.current(), 6);
         assert!(
             cell.answer.get().is_none(),
             "the warm-up runs no exact greedy"
@@ -1327,13 +1194,13 @@ mod tests {
         assert!(e.select_with(12, Some(0.1), None).resampled);
         assert!(e.pool_theta() > theta);
         assert!(
-            Arc::ptr_eq(&entry(&e.state, 6), &cell),
+            Arc::ptr_eq(&entry(&e.current(), 6), &cell),
             "growth shares the entry"
         );
 
         // The kept answer is the grown pool's, and a fresh run's.
         let end = cell.plan.theta as usize;
-        let regreedy = greedy_max_cover_prefix(&e.state.pool, end, 6);
+        let regreedy = greedy_max_cover_prefix(&e.current().pool, end, 6);
         let again = e.select(6);
         assert_eq!(again.seeds, regreedy.seeds);
         let spread = regreedy.coverage_fraction(end) * 300.0;
@@ -1357,24 +1224,22 @@ mod tests {
         // An answer kept between the warm-up's steps survives step two.
         let mut two = engine(13);
         two.start_warm();
+        let two = SharedEngine::new(two);
         let early = two.select(12).seeds;
-        let cell = entry(&two.state, 12);
+        let cell = entry(&two.current(), 12);
         assert!(cell.answer.get().is_some());
         two.warm();
-        assert!(Arc::ptr_eq(&entry(&two.state, 12), &cell));
+        assert!(Arc::ptr_eq(&entry(&two.current(), 12), &cell));
         assert_eq!(two.select(12).seeds, early);
     }
 
     #[test]
     fn racing_first_asks_on_a_shared_engine_agree() {
-        let mut serial = engine(5);
-        serial.warm();
+        let serial = warm(engine(5));
         let ks = [1usize, 6, 12];
         let want: Vec<QueryOutcome> = ks.iter().map(|&k| serial.select(k)).collect();
 
-        let mut e = engine(5);
-        e.warm();
-        let shared = Arc::new(crate::SharedEngine::new(e));
+        let shared = Arc::new(warm(engine(5)));
         let start = Arc::new(std::sync::Barrier::new(8));
         let racers: Vec<_> = (0..8)
             .map(|_| {
@@ -1408,28 +1273,32 @@ mod tests {
 
     #[test]
     fn engines_share_one_graph_through_an_arc() {
-        let g = std::sync::Arc::new(wc_graph(300, 1));
-        let mut a = QueryEngine::new(std::sync::Arc::clone(&g), IndependentCascade, "ic")
-            .epsilon(0.8)
-            .seed(5)
-            .k_max(4);
-        let mut b = QueryEngine::new(a.graph_arc(), IndependentCascade, "ic")
-            .epsilon(0.8)
-            .seed(5)
-            .k_max(4);
+        let g = Arc::new(wc_graph(300, 1));
+        let on_g = || {
+            QueryEngine::new(Arc::clone(&g), IndependentCascade, "ic")
+                .epsilon(0.8)
+                .seed(5)
+                .k_max(4)
+        };
+        let (a, b) = (on_g(), on_g());
         // Three handles: ours plus one per engine — no CSR copies made.
-        assert_eq!(std::sync::Arc::strong_count(&g), 3);
+        assert_eq!(Arc::strong_count(&g), 3);
+        let (a, b) = (SharedEngine::new(a), SharedEngine::new(b));
         assert_eq!(a.select(4).seeds, b.select(4).seeds);
+        assert_eq!(
+            Arc::strong_count(&g),
+            3,
+            "sharing an engine copies no graph"
+        );
     }
 
     #[test]
     fn from_pool_rejects_unusable_parameters_without_panicking() {
         // f64::from_bits accepts anything, so a decoded pool can carry a
         // zero/negative/NaN epsilon; attaching must error, not panic.
-        let mut e = engine(11);
-        e.warm();
+        let warm = engine(11).to_pool();
         for (eps, ell) in [(0.0, 1.0), (-1.0, 1.0), (f64::NAN, 1.0), (0.5, 0.0)] {
-            let mut pool = e.to_pool();
+            let mut pool = warm.clone();
             pool.meta.epsilon = eps;
             pool.meta.ell = ell;
             assert!(
@@ -1444,9 +1313,7 @@ mod tests {
 
     #[test]
     fn from_pool_rejects_wrong_graph_and_model() {
-        let mut e = engine(10);
-        e.warm();
-        let pool = e.to_pool();
+        let pool = engine(10).to_pool();
         assert!(matches!(
             QueryEngine::from_pool(
                 wc_graph(300, 2), // different graph

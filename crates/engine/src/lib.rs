@@ -11,15 +11,20 @@
 //! - [`RrPool`] — a serialized [`tim_coverage::SetCollection`] plus a
 //!   provenance header (graph content checksum, model, seed, ε, ℓ, θ)
 //!   that the loader validates before the pool may serve a graph;
-//! - [`QueryEngine`] — answers seed-selection queries for any `k` from a
-//!   warm pool, **byte-identical** to a fresh [`tim_core::TimPlus`] run
-//!   at the same `(seed, ε, ℓ, k)` (exact replay: set j of the sampling
-//!   stream depends only on `(seed, j)`, so a run's θ(k) sets are the
-//!   pool's first θ(k)), or via a single cached greedy run (prefix
-//!   answering); plus spread and marginal-gain estimates against the
-//!   pool. It resamples only when ε/ℓ/k demand a larger θ than the pool
-//!   holds, and then draws only the sets past the pool's θ, whether the
-//!   pool was sampled in the process or attached from a file.
+//! - [`QueryEngine`] — builds an engine for a graph, model and run
+//!   parameters, takes the warm-up's first step, attaches a persisted
+//!   pool after validating its provenance, and hands its pool out for
+//!   persistence. It answers nothing itself;
+//! - [`SharedEngine`] — answers every query: seed selection for any `k`
+//!   from a warm pool, **byte-identical** to a fresh
+//!   [`tim_core::TimPlus`] run at the same `(seed, ε, ℓ, k)` (exact
+//!   replay: set j of the sampling stream depends only on `(seed, j)`,
+//!   so a run's θ(k) sets are the pool's first θ(k)), or via a single
+//!   cached greedy run (prefix answering); plus spread and
+//!   marginal-gain estimates against the pool. It resamples only when
+//!   ε/ℓ/k demand a larger θ than the pool holds, and then draws only
+//!   the sets past the pool's θ, whether the pool was sampled in the
+//!   process or attached from a file.
 //!
 //! Pairs with [`tim_graph::snapshot`] (binary `.timg` graph snapshots) so
 //! that a serving process starts without touching a text parser: load
@@ -41,11 +46,10 @@
 //! Each engine keeps its answerable state — pool, θ, `k_max`, plan cache,
 //! fast cover and growth epoch — as one immutable version. A query
 //! answers from it or names what it lacks, and a miss prepares the next
-//! version. For concurrent serving, [`SharedEngine`] publishes that
-//! version in an `Arc` swapped under a lock held only for the swap: hits
-//! never wait on planning or sampling, and misses run one at a time off
-//! that lock. `tim_server` builds its per-provenance pool cache out of
-//! these.
+//! version. [`SharedEngine`] publishes that version in an `Arc` swapped
+//! under a lock held only for the swap: hits never wait on planning or
+//! sampling, and misses run one at a time off that lock. `tim_server`
+//! builds its per-provenance pool cache out of these.
 
 mod engine;
 mod error;
@@ -57,8 +61,8 @@ mod store;
 pub use engine::{QueryEngine, QueryOutcome};
 pub use error::EngineError;
 pub use pool::{
-    pool_version, PoolMeta, RrPool, POOL_MAGIC, POOL_V2_ALIGN, POOL_V2_HEADER_BYTES,
-    POOL_V2_MODEL_TAG_MAX, POOL_VERSION_V2,
+    PoolMeta, RrPool, POOL_MAGIC, POOL_V2_ALIGN, POOL_V2_HEADER_BYTES, POOL_V2_MODEL_TAG_MAX,
+    POOL_VERSION_V2,
 };
 pub use shared::SharedEngine;
 pub use store::{

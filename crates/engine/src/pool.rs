@@ -284,30 +284,6 @@ impl RrPool {
     }
 }
 
-/// Reads the format version from the first eight bytes of a pool file
-/// without decoding it.
-///
-/// I/O errors pass through as [`EngineError::Io`] (so a missing file
-/// stays distinguishable); a file too short for a header or with the
-/// wrong magic is [`EngineError::Format`].
-pub fn pool_version<P: AsRef<Path>>(path: P) -> Result<u32, EngineError> {
-    let mut file = std::fs::File::open(path)?;
-    let mut head = [0u8; 8];
-    file.read_exact(&mut head).map_err(|e| {
-        if e.kind() == std::io::ErrorKind::UnexpectedEof {
-            EngineError::Format("pool file too short for a header".into())
-        } else {
-            EngineError::Io(e)
-        }
-    })?;
-    if head[0..4] != POOL_MAGIC {
-        return Err(EngineError::Format(
-            "not a TIMP pool file (bad magic)".into(),
-        ));
-    }
-    Ok(u32::from_le_bytes(head[4..8].try_into().expect("4 bytes")))
-}
-
 /// Parses and validates the v2 pool header of the whole file `bytes`:
 /// magic, version, header checksum, provenance fields, count sanity, a
 /// section table whose entries are canonically ordered, page-aligned,
@@ -623,6 +599,9 @@ mod tests {
 
     #[test]
     fn version_sniff_distinguishes_v1_v2_and_garbage() {
+        // Every open reads the version from the header itself: a v2 file
+        // loads, any other version is refused by name, and a file that
+        // is no pool at all is a format error.
         let dir = std::env::temp_dir().join(format!("timp_sniff_{}", std::process::id()));
         std::fs::create_dir_all(&dir).unwrap();
         let pool = sample_pool();
@@ -635,24 +614,25 @@ mod tests {
         )
         .unwrap();
         pool.save(&v2).unwrap();
-        assert_eq!(pool_version(&v1).unwrap(), 1);
-        assert_eq!(pool_version(&v2).unwrap(), POOL_VERSION_V2);
+        let header = std::fs::read(&v2).unwrap();
+        assert_eq!(header[..4], POOL_MAGIC);
+        assert_eq!(header[4..8], POOL_VERSION_V2.to_le_bytes());
+        assert_eq!(RrPool::load(&v2).unwrap().meta, pool.meta);
         assert!(matches!(
             RrPool::load(&v1),
             Err(EngineError::Format(m)) if m.contains("pool version 1")
         ));
 
-        let junk = dir.join("junk.timp");
-        std::fs::write(&junk, b"NOTAPOOL").unwrap();
-        assert!(matches!(pool_version(&junk), Err(EngineError::Format(_))));
-        let short = dir.join("short.timp");
-        std::fs::write(&short, b"TIM").unwrap();
         assert!(matches!(
-            pool_version(&short),
+            RrPool::read(&b"NOTAPOOL"[..]),
+            Err(EngineError::Format(m)) if m.contains("bad magic")
+        ));
+        assert!(matches!(
+            RrPool::read(&b"TIM"[..]),
             Err(EngineError::Format(m)) if m.contains("too short")
         ));
         assert!(matches!(
-            pool_version(dir.join("missing.timp")),
+            RrPool::load(dir.join("missing.timp")),
             Err(EngineError::Io(_))
         ));
         std::fs::remove_dir_all(&dir).ok();

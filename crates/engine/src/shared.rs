@@ -1,4 +1,5 @@
-//! Concurrent, shareable access to a query engine.
+//! The query engine that answers: concurrent, shareable access to an
+//! engine's warm pool.
 //!
 //! A [`SharedEngine`] keeps its engine's answerable state — one immutable
 //! version of the pool, its θ, `k_max`, the plan cache, the fast cover
@@ -26,13 +27,41 @@
 //! misses, waits on the gate, and finds the warm-up finished there by
 //! whoever ran [`SharedEngine::warm`] or missed first.
 
-use crate::engine::{Miss, QueryEngine, QueryOutcome, Setup, State, PREPARED};
+use crate::engine::{Miss, QueryEngine, QueryOutcome, Setup, State};
 use crate::pool::RrPool;
 use std::sync::{Arc, Mutex, PoisonError};
 use tim_diffusion::DiffusionModel;
 use tim_graph::NodeId;
 
-/// A [`QueryEngine`] whose state is published by pointer swap.
+/// `answer` prepared the state for the query it missed.
+const PREPARED: &str = "a prepared state answers the query it missed";
+
+/// The engine every query is answered by: a [`QueryEngine`] whose state
+/// is published by pointer swap.
+///
+/// TIM+ splits into an expensive sampling phase and a cheap greedy
+/// phase; the engine keeps the sampled pool resident, so repeated
+/// queries pay only for greedy max-coverage. Two answering modes:
+///
+/// - [`select`](Self::select) — **exact replay**: re-derives the
+///   [`SamplingPlan`](tim_core::SamplingPlan) for the queried `k`, runs
+///   greedy over just the θ-prefix a fresh run would have sampled, read
+///   in place from the pool (see
+///   [`greedy_max_cover_prefix`](tim_coverage::greedy_max_cover_prefix)),
+///   and returns seed sets **byte-identical** to
+///   [`TimPlus::run`](tim_core::TimPlus::run) at the same
+///   `(seed, ε, ℓ, k)`. Greedy runs on the first ask of each plan; the
+///   plan cache keeps the answer for every repeat, across growths. The
+///   pool grows (resamples) only when ε/ℓ/k demand a larger θ than it
+///   holds.
+/// - [`select_fast`](Self::select_fast) — **prefix answering**: one
+///   greedy run over the whole pool at its full θ, answering any `k` as
+///   the `k`-prefix of that run (greedy's prefix property). Uses *more*
+///   sets than required — θ ≥ λ/OPT still holds, so the
+///   `(1 − 1/e − ε)` guarantee is preserved — at near-zero marginal
+///   cost per query.
+///
+/// Spread and marginal-gain queries are answered against the full pool.
 ///
 /// Cheap to share (`Arc<SharedEngine<M>>`); all query methods take
 /// `&self`. Neither lock guards anything a panic can leave half-written:
@@ -53,9 +82,11 @@ use tim_graph::NodeId;
 ///     .epsilon(1.0)
 ///     .seed(7)
 ///     .k_max(4);
-/// engine.warm();
+/// engine.start_warm();
 /// let shared = Arc::new(SharedEngine::new(engine));
+/// shared.warm();
 /// let want = shared.select(3).seeds;
+/// assert!(shared.marginal_gain(&want, 99) >= 0.0);
 ///
 /// let workers: Vec<_> = (0..2)
 ///     .map(|_| {
@@ -77,11 +108,10 @@ pub struct SharedEngine<M> {
 }
 
 impl<M: DiffusionModel + Clone> SharedEngine<M> {
-    /// Wraps an engine for shared use. Warm it first
-    /// ([`QueryEngine::warm`]) if the first queries should not pay the
-    /// sampling cost, or take only the warm-up's first step
-    /// ([`QueryEngine::start_warm`]) and finish it with
-    /// [`warm`](Self::warm) while serving.
+    /// Wraps an engine for shared use. Take the warm-up's first step
+    /// ([`QueryEngine::start_warm`]) first and finish it with
+    /// [`warm`](Self::warm), before serving or while serving, if the
+    /// first queries should not pay the sampling cost.
     pub fn new(engine: QueryEngine<M>) -> Self {
         let QueryEngine { setup, mut state } = engine;
         state.epoch = 0;
@@ -93,7 +123,7 @@ impl<M: DiffusionModel + Clone> SharedEngine<M> {
     }
 
     /// The published state.
-    fn current(&self) -> Arc<State> {
+    pub(crate) fn current(&self) -> Arc<State> {
         Arc::clone(&self.current.lock().unwrap_or_else(PoisonError::into_inner))
     }
 
@@ -138,8 +168,13 @@ impl<M: DiffusionModel + Clone> SharedEngine<M> {
         self.current().epoch
     }
 
-    /// [`QueryEngine::select`] from the published state, preparing the
-    /// plan or the growth it lacks first.
+    /// Answers a `k`-seed selection **byte-identically** to
+    /// [`TimPlus::run`](tim_core::TimPlus::run) at the engine's
+    /// `(seed, ε, ℓ)`: the estimation phases are replayed (cheap), and
+    /// greedy reads the selection sample's sets in place in the pool
+    /// instead of regenerating them (the expensive part). Answers from
+    /// the published state, preparing the plan or the growth it lacks
+    /// first.
     ///
     /// # Panics
     /// Panics if `k == 0`.
@@ -147,7 +182,10 @@ impl<M: DiffusionModel + Clone> SharedEngine<M> {
         self.select_with(k, None, None)
     }
 
-    /// [`QueryEngine::select_with`], answered like [`select`](Self::select).
+    /// [`select`](Self::select) with per-query ε/ℓ overrides. A tighter
+    /// ε or ℓ than the pool was built for may demand a larger θ, which
+    /// triggers a resample (reported in
+    /// [`QueryOutcome::resampled`]).
     pub fn select_with(&self, k: usize, eps: Option<f64>, ell: Option<f64>) -> QueryOutcome {
         assert!(k >= 1, "k must be at least 1");
         let (eps, ell) = self.setup.resolve(eps, ell);
@@ -156,8 +194,14 @@ impl<M: DiffusionModel + Clone> SharedEngine<M> {
         out
     }
 
-    /// [`QueryEngine::select_fast`] from the published state, preparing
-    /// the fast cover first when it is missing or stale.
+    /// Answers a `k`-seed selection as the `k`-prefix of a single cached
+    /// greedy run over the **full** pool. Near-zero marginal cost per
+    /// query; uses more RR sets than a fresh run would, so the
+    /// approximation guarantee is preserved (θ only ever exceeds the
+    /// required λ/OPT), but seed sets may differ from
+    /// [`select`](Self::select)'s exact replay. A `k` past the warmed
+    /// `k_max` raises it. Prepares the fast cover first when it is
+    /// missing or stale.
     ///
     /// # Panics
     /// Panics if `k == 0`.
@@ -168,8 +212,9 @@ impl<M: DiffusionModel + Clone> SharedEngine<M> {
         out
     }
 
-    /// [`QueryEngine::spread`] from the published state, warming a cold
-    /// pool first.
+    /// Estimates `E[I(seeds)]` as `n · F_R(seeds)` over the full pool
+    /// (Corollary 1's unbiased coverage estimator), finishing the
+    /// warm-up first if it has not finished.
     ///
     /// # Panics
     /// Panics if any seed is outside the graph's node range.
@@ -177,8 +222,10 @@ impl<M: DiffusionModel + Clone> SharedEngine<M> {
         self.answer(|s| s.spread(seeds)).0
     }
 
-    /// [`QueryEngine::marginal_gain`] from the published state, warming a
-    /// cold pool first.
+    /// Estimates the marginal spread gain of adding `candidate` to `base`:
+    /// `spread(base ∪ {candidate}) − spread(base)`, both against the full
+    /// pool, finishing the warm-up first if it has not finished. Zero
+    /// when `candidate` is already in `base`.
     pub fn marginal_gain(&self, base: &[NodeId], candidate: NodeId) -> f64 {
         self.answer(|s| s.marginal_gain(base, candidate)).0
     }
@@ -202,22 +249,40 @@ impl<M: DiffusionModel + Clone> SharedEngine<M> {
         self.current().k_max
     }
 
-    /// Content checksum of the attached graph.
-    pub fn graph_checksum(&self) -> u64 {
-        self.setup.graph_checksum()
-    }
-
-    /// Warms the pool ([`QueryEngine::warm`]), or finishes a warm-up
-    /// that [`QueryEngine::start_warm`] began, and returns the resulting
-    /// θ. Queries the unsettled state answers keep answering meanwhile;
-    /// the rest wait for it at the gate.
+    /// Warms the pool so that **every** `k ≤ k_max` is answerable without
+    /// replanning or resampling, and returns the resulting pool θ.
+    ///
+    /// θ(k) = λ(k)/KPT⁺(k) is not monotone in `k`: λ grows with `k`, but
+    /// so does the KPT⁺ bound. On the 300-node test graphs θ(1) is well
+    /// above θ(k_max): θ(1) = 38,800 against θ(12) = 12,433 at ε = 0.8
+    /// and run seed 13. On the 50k-node benchmark graph it is the other
+    /// way round: θ(1) = 64,987 against θ(50) = 150,757 at ε = 0.3 and
+    /// run seed 7. So no one plan bounds the rest. Warming plans every
+    /// `k` in `1..=k_max` in one batched pass
+    /// ([`TimPlus::plans`](tim_core::TimPlus::plans), which costs about
+    /// as much as the most expensive single plan), caches every plan, and
+    /// samples exactly
+    /// `max θ(k)`: the smallest pool that holds every exact
+    /// `select k ≤ k_max`'s θ(k)-prefix.
+    ///
+    /// The pool is sized up front rather than grown per query because
+    /// [`select_fast`](Self::select_fast), [`spread`](Self::spread) and
+    /// [`marginal_gain`](Self::marginal_gain) answer over the whole pool:
+    /// a pool that grew mid-session to serve an exact `select` would
+    /// change their answers.
+    ///
+    /// After [`QueryEngine::start_warm`] this is the warm-up's second
+    /// step: it plans the other sizes and tops the pool up, drawing only
+    /// the sets past θ(`k_max`). The pool ends byte-identical to a
+    /// warm-up in one call. Queries the unsettled state answers keep
+    /// answering meanwhile; the rest wait for it at the gate.
     pub fn warm(&self) -> u64 {
         self.answer(State::warm_theta).0
     }
 
-    /// The published state's provenance header
-    /// ([`QueryEngine::pool_meta`]), without cloning the sets or waiting
-    /// on the warm-up.
+    /// The published state's provenance header (what
+    /// [`to_pool`](Self::to_pool) would persist), without cloning the
+    /// sets or waiting on the warm-up.
     pub fn pool_meta(&self) -> crate::PoolMeta {
         self.setup.meta(&self.current())
     }
@@ -243,12 +308,6 @@ impl<M: DiffusionModel + Clone> SharedEngine<M> {
     }
 }
 
-impl<M: DiffusionModel + Clone> From<QueryEngine<M>> for SharedEngine<M> {
-    fn from(engine: QueryEngine<M>) -> Self {
-        SharedEngine::new(engine)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -264,14 +323,18 @@ mod tests {
         g
     }
 
+    /// A shared engine warmed the way a server warms a pool: step one
+    /// before it is shared, step two through it.
     fn shared(seed: u64) -> SharedEngine<IndependentCascade> {
         let mut engine = QueryEngine::new(wc_graph(300, 1), IndependentCascade, "ic")
             .epsilon(0.8)
             .seed(seed)
             .threads(2)
             .k_max(8);
-        engine.warm();
-        SharedEngine::new(engine)
+        engine.start_warm();
+        let shared = SharedEngine::new(engine);
+        shared.warm();
+        shared
     }
 
     #[test]
@@ -279,28 +342,6 @@ mod tests {
         fn assert_send_sync<T: Send + Sync>() {}
         assert_send_sync::<SharedEngine<IndependentCascade>>();
         assert_send_sync::<QueryEngine<IndependentCascade>>();
-    }
-
-    #[test]
-    fn shared_answers_match_exclusive_answers() {
-        let s = shared(3);
-        let mut exclusive = QueryEngine::new(wc_graph(300, 1), IndependentCascade, "ic")
-            .epsilon(0.8)
-            .seed(3)
-            .threads(2)
-            .k_max(8);
-        exclusive.warm();
-        for k in [1usize, 4, 8] {
-            assert_eq!(s.select(k).seeds, exclusive.select(k).seeds, "k = {k}");
-        }
-        let seeds = s.select(4).seeds;
-        assert_eq!(s.spread(&seeds), exclusive.spread(&seeds));
-        assert_eq!(
-            s.marginal_gain(&seeds, 99),
-            exclusive.marginal_gain(&seeds, 99)
-        );
-        assert_eq!(s.select_fast(3).seeds, exclusive.select_fast(3).seeds);
-        assert_eq!(s.pool_theta(), exclusive.pool_theta());
     }
 
     #[test]
@@ -363,7 +404,7 @@ mod tests {
 
     #[test]
     fn growth_epoch_tracks_pool_growth_only() {
-        let s = shared(6); // warmed before wrapping: epoch starts at 0
+        let s = shared(6); // warmed from step one: epoch starts at 0
         assert_eq!(s.growth_epoch(), 0);
         // Warm-pool queries (hits, and misses that only plan or build
         // the fast cover) never bump the epoch.

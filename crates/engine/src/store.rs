@@ -682,10 +682,8 @@ mod tests {
         let mut p = pool(14, 3);
         p.meta.model = "m".repeat(max);
         let path = store.spill(&p).unwrap();
-        assert_eq!(
-            crate::pool::pool_version(&path).unwrap(),
-            crate::pool::POOL_VERSION_V2
-        );
+        let version = &std::fs::read(&path).unwrap()[4..8];
+        assert_eq!(version, crate::pool::POOL_VERSION_V2.to_le_bytes());
         let id = PoolId::from_meta(&p.meta);
         let got = store.probe_backed(&id, true).unwrap().expect("restored");
         assert!(matches!(got, ProbedPool::Mapped(_)));

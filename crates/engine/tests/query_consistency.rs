@@ -4,7 +4,7 @@
 
 use tim_core::TimPlus;
 use tim_diffusion::{IndependentCascade, LinearThreshold};
-use tim_engine::{QueryEngine, RrPool};
+use tim_engine::{QueryEngine, RrPool, SharedEngine};
 use tim_graph::{gen, weights, Graph};
 
 const K: usize = 20;
@@ -18,20 +18,22 @@ fn ic_graph() -> Graph {
     g
 }
 
-fn warm_engine() -> QueryEngine<IndependentCascade> {
+fn warm_engine() -> SharedEngine<IndependentCascade> {
     let mut e = QueryEngine::new(ic_graph(), IndependentCascade, "ic")
         .epsilon(EPS)
         .ell(ELL)
         .seed(SEED)
         .k_max(K);
-    e.warm();
-    e
+    e.start_warm();
+    let shared = SharedEngine::new(e);
+    shared.warm();
+    shared
 }
 
 #[test]
 fn warm_pool_matches_fresh_runs_at_every_k() {
     let g = ic_graph();
-    let mut engine = warm_engine();
+    let engine = warm_engine();
     let pool_theta = engine.pool_theta();
     let mut largest = 0;
     for k in 1..=K {
@@ -62,7 +64,9 @@ fn answers_survive_pool_persistence() {
     engine.to_pool().write(&mut bytes).unwrap();
 
     let pool = RrPool::read(bytes.as_slice()).unwrap();
-    let mut revived = QueryEngine::from_pool(ic_graph(), IndependentCascade, "ic", pool).unwrap();
+    let revived = SharedEngine::new(
+        QueryEngine::from_pool(ic_graph(), IndependentCascade, "ic", pool).unwrap(),
+    );
     let g = ic_graph();
     for k in [1usize, K / 2, K] {
         let fresh = TimPlus::new(IndependentCascade)
@@ -78,7 +82,7 @@ fn answers_survive_pool_persistence() {
 
 #[test]
 fn resample_happens_exactly_when_theta_demands_it() {
-    let mut engine = warm_engine();
+    let engine = warm_engine();
     let warm_theta = engine.pool_theta();
 
     // Looser epsilon: smaller theta, no resample.
@@ -115,10 +119,12 @@ fn resample_happens_exactly_when_theta_demands_it() {
 fn exactness_holds_under_the_lt_model_too() {
     let mut g = gen::barabasi_albert(300, 4, 0.0, 5);
     weights::assign_lt_normalized(&mut g, 6);
-    let mut engine = QueryEngine::new(g.clone(), LinearThreshold, "lt")
-        .epsilon(0.7)
-        .seed(9)
-        .k_max(8);
+    let engine = SharedEngine::new(
+        QueryEngine::new(g.clone(), LinearThreshold, "lt")
+            .epsilon(0.7)
+            .seed(9)
+            .k_max(8),
+    );
     engine.warm();
     for k in [1usize, 4, 8] {
         let fresh = TimPlus::new(LinearThreshold)
@@ -131,7 +137,7 @@ fn exactness_holds_under_the_lt_model_too() {
 
 #[test]
 fn fast_mode_spread_is_competitive_with_exact_mode() {
-    let mut engine = warm_engine();
+    let engine = warm_engine();
     let exact = engine.select(K);
     let fast = engine.select_fast(K);
     assert_eq!(fast.seeds.len(), K);

@@ -240,25 +240,6 @@ impl<M: DiffusionModel + Clone> PoolCache<M> {
         engine
     }
 
-    /// [`get_or_load`](Self::get_or_load) without a restore path: misses
-    /// build directly, skipping any store probe. For callers that cannot
-    /// attach persisted pools (tests, store-less deployments).
-    pub fn get_or_build(
-        &self,
-        key: &PoolKey,
-        build: impl FnOnce() -> SharedEngine<M>,
-    ) -> Arc<SharedEngine<M>> {
-        let (entry, evicted) = self.lookup(key);
-        if let Some(evicted) = evicted {
-            self.farewell_spill(evicted);
-        }
-        let engine = Arc::clone(entry.engine.get_or_init(|| {
-            self.builds.fetch_add(1, Ordering::Relaxed);
-            Arc::new(build())
-        }));
-        engine
-    }
-
     /// Map bookkeeping for a lookup: bump/insert the slot, count the
     /// hit/miss, pick an eviction victim when over capacity. Holds the
     /// cache lock only for this.
@@ -538,13 +519,30 @@ mod tests {
         PoolKey::new(graph_checksum(g), "ic", 0, eps, 1.0)
     }
 
+    /// A warm engine, warmed the way the server warms its pools: step
+    /// one before it is shared, step two through it.
     fn cheap_engine(g: &Arc<Graph>, eps: f64) -> SharedEngine<IndependentCascade> {
         let mut engine = QueryEngine::new(Arc::clone(g), IndependentCascade, "ic")
             .epsilon(eps)
             .threads(1)
             .k_max(2);
-        engine.warm();
-        SharedEngine::new(engine)
+        engine.start_warm();
+        let shared = SharedEngine::new(engine);
+        shared.warm();
+        shared
+    }
+
+    /// A store-less lookup: a miss builds with `build`.
+    fn get(
+        cache: &PoolCache<IndependentCascade>,
+        key: &PoolKey,
+        build: impl FnOnce() -> SharedEngine<IndependentCascade>,
+    ) -> Arc<SharedEngine<IndependentCascade>> {
+        cache.get_or_load(
+            key,
+            |_| unreachable!("a store-less cache restores nothing"),
+            build,
+        )
     }
 
     fn restore(
@@ -580,11 +578,11 @@ mod tests {
         let g = graph();
         let cache = PoolCache::new(2);
         let built = AtomicUsize::new(0);
-        let a = cache.get_or_build(&key(1.0), || {
+        let a = get(&cache, &key(1.0), || {
             built.fetch_add(1, Ordering::SeqCst);
             cheap_engine(&g, 1.0)
         });
-        let b = cache.get_or_build(&key(1.0), || {
+        let b = get(&cache, &key(1.0), || {
             built.fetch_add(1, Ordering::SeqCst);
             cheap_engine(&g, 1.0)
         });
@@ -606,11 +604,11 @@ mod tests {
         let g = graph();
         let cache = PoolCache::new(2);
         let build = |eps: f64| cheap_engine(&g, eps);
-        let first = cache.get_or_build(&key(1.0), || build(1.0));
-        cache.get_or_build(&key(0.9), || build(0.9));
+        let first = get(&cache, &key(1.0), || build(1.0));
+        get(&cache, &key(0.9), || build(0.9));
         // Touch 1.0 so 0.9 becomes the LRU victim.
-        cache.get_or_build(&key(1.0), || build(1.0));
-        cache.get_or_build(&key(0.8), || build(0.8));
+        get(&cache, &key(1.0), || build(1.0));
+        get(&cache, &key(0.8), || build(0.8));
         assert_eq!(cache.len(), 2);
         assert!(cache.contains(&key(1.0)));
         assert!(!cache.contains(&key(0.9)));
@@ -618,11 +616,11 @@ mod tests {
         assert_eq!(cache.stats().evictions, 1);
 
         // The surviving key still serves the original engine…
-        let again = cache.get_or_build(&key(1.0), || build(1.0));
+        let again = get(&cache, &key(1.0), || build(1.0));
         assert!(Arc::ptr_eq(&first, &again));
         // …and the evicted key is a cold miss again.
         let miss_before = cache.stats().misses;
-        cache.get_or_build(&key(0.9), || build(0.9));
+        get(&cache, &key(0.9), || build(0.9));
         assert_eq!(cache.stats().misses, miss_before + 1);
     }
 
@@ -635,7 +633,7 @@ mod tests {
             .map(|_| {
                 let (cache, built, g) = (Arc::clone(&cache), Arc::clone(&built), Arc::clone(&g));
                 std::thread::spawn(move || {
-                    let e = cache.get_or_build(&key(1.0), || {
+                    let e = get(&cache, &key(1.0), || {
                         built.fetch_add(1, Ordering::SeqCst);
                         // Make the build window wide enough to overlap.
                         std::thread::sleep(std::time::Duration::from_millis(20));
@@ -659,7 +657,7 @@ mod tests {
         cache.insert(key(1.0), cheap_engine(&g, 1.0));
         assert_eq!(cache.len(), 1);
         let built = AtomicUsize::new(0);
-        let e = cache.get_or_build(&key(1.0), || {
+        let e = get(&cache, &key(1.0), || {
             built.fetch_add(1, Ordering::SeqCst);
             cheap_engine(&g, 1.0)
         });
@@ -841,9 +839,8 @@ mod tests {
         let mut stale = QueryEngine::new(Arc::clone(&g), IndependentCascade, "ic")
             .epsilon(1.0)
             .threads(1)
-            .k_max(2);
-        stale.warm();
-        let mut stale = stale.to_pool();
+            .k_max(2)
+            .to_pool();
         stale.meta.select_seed ^= tim_diffusion::SAMPLER_REVISION;
         assert_eq!(store.spill(&stale).unwrap(), path);
         let cache3 = PoolCache::with_store(2, Arc::clone(&store), true);

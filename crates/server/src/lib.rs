@@ -10,16 +10,15 @@
 //!
 //! Five layers, each usable on its own:
 //!
-//! - [`protocol`] — the newline-delimited query protocol (`tim/2`, a
-//!   strict superset of `tim/1`; normative spec: `docs/PROTOCOL.md`),
-//!   shared verbatim with `tim query`. Parsing
-//!   ([`protocol::parse_request`] / [`protocol::parse_query`]) is split
-//!   from execution ([`protocol::execute`]) so a server can route a
-//!   parsed query to the right graph and pool before running it;
-//!   [`protocol::QueryBackend`] abstracts over an exclusive
-//!   [`tim_engine::QueryEngine`] and a shared
-//!   [`tim_engine::SharedEngine`]. The module also owns the 1 MiB
-//!   line framing ([`protocol::CappedLineReader`]) both transports share.
+//! - [`protocol`] — the newline-delimited query protocol (`tim/3`, a
+//!   strict superset of `tim/2` and `tim/1`; normative spec:
+//!   `docs/PROTOCOL.md`), shared verbatim with `tim query`. Parsing
+//!   ([`protocol::parse_request`], one pass per line) is split from
+//!   execution ([`protocol::execute`], against the
+//!   [`tim_engine::SharedEngine`] that answers every query) so a server
+//!   can route a parsed query to the right graph and pool before running
+//!   it. The module also owns the 1 MiB line framing
+//!   ([`protocol::CappedLineReader`]) both transports share.
 //! - [`cache`] — [`cache::PoolCache`], an LRU cache of
 //!   [`tim_engine::SharedEngine`]s keyed by pool provenance
 //!   `(graph checksum, model, seed, ε, ℓ)`. Distinct query mixes reuse or
@@ -29,10 +28,11 @@
 //!   behind per-graph locks, each with its own [`cache::PoolCache`]
 //!   budget, plus LRU eviction of idle graphs; [`catalog::GraphState`] is
 //!   one graph's serving state.
-//! - [`session`] — [`session::Session`], the per-connection `tim/2` state
-//!   machine: current graph (`use`), cached default-engine handle, and
+//! - [`session`] — [`session::Session`], the per-connection `tim/3` state
+//!   machine: current graph (`use`), cached default-engine handle,
 //!   `batch` execution that amortizes IO without changing a single
-//!   answer byte.
+//!   answer byte, and the `--admin`-gated admin verbs. It is the only
+//!   way a protocol line reaches an engine.
 //! - [`server`] — [`server::Server`], a multi-threaded TCP server:
 //!   [`server::ServerState`] (catalog + defaults) shared via `Arc` across
 //!   worker threads that each accept and serve connections.
@@ -88,10 +88,9 @@ pub use event_loop::AT_CAPACITY_REPLY;
 #[cfg(target_os = "linux")]
 pub use fanin::{drive_sessions, latency_stats, FaninReport, LatencyStats, SessionOutcome};
 pub use protocol::{
-    execute, parse_query, parse_request, CappedLine, CappedLineReader, LabelMap, ParsedLine,
-    ParsedRequest, PollLine, Query, QueryBackend, Reply, Request, IDLE_TIMEOUT_REPLY,
-    INTERNAL_ERROR_REPLY, MAX_BATCH, MAX_BATCH_BYTES, MAX_LINE_BYTES, OVERSIZED_BATCH_REPLY,
-    OVERSIZED_LINE_REPLY, PROTOCOL_VERSION,
+    execute, parse_request, CappedLine, CappedLineReader, LabelMap, ParsedRequest, PollLine, Query,
+    Reply, Request, IDLE_TIMEOUT_REPLY, INTERNAL_ERROR_REPLY, MAX_BATCH, MAX_BATCH_BYTES,
+    MAX_LINE_BYTES, OVERSIZED_BATCH_REPLY, OVERSIZED_LINE_REPLY, PROTOCOL_VERSION,
 };
 pub use server::{Server, ServerConfig, ServerHandle, ServerState, DEFAULT_GRAPH_NAME};
 pub use session::Session;

@@ -7,17 +7,15 @@
 //! and versioning rules live in `docs/PROTOCOL.md`; this module is the
 //! single implementation both front ends use, so they cannot drift apart.
 //!
-//! The grammar has three strata:
+//! [`parse_request`] parses every line, in one pass, into a [`Request`]
+//! of one of three strata:
 //!
-//! - **Engine-scoped queries** ([`Query`], parsed by [`parse_query`],
-//!   executed by [`execute`]) — `select` / `eval` / `marginal` / `ping`,
-//!   unchanged from `tim/1`. [`QueryBackend`] abstracts the engine access
-//!   so the same `execute` serves an exclusive [`QueryEngine`]
-//!   (`tim query`) and a [`SharedEngine`] (`tim serve`).
-//! - **Session-scoped requests** ([`Request`], parsed by
-//!   [`parse_request`]) — the `tim/2` additions `use` / `graphs` /
-//!   `stats` / `batch`, which manipulate per-connection state (current
-//!   graph, pending batch) and are executed by
+//! - **Engine-scoped queries** ([`Query`], executed by [`execute`]
+//!   against a [`SharedEngine`]) — `select` / `eval` / `marginal` /
+//!   `ping`, unchanged from `tim/1`.
+//! - **Session-scoped requests** — the `tim/2` additions `use` /
+//!   `graphs` / `stats` / `batch`, which manipulate per-connection state
+//!   (current graph, pending batch) and are executed by
 //!   [`Session`](crate::session::Session), not by an engine.
 //! - **Admin requests** (new in `tim/3`) — `attach` / `detach` /
 //!   `persist` / `stats pools`, which mutate the server's graph catalog
@@ -37,7 +35,7 @@
 use std::collections::HashMap;
 use std::io::{BufRead, BufReader, Read};
 use tim_diffusion::DiffusionModel;
-use tim_engine::{QueryEngine, QueryOutcome, SharedEngine};
+use tim_engine::SharedEngine;
 use tim_graph::catalog::check_accuracy;
 use tim_graph::NodeId;
 
@@ -148,7 +146,7 @@ impl LabelMap {
     }
 }
 
-/// A parsed protocol request.
+/// An engine-scoped query, answered by [`execute`].
 #[derive(Debug, Clone, PartialEq)]
 pub enum Query {
     /// `select <k> [fast] [eps=<v>] [ell=<v>]` — seed selection.
@@ -180,102 +178,8 @@ pub enum Query {
     Ping,
 }
 
-/// Result of parsing one input line.
-#[derive(Debug, Clone, PartialEq)]
-pub enum ParsedLine {
-    /// Blank line or `#` comment: produces no answer line.
-    Empty,
-    /// A well-formed request.
-    Query(Query),
-    /// A malformed request; answer `error: <reason>` and continue.
-    Malformed(String),
-}
-
-/// Parses one protocol line. Never fails hard: malformed input becomes
-/// [`ParsedLine::Malformed`] so sessions survive bad lines.
-pub fn parse_query(line: &str) -> ParsedLine {
-    let trimmed = line.trim();
-    if trimmed.is_empty() || trimmed.starts_with('#') {
-        return ParsedLine::Empty;
-    }
-    let mut tokens = trimmed.split_whitespace();
-    let parsed = match tokens.next() {
-        Some("select") => (|| -> Result<Query, String> {
-            let k: usize = tokens
-                .next()
-                .ok_or("select: missing k")?
-                .parse()
-                .map_err(|_| "select: bad k".to_string())?;
-            if k == 0 {
-                return Err("select: k must be positive".into());
-            }
-            let mut fast = false;
-            let (mut eps, mut ell) = (None, None);
-            for t in tokens.by_ref() {
-                if t == "fast" {
-                    fast = true;
-                } else if let Some(v) = t.strip_prefix("eps=") {
-                    eps = Some(v.parse().map_err(|_| format!("select: bad eps '{v}'"))?);
-                } else if let Some(v) = t.strip_prefix("ell=") {
-                    ell = Some(v.parse().map_err(|_| format!("select: bad ell '{v}'"))?);
-                } else {
-                    return Err(format!("select: unknown option '{t}'"));
-                }
-            }
-            if fast && (eps.is_some() || ell.is_some()) {
-                return Err("select: fast mode uses the pool's eps/ell".into());
-            }
-            // NaN and infinity must be rejected alongside non-positive
-            // values: the engine asserts eps > 0, and planning panics on
-            // an infinite ℓ, which would kill the session.
-            for (name, value) in [("eps", eps), ("ell", ell)] {
-                if let Some(v) = value {
-                    check_accuracy(name, v).map_err(|e| format!("select: {e}"))?;
-                }
-            }
-            Ok(Query::Select { k, fast, eps, ell })
-        })(),
-        Some("eval") => (|| -> Result<Query, String> {
-            let spec = tokens.next().ok_or("eval: missing seed list")?;
-            if tokens.next().is_some() {
-                return Err("eval: trailing tokens".into());
-            }
-            let seeds = parse_id_list(spec)?;
-            if seeds.is_empty() {
-                return Err("eval: empty seed list".into());
-            }
-            Ok(Query::Eval { seeds })
-        })(),
-        Some("marginal") => (|| -> Result<Query, String> {
-            let base_spec = tokens.next().ok_or("marginal: missing base seed list")?;
-            let cand_spec = tokens.next().ok_or("marginal: missing candidate id")?;
-            if tokens.next().is_some() {
-                return Err("marginal: trailing tokens".into());
-            }
-            Ok(Query::Marginal {
-                base: parse_id_list(base_spec)?,
-                cand: parse_id_list(cand_spec)?,
-            })
-        })(),
-        Some("ping") => (|| -> Result<Query, String> {
-            if tokens.next().is_some() {
-                return Err("ping: trailing tokens".into());
-            }
-            Ok(Query::Ping)
-        })(),
-        Some(other) => Err(format!("unknown query '{other}'")),
-        None => return ParsedLine::Empty,
-    };
-    match parsed {
-        Ok(q) => ParsedLine::Query(q),
-        Err(e) => ParsedLine::Malformed(e),
-    }
-}
-
-/// A parsed `tim/2` request: an engine-scoped [`Query`] or one of the
-/// session-scoped verbs. Session verbs are executed by
-/// [`Session`](crate::session::Session); handing them to the engine-level
-/// [`handle_line`] answers `error: …` instead (no session to act on).
+/// A parsed request: an engine-scoped [`Query`] or one of the session
+/// or admin verbs, which [`Session`](crate::session::Session) executes.
 #[derive(Debug, Clone, PartialEq)]
 pub enum Request {
     /// An engine-scoped query (the `tim/1` subset plus `ping`).
@@ -321,7 +225,7 @@ pub enum Request {
     Persist,
 }
 
-/// Result of parsing one input line at the session stratum.
+/// Result of parsing one input line.
 #[derive(Debug, Clone, PartialEq)]
 pub enum ParsedRequest {
     /// Blank line or `#` comment: produces no answer line.
@@ -332,31 +236,97 @@ pub enum ParsedRequest {
     Malformed(String),
 }
 
-/// Parses one protocol line at the full `tim/2` grammar: session verbs
-/// plus every engine-scoped query [`parse_query`] accepts. Never fails
-/// hard — malformed input becomes [`ParsedRequest::Malformed`].
+/// Parses one protocol line at the full `tim/3` grammar: engine queries,
+/// session verbs and admin verbs, each matched on its first token. Never
+/// fails hard — malformed input becomes [`ParsedRequest::Malformed`].
 pub fn parse_request(line: &str) -> ParsedRequest {
     let trimmed = line.trim();
     if trimmed.is_empty() || trimmed.starts_with('#') {
         return ParsedRequest::Empty;
     }
     let mut tokens = trimmed.split_whitespace();
-    let parsed: Option<Result<Request, String>> = match tokens.next() {
-        Some("use") => Some((|| {
+    let Some(verb) = tokens.next() else {
+        return ParsedRequest::Empty;
+    };
+    let parsed: Result<Request, String> = match verb {
+        "select" => (|| {
+            let k: usize = tokens
+                .next()
+                .ok_or("select: missing k")?
+                .parse()
+                .map_err(|_| "select: bad k".to_string())?;
+            if k == 0 {
+                return Err("select: k must be positive".into());
+            }
+            let mut fast = false;
+            let (mut eps, mut ell) = (None, None);
+            for t in tokens.by_ref() {
+                if t == "fast" {
+                    fast = true;
+                } else if let Some(v) = t.strip_prefix("eps=") {
+                    eps = Some(v.parse().map_err(|_| format!("select: bad eps '{v}'"))?);
+                } else if let Some(v) = t.strip_prefix("ell=") {
+                    ell = Some(v.parse().map_err(|_| format!("select: bad ell '{v}'"))?);
+                } else {
+                    return Err(format!("select: unknown option '{t}'"));
+                }
+            }
+            if fast && (eps.is_some() || ell.is_some()) {
+                return Err("select: fast mode uses the pool's eps/ell".into());
+            }
+            // NaN and infinity must be rejected alongside non-positive
+            // values: the engine asserts eps > 0, and planning panics on
+            // an infinite ℓ, which would kill the session.
+            for (name, value) in [("eps", eps), ("ell", ell)] {
+                if let Some(v) = value {
+                    check_accuracy(name, v).map_err(|e| format!("select: {e}"))?;
+                }
+            }
+            Ok(Request::Query(Query::Select { k, fast, eps, ell }))
+        })(),
+        "eval" => (|| {
+            let spec = tokens.next().ok_or("eval: missing seed list")?;
+            if tokens.next().is_some() {
+                return Err("eval: trailing tokens".into());
+            }
+            let seeds = parse_id_list(spec)?;
+            if seeds.is_empty() {
+                return Err("eval: empty seed list".into());
+            }
+            Ok(Request::Query(Query::Eval { seeds }))
+        })(),
+        "marginal" => (|| {
+            let base_spec = tokens.next().ok_or("marginal: missing base seed list")?;
+            let cand_spec = tokens.next().ok_or("marginal: missing candidate id")?;
+            if tokens.next().is_some() {
+                return Err("marginal: trailing tokens".into());
+            }
+            Ok(Request::Query(Query::Marginal {
+                base: parse_id_list(base_spec)?,
+                cand: parse_id_list(cand_spec)?,
+            }))
+        })(),
+        "ping" => (|| {
+            if tokens.next().is_some() {
+                return Err("ping: trailing tokens".into());
+            }
+            Ok(Request::Query(Query::Ping))
+        })(),
+        "use" => (|| {
             let name = tokens.next().ok_or("use: missing graph name")?;
             if tokens.next().is_some() {
                 return Err("use: trailing tokens".into());
             }
             tim_graph::catalog::validate_graph_name(name).map_err(|e| format!("use: {e}"))?;
             Ok(Request::Use(name.to_string()))
-        })()),
-        Some("graphs") => Some((|| {
+        })(),
+        "graphs" => (|| {
             if tokens.next().is_some() {
                 return Err("graphs: trailing tokens".into());
             }
             Ok(Request::Graphs)
-        })()),
-        Some("stats") => Some((|| {
+        })(),
+        "stats" => (|| {
             match tokens.next() {
                 None => {}
                 Some("pools") => {
@@ -368,8 +338,8 @@ pub fn parse_request(line: &str) -> ParsedRequest {
                 Some(_) => return Err("stats: trailing tokens".into()),
             }
             Ok(Request::Stats)
-        })()),
-        Some("attach") => Some((|| {
+        })(),
+        "attach" => (|| {
             let spec = tokens.next().ok_or("attach: missing name=path spec")?;
             let (name, path, mut overrides) = tim_graph::catalog::parse_graph_spec_full(spec)
                 .map_err(|e| format!("attach: {e}"))?;
@@ -387,22 +357,22 @@ pub fn parse_request(line: &str) -> ParsedRequest {
                 path,
                 overrides,
             })
-        })()),
-        Some("detach") => Some((|| {
+        })(),
+        "detach" => (|| {
             let name = tokens.next().ok_or("detach: missing graph name")?;
             if tokens.next().is_some() {
                 return Err("detach: trailing tokens".into());
             }
             tim_graph::catalog::validate_graph_name(name).map_err(|e| format!("detach: {e}"))?;
             Ok(Request::Detach(name.to_string()))
-        })()),
-        Some("persist") => Some((|| {
+        })(),
+        "persist" => (|| {
             if tokens.next().is_some() {
                 return Err("persist: trailing tokens".into());
             }
             Ok(Request::Persist)
-        })()),
-        Some("batch") => Some((|| {
+        })(),
+        "batch" => (|| {
             let n: usize = tokens
                 .next()
                 .ok_or("batch: missing line count")?
@@ -418,17 +388,12 @@ pub fn parse_request(line: &str) -> ParsedRequest {
                 return Err(format!("batch: line count must be at most {MAX_BATCH}"));
             }
             Ok(Request::Batch(n))
-        })()),
-        _ => None,
+        })(),
+        other => Err(format!("unknown query '{other}'")),
     };
     match parsed {
-        Some(Ok(r)) => ParsedRequest::Request(r),
-        Some(Err(e)) => ParsedRequest::Malformed(e),
-        None => match parse_query(line) {
-            ParsedLine::Empty => ParsedRequest::Empty,
-            ParsedLine::Query(q) => ParsedRequest::Request(Request::Query(q)),
-            ParsedLine::Malformed(e) => ParsedRequest::Malformed(e),
-        },
+        Ok(r) => ParsedRequest::Request(r),
+        Err(e) => ParsedRequest::Malformed(e),
     }
 }
 
@@ -665,51 +630,6 @@ impl<R: Read> CappedLineReader<R> {
     }
 }
 
-/// Engine access as the protocol needs it — implemented by an exclusive
-/// [`QueryEngine`] (`tim query`) and by shared references to a
-/// [`SharedEngine`] (`tim serve`), so both front ends execute queries
-/// through the very same [`execute`].
-pub trait QueryBackend {
-    /// Exact-replay seed selection with optional ε/ℓ overrides.
-    fn select_with(&mut self, k: usize, eps: Option<f64>, ell: Option<f64>) -> QueryOutcome;
-    /// Prefix answering over the full pool.
-    fn select_fast(&mut self, k: usize) -> QueryOutcome;
-    /// Pool-coverage spread estimate of `seeds` (dense ids).
-    fn spread(&mut self, seeds: &[NodeId]) -> f64;
-    /// Marginal spread gain of adding `candidate` to `base` (dense ids).
-    fn marginal_gain(&mut self, base: &[NodeId], candidate: NodeId) -> f64;
-}
-
-impl<M: DiffusionModel + Clone> QueryBackend for QueryEngine<M> {
-    fn select_with(&mut self, k: usize, eps: Option<f64>, ell: Option<f64>) -> QueryOutcome {
-        QueryEngine::select_with(self, k, eps, ell)
-    }
-    fn select_fast(&mut self, k: usize) -> QueryOutcome {
-        QueryEngine::select_fast(self, k)
-    }
-    fn spread(&mut self, seeds: &[NodeId]) -> f64 {
-        QueryEngine::spread(self, seeds)
-    }
-    fn marginal_gain(&mut self, base: &[NodeId], candidate: NodeId) -> f64 {
-        QueryEngine::marginal_gain(self, base, candidate)
-    }
-}
-
-impl<M: DiffusionModel + Clone> QueryBackend for &SharedEngine<M> {
-    fn select_with(&mut self, k: usize, eps: Option<f64>, ell: Option<f64>) -> QueryOutcome {
-        SharedEngine::select_with(self, k, eps, ell)
-    }
-    fn select_fast(&mut self, k: usize) -> QueryOutcome {
-        SharedEngine::select_fast(self, k)
-    }
-    fn spread(&mut self, seeds: &[NodeId]) -> f64 {
-        SharedEngine::spread(self, seeds)
-    }
-    fn marginal_gain(&mut self, base: &[NodeId], candidate: NodeId) -> f64 {
-        SharedEngine::marginal_gain(self, base, candidate)
-    }
-}
-
 /// One protocol answer.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Reply {
@@ -735,16 +655,20 @@ impl Reply {
     }
 }
 
-/// Executes a parsed query against a backend, mapping labels both ways.
+/// Executes a parsed query against an engine, mapping labels both ways.
 /// Infallible by design: execution errors (unknown labels, …) become
 /// `error: …` answer lines so one bad query never kills a session.
-pub fn execute<B: QueryBackend>(backend: &mut B, labels: &LabelMap, query: &Query) -> Reply {
+pub fn execute<M: DiffusionModel + Clone>(
+    engine: &SharedEngine<M>,
+    labels: &LabelMap,
+    query: &Query,
+) -> Reply {
     match query {
         Query::Select { k, fast, eps, ell } => {
             let outcome = if *fast {
-                backend.select_fast(*k)
+                engine.select_fast(*k)
             } else {
-                backend.select_with(*k, *eps, *ell)
+                engine.select_with(*k, *eps, *ell)
             };
             let note = format!(
                 "select k={k}: theta = {}{}",
@@ -766,7 +690,7 @@ pub fn execute<B: QueryBackend>(backend: &mut B, labels: &LabelMap, query: &Quer
             }
         }
         Query::Eval { seeds } => match labels.map_all(seeds) {
-            Ok(dense) => Reply::answer(format!("spread: {:.2}", backend.spread(&dense))),
+            Ok(dense) => Reply::answer(format!("spread: {:.2}", engine.spread(&dense))),
             Err(e) => Reply::error(e),
         },
         Query::Marginal { base, cand } => {
@@ -776,7 +700,7 @@ pub fn execute<B: QueryBackend>(backend: &mut B, labels: &LabelMap, query: &Quer
             match mapped {
                 Ok((base, cand)) => match cand.as_slice() {
                     &[c] => {
-                        Reply::answer(format!("marginal: {:.2}", backend.marginal_gain(&base, c)))
+                        Reply::answer(format!("marginal: {:.2}", engine.marginal_gain(&base, c)))
                     }
                     _ => Reply::error("marginal: candidate must be a single id".into()),
                 },
@@ -787,29 +711,14 @@ pub fn execute<B: QueryBackend>(backend: &mut B, labels: &LabelMap, query: &Quer
     }
 }
 
-/// Parses and executes one input line: `None` for blank/comment lines
-/// (no answer), `Some` otherwise — with malformed input folded into an
-/// `error: …` reply. This is the whole per-line behavior of `tim query`
-/// and of one `tim serve` connection.
-pub fn handle_line<B: QueryBackend>(
-    backend: &mut B,
-    labels: &LabelMap,
-    line: &str,
-) -> Option<Reply> {
-    match parse_query(line) {
-        ParsedLine::Empty => None,
-        ParsedLine::Malformed(e) => Some(Reply::error(e)),
-        ParsedLine::Query(q) => Some(execute(backend, labels, &q)),
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use tim_diffusion::IndependentCascade;
+    use tim_engine::QueryEngine;
     use tim_graph::{gen, weights};
 
-    fn backend() -> (QueryEngine<IndependentCascade>, LabelMap) {
+    fn engine() -> (SharedEngine<IndependentCascade>, LabelMap) {
         let mut g = gen::barabasi_albert(200, 4, 0.0, 1);
         weights::assign_weighted_cascade(&mut g);
         let n = g.n();
@@ -818,46 +727,54 @@ mod tests {
             .seed(3)
             .threads(2)
             .k_max(5);
-        e.warm();
-        (e, LabelMap::identity(n))
+        e.start_warm();
+        (SharedEngine::new(e), LabelMap::identity(n))
+    }
+
+    /// The engine query `line` parses to.
+    fn query(line: &str) -> Query {
+        match parse_request(line) {
+            ParsedRequest::Request(Request::Query(q)) => q,
+            other => panic!("{line:?} is not an engine query: {other:?}"),
+        }
     }
 
     #[test]
     fn parse_covers_grammar_and_errors() {
-        assert_eq!(parse_query("  "), ParsedLine::Empty);
-        assert_eq!(parse_query("# comment"), ParsedLine::Empty);
+        assert_eq!(parse_request("  "), ParsedRequest::Empty);
+        assert_eq!(parse_request("# comment"), ParsedRequest::Empty);
         assert_eq!(
-            parse_query("select 5 fast"),
-            ParsedLine::Query(Query::Select {
+            query("select 5 fast"),
+            Query::Select {
                 k: 5,
                 fast: true,
                 eps: None,
                 ell: None
-            })
+            }
         );
         assert_eq!(
-            parse_query("select 3 eps=0.5 ell=2"),
-            ParsedLine::Query(Query::Select {
+            query("select 3 eps=0.5 ell=2"),
+            Query::Select {
                 k: 3,
                 fast: false,
                 eps: Some(0.5),
                 ell: Some(2.0)
-            })
+            }
         );
         assert_eq!(
-            parse_query("eval 1,2,3"),
-            ParsedLine::Query(Query::Eval {
+            query("eval 1,2,3"),
+            Query::Eval {
                 seeds: vec![1, 2, 3]
-            })
+            }
         );
         assert_eq!(
-            parse_query("marginal 1,2 9"),
-            ParsedLine::Query(Query::Marginal {
+            query("marginal 1,2 9"),
+            Query::Marginal {
                 base: vec![1, 2],
                 cand: vec![9]
-            })
+            }
         );
-        assert_eq!(parse_query("ping"), ParsedLine::Query(Query::Ping));
+        assert_eq!(query("ping"), Query::Ping);
 
         for (line, needle) in [
             ("select", "missing k"),
@@ -881,8 +798,8 @@ mod tests {
             ("ping now", "trailing tokens"),
             ("frobnicate", "unknown query"),
         ] {
-            match parse_query(line) {
-                ParsedLine::Malformed(e) => {
+            match parse_request(line) {
+                ParsedRequest::Malformed(e) => {
                     assert!(e.contains(needle), "{line:?}: {e:?} missing {needle:?}")
                 }
                 other => panic!("{line:?}: expected Malformed, got {other:?}"),
@@ -892,53 +809,29 @@ mod tests {
 
     #[test]
     fn execute_answers_every_query_kind() {
-        let (mut e, labels) = backend();
-        let reply = handle_line(&mut e, &labels, "select 3").unwrap();
+        let (e, labels) = engine();
+        let answer = |line: &str| execute(&e, &labels, &query(line));
+        let reply = answer("select 3");
         assert!(reply.line.starts_with("seeds: "));
         assert_eq!(reply.line.split_whitespace().count(), 4);
         assert!(reply.note.as_deref().unwrap().starts_with("select k=3"));
 
-        let fast = handle_line(&mut e, &labels, "select 2 fast").unwrap();
+        let fast = answer("select 2 fast");
         assert!(fast.line.starts_with("seeds: "));
 
-        let spread = handle_line(&mut e, &labels, "eval 0,1").unwrap();
+        let spread = answer("eval 0,1");
         assert!(spread.line.starts_with("spread: "));
 
-        let marginal = handle_line(&mut e, &labels, "marginal 0 1").unwrap();
+        let marginal = answer("marginal 0 1");
         assert!(marginal.line.starts_with("marginal: "));
 
-        assert_eq!(
-            handle_line(&mut e, &labels, "ping").unwrap().line,
-            "pong tim/3"
-        );
-        assert!(handle_line(&mut e, &labels, "# skip").is_none());
-        assert!(handle_line(&mut e, &labels, "eval 99999")
-            .unwrap()
+        assert_eq!(answer("ping").line, "pong tim/3");
+        assert!(answer("eval 99999")
             .line
             .contains("label 99999 not present"));
-        assert!(handle_line(&mut e, &labels, "marginal 0 1,2")
-            .unwrap()
+        assert!(answer("marginal 0 1,2")
             .line
             .contains("candidate must be a single id"));
-    }
-
-    #[test]
-    fn shared_backend_matches_exclusive_backend() {
-        let (mut exclusive, labels) = backend();
-        let (engine, _) = backend();
-        let shared = SharedEngine::new(engine);
-        let mut shared_ref = &shared;
-        for line in [
-            "select 4",
-            "select 2 fast",
-            "eval 0,5",
-            "marginal 0 7",
-            "ping",
-        ] {
-            let a = handle_line(&mut exclusive, &labels, line).unwrap();
-            let b = handle_line(&mut shared_ref, &labels, line).unwrap();
-            assert_eq!(a.line, b.line, "{line}");
-        }
     }
 
     #[test]
@@ -990,15 +883,31 @@ mod tests {
                 "{line}"
             );
         }
-        // Every tim/1 line parses to the same Query through both entry
-        // points — the compatibility guarantee.
-        for line in ["select 5 fast", "eval 1,2", "marginal 1 2", "ping"] {
-            let ParsedLine::Query(q) = parse_query(line) else {
-                panic!("{line}: not a query");
-            };
+        // Every tim/1 line parses to its engine query in the same pass
+        // as the session verbs — the compatibility guarantee.
+        for (line, want) in [
+            (
+                "select 5 fast",
+                Query::Select {
+                    k: 5,
+                    fast: true,
+                    eps: None,
+                    ell: None,
+                },
+            ),
+            ("eval 1,2", Query::Eval { seeds: vec![1, 2] }),
+            (
+                "marginal 1 2",
+                Query::Marginal {
+                    base: vec![1],
+                    cand: vec![2],
+                },
+            ),
+            ("ping", Query::Ping),
+        ] {
             assert_eq!(
                 parse_request(line),
-                ParsedRequest::Request(Request::Query(q)),
+                ParsedRequest::Request(Request::Query(want)),
                 "{line}"
             );
         }

@@ -6,9 +6,10 @@
 //! directly. The surface is deliberately tiny: a level-triggered
 //! [`Poller`] (add/modify/delete/wait), a lazy-reinsertion
 //! [`TimerWheel`] for idle deadlines, a nonblocking TCP `connect` for
-//! the fan-in client driver, and the two process-level helpers
-//! ([`raise_nofile_limit`], [`boost_backlog`]) a 10k-connection run
-//! needs before the first `accept`.
+//! the fan-in client driver, and [`boost_backlog`], which a
+//! 10k-connection run needs before the first `accept`. The connection
+//! ceiling is the soft `RLIMIT_NOFILE` (`ulimit -n`), which the process
+//! inherits.
 //!
 //! Everything here is Linux-only, like epoll itself; the crate gates the
 //! module accordingly.
@@ -39,8 +40,6 @@ extern "C" {
     fn socket(domain: i32, ty: i32, protocol: i32) -> i32;
     fn connect(fd: i32, addr: *const SockAddrIn, len: u32) -> i32;
     fn listen(fd: i32, backlog: i32) -> i32;
-    fn getrlimit(resource: i32, rlim: *mut RLimit) -> i32;
-    fn setrlimit(resource: i32, rlim: *const RLimit) -> i32;
 }
 
 const EPOLL_CLOEXEC: i32 = 0o2000000;
@@ -64,8 +63,6 @@ const SOCK_NONBLOCK: i32 = 0o4000;
 const SOCK_CLOEXEC: i32 = 0o2000000;
 const EINPROGRESS: i32 = 115;
 
-const RLIMIT_NOFILE: i32 = 7;
-
 /// `struct sockaddr_in`, with the byte-order-sensitive fields kept as
 /// byte arrays so no endianness conversion can be forgotten.
 #[repr(C)]
@@ -74,13 +71,6 @@ struct SockAddrIn {
     port_be: [u8; 2],
     addr: [u8; 4],
     zero: [u8; 8],
-}
-
-/// `struct rlimit` (both fields are `u64` on 64-bit Linux).
-#[repr(C)]
-struct RLimit {
-    cur: u64,
-    max: u64,
 }
 
 // -- Poller ------------------------------------------------------------
@@ -450,40 +440,6 @@ pub fn boost_backlog(listener: &TcpListener, backlog: i32) -> io::Result<()> {
     Ok(())
 }
 
-/// Raises the soft `RLIMIT_NOFILE` toward `want` file descriptors
-/// (attempting to raise the hard limit too, which needs privilege) and
-/// returns the resulting soft limit. Never lowers anything; never fails
-/// — callers compare the returned limit against their need.
-pub fn raise_nofile_limit(want: u64) -> u64 {
-    let mut lim = RLimit { cur: 0, max: 0 };
-    // SAFETY: `lim` is a live stack struct the kernel fills.
-    if unsafe { getrlimit(RLIMIT_NOFILE, &mut lim) } != 0 {
-        return 0;
-    }
-    if lim.cur >= want {
-        return lim.cur;
-    }
-    // First choice: soft = want (raising hard alongside if needed).
-    let first = RLimit {
-        cur: want,
-        max: lim.max.max(want),
-    };
-    // SAFETY: passing a live, initialized struct by pointer.
-    if unsafe { setrlimit(RLIMIT_NOFILE, &first) } == 0 {
-        return first.cur;
-    }
-    // Unprivileged fallback: soft up to the existing hard cap.
-    let capped = RLimit {
-        cur: want.min(lim.max),
-        max: lim.max,
-    };
-    // SAFETY: as above.
-    if unsafe { setrlimit(RLIMIT_NOFILE, &capped) } == 0 {
-        return capped.cur;
-    }
-    lim.cur
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -617,13 +573,5 @@ mod tests {
         assert!(due.is_empty(), "lap-ahead entry must not pop early");
         wheel.advance(start + 11 * g, &mut due);
         assert_eq!(due, vec![(1, 10)]);
-    }
-
-    #[test]
-    fn raise_nofile_limit_never_lowers() {
-        let before = raise_nofile_limit(0);
-        assert!(before > 0);
-        let after = raise_nofile_limit(before.saturating_sub(1));
-        assert!(after >= before);
     }
 }

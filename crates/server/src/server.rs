@@ -15,7 +15,7 @@
 //!
 //! [`SharedEngine`]: tim_engine::SharedEngine
 
-use crate::cache::{CacheStats, PoolKey};
+use crate::cache::CacheStats;
 use crate::catalog::{CatalogStats, GraphCatalog, GraphState};
 use crate::protocol::{
     CappedLine, CappedLineReader, LabelMap, IDLE_TIMEOUT_REPLY, OVERSIZED_LINE_REPLY,
@@ -218,29 +218,9 @@ impl<M: DiffusionModel + Send + Clone + 'static> ServerState<M> {
             .expect("default graph loads")
     }
 
-    /// Content checksum of the default graph.
-    pub fn graph_checksum(&self) -> u64 {
-        self.default_state().graph_checksum()
-    }
-
     /// Pool-cache effectiveness counters of the default graph.
     pub fn cache_stats(&self) -> CacheStats {
         self.default_state().cache_stats()
-    }
-
-    /// Number of pools currently cached for the default graph.
-    pub fn cached_pools(&self) -> usize {
-        self.default_state().cached_pools()
-    }
-
-    /// The default graph's provenance key at the given ε/ℓ.
-    pub fn key_for(&self, eps: Option<f64>, ell: Option<f64>) -> PoolKey {
-        self.default_state().key_for(eps, ell)
-    }
-
-    /// The default graph's engine for a query at the given ε/ℓ.
-    pub fn engine_for(&self, eps: Option<f64>, ell: Option<f64>) -> Arc<SharedEngine<M>> {
-        self.default_state().engine_for(eps, ell)
     }
 
     /// The engine serving default-configuration queries on the default
@@ -526,30 +506,30 @@ mod tests {
     #[test]
     fn handle_routes_overrides_to_their_own_pool() {
         let s = state(4);
-        assert_eq!(s.cached_pools(), 0);
+        assert_eq!(s.default_state().cached_pools(), 0);
         assert!(s.handle("select 2").unwrap().starts_with("seeds: "));
-        assert_eq!(s.cached_pools(), 1, "default pool built");
+        assert_eq!(s.default_state().cached_pools(), 1, "default pool built");
         assert!(s.handle("select 2 eps=0.9").unwrap().starts_with("seeds: "));
-        assert_eq!(s.cached_pools(), 2, "override pool built");
+        assert_eq!(s.default_state().cached_pools(), 2, "override pool built");
         // Same override again: reuse, not rebuild.
         s.handle("select 2 eps=0.9").unwrap();
-        assert_eq!(s.cached_pools(), 2);
+        assert_eq!(s.default_state().cached_pools(), 2);
         // eval/marginal/fast go to the default pool.
         assert!(s.handle("eval 0,1").unwrap().starts_with("spread: "));
         assert!(s.handle("marginal 0 1").unwrap().starts_with("marginal: "));
         assert!(s.handle("select 2 fast").unwrap().starts_with("seeds: "));
-        assert_eq!(s.cached_pools(), 2);
+        assert_eq!(s.default_state().cached_pools(), 2);
     }
 
     #[test]
     fn handle_answers_ping_without_building_a_pool() {
         let s = state(1);
         assert_eq!(s.handle("ping").unwrap(), "pong tim/3");
-        assert_eq!(s.cached_pools(), 0);
+        assert_eq!(s.default_state().cached_pools(), 0);
         assert_eq!(s.handle("# comment"), None);
         assert_eq!(s.handle(""), None);
         assert!(s.handle("nonsense").unwrap().starts_with("error: "));
-        assert_eq!(s.cached_pools(), 0);
+        assert_eq!(s.default_state().cached_pools(), 0);
     }
 
     #[test]
@@ -573,7 +553,7 @@ mod tests {
         s.handle("select 2").unwrap();
         // eps equal to the default maps to the same provenance key.
         s.handle("select 2 eps=1.0").unwrap();
-        assert_eq!(s.cached_pools(), 1);
+        assert_eq!(s.default_state().cached_pools(), 1);
         assert_eq!(s.cache_stats().misses, 1);
     }
 

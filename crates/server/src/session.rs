@@ -193,9 +193,7 @@ impl<'s, M: DiffusionModel + Send + Clone + 'static> Session<'s, M> {
             // Liveness must not load graphs or build pools.
             Request::Query(Query::Ping) => ping_reply(),
             Request::Query(query) => match self.route(query) {
-                Ok((graph, engine)) => {
-                    self.reply_line(execute(&mut &*engine, graph.labels(), query))
-                }
+                Ok((graph, engine)) => self.reply_line(execute(&engine, graph.labels(), query)),
                 Err(e) => format!("error: {e}"),
             },
             Request::Use(name) => {

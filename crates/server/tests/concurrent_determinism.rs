@@ -1,14 +1,19 @@
 //! The serving determinism contract: N concurrent clients receive
 //! responses byte-identical to a serial replay of the same commands
-//! through an exclusive `QueryEngine`, for any interleaving.
+//! through one session on a fresh server state, for any interleaving.
+//! Every exact `select` of the replay must also equal a one-shot
+//! `TimPlus::run` at the same `(seed, ε, ℓ, k)`: a reference that shares
+//! no code with the serving path.
 
 use std::io::{BufRead, BufReader, Write};
 use std::net::{SocketAddr, TcpStream};
 use std::sync::{Arc, Barrier};
+use tim_core::TimPlus;
 use tim_diffusion::IndependentCascade;
-use tim_engine::QueryEngine;
 use tim_graph::{gen, io, weights, Graph};
-use tim_server::{protocol, LabelMap, Server, ServerConfig, ServerState};
+use tim_server::{
+    parse_request, LabelMap, ParsedRequest, Query, Request, Server, ServerConfig, ServerState,
+};
 
 /// BA(300, 4, p = 0.1), symmetrised as `tim snapshot --undirected` does
 /// (an edge-list round trip), with weighted-cascade probabilities. At
@@ -36,38 +41,60 @@ fn config() -> ServerConfig {
     }
 }
 
-/// Serial ground truth: the same lines through an exclusive engine with
-/// the same provenance, via the very same protocol implementation.
-fn serial_replay(lines: &[String]) -> Vec<String> {
+/// A fresh serving state over the test graph.
+fn fresh_state() -> ServerState<IndependentCascade> {
     let g = wc_graph();
     let labels = LabelMap::identity(g.n());
+    ServerState::new(g, labels, IndependentCascade, "ic", config())
+}
+
+/// The answer a one-shot `TimPlus::run` gives an exact `select` line at
+/// the server's seed and its ε/ℓ (the line's overrides first); `None`
+/// for every other line.
+fn tim_plus_answer(line: &str) -> Option<String> {
+    let ParsedRequest::Request(Request::Query(Query::Select {
+        k,
+        fast: false,
+        eps,
+        ell,
+    })) = parse_request(line)
+    else {
+        return None;
+    };
     let cfg = config();
-    let mut engine = QueryEngine::new(g, IndependentCascade, "ic")
-        .epsilon(cfg.epsilon)
-        .ell(cfg.ell)
+    let run = TimPlus::new(IndependentCascade)
+        .epsilon(eps.unwrap_or(cfg.epsilon))
+        .ell(ell.unwrap_or(cfg.ell))
         .seed(cfg.seed)
         .threads(cfg.sample_threads)
-        .k_max(cfg.k_max);
-    engine.warm();
-    lines
-        .iter()
-        .filter_map(|l| protocol::handle_line(&mut engine, &labels, l).map(|r| r.line))
-        .collect()
+        .run(&wc_graph(), k);
+    let seeds: Vec<String> = run.seeds.iter().map(u32::to_string).collect();
+    Some(format!("seeds: {}", seeds.join(" ")))
+}
+
+/// Serial ground truth: the same lines, in order, through one session on
+/// a fresh server state with the same graph and config. Each exact
+/// `select` is checked against [`tim_plus_answer`] on the way.
+fn serial_replay(lines: &[String]) -> Vec<String> {
+    let state = fresh_state();
+    let mut session = state.session();
+    let mut answers = Vec::new();
+    for line in lines {
+        let got = session.push_line(line);
+        if let Some(want) = tim_plus_answer(line) {
+            assert_eq!(got, [want], "'{line}' differs from a one-shot TIM+ run");
+        }
+        answers.extend(got);
+    }
+    answers.extend(session.finish());
+    answers
 }
 
 fn start_server() -> (
     Arc<ServerState<IndependentCascade>>,
     tim_server::ServerHandle,
 ) {
-    let g = wc_graph();
-    let labels = LabelMap::identity(g.n());
-    let state = Arc::new(ServerState::new(
-        g,
-        labels,
-        IndependentCascade,
-        "ic",
-        config(),
-    ));
+    let state = Arc::new(fresh_state());
     let server = Server::bind(Arc::clone(&state), "127.0.0.1:0").unwrap();
     (state, server.start())
 }
@@ -231,8 +258,12 @@ fn racing_first_asks_beside_a_growth_match_a_serial_replay() {
         got
     };
     let (want, want_growth) = (alone(&script), alone(&growth));
-    for reply in want.iter().chain(&want_growth) {
-        assert!(reply.starts_with("seeds: "), "{reply}");
+    for (line, reply) in script
+        .iter()
+        .zip(&want)
+        .chain(growth.iter().zip(&want_growth))
+    {
+        assert_eq!(Some(reply), tim_plus_answer(line).as_ref(), "{line}");
     }
 
     let (state, handle) = start_server();

@@ -3,7 +3,9 @@
 //! - one server instance serves several named graphs: concurrent clients
 //!   pinned to different graphs — plus one switching graphs mid-session
 //!   via `use` — receive response streams byte-identical to a serial
-//!   single-graph replay through an exclusive `QueryEngine`;
+//!   replay of the same lines through one session on a fresh server
+//!   state, and every exact `select` of that replay equals a one-shot
+//!   `TimPlus::run` on the graph at the same `(seed, ε, ℓ, k)`;
 //! - `batch` sessions are byte-identical to the same lines unbatched;
 //! - every `tim/1` request line from docs/PROTOCOL.md works verbatim
 //!   against a `tim/2` server;
@@ -14,11 +16,12 @@ use std::io::{BufRead, BufReader, Write};
 use std::net::{SocketAddr, TcpStream};
 use std::path::PathBuf;
 use std::sync::Arc;
+use tim_core::TimPlus;
 use tim_diffusion::IndependentCascade;
-use tim_engine::QueryEngine;
 use tim_graph::{gen, io, weights, Graph};
 use tim_server::{
-    protocol, GraphCatalog, LabelMap, Server, ServerConfig, ServerHandle, ServerState,
+    parse_request, GraphCatalog, LabelMap, ParsedRequest, Query, Request, Server, ServerConfig,
+    ServerHandle, ServerState,
 };
 
 fn config() -> ServerConfig {
@@ -47,12 +50,9 @@ fn graph_file(dir: &std::path::Path, i: u64) -> PathBuf {
     path
 }
 
-/// A server whose catalog holds `g0` resident plus `g1`/`g2` lazily
-/// loaded from disk; sessions start on `g0`.
-fn start_server(
-    dir: &std::path::Path,
-    max_loaded: usize,
-) -> (Arc<ServerState<IndependentCascade>>, ServerHandle) {
+/// A fresh serving state whose catalog holds `g0` resident plus `g1`/`g2`
+/// lazily loaded from the files in `dir`; sessions start on `g0`.
+fn fresh_state(dir: &std::path::Path, max_loaded: usize) -> ServerState<IndependentCascade> {
     let mut cfg = config();
     cfg.max_loaded = max_loaded;
     let catalog = GraphCatalog::new(IndependentCascade, "ic", cfg);
@@ -63,23 +63,30 @@ fn start_server(
         .add_resident("g0", g0, LabelMap::identity(n0))
         .unwrap();
     for i in [1u64, 2] {
-        catalog
-            .add_path(format!("g{i}"), graph_file(dir, i))
-            .unwrap();
+        let path = dir.join(format!("g{i}.txt"));
+        if !path.exists() {
+            graph_file(dir, i);
+        }
+        catalog.add_path(format!("g{i}"), path).unwrap();
     }
-    let state = Arc::new(ServerState::from_catalog(catalog, "g0").unwrap());
+    ServerState::from_catalog(catalog, "g0").unwrap()
+}
+
+/// A server over [`fresh_state`].
+fn start_server(
+    dir: &std::path::Path,
+    max_loaded: usize,
+) -> (Arc<ServerState<IndependentCascade>>, ServerHandle) {
+    let state = Arc::new(fresh_state(dir, max_loaded));
     let server = Server::bind(Arc::clone(&state), "127.0.0.1:0").unwrap();
     let handle = server.start();
     (state, handle)
 }
 
-/// Serial single-graph ground truth: the same lines through an exclusive
-/// `QueryEngine` for graph `i`, built exactly the way the catalog builds
-/// it (load + weight spec for path graphs), via the very same protocol
-/// implementation.
-fn serial_replay(dir: &std::path::Path, i: u64, lines: &[&str]) -> Vec<String> {
-    let cfg = config();
-    let (graph, labels) = if i == 0 {
+/// Graph `i` with its labels, built the way the catalog builds it (load
+/// plus weight spec for path graphs).
+fn weighted_graph(dir: &std::path::Path, i: u64) -> (Graph, LabelMap) {
+    if i == 0 {
         let mut g = raw_graph(0);
         weights::assign_weighted_cascade(&mut g);
         let n = g.n();
@@ -89,18 +96,63 @@ fn serial_replay(dir: &std::path::Path, i: u64, lines: &[&str]) -> Vec<String> {
         let mut g = loaded.graph;
         weights::assign_weighted_cascade(&mut g);
         (g, LabelMap::new(loaded.labels))
+    }
+}
+
+/// The answer a one-shot `TimPlus::run` on graph `i` gives an exact
+/// `select` line at the server's seed and ε/ℓ; `None` for every other
+/// line.
+fn tim_plus_answer(dir: &std::path::Path, i: u64, line: &str) -> Option<String> {
+    let ParsedRequest::Request(Request::Query(Query::Select {
+        k,
+        fast: false,
+        eps,
+        ell,
+    })) = parse_request(line)
+    else {
+        return None;
     };
-    let mut engine = QueryEngine::new(graph, IndependentCascade, "ic")
-        .epsilon(cfg.epsilon)
-        .ell(cfg.ell)
+    let cfg = config();
+    let (graph, labels) = weighted_graph(dir, i);
+    let run = TimPlus::new(IndependentCascade)
+        .epsilon(eps.unwrap_or(cfg.epsilon))
+        .ell(ell.unwrap_or(cfg.ell))
         .seed(cfg.seed)
         .threads(cfg.sample_threads)
-        .k_max(cfg.k_max);
-    engine.warm();
-    lines
+        .run(&graph, k);
+    let seeds: Vec<String> = run
+        .seeds
         .iter()
-        .filter_map(|l| protocol::handle_line(&mut engine, &labels, l).map(|r| r.line))
-        .collect()
+        .map(|&v| labels.label_of(v).to_string())
+        .collect();
+    Some(format!("seeds: {}", seeds.join(" ")))
+}
+
+/// Serial single-graph ground truth: `use g<i>`, then the same lines in
+/// order, through one session on a fresh server state; the answers after
+/// `using g<i>`. Each exact `select` is checked against
+/// [`tim_plus_answer`] on the way.
+fn serial_replay(dir: &std::path::Path, i: u64, lines: &[&str]) -> Vec<String> {
+    let state = fresh_state(dir, 8);
+    let mut session = state.session();
+    assert_eq!(
+        session.push_line(&format!("use g{i}")),
+        [format!("using g{i}")]
+    );
+    let mut answers = Vec::new();
+    for line in lines {
+        let got = session.push_line(line);
+        if let Some(want) = tim_plus_answer(dir, i, line) {
+            assert_eq!(
+                got,
+                [want],
+                "g{i}: '{line}' differs from a one-shot TIM+ run"
+            );
+        }
+        answers.extend(got);
+    }
+    answers.extend(session.finish());
+    answers
 }
 
 /// Sends `lines` over one connection and collects the response lines.

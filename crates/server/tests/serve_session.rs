@@ -57,13 +57,13 @@ fn one_answer_line_per_request_line_matches_handle() {
 fn cache_lifecycle_over_tcp_cold_miss_hit_evict() {
     let (state, handle) = start(2);
     let addr = handle.addr();
-    assert_eq!(state.cached_pools(), 0);
+    assert_eq!(state.default_state().cached_pools(), 0);
 
     // Cold miss: first default query builds the pool.
     session(addr, "select 2\n");
     let s1 = state.cache_stats();
     assert_eq!((s1.misses, s1.evictions), (1, 0));
-    assert_eq!(state.cached_pools(), 1);
+    assert_eq!(state.default_state().cached_pools(), 1);
 
     // Hit: a second connection reuses it.
     session(addr, "select 2\nselect 3\n");
@@ -72,10 +72,10 @@ fn cache_lifecycle_over_tcp_cold_miss_hit_evict() {
     // Distinct ε mixes get their own pools; capacity 2 forces the LRU
     // (the default pool, untouched since) out on the third mix.
     session(addr, "select 2 eps=0.9\n");
-    assert_eq!(state.cached_pools(), 2);
+    assert_eq!(state.default_state().cached_pools(), 2);
     session(addr, "select 2 eps=0.8\n");
     let s2 = state.cache_stats();
-    assert_eq!(state.cached_pools(), 2);
+    assert_eq!(state.default_state().cached_pools(), 2);
     assert_eq!(s2.evictions, 1);
 
     // The evicted default pool is a cold miss again — lazily rebuilt,

@@ -107,6 +107,31 @@ diff out/kick-tires/serve_answers.txt out/kick-tires/serve_answers2.txt
 check "concurrent client sessions byte-identical" \
     diff out/kick-tires/serve_answers.txt out/kick-tires/serve_answers3.txt
 
+echo "== server: tim serve --pool adopts the pool's provenance =="
+# No -k/--eps/--seed: as with tim query, the loaded pool's values become
+# the serving config, so the session answers from that pool, byte for
+# byte as tim query did, and the server samples no pool of its own.
+"$TIM" serve "$SNAP" --addr 127.0.0.1:0 --pool "$POOL" --admin \
+    > out/kick-tires/adopt.addr 2> out/kick-tires/adopt.log &
+AD_PID=$!
+trap 'kill $AD_PID 2>/dev/null || true' EXIT
+for _ in $(seq 1 100); do
+    grep -q '^listening on ' out/kick-tires/adopt.addr 2>/dev/null && break
+    sleep 0.1
+done
+AD_ADDR=$(sed -n 's/^listening on //p' out/kick-tires/adopt.addr)
+echo "pool-adopting server at $AD_ADDR (pid $AD_PID)"
+"$TIM" client --addr "$AD_ADDR" --timeout 60 < "$SESSION" > out/kick-tires/adopt_answers.txt
+printf 'stats pools\n' | "$TIM" client --addr "$AD_ADDR" --timeout 60 \
+    > out/kick-tires/adopt_pools.txt
+kill $AD_PID 2>/dev/null || true
+wait $AD_PID 2>/dev/null || true
+trap - EXIT
+check "tim serve --pool without repeated flags byte-identical to tim query" \
+    diff out/kick-tires/query.txt out/kick-tires/adopt_answers.txt
+check "tim serve --pool sampled no pool (builds=0)" \
+    grep -q ' builds=0 ' out/kick-tires/adopt_pools.txt
+
 echo "== event-loop server: epoll core answers == tim query answers =="
 # Same snapshot and session through the epoll serving core, with idle
 # reaping and admission control armed: the transcript must not change.
