@@ -10,10 +10,12 @@
 //! - `cold_build` — a cold `SharedEngine` answering one `select`: plan
 //!   the θ for `k ≤ k_max` and sample every RR set (the restart cost
 //!   without a store);
-//! - `store_load` — `PoolStore::probe` + `QueryEngine::from_pool` + one
-//!   warm `select`: read the spilled `.timp`, validate checksum and
-//!   provenance, rebuild the inverted index, and answer (the heap
-//!   restore, which a store falls back to where it cannot map);
+//! - `store_load` — a heap `PoolStore::probe_backed` +
+//!   `QueryEngine::from_pool` + one warm `select`: read the spilled
+//!   `.timp` onto the heap, run every check (header, bounds, provenance,
+//!   the index against the arena, every digest), adopt the persisted
+//!   inverted index with no rebuild, and answer (the restore a store
+//!   makes where it cannot map);
 //! - `state_restart/{cold,warm}` — the same comparison end-to-end
 //!   through a `ServerState` with a store-backed pool cache, i.e. what
 //!   the server actually does on its first query after boot; the warm
@@ -80,13 +82,14 @@ fn warm_restart(c: &mut Criterion) {
         });
     });
 
-    // The restart cost with a store: read + validate + index + answer.
+    // The restart cost with a store: read + check + answer.
     group.bench_function("store_load", |b| {
         b.iter(|| {
             let pool = store
-                .probe(&id)
+                .probe_backed(&id, false)
                 .expect("probe")
-                .expect("pool stored for the bench");
+                .expect("pool stored for the bench")
+                .into_pool();
             let engine = QueryEngine::from_pool(Arc::clone(&graph), IndependentCascade, "ic", pool)
                 .expect("provenance matches");
             black_box(SharedEngine::new(engine).select(K_MAX).seeds.len())

@@ -24,11 +24,12 @@ thread_local! {
 ///
 /// Appending a set is O(|set|); `memory_bytes` reports the arena footprint
 /// that dominates TIM's memory profile (Figure 12). The four arrays are
-/// [`Array`]s: owned `Vec`s for a sampled or heap-decoded pool, or
-/// sections of a mapped `.timp` v2 file
-/// ([`from_mapping`](SetCollection::from_mapping)), whose persisted
-/// inverted index is served as is. Every query reads both the same way;
-/// [`push`](Self::push) copies a mapped arena onto the heap first.
+/// [`Array`]s: owned `Vec`s for a sampled or heap-decoded pool, or views
+/// of a mapped pool file, whose persisted inverted index is served as is
+/// ([`from_raw_parts`](Self::from_raw_parts) and
+/// [`with_index`](Self::with_index) take either). Every query reads both
+/// the same way; [`push`](Self::push) copies a mapped arena onto the heap
+/// first.
 #[derive(Debug, Clone)]
 pub struct SetCollection {
     n: usize,
@@ -120,8 +121,8 @@ impl SetCollection {
     /// [`raw_data`](Self::raw_data) / [`raw_offsets`](Self::raw_offsets),
     /// owned or mapped, checking every bound the accessors rely on:
     /// offsets run monotonically from 0 to the arena length, every member
-    /// lies in the universe, and set ids fit the index's `u32`s. Pool
-    /// decoders run it on untrusted bytes.
+    /// lies in the universe, and set ids fit the index's `u32`s. The pool
+    /// open runs it on untrusted bytes.
     pub fn from_raw_parts(
         n: usize,
         data: impl Into<Array<NodeId>>,
@@ -303,8 +304,8 @@ impl SetCollection {
     /// `inv_data[inv_offsets[v]..inv_offsets[v + 1]]`, set ids strictly
     /// ascending within each list. `None` while the index is stale.
     ///
-    /// This is what the `.timp` v2 pool format persists, so a mapped
-    /// pool can skip the counting-sort rebuild entirely.
+    /// This is what the `.timp` pool format persists, so a restored pool
+    /// skips the counting-sort rebuild entirely.
     pub fn raw_inverted(&self) -> Option<(&[u64], &[u32])> {
         self.has_inverted_index()
             .then_some((&self.inv_offsets[..], &self.inv_data[..]))
@@ -417,8 +418,8 @@ impl SetCollection {
 /// `inv_data[inv_offsets[v]..inv_offsets[v + 1]]`, with set ids strictly
 /// ascending within each list (set ids are appended in increasing
 /// order). Shared by [`SetCollection::ensure_inverted_index`] and the
-/// `.timp` v2 pool writer in `tim_engine`, which persists the arrays so
-/// a mapped pool never pays this build.
+/// `.timp` pool writer in `tim_engine`, which persists the arrays so a
+/// restored pool never pays this build.
 pub fn build_inverted_index(n: usize, data: &[NodeId], offsets: &[u64]) -> (Vec<u64>, Vec<u32>) {
     let mut counts = vec![0u64; n + 1];
     for &v in data {
@@ -702,9 +703,41 @@ mod tests {
 
     #[test]
     fn mapped_collection_has_the_heap_degree_order() {
+        use tim_graph::container::{le_bytes, FileBytes};
         let mut c = sample();
-        let (path, layout) = crate::mmap_sets::tests::write_sections(&mut c, "order");
-        let m = crate::mmap_sets::tests::open(&path, &layout).unwrap();
+        c.ensure_inverted_index();
+        // The four arrays back to back in one mapped file, each 8-aligned.
+        let (inv_offsets, inv_data) = c.raw_inverted().unwrap();
+        let parts = [
+            le_bytes(c.raw_offsets()),
+            le_bytes(c.raw_data()),
+            le_bytes(inv_offsets),
+            le_bytes(inv_data),
+        ];
+        let mut bytes = Vec::new();
+        let mut at = [0; 4];
+        for (i, part) in parts.iter().enumerate() {
+            bytes.resize(bytes.len().next_multiple_of(8), 0);
+            at[i] = bytes.len();
+            bytes.extend_from_slice(part);
+        }
+        let path = std::env::temp_dir().join(format!("tim_sets_order_{}", std::process::id()));
+        std::fs::write(&path, &bytes).unwrap();
+        let FileBytes::Mapped(map) = FileBytes::read(&path, true).unwrap() else {
+            panic!("expected a mapping");
+        };
+        let m = SetCollection::from_raw_parts(
+            c.universe(),
+            Array::mapped(&map, at[1], c.total_members()).unwrap(),
+            Array::mapped(&map, at[0], c.len() + 1).unwrap(),
+        )
+        .and_then(|m| {
+            m.with_index(
+                Array::mapped(&map, at[2], c.universe() + 1)?,
+                Array::mapped(&map, at[3], c.total_members())?,
+            )
+        })
+        .unwrap();
         assert!(m.mapping().is_some());
         assert_eq!(m.degree_order(), c.degree_order());
         std::fs::remove_file(&path).ok();

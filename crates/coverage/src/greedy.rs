@@ -86,7 +86,7 @@ pub fn greedy_max_cover(collection: &mut SetCollection, k: usize) -> CoverResult
 
 /// [`greedy_max_cover`] over a shared (`&`) collection whose inverted
 /// index is already built — the same loop serves sampled collections and
-/// collections mapped from `.timp` v2 pools.
+/// collections whose arrays view a mapped pool file.
 ///
 /// The solver never writes the collection's arrays — the `&mut` in
 /// [`greedy_max_cover`] exists only to build the lazy index; the first

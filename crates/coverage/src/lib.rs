@@ -26,21 +26,21 @@
 //! queries concurrently against one immutable pool.
 //!
 //! A [`SetCollection`]'s arrays either own their elements or view a
-//! mapped `.timp` v2 pool file whose inverted index was persisted at
-//! spill time ([`SetCollection::from_mapping`]); it is one type either
-//! way, so every solver has one monomorphization. Selection never
-//! writes a collection's arrays (it only fills the degree-order cache
-//! derived from the index, once), so a read-only mapping answers the
-//! same queries — byte-identically — without loading the pool onto the
-//! heap.
+//! read-only mapping ([`tim_graph::Array`]); it is one type either way,
+//! so every solver has one monomorphization. This crate knows no file
+//! format: `tim_engine`'s pool open hands it the arrays of a `.timp`
+//! file, mapped or decoded, through [`SetCollection::from_raw_parts`]
+//! and [`SetCollection::with_index`], which check every bound the
+//! accessors rely on. Selection never writes a collection's arrays (it
+//! only fills the degree-order cache derived from the index, once), so
+//! a read-only mapping answers the same queries — byte-identically —
+//! without loading the pool onto the heap.
 
 mod collection;
 mod greedy;
-mod mmap_sets;
 
 pub use collection::{build_inverted_index, count_covered_indexed, SetCollection};
 pub use greedy::{
     greedy_max_cover, greedy_max_cover_indexed, greedy_max_cover_indexed_stats,
     greedy_max_cover_prefix, CoverResult, EvalStats,
 };
-pub use mmap_sets::{SetsLayout, SETS_SECTION_COUNT, SETS_SECTION_NAMES};

@@ -562,7 +562,8 @@ impl<M: DiffusionModel + Clone> QueryEngine<M> {
         engine.state.settled = true;
         let mut sets = pool.sets;
         // A state's pool always carries a fresh inverted index, so every
-        // answer function is `&self`. (Mapped pools persist theirs.)
+        // answer function is `&self`. (A restored pool brings the one its
+        // file persists, so this builds nothing for it.)
         sets.ensure_inverted_index();
         engine.state.pool = Arc::new(sets);
         Ok(engine)
@@ -967,12 +968,55 @@ mod tests {
         store.spill(&shared.to_pool()).unwrap();
         assert_eq!(shared.pool_theta(), 38_800);
         let stored = store
-            .probe(&crate::PoolId::from_meta(&one.pool_meta()))
+            .probe_backed(&crate::PoolId::from_meta(&one.pool_meta()), false)
             .unwrap()
-            .expect("the spilled pool is found by its provenance");
+            .expect("the spilled pool is found by its provenance")
+            .into_pool();
         assert_eq!(stored.meta, one.pool_meta());
         assert_eq!(stored.sets.raw_offsets(), one.current().pool.raw_offsets());
         assert_eq!(stored.sets.raw_data(), one.current().pool.raw_data());
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn heap_restores_keep_the_persisted_index_and_attach_without_a_rebuild() {
+        // A heap restore, from a reader or from a store, returns the sets
+        // with the index sections the file persists, and attaching the
+        // pool adopts that index instead of building one.
+        let pool = warm(engine(21)).to_pool();
+        let mut bytes = Vec::new();
+        pool.write(&mut bytes).unwrap();
+        // Index section `i` of the file, straight from its section table.
+        let section = |i: usize| {
+            let field = |at: usize| {
+                let at = crate::POOL_V2_HEADER_BYTES as usize - (4 - i) * 32 + at;
+                u64::from_le_bytes(bytes[at..at + 8].try_into().unwrap()) as usize
+            };
+            &bytes[field(8)..field(8) + field(16)]
+        };
+        let dir =
+            std::env::temp_dir().join(format!("tim_engine_heap_index_{}", std::process::id()));
+        std::fs::remove_dir_all(&dir).ok();
+        let store = crate::PoolStore::open(&dir).unwrap();
+        store.spill(&pool).unwrap();
+        let id = crate::PoolId::from_meta(&pool.meta);
+        let Some(crate::ProbedPool::Heap(probed)) = store.probe_backed(&id, false).unwrap() else {
+            panic!("a heap probe restores onto the heap");
+        };
+        for restored in [RrPool::read(bytes.as_slice()).unwrap(), probed] {
+            let (inv_offsets, inv_data) = restored
+                .sets
+                .raw_inverted()
+                .expect("a heap restore keeps the persisted index");
+            assert_eq!(tim_graph::container::le_bytes(inv_offsets), section(2));
+            assert_eq!(tim_graph::container::le_bytes(inv_data), section(3));
+            let kept = inv_data.as_ptr();
+            let attached =
+                QueryEngine::from_pool(wc_graph(300, 1), IndependentCascade, "ic", restored)
+                    .unwrap();
+            let (_, adopted) = attached.state.pool.raw_inverted().unwrap();
+            assert_eq!(adopted.as_ptr(), kept, "attaching builds no index");
+        }
         std::fs::remove_dir_all(&dir).ok();
     }
 

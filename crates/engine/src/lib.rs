@@ -34,15 +34,17 @@
 //! state: a per-tenant directory of provenance-keyed `.timp` files with
 //! atomic write-then-rename spills and quarantine of corrupt or foreign
 //! files, so every pool a process builds outlives the process. There is
-//! one format, the page-aligned `.timp` v2 layout, which persists the
-//! inverted index; every writer emits it and replaces files by rename.
-//! Every open maps the file zero-copy (`PROT_READ`) as the same
-//! [`RrPool`] a heap decode yields, and returns it only after its
-//! checksum pass, so restarting a service costs a mapping and one
-//! sequential scan instead of a heap decode and an index rebuild — see
-//! [`RrPool::load`] and [`PoolStore::probe_backed`]. A file of another
+//! one format, the `.timp` v2 layout in the page-aligned
+//! [`tim_graph::container`], which persists the inverted index; every
+//! writer emits it and replaces files by rename. There is one open of it,
+//! on either backing: it maps the file zero-copy (`PROT_READ`) where the
+//! host can, or decodes it onto the heap, and returns the same
+//! [`RrPool`] with its persisted index either way, only after every check
+//! has passed. So restarting a service costs a mapping and one
+//! sequential scan, with no index rebuild — see [`RrPool::load`],
+//! [`RrPool::read`] and [`PoolStore::probe_backed`]. A file of another
 //! version is refused, and a store quarantines it for a rebuild.
-//!
+
 //! Each engine keeps its answerable state — pool, θ, `k_max`, plan cache,
 //! fast cover and growth epoch — as one immutable version. A query
 //! answers from it or names what it lacks, and a miss prepares the next
@@ -54,15 +56,13 @@
 mod engine;
 mod error;
 mod pool;
-mod pool_mmap;
 mod shared;
 mod store;
 
 pub use engine::{QueryEngine, QueryOutcome};
 pub use error::EngineError;
 pub use pool::{
-    PoolMeta, RrPool, POOL_MAGIC, POOL_V2_ALIGN, POOL_V2_HEADER_BYTES, POOL_V2_MODEL_TAG_MAX,
-    POOL_VERSION_V2,
+    PoolMeta, RrPool, POOL_MAGIC, POOL_V2_HEADER_BYTES, POOL_V2_MODEL_TAG_MAX, POOL_VERSION_V2,
 };
 pub use shared::SharedEngine;
 pub use store::{

@@ -28,13 +28,15 @@
 //!
 //! Spills are write-then-rename: the pool is fully written to a
 //! temporary sibling and atomically renamed into place, so a reader (or
-//! a crash) can never observe a half-written `.timp`. A restore runs
-//! every check of the file before it returns the pool — header,
-//! padding, structure, index and every section digest — and compares the
-//! provenance header against the filename's claim; a file that fails
-//! either check — truncated by an unlucky copy, hand-edited, written in
-//! an older format version, or dropped in from a different graph — is
-//! moved to `quarantine/` with a stderr warning and reported as a miss.
+//! a crash) can never observe a half-written `.timp`. A restore runs the
+//! pool's one open, mapped or on the heap: every check of the file —
+//! header, padding, structure, index and every section digest — passes
+//! before it returns the pool, and the provenance header is compared
+//! with the filename's claim before the index and digest pass. A file
+//! that fails either check — truncated by an unlucky copy, hand-edited,
+//! written in an older format version, or dropped in from a different
+//! graph — is moved to `quarantine/` with a stderr warning and reported
+//! as a miss.
 //! A bad file is therefore **never served and never fatal**: the caller
 //! rebuilds, and the evidence is preserved for inspection.
 
@@ -43,9 +45,8 @@ use crate::pool::{PoolMeta, RrPool};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
+use tim_graph::container::{self, FileBytes};
 use tim_graph::io::temp_sibling;
-use tim_graph::mmap::CAN_MAP;
-use tim_graph::snapshot::Fnv1a;
 
 /// File extension of stored pools.
 pub const POOL_EXTENSION: &str = "timp";
@@ -130,9 +131,8 @@ impl PoolId {
             .take(16)
             .collect();
         if san != self.model {
-            let mut h = Fnv1a::new();
-            h.update(self.model.as_bytes());
-            san.push_str(&format!("+{:08x}", h.finish() as u32));
+            let hash = container::digest(self.model.as_bytes());
+            san.push_str(&format!("+{:08x}", hash as u32));
         }
         san
     }
@@ -178,12 +178,13 @@ pub struct StoreStats {
     /// ([`PoolStore::probe_backed`] with `mmap`), each after its
     /// checksum pass.
     pub mmap_opens: u64,
-    /// Restores returned decoded onto the heap ([`PoolStore::probe`],
-    /// heap probes, and every restore on a host that cannot map).
+    /// Restores returned decoded onto the heap (heap probes, and every
+    /// restore on a host that cannot map), each after its checksum pass.
     pub heap_loads: u64,
-    /// Checksum passes run over mapped files by
-    /// [`PoolStore::probe_backed`], passed or failed; a failed one
-    /// quarantines its file.
+    /// Checksum passes (the index check and every section digest) run by
+    /// [`PoolStore::probe_backed`] over files whose header, bounds and
+    /// provenance passed, mapped or on the heap, passed or failed; a
+    /// failed one quarantines its file.
     pub verifies: u64,
 }
 
@@ -225,8 +226,8 @@ pub struct PoolStore {
 impl PoolStore {
     /// Opens (creating if needed) the store rooted at `root`. Existing
     /// pool files are *not* read here — validation happens lazily on
-    /// [`probe`](Self::probe), so opening a store with gigabytes of warm
-    /// state stays O(1).
+    /// [`probe_backed`](Self::probe_backed), so opening a store with
+    /// gigabytes of warm state stays O(1).
     pub fn open(root: impl Into<PathBuf>) -> Result<Self, EngineError> {
         let root = root.into();
         std::fs::create_dir_all(&root)?;
@@ -265,78 +266,60 @@ impl PoolStore {
         }
     }
 
-    /// Looks up the pool with provenance `id`. Returns `Ok(None)` when no
-    /// file exists for it **or** the file turned out to be corrupt or
-    /// foreign — in the latter case the file is quarantined with a stderr
-    /// warning first, so a bad file is never served and never fatal.
-    pub fn probe(&self, id: &PoolId) -> Result<Option<RrPool>, EngineError> {
+    /// Looks up the pool with provenance `id`, mapped zero-copy when
+    /// `mmap` is set and decoded onto the heap otherwise (and on every
+    /// host where [`CAN_MAP`](tim_graph::mmap::CAN_MAP) is false). Either
+    /// way the pool's one open runs: the persisted inverted index is ready
+    /// for the first selection, and the checksum pass (counted in
+    /// [`StoreStats::verifies`]) passes before the pool returns, so the
+    /// O(file) scan replaces an index rebuild rather than adding to it.
+    /// The serving pool cache always sets `mmap`; a heap probe is for
+    /// benchmarks and tools.
+    ///
+    /// Returns `Ok(None)` when no file exists for `id` **or** the file
+    /// turned out to be corrupt, foreign or of another format version —
+    /// in the latter case the file is quarantined with a stderr warning
+    /// first, so a bad file is never served and never fatal.
+    pub fn probe_backed(&self, id: &PoolId, mmap: bool) -> Result<Option<ProbedPool>, EngineError> {
         let path = self.path_for(id);
-        let bytes = match std::fs::read(&path) {
-            Ok(b) => b,
+        let file = match FileBytes::read(&path, mmap) {
+            Ok(file) => file,
             Err(e) if e.kind() == std::io::ErrorKind::NotFound => return Ok(None),
             Err(e) => return Err(e.into()),
         };
-        match RrPool::read(bytes.as_slice()) {
-            Ok(pool) if id.matches(&pool.meta) => {
-                self.loads.fetch_add(1, Ordering::Relaxed);
-                self.heap_loads.fetch_add(1, Ordering::Relaxed);
-                Ok(Some(pool))
-            }
-            Ok(pool) => {
-                self.quarantine(&path, &format!(
-                    "provenance header (model '{}', seed {}, eps {}, ell {}, graph {:#018x}) does not match its filename",
-                    pool.meta.model, pool.meta.seed, pool.meta.epsilon, pool.meta.ell, pool.meta.graph_checksum
-                ));
-                Ok(None)
-            }
-            Err(e) => {
-                self.quarantine(&path, &e.to_string());
-                Ok(None)
-            }
-        }
-    }
-
-    /// Like [`probe`](Self::probe), but when `mmap` is set the stored
-    /// file is mapped zero-copy instead of decoded onto the heap, with
-    /// the persisted inverted index ready for the first selection. The
-    /// mapped file passes its checksum pass (counted in
-    /// [`StoreStats::verifies`]) before the pool returns, so the O(file)
-    /// scan replaces a heap restore's decode and index rebuild rather
-    /// than adding to it. The serving pool cache always sets `mmap`; a
-    /// heap probe (`mmap = false`) is for benchmarks, and every probe
-    /// where [`CAN_MAP`] is false takes the heap path. The same
-    /// quarantine guarantees apply: a corrupt, foreign or old-version
-    /// file is moved aside and reported as a miss, never served.
-    pub fn probe_backed(&self, id: &PoolId, mmap: bool) -> Result<Option<ProbedPool>, EngineError> {
-        if !(mmap && CAN_MAP) {
-            return Ok(self.probe(id)?.map(ProbedPool::Heap));
-        }
-        let path = self.path_for(id);
-        let mapped = match RrPool::open_mapped(&path) {
-            Ok(mapped) => mapped,
-            Err(EngineError::Io(e)) if e.kind() == std::io::ErrorKind::NotFound => return Ok(None),
-            Err(EngineError::Io(e)) => return Err(e.into()),
+        let pool = match self.restore(file, id) {
+            Ok(pool) => pool,
             Err(e) => {
                 self.quarantine(&path, &e.to_string());
                 return Ok(None);
             }
         };
-        if !id.matches(&mapped.meta) {
-            let meta = &mapped.meta;
-            self.quarantine(&path, &format!(
-                "provenance header (model '{}', seed {}, eps {}, ell {}, graph {:#018x}) does not match its filename",
-                meta.model, meta.seed, meta.epsilon, meta.ell, meta.graph_checksum
-            ));
-            return Ok(None);
-        }
-        self.verifies.fetch_add(1, Ordering::Relaxed);
-        if let Err(e) = mapped.verify() {
-            self.quarantine(&path, &e.to_string());
-            return Ok(None);
-        }
         self.loads.fetch_add(1, Ordering::Relaxed);
-        self.mmap_opens.fetch_add(1, Ordering::Relaxed);
-        Ok(Some(ProbedPool::Mapped(mapped)))
+        Ok(Some(if pool.sets.mapping().is_some() {
+            self.mmap_opens.fetch_add(1, Ordering::Relaxed);
+            ProbedPool::Mapped(pool)
+        } else {
+            self.heap_loads.fetch_add(1, Ordering::Relaxed);
+            ProbedPool::Heap(pool)
+        }))
+    }
+
+    /// Opens a stored file as the pool `id` names: the pool's one open,
+    /// with the provenance checked against `id` before the checksum pass
+    /// (which it counts). The error is the reason the file is
+    /// quarantined.
+    fn restore(&self, file: FileBytes, id: &PoolId) -> Result<RrPool, EngineError> {
+        RrPool::open(file, |meta| {
+            if !id.matches(meta) {
+                return Err(EngineError::Mismatch(format!(
+                    "provenance header (model '{}', seed {}, eps {}, ell {}, graph {:#018x}) \
+                     does not match its filename",
+                    meta.model, meta.seed, meta.epsilon, meta.ell, meta.graph_checksum
+                )));
+            }
+            self.verifies.fetch_add(1, Ordering::Relaxed);
+            Ok(())
+        })
     }
 
     /// Spills `pool` into the store under its own provenance, atomically
@@ -502,7 +485,11 @@ mod tests {
         assert!(path.exists());
         assert!(dir.join(INDEX_FILE).exists(), "index refreshed");
         let id = PoolId::from_meta(&p.meta);
-        let got = store.probe(&id).unwrap().expect("stored pool found");
+        let got = store
+            .probe_backed(&id, false)
+            .unwrap()
+            .expect("stored pool found")
+            .into_pool();
         assert_eq!(got.meta, p.meta);
         assert_eq!(got.sets.len(), p.sets.len());
         assert_eq!(
@@ -511,6 +498,7 @@ mod tests {
                 spills: 1,
                 loads: 1,
                 heap_loads: 1,
+                verifies: 1,
                 ..StoreStats::default()
             }
         );
@@ -521,7 +509,9 @@ mod tests {
     fn absent_provenance_is_a_clean_miss() {
         let (dir, store) = tmp_store("miss");
         let id = PoolId::new(1, "ic", 2, 0.1, 1.0);
-        assert!(store.probe(&id).unwrap().is_none());
+        for mmap in [true, false] {
+            assert!(store.probe_backed(&id, mmap).unwrap().is_none());
+        }
         assert_eq!(store.stats(), StoreStats::default());
         std::fs::remove_dir_all(&dir).ok();
     }
@@ -558,7 +548,7 @@ mod tests {
 
         let id = PoolId::from_meta(&p.meta);
         assert!(
-            store.probe(&id).unwrap().is_none(),
+            store.probe_backed(&id, false).unwrap().is_none(),
             "corrupt pool not served"
         );
         assert!(!path.exists(), "bad file moved out of the store");
@@ -568,7 +558,7 @@ mod tests {
             .collect();
         assert_eq!(quarantined.len(), 1);
         // The provenance is a plain miss afterwards — callers rebuild.
-        assert!(store.probe(&id).unwrap().is_none());
+        assert!(store.probe_backed(&id, false).unwrap().is_none());
         std::fs::remove_dir_all(&dir).ok();
     }
 
@@ -584,7 +574,7 @@ mod tests {
         std::fs::write(store.path_for(&id), bytes).unwrap();
 
         assert!(
-            store.probe(&id).unwrap().is_none(),
+            store.probe_backed(&id, false).unwrap().is_none(),
             "foreign pool not served"
         );
         assert_eq!(store.stats().quarantined, 1);
@@ -620,7 +610,8 @@ mod tests {
         assert_eq!(mapped.meta, p.meta);
         assert_eq!(mapped.sets.len(), p.sets.len());
 
-        // Heap preference still decodes eagerly from the same v2 file.
+        // Heap preference still decodes eagerly from the same v2 file,
+        // and runs the same checksum pass.
         let heap = store.probe_backed(&id, false).unwrap().expect("restored");
         assert!(matches!(heap, ProbedPool::Heap(_)));
         assert_eq!(
@@ -630,7 +621,7 @@ mod tests {
                 loads: 2,
                 mmap_opens: 1,
                 heap_loads: 1,
-                verifies: 1,
+                verifies: 2,
                 ..StoreStats::default()
             }
         );
@@ -655,6 +646,59 @@ mod tests {
         }
         let stats = store.stats();
         assert_eq!((stats.quarantined, stats.loads), (2, 0));
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn heap_and_mapped_restores_refuse_with_the_same_reason() {
+        // The reason a restore quarantines a file is the open's error,
+        // the same on either backing.
+        let (dir, store) = tmp_store("alike");
+        let p = pool(21, 40);
+        let id = PoolId::from_meta(&p.meta);
+        let mut pristine = Vec::new();
+        p.write(&mut pristine).unwrap();
+        let u64_at = |at: usize| u64::from_le_bytes(pristine[at..at + 8].try_into().unwrap());
+        let reseal = |bytes: &mut Vec<u8>| {
+            let header = crate::pool::POOL_V2_HEADER_BYTES as usize;
+            let sealed = container::digest(&bytes[16..header]);
+            bytes[8..16].copy_from_slice(&sealed.to_le_bytes());
+        };
+        let mut mutants: Vec<(String, Vec<u8>)> = Vec::new();
+        for i in 0..4 {
+            let entry = 136 + i * 32;
+            let (offset, len) = (u64_at(entry + 8) as usize, u64_at(entry + 16) as usize);
+            for at in [offset, offset + len / 2] {
+                let mut bytes = pristine.clone();
+                bytes[at] ^= 0x10;
+                mutants.push((format!("a flip in section {i} at {at}"), bytes));
+            }
+            for cut in [offset, offset + len - 1] {
+                mutants.push((format!("a cut at {cut}"), pristine[..cut].to_vec()));
+            }
+            let mut misaligned = pristine.clone();
+            misaligned[entry + 8..entry + 16].copy_from_slice(&(offset as u64 + 8).to_le_bytes());
+            reseal(&mut misaligned);
+            mutants.push((format!("section {i} misaligned"), misaligned));
+        }
+        let mut padding = pristine.clone();
+        padding[300] = 1;
+        mutants.push(("nonzero padding".into(), padding));
+        let v1 = [&crate::pool::POOL_MAGIC[..], &1u32.to_le_bytes(), &[0; 32]].concat();
+        mutants.push(("a v1 file".into(), v1));
+        let mut foreign = Vec::new();
+        pool(22, 40).write(&mut foreign).unwrap();
+        mutants.push(("a foreign pool".into(), foreign));
+
+        let path = store.path_for(&id);
+        for (what, bytes) in mutants {
+            std::fs::write(&path, &bytes).unwrap();
+            let [mapped, heap] = [true, false].map(|mmap| {
+                let file = FileBytes::read(&path, mmap).unwrap();
+                store.restore(file, &id).map(drop).unwrap_err().to_string()
+            });
+            assert_eq!(mapped, heap, "{what}");
+        }
         std::fs::remove_dir_all(&dir).ok();
     }
 
@@ -713,9 +757,10 @@ mod tests {
         let grown = pool(5, 9);
         store.spill(&grown).unwrap();
         let got = store
-            .probe(&PoolId::from_meta(&grown.meta))
+            .probe_backed(&PoolId::from_meta(&grown.meta), false)
             .unwrap()
-            .unwrap();
+            .unwrap()
+            .into_pool();
         assert_eq!(got.meta.theta, 9, "last spill wins whole");
         assert_eq!(store.len(), 1, "same provenance, one file");
         std::fs::remove_dir_all(&dir).ok();

@@ -83,8 +83,12 @@ proptest! {
         let entries = store.entries();
         prop_assert_eq!(entries.len(), 1);
         prop_assert_eq!(&entries[0].0, &id.file_stem());
-        // The probed pool re-serializes byte-identically.
-        let loaded = store.probe(&id).unwrap().expect("stored pool loads");
+        // The heap-probed pool re-serializes byte-identically.
+        let loaded = store
+            .probe_backed(&id, false)
+            .unwrap()
+            .expect("stored pool loads")
+            .into_pool();
         prop_assert_eq!(&encode_v2(&loaded), &on_disk);
         prop_assert_eq!(&loaded.meta, &pool.meta);
         // And so does a zero-copy mapped restore.
@@ -120,13 +124,13 @@ proptest! {
         let at = victim % bad.len();
         bad[at] ^= flip;
         std::fs::write(&path, &bad).unwrap();
-        prop_assert!(store.probe(&id).unwrap().is_none(), "corrupt byte {at} served");
+        prop_assert!(store.probe_backed(&id, false).unwrap().is_none(), "corrupt byte {at} served");
         prop_assert!(!path.exists(), "bad file left in place");
         prop_assert_eq!(store.stats().quarantined, 1);
 
         // …and separately truncate the file: same containment.
         std::fs::write(&path, &good[..victim % good.len()]).unwrap();
-        prop_assert!(store.probe(&id).unwrap().is_none(), "truncation served");
+        prop_assert!(store.probe_backed(&id, false).unwrap().is_none(), "truncation served");
         prop_assert_eq!(store.stats().quarantined, 2);
 
         // Both bad files are preserved for inspection.
@@ -134,7 +138,7 @@ proptest! {
         prop_assert_eq!(preserved, 2);
         // The store remains healthy: a fresh spill serves again.
         store.spill(&pool).unwrap();
-        prop_assert!(store.probe(&id).unwrap().is_some());
+        prop_assert!(store.probe_backed(&id, false).unwrap().is_some());
         std::fs::remove_dir_all(&dir).ok();
     }
 
@@ -155,7 +159,7 @@ proptest! {
         prop_assert!(!id.matches(&foreign.meta), "provenances must differ");
 
         std::fs::write(store.path_for(&id), encode_v2(&foreign)).unwrap();
-        prop_assert!(store.probe(&id).unwrap().is_none(), "foreign pool served");
+        prop_assert!(store.probe_backed(&id, false).unwrap().is_none(), "foreign pool served");
         prop_assert_eq!(store.stats().quarantined, 1);
         prop_assert_eq!(store.stats().loads, 0);
         std::fs::remove_dir_all(&dir).ok();

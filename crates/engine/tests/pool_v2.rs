@@ -4,24 +4,25 @@
 //! (misaligned / overlapping / past-EOF offsets, contradictory counts),
 //! and version-gate checks. Every hostile input must yield a clean
 //! [`tim_engine::EngineError`], never a panic or an out-of-bounds read,
-//! on every v2 reader: the eager heap decode (`RrPool::read`), the
-//! loader that maps and checks at once (`RrPool::load`), and a pool
-//! store's mapped restore (`PoolStore::probe_backed`). Every byte of the
-//! file counts: a flip in the zero padding is refused too. A corrupt
-//! file in a [`PoolStore`] must be quarantined as a miss, never served
-//! and never fatal.
+//! on every v2 reader: the heap open (`RrPool::read`), the loader that
+//! maps and checks at once (`RrPool::load`), and a pool store's restore
+//! on either backing (`PoolStore::probe_backed`). They run one open, so
+//! the heap and mapped opens refuse every input with the same message,
+//! and the two restores at the same stage. Every byte of the file
+//! counts: a flip in the zero padding is refused too. A corrupt file in
+//! a [`PoolStore`] must be quarantined as a miss, never served and never
+//! fatal.
 
 #![cfg(unix)]
 
 use proptest::prelude::*;
 use tim_coverage::SetCollection;
 use tim_engine::{
-    EngineError, PoolId, PoolMeta, PoolStore, ProbedPool, RrPool, POOL_MAGIC, POOL_V2_ALIGN,
-    POOL_V2_HEADER_BYTES,
+    EngineError, PoolId, PoolMeta, PoolStore, ProbedPool, RrPool, POOL_MAGIC, POOL_V2_HEADER_BYTES,
 };
 
 const HEADER_BYTES: usize = POOL_V2_HEADER_BYTES as usize;
-const ALIGN: usize = POOL_V2_ALIGN as usize;
+const ALIGN: usize = tim_graph::container::ALIGN as usize;
 /// Byte offset of the first section-table entry in the v2 header.
 const TABLE_AT: usize = 136;
 const SECTIONS: usize = 4;
@@ -77,12 +78,12 @@ fn tmpdir(tag: &str) -> std::path::PathBuf {
     dir
 }
 
-/// Writes the sample as a v2 file and returns (path, pristine bytes).
-/// The eager heap decode of the file at `path`.
+/// The heap open of the file at `path`.
 fn eager(path: &std::path::Path) -> Result<RrPool, EngineError> {
     RrPool::read(std::fs::read(path).unwrap().as_slice())
 }
 
+/// Writes the sample as a v2 file and returns (path, pristine bytes).
 fn write_sample(dir: &std::path::Path, name: &str) -> (std::path::PathBuf, Vec<u8>) {
     let pool = sample();
     let path = dir.join(format!("{name}.timp"));
@@ -91,28 +92,47 @@ fn write_sample(dir: &std::path::Path, name: &str) -> (std::path::PathBuf, Vec<u
     (path, bytes)
 }
 
+/// The message a reader refused with, `None` when it accepted.
+fn refusal(result: Result<RrPool, EngineError>) -> Option<String> {
+    result.err().map(|e| match e {
+        EngineError::Format(m) => m,
+        other => other.to_string(),
+    })
+}
+
 /// Which readers refused `bytes`: `(RrPool::read, RrPool::load, a store
-/// restore under the sample's id)`. The store's file is quarantined when
-/// refused.
+/// restore under the sample's id)`. The heap and mapped opens must refuse
+/// alike with the same message, and a store's heap and mapped restores
+/// alike at the same stage (the same quarantine and checksum-pass
+/// counts). A store's file is quarantined when refused.
 fn refusals(dir: &std::path::Path, bytes: &[u8]) -> (bool, bool, bool) {
     let path = dir.join("mutant.timp");
     std::fs::write(&path, bytes).unwrap();
-    let store = PoolStore::open(dir.join("store")).unwrap();
+    let (read, load) = (refusal(eager(&path)), refusal(RrPool::load(&path)));
+    assert_eq!(read, load, "the heap and mapped opens refuse differently");
     let id = PoolId::from_meta(&sample().meta);
-    std::fs::write(store.path_for(&id), bytes).unwrap();
-    (
-        eager(&path).is_err(),
-        RrPool::load(&path).is_err(),
-        store.probe_backed(&id, true).unwrap().is_none(),
-    )
+    let [heap, mapped] = [false, true].map(|mmap| {
+        let store = PoolStore::open(dir.join(format!("store-{mmap}"))).unwrap();
+        std::fs::write(store.path_for(&id), bytes).unwrap();
+        let refused = store.probe_backed(&id, mmap).unwrap().is_none();
+        let stats = store.stats();
+        (refused, stats.quarantined, stats.verifies)
+    });
+    assert_eq!(
+        heap, mapped,
+        "the heap and mapped restores refuse differently"
+    );
+    (read.is_some(), load.is_some(), mapped.0)
 }
 
-/// Every v2 reader must reject the mutated bytes with a clean error.
-fn assert_rejected(dir: &std::path::Path, bytes: &[u8], what: &str) {
+/// Every v2 reader must reject the mutated bytes with a clean error, the
+/// same one on either backing, which this returns.
+fn assert_rejected(dir: &std::path::Path, bytes: &[u8], what: &str) -> String {
     let (read, load, restore) = refusals(dir, bytes);
-    assert!(read, "{what}: eager decode accepted corrupt bytes");
+    assert!(read, "{what}: the heap open accepted corrupt bytes");
     assert!(load, "{what}: the loader accepted corrupt bytes");
     assert!(restore, "{what}: the store restore served corrupt bytes");
+    refusal(eager(&dir.join("mutant.timp"))).expect("refused above")
 }
 
 /// The section table entries as (offset, len), straight from the header.
@@ -392,29 +412,45 @@ fn structural_pool_corruption_is_rejected_by_both_readers() {
         ),
     ];
     for (what, bytes) in mutants {
-        let path = dir.join("mutant.timp");
-        let (_, load, restore) = refusals(&dir, &bytes);
-        assert!(load, "{what}: the loader accepted it");
-        assert!(restore, "{what}: the store restore served it");
-        // The heap decode ignores the stored index, so an index-only edit
-        // may load — but then it must answer exactly as the pristine pool.
-        if let Ok(mut heap) = eager(&path) {
-            heap.sets.ensure_inverted_index();
-            for k in [1, 3, 8] {
-                assert_eq!(
-                    tim_coverage::greedy_max_cover_indexed(&heap.sets, k),
-                    tim_coverage::greedy_max_cover_indexed(&want, k),
-                    "{what}: heap select {k} differs"
-                );
-            }
-            for seeds in [&[0u32][..], &[1, 2, 3], &[fat as u32, 7]] {
-                assert_eq!(
-                    heap.sets.count_covered(seeds),
-                    want.count_covered(seeds),
-                    "{what}: heap count_covered({seeds:?}) differs"
-                );
-            }
+        // The heap open checks the stored index as the mapped one does,
+        // so an index-only edit is refused on either backing.
+        assert_rejected(&dir, &bytes, what);
+    }
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+#[test]
+fn section_flips_and_padding_refuse_alike_on_both_backings() {
+    // Whichever check a flip in a section trips first (the bounds, the
+    // index, or the section's digest), both backings report it alike.
+    let dir = tmpdir("alike");
+    let (_, pristine) = write_sample(&dir, "src");
+    let sections = table(&pristine);
+    for (i, &(offset, len)) in sections.iter().enumerate() {
+        for at in [offset, offset + 2, offset + len / 2, offset + len - 1] {
+            let mut mutant = pristine.clone();
+            mutant[at as usize] ^= 0x10;
+            assert_rejected(
+                &dir,
+                &mutant,
+                &format!("a flip in section {i} at byte {at}"),
+            );
         }
+    }
+    // A nonzero byte after the header and after every section but the
+    // last, where only the zero-padding rule can see it.
+    let mut gaps = vec![HEADER_BYTES];
+    gaps.extend(
+        sections
+            .iter()
+            .map(|&(offset, len)| (offset + len) as usize),
+    );
+    gaps.pop();
+    for at in gaps {
+        let mut mutant = pristine.clone();
+        mutant[at] = 1;
+        let message = assert_rejected(&dir, &mutant, &format!("padding byte {at}"));
+        assert!(message.contains("padding"), "padding byte {at}: {message}");
     }
     std::fs::remove_dir_all(&dir).ok();
 }

@@ -2,7 +2,7 @@
 //! 1–8 random bytes of a valid `.timg` v2 or `.timp` v2 file, reseals
 //! the header and section checksums (so the edit reaches the structural
 //! checks instead of tripping a digest), and opens the result through
-//! every reader: the eager heap decode and the loaders that map and
+//! every reader: the heap opens and the loaders that map and
 //! check at once (`io::load_graph`, `GraphStore::load`, `RrPool::load`).
 //! Each open must return `Err`, or a value every query path runs over
 //! without panicking.
@@ -12,10 +12,11 @@
 use proptest::prelude::*;
 use std::path::PathBuf;
 use tim_core::parallel::generate_rr_sets;
-use tim_coverage::{greedy_max_cover, greedy_max_cover_indexed, SetCollection, SETS_SECTION_COUNT};
+use tim_coverage::{greedy_max_cover, greedy_max_cover_indexed, SetCollection};
 use tim_diffusion::IndependentCascade;
 use tim_engine::{PoolMeta, RrPool, POOL_V2_HEADER_BYTES};
-use tim_graph::snapshot::{self, Fnv1a, V2_HEADER_BYTES, V2_SECTION_COUNT};
+use tim_graph::container::digest;
+use tim_graph::snapshot::{self, V2_HEADER_BYTES, V2_SECTION_COUNT};
 use tim_graph::{gen, io, weights, Graph, GraphStore, NodeId};
 
 /// Where each format's section table starts and how many entries it has.
@@ -34,14 +35,8 @@ const TIMG: Format = Format {
 const TIMP: Format = Format {
     header: POOL_V2_HEADER_BYTES as usize,
     table_at: 136,
-    sections: SETS_SECTION_COUNT,
+    sections: 4,
 };
-
-fn fnv(bytes: &[u8]) -> u64 {
-    let mut h = Fnv1a::new();
-    h.update(bytes);
-    h.finish()
-}
 
 fn u64_at(bytes: &[u8], at: usize) -> u64 {
     u64::from_le_bytes(bytes[at..at + 8].try_into().unwrap())
@@ -86,12 +81,12 @@ fn mutate_and_reseal(file: &[u8], format: &Format, edits: &[(u64, u32)]) -> Vec<
             .checked_add(len)
             .is_some_and(|end| end <= bytes.len() as u64)
         {
-            let digest = fnv(&bytes[offset as usize..(offset + len) as usize]);
-            bytes[entry + 24..entry + 32].copy_from_slice(&digest.to_le_bytes());
+            let sealed = digest(&bytes[offset as usize..(offset + len) as usize]);
+            bytes[entry + 24..entry + 32].copy_from_slice(&sealed.to_le_bytes());
         }
     }
-    let digest = fnv(&bytes[16..format.header]);
-    bytes[8..16].copy_from_slice(&digest.to_le_bytes());
+    let sealed = digest(&bytes[16..format.header]);
+    bytes[8..16].copy_from_slice(&sealed.to_le_bytes());
     bytes
 }
 

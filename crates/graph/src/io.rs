@@ -8,7 +8,7 @@
 //! they are remapped to dense `u32` ids in first-appearance order, and
 //! the mapping is returned so results can be reported in original labels.
 
-use crate::mmap::CAN_MAP;
+use crate::container::FileBytes;
 use crate::snapshot;
 use crate::{Graph, GraphBuilder, GraphError};
 use std::collections::HashMap;
@@ -142,8 +142,9 @@ pub fn load_edge_list<P: AsRef<Path>>(
 /// the heap. A snapshot is mapped, so the graph's arrays view the file,
 /// and it passes every check before it is returned: header, zero
 /// padding, every section checksum, CSR structure and content checksum.
-/// Where [`CAN_MAP`] is false it decodes onto the heap
-/// ([`read_snapshot`](snapshot::read_snapshot)) with the same checks.
+/// Where [`CAN_MAP`](crate::mmap::CAN_MAP) is false the same open decodes
+/// it onto the heap, with the same checks and errors
+/// ([`read_snapshot`](snapshot::read_snapshot) does so from any reader).
 /// Only version 2 snapshots load; any other version is refused with an
 /// error that names it.
 ///
@@ -165,14 +166,9 @@ pub(crate) fn read_graph(
     if snapshot::snapshot_version(path)?.is_none() {
         return Ok((load_edge_list(path, undirected)?, None));
     }
-    let (loaded, checksum) = if CAN_MAP {
-        let (graph, labels, checksum) = snapshot::map_snapshot_v2(path)?;
-        let labels = labels.to_vec();
-        (LoadedGraph { graph, labels }, checksum)
-    } else {
-        snapshot::decode_snapshot(&std::fs::read(path)?)?
-    };
-    Ok((loaded, Some(checksum)))
+    let (graph, labels, checksum) = snapshot::open_snapshot(FileBytes::read(path, true)?)?;
+    let labels = labels.to_vec();
+    Ok((LoadedGraph { graph, labels }, Some(checksum)))
 }
 
 /// A fresh name beside `path` for a file that is about to be renamed

@@ -21,9 +21,15 @@
 //! - [`io`] — a SNAP-style whitespace edge-list reader/writer, the one
 //!   graph-file loader [`io::load_graph`], and the rename-based
 //!   [`io::write_atomically`] every binary format saves through;
+//! - [`container`] — the page-aligned binary container both binary
+//!   formats share (`.timg` here, `.timp` pools in `tim_engine`): the
+//!   magic and version checks, the header checksum, the section table
+//!   and its rules, the per-section digest pass, the writer, and typed
+//!   section arrays that view a mapping or are decoded onto the heap;
 //! - [`snapshot`] — checksummed binary graph snapshots (`.timg`) in one
-//!   format, the page-aligned, mmap-able v2 layout; older versions are
-//!   refused with an error that says to re-snapshot the text source;
+//!   format, the v2 container, with one open on either backing; older
+//!   versions are refused with an error that says to re-snapshot the
+//!   text source;
 //! - [`Array`] / [`Mmap`] — zero-copy out-of-core serving: every CSR
 //!   array either owns a `Vec` or views a section of a read-only file
 //!   mapping, so a snapshot loads as the same [`Graph`] a heap load
@@ -35,6 +41,7 @@
 pub mod analysis;
 mod builder;
 pub mod catalog;
+pub mod container;
 mod csr;
 mod error;
 pub mod gen;

@@ -3,11 +3,11 @@
 //!
 //! [`Mmap`] is the mapping primitive: a whole file mapped read-only
 //! (`PROT_READ` + `MAP_PRIVATE`) with `madvise` paging hints. Every
-//! page-aligned binary format in the workspace maps through it — the
-//! `.timg` v2 snapshots here and the `.timp` v2 RR-set pools in
-//! `tim_engine`. The syscall bindings (`mmap`/`munmap`/`madvise`) follow
-//! the same dependency-free `extern "C"` idiom as the epoll reactor in
-//! `tim_server`.
+//! binary format in the workspace maps through it, by way of the
+//! [`container`](crate::container) they share — the `.timg` v2 snapshots
+//! here and the `.timp` v2 RR-set pools in `tim_engine`. The syscall
+//! bindings (`mmap`/`munmap`/`madvise`) follow the same dependency-free
+//! `extern "C"` idiom as the epoll reactor in `tim_server`.
 //!
 //! [`Array`] is the storage of both costly artifacts: the six CSR arrays
 //! of a [`Graph`](crate::Graph) and the four arrays of an RR-set
@@ -34,38 +34,31 @@
 //!    ordered with our reads, so every writer in the workspace replaces a
 //!    file by rename (`io::write_atomically`) and never rewrites it in
 //!    place. There is no unchecked open: the one open of each artifact
-//!    (`io::load_graph` and `GraphStore::load` for graphs, `RrPool::load`
-//!    and the pool store's restore for pools) runs the full checksum pass
-//!    over the mapping before it returns. Every *structural* invariant
-//!    (offsets, endpoints, probabilities) is validated at open into the
-//!    arrays' private copies of their bounds, which a racing writer
-//!    cannot retroactively change. A torn read of *data* under a racing
+//!    (behind `io::load_graph` and `GraphStore::load` for graphs,
+//!    `RrPool::load` and the pool store's restore for pools) runs the
+//!    full checksum pass over the mapping before it returns. Every
+//!    *structural* invariant (offsets, endpoints, probabilities) is
+//!    validated at open into the arrays' private copies of their bounds,
+//!    which a racing writer cannot retroactively change. A torn read of *data* under a racing
 //!    in-place writer can change results but cannot read out of bounds:
 //!    every slice is carved from the validated bounds, and the accessors
 //!    clamp offsets defensively.
-//! 3. **Alignment is guaranteed by the format.** v2 sections start on
-//!    4096-byte boundaries and `mmap` returns page-aligned addresses, so
+//! 3. **Alignment is guaranteed by the format.** Container sections start
+//!    on 4096-byte boundaries and `mmap` returns page-aligned addresses, so
 //!    reinterpreting section bytes as `u64`/`u32`/`f32` is always
-//!    naturally-aligned ([`Array::mapped`] checks it anyway).
-//!    [`Mmap::open`] additionally rejects big-endian hosts, where
-//!    zero-copy reinterpretation of the little-endian sections would be
-//!    wrong.
+//!    naturally-aligned ([`Array::mapped`] checks it anyway). Files are
+//!    mapped only where [`CAN_MAP`] holds, which rules out big-endian
+//!    hosts, where zero-copy reinterpretation of the little-endian
+//!    sections would be wrong.
 
-use crate::GraphError;
 use std::ops::Deref;
-use std::path::Path;
 use std::sync::Arc;
 
-/// True where [`Mmap::open`] can map a file: unix hosts with
-/// little-endian byte order. Elsewhere every loader decodes v2 files
-/// onto the heap instead of mapping them.
+/// True where a file can be mapped: unix hosts with little-endian byte
+/// order, since the formats are little-endian on disk and a mapping is
+/// read in place. Elsewhere every open decodes binary files onto the
+/// heap instead ([`FileBytes::read`](crate::container::FileBytes::read)).
 pub const CAN_MAP: bool = cfg!(all(unix, target_endian = "little"));
-
-fn snap_err(message: impl Into<String>) -> GraphError {
-    GraphError::Snapshot {
-        message: message.into(),
-    }
-}
 
 #[cfg(unix)]
 mod sys {
@@ -101,10 +94,10 @@ mod sys {
 /// page-aligned by the kernel.
 ///
 /// The mapping primitive behind every mapped [`Array`]: `.timg` graph
-/// snapshots and `.timp` RR-set pools. [`open`](Mmap::open) rejects
-/// empty files, non-unix hosts, and big-endian hosts (the page-aligned
-/// formats are little-endian on disk, so zero-copy reinterpretation
-/// would be wrong); dropping the value unmaps the file.
+/// snapshots and `.timp` RR-set pools.
+/// [`FileBytes::read`](crate::container::FileBytes::read) maps a file
+/// only where [`CAN_MAP`] holds, and never an empty one; dropping the
+/// value unmaps the file.
 pub struct Mmap {
     /// Base address of the mapping (page-aligned, never null).
     base: *const u8,
@@ -121,41 +114,28 @@ unsafe impl Send for Mmap {}
 unsafe impl Sync for Mmap {}
 
 impl Mmap {
-    /// Maps the whole file at `path` read-only.
-    ///
-    /// Errors cleanly on empty files, on non-unix hosts (no mapping
-    /// syscalls bound), and on big-endian hosts (callers reinterpret the
-    /// mapped bytes as little-endian `u64`/`u32` sections).
-    pub fn open<P: AsRef<Path>>(path: P) -> Result<Mmap, GraphError> {
-        if cfg!(target_endian = "big") {
-            return Err(snap_err(
-                "zero-copy mapped views require a little-endian host; \
-                 load the file on the heap instead",
-            ));
-        }
-        Self::open_impl(path.as_ref())
-    }
-
+    /// Maps all `len` bytes of `file`; `len` must not be 0 (no mapping
+    /// has zero length).
     #[cfg(not(unix))]
-    fn open_impl(_path: &Path) -> Result<Mmap, GraphError> {
-        Err(snap_err(
-            "mapped views are only supported on unix hosts; \
-             load the file on the heap instead",
+    pub(crate) fn map_file(_file: &std::fs::File, _len: u64) -> std::io::Result<Mmap> {
+        Err(std::io::Error::new(
+            std::io::ErrorKind::Unsupported,
+            "mapped views are only supported on unix hosts; load the file on the heap instead",
         ))
     }
 
+    /// Maps all `len` bytes of `file`; `len` must not be 0 (no mapping
+    /// has zero length).
     #[cfg(unix)]
-    fn open_impl(path: &Path) -> Result<Mmap, GraphError> {
+    pub(crate) fn map_file(file: &std::fs::File, len: u64) -> std::io::Result<Mmap> {
         use std::os::fd::AsRawFd;
 
-        let file = std::fs::File::open(path)?;
-        let file_len = file.metadata()?.len();
-        if file_len == 0 {
-            return Err(snap_err("cannot map an empty file"));
-        }
-        let len = usize::try_from(file_len)
-            .map_err(|_| snap_err("file is larger than the address space"))?;
-
+        let len = usize::try_from(len).map_err(|_| {
+            std::io::Error::new(
+                std::io::ErrorKind::InvalidInput,
+                "file is larger than the address space",
+            )
+        })?;
         // SAFETY: plain syscall; the kernel picks the address (addr =
         // null), the fd is live for the duration of the call, and a
         // PROT_READ | MAP_PRIVATE mapping cannot alias any writable
@@ -171,7 +151,7 @@ impl Mmap {
             )
         };
         if base == sys::MAP_FAILED {
-            return Err(GraphError::Io(std::io::Error::last_os_error()));
+            return Err(std::io::Error::last_os_error());
         }
         // The mapping persists past the close of `file` (POSIX: the
         // mapping holds its own reference), so the File can drop freely.
@@ -184,7 +164,7 @@ impl Mmap {
         self.len
     }
 
-    /// Never true: empty files are rejected at open.
+    /// Never true: an empty file is never mapped.
     #[inline]
     pub fn is_empty(&self) -> bool {
         self.len == 0
@@ -229,7 +209,7 @@ impl Mmap {
 impl Drop for Mmap {
     fn drop(&mut self) {
         #[cfg(unix)]
-        // SAFETY: (base, len) is the mapping created in open_impl; we are
+        // SAFETY: (base, len) is the mapping created in map_file; we are
         // the sole owner, and no borrow of the mapping can outlive self.
         unsafe {
             sys::munmap(self.base as *mut u8, self.len);
@@ -250,10 +230,30 @@ impl std::fmt::Debug for Mmap {
 pub trait Element: Copy + Send + Sync + 'static + sealed::Sealed {}
 
 mod sealed {
-    pub trait Sealed {}
-    impl Sealed for u32 {}
-    impl Sealed for u64 {}
-    impl Sealed for f32 {}
+    /// The byte order of the binary formats, per element type.
+    pub trait Sealed: Sized {
+        /// Decodes one value from exactly `size_of::<Self>()`
+        /// little-endian bytes.
+        fn from_le(bytes: &[u8]) -> Self;
+        /// Appends the value's little-endian bytes to `out`.
+        fn put_le(self, out: &mut Vec<u8>);
+    }
+
+    macro_rules! little_endian {
+        ($($t:ty),*) => {$(
+            impl Sealed for $t {
+                #[inline]
+                fn from_le(bytes: &[u8]) -> Self {
+                    <$t>::from_le_bytes(bytes.try_into().expect("one element's width of bytes"))
+                }
+                #[inline]
+                fn put_le(self, out: &mut Vec<u8>) {
+                    out.extend_from_slice(&self.to_le_bytes());
+                }
+            }
+        )*};
+    }
+    little_endian!(u32, u64, f32);
 }
 
 impl Element for u32 {}
@@ -352,6 +352,20 @@ impl<T: Element> Array<T> {
         out
     }
 
+    /// Decodes little-endian `bytes` into an owned array: the heap
+    /// counterpart of [`mapped`](Array::mapped), which also runs where a
+    /// mapping cannot be reinterpreted in place. A trailing partial
+    /// element is dropped.
+    pub(crate) fn decode_le(bytes: &[u8]) -> Array<T> {
+        let width = std::mem::size_of::<T>();
+        Array::from(
+            bytes
+                .chunks_exact(width)
+                .map(T::from_le)
+                .collect::<Vec<T>>(),
+        )
+    }
+
     /// The copy half of copy on write, kept out of line so the common
     /// (heap) path of [`edit`](Array::edit) stays small enough to inline
     /// into per-set loops such as `SetCollection::push`.
@@ -413,7 +427,7 @@ impl<T: Element + std::fmt::Debug> std::fmt::Debug for Array<T> {
 mod tests {
     use super::*;
     use crate::snapshot::{graph_checksum, save_snapshot, write_snapshot, MAGIC};
-    use crate::{gen, weights, Graph, GraphStore, NodeId};
+    use crate::{gen, weights, Graph, GraphError, GraphStore, NodeId};
 
     fn sample() -> (Graph, Vec<u64>) {
         let mut g = gen::barabasi_albert(120, 4, 0.1, 11);
@@ -498,7 +512,10 @@ mod tests {
         let path = tmp(name);
         let bytes: Vec<u8> = words.iter().flat_map(|w| w.to_le_bytes()).collect();
         std::fs::write(&path, bytes).unwrap();
-        (Arc::new(Mmap::open(&path).unwrap()), path)
+        match crate::container::FileBytes::read(&path, true).unwrap() {
+            crate::container::FileBytes::Mapped(map) => (map, path),
+            other => panic!("expected a mapping, got {other:?}"),
+        }
     }
 
     #[test]

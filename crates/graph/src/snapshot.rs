@@ -7,42 +7,43 @@
 //! label map — so loading is a mapping plus the checksum passes, and the
 //! loaded [`Graph`] is bit-identical to the one that was saved.
 //!
-//! There is one format, version 2, and every reader checks all of it
-//! before a graph comes back. [`save_snapshot`] replaces the file by
-//! rename, so a process serving the old file keeps its bytes.
+//! There is one format, version 2, and one open of it, which checks all
+//! of it before a graph comes back, on either backing:
 //! [`io::load_graph`](crate::io::load_graph) maps the file where
-//! [`CAN_MAP`](crate::mmap::CAN_MAP) holds; [`read_snapshot`] decodes
-//! onto the heap. Any other version, the older v1 included, is refused:
-//! re-run `tim snapshot` on the graph's text source.
+//! [`CAN_MAP`](crate::mmap::CAN_MAP) holds, and [`read_snapshot`]
+//! decodes any reader onto the heap. [`save_snapshot`] replaces the file
+//! by rename, so a process serving the old file keeps its bytes. Any
+//! other version, the older v1 included, is refused: re-run
+//! `tim snapshot` on the graph's text source.
 //!
-//! # File layout (version 2, little-endian, page-aligned)
+//! # File layout (version 2)
 //!
-//! A fixed header plus a section table, every section starting on a
-//! 4096-byte boundary, so a mapped [`Graph`]'s arrays are
-//! naturally-aligned `u64`/`u32`/`f32` views straight into the mapping,
-//! with zero copies.
+//! The page-aligned [`container`] of both binary formats, so a mapped
+//! [`Graph`]'s arrays are naturally-aligned `u64`/`u32`/`f32` views
+//! straight into the mapping, with zero copies. The header holds:
 //!
 //! | bytes | field |
 //! |---|---|
-//! | 0..4 | magic `b"TIMG"` |
-//! | 4..8 | format version (`u32` = 2) |
-//! | 8..16 | FNV-1a checksum of bytes `16..272` (header integrity) |
+//! | 0..16 | magic `b"TIMG"`, version (`u32` = 2), header checksum |
 //! | 16..32 | `n`, `m` (`u64` each) |
 //! | 32..40 | graph content checksum ([`graph_checksum`] of the heap form) |
 //! | 40..48 | section count (`u64` = 7) |
-//! | 48..272 | section table: 7 × { id `u32`, reserved `u32`, offset `u64`, length `u64`, FNV-1a `u64` } |
-//! | 4096… | sections, in table order, each offset 4096-aligned |
+//! | 48..272 | section table, 7 entries |
 //!
 //! Sections, in fixed order: `out_offsets` (`(n+1)×u64`), `out_targets`
 //! (`m×u32`), `out_probs` (`m×u32` f32 bits), `in_offsets`, `in_sources`,
-//! `in_probs`, `labels` (`n×u64`). The bytes between the header and the
-//! first section, and between sections, are zero; the file ends at the
-//! last section's final byte. The header checksum covers the section
-//! table, so offsets/lengths and the per-section checksums are
-//! tamper-evident without touching any section. Every reader checks the
-//! header, the zero padding, every section, the CSR structure and the
-//! content checksum before the graph serves, so a flip of any bit and
-//! any truncation is refused.
+//! `in_probs`, `labels` (`n×u64`). Errors call them `section 0` to
+//! `section 6`.
+//!
+//! # The checks, in the order errors report them
+//!
+//! The container's header and table checks, then every section digest,
+//! then the CSR structure, then the content checksum, so a flip of any
+//! bit and any truncation is refused, with the same error on either
+//! backing. The structural scan runs first all the same, as it reads
+//! ahead through the mapping; when it fails, a digest mismatch is still
+//! the error reported. Then the digests run on one thread and the last
+//! two digests plus the content hash on another.
 //!
 //! ```
 //! use tim_graph::{snapshot, Graph};
@@ -58,12 +59,13 @@
 //! assert_eq!(snapshot::graph_checksum(&loaded.graph), snapshot::graph_checksum(&g));
 //! ```
 
+use crate::container::{self, Container, FileBytes, Fnv1a, Format};
 use crate::io::{write_atomically, LoadedGraph};
-use crate::mmap::{Array, Element, Mmap};
+use crate::mmap::{Array, Element};
 use crate::{Graph, GraphError, NodeId};
 use std::io::{Read, Write};
 use std::path::Path;
-use std::sync::{Arc, OnceLock};
+use std::sync::OnceLock;
 
 /// The four magic bytes opening every snapshot file.
 pub const MAGIC: [u8; 4] = *b"TIMG";
@@ -71,18 +73,32 @@ pub const MAGIC: [u8; 4] = *b"TIMG";
 /// The snapshot format version, the one every reader accepts.
 pub const VERSION_V2: u32 = 2;
 
-/// Alignment of every v2 section offset (one page on every platform we
-/// serve from; also a multiple of the natural alignment of `u64`).
-pub const V2_ALIGN: u64 = 4096;
-
 /// Number of sections in a v2 snapshot.
 pub const V2_SECTION_COUNT: usize = 7;
 
 /// Total bytes of the v2 header including the section table.
 pub const V2_HEADER_BYTES: u64 = 48 + V2_SECTION_COUNT as u64 * 32;
 
+/// The `.timg` container.
+static FORMAT: Format = Format {
+    magic: MAGIC,
+    version: VERSION_V2,
+    noun: "snapshot",
+    upgrade: "re-run `tim snapshot` on the graph's text edge list to rewrite it",
+    header_bytes: V2_HEADER_BYTES as usize,
+    sections: &[
+        "section 0",
+        "section 1",
+        "section 2",
+        "section 3",
+        "section 4",
+        "section 5",
+        "section 6",
+    ],
+};
+
 /// Section indices of the v2 layout, in file order.
-pub(crate) mod v2_section {
+mod v2_section {
     pub const OUT_OFFSETS: usize = 0;
     pub const OUT_TARGETS: usize = 1;
     pub const OUT_PROBS: usize = 2;
@@ -90,51 +106,6 @@ pub(crate) mod v2_section {
     pub const IN_SOURCES: usize = 4;
     pub const IN_PROBS: usize = 5;
     pub const LABELS: usize = 6;
-}
-
-/// Streaming FNV-1a (64-bit) hasher; dependency-free and fast enough to
-/// checksum multi-hundred-megabyte snapshots in a single pass.
-///
-/// This is the single checksum implementation shared by every binary
-/// format in the workspace (`.timg` here, `.timp` pools in `tim_engine`)
-/// — integrity protection against corruption, **not** a MAC.
-#[derive(Debug, Clone)]
-pub struct Fnv1a(u64);
-
-impl Default for Fnv1a {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
-impl Fnv1a {
-    const OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-    const PRIME: u64 = 0x0000_0100_0000_01b3;
-
-    /// Creates a hasher at the FNV offset basis.
-    pub fn new() -> Self {
-        Fnv1a(Self::OFFSET)
-    }
-
-    /// Absorbs `bytes`.
-    pub fn update(&mut self, bytes: &[u8]) {
-        let mut h = self.0;
-        for &b in bytes {
-            h ^= u64::from(b);
-            h = h.wrapping_mul(Self::PRIME);
-        }
-        self.0 = h;
-    }
-
-    /// Absorbs one little-endian `u64`.
-    pub fn update_u64(&mut self, v: u64) {
-        self.update(&v.to_le_bytes());
-    }
-
-    /// The digest so far.
-    pub fn finish(&self) -> u64 {
-        self.0
-    }
 }
 
 /// Content checksum of a graph: a pure function of `(n, forward CSR,
@@ -163,27 +134,17 @@ pub fn graph_checksum(graph: &Graph) -> u64 {
     h.finish()
 }
 
-fn put_u64s(buf: &mut Vec<u8>, values: impl IntoIterator<Item = u64>) {
-    for v in values {
-        buf.extend_from_slice(&v.to_le_bytes());
-    }
-}
-
-fn put_u32s(buf: &mut Vec<u8>, values: impl IntoIterator<Item = u32>) {
-    for v in values {
-        buf.extend_from_slice(&v.to_le_bytes());
-    }
-}
-
-/// Deserializes a v2 snapshot from any reader onto the heap, checking
-/// everything a mapped load checks (header, padding, every section
-/// checksum, the CSR structure and the content checksum) before
-/// returning the graph. The heap path where
-/// [`CAN_MAP`](crate::mmap::CAN_MAP) is false.
+/// Deserializes a v2 snapshot from any reader onto the heap. It runs the
+/// one open, so it checks everything [`io::load_graph`](crate::io::load_graph)
+/// checks and refuses a corrupt file with the same error.
 pub fn read_snapshot<R: Read>(mut reader: R) -> Result<LoadedGraph, GraphError> {
     let mut bytes = Vec::new();
     reader.read_to_end(&mut bytes)?;
-    decode_snapshot(&bytes).map(|(loaded, _)| loaded)
+    let (graph, labels, _) = open_snapshot(FileBytes::Heap(bytes))?;
+    Ok(LoadedGraph {
+        graph,
+        labels: labels.to_vec(),
+    })
 }
 
 fn snap_err(message: impl Into<String>) -> GraphError {
@@ -203,32 +164,9 @@ fn check_labels(graph: &Graph, labels: &[u64]) -> Result<(), GraphError> {
     Ok(())
 }
 
-/// One entry of the v2 section table, already bounds-validated against the
-/// file it came from.
-#[derive(Debug, Clone, Copy)]
-pub(crate) struct V2Section {
-    /// Byte offset of the section from the start of the file (4096-aligned).
-    pub offset: u64,
-    /// Section length in bytes (exactly the expected length for `n`/`m`).
-    pub len: u64,
-    /// FNV-1a checksum of the section bytes.
-    pub fnv: u64,
-}
-
-/// The validated v2 header: counts, content checksum, and section table.
-#[derive(Debug, Clone)]
-pub(crate) struct V2Layout {
-    pub n: u64,
-    /// [`graph_checksum`] of the decoded heap form, as recorded at write
-    /// time and covered by the header checksum — pool provenance for
-    /// mmap-backed graphs without an O(m) hash at open.
-    pub checksum: u64,
-    pub sections: [V2Section; V2_SECTION_COUNT],
-}
-
 /// Expected byte length of v2 section `i` for an `(n, m)` graph; `None` on
 /// arithmetic overflow (a hostile header must fail cleanly, not wrap).
-pub(crate) fn v2_expected_len(i: usize, n: u64, m: u64) -> Option<u64> {
+fn v2_expected_len(i: usize, n: u64, m: u64) -> Option<u64> {
     match i {
         v2_section::OUT_OFFSETS | v2_section::IN_OFFSETS => n.checked_add(1)?.checked_mul(8),
         v2_section::OUT_TARGETS
@@ -240,127 +178,92 @@ pub(crate) fn v2_expected_len(i: usize, n: u64, m: u64) -> Option<u64> {
     }
 }
 
-/// Parses and validates the v2 header of the whole file `bytes`: magic,
-/// version, header checksum, count sanity, a section table whose
-/// entries are canonically ordered, page-aligned, exactly the expected
-/// length, in bounds, and non-overlapping, and zero padding before and
-/// between the sections. After this check a reader may index any
-/// section without further bounds tests.
-pub(crate) fn parse_v2_layout(bytes: &[u8]) -> Result<V2Layout, GraphError> {
-    let header_len = V2_HEADER_BYTES as usize;
-    if bytes.len() < 8 {
-        return Err(snap_err("truncated snapshot header"));
-    }
-    if bytes[0..4] != MAGIC {
-        return Err(snap_err("not a TIMG snapshot (bad magic)"));
-    }
-    // Version before length: a short v1 file must name its version.
-    let version = u32::from_le_bytes(bytes[4..8].try_into().expect("4 bytes"));
-    if version != VERSION_V2 {
-        return Err(snap_err(format!(
-            "unsupported snapshot version {version}: only version {VERSION_V2} is read; \
-             re-run `tim snapshot` on the graph's text edge list to rewrite it"
-        )));
-    }
-    if bytes.len() < header_len {
-        return Err(snap_err("truncated v2 header"));
-    }
-    let stored = u64::from_le_bytes(bytes[8..16].try_into().expect("8 bytes"));
-    let mut h = Fnv1a::new();
-    h.update(&bytes[16..header_len]);
-    if h.finish() != stored {
-        return Err(snap_err(format!(
-            "v2 header checksum mismatch: file says {stored:#018x}, header hashes to {:#018x}",
-            h.finish()
-        )));
-    }
-    let u64_at = |off: usize| u64::from_le_bytes(bytes[off..off + 8].try_into().expect("8 bytes"));
-    let n = u64_at(16);
-    let m = u64_at(24);
-    let checksum = u64_at(32);
-    let section_count = u64_at(40);
-    if section_count != V2_SECTION_COUNT as u64 {
-        return Err(snap_err(format!(
-            "v2 snapshot claims {section_count} sections (expected {V2_SECTION_COUNT})"
-        )));
-    }
-    // NodeId is u32: a node count at or above 2^32 cannot be represented,
-    // and (n+1)*8 must not overflow either.
-    if n >= u64::from(u32::MAX) {
-        return Err(snap_err(format!("v2 node count {n} overflows NodeId")));
-    }
-
-    let mut sections = [V2Section {
-        offset: 0,
-        len: 0,
-        fnv: 0,
-    }; V2_SECTION_COUNT];
-    let mut min_start = V2_HEADER_BYTES;
-    for (i, section) in sections.iter_mut().enumerate() {
-        let base = 48 + i * 32;
-        let id = u32::from_le_bytes(bytes[base..base + 4].try_into().expect("4 bytes"));
-        if id as usize != i {
-            return Err(snap_err(format!(
-                "v2 section {i} has id {id} (table must be in canonical order)"
-            )));
+/// Checks `file` up to its section table: the container's checks and a
+/// node count that fits a [`NodeId`]. Returns `n`, the content checksum
+/// the header records, and the container.
+fn open_container(file: FileBytes) -> Result<((usize, u64), Container), GraphError> {
+    Container::open(file, &FORMAT, |header| {
+        let (n, m) = (header.u64_at(16), header.u64_at(24));
+        // NodeId is u32: a node count at or above 2^32 cannot be
+        // represented, and (n+1)*8 must not overflow either.
+        if n >= u64::from(u32::MAX) {
+            return Err(format!("node count {n} overflows NodeId"));
         }
-        let offset = u64_at(base + 8);
-        let len = u64_at(base + 16);
-        let fnv = u64_at(base + 24);
-        let expected = v2_expected_len(i, n, m)
-            .ok_or_else(|| snap_err(format!("v2 section {i} length overflows")))?;
-        if len != expected {
-            return Err(snap_err(format!(
-                "v2 section {i} is {len} bytes (expected {expected} for n = {n}, m = {m})"
-            )));
-        }
-        if offset % V2_ALIGN != 0 {
-            return Err(snap_err(format!(
-                "v2 section {i} offset {offset} is not {V2_ALIGN}-aligned"
-            )));
-        }
-        if offset < min_start {
-            return Err(snap_err(format!(
-                "v2 section {i} at offset {offset} overlaps the header or a previous section"
-            )));
-        }
-        let end = offset
-            .checked_add(len)
-            .filter(|&e| e <= bytes.len() as u64)
-            .ok_or_else(|| {
-                snap_err(format!(
-                    "v2 section {i} ({offset}+{len} bytes) runs past the end of the file"
-                ))
-            })?;
-        // Every writer zero-fills up to each section, so any other byte
-        // there is corruption no checksum would see.
-        if bytes[min_start as usize..offset as usize]
-            .iter()
-            .any(|&b| b != 0)
-        {
-            return Err(snap_err(format!(
-                "v2 padding before section {i} is not zero"
-            )));
-        }
-        min_start = end;
-        *section = V2Section { offset, len, fnv };
-    }
-    if min_start != bytes.len() as u64 {
-        return Err(snap_err(format!(
-            "{} trailing bytes after the last v2 section",
-            bytes.len() as u64 - min_start
-        )));
-    }
-    Ok(V2Layout {
-        n,
-        checksum,
-        sections,
+        let lens = (0..V2_SECTION_COUNT)
+            .map(|i| v2_expected_len(i, n, m))
+            .collect();
+        Ok(((n as usize, header.u64_at(32)), lens))
     })
+    .map_err(snap_err)
+}
+
+/// The one open of a v2 snapshot, on either backing: a mapped file's
+/// graph views the mapping, a heap file's graph owns decoded arrays.
+/// Runs every check before it returns (see the module docs for their
+/// order) and returns the graph, its labels, and the content checksum the
+/// header records.
+pub(crate) fn open_snapshot(file: FileBytes) -> Result<(Graph, Array<u64>, u64), GraphError> {
+    let ((n, checksum), file) = open_container(file)?;
+    fn array<T: Element>(file: &Container, i: usize) -> Result<Array<T>, GraphError> {
+        file.array(i).map_err(snap_err)
+    }
+    let graph = Graph {
+        n,
+        out_offsets: array(&file, v2_section::OUT_OFFSETS)?,
+        out_targets: array(&file, v2_section::OUT_TARGETS)?,
+        out_probs: array(&file, v2_section::OUT_PROBS)?,
+        in_offsets: array(&file, v2_section::IN_OFFSETS)?,
+        in_sources: array(&file, v2_section::IN_SOURCES)?,
+        in_probs: array(&file, v2_section::IN_PROBS)?,
+        in_max: OnceLock::new(),
+    };
+    // The structural scan reads the mapping sequentially, so it runs
+    // before the random-access paging advice; the content hash walks the
+    // offsets it checks.
+    if let Err(message) = graph.validate() {
+        file.check_digests(0..V2_SECTION_COUNT).map_err(snap_err)?;
+        return Err(snap_err(format!("invalid CSR in v2 snapshot: {message}")));
+    }
+    // Each thread takes about half the work. On the 50k-node benchmark
+    // graph the sections hash in 12 ms and the content in 5.6 ms, so the
+    // helper takes the content hash and the last two sections (in_probs,
+    // labels: 3.2 ms), and this thread the other five (8.8 ms).
+    let split = v2_section::IN_PROBS;
+    let (head, tail) = std::thread::scope(|scope| {
+        let tail = scope.spawn(|| {
+            file.check_digests(split..V2_SECTION_COUNT)
+                .map_err(snap_err)
+                .and_then(|()| check_content(&graph, checksum))
+        });
+        let head = file.check_digests(0..split).map_err(snap_err);
+        (
+            head,
+            tail.join().unwrap_or_else(|p| std::panic::resume_unwind(p)),
+        )
+    });
+    head.and(tail)?;
+    file.advise_random();
+    // Offsets are touched for every sampled node; fault the header and
+    // the out-offsets in up front.
+    file.advise_willneed_before(v2_section::OUT_TARGETS);
+    let labels = array(&file, v2_section::LABELS)?;
+    Ok((graph, labels, checksum))
+}
+
+/// Checks that `graph` hashes to the content checksum a v2 header records.
+fn check_content(graph: &Graph, recorded: u64) -> Result<(), GraphError> {
+    let actual = graph_checksum(graph);
+    if actual != recorded {
+        return Err(snap_err(format!(
+            "v2 content checksum mismatch: header says {recorded:#018x}, graph hashes to {actual:#018x}"
+        )));
+    }
+    Ok(())
 }
 
 /// Serializes `graph` and its label map into `writer` in the page-aligned
 /// v2 layout. The result loads mapped through
-/// [`io::load_graph`](crate::io::load_graph), or eagerly through
+/// [`io::load_graph`](crate::io::load_graph), or onto the heap through
 /// [`read_snapshot`].
 ///
 /// `labels[i]` must be the original label of dense node `i`; pass
@@ -369,80 +272,23 @@ pub(crate) fn parse_v2_layout(bytes: &[u8]) -> Result<V2Layout, GraphError> {
 pub fn write_snapshot<W: Write>(
     graph: &Graph,
     labels: &[u64],
-    mut writer: W,
+    writer: W,
 ) -> Result<(), GraphError> {
     check_labels(graph, labels)?;
-    let mut sections: [Vec<u8>; V2_SECTION_COUNT] = Default::default();
-    put_u64s(
-        &mut sections[v2_section::OUT_OFFSETS],
-        graph.out_offsets.iter().copied(),
-    );
-    put_u32s(
-        &mut sections[v2_section::OUT_TARGETS],
-        graph.out_targets.iter().copied(),
-    );
-    put_u32s(
-        &mut sections[v2_section::OUT_PROBS],
-        graph.out_probs.iter().map(|p| p.to_bits()),
-    );
-    put_u64s(
-        &mut sections[v2_section::IN_OFFSETS],
-        graph.in_offsets.iter().copied(),
-    );
-    put_u32s(
-        &mut sections[v2_section::IN_SOURCES],
-        graph.in_sources.iter().copied(),
-    );
-    put_u32s(
-        &mut sections[v2_section::IN_PROBS],
-        graph.in_probs.iter().map(|p| p.to_bits()),
-    );
-    put_u64s(&mut sections[v2_section::LABELS], labels.iter().copied());
-
-    // Section table: assign page-aligned offsets and per-section checksums.
-    let mut table = Vec::with_capacity(V2_SECTION_COUNT * 32);
-    let mut offset = V2_ALIGN.max(V2_HEADER_BYTES.div_ceil(V2_ALIGN) * V2_ALIGN);
-    let mut offsets = [0u64; V2_SECTION_COUNT];
-    for (i, section) in sections.iter().enumerate() {
-        offsets[i] = offset;
-        let mut h = Fnv1a::new();
-        h.update(section);
-        table.extend_from_slice(&(i as u32).to_le_bytes());
-        table.extend_from_slice(&0u32.to_le_bytes()); // reserved
-        table.extend_from_slice(&offset.to_le_bytes());
-        table.extend_from_slice(&(section.len() as u64).to_le_bytes());
-        table.extend_from_slice(&h.finish().to_le_bytes());
-        offset = (offset + section.len() as u64).div_ceil(V2_ALIGN) * V2_ALIGN;
-    }
-
-    let mut header_body = Vec::with_capacity(V2_HEADER_BYTES as usize - 16);
-    put_u64s(
-        &mut header_body,
-        [
-            graph.n() as u64,
-            graph.m() as u64,
-            graph_checksum(graph),
-            V2_SECTION_COUNT as u64,
-        ],
-    );
-    header_body.extend_from_slice(&table);
-    let mut h = Fnv1a::new();
-    h.update(&header_body);
-
-    writer.write_all(&MAGIC)?;
-    writer.write_all(&VERSION_V2.to_le_bytes())?;
-    writer.write_all(&h.finish().to_le_bytes())?;
-    writer.write_all(&header_body)?;
-    let mut written = V2_HEADER_BYTES;
-    for (i, section) in sections.iter().enumerate() {
-        // Zero padding up to the section's page boundary. The last section
-        // is NOT padded: the file ends exactly at its final byte, so the
-        // decoder can reject trailing garbage.
-        writer.write_all(&vec![0u8; (offsets[i] - written) as usize])?;
-        writer.write_all(section)?;
-        written = offsets[i] + section.len() as u64;
-    }
-    writer.flush()?;
+    let fields: Vec<u8> = [graph.n() as u64, graph.m() as u64, graph_checksum(graph)]
+        .iter()
+        .flat_map(|v| v.to_le_bytes())
+        .collect();
+    let sections = [
+        container::le_bytes(&graph.out_offsets),
+        container::le_bytes(&graph.out_targets),
+        container::le_bytes(&graph.out_probs),
+        container::le_bytes(&graph.in_offsets),
+        container::le_bytes(&graph.in_sources),
+        container::le_bytes(&graph.in_probs),
+        container::le_bytes(labels),
+    ];
+    container::write(writer, &FORMAT, &fields, &sections)?;
     Ok(())
 }
 
@@ -460,148 +306,11 @@ pub fn save_snapshot<P: AsRef<Path>>(
     })
 }
 
-/// Checks sections `which` of `bytes` against the checksums `layout`
-/// records, in order; the error names the first that fails.
-fn check_v2_sections(
-    bytes: &[u8],
-    layout: &V2Layout,
-    which: std::ops::Range<usize>,
-) -> Result<(), GraphError> {
-    for i in which {
-        let s = &layout.sections[i];
-        let mut h = Fnv1a::new();
-        h.update(&bytes[s.offset as usize..(s.offset + s.len) as usize]);
-        if h.finish() != s.fnv {
-            return Err(snap_err(format!(
-                "v2 section {i} checksum mismatch: table says {:#018x}, data hashes to {:#018x}",
-                s.fnv,
-                h.finish()
-            )));
-        }
-    }
-    Ok(())
-}
-
-/// Eager heap decode of a v2 snapshot: checks the header, **every**
-/// per-section checksum, the CSR structure, and that the decoded graph
-/// hashes to the content checksum the header claims, which it returns.
-pub(crate) fn decode_snapshot(bytes: &[u8]) -> Result<(LoadedGraph, u64), GraphError> {
-    let layout = parse_v2_layout(bytes)?;
-    check_v2_sections(bytes, &layout, 0..V2_SECTION_COUNT)?;
-    let u64s = |i: usize| -> Vec<u64> {
-        let s = &layout.sections[i];
-        bytes[s.offset as usize..(s.offset + s.len) as usize]
-            .chunks_exact(8)
-            .map(|c| u64::from_le_bytes(c.try_into().expect("8-byte chunk")))
-            .collect()
-    };
-    let u32s = |i: usize| -> Vec<u32> {
-        let s = &layout.sections[i];
-        bytes[s.offset as usize..(s.offset + s.len) as usize]
-            .chunks_exact(4)
-            .map(|c| u32::from_le_bytes(c.try_into().expect("4-byte chunk")))
-            .collect()
-    };
-    let f32s = |i: usize| -> Vec<f32> { u32s(i).into_iter().map(f32::from_bits).collect() };
-    let graph = Graph {
-        n: layout.n as usize,
-        out_offsets: u64s(v2_section::OUT_OFFSETS).into(),
-        out_targets: u32s(v2_section::OUT_TARGETS).into(),
-        out_probs: f32s(v2_section::OUT_PROBS).into(),
-        in_offsets: u64s(v2_section::IN_OFFSETS).into(),
-        in_sources: u32s(v2_section::IN_SOURCES).into(),
-        in_probs: f32s(v2_section::IN_PROBS).into(),
-        in_max: OnceLock::new(),
-    };
-    graph.validate().map_err(|message| GraphError::Snapshot {
-        message: format!("invalid CSR in v2 snapshot: {message}"),
-    })?;
-    check_content(&graph, layout.checksum)?;
-    let loaded = LoadedGraph {
-        graph,
-        labels: u64s(v2_section::LABELS),
-    };
-    Ok((loaded, layout.checksum))
-}
-
-/// Checks that `graph` hashes to the content checksum a v2 header records.
-fn check_content(graph: &Graph, recorded: u64) -> Result<(), GraphError> {
-    let actual = graph_checksum(graph);
-    if actual != recorded {
-        return Err(snap_err(format!(
-            "v2 content checksum mismatch: header says {recorded:#018x}, graph hashes to {actual:#018x}"
-        )));
-    }
-    Ok(())
-}
-
-/// Maps the v2 snapshot at `path` without copying, and runs every check
-/// the eager decoder runs before it returns: the header and section
-/// table are validated, the graph's six arrays and the label section
-/// view the mapping, [`Graph::validate`] runs the structural scan, and
-/// then each section is checked against its checksum and the graph
-/// against the content checksum. Returns the graph, its labels, and the
-/// content checksum the header records.
-///
-/// The section and content checks run side by side on two threads,
-/// after the structural scan (the content hash walks the offsets it
-/// checks), and errors come in the eager decoder's order: sections, then
-/// content. The sequential scans run before the random-access paging
-/// advice, so they read ahead.
-pub(crate) fn map_snapshot_v2(path: &Path) -> Result<(Graph, Array<u64>, u64), GraphError> {
-    let map = Arc::new(Mmap::open(path)?);
-    let layout = parse_v2_layout(map.bytes())?;
-    fn section<T: Element>(map: &Arc<Mmap>, s: &V2Section) -> Result<Array<T>, GraphError> {
-        // In bounds per parse_v2_layout; usize conversion cannot truncate
-        // because offset + len <= the mapping's length.
-        let count = s.len as usize / std::mem::size_of::<T>();
-        Array::mapped(map, s.offset as usize, count).map_err(snap_err)
-    }
-    let sections = &layout.sections;
-    let graph = Graph {
-        n: layout.n as usize,
-        out_offsets: section(&map, &sections[v2_section::OUT_OFFSETS])?,
-        out_targets: section(&map, &sections[v2_section::OUT_TARGETS])?,
-        out_probs: section(&map, &sections[v2_section::OUT_PROBS])?,
-        in_offsets: section(&map, &sections[v2_section::IN_OFFSETS])?,
-        in_sources: section(&map, &sections[v2_section::IN_SOURCES])?,
-        in_probs: section(&map, &sections[v2_section::IN_PROBS])?,
-        in_max: OnceLock::new(),
-    };
-    graph.validate().map_err(|message| GraphError::Snapshot {
-        message: format!("invalid CSR in v2 snapshot: {message}"),
-    })?;
-    // Each thread takes about half the work. On the 50k-node benchmark
-    // graph the sections hash in 12 ms and the content in 5.6 ms, so the
-    // helper takes the content hash and the last two sections (in_probs,
-    // labels: 3.2 ms), and this thread the other five (8.8 ms).
-    let bytes = map.bytes();
-    let split = v2_section::IN_PROBS;
-    let (head, tail) = std::thread::scope(|scope| {
-        let tail = scope.spawn(|| {
-            check_v2_sections(bytes, &layout, split..V2_SECTION_COUNT)
-                .and_then(|()| check_content(&graph, layout.checksum))
-        });
-        let head = check_v2_sections(bytes, &layout, 0..split);
-        (
-            head,
-            tail.join().unwrap_or_else(|p| std::panic::resume_unwind(p)),
-        )
-    });
-    head.and(tail)?;
-    map.advise_random();
-    // Offsets are touched for every sampled node; fault the header and
-    // both offset sections in up front.
-    map.advise_willneed_prefix(sections[v2_section::OUT_TARGETS].offset as usize);
-    let labels = section(&map, &sections[v2_section::LABELS])?;
-    Ok((graph, labels, layout.checksum))
-}
-
 /// Reads the snapshot version of the file at `path`: `None` when the file
 /// does not start with the snapshot magic, `Some(version)` otherwise.
 ///
 /// [`io::load_graph`](crate::io::load_graph) dispatches on it: text
-/// without the magic, the snapshot readers with it.
+/// without the magic, the snapshot open with it.
 pub fn snapshot_version<P: AsRef<Path>>(path: P) -> Result<Option<u32>, GraphError> {
     let mut file = std::fs::File::open(path)?;
     let mut head = [0u8; 8];
@@ -624,6 +333,12 @@ pub fn snapshot_version<P: AsRef<Path>>(path: P) -> Result<Option<u32>, GraphErr
 mod tests {
     use super::*;
     use crate::{gen, weights};
+
+    /// The checked container of `bytes`, for its fields and section
+    /// bounds.
+    fn layout(bytes: &[u8]) -> ((usize, u64), Container) {
+        open_container(FileBytes::Heap(bytes.to_vec())).unwrap()
+    }
 
     fn sample() -> (Graph, Vec<u64>) {
         let mut g = gen::barabasi_albert(80, 3, 0.1, 7);
@@ -692,8 +407,8 @@ mod tests {
     fn flipped_payload_bit_fails_checksum() {
         let (g, labels) = sample();
         let mut bytes = encode(&g, &labels);
-        let labels_at = parse_v2_layout(&bytes).unwrap().sections[v2_section::LABELS];
-        bytes[(labels_at.offset + labels_at.len / 2) as usize] ^= 0x01;
+        let labels_at = layout(&bytes).1.range(v2_section::LABELS);
+        bytes[labels_at.start + labels_at.len() / 2] ^= 0x01;
         assert!(matches!(
             read_snapshot(bytes.as_slice()),
             Err(GraphError::Snapshot { message }) if message.contains("checksum")
@@ -730,10 +445,9 @@ mod tests {
         // them.
         let (g, labels) = sample();
         let pristine = encode(&g, &labels);
-        let layout = parse_v2_layout(&pristine).unwrap();
-        let first = &layout.sections[0];
-        let after_first = (first.offset + first.len) as usize;
-        assert!(after_first < layout.sections[1].offset as usize);
+        let (_, sections) = layout(&pristine);
+        let after_first = sections.range(0).end;
+        assert!(after_first < sections.range(1).start);
         for at in [V2_HEADER_BYTES as usize, 300, after_first] {
             let mut bytes = pristine.clone();
             bytes[at] = 1;
@@ -753,9 +467,8 @@ mod tests {
         let (g, labels) = sample();
         let mut bytes = encode(&g, &labels);
         bytes[16..24].copy_from_slice(&u64::MAX.to_le_bytes());
-        let mut h = Fnv1a::new();
-        h.update(&bytes[16..V2_HEADER_BYTES as usize]);
-        bytes[8..16].copy_from_slice(&h.finish().to_le_bytes());
+        let resealed = container::digest(&bytes[16..V2_HEADER_BYTES as usize]);
+        bytes[8..16].copy_from_slice(&resealed.to_le_bytes());
         match read_snapshot(bytes.as_slice()) {
             Err(GraphError::Snapshot { message }) => {
                 assert!(message.contains("overflow"), "{message}")
@@ -811,19 +524,19 @@ mod tests {
     fn v2_sections_are_page_aligned_and_exactly_sized() {
         let (g, labels) = sample();
         let bytes = encode(&g, &labels);
-        let layout = parse_v2_layout(&bytes).unwrap();
-        assert_eq!(layout.n, g.n() as u64);
-        assert_eq!(layout.checksum, graph_checksum(&g));
-        for (i, s) in layout.sections.iter().enumerate() {
-            assert_eq!(s.offset % V2_ALIGN, 0, "section {i}");
+        let ((n, checksum), sections) = layout(&bytes);
+        assert_eq!(n, g.n());
+        assert_eq!(checksum, graph_checksum(&g));
+        for i in 0..V2_SECTION_COUNT {
+            let range = sections.range(i);
+            assert_eq!(range.start as u64 % container::ALIGN, 0, "section {i}");
             assert_eq!(
-                s.len,
-                v2_expected_len(i, layout.n, g.m() as u64).unwrap(),
+                range.len() as u64,
+                v2_expected_len(i, n as u64, g.m() as u64).unwrap(),
                 "section {i}"
             );
         }
-        let last = layout.sections[V2_SECTION_COUNT - 1];
-        assert_eq!(bytes.len() as u64, last.offset + last.len);
+        assert_eq!(bytes.len(), sections.range(V2_SECTION_COUNT - 1).end);
     }
 
     #[test]
@@ -859,8 +572,7 @@ mod tests {
     fn v2_flipped_section_bit_fails_its_checksum() {
         let (g, labels) = sample();
         let mut bytes = encode(&g, &labels);
-        let layout = parse_v2_layout(&bytes).unwrap();
-        let probe = layout.sections[v2_section::OUT_TARGETS].offset as usize + 2;
+        let probe = layout(&bytes).1.range(v2_section::OUT_TARGETS).start + 2;
         bytes[probe] ^= 0x10;
         assert!(matches!(
             read_snapshot(bytes.as_slice()),
@@ -871,32 +583,36 @@ mod tests {
     #[test]
     fn a_verified_map_reports_sections_before_content() {
         // Sections and content are checked on two threads; the error is
-        // still the one the sequential order finds first.
+        // still the one the sequential order finds first, on either
+        // backing.
         let (g, labels) = sample();
         let pristine = encode(&g, &labels);
-        let layout = parse_v2_layout(&pristine).unwrap();
+        let ((_, checksum), sections) = layout(&pristine);
         // Sets a probability of `section` to another value in [0, 1], so
         // the structural scan still passes.
         let set_prob = |bytes: &mut Vec<u8>, section: usize| {
-            let at = layout.sections[section].offset as usize;
+            let at = sections.range(section).start;
             bytes[at..at + 4].copy_from_slice(&0.123f32.to_bits().to_le_bytes());
         };
         // Records a wrong content checksum under a valid header checksum.
         let wrong_content = |bytes: &mut Vec<u8>| {
-            bytes[32..40].copy_from_slice(&(layout.checksum ^ 1).to_le_bytes());
-            let mut h = Fnv1a::new();
-            h.update(&bytes[16..V2_HEADER_BYTES as usize]);
-            bytes[8..16].copy_from_slice(&h.finish().to_le_bytes());
+            bytes[32..40].copy_from_slice(&(checksum ^ 1).to_le_bytes());
+            let resealed = container::digest(&bytes[16..V2_HEADER_BYTES as usize]);
+            bytes[8..16].copy_from_slice(&resealed.to_le_bytes());
         };
         let dir = std::env::temp_dir().join(format!("timg_order_{}", std::process::id()));
         std::fs::create_dir_all(&dir).unwrap();
         let path = dir.join("g.timg");
         let error = |bytes: &[u8]| {
             std::fs::write(&path, bytes).unwrap();
-            match map_snapshot_v2(&path) {
-                Err(GraphError::Snapshot { message }) => message,
-                other => panic!("expected a snapshot error, got {other:?}"),
-            }
+            let [mapped, heap] = [true, false].map(|map| {
+                match open_snapshot(FileBytes::read(&path, map).unwrap()) {
+                    Err(GraphError::Snapshot { message }) => message,
+                    other => panic!("expected a snapshot error, got {other:?}"),
+                }
+            });
+            assert_eq!(mapped, heap, "both backings report the same error");
+            mapped
         };
 
         // out_probs is hashed into the content too: both checks fail.
@@ -931,8 +647,19 @@ mod tests {
             "{}",
             error(&content)
         );
+        // A structural error behind a bad digest: the digest is reported.
+        let mut structure = pristine.clone();
+        let at = sections.range(v2_section::OUT_TARGETS).start + 2;
+        structure[at] ^= 0x10;
+        assert!(
+            error(&structure).contains("section 1 checksum"),
+            "{}",
+            error(&structure)
+        );
         std::fs::write(&path, &pristine).unwrap();
-        assert!(map_snapshot_v2(&path).is_ok());
+        for map in [true, false] {
+            assert!(open_snapshot(FileBytes::read(&path, map).unwrap()).is_ok());
+        }
         std::fs::remove_dir_all(&dir).ok();
     }
 

@@ -35,7 +35,7 @@ impl GraphStore {
     /// catalog's path slots and of `tim serve` / `tim query`'s positional
     /// graph. The file picks the backing, as in [`io::load_graph`]: text
     /// loads onto the heap; a snapshot is mapped and passes every check
-    /// the eager decoder runs before it returns.
+    /// of the one snapshot open before it returns.
     ///
     /// Then the weight spec applies ([`weights::apply_spec`] with
     /// `seed`). With `"keep"`, a snapshot's checked content checksum

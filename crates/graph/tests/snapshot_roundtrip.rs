@@ -86,7 +86,7 @@ proptest! {
         let cut = 8 + ((buf.len() - 9) as f64 * frac) as usize;
         prop_assert!(
             snapshot::read_snapshot(&buf[..cut]).is_err(),
-            "the heap decode accepted a truncation to {} of {} bytes", cut, buf.len()
+            "the heap open accepted a truncation to {} of {} bytes", cut, buf.len()
         );
         let (load_graph, store_load) = loaders_refuse(&buf[..cut], "cut");
         prop_assert!(load_graph, "io::load_graph accepted a truncation to {} bytes", cut);

@@ -3,9 +3,10 @@
 //! boundary, misaligned/overlapping/out-of-bounds section offsets, huge
 //! claimed counts. Every hostile input must yield a clean
 //! [`GraphError`], never a panic or an out-of-bounds read, on every v2
-//! reader: the eager heap decode (`read_snapshot`) and the loaders that
-//! map and check at once (`io::load_graph`, `GraphStore::load`). A
-//! corrupt attach must also leave a catalog slot reusable, not poisoned.
+//! reader: the heap open (`read_snapshot`) and the loaders that map and
+//! check at once (`io::load_graph`, `GraphStore::load`). They run one
+//! open, so they refuse every input with the same message. A corrupt
+//! attach must also leave a catalog slot reusable, not poisoned.
 
 use tim_graph::snapshot::{graph_checksum, read_snapshot, save_snapshot, snapshot_version, MAGIC};
 use tim_graph::{gen, io, weights, Graph, GraphError, GraphStore};
@@ -42,26 +43,33 @@ fn write_v1(path: &std::path::Path) {
     std::fs::write(path, [&MAGIC[..], &1u32.to_le_bytes(), &[9u8; 40]].concat()).unwrap();
 }
 
-/// Every v2 reader must reject the mutated bytes with a clean error.
-fn assert_rejected(dir: &std::path::Path, bytes: &[u8], what: &str) {
+/// The message a reader refused with.
+fn refusal(result: Result<(), GraphError>, what: &str, reader: &str) -> String {
+    match result {
+        Err(GraphError::Snapshot { message }) => message,
+        Err(other) => other.to_string(),
+        Ok(()) => panic!("{what}: {reader} accepted corrupt bytes"),
+    }
+}
+
+/// Every v2 reader must reject the mutated bytes with a clean error, and
+/// the heap open and the mapped loaders with the same one, which this
+/// returns.
+fn assert_rejected(dir: &std::path::Path, bytes: &[u8], what: &str) -> String {
     let path = dir.join("mutant.timg");
     std::fs::write(&path, bytes).unwrap();
-    assert!(
-        read_snapshot(bytes).is_err(),
-        "{what}: eager decode accepted corrupt bytes"
-    );
+    let heap = refusal(read_snapshot(bytes).map(drop), what, "the heap open");
     // Cut below its magic and version, a file is no snapshot by content,
     // and the loader reads it as a text edge list.
     if snapshot_version(&path).unwrap().is_some() {
-        assert!(
-            io::load_graph(&path, false).is_err(),
-            "{what}: the loader accepted corrupt bytes"
-        );
-        assert!(
-            GraphStore::load(&path, false, "keep", 0).is_err(),
-            "{what}: the store loader accepted corrupt bytes"
-        );
+        let loaded = io::load_graph(&path, false).map(drop);
+        let mapped = refusal(loaded, what, "the loader");
+        assert_eq!(mapped, heap, "{what}: the backings refuse differently");
+        let stored = GraphStore::load(&path, false, "keep", 0).map(drop);
+        let store = refusal(stored, what, "the store loader");
+        assert_eq!(store, heap, "{what}: the store loader refuses differently");
     }
+    heap
 }
 
 /// The section table entries as (offset, len), straight from the header.
@@ -136,21 +144,12 @@ fn bit_flips_anywhere_are_rejected_cleanly() {
     while pos < pristine.len() {
         let mut mutant = pristine.clone();
         mutant[pos] ^= 1 << (pos % 8);
-        let path = dir.join("mutant.timg");
-        std::fs::write(&path, &mutant).unwrap();
         // Every reader checks everything at load: a single flipped bit
-        // anywhere must surface as Err.
+        // anywhere must surface as Err, the same on either backing.
+        assert_rejected(&dir, &mutant, &format!("a bit flip at byte {pos}"));
         assert!(
-            read_snapshot(mutant.as_slice()).is_err(),
-            "eager decode accepted a bit flip at byte {pos}"
-        );
-        assert!(
-            io::load_graph(&path, false).is_err(),
+            io::load_graph(dir.join("mutant.timg"), false).is_err(),
             "the loader accepted a bit flip at byte {pos}"
-        );
-        assert!(
-            GraphStore::load(&path, false, "keep", 0).is_err(),
-            "the store loader accepted a bit flip at byte {pos}"
         );
         pos += step;
         step = step.wrapping_mul(31) % 151 + 17; // vary the stride
@@ -259,6 +258,45 @@ fn hostile_section_tables_are_rejected() {
         &|b| b[4..8].copy_from_slice(&3u32.to_le_bytes()),
         "unknown version",
     );
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+#[test]
+fn section_flips_and_padding_refuse_alike_on_both_backings() {
+    // A flip in any section is reported as that section's digest on
+    // either backing, also where it breaks the CSR structure (a target
+    // pushed out of range, a probability pushed past 1): the digests come
+    // before the structure.
+    let dir = tmpdir("alike");
+    let (_, pristine) = write_sample(&dir, "src");
+    let sections = table(&pristine);
+    for (i, &(offset, len)) in sections.iter().enumerate() {
+        for at in [offset, offset + 2, offset + len / 2, offset + len - 1] {
+            let mut mutant = pristine.clone();
+            mutant[at as usize] ^= 0x10;
+            let what = format!("a flip in section {i} at byte {at}");
+            let message = assert_rejected(&dir, &mutant, &what);
+            assert!(
+                message.contains(&format!("section {i} checksum")),
+                "{what}: {message}"
+            );
+        }
+    }
+    // A nonzero byte after the header and after every section but the
+    // last, where only the zero-padding rule can see it.
+    let mut gaps = vec![HEADER_BYTES];
+    gaps.extend(
+        sections
+            .iter()
+            .map(|&(offset, len)| (offset + len) as usize),
+    );
+    gaps.pop();
+    for at in gaps {
+        let mut mutant = pristine.clone();
+        mutant[at] = 1;
+        let message = assert_rejected(&dir, &mutant, &format!("padding byte {at}"));
+        assert!(message.contains("padding"), "padding byte {at}: {message}");
+    }
     std::fs::remove_dir_all(&dir).ok();
 }
 

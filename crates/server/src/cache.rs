@@ -769,7 +769,11 @@ mod tests {
         );
         assert_eq!(cache.stats().evictions, 1);
         assert_eq!(cache.stats().spills, 3, "build spill ×2 + farewell spill");
-        let reloaded = store.probe(&k1).unwrap().expect("still stored");
+        let reloaded = store
+            .probe_backed(&k1, false)
+            .unwrap()
+            .expect("still stored")
+            .into_pool();
         assert_eq!(reloaded.meta.theta, theta_grown, "growth preserved");
 
         // Evicting the (clean, just-spilled) second entry writes nothing.
