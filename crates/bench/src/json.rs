@@ -248,7 +248,6 @@ mod tests {
             "schema": "tim-bench-fanin/1",
             "quick": false,
             "modes": [
-                {"mode": "event_loop", "sessions": 10000, "p50_ms": 1.25},
                 {"mode": "thread_pool", "sessions": 10000, "p50_ms": 3.5}
             ]
         }"#;
@@ -256,9 +255,9 @@ mod tests {
         assert_eq!(v.get("schema").unwrap().as_str(), Some("tim-bench-fanin/1"));
         assert_eq!(v.get("quick").unwrap().as_bool(), Some(false));
         let modes = v.get("modes").unwrap().as_arr().unwrap();
-        assert_eq!(modes.len(), 2);
-        assert_eq!(modes[0].get("mode").unwrap().as_str(), Some("event_loop"));
-        assert_eq!(modes[1].get("p50_ms").unwrap().as_f64(), Some(3.5));
+        assert_eq!(modes.len(), 1);
+        assert_eq!(modes[0].get("mode").unwrap().as_str(), Some("thread_pool"));
+        assert_eq!(modes[0].get("p50_ms").unwrap().as_f64(), Some(3.5));
     }
 
     #[test]

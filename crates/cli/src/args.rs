@@ -74,6 +74,22 @@ impl Args {
         }
     }
 
+    /// A duration flag given in seconds: `None` when absent, an error
+    /// naming the flag unless the value is a positive number of seconds
+    /// a `Duration` can hold (`try_from_secs_f64` refuses NaN and values
+    /// too large, on which `from_secs_f64` would panic).
+    pub fn get_secs(&self, name: &str) -> Result<Option<std::time::Duration>, String> {
+        self.get(name)
+            .map(|v| {
+                v.parse::<f64>()
+                    .ok()
+                    .filter(|s| *s > 0.0)
+                    .and_then(|s| std::time::Duration::try_from_secs_f64(s).ok())
+                    .ok_or_else(|| format!("--{name} '{v}' must be a positive number"))
+            })
+            .transpose()
+    }
+
     /// Required positional argument.
     pub fn positional(&self, idx: usize, what: &str) -> Result<&str, String> {
         self.positional
@@ -110,6 +126,22 @@ mod tests {
         assert_eq!(a.get_parsed("eps", 0.1).unwrap(), 0.2);
         assert!(a.switch("undirected"));
         assert!(!a.switch("quiet"));
+    }
+
+    #[test]
+    fn seconds_flags_must_be_positive_and_finite() {
+        assert_eq!(
+            parse("--eps 2.5").unwrap().get_secs("eps").unwrap(),
+            Some(std::time::Duration::from_millis(2500))
+        );
+        assert_eq!(parse("").unwrap().get_secs("eps").unwrap(), None);
+        for bad in ["0", "-1", "nah", "NaN", "inf", "1e300"] {
+            let err = parse(&format!("--eps {bad}"))
+                .unwrap()
+                .get_secs("eps")
+                .unwrap_err();
+            assert_eq!(err, format!("--eps '{bad}' must be a positive number"));
+        }
     }
 
     #[test]

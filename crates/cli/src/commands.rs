@@ -53,15 +53,14 @@ usage:
                [--default-graph <name>] [--max-loaded 8]
                [--pool-dir <dir>] [--persist-pools] [--admin]
                [--addr 127.0.0.1:7171] [--threads 4] [--pool-cache 4]
-               [--event-loop] [--idle-timeout <secs>] [--max-conns <n>]
+               [--idle-timeout <secs>]
                [-k <K=50>] [--model ic|lt] [--weights wc|...] [--eps 0.1] [--ell 1.0]
                [--seed 0] [--pool <path.timp>] [--undirected] [--quiet]
                (serves the tim/3 query protocol over TCP; prints
                 `listening on <addr>` on stdout when bound — see docs/PROTOCOL.md;
-                --idle-timeout closes connections silent that long, on
-                either core; --event-loop serves via epoll reactor shards
-                instead of thread-per-connection workers: concurrency
-                bounded by fds, with --max-conns admission)
+                each of the --threads workers serves one connection to its
+                end, and further connections wait in the accept backlog;
+                --idle-timeout closes connections silent that long)
   tim client   --addr <host:port> [--timeout <secs>]
                (pipes line-delimited queries from stdin to a running server,
                 answers to stdout; exits nonzero if any response is `error: …`;
@@ -145,15 +144,8 @@ const SERVE: Spec = Spec {
         "addr",
         "threads",
         "idle-timeout",
-        "max-conns",
     ],
-    switches: &[
-        "persist-pools",
-        "admin",
-        "undirected",
-        "quiet",
-        "event-loop",
-    ],
+    switches: &["persist-pools", "admin", "undirected", "quiet"],
 };
 const CLIENT: Spec = Spec {
     values: &["addr", "timeout"],
@@ -573,30 +565,7 @@ fn server_config(args: &Args, quiet: bool) -> Result<ServerConfig, String> {
         pool_dir: args.get("pool-dir").map(std::path::PathBuf::from),
         persist_pools: args.switch("persist-pools"),
         admin: args.switch("admin"),
-        event_loop: args.switch("event-loop"),
-        idle_timeout: match args.get("idle-timeout") {
-            None => None,
-            Some(v) => {
-                // try_from_secs_f64 also rejects NaN and out-of-range
-                // values that from_secs_f64 would panic on.
-                let dur = v
-                    .parse::<f64>()
-                    .ok()
-                    .filter(|s| *s > 0.0)
-                    .and_then(|s| std::time::Duration::try_from_secs_f64(s).ok())
-                    .ok_or_else(|| format!("--idle-timeout '{v}' must be a positive number"))?;
-                Some(dur)
-            }
-        },
-        max_conns: match args.get("max-conns") {
-            None => None,
-            Some(v) => Some(
-                v.parse::<usize>()
-                    .ok()
-                    .filter(|n| *n > 0)
-                    .ok_or_else(|| format!("--max-conns '{v}' must be a positive integer"))?,
-            ),
-        },
+        idle_timeout: args.get_secs("idle-timeout")?,
     };
     if config.threads == 0 {
         return Err("--threads must be positive".into());
@@ -609,9 +578,6 @@ fn server_config(args: &Args, quiet: bool) -> Result<ServerConfig, String> {
     }
     if config.persist_pools && config.pool_dir.is_none() {
         return Err("--persist-pools requires --pool-dir <dir>".into());
-    }
-    if config.max_conns.is_some() && !config.event_loop {
-        return Err("--max-conns requires --event-loop".into());
     }
     Ok(config)
 }
@@ -843,15 +809,10 @@ fn serve_with(model: ModelKind, model_name: &str, args: &Args) -> Result<(), Str
             config.seed
         );
         eprintln!(
-            "serving {} graph(s) with {} {}, idle timeout {}, pool cache capacity {} \
+            "serving {} graph(s) with {} workers, idle timeout {}, pool cache capacity {} \
              per graph, up to {} graphs loaded",
             state.catalog().len(),
             config.threads,
-            if config.event_loop {
-                "event-loop shards"
-            } else {
-                "workers"
-            },
             match config.idle_timeout {
                 Some(t) => format!("{:.1}s", t.as_secs_f64()),
                 None => "off".to_string(),
@@ -859,15 +820,6 @@ fn serve_with(model: ModelKind, model_name: &str, args: &Args) -> Result<(), Str
             config.pool_cache,
             config.max_loaded
         );
-        if config.event_loop {
-            eprintln!(
-                "event loop: connection cap {}",
-                match config.max_conns {
-                    Some(n) => n.to_string(),
-                    None => "off".to_string(),
-                }
-            );
-        }
         if let Some(dir) = &config.pool_dir {
             eprintln!(
                 "warm state in {} ({}); admin verbs {}",
@@ -981,20 +933,9 @@ fn client(args: &Args) -> Result<(), String> {
     let addr = args
         .get("addr")
         .ok_or_else(|| "client: --addr <host:port> is required".to_string())?;
-    let timeout = match args.get("timeout") {
-        None => None,
-        Some(v) => {
-            // try_from_secs_f64 also rejects NaN and values too large for
-            // a Duration — from_secs_f64 would panic on those.
-            let dur = v
-                .parse::<f64>()
-                .ok()
-                .filter(|s| *s > 0.0)
-                .and_then(|s| std::time::Duration::try_from_secs_f64(s).ok())
-                .ok_or_else(|| format!("client: --timeout '{v}' must be a positive number"))?;
-            Some(dur)
-        }
-    };
+    let timeout = args
+        .get_secs("timeout")
+        .map_err(|e| format!("client: {e}"))?;
     let stream = client_connect(addr, timeout)?;
     if timeout.is_some() {
         // Bound every read the same way: a server that accepts but never
@@ -1049,10 +990,29 @@ mod tests {
         Args::parse(&argv(s), &SERVE).unwrap()
     }
 
-    fn tmpdir() -> std::path::PathBuf {
-        let d = std::env::temp_dir().join(format!("tim_cli_test_{}", std::process::id()));
+    /// A test's own temp directory, removed with its contents when the
+    /// test ends, whether it passes or panics.
+    struct TmpDir(std::path::PathBuf);
+
+    impl std::ops::Deref for TmpDir {
+        type Target = std::path::Path;
+        fn deref(&self) -> &std::path::Path {
+            &self.0
+        }
+    }
+
+    impl Drop for TmpDir {
+        fn drop(&mut self) {
+            let _ = std::fs::remove_dir_all(&self.0);
+        }
+    }
+
+    fn tmpdir() -> TmpDir {
+        static NEXT: std::sync::atomic::AtomicUsize = std::sync::atomic::AtomicUsize::new(0);
+        let n = NEXT.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
+        let d = std::env::temp_dir().join(format!("tim_cli_test_{}_{n}", std::process::id()));
         std::fs::create_dir_all(&d).unwrap();
-        d
+        TmpDir(d)
     }
 
     #[test]
@@ -1083,16 +1043,19 @@ mod tests {
             dispatch(&argv("query g.txt --threads 4")).unwrap_err(),
             "query: unknown flag --threads"
         );
-        // Retired backing and format flags are unknown flags now: the
-        // file picks the backing, and snapshots are always v2. They are
-        // spelled in two parts so a search for the retired names finds
-        // only the change history.
+        // Retired backing, format and serving-core flags are unknown
+        // flags now: the file picks the backing, snapshots are always v2,
+        // and the thread pool is the one serving core. They are spelled
+        // in two parts so a search for the retired names finds only the
+        // change history.
         for (cmd, flag) in [
             ("query g.timg", concat!("--mm", "ap")),
             ("serve g.timg", concat!("--mm", "ap")),
             ("query g.timg --pool-dir d", concat!("--mm", "ap-pools")),
             ("serve g.timg --pool-dir d", concat!("--mm", "ap-pools")),
             ("snapshot g.txt --out g.timg", concat!("--for", "mat v2")),
+            ("serve g.txt", concat!("--event", "-loop")),
+            ("serve g.txt", concat!("--max", "-conns 5")),
         ] {
             let err = dispatch(&argv(&format!("{cmd} {flag}"))).unwrap_err();
             let name = flag.split_whitespace().next().unwrap();
@@ -1122,8 +1085,7 @@ mod tests {
             (
                 &SERVE,
                 "--graph ba=g.timg --addr 127.0.0.1:0 --pool p.timp -k 10 --eps 0.3 --seed 7 \
-                 --event-loop --idle-timeout 30 --max-conns 256 --pool-dir d --persist-pools \
-                 --admin",
+                 --idle-timeout 30 --pool-dir d --persist-pools --admin",
             ),
             (
                 &SERVE,
@@ -1151,7 +1113,6 @@ mod tests {
             "select {path_s} -k 5 --algo tim+ --eps 0.8 --seed 2 --quiet"
         )))
         .unwrap();
-        std::fs::remove_file(&path).ok();
     }
 
     #[test]
@@ -1163,7 +1124,6 @@ mod tests {
         assert!(dispatch(&argv(&format!("select {path_s}"))).is_err());
         // An infinite ℓ is refused before planning, not panicked on.
         assert!(dispatch(&argv(&format!("select {path_s} -k 1 --ell inf"))).is_err());
-        std::fs::remove_file(&path).ok();
     }
 
     #[test]
@@ -1182,7 +1142,6 @@ mod tests {
             "evaluate {path_s} --seeds 999 --weights keep"
         )))
         .is_err());
-        std::fs::remove_file(&path).ok();
     }
 
     #[test]
@@ -1203,7 +1162,6 @@ mod tests {
             )))
             .unwrap_or_else(|e| panic!("{algo}: {e}"));
         }
-        std::fs::remove_file(&path).ok();
     }
 
     #[test]
@@ -1248,8 +1206,6 @@ mod tests {
             "select {timg_s} -k 2 --eps 1.0 --seed 1 --quiet"
         )))
         .unwrap();
-        std::fs::remove_file(&text).ok();
-        std::fs::remove_file(&timg).ok();
     }
 
     #[test]
@@ -1258,7 +1214,6 @@ mod tests {
         let path = dir.join("no_out.txt");
         std::fs::write(&path, "0 1\n").unwrap();
         assert!(dispatch(&argv(&format!("snapshot {}", path.display()))).is_err());
-        std::fs::remove_file(&path).ok();
     }
 
     #[test]
@@ -1281,7 +1236,6 @@ mod tests {
         assert!(err.contains("version 1"), "{err}");
         assert!(err.contains("tim snapshot"), "{err}");
         assert!(!out.exists(), "nothing is written");
-        std::fs::remove_file(&old).ok();
     }
 
     /// Single-graph catalog state over a parsed edge list, mirroring what
@@ -1441,9 +1395,6 @@ mod tests {
         )))
         .unwrap_err();
         assert!(err.contains("contradicts the pool"), "got: {err}");
-        for f in [&g1, &g2, &pool] {
-            std::fs::remove_file(f).ok();
-        }
     }
 
     #[test]
@@ -1511,7 +1462,6 @@ mod tests {
             let err = server_config(&args, true).expect_err(flag);
             assert!(err.contains("must be positive and finite"), "{flag}: {err}");
         }
-        std::fs::remove_file(&path).ok();
     }
 
     #[test]
@@ -1562,8 +1512,6 @@ mod tests {
         let none = query_args("--eps 1.0");
         let config = server_config(&none, true).unwrap();
         assert!(build_state(ModelKind::IndependentCascade, "ic", &none, config).is_err());
-        std::fs::remove_file(&a).ok();
-        std::fs::remove_file(&b).ok();
     }
 
     #[test]
@@ -1603,7 +1551,6 @@ mod tests {
         )
         .unwrap();
         let pool_dir = dir.join("warm_cli_pools");
-        std::fs::remove_dir_all(&pool_dir).ok();
         let flags = format!(
             "{} --eps 1.0 --seed 4 -k 3 --pool-dir {}",
             graph.display(),
@@ -1656,8 +1603,6 @@ mod tests {
         assert_eq!(rebuilt, cold, "rebuilt answers byte-identical");
         assert_eq!(counts, (1, 0), "a v1 file is rebuilt, never loaded");
         assert_eq!(backing, (0, 0, 1), "and quarantined");
-        std::fs::remove_file(&graph).ok();
-        std::fs::remove_dir_all(&pool_dir).ok();
     }
 
     #[test]
@@ -1685,7 +1630,6 @@ mod tests {
                 .unwrap_err()
                 .contains("unknown model 'bogus'")
         );
-        std::fs::remove_file(&path).ok();
     }
 
     #[test]
@@ -1740,38 +1684,20 @@ mod tests {
     }
 
     #[test]
-    fn serve_event_loop_flags_are_validated() {
+    fn serve_idle_timeout_flag_is_validated() {
         let parse = |s: &str| server_config(&serve_args(s), true);
-        let config = parse("g.txt --event-loop --idle-timeout 2.5 --max-conns 100").unwrap();
-        assert!(config.event_loop);
+        let config = parse("g.txt --idle-timeout 2.5").unwrap();
         assert_eq!(
             config.idle_timeout,
             Some(std::time::Duration::from_millis(2500))
         );
-        assert_eq!(config.max_conns, Some(100));
-        let plain = parse("g.txt").unwrap();
-        assert!(!plain.event_loop && plain.idle_timeout.is_none() && plain.max_conns.is_none());
-        // Both cores reap idle connections, so --idle-timeout stands
-        // alone; the connection cap is event-loop semantics, and silently
-        // ignoring it on the blocking server would be worse than refusing.
-        let pooled = parse("g.txt --idle-timeout 2").unwrap();
-        assert!(!pooled.event_loop);
-        assert_eq!(pooled.idle_timeout, Some(std::time::Duration::from_secs(2)));
+        assert!(parse("g.txt").unwrap().idle_timeout.is_none());
         assert!(parse("g.txt --idle-timeout 0")
             .unwrap_err()
             .contains("--idle-timeout"));
-        assert!(parse("g.txt --max-conns 10")
-            .unwrap_err()
-            .contains("requires --event-loop"));
-        assert!(parse("g.txt --event-loop --idle-timeout 0")
+        assert!(parse("g.txt --idle-timeout nah")
             .unwrap_err()
             .contains("--idle-timeout"));
-        assert!(parse("g.txt --event-loop --idle-timeout nah")
-            .unwrap_err()
-            .contains("--idle-timeout"));
-        assert!(parse("g.txt --event-loop --max-conns 0")
-            .unwrap_err()
-            .contains("--max-conns"));
     }
 
     #[test]
@@ -1795,8 +1721,6 @@ mod tests {
         assert_eq!(snapshot::snapshot_version(&v2).unwrap(), Some(2));
         // The v2 file is transparently loadable by every consumer.
         dispatch(&argv(&format!("stats {}", v2.display()))).unwrap();
-        std::fs::remove_file(&text).ok();
-        std::fs::remove_file(&v2).ok();
     }
 
     #[test]
@@ -1833,8 +1757,6 @@ mod tests {
             snapshot::graph_checksum(&want)
         );
         assert_eq!(after.labels, before.labels);
-        std::fs::remove_file(&text).ok();
-        std::fs::remove_file(&snap).ok();
     }
 
     #[test]
@@ -1881,8 +1803,6 @@ mod tests {
         let (mapped, mapped_mapped) = run(&v2, "--weights keep");
         assert!(!heap_mapped && mapped_mapped);
         assert_eq!(heap, mapped, "mmap serving must not change any answer");
-        std::fs::remove_file(&text).ok();
-        std::fs::remove_file(&v2).ok();
     }
 
     #[test]
@@ -1905,6 +1825,5 @@ mod tests {
             .unwrap_or_else(|e| panic!("{w}: {e}"));
         }
         assert!(dispatch(&argv(&format!("select {path_s} -k 1 --weights bogus"))).is_err());
-        std::fs::remove_file(&path).ok();
     }
 }

@@ -177,24 +177,22 @@ fn serve_refuses_a_flag_that_contradicts_the_pool() {
 }
 
 #[test]
-fn the_serving_line_names_the_idle_timeout_on_either_core() {
+fn the_serving_line_names_the_idle_timeout() {
     let (dir, _) = graph_and_pool("idle");
-    for (core, extra) in [("workers", ""), ("event-loop shards", " --event-loop")] {
-        let args = format!("serve g.txt --pool p.timp --threads 2 --idle-timeout 30{extra}");
-        let served = Served::start(&dir, &args);
-        // An answer means the start-up lines are out.
-        assert_eq!(served.ask("ping\n"), ["pong tim/3"]);
-        let stderr = served.stop();
-        let serving = stderr
-            .lines()
-            .find(|l| l.starts_with("serving "))
-            .unwrap_or_else(|| panic!("no serving line: {stderr}"));
-        assert!(
-            serving.starts_with(&format!(
-                "serving 1 graph(s) with 2 {core}, idle timeout 30.0s,"
-            )),
-            "{serving}"
-        );
-    }
+    let served = Served::start(
+        &dir,
+        "serve g.txt --pool p.timp --threads 2 --idle-timeout 30",
+    );
+    // An answer means the start-up lines are out.
+    assert_eq!(served.ask("ping\n"), ["pong tim/3"]);
+    let stderr = served.stop();
+    let serving = stderr
+        .lines()
+        .find(|l| l.starts_with("serving "))
+        .unwrap_or_else(|| panic!("no serving line: {stderr}"));
+    assert!(
+        serving.starts_with("serving 1 graph(s) with 2 workers, idle timeout 30.0s,"),
+        "{serving}"
+    );
     std::fs::remove_dir_all(&dir).ok();
 }

@@ -6,8 +6,8 @@
 //! binary format in the workspace maps through it, by way of the
 //! [`container`](crate::container) they share — the `.timg` v2 snapshots
 //! here and the `.timp` v2 RR-set pools in `tim_engine`. The syscall
-//! bindings (`mmap`/`munmap`/`madvise`) follow the same dependency-free
-//! `extern "C"` idiom as the epoll reactor in `tim_server`.
+//! bindings (`mmap`/`munmap`/`madvise`) are direct `extern "C"`
+//! declarations, so the workspace needs no `libc` crate.
 //!
 //! [`Array`] is the storage of both costly artifacts: the six CSR arrays
 //! of a [`Graph`](crate::Graph) and the four arrays of an RR-set

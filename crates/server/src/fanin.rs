@@ -1,27 +1,25 @@
-//! A nonblocking fan-in client driver: runs thousands of concurrent
-//! protocol sessions against one server from a single thread.
+//! A fan-in client: runs many scripted protocol sessions against
+//! one server, a bounded number at a time, and returns every transcript.
 //!
-//! This is the measurement half of the event-loop work — the
-//! `c10k_fanin` bench and the event-loop integration tests both need to
-//! hold thousands of sessions open *simultaneously*, which a
-//! thread-per-client driver cannot do honestly on a small machine. The
-//! driver speaks the client side of the scripted-session pattern `tim
-//! client` uses: connect, send the whole script, half-close, read the
-//! answer stream to EOF. Each session's transcript comes back verbatim
-//! so callers can diff it against a serial replay (the determinism
-//! contract: answers must not depend on interleaving).
+//! The `c10k_fanin` bench and the `serve_session` tests use it to diff
+//! fan-in transcripts against serial replays (the determinism contract:
+//! answers must not depend on interleaving). Each session is the
+//! scripted pattern `tim client` uses: connect, send the whole script,
+//! half-close, read the answer stream to EOF.
 //!
-//! `max_in_flight` bounds how many sessions are open at once — set it to
-//! the session count for a true everything-at-once fan-in, or lower to
-//! keep a thread-pool server's shallow accept backlog from drowning in
-//! SYN retries (which would measure kernel retransmit timers, not the
-//! server).
+//! `max_in_flight` client threads run the sessions, each taking the next
+//! script when its last one ends. Keep it within the server's accept
+//! backlog: beyond it the kernel drops SYNs, and the run would measure
+//! retransmission timers, not the server.
 
-use crate::reactor::{connect_nonblocking, Events, Interest, Poller};
 use std::io::{self, Read, Write};
 use std::net::{Shutdown, SocketAddr, TcpStream};
-use std::os::fd::AsRawFd;
+use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::time::{Duration, Instant};
+
+/// Most sessions [`drive_sessions`] keeps in flight: it starts one OS
+/// thread per session in flight.
+pub const MAX_IN_FLIGHT: usize = 128;
 
 /// What one driven session looked like from the client side.
 #[derive(Debug)]
@@ -32,11 +30,9 @@ pub struct SessionOutcome {
     pub latency: Duration,
     /// Connect initiation to the first answer byte, if any arrived.
     ///
-    /// Under an everything-at-once fan-in the EOF `latency` of every
-    /// session converges on the whole run's wall clock (each session
-    /// spends most of its life queued behind the others), so it says
-    /// nothing about per-session responsiveness. First-byte is the
-    /// number that stays comparable across admission disciplines.
+    /// It counts the session's wait in the server's accept backlog, and
+    /// unlike the EOF `latency` it does not grow with the script's
+    /// length, so it is the per-session responsiveness number.
     pub first_byte: Option<Duration>,
 }
 
@@ -50,185 +46,108 @@ pub struct FaninReport {
     pub wall: Duration,
 }
 
-enum Client {
-    Unstarted,
-    InFlight {
-        stream: TcpStream,
-        connected: bool,
-        sent: usize,
-        shut: bool,
-        transcript: Vec<u8>,
-        started: Instant,
-        first_byte: Option<Duration>,
-    },
-    Done(SessionOutcome),
-}
-
 /// Drives one scripted session per entry of `scripts` against `addr`,
 /// keeping at most `max_in_flight` open at once, and returns every
-/// transcript. Fails if the whole run exceeds `deadline` or any
-/// connection errors (this is a measurement tool: partial success would
-/// silently skew results, so it is an error instead).
+/// transcript. Fails if the whole run exceeds `deadline` (every connect,
+/// write and read is bounded by the time left) or any connection errors:
+/// this is a measurement tool, and partial success would silently skew
+/// results.
+///
+/// A session writes its whole script before it reads, so a script whose
+/// answers outgrow the socket buffers before the upload ends stalls
+/// until the deadline; the scripts driven here are a few lines each.
+///
+/// # Panics
+/// Panics unless `1 <= max_in_flight <= MAX_IN_FLIGHT`.
 pub fn drive_sessions(
     addr: SocketAddr,
     scripts: &[Vec<u8>],
     max_in_flight: usize,
     deadline: Duration,
 ) -> io::Result<FaninReport> {
-    assert!(max_in_flight >= 1, "need at least one session in flight");
-    let poller = Poller::new()?;
-    let mut events = Events::with_capacity(1024);
-    let mut clients: Vec<Client> = (0..scripts.len()).map(|_| Client::Unstarted).collect();
+    assert!(
+        (1..=MAX_IN_FLIGHT).contains(&max_in_flight),
+        "sessions in flight must be 1..={MAX_IN_FLIGHT}, got {max_in_flight}"
+    );
     let start = Instant::now();
-    let mut next_start = 0usize;
-    let mut open = 0usize;
-    let mut done = 0usize;
-
-    // Starts sessions until the in-flight cap (or the script list) is
-    // exhausted.
-    let start_more = |clients: &mut Vec<Client>,
-                      poller: &Poller,
-                      next_start: &mut usize,
-                      open: &mut usize|
-     -> io::Result<()> {
-        while *open < max_in_flight && *next_start < clients.len() {
-            let idx = *next_start;
-            *next_start += 1;
-            let stream = connect_nonblocking(addr)?;
-            // Writable signals connect completion; readable covers a
-            // server that answers before the whole script is out.
-            poller.add(stream.as_raw_fd(), idx as u64, Interest::BOTH)?;
-            clients[idx] = Client::InFlight {
-                stream,
-                connected: false,
-                sent: 0,
-                shut: false,
-                transcript: Vec::new(),
-                started: Instant::now(),
-                first_byte: None,
+    let end = start + deadline;
+    // Relaxed: neither atomic publishes other data; every outcome comes
+    // back through its thread's join.
+    let next = AtomicUsize::new(0);
+    let failed = AtomicBool::new(false);
+    // One client thread: sessions one after another, until the scripts
+    // run out or any session fails.
+    let client = || -> io::Result<Vec<(usize, SessionOutcome)>> {
+        let mut done = Vec::new();
+        while !failed.load(Ordering::Relaxed) {
+            let idx = next.fetch_add(1, Ordering::Relaxed);
+            let Some(script) = scripts.get(idx) else {
+                break;
             };
-            *open += 1;
+            let outcome = run_session(addr, script, end).map_err(|e| {
+                failed.store(true, Ordering::Relaxed);
+                io::Error::new(e.kind(), format!("session {idx} ({deadline:?} run): {e}"))
+            })?;
+            done.push((idx, outcome));
         }
-        Ok(())
+        Ok(done)
     };
-
-    start_more(&mut clients, &poller, &mut next_start, &mut open)?;
-
-    let mut buf = [0u8; 16 * 1024];
-    while done < clients.len() {
-        if start.elapsed() > deadline {
-            return Err(io::Error::new(
-                io::ErrorKind::TimedOut,
-                format!(
-                    "fan-in run exceeded {deadline:?}: {done}/{} sessions finished",
-                    clients.len()
-                ),
-            ));
-        }
-        poller.wait(&mut events, Some(Duration::from_millis(100)))?;
-        for ev in events.iter() {
-            let idx = ev.token as usize;
-            let Some(Client::InFlight {
-                stream,
-                connected,
-                sent,
-                shut,
-                transcript,
-                started,
-                first_byte,
-            }) = clients.get_mut(idx)
-            else {
-                continue;
-            };
-            let script = &scripts[idx];
-            if !*connected && (ev.writable || ev.closed) {
-                if let Some(e) = stream.take_error()? {
-                    return Err(io::Error::new(
-                        e.kind(),
-                        format!("session {idx}: connect failed: {e}"),
-                    ));
-                }
-                *connected = true;
-            }
-            if *connected && !*shut {
-                // Push script bytes until the socket pushes back.
-                loop {
-                    if *sent == script.len() {
-                        stream.shutdown(Shutdown::Write)?;
-                        *shut = true;
-                        // Upload finished: only EOF matters now. Without
-                        // this the always-writable socket would spin the
-                        // loop hot.
-                        poller.modify(stream.as_raw_fd(), idx as u64, Interest::READ)?;
-                        break;
-                    }
-                    match (&*stream).write(&script[*sent..]) {
-                        Ok(0) => {
-                            return Err(io::Error::new(
-                                io::ErrorKind::WriteZero,
-                                format!("session {idx}: server stopped reading"),
-                            ))
-                        }
-                        Ok(n) => *sent += n,
-                        Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
-                        Err(e) if e.kind() == io::ErrorKind::WouldBlock => break,
-                        Err(e) => {
-                            return Err(io::Error::new(
-                                e.kind(),
-                                format!("session {idx}: sending script: {e}"),
-                            ))
-                        }
-                    }
-                }
-            }
-            let mut finished = None;
-            if ev.readable || ev.closed {
-                loop {
-                    match (&*stream).read(&mut buf) {
-                        Ok(0) => {
-                            let _ = poller.delete(stream.as_raw_fd());
-                            finished = Some(SessionOutcome {
-                                transcript: std::mem::take(transcript),
-                                latency: started.elapsed(),
-                                first_byte: *first_byte,
-                            });
-                            break;
-                        }
-                        Ok(n) => {
-                            if first_byte.is_none() {
-                                *first_byte = Some(started.elapsed());
-                            }
-                            transcript.extend_from_slice(&buf[..n]);
-                        }
-                        Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
-                        Err(e) if e.kind() == io::ErrorKind::WouldBlock => break,
-                        Err(e) => {
-                            return Err(io::Error::new(
-                                e.kind(),
-                                format!("session {idx}: reading answers: {e}"),
-                            ))
-                        }
-                    }
-                }
-            }
-            if let Some(outcome) = finished {
-                clients[idx] = Client::Done(outcome);
-                open -= 1;
-                done += 1;
-            }
-        }
-        start_more(&mut clients, &poller, &mut next_start, &mut open)?;
-    }
-
+    let mut outcomes: Vec<(usize, SessionOutcome)> = std::thread::scope(|scope| {
+        let clients: Vec<_> = (0..max_in_flight.min(scripts.len()))
+            .map(|_| scope.spawn(client))
+            .collect();
+        clients
+            .into_iter()
+            .map(|c| c.join().expect("fan-in client thread panicked"))
+            .collect::<io::Result<Vec<_>>>()
+    })?
+    .into_iter()
+    .flatten()
+    .collect();
     let wall = start.elapsed();
-    let outcomes = clients
-        .into_iter()
-        .map(|c| match c {
-            Client::Done(outcome) => outcome,
-            _ => unreachable!("all sessions finished"),
-        })
-        .collect();
-    Ok(FaninReport { outcomes, wall })
+    outcomes.sort_unstable_by_key(|&(idx, _)| idx);
+    Ok(FaninReport {
+        outcomes: outcomes.into_iter().map(|(_, o)| o).collect(),
+        wall,
+    })
+}
+
+/// Runs one scripted session: connect, write the script, half-close,
+/// read to EOF. Every blocking call waits at most until `end`.
+fn run_session(addr: SocketAddr, script: &[u8], end: Instant) -> io::Result<SessionOutcome> {
+    let left = || {
+        end.checked_duration_since(Instant::now())
+            .filter(|d| !d.is_zero())
+            .ok_or_else(|| io::Error::new(io::ErrorKind::TimedOut, "the run's deadline passed"))
+    };
+    let started = Instant::now();
+    let mut stream = TcpStream::connect_timeout(&addr, left()?)
+        .map_err(|e| io::Error::new(e.kind(), format!("connect failed: {e}")))?;
+    stream.set_write_timeout(Some(left()?))?;
+    stream
+        .write_all(script)
+        .and_then(|()| stream.shutdown(Shutdown::Write))
+        .map_err(|e| io::Error::new(e.kind(), format!("sending script: {e}")))?;
+    stream.set_read_timeout(Some(left()?))?;
+    let mut transcript = Vec::new();
+    let mut first_byte = None;
+    let mut buf = [0u8; 16 * 1024];
+    loop {
+        match stream.read(&mut buf) {
+            Ok(0) => break,
+            Ok(n) => {
+                first_byte.get_or_insert_with(|| started.elapsed());
+                transcript.extend_from_slice(&buf[..n]);
+            }
+            Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
+            Err(e) => return Err(io::Error::new(e.kind(), format!("reading answers: {e}"))),
+        }
+    }
+    Ok(SessionOutcome {
+        transcript,
+        latency: started.elapsed(),
+        first_byte,
+    })
 }
 
 /// Latency percentiles extracted from a batch of session outcomes:
@@ -280,6 +199,30 @@ mod tests {
             latency: Duration::from_millis(latency_ms),
             first_byte: first_byte_ms.map(Duration::from_millis),
         }
+    }
+
+    #[test]
+    fn a_server_that_never_answers_fails_the_run_at_its_deadline() {
+        // The backlog completes the connects, and nobody ever answers.
+        let listener = std::net::TcpListener::bind("127.0.0.1:0").unwrap();
+        let scripts = vec![b"ping\n".to_vec(); 3];
+        let started = Instant::now();
+        let err = drive_sessions(
+            listener.local_addr().unwrap(),
+            &scripts,
+            2,
+            Duration::from_millis(300),
+        )
+        .unwrap_err();
+        assert!(err.to_string().contains("reading answers"), "{err}");
+        assert!(started.elapsed() < Duration::from_secs(10));
+    }
+
+    #[test]
+    #[should_panic(expected = "sessions in flight must be 1..=128")]
+    fn in_flight_is_capped_before_any_thread_starts() {
+        let addr = "127.0.0.1:1".parse().unwrap();
+        let _ = drive_sessions(addr, &[], MAX_IN_FLIGHT + 1, Duration::from_secs(1));
     }
 
     #[test]

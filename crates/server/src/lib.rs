@@ -33,26 +33,15 @@
 //!   `batch` execution that amortizes IO without changing a single
 //!   answer byte, and the `--admin`-gated admin verbs. It is the only
 //!   way a protocol line reaches an engine.
-//! - [`server`] — [`server::Server`], a multi-threaded TCP server:
-//!   [`server::ServerState`] (catalog + defaults) shared via `Arc` across
-//!   worker threads that each accept and serve connections.
+//! - [`server`] — [`server::Server`], the serving core: a pool of
+//!   worker threads that each accept a connection and serve it to the
+//!   end, sharing [`server::ServerState`] (catalog + defaults) via `Arc`,
+//!   with `--idle-timeout` reaping through socket timeouts.
 //!
-//! Plus the event-loop serving core (Linux-only, like epoll):
-//!
-//! - [`reactor`] — the raw epoll substrate: a level-triggered
-//!   [`reactor::Poller`] over direct libc bindings (no crates.io here,
-//!   so no mio/tokio), a [`reactor::TimerWheel`] for idle deadlines, and
-//!   a nonblocking TCP connect for the fan-in driver.
-//! - [`event_loop`] — reactor shards driving many [`session::Session`]s
-//!   per thread (`ServerConfig::event_loop`): resumable line reads,
-//!   buffered writes with backpressure, pipelining, `--idle-timeout`
-//!   reaping, `--max-conns` admission, graceful drain. Same state
-//!   machine as the blocking server, so answer bytes are identical by
-//!   construction.
-//! - [`fanin`] — the client-side mirror: one thread driving thousands of
-//!   concurrent scripted sessions, used by the `c10k_fanin` bench and
-//!   the event-loop integration tests to diff fan-in transcripts against
-//!   serial replays.
+//! Plus [`fanin`], the client-side mirror: scripted sessions driven many
+//! at a time against one server, used by the `c10k_fanin` bench and the
+//! `serve_session` tests to diff fan-in transcripts against serial
+//! replays.
 //!
 //! # Determinism under concurrency
 //!
@@ -69,28 +58,22 @@
 //! guarantees" and the `concurrent_determinism` / `multi_graph`
 //! integration tests.
 
+#![forbid(unsafe_code)]
+
 pub mod cache;
 pub mod catalog;
-#[cfg(target_os = "linux")]
-pub mod event_loop;
-#[cfg(target_os = "linux")]
 pub mod fanin;
 pub mod protocol;
-#[cfg(target_os = "linux")]
-pub mod reactor;
 pub mod server;
 pub mod session;
 
 pub use cache::{CacheStats, PoolCache, PoolKey};
 pub use catalog::{CatalogStats, GraphCatalog, GraphState};
-#[cfg(target_os = "linux")]
-pub use event_loop::AT_CAPACITY_REPLY;
-#[cfg(target_os = "linux")]
 pub use fanin::{drive_sessions, latency_stats, FaninReport, LatencyStats, SessionOutcome};
 pub use protocol::{
-    execute, parse_request, CappedLine, CappedLineReader, LabelMap, ParsedRequest, PollLine, Query,
-    Reply, Request, IDLE_TIMEOUT_REPLY, INTERNAL_ERROR_REPLY, MAX_BATCH, MAX_BATCH_BYTES,
-    MAX_LINE_BYTES, OVERSIZED_BATCH_REPLY, OVERSIZED_LINE_REPLY, PROTOCOL_VERSION,
+    execute, parse_request, CappedLine, CappedLineReader, LabelMap, ParsedRequest, Query, Reply,
+    Request, IDLE_TIMEOUT_REPLY, INTERNAL_ERROR_REPLY, MAX_BATCH, MAX_BATCH_BYTES, MAX_LINE_BYTES,
+    OVERSIZED_BATCH_REPLY, OVERSIZED_LINE_REPLY, PROTOCOL_VERSION,
 };
 pub use server::{Server, ServerConfig, ServerHandle, ServerState, DEFAULT_GRAPH_NAME};
 pub use session::Session;

@@ -411,64 +411,18 @@ pub enum CappedLine {
     /// A line within the cap was read into the buffer.
     Line,
     /// The line exceeds [`MAX_LINE_BYTES`]; the buffer holds a truncated
-    /// prefix and the rest of the line is still unread. Answer
+    /// prefix and the rest of the line may still be unread. Answer
     /// [`OVERSIZED_LINE_REPLY`] and end the session.
     Oversized,
-}
-
-/// Outcome of one [`CappedLineReader::poll_line`] call — [`CappedLine`]
-/// plus the readiness case a nonblocking transport needs.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum PollLine {
-    /// The input is exhausted.
-    Eof,
-    /// A line within the cap was read into the buffer.
-    Line,
-    /// The line exceeds [`MAX_LINE_BYTES`]; the buffer holds a truncated
-    /// prefix and the rest of the line is still unread. Answer
-    /// [`OVERSIZED_LINE_REPLY`] and end the session.
-    Oversized,
-    /// The underlying stream has no more bytes *right now*
-    /// (`WouldBlock`). Any partial line read so far is retained
-    /// internally; call again when the stream is readable and the line
-    /// resumes where it stopped.
-    Pending,
-}
-
-/// Outcome of one [`CappedLineReader::poll_discard`] call.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum DiscardOutcome {
-    /// The input is exhausted; the connection can close gracefully.
-    Eof,
-    /// The stream has no more bytes right now (`WouldBlock`); call again
-    /// when readable.
-    Pending,
-    /// The discard budget ran out before EOF — stop being polite and
-    /// close anyway.
-    BudgetExhausted,
 }
 
 /// A buffered line reader enforcing the [`MAX_LINE_BYTES`] request-line
 /// cap — the one framing implementation shared by `tim serve` TCP
-/// connections (blocking *and* event-loop) and the `tim query` stdin
-/// path, so the transports cannot drift (`docs/PROTOCOL.md` §Framing).
-///
-/// Two entry points over the same state machine:
-///
-/// - [`read_line`](Self::read_line) — the blocking form: returns only
-///   complete results.
-/// - [`poll_line`](Self::poll_line) — the readiness-driven form: a read
-///   that would block returns [`PollLine::Pending`] and the partial line
-///   read so far is kept internally, so the event loop can resume the
-///   very same line when epoll reports the socket readable again. The
-///   line cap is enforced *across* resumptions: a client cannot evade it
-///   by trickling an unbounded line one chunk at a time.
+/// connections and the `tim query` stdin path, so the transports cannot
+/// drift (`docs/PROTOCOL.md` §Framing).
 #[derive(Debug)]
 pub struct CappedLineReader<R> {
     inner: BufReader<R>,
-    /// Bytes of the in-progress line accumulated across `poll_line`
-    /// calls (never holds a terminator).
-    partial: Vec<u8>,
 }
 
 impl<R: Read> CappedLineReader<R> {
@@ -476,157 +430,59 @@ impl<R: Read> CappedLineReader<R> {
     pub fn new(inner: R) -> Self {
         CappedLineReader {
             inner: BufReader::new(inner),
-            partial: Vec::new(),
         }
-    }
-
-    /// The underlying stream (e.g. to write answers through the same
-    /// socket the reader owns).
-    pub fn get_ref(&self) -> &R {
-        self.inner.get_ref()
-    }
-
-    /// Number of already-read bytes buffered in userspace (decoded
-    /// partial line + undecoded buffer). When this is zero, the kernel
-    /// socket buffer is the only place input can be waiting — i.e.
-    /// readiness notification is sufficient to resume.
-    pub fn buffered_len(&self) -> usize {
-        self.partial.len() + self.inner.buffer().len()
     }
 
     /// Reads the next line (terminator stripped) into `buf`, blocking
-    /// until it is complete. On a nonblocking stream a would-block read
-    /// surfaces as an `Err(WouldBlock)` (use
-    /// [`poll_line`](Self::poll_line) instead).
+    /// until it is complete. The [`MAX_LINE_BYTES`] cap counts the
+    /// content, not the terminator (CRLF and LF alike); a final line
+    /// without a terminator keeps any trailing `'\r'` as content. An
+    /// error from the stream, such as a socket read timeout, is returned
+    /// as is.
     pub fn read_line(&mut self, buf: &mut String) -> std::io::Result<CappedLine> {
-        match self.poll_line(buf)? {
-            PollLine::Eof => Ok(CappedLine::Eof),
-            PollLine::Line => Ok(CappedLine::Line),
-            PollLine::Oversized => Ok(CappedLine::Oversized),
-            PollLine::Pending => Err(std::io::Error::new(
-                std::io::ErrorKind::WouldBlock,
-                "read_line on a nonblocking stream; use poll_line",
-            )),
+        let mut line = Vec::new();
+        // Two bytes of headroom: content of exactly the cap plus CRLF
+        // must fit, so a read that fills the limit without reaching a
+        // '\n' is over the cap however the line ends.
+        let read = (&mut self.inner)
+            .take(MAX_LINE_BYTES + 2)
+            .read_until(b'\n', &mut line)?;
+        if read == 0 {
+            return Ok(CappedLine::Eof);
         }
-    }
-
-    /// Reads as much of the next line as the stream can deliver without
-    /// blocking. Complete results ([`PollLine::Line`], `Oversized`,
-    /// `Eof`) leave the reader ready for the next line;
-    /// [`PollLine::Pending`] parks the partial line internally until the
-    /// next call. The [`MAX_LINE_BYTES`] cap counts the accumulated
-    /// content (terminator excluded, CRLF and LF alike), so it holds
-    /// across any delivery schedule — byte-at-a-time included.
-    pub fn poll_line(&mut self, buf: &mut String) -> std::io::Result<PollLine> {
-        loop {
-            let available = match self.inner.fill_buf() {
-                Ok(a) => a,
-                Err(e) if e.kind() == std::io::ErrorKind::Interrupted => continue,
-                Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
-                    return Ok(PollLine::Pending)
-                }
-                Err(e) => return Err(e),
-            };
-            if available.is_empty() {
-                if self.partial.is_empty() {
-                    return Ok(PollLine::Eof);
-                }
-                // Final line without a terminator: everything (including
-                // any trailing '\r') is content.
-                return self.emit(buf, false);
-            }
-            match available.iter().position(|&b| b == b'\n') {
-                Some(i) => {
-                    self.partial.extend_from_slice(&available[..i]);
-                    self.inner.consume(i + 1);
-                    return self.emit(buf, true);
-                }
-                None => {
-                    let n = available.len();
-                    self.partial.extend_from_slice(available);
-                    self.inner.consume(n);
-                    // +1 headroom: a trailing '\r' may still become part
-                    // of a CRLF terminator, which the cap excludes. One
-                    // byte beyond that is over the cap no matter how the
-                    // line ends.
-                    if self.partial.len() as u64 > MAX_LINE_BYTES + 1 {
-                        return self.emit_oversized(buf);
-                    }
-                }
+        if line.last() == Some(&b'\n') {
+            line.pop();
+            if line.last() == Some(&b'\r') {
+                line.pop();
             }
         }
-    }
-
-    /// Completes the accumulated line into `buf`.
-    fn emit(&mut self, buf: &mut String, terminated: bool) -> std::io::Result<PollLine> {
-        if terminated && self.partial.last() == Some(&b'\r') {
-            self.partial.pop();
+        if line.len() as u64 > MAX_LINE_BYTES {
+            // `buf` gets the longest UTF-8 prefix within the cap (a lossy
+            // decode would widen each invalid byte to three, past it).
+            let head = &line[..MAX_LINE_BYTES as usize];
+            let valid = std::str::from_utf8(head).unwrap_or_else(|e| {
+                std::str::from_utf8(&head[..e.valid_up_to()]).expect("valid up to here")
+            });
+            buf.clear();
+            buf.push_str(valid);
+            return Ok(CappedLine::Oversized);
         }
-        if self.partial.len() as u64 > MAX_LINE_BYTES {
-            return self.emit_oversized(buf);
-        }
-        match String::from_utf8(std::mem::take(&mut self.partial)) {
-            Ok(s) => {
-                *buf = s;
-                Ok(PollLine::Line)
-            }
-            Err(_) => Err(std::io::Error::new(
+        *buf = String::from_utf8(line).map_err(|_| {
+            std::io::Error::new(
                 std::io::ErrorKind::InvalidData,
                 "request line is not valid UTF-8",
-            )),
-        }
+            )
+        })?;
+        Ok(CappedLine::Line)
     }
 
-    /// Reports the over-cap line: `buf` holds its longest UTF-8 prefix
-    /// within the cap, the accumulated state is discarded. (A lossy
-    /// decode would widen each invalid byte to three, past the cap.)
-    fn emit_oversized(&mut self, buf: &mut String) -> std::io::Result<PollLine> {
-        let head = &self.partial[..(MAX_LINE_BYTES as usize).min(self.partial.len())];
-        let valid = std::str::from_utf8(head).unwrap_or_else(|e| {
-            std::str::from_utf8(&head[..e.valid_up_to()]).expect("valid up to here")
-        });
-        buf.clear();
-        buf.push_str(valid);
-        self.partial.clear();
-        Ok(PollLine::Oversized)
-    }
-
-    /// Discards buffered and readable input, up to `budget` bytes
-    /// (decremented in place), without blocking. A server calls this
-    /// after answering a framing violation: closing with unread bytes in
-    /// the receive buffer would RST the connection and may discard the
-    /// error line before the client reads it.
-    pub fn poll_discard(&mut self, budget: &mut u64) -> std::io::Result<DiscardOutcome> {
-        self.partial.clear();
-        loop {
-            if *budget == 0 {
-                return Ok(DiscardOutcome::BudgetExhausted);
-            }
-            let available = match self.inner.fill_buf() {
-                Ok(a) => a,
-                Err(e) if e.kind() == std::io::ErrorKind::Interrupted => continue,
-                Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
-                    return Ok(DiscardOutcome::Pending)
-                }
-                // A reset mid-drain means the client is gone: nothing
-                // left to be graceful for.
-                Err(_) => return Ok(DiscardOutcome::Eof),
-            };
-            if available.is_empty() {
-                return Ok(DiscardOutcome::Eof);
-            }
-            let n = (available.len() as u64).min(*budget) as usize;
-            self.inner.consume(n);
-            *budget -= n as u64;
-        }
-    }
-
-    /// Blocking form of [`poll_discard`](Self::poll_discard): reads and
-    /// discards up to `max_bytes` of remaining input, stopping early on
-    /// EOF (or on `WouldBlock` for nonblocking streams).
+    /// Reads and discards up to `max_bytes` of remaining input, stopping
+    /// early at EOF or on any read error (a read timeout included). A
+    /// server calls this after answering a framing violation: closing
+    /// with unread bytes in the receive buffer would reset the connection
+    /// and may discard the error line before the client reads it.
     pub fn drain(&mut self, max_bytes: u64) {
-        let mut budget = max_bytes;
-        let _ = self.poll_discard(&mut budget);
+        let _ = std::io::copy(&mut (&mut self.inner).take(max_bytes), &mut std::io::sink());
     }
 }
 
@@ -994,8 +850,8 @@ mod tests {
     }
 
     /// A reader that replays a fixed schedule of reads: `Ok(bytes)`
-    /// delivers a chunk, `Err(WouldBlock)` simulates a drained
-    /// nonblocking socket. Past the schedule it reports EOF.
+    /// delivers a chunk, `Err(e)` fails one read (a socket read timeout
+    /// is `WouldBlock`). Past the schedule it reports EOF.
     struct ScriptedReader {
         schedule: std::collections::VecDeque<std::io::Result<Vec<u8>>>,
     }
@@ -1005,10 +861,6 @@ mod tests {
             ScriptedReader {
                 schedule: steps.into_iter().collect(),
             }
-        }
-
-        fn would_block() -> std::io::Result<Vec<u8>> {
-            Err(std::io::ErrorKind::WouldBlock.into())
         }
     }
 
@@ -1032,125 +884,116 @@ mod tests {
     }
 
     #[test]
-    fn poll_line_survives_byte_at_a_time_delivery() {
+    fn read_line_survives_byte_at_a_time_delivery() {
         let input = "ping\r\nselect 2\n";
         let steps = input.bytes().map(|b| Ok(vec![b])).collect();
         let mut r = CappedLineReader::new(ScriptedReader::new(steps));
         let mut buf = String::new();
-        assert_eq!(r.poll_line(&mut buf).unwrap(), PollLine::Line);
+        assert_eq!(r.read_line(&mut buf).unwrap(), CappedLine::Line);
         assert_eq!(buf, "ping");
-        assert_eq!(r.poll_line(&mut buf).unwrap(), PollLine::Line);
+        assert_eq!(r.read_line(&mut buf).unwrap(), CappedLine::Line);
         assert_eq!(buf, "select 2");
-        assert_eq!(r.poll_line(&mut buf).unwrap(), PollLine::Eof);
+        assert_eq!(r.read_line(&mut buf).unwrap(), CappedLine::Eof);
     }
 
     #[test]
-    fn poll_line_resumes_a_line_split_across_would_block() {
-        // The line arrives in three deliveries with socket-drained gaps
-        // between them — including a CRLF split across a gap, the case
-        // where a naive implementation strips or keeps the '\r' wrongly.
+    fn read_line_joins_a_line_split_across_reads() {
+        // The line arrives in three deliveries — including a CRLF split
+        // between two of them, the case where a naive implementation
+        // strips or keeps the '\r' wrongly.
         let mut r = CappedLineReader::new(ScriptedReader::new(vec![
             Ok(b"sel".to_vec()),
-            ScriptedReader::would_block(),
             Ok(b"ect 5\r".to_vec()),
-            ScriptedReader::would_block(),
             Ok(b"\nping\n".to_vec()),
         ]));
         let mut buf = String::new();
-        assert_eq!(r.poll_line(&mut buf).unwrap(), PollLine::Pending);
-        assert_eq!(r.buffered_len(), 3, "partial line parked internally");
-        assert_eq!(r.poll_line(&mut buf).unwrap(), PollLine::Pending);
-        assert_eq!(r.poll_line(&mut buf).unwrap(), PollLine::Line);
-        assert_eq!(buf, "select 5", "resumed line intact, CRLF stripped");
-        assert_eq!(r.poll_line(&mut buf).unwrap(), PollLine::Line);
+        assert_eq!(r.read_line(&mut buf).unwrap(), CappedLine::Line);
+        assert_eq!(buf, "select 5", "joined line intact, CRLF stripped");
+        assert_eq!(r.read_line(&mut buf).unwrap(), CappedLine::Line);
         assert_eq!(buf, "ping");
-        assert_eq!(r.poll_line(&mut buf).unwrap(), PollLine::Eof);
+        assert_eq!(r.read_line(&mut buf).unwrap(), CappedLine::Eof);
     }
 
     #[test]
-    fn poll_line_keeps_multibyte_chars_split_across_would_block() {
-        // 'é' is two UTF-8 bytes; the gap lands between them. A
-        // UTF-8-validating accumulator (like std's read_line) can drop
-        // the partial byte here.
+    fn read_line_keeps_multibyte_chars_split_across_reads() {
+        // 'é' is two UTF-8 bytes; the split lands between them. A reader
+        // that validated UTF-8 per delivery would reject the line.
         let mut r = CappedLineReader::new(ScriptedReader::new(vec![
             Ok(vec![b'x', 0xC3]),
-            ScriptedReader::would_block(),
             Ok(vec![0xA9, b'\n']),
         ]));
         let mut buf = String::new();
-        assert_eq!(r.poll_line(&mut buf).unwrap(), PollLine::Pending);
-        assert_eq!(r.poll_line(&mut buf).unwrap(), PollLine::Line);
+        assert_eq!(r.read_line(&mut buf).unwrap(), CappedLine::Line);
         assert_eq!(buf, "xé");
     }
 
     #[test]
-    fn poll_line_enforces_the_cap_across_resumed_reads() {
-        // A client trickling one oversized line in chunks (with drained
-        // gaps) must still be cut off: the cap counts the *accumulated*
-        // content, not any single delivery.
+    fn read_line_enforces_the_cap_across_split_reads() {
+        // A client trickling one oversized line in chunks must still be
+        // cut off: the cap counts the whole line, not any single
+        // delivery.
         let chunk = vec![b'a'; 300 * 1024];
         let mut r = CappedLineReader::new(ScriptedReader::new(vec![
             Ok(chunk.clone()),
-            ScriptedReader::would_block(),
             Ok(chunk.clone()),
-            ScriptedReader::would_block(),
             Ok(chunk.clone()),
-            ScriptedReader::would_block(),
             Ok(chunk.clone()),
             // Never a newline: the reader must not wait for one.
         ]));
         let mut buf = String::new();
-        assert_eq!(r.poll_line(&mut buf).unwrap(), PollLine::Pending);
-        assert_eq!(r.poll_line(&mut buf).unwrap(), PollLine::Pending);
-        assert_eq!(r.poll_line(&mut buf).unwrap(), PollLine::Pending);
         assert_eq!(
-            r.poll_line(&mut buf).unwrap(),
-            PollLine::Oversized,
+            r.read_line(&mut buf).unwrap(),
+            CappedLine::Oversized,
             "cap crossed on the fourth chunk, mid-line"
         );
         assert_eq!(buf.len() as u64, MAX_LINE_BYTES, "truncated prefix");
     }
 
     #[test]
-    fn poll_line_cap_allows_exactly_max_content_delivered_in_pieces() {
+    fn read_line_cap_allows_exactly_max_content_delivered_in_pieces() {
         // Exactly MAX_LINE_BYTES of content + CRLF, delivered in halves:
-        // resumption must not shrink the allowance.
+        // splitting the line must not shrink the allowance.
         let half = vec![b'#'; 1 << 19];
         let mut r = CappedLineReader::new(ScriptedReader::new(vec![
             Ok(half.clone()),
-            ScriptedReader::would_block(),
             Ok(half.clone()),
-            ScriptedReader::would_block(),
             Ok(b"\r\n".to_vec()),
         ]));
         let mut buf = String::new();
-        assert_eq!(r.poll_line(&mut buf).unwrap(), PollLine::Pending);
-        assert_eq!(r.poll_line(&mut buf).unwrap(), PollLine::Pending);
-        assert_eq!(r.poll_line(&mut buf).unwrap(), PollLine::Line);
+        assert_eq!(r.read_line(&mut buf).unwrap(), CappedLine::Line);
         assert_eq!(buf.len() as u64, MAX_LINE_BYTES);
     }
 
     #[test]
-    fn poll_discard_distinguishes_pending_from_eof_and_budget() {
+    fn read_line_returns_a_read_timeout_as_its_error() {
+        // A socket read timeout mid-line reaches the caller as the
+        // stream's own error, which the server answers with the idle
+        // notice.
+        let mut r = CappedLineReader::new(ScriptedReader::new(vec![
+            Ok(b"sel".to_vec()),
+            Err(std::io::ErrorKind::WouldBlock.into()),
+        ]));
+        let mut buf = String::new();
+        let err = r.read_line(&mut buf).unwrap_err();
+        assert_eq!(err.kind(), std::io::ErrorKind::WouldBlock);
+    }
+
+    #[test]
+    fn drain_stops_at_its_budget_or_at_eof() {
         let mut r = CappedLineReader::new(ScriptedReader::new(vec![
             Ok(vec![b'x'; 100]),
-            ScriptedReader::would_block(),
             Ok(vec![b'y'; 100]),
+            Ok(b"\n".to_vec()),
         ]));
-        let mut budget = 150;
-        assert_eq!(
-            r.poll_discard(&mut budget).unwrap(),
-            DiscardOutcome::Pending
-        );
-        assert_eq!(budget, 50);
-        assert_eq!(
-            r.poll_discard(&mut budget).unwrap(),
-            DiscardOutcome::BudgetExhausted
-        );
-        assert_eq!(budget, 0);
-        let mut rest = 1000;
-        assert_eq!(r.poll_discard(&mut rest).unwrap(), DiscardOutcome::Eof);
-        assert_eq!(rest, 1000 - 50, "the leftover 50 bytes were consumed");
+        // Budget: 150 bytes go, the last 50 'y's are still there.
+        r.drain(150);
+        let mut buf = String::new();
+        assert_eq!(r.read_line(&mut buf).unwrap(), CappedLine::Line);
+        assert_eq!(buf, "y".repeat(50));
+        // EOF: a budget larger than what is left stops at the end.
+        let mut r = CappedLineReader::new(ScriptedReader::new(vec![Ok(vec![b'z'; 50])]));
+        r.drain(1000);
+        assert_eq!(r.read_line(&mut buf).unwrap(), CappedLine::Eof);
     }
 
     #[test]

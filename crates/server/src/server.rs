@@ -39,6 +39,9 @@ pub const DEFAULT_GRAPH_NAME: &str = "default";
 #[derive(Debug, Clone)]
 pub struct ServerConfig {
     /// Worker threads, i.e. connections served concurrently (default 4).
+    /// Each worker serves one connection until the client closes it;
+    /// connections beyond `threads` wait in the accept backlog until a
+    /// worker is free.
     pub threads: usize,
     /// Per-graph pool-cache capacity: distinct `(ε, ℓ)` mixes kept warm
     /// per graph (default 4).
@@ -77,22 +80,12 @@ pub struct ServerConfig {
     /// / `stats pools`). Default false: admin verbs parse but answer
     /// `error: …`.
     pub admin: bool,
-    /// Serve through the epoll event loop ([`crate::event_loop`])
-    /// instead of thread-per-connection workers: `threads` becomes the
-    /// reactor shard count and concurrency is bounded by fds, not
-    /// stacks. Default false.
-    pub event_loop: bool,
     /// Close connections with no socket activity for this long
-    /// (best-effort [`IDLE_TIMEOUT_REPLY`] first), on either serving
-    /// core. The thread pool sets it as each connection's read and write
-    /// timeout, so an idle or stalled client frees its worker. `None`
-    /// (the default) keeps idle connections forever.
+    /// (best-effort [`IDLE_TIMEOUT_REPLY`] first). It is each
+    /// connection's read and write timeout, so an idle or stalled client
+    /// frees its worker. `None` (the default) keeps idle connections
+    /// forever.
     pub idle_timeout: Option<std::time::Duration>,
-    /// Event-loop mode only: admission cap on concurrent connections;
-    /// excess connections get a best-effort
-    /// [`crate::event_loop::AT_CAPACITY_REPLY`] and are closed. `None`
-    /// (the default) admits until fds run out.
-    pub max_conns: Option<usize>,
 }
 
 impl Default for ServerConfig {
@@ -112,9 +105,7 @@ impl Default for ServerConfig {
             pool_dir: None,
             persist_pools: false,
             admin: false,
-            event_loop: false,
             idle_timeout: None,
-            max_conns: None,
         }
     }
 }
@@ -284,25 +275,10 @@ impl<M: DiffusionModel + Send + Clone + 'static> Server<M> {
         self.addr
     }
 
-    /// Spawns the serving threads and starts accepting connections —
-    /// thread-per-connection workers by default, epoll reactor shards
-    /// when [`ServerConfig::event_loop`] is set.
+    /// Spawns [`ServerConfig::threads`] workers and starts accepting
+    /// connections.
     pub fn start(self) -> ServerHandle {
         let stop = Arc::new(AtomicBool::new(false));
-        if self.state.config().event_loop {
-            #[cfg(target_os = "linux")]
-            {
-                let workers =
-                    crate::event_loop::spawn_shards(self.state, self.listener, Arc::clone(&stop));
-                return ServerHandle {
-                    stop,
-                    addr: self.addr,
-                    workers,
-                };
-            }
-            #[cfg(not(target_os = "linux"))]
-            eprintln!("event loop requires Linux (epoll); using thread-per-connection workers");
-        }
         let workers = (0..self.state.config().threads)
             .map(|i| {
                 let state = Arc::clone(&self.state);
@@ -380,8 +356,10 @@ impl ServerHandle {
         }
     }
 
-    /// Stops accepting, wakes blocked workers, and joins them. In-flight
-    /// connections finish their current accept/serve cycle first.
+    /// Stops accepting, wakes blocked workers, and joins them. It waits
+    /// for each worker's current connection to end, so a client that
+    /// never closes holds `stop` until [`ServerConfig::idle_timeout`]
+    /// reaps its connection (without one, forever).
     pub fn stop(self) {
         self.stop.store(true, Ordering::Release);
         // One wake-up connection per worker: each blocked accept consumes
@@ -422,9 +400,9 @@ fn timed_out(e: &std::io::Error) -> bool {
 /// Serves one connection: one session, one answer line per request line,
 /// until EOF (a pending batch flushes at EOF). With
 /// [`ServerConfig::idle_timeout`], a read that waits longer ends the
-/// connection as the event loop does: [`IDLE_TIMEOUT_REPLY`] goes out
-/// best-effort, and a pending batch is dropped unanswered. A write that
-/// waits longer drops the connection.
+/// connection: [`IDLE_TIMEOUT_REPLY`] goes out best-effort, and a
+/// pending batch is dropped unanswered. A write that waits longer drops
+/// the connection.
 fn serve_connection<M: DiffusionModel + Send + Clone + 'static>(
     state: &ServerState<M>,
     stream: TcpStream,

@@ -81,7 +81,9 @@ check "warm-pool seeds byte-identical to fresh select" \
 
 echo "== server: tim serve answers == tim query answers =="
 # Ephemeral port; the bound address appears on stdout as "listening on …".
+# Idle reaping is armed: the transcripts must not change.
 "$TIM" serve "$SNAP" --addr 127.0.0.1:0 --pool "$POOL" -k 10 --eps 0.3 --seed 7 \
+    --idle-timeout 30 \
     > out/kick-tires/serve.addr 2> out/kick-tires/serve.log &
 SERVE_PID=$!
 trap 'kill $SERVE_PID 2>/dev/null || true' EXIT
@@ -103,9 +105,12 @@ wait $SERVE_PID 2>/dev/null || true
 trap - EXIT
 check "tim serve byte-identical to tim query" \
     diff out/kick-tires/query.txt out/kick-tires/serve_answers.txt
-diff out/kick-tires/serve_answers.txt out/kick-tires/serve_answers2.txt
-check "concurrent client sessions byte-identical" \
+check "concurrent client session 2 byte-identical" \
+    diff out/kick-tires/serve_answers.txt out/kick-tires/serve_answers2.txt
+check "concurrent client session 3 byte-identical" \
     diff out/kick-tires/serve_answers.txt out/kick-tires/serve_answers3.txt
+check "tim serve armed the idle timeout" \
+    grep -q ', idle timeout 30.0s,' out/kick-tires/serve.log
 
 echo "== server: tim serve --pool adopts the pool's provenance =="
 # No -k/--eps/--seed: as with tim query, the loaded pool's values become
@@ -131,37 +136,6 @@ check "tim serve --pool without repeated flags byte-identical to tim query" \
     diff out/kick-tires/query.txt out/kick-tires/adopt_answers.txt
 check "tim serve --pool sampled no pool (builds=0)" \
     grep -q ' builds=0 ' out/kick-tires/adopt_pools.txt
-
-echo "== event-loop server: epoll core answers == tim query answers =="
-# Same snapshot and session through the epoll serving core, with idle
-# reaping and admission control armed: the transcript must not change.
-"$TIM" serve "$SNAP" --addr 127.0.0.1:0 --pool "$POOL" -k 10 --eps 0.3 --seed 7 \
-    --event-loop --idle-timeout 30 --max-conns 256 \
-    > out/kick-tires/evloop.addr 2> out/kick-tires/evloop.log &
-EV_PID=$!
-trap 'kill $EV_PID 2>/dev/null || true' EXIT
-for _ in $(seq 1 100); do
-    grep -q '^listening on ' out/kick-tires/evloop.addr 2>/dev/null && break
-    sleep 0.1
-done
-EV_ADDR=$(sed -n 's/^listening on //p' out/kick-tires/evloop.addr)
-echo "event-loop server at $EV_ADDR (pid $EV_PID)"
-"$TIM" client --addr "$EV_ADDR" --timeout 60 < "$SESSION" \
-    > out/kick-tires/evloop_answers.txt
-# A second pair of concurrent sessions, pipelined through one core.
-"$TIM" client --addr "$EV_ADDR" --timeout 60 < "$SESSION" > out/kick-tires/evloop_answers2.txt &
-E2=$!
-"$TIM" client --addr "$EV_ADDR" --timeout 60 < "$SESSION" > out/kick-tires/evloop_answers3.txt &
-E3=$!
-wait $E2 $E3
-kill $EV_PID 2>/dev/null || true
-wait $EV_PID 2>/dev/null || true
-trap - EXIT
-check "event-loop serve byte-identical to tim query" \
-    diff out/kick-tires/query.txt out/kick-tires/evloop_answers.txt
-diff out/kick-tires/evloop_answers.txt out/kick-tires/evloop_answers2.txt
-check "concurrent event-loop sessions byte-identical" \
-    diff out/kick-tires/evloop_answers.txt out/kick-tires/evloop_answers3.txt
 
 echo "== multi-graph serve: two-graph use/batch session == two single-graph replays =="
 GRAPH2=out/kick-tires/ws_small.txt
